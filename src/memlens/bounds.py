@@ -117,13 +117,6 @@ class ErrorCurveTable:
         return "\n".join(lines) + "\n"
 
 
-def _coverage_depth(l: int, radius: int) -> int:
-    K = 1
-    while l ** K <= radius:
-        K += 1
-    return K
-
-
 def _window_spectrum(rho: Sequence, l: int, K: int) -> np.ndarray:
     window = rho.truncate(l ** K)
     return tensors.singular_values(tensors.tensorize(window, l, K)).values
@@ -168,7 +161,7 @@ def complexity_measure(rho: Sequence, l: int, g: DecayProfile,
     r = rho.radius()
     if r is None:
         return Scalar(0.0)
-    k_star = _coverage_depth(l, r)
+    k_star = tensors.coverage_depth(l, r)
     cap = k_star if k_cap is None else int(k_cap)
     if cap < k_star:
         raise ValueError("k_cap must cover the support")

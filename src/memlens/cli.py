@@ -154,7 +154,7 @@ def _cmd_spectrum(config: RunConfig) -> int:
             window = target.truncate(config.l ** K)
             tensor = tensors.tensorize(window, config.l, K)
             spec = tensors.singular_values(tensor)
-            per_K.append({"K": K, "rank": tensors.tensor_rank(tensor),
+            per_K.append({"K": K, "rank": spec.rank(),
                           "values": [[float(v), int(m)] for v, m in spec.entries]})
         if "json" in config.formats:
             _emit(config, f"{_safe_label(label)}_spectrum.json",
@@ -235,9 +235,7 @@ def _cmd_synth(config: RunConfig) -> int:
             if config.K_list:
                 K = config.K_list[0]
             else:
-                K = 1
-                while config.l ** K <= (target.radius() or 0):
-                    K += 1
+                K = tensors.coverage_depth(config.l, target.radius() or 0)
             spec = synthesize_lowrank(target, config.l, K)
             reference = target.truncate(config.l ** K)
         replay = cnn_representation(spec)
@@ -356,7 +354,7 @@ def _config_from_args(args) -> RunConfig:
     return RunConfig(
         command=command,
         targets=tuple(getattr(args, "target", ()) or ()),
-        l=getattr(args, "l", 2) or 2,
+        l=2 if command == "compare" else getattr(args, "l", 2),
         K_list=K_list,
         channels=tuple(getattr(args, "channels", ()) or ()),
         M_max=getattr(args, "M_max", 64),
@@ -374,6 +372,10 @@ def run(config: RunConfig) -> int:
     handler = _HANDLERS[config.command]
     if config.command not in ("compare", "reproduce") and not config.targets:
         raise UsageError("no --target given")
+    if config.l < 2:
+        raise UsageError("--l must be >= 2")
+    if min(config.K_list + (config.M_max,)) < 1:
+        raise UsageError("--K and --M-max must be >= 1")
     return handler(config)
 
 

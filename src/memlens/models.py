@@ -196,13 +196,6 @@ def effective_filters(channels, l: int, d: int = 1) -> float:
     return (pair_sum - l * K) / d
 
 
-def _depth_for_radius(l: int, r: int) -> int:
-    K = 1
-    while l ** K <= r:
-        K += 1
-    return K
-
-
 def synthesize_radix(target: Sequence, l: int) -> CnnSpec:
     """Exact filter bank reading base-l digits of the support positions.
 
@@ -221,7 +214,7 @@ def synthesize_radix(target: Sequence, l: int) -> CnnSpec:
     r = target.radius()
     if r is None:
         return CnnSpec(l=l, K=1, channels=(1, 1), filters={})
-    K = _depth_for_radius(l, r)
+    K = tensors.coverage_depth(l, r)
     tol = target.zero_tol()
     support = [(t, float(v[0])) for t, v in sorted(target.entries().items())
                if abs(float(v[0])) > tol]

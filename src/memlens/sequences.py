@@ -190,13 +190,13 @@ class Sequence:
     # -- support and norms -----------------------------------------------
 
     def zero_tol(self) -> float:
-        """Scale-aware threshold separating true support from round-off."""
+        """Scale-relative threshold separating true support from round-off."""
         if self._kind == "finite":
             peak = max((float(np.max(np.abs(v))) for v in self._entries.values()),
                        default=0.0)
         else:
             peak = 1.0  # both registered families have sup |rho| <= 1
-        return ZERO_REL_TOL * max(1.0, peak)
+        return ZERO_REL_TOL * peak
 
     def radius(self):
         """Largest t with a nonzero entry, or None for the zero sequence.

@@ -6,10 +6,10 @@ least significant digit).  The pooled singular values of the K mode
 flattenings drive the rank counts and truncation bounds used by the
 approximation-rate machinery.
 
-Singular values are computed from the l x l Gram matrix of each
-flattening with a cyclic Jacobi eigensolver: every flattening is short
-and wide, so no general SVD machinery is needed and the results are
-reproducible at high precision.
+Singular values come from a direct SVD of each flattening, never from
+its Gram matrix: forming the Gram matrix squares the condition number
+and loses singular values below sqrt(eps) of the largest, which would
+let round-off decide tensor ranks.
 """
 
 from __future__ import annotations
@@ -21,51 +21,7 @@ import numpy as np
 
 from .sequences import Scalar, Sequence
 
-JACOBI_OFF_TOL = 1e-14
-
-
-def jacobi_eigh(mat, tol=JACOBI_OFF_TOL, max_sweeps=60):
-    """Eigen-decomposition of a small symmetric matrix by cyclic Jacobi.
-
-    Sweeps plane rotations over all off-diagonal positions until the
-    off-diagonal mass drops below tol relative to the matrix scale.
-    Returns (eigenvalues descending, eigenvectors as columns).
-    """
-    a = np.array(mat, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
-    v = np.eye(n)
-    scale = max(1.0, float(np.linalg.norm(a)))
-
-    def off_mass():
-        return math.sqrt(sum(a[i, j] ** 2
-                             for i in range(n) for j in range(n) if i != j))
-
-    for _ in range(max_sweeps):
-        if off_mass() <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if a[p, q] == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * a[p, q])
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = a[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    w = np.diag(a).copy()
-    order = np.argsort(-w, kind="stable")
-    return w[order], v[:, order]
+RANK_REL_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,13 +53,10 @@ class Tensor:
         """Value at a 1-based multi-index (i_1, ..., i_K)."""
         if len(index) != self.order:
             raise ValueError("multi-index length must equal the order")
-        pos, stride = 0, 1
-        for i in index:
-            if not 1 <= i <= self.l:
-                raise ValueError("multi-index out of range")
-            pos += (i - 1) * stride
-            stride *= self.l
-        return float(self.data[pos])
+        if not all(1 <= i <= self.l for i in index):
+            raise ValueError("multi-index out of range")
+        cube = self.data.reshape((self.l,) * self.order, order="F")
+        return float(cube[tuple(i - 1 for i in index)])
 
 
 @dataclass(frozen=True)
@@ -112,8 +65,8 @@ class Spectrum:
 
     entries holds (value, mode) pairs sorted by descending value with
     ties broken by ascending mode index.  Each mode contributes
-    min(l, l^(K-1)) values, zero padded per mode to l when K >= 2, so the
-    total length is l*K for K >= 2 and 1 for K = 1.
+    min(l, l^(K-1)) values, so the total length is l*K for K >= 2 and 1
+    for K = 1.
     """
 
     entries: tuple
@@ -133,71 +86,59 @@ class Spectrum:
     def per_mode(self, k: int) -> np.ndarray:
         return np.array(sorted((v for v, m in self.entries if m == k), reverse=True))
 
+    def rank(self, tol=RANK_REL_TOL) -> int:
+        """Number of entries above tol relative to the largest."""
+        values = self.values
+        if len(values) == 0 or values[0] <= 0.0:
+            return 0
+        return int(np.sum(values > tol * values[0]))
+
     def __len__(self):
         return len(self.entries)
-
-
-def _digit_rows_cols(dims, k):
-    """Row and column index of every flat position under mode-k flattening.
-
-    Implements the index map: the (i_1, ..., i_K) entry lands at row i_k,
-    column 1 + sum over s != k of (i_s - 1) times the product of the mode
-    lengths I_s' for s' < s, s' != k (all zero-based here).
-    """
-    total = 1
-    for d in dims:
-        total *= d
-    idx = np.arange(total)
-    digits = []
-    rem = idx
-    for d in dims:
-        digits.append(rem % d)
-        rem = rem // d
-    rows = digits[k - 1]
-    cols = np.zeros(total, dtype=int)
-    stride = 1
-    for s in range(len(dims)):
-        if s == k - 1:
-            continue
-        cols += digits[s] * stride
-        stride *= dims[s]
-    return rows, cols
 
 
 def mode_flatten_general(data, dims, k) -> np.ndarray:
     """Mode-k flattening of a dense tensor in first-index-fastest layout.
 
-    Supports arbitrary mode lengths; the library paths only ever use
-    equal mode lengths, the general form exists for conformance checks.
+    The (i_1, ..., i_K) entry lands at row i_k and at the column that
+    reads the remaining indices first-index-fastest.  Supports arbitrary
+    mode lengths; the library paths only ever use equal mode lengths, the
+    general form exists for conformance checks.
     """
     dims = tuple(int(d) for d in dims)
     if not 1 <= k <= len(dims):
         raise ValueError("mode index out of range")
     flat = np.asarray(data, dtype=float).reshape(-1)
-    total = 1
-    for d in dims:
-        total *= d
-    if flat.shape != (total,):
+    if flat.shape != (math.prod(dims),):
         raise ValueError("data size does not match dims")
-    rows, cols = _digit_rows_cols(dims, k)
-    out = np.empty((dims[k - 1], total // dims[k - 1]))
-    out[rows, cols] = flat
-    return out
+    arr = np.moveaxis(flat.reshape(dims, order="F"), k - 1, 0)
+    return arr.reshape(dims[k - 1], -1, order="F")
 
 
 def mode_refold_general(mat, dims, k) -> np.ndarray:
     """Inverse of mode_flatten_general, back to the flat canonical layout."""
     dims = tuple(int(d) for d in dims)
-    rows, cols = _digit_rows_cols(dims, k)
+    if not 1 <= k <= len(dims):
+        raise ValueError("mode index out of range")
     mat = np.asarray(mat, dtype=float)
-    if mat.shape != (dims[k - 1], int(np.prod(dims)) // dims[k - 1]):
+    if mat.shape != (dims[k - 1], math.prod(dims) // dims[k - 1]):
         raise ValueError("matrix shape does not match dims")
-    return mat[rows, cols]
+    moved = (dims[k - 1],) + dims[:k - 1] + dims[k:]
+    arr = np.moveaxis(mat.reshape(moved, order="F"), 0, k - 1)
+    return arr.reshape(-1, order="F")
 
 
 def mode_flatten(t: Tensor, k: int) -> np.ndarray:
     """The l x l^(K-1) mode-k flattening of an all-modes-l tensor."""
     return mode_flatten_general(t.data, (t.l,) * t.order, k)
+
+
+def coverage_depth(l: int, radius: int) -> int:
+    """Smallest depth K >= 1 whose length-l^K window holds time radius."""
+    K = 1
+    while l ** K <= radius:
+        K += 1
+    return K
 
 
 def tensorize(rho: Sequence, l: int, K: int) -> Tensor:
@@ -212,8 +153,6 @@ def tensorize(rho: Sequence, l: int, K: int) -> Tensor:
     if l < 2 or K < 1:
         raise ValueError("need l >= 2 and K >= 1")
     size = l ** K
-    if rho.kind == "generated" and rho.horizon is None:
-        raise ValueError("sequence support exceeds the tensor window")
     r = rho.radius()
     if r is not None and r > size - 1:
         raise ValueError("sequence support exceeds the tensor window")
@@ -221,34 +160,22 @@ def tensorize(rho: Sequence, l: int, K: int) -> Tensor:
 
 
 def matrix_singular_values(mat) -> np.ndarray:
-    """Singular values (descending) of a matrix via the Gram-Jacobi path."""
+    """Singular values (descending) of a matrix by a direct SVD."""
     a = np.asarray(mat, dtype=float)
     if a.ndim != 2:
         raise ValueError("expected a matrix")
-    if a.shape[0] > a.shape[1]:
-        a = a.T
-    w, _ = jacobi_eigh(a @ a.T)
-    return np.sqrt(np.clip(w, 0.0, None))
+    return np.linalg.svd(a, compute_uv=False)
 
 
 def singular_values(t: Tensor) -> Spectrum:
     """Pooled spectrum of all K mode flattenings."""
-    keep = min(t.l, t.l ** (t.order - 1))
-    per_mode = []
-    for k in range(1, t.order + 1):
-        sig = matrix_singular_values(mode_flatten(t, k))[:keep]
-        if t.order >= 2 and len(sig) < t.l:
-            sig = np.concatenate([sig, np.zeros(t.l - len(sig))])
-        per_mode.append(sig)
-    return Spectrum.from_mode_values(per_mode)
+    return Spectrum.from_mode_values(
+        matrix_singular_values(mode_flatten(t, k)) for k in range(1, t.order + 1))
 
 
-def tensor_rank(t: Tensor, tol=1e-8) -> int:
+def tensor_rank(t: Tensor, tol=RANK_REL_TOL) -> int:
     """Number of spectrum entries above tol relative to the largest."""
-    values = singular_values(t).values
-    if len(values) == 0 or values[0] <= 0.0:
-        return 0
-    return int(np.sum(values > tol * values[0]))
+    return singular_values(t).rank(tol)
 
 
 def outer_product(vectors) -> Tensor:
@@ -280,18 +207,19 @@ def truncation_error_bound(spec: Spectrum, kept_rank: int) -> Scalar:
 def hosvd(t: Tensor):
     """Orthogonal factor per mode plus the core tensor (flat layout).
 
-    Factors are the Gram eigenvectors of each mode flattening ordered by
-    descending eigenvalue; the core is the tensor multiplied by every
-    factor transpose, so t reassembles as the factor-weighted sum of
+    Factors are the left singular vectors of each mode flattening ordered
+    by descending singular value; the core is the tensor multiplied by
+    every factor transpose, so t reassembles as the factor-weighted sum of
     outer products of factor columns.
     """
     dims = (t.l,) * t.order
     factors = []
     core = t.data.copy()
     for k in range(1, t.order + 1):
-        flat = mode_flatten(t, k)
-        _, vecs = jacobi_eigh(flat @ flat.T)
-        factors.append(vecs)
+        # Full matrices only for the l x 1 flattening of an order-1 tensor;
+        # elsewhere they would form l^(K-1) x l^(K-1) right vectors.
+        u = np.linalg.svd(mode_flatten(t, k), full_matrices=t.order == 1)[0]
+        factors.append(u)
         a = mode_flatten_general(core, dims, k)
-        core = mode_refold_general(vecs.T @ a, dims, k)
+        core = mode_refold_general(u.T @ a, dims, k)
     return core, factors

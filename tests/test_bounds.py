@@ -89,10 +89,12 @@ def test_complexity_is_absolutely_homogeneous(rng):
     g = DecayProfile.exponential(0.5)
     for _ in range(10):
         rho = Sequence.from_values(rng.normal(size=6))
-        alpha = float(rng.normal())
         base = complexity_measure(rho, 2, g).value
-        scaled = complexity_measure(rho.scaled(alpha), 2, g).value
-        assert scaled == pytest.approx(abs(alpha) * base, rel=1e-9)
+        normal = float(rng.normal())
+        log_uniform = float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12, 12))
+        for alpha in (normal, log_uniform, 1e-12, -1e12):
+            scaled = complexity_measure(rho.scaled(alpha), 2, g).value
+            assert scaled == pytest.approx(abs(alpha) * base, rel=1e-9)
 
 
 def test_complexity_requires_a_splittable_target():

@@ -119,7 +119,7 @@ def test_compare_command(capsys):
     assert payload["cnn_requirement"]["min_depth"] == 9
 
 
-def test_usage_errors_exit_one(capsys):
+def test_usage_errors_exit_one(tmp_path, capsys):
     assert main([]) == 1
     capsys.readouterr()
     assert main(["spectrum"]) == 1
@@ -129,6 +129,15 @@ def test_usage_errors_exit_one(capsys):
     assert main(["bounds", "--target", "rho1", "--l", "2", "--K", "2",
                  "--g", "exponential", "--g-params", "0.5"]) == 1
     capsys.readouterr()
+    assert main(["spectrum", "--target", "rho1", "--K", "0"]) == 1
+    capsys.readouterr()
+    assert main(["spectrum", "--target", "rho1", "--l", "1"]) == 1
+    capsys.readouterr()
+    out = tmp_path / "curve"
+    assert main(["curve", "--target", "rho1", "--M-max", "0",
+                 "--out", str(out)]) == 1
+    capsys.readouterr()
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_computation_errors_exit_two(capsys):

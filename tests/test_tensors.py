@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memlens.sequences import Sequence, dilated_conv
-from memlens.tensors import (Spectrum, Tensor, hosvd, jacobi_eigh,
-                             matrix_singular_values, mode_flatten,
+from memlens.tensors import (Spectrum, Tensor, hosvd, matrix_singular_values, mode_flatten,
                              mode_flatten_general, mode_refold_general,
                              outer_product, singular_values, tensor_rank,
                              tensorize, truncation_error_bound)
@@ -22,22 +21,12 @@ def _pooled_numpy_spectrum(t):
     K = t.order
     out = []
     for k in range(1, K + 1):
-        vals = list(np.linalg.svd(mode_flatten(t, k), compute_uv=False))
+        flat = _numpy_mode_flatten(t.data, (t.l,) * K, k)
+        vals = list(np.linalg.svd(flat, compute_uv=False))
         if K >= 2:
             vals += [0.0] * (t.l - len(vals))
         out.extend(vals)
     return np.array(sorted(out, reverse=True))
-
-
-def test_jacobi_matches_numpy_eigh(rng):
-    for n in (1, 2, 3, 5, 8):
-        for _ in range(10):
-            a = rng.normal(size=(n, n))
-            sym = (a + a.T) / 2.0
-            w, v = jacobi_eigh(sym)
-            assert np.allclose(np.sort(w), np.sort(np.linalg.eigvalsh(sym)),
-                               atol=1e-10)
-            assert np.allclose(v @ np.diag(w) @ v.T, sym, atol=1e-10)
 
 
 def test_tensorize_layout_is_digit_addressed():
@@ -97,8 +86,35 @@ def test_spectrum_pools_all_mode_flattenings(rng):
             spec = singular_values(t)
             assert len(spec) == l * K
             assert np.allclose(spec.values, _pooled_numpy_spectrum(t), atol=1e-10)
-            total = sum(v * v for v, m in spec.entries if m == 1)
-            assert total == pytest.approx(t.norm() ** 2, rel=1e-10)
+            for k in range(1, K + 1):
+                energy = float(np.sum(spec.per_mode(k) ** 2))
+                assert energy == pytest.approx(t.norm() ** 2, rel=1e-10)
+
+
+def _decaying_windows(n):
+    times = np.arange(n, dtype=float)
+    inverse = np.zeros(n)
+    inverse[1:] = 1.0 / times[1:]
+    return {"exp:0.99": 0.99 ** times, "1/t": inverse}
+
+
+def test_spectrum_matches_numpy_oracle_on_decaying_windows():
+    l, K = 8, 5
+    for data in _decaying_windows(l ** K).values():
+        t = Tensor(l=l, order=K, data=data)
+        got = singular_values(t).values
+        want = _pooled_numpy_spectrum(t)
+        assert np.max(np.abs(got - want)) <= 1e-9 * want[0]
+
+
+def test_rank_one_window_has_rank_equal_to_depth():
+    data = _decaying_windows(2 ** 15)["exp:0.99"]
+    for l, K in ((2, 15), (8, 5)):
+        t = Tensor(l=l, order=K, data=data)
+        assert tensor_rank(t) == K
+        spec = singular_values(t)
+        for k in range(1, K + 1):
+            assert spec.per_mode(k)[0] == pytest.approx(t.norm(), rel=1e-12)
 
 
 def test_spectrum_depth_one_is_the_window_norm():
