@@ -179,6 +179,14 @@ def complexity_measure(rho: Sequence, l: int, g: DecayProfile,
     return Scalar(best)
 
 
+def measure_window(rho: Sequence, l: int, K: int) -> Sequence:
+    """rho as complexity_measure takes it: a generated sequence without a
+    horizon is cut to its length-l^K window, anything else is unchanged."""
+    if rho.kind == "generated" and rho.horizon is None:
+        return rho.truncate(l ** K)
+    return rho
+
+
 def stack_effective_filters(channels, l: int, K: int, d: int) -> float:
     """Effective filter count from a CnnSpec or a full channel list.
 
@@ -216,11 +224,7 @@ def rate_bound_interval(rho: Sequence, l: int, K: int, channels,
     size = l ** K
     budget = math.floor(K * M ** (1.0 / K))
     g_arg = max(0, budget - K)
-    if rho.kind == "generated" and rho.horizon is None:
-        measured = rho.truncate(size)
-    else:
-        measured = rho
-    c_val = complexity_measure(measured, l, g)
+    c_val = complexity_measure(measure_window(rho, l, K), l, g)
     tail = rho.tail_norm(size)
     upper = Scalar(d * g(g_arg) * c_val.value + tail.value, tail.halfwidth)
     lower = Scalar(rho.sup_abs_from(size) / math.sqrt(d))

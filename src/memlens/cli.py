@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 from .sequences import Sequence
 from . import tensors
 from .bounds import (DecayProfile, complexity_measure, error_curve,
-                     rate_bound_interval, stack_effective_filters)
+                     measure_window, rate_bound_interval,
+                     stack_effective_filters)
 from .charts import line_chart
 from .experiments import comparison_report, conformance_suite, make_target
 from .models import cnn_representation, synthesize_lowrank, synthesize_radix
@@ -173,7 +174,8 @@ def _cmd_measure(config: RunConfig) -> int:
     g = _profile(config)
     for text in config.targets:
         target, label = load_target(text)
-        c = complexity_measure(target, config.l, g)
+        c = complexity_measure(measure_window(target, config.l, config.K_list[0]),
+                               config.l, g)
         finite = math.isfinite(c.value)
         _emit(config, f"{_safe_label(label)}_measure.json",
               _dump({"target": label, "l": config.l,
@@ -249,7 +251,10 @@ def _cmd_synth(config: RunConfig) -> int:
 
 
 def _cmd_compare(config: RunConfig) -> int:
-    report = comparison_report(config.scenario, **config.scenario_params)
+    params = dict(config.scenario_params, l=config.l)
+    if config.K_list:
+        params["K"] = config.K_list[0]
+    report = comparison_report(config.scenario, **params)
     _emit(config, f"compare_{config.scenario}.json", _dump(report.to_json()))
     return 0
 
@@ -304,6 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("measure", help="complexity measure against a decay profile")
     add_common(p, with_g=True)
+    p.add_argument("--K", action="append", type=int, default=None,
+                   help="depth whose window measures a target without a "
+                        "horizon (default 5)")
 
     p = sub.add_parser("bounds", help="two-sided approximation bound for explicit channels")
     add_common(p, with_g=True)
@@ -341,20 +349,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args) -> RunConfig:
     command = args.command
-    defaults = {"spectrum": (5,), "bounds": (5,), "curve": (4, 5, 6), "synth": ()}
+    defaults = {"spectrum": (5,), "measure": (5,), "bounds": (5,),
+                "curve": (4, 5, 6), "synth": ()}
     scenario_params = {}
     if command == "compare":
-        K_list = ()
-        for key in ("gamma", "eps", "K", "l", "horizon"):
+        K_list = () if args.K is None else (args.K,)
+        for key in ("gamma", "eps", "horizon"):
             value = getattr(args, key)
             if value is not None:
                 scenario_params[key] = value
     else:
         K_list = tuple(getattr(args, "K", None) or defaults.get(command, ()))
+    l = getattr(args, "l", None)
     return RunConfig(
         command=command,
         targets=tuple(getattr(args, "target", ()) or ()),
-        l=2 if command == "compare" else getattr(args, "l", 2),
+        l=2 if l is None else l,
         K_list=K_list,
         channels=tuple(getattr(args, "channels", ()) or ()),
         M_max=getattr(args, "M_max", 64),
@@ -374,8 +384,9 @@ def run(config: RunConfig) -> int:
         raise UsageError("no --target given")
     if config.l < 2:
         raise UsageError("--l must be >= 2")
-    if min(config.K_list + (config.M_max,)) < 1:
-        raise UsageError("--K and --M-max must be >= 1")
+    sizes = config.K_list + (config.M_max, config.scenario_params.get("horizon", 1))
+    if min(sizes) < 1:
+        raise UsageError("--K, --M-max and --horizon must be >= 1")
     return handler(config)
 
 
@@ -397,7 +408,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError, KeyError, OSError,
+    except (ValueError, ArithmeticError, KeyError, OSError, MemoryError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

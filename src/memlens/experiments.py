@@ -197,8 +197,8 @@ def comparison_report(scenario: str, **params) -> ComparisonReport:
         depth = cnn_min_depth_expdecay(gamma, eps, l)
         spec = RnnSpec(m=1, c=[1.0], W=[[gamma]], U=[[gamma]])
         rep = rnn_representation(spec, horizon)
-        residual = max(abs(float(rep.value(t)[0]) - gamma ** t)
-                       for t in range(1, horizon + 1))
+        kernel = np.array([gamma ** t for t in range(1, horizon + 1)])
+        residual = float(np.max(np.abs(rep.flat_values(horizon + 1)[1:] - kernel)))
         exact = residual <= 1e-12
         return ComparisonReport(
             scenario=scenario,

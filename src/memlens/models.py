@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sequences import Scalar, Sequence, dilated_conv
+from .sequences import MAX_TIME, Scalar, Sequence
 from . import tensors
 
 
@@ -131,46 +131,58 @@ class RnnSpec:
         return cls(m=int(obj["m"]), c=obj["c"], W=obj["W"], U=obj["U"])
 
 
-def _filter_sequence(spec: CnnSpec, k: int, j: int, i: int):
-    w = spec.filters.get((k, j, i))
-    if w is None:
-        return None
-    return Sequence.from_values(w)
+# Filters enter np.add.at in blocks whose products hold at most this many
+# values (64 KB), so a dense bank never forms an nnz x l x columns array.
+_PRODUCT_BLOCK = 8192
 
 
 def cnn_representation(spec: CnnSpec) -> Sequence:
     """Induced representation: the network response to a unit impulse.
 
-    Channel paths are evaluated layer by layer in ascending channel
-    order, which fixes the floating-point summation order.  The result
-    has one component per input channel.
+    The replay is K layer contractions over the live time columns.  The
+    state before layer k has one row per channel of M_k and one column per
+    live (time u, input component) pair, starting from the identity on
+    the M_0 input channels at time 0.  Layer k maps it to
+    (M_{k+1}, l, columns) at times s * l^k + u for filter taps s < l, and
+    columns that are exactly zero in every channel are then dropped.  The
+    layer's filters enter in COO form, (j, i) index arrays and (nnz, l)
+    weights in ascending filter-key order, so every out-channel sums its
+    in-channels in ascending j starting from zero: the floating-point
+    summation order is fixed.  The result has one component per input
+    channel; every time it reaches must stay below 2^63.
     """
-    d = spec.channels[0]
-    columns = []
-    for c in range(d):
-        prev = [Sequence.impulse(0) if j == c else Sequence.zero()
-                for j in range(d)]
-        for k in range(spec.K):
-            dilation = spec.l ** k
-            nxt = []
-            for i in range(spec.channels[k + 1]):
-                acc = Sequence.zero()
-                for j in range(spec.channels[k]):
-                    w = _filter_sequence(spec, k, j, i)
-                    if w is None or prev[j].radius() is None:
-                        continue
-                    acc = acc.plus(dilated_conv(w, prev[j], dilation))
-                nxt.append(acc)
-            prev = nxt
-        columns.append(prev[0])
+    d, l = spec.channels[0], spec.l
+    keys = sorted(spec.filters)
+    index = np.array(keys, dtype=np.int64).reshape(-1, 3)
+    weights = np.array([spec.filters[key] for key in keys], dtype=float).reshape(-1, l)
+    starts = np.searchsorted(index[:, 0], np.arange(spec.K + 1))
+    state = np.eye(d)
+    times = np.zeros(d, dtype=np.int64)
+    comps = np.arange(d)
+    for k in range(spec.K):
+        layer = slice(starts[k], starts[k + 1])
+        j, i, w = index[layer, 1], index[layer, 2], weights[layer]
+        taps = np.flatnonzero(np.any(w != 0.0, axis=0))
+        span = int(taps[-1]) + 1 if len(taps) and len(times) else 0
+        dilation = l ** k
+        if span and (span - 1) * dilation + int(times[-1]) > MAX_TIME:
+            raise ValueError(f"layer {k} reaches times beyond the int64 limit 2^63 - 1")
+        offsets = np.array([s * dilation for s in range(span)], dtype=np.int64)
+        nxt = np.zeros((spec.channels[k + 1], span, len(times)))
+        step = max(1, _PRODUCT_BLOCK // max(1, span * len(times)))
+        for lo in range(0, len(j), step):
+            block = slice(lo, lo + step)
+            np.add.at(nxt, i[block], w[block, :span, None] * state[j[block]][:, None, :])
+        live = np.any(nxt != 0.0, axis=0)
+        state = nxt[:, live]
+        times = (offsets[:, None] + times[None, :])[live]
+        comps = np.broadcast_to(comps, live.shape)[live]
     if d == 1:
-        return columns[0]
-    entries = {}
-    for c, col in enumerate(columns):
-        for t, v in col.entries().items():
-            vec = entries.setdefault(t, np.zeros(d))
-            vec[c] = v[0]
-    return Sequence(dim=d, entries=entries)
+        return Sequence.from_arrays(times, state[0])
+    uniq, inv = np.unique(times, return_inverse=True)
+    values = np.zeros((len(uniq), d))
+    values[inv, comps] = state[0]
+    return Sequence.from_arrays(uniq, values, dim=d)
 
 
 def effective_filters(channels, l: int, d: int = 1) -> float:
@@ -215,9 +227,9 @@ def synthesize_radix(target: Sequence, l: int) -> CnnSpec:
     if r is None:
         return CnnSpec(l=l, K=1, channels=(1, 1), filters={})
     K = tensors.coverage_depth(l, r)
-    tol = target.zero_tol()
-    support = [(t, float(v[0])) for t, v in sorted(target.entries().items())
-               if abs(float(v[0])) > tol]
+    times, values = target.arrays()
+    live = np.abs(values[:, 0]) > target.zero_tol()
+    support = list(zip(times[live].tolist(), values[live, 0].tolist()))
     if K == 1:
         w = [0.0] * l
         for t, v in support:
@@ -287,16 +299,12 @@ def rnn_representation(spec: RnnSpec, horizon: int) -> Sequence:
     """Representation c' W^(s-1) U for 1 <= s <= horizon; zero at s = 0."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    d = spec.dim
-    entries = {}
+    values = np.empty((horizon, spec.dim))
     v = spec.U.copy()
-    for s in range(1, horizon + 1):
-        entries[s] = spec.c @ v
+    for s in range(horizon):
+        values[s] = spec.c @ v
         v = spec.W @ v
-    if d == 1:
-        entries = {s: (float(val[0]),) for s, val in entries.items()}
-        return Sequence(dim=1, entries=entries)
-    return Sequence(dim=d, entries=entries)
+    return Sequence.from_arrays(np.arange(1, horizon + 1), values, dim=spec.dim)
 
 
 def power_sum_delta_bound(m_terms: int, t: int, sup_val: float) -> Scalar:
@@ -315,21 +323,22 @@ def power_sum_delta_bound(m_terms: int, t: int, sup_val: float) -> Scalar:
 
 
 def rnn_min_width_impulse(K: int, eps: float) -> int:
-    """Smallest width m with m^2 > 2^(K-1) (1 - 2 eps) / (1 + eps).
+    """Smallest width m with m^2 > B = 2^(K-1) (1 - 2 eps) / (1 + eps).
 
     This is the width a linear recurrence needs to track a unit impulse
-    at the end of a length-2^K window to accuracy eps.  The bound is
-    vacuous for eps >= 1/2, which is reported as an error.
+    at the end of a length-2^K window to accuracy eps.  B is formed
+    exactly from the binary value p / q of eps, and since m^2 is an integer,
+    m^2 > B holds exactly when m^2 > floor(B), so m = isqrt(floor(B)) + 1
+    for any K.  The bound is vacuous for eps >= 1/2, which is reported as
+    an error.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
     if not 0.0 < eps < 0.5:
         raise ValueError("the width bound needs 0 < eps < 1/2")
-    budget = 2.0 ** (K - 1) * (1.0 - 2.0 * eps) / (1.0 + eps)
-    m = 1
-    while m * m <= budget:
-        m += 1
-    return m
+    p, q = float(eps).as_integer_ratio()
+    floor_budget = 2 ** (K - 1) * (q - 2 * p) // (q + p)
+    return math.isqrt(floor_budget) + 1
 
 
 def cnn_min_depth_expdecay(gamma: float, eps: float, l: int) -> int:

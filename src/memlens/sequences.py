@@ -6,6 +6,13 @@ plus an optional hard truncation horizon.  These objects carry the
 representations of linear temporal functionals, the filters of the
 convolutional models, and the probe inputs used in tests.
 
+A finite sequence is stored as one sorted int64 array of distinct times
+and one (n, d) array of values, and every operation on it is an array
+operation.  Generated sequences are evaluated with numpy (gamma ** t,
+1 / t) over whole windows.  Time indices must stay below 2^63: a larger
+index raises ValueError before any int64 arithmetic runs, so no time
+wraps silently.
+
 All operations are pure: sequences are immutable after construction and
 every operation returns a new value.
 """
@@ -19,6 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 ZERO_REL_TOL = 1e-10
+MAX_TIME = int(np.iinfo(np.int64).max)
+_TAIL_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -49,20 +58,47 @@ class Scalar:
         return float(self.value)
 
 
-def _as_vector(v, dim: int) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(v, dtype=float))
-    if arr.shape != (dim,):
-        raise ValueError(f"expected a length-{dim} value, got shape {arr.shape}")
-    return arr
+def _check_time(t):
+    if t > MAX_TIME:
+        raise ValueError(f"a {int(t).bit_length()}-bit time index is beyond "
+                         f"the int64 limit 2^63 - 1")
+
+
+def _columns(times, values, dim):
+    """Sorted distinct int64 times and their (n, dim) values.
+
+    A repeated time keeps its last value, as a dict built from the same
+    (time, value) pairs would.
+    """
+    arr = np.asarray(times)
+    if arr.dtype.kind not in "iu":  # floats, strings, or beyond 64 bits
+        arr = np.array([int(t) for t in times], dtype=object)
+    if arr.size:
+        if arr.min() < 0:
+            raise ValueError("entries must live at t >= 0")
+        _check_time(int(arr.max()))
+    times = arr.astype(np.int64).reshape(-1)
+    values = np.asarray(values, dtype=float)
+    if dim == 1 and values.ndim == 1:
+        values = values[:, None]
+    if values.shape != (len(times), dim):
+        raise ValueError(f"expected {len(times)} length-{dim} values, "
+                         f"got shape {values.shape}")
+    order = np.argsort(times, kind="stable")
+    times, values = times[order], values[order]
+    last = np.ones(len(times), dtype=bool)
+    last[:-1] = times[1:] != times[:-1]
+    return times[last], values[last]
 
 
 class Sequence:
     """A finitely supported or rule-generated sequence rho: N -> R^d.
 
-    kind="finite" stores an explicit {t: vector} map.  kind="generated"
-    evaluates a registered family ("geometric" with parameter gamma, or
-    "power" for the inverse-time sequence 0, 1, 1/2, 1/3, ...) and is
-    optionally truncated to zero beyond an integer horizon.
+    kind="finite" stores sorted int64 times with an (n, dim) value array.
+    kind="generated" evaluates a registered family ("geometric" with
+    parameter gamma, or "power" for the inverse-time sequence 0, 1, 1/2,
+    1/3, ...) and is optionally truncated to zero beyond an integer
+    horizon.
     """
 
     def __init__(self, dim=1, entries=None, family=None, params=None, horizon=None):
@@ -72,29 +108,33 @@ class Sequence:
         self._horizon = None if horizon is None else int(horizon)
         if self._horizon is not None and self._horizon < 0:
             raise ValueError("horizon must be >= 0")
+        self._family = family
+        self._params = {}
+        self._times = self._values = None
         if family is None:
-            self._kind = "finite"
-            self._family = None
-            self._params = {}
-            self._entries = {}
-            for t, v in (entries or {}).items():
-                if t < 0:
-                    raise ValueError("entries must live at t >= 0")
-                self._entries[int(t)] = _as_vector(v, self._dim)
-        else:
-            if family not in ("geometric", "power"):
-                raise ValueError(f"unknown family {family!r}")
-            if dim != 1:
-                raise ValueError("generated families are one dimensional")
-            self._kind = "generated"
-            self._family = family
-            self._params = dict(params or {})
-            self._entries = None
-            if family == "geometric":
-                g = float(self._params.get("gamma", 0.0))
-                if not 0.0 < g < 1.0:
-                    raise ValueError("geometric family needs 0 < gamma < 1")
-                self._params["gamma"] = g
+            pairs = list(entries.items() if hasattr(entries, "items") else entries or ())
+            times, values = zip(*pairs) if pairs else ((), np.zeros((0, self._dim)))
+            self._times, self._values = _columns(times, values, self._dim)
+            return
+        if family not in ("geometric", "power"):
+            raise ValueError(f"unknown family {family!r}")
+        if dim != 1:
+            raise ValueError("generated families are one dimensional")
+        self._params = dict(params or {})
+        if family == "geometric":
+            g = float(self._params.get("gamma", 0.0))
+            if not 0.0 < g < 1.0:
+                raise ValueError("geometric family needs 0 < gamma < 1")
+            self._params["gamma"] = g
+
+    @classmethod
+    def _of(cls, times, values) -> "Sequence":
+        """Finite sequence over already sorted distinct int64 times."""
+        seq = object.__new__(cls)
+        seq._dim = values.shape[1]
+        seq._horizon, seq._family, seq._params = None, None, {}
+        seq._times, seq._values = times, values
+        return seq
 
     # -- constructors --------------------------------------------------
 
@@ -105,12 +145,22 @@ class Sequence:
     @classmethod
     def from_values(cls, values) -> "Sequence":
         """One-dimensional sequence from the dense prefix (v0, v1, ...)."""
-        entries = {t: (float(v),) for t, v in enumerate(values) if float(v) != 0.0}
-        return cls(dim=1, entries=entries)
+        v = np.asarray(values, dtype=float).reshape(-1)
+        t = np.flatnonzero(v)
+        return cls._of(t.astype(np.int64), v[t][:, None])
 
     @classmethod
     def from_entries(cls, entries, dim=1) -> "Sequence":
         return cls(dim=dim, entries=entries)
+
+    @classmethod
+    def from_arrays(cls, times, values, dim=1) -> "Sequence":
+        """Finite sequence from a time array and a matching value array.
+
+        values has shape (n, dim), or (n,) when dim is 1; times need not
+        be sorted, and a repeated time keeps its last value.
+        """
+        return cls._of(*_columns(times, values, int(dim)))
 
     @classmethod
     def impulse(cls, t, value=1.0) -> "Sequence":
@@ -137,7 +187,7 @@ class Sequence:
 
     @property
     def kind(self) -> str:
-        return self._kind
+        return "finite" if self._family is None else "generated"
 
     @property
     def family(self):
@@ -151,35 +201,64 @@ class Sequence:
     def horizon(self):
         return self._horizon
 
+    def arrays(self):
+        """Read-only (times, values) views of a finite sequence's support."""
+        _require_finite(self, "arrays()")
+        times, values = self._times.view(), self._values.view()
+        times.flags.writeable = values.flags.writeable = False
+        return times, values
+
     def entries(self) -> dict:
         """Sorted copy of the stored support (finite sequences only)."""
-        if self._kind != "finite":
-            raise ValueError("entries() requires a finite sequence")
-        return {t: self._entries[t].copy() for t in sorted(self._entries)}
+        _require_finite(self, "entries()")
+        return dict(zip(self._times.tolist(), self._values.copy()))
+
+    def _count_before(self, t) -> int:
+        """Number of stored times below t."""
+        if t > MAX_TIME:
+            return len(self._times)
+        return int(np.searchsorted(self._times, t))
+
+    def _rule(self, t: np.ndarray) -> np.ndarray:
+        """Generated values at the int64 times t, all inside the horizon."""
+        if self._family == "geometric":
+            return self._params["gamma"] ** t.astype(float)
+        out = np.zeros(len(t))
+        pos = t > 0
+        out[pos] = 1.0 / t[pos]
+        return out
+
+    def _at(self, t: np.ndarray) -> np.ndarray:
+        """(len(t), dim) values at the int64 times t; zero off the support."""
+        out = np.zeros((len(t), self._dim))
+        if self._family is None:
+            if len(self._times):
+                idx = np.minimum(np.searchsorted(self._times, t), len(self._times) - 1)
+                hit = self._times[idx] == t
+                out[hit] = self._values[idx[hit]]
+            return out
+        live = t >= 0
+        if self._horizon is not None:
+            live &= t <= self._horizon
+        out[live, 0] = self._rule(t[live])
+        return out
 
     def value(self, t: int) -> np.ndarray:
         """The vector rho(t); zero outside the support (and for t < 0)."""
         if t < 0:
             return np.zeros(self._dim)
-        if self._kind == "finite":
-            v = self._entries.get(int(t))
-            return np.zeros(self._dim) if v is None else v.copy()
-        if self._horizon is not None and t > self._horizon:
-            return np.zeros(1)
-        if self._family == "geometric":
-            return np.array([self._params["gamma"] ** t])
-        return np.array([0.0 if t == 0 else 1.0 / t])
+        _check_time(t)
+        return self._at(np.array([t], dtype=np.int64))[0]
 
     def values_upto(self, n: int) -> np.ndarray:
         """Dense (n, dim) array of rho(0), ..., rho(n-1)."""
         out = np.zeros((int(n), self._dim))
-        if self._kind == "finite":
-            for t, v in self._entries.items():
-                if t < n:
-                    out[t] = v
+        if self._family is None:
+            k = self._count_before(n)
+            out[self._times[:k]] = self._values[:k]
         else:
-            for t in range(int(n)):
-                out[t] = self.value(t)
+            m = n if self._horizon is None else min(n, self._horizon + 1)
+            out[:m, 0] = self._rule(np.arange(m, dtype=np.int64))
         return out
 
     def flat_values(self, n: int) -> np.ndarray:
@@ -191,22 +270,24 @@ class Sequence:
 
     def zero_tol(self) -> float:
         """Scale-relative threshold separating true support from round-off."""
-        if self._kind == "finite":
-            peak = max((float(np.max(np.abs(v))) for v in self._entries.values()),
-                       default=0.0)
+        if self._family is None:
+            peak = float(np.max(np.abs(self._values), initial=0.0))
         else:
             peak = 1.0  # both registered families have sup |rho| <= 1
         return ZERO_REL_TOL * peak
+
+    def _live(self, tol=None) -> np.ndarray:
+        tol = self.zero_tol() if tol is None else tol
+        return np.max(np.abs(self._values), axis=1, initial=0.0) > tol
 
     def radius(self):
         """Largest t with a nonzero entry, or None for the zero sequence.
 
         Generated sequences need a declared horizon for this to be finite.
         """
-        if self._kind == "finite":
-            tol = self.zero_tol()
-            live = [t for t, v in self._entries.items() if np.max(np.abs(v)) > tol]
-            return max(live) if live else None
+        if self._family is None:
+            live = np.flatnonzero(self._live())
+            return int(self._times[live[-1]]) if len(live) else None
         if self._horizon is None:
             raise ValueError("radius of a generated sequence needs a horizon")
         if self._family == "power":
@@ -215,14 +296,13 @@ class Sequence:
 
     def sparsity(self, tol=None) -> int:
         """Number of time indices carrying a nonzero entry."""
-        if self._kind == "generated":
+        if self._family is not None:
             r = self.radius()
             if r is None:
                 return 0
             start = 1 if self._family == "power" else 0
             return r - start + 1
-        tol = self.zero_tol() if tol is None else tol
-        return sum(1 for v in self._entries.values() if np.max(np.abs(v)) > tol)
+        return int(np.count_nonzero(self._live(tol)))
 
     def tail_norm(self, start: int) -> Scalar:
         """sqrt of the summed squared entries at t >= start.
@@ -232,12 +312,9 @@ class Sequence:
         """
         if start < 0:
             raise ValueError("start must be >= 0")
-        if self._kind == "finite":
-            sq = 0.0
-            for t in sorted(self._entries):
-                if t >= start:
-                    sq += float(self._entries[t] @ self._entries[t])
-            return Scalar(math.sqrt(sq))
+        if self._family is None:
+            tail = self._values[self._count_before(start):]
+            return Scalar(math.sqrt(float(np.sum(tail * tail))))
         if self._family == "geometric":
             g = self._params["gamma"]
             if self._horizon is not None:
@@ -251,9 +328,12 @@ class Sequence:
         if self._horizon is not None:
             if s0 > self._horizon:
                 return Scalar(0.0)
+            # Smallest terms first, added strictly in sequence (a cumulative
+            # sum), in blocks that bound the memory used.
             sq = 0.0
-            for t in range(self._horizon, s0 - 1, -1):
-                sq += 1.0 / (t * t)
+            for top in range(self._horizon, s0 - 1, -_TAIL_BLOCK):
+                t = np.arange(top, max(top - _TAIL_BLOCK, s0 - 1), -1, dtype=float)
+                sq = float(np.cumsum(np.append(sq, 1.0 / (t * t)))[-1])
             return Scalar(math.sqrt(sq))
         lo_sq = 1.0 / s0
         hi_sq = 1.0 / (s0 * s0) + 1.0 / s0
@@ -267,12 +347,9 @@ class Sequence:
 
     def sup_abs_from(self, start: int) -> float:
         """sup over t >= start of the euclidean length of rho(t)."""
-        if self._kind == "finite":
-            best = 0.0
-            for t, v in self._entries.items():
-                if t >= start:
-                    best = max(best, float(np.linalg.norm(v)))
-            return best
+        if self._family is None:
+            tail = self._values[self._count_before(start):]
+            return float(np.sqrt(np.max(np.sum(tail * tail, axis=1), initial=0.0)))
         if self._horizon is not None and start > self._horizon:
             return 0.0
         if self._family == "geometric":
@@ -287,38 +364,34 @@ class Sequence:
         """Finite restriction to the window [0, length - 1]."""
         if length < 0:
             raise ValueError("length must be >= 0")
-        if self._kind == "finite":
-            entries = {t: v for t, v in self._entries.items() if t < length}
-        else:
-            entries = {}
-            for t in range(length):
-                v = self.value(t)
-                if float(v[0]) != 0.0:
-                    entries[t] = v
-        return Sequence(dim=self._dim, entries=entries)
+        if self._family is None:
+            k = self._count_before(length)
+            return Sequence._of(self._times[:k], self._values[:k])
+        m = length if self._horizon is None else min(length, self._horizon + 1)
+        _check_time(m - 1)
+        t = np.arange(m, dtype=np.int64)
+        v = self._rule(t)
+        nonzero = v != 0.0
+        return Sequence._of(t[nonzero], v[nonzero][:, None])
 
     def scaled(self, alpha: float) -> "Sequence":
-        if self._kind != "finite":
-            raise ValueError("scaled() requires a finite sequence")
-        return Sequence(dim=self._dim,
-                        entries={t: alpha * v for t, v in self._entries.items()})
+        _require_finite(self, "scaled()")
+        return Sequence._of(self._times, alpha * self._values)
 
     def plus(self, other: "Sequence") -> "Sequence":
-        if self._kind != "finite" or other._kind != "finite":
-            raise ValueError("plus() requires finite sequences")
+        _require_finite(self, "plus()")
+        _require_finite(other, "plus()")
         if self._dim != other._dim:
             raise ValueError("dimension mismatch")
-        entries = {t: v.copy() for t, v in self._entries.items()}
-        for t, v in other._entries.items():
-            entries[t] = entries.get(t, np.zeros(self._dim)) + v
-        return Sequence(dim=self._dim, entries=entries)
+        return _coalesced(np.concatenate([self._times, other._times]),
+                          np.concatenate([self._values, other._values]))
 
     # -- serialisation -----------------------------------------------------
 
     def to_json(self) -> dict:
-        if self._kind == "finite":
-            rows = [[t, [float(x) for x in self._entries[t]]]
-                    for t in sorted(self._entries)]
+        if self._family is None:
+            rows = [list(row) for row in zip(self._times.tolist(),
+                                             self._values.tolist())]
             return {"dim": self._dim, "entries": rows}
         obj = {"family": self._family, "params": dict(self._params)}
         if self._horizon is not None:
@@ -330,8 +403,7 @@ class Sequence:
         if isinstance(obj, str):
             obj = json.loads(obj)
         if "entries" in obj:
-            entries = {int(t): v for t, v in obj["entries"]}
-            return cls(dim=int(obj.get("dim", 1)), entries=entries)
+            return cls(dim=int(obj.get("dim", 1)), entries=obj["entries"])
         family = obj.get("family")
         params = obj.get("params", {})
         horizon = obj.get("horizon")
@@ -344,8 +416,8 @@ class Sequence:
         raise ValueError(f"unknown sequence description {obj!r}")
 
     def __repr__(self):
-        if self._kind == "finite":
-            return f"Sequence(dim={self._dim}, support={sorted(self._entries)})"
+        if self._family is None:
+            return f"Sequence(dim={self._dim}, support={self._times.tolist()})"
         return (f"Sequence(family={self._family!r}, params={self._params}, "
                 f"horizon={self._horizon})")
 
@@ -355,6 +427,34 @@ def _require_finite(s: Sequence, name: str):
         raise ValueError(f"{name} must be finitely supported")
 
 
+def _coalesced(times, values) -> Sequence:
+    """Finite sequence summing the values that share a time, in input order."""
+    uniq, inv = np.unique(times, return_inverse=True)
+    out = np.zeros((len(uniq), values.shape[1]))
+    np.add.at(out, inv.reshape(-1), values)
+    return Sequence._of(uniq, out)
+
+
+def _dilated(f: Sequence, g: Sequence, dilation: int, reduce: bool) -> Sequence:
+    if dilation < 1:
+        raise ValueError("dilation must be >= 1")
+    if f.dim != g.dim:
+        raise ValueError("dimension mismatch")
+    _require_finite(f, "f")
+    _require_finite(g, "g")
+    ft, fv = f.arrays()
+    gt, gv = g.arrays()
+    _check_time(dilation)
+    if len(ft) and len(gt):
+        _check_time(dilation * int(ft[-1]) + int(gt[-1]))
+    # Pairs run s-major then u, so every time sums its terms in that order.
+    times = (dilation * ft[:, None] + gt[None, :]).reshape(-1)
+    products = (fv[:, None, :] * gv[None, :, :]).reshape(-1, f.dim)
+    if reduce:
+        products = products.sum(axis=1, keepdims=True)
+    return _coalesced(times, products)
+
+
 def dilated_conv(f: Sequence, g: Sequence, dilation: int) -> Sequence:
     """Channel-reducing dilated convolution (f *_dilation g)(t).
 
@@ -362,37 +462,12 @@ def dilated_conv(f: Sequence, g: Sequence, dilation: int) -> Sequence:
     over s of f(s) . g(t - dilation * s), a scalar sequence.  The support
     satisfies radius = dilation * radius(f) + radius(g).
     """
-    if dilation < 1:
-        raise ValueError("dilation must be >= 1")
-    if f.dim != g.dim:
-        raise ValueError("dimension mismatch")
-    _require_finite(f, "f")
-    _require_finite(g, "g")
-    acc = {}
-    fe, ge = f.entries(), g.entries()
-    for s in sorted(fe):
-        for u in sorted(ge):
-            t = dilation * s + u
-            acc[t] = acc.get(t, 0.0) + float(fe[s] @ ge[u])
-    entries = {t: (v,) for t, v in acc.items()}
-    return Sequence(dim=1, entries=entries)
+    return _dilated(f, g, dilation, reduce=True)
 
 
 def dilated_conv_channelwise(f: Sequence, g: Sequence, dilation: int) -> Sequence:
     """Dilated convolution applied per channel, preserving the dimension."""
-    if dilation < 1:
-        raise ValueError("dilation must be >= 1")
-    if f.dim != g.dim:
-        raise ValueError("dimension mismatch")
-    _require_finite(f, "f")
-    _require_finite(g, "g")
-    acc = {}
-    fe, ge = f.entries(), g.entries()
-    for s in sorted(fe):
-        for u in sorted(ge):
-            t = dilation * s + u
-            acc[t] = acc.get(t, np.zeros(f.dim)) + fe[s] * ge[u]
-    return Sequence(dim=f.dim, entries=acc)
+    return _dilated(f, g, dilation, reduce=False)
 
 
 def apply_functional(rho: Sequence, x: Sequence, t: int) -> Scalar:
@@ -412,8 +487,6 @@ def apply_functional(rho: Sequence, x: Sequence, t: int) -> Scalar:
         raise ValueError("input window does not cover the representation support")
     if x.kind == "generated" and (x.horizon is None or x.horizon < t):
         raise ValueError("input window does not cover the representation support")
-    total = 0.0
-    ent = work.entries()
-    for s in sorted(ent):
-        total += float(ent[s] @ x.value(t - s))
-    return Scalar(total)
+    _check_time(t)
+    times, values = work.arrays()
+    return Scalar(float(np.sum(values * x._at(t - times))))

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from memlens.cli import main
 from memlens.sequences import Sequence
@@ -138,6 +142,11 @@ def test_usage_errors_exit_one(tmp_path, capsys):
                  "--out", str(out)]) == 1
     capsys.readouterr()
     assert not out.exists() or not any(out.iterdir())
+    for args in (["--scenario", "impulse_copy", "--K", "0"],
+                 ["--scenario", "exp_decay", "--l", "1"],
+                 ["--scenario", "exp_decay", "--horizon", "0"]):
+        assert main(["compare", *args]) == 1
+        capsys.readouterr()
 
 
 def test_computation_errors_exit_two(capsys):
@@ -153,6 +162,29 @@ def test_computation_errors_exit_two(capsys):
     ])
     capsys.readouterr()
     assert code == 2
+
+
+def test_compare_beyond_the_time_limit_exits_two(capsys):
+    for K in ("64", "3000"):
+        assert main(["compare", "--scenario", "impulse_copy", "--K", K]) == 2
+        assert "2^63" in capsys.readouterr().err
+    code, out = run_cli(capsys, ["compare", "--scenario", "impulse_copy", "--K", "62"])
+    assert code == 0
+    assert json.loads(out)["cnn_requirement"]["replay_residual"] == 0.0
+
+
+def test_measure_windows_targets_without_a_horizon(capsys):
+    for target in ("rho3", "exp:0.9"):
+        values = []
+        for extra in ([], ["--K", "5"], ["--K", "7"]):
+            code, out = run_cli(capsys, [
+                "measure", "--target", target, "--l", "2",
+                "--g", "exponential", "--g-params", "0.5", *extra,
+            ])
+            assert code == 0
+            values.append(json.loads(out)["complexity"])
+        assert all(math.isfinite(v) and v > 0.0 for v in values)
+        assert values[0] == values[1]
 
 
 def test_reproduce_passes(capsys):
@@ -172,3 +204,69 @@ def test_reproduce_fail_exits_three(monkeypatch, capsys):
     code, out = run_cli(capsys, ["reproduce"])
     assert code == 3
     assert "synthetic-check" in out
+
+
+# Targets whose every window at l^K <= 2^12 is cheap; impulse positions up
+# to 2^70 join them where a command never materialises the support.
+SMALL_TARGETS = st.sampled_from(["rho1", "rho2", "rho3", "rho3:300", "exp:0.9",
+                                 "exp:0", "impulse:0", "impulse:19", "rho9",
+                                 "exp:1.5", "impulse:-1"])
+ANY_TARGETS = st.one_of(SMALL_TARGETS,
+                        st.integers(0, 2 ** 70).map(lambda t: f"impulse:{t}"))
+
+
+def _depth(data, top, huge=64):
+    """Mostly a depth in [1, top]; one in six times the usage error 0 and
+    one in six a depth from `huge` up, far beyond the 2^63 time limit."""
+    return data.draw(st.integers(0, 5).flatmap(
+        lambda c: st.integers(huge, 5000) if c == 0 else
+        st.just(0) if c == 1 else st.integers(1, top)))
+
+
+def _argv(data):
+    command = data.draw(st.sampled_from(
+        ["spectrum", "measure", "bounds", "curve", "synth", "compare", "reproduce"]))
+    if command == "reproduce":
+        return [command]
+    l = data.draw(st.sampled_from([2, 3, 4, 5, 6, 1, 0]))
+    if command == "compare":
+        return [command, "--scenario",
+                data.draw(st.sampled_from(["exp_decay", "impulse_copy"])),
+                "--l", str(l),
+                "--K", str(_depth(data, 40, huge=60)),
+                "--horizon", str(data.draw(st.sampled_from([1, 10, 2000, 0]))),
+                "--eps", repr(data.draw(st.floats(-0.1, 0.6))),
+                "--gamma", repr(data.draw(st.floats(-0.1, 1.1)))]
+    # Windows of at most 2^12 entries below the huge depths.
+    K = _depth(data, 12 if l < 2 else int(math.log(2 ** 12, l) + 1e-9))
+    huge_ok = command in ("spectrum", "curve") or (
+        command == "synth" and data.draw(st.booleans()))
+    target = data.draw(ANY_TARGETS if huge_ok else SMALL_TARGETS)
+    argv = [command, "--target", target, "--l", str(l), "--K", str(K)]
+    if command == "synth":
+        argv += ["--method", "radix" if huge_ok else "lowrank"]
+    if command in ("measure", "bounds"):
+        family = data.draw(st.sampled_from(["exponential", "power", "table"]))
+        params = data.draw(st.lists(st.floats(0.05, 1.5), min_size=1, max_size=3))
+        argv += ["--g", family, "--g-params", ",".join(map(repr, params))]
+    if command == "bounds":
+        widths = data.draw(st.lists(st.integers(1, 4), min_size=K + 1, max_size=K + 1)
+                           if 1 <= K <= 12 and data.draw(st.booleans())
+                           else st.lists(st.integers(0, 4), min_size=1, max_size=8))
+        argv += ["--channels", ",".join(map(str, widths))]
+    if command == "curve":
+        argv += ["--M-max", str(data.draw(st.sampled_from([1, 5, 20, 0]))), "--format",
+                 data.draw(st.sampled_from(["csv", "json", "svg", "csv,svg"]))]
+    return argv
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_cli_fuzz_exits_with_a_documented_code(data):
+    argv = _argv(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv

@@ -1,4 +1,6 @@
 import math
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -100,12 +102,13 @@ def test_radix_synthesis_shallow_and_degenerate_cases():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(2, 4), st.integers(1, 3), st.data())
-def test_radix_synthesis_replays_exactly(l, K, data):
+@given(st.integers(2, 4), st.data())
+def test_radix_synthesis_replays_exactly(l, data):
+    K = data.draw(st.integers(1, {2: 12, 3: 7, 4: 6}[l]))
     size = l ** K
     support = data.draw(st.dictionaries(st.integers(0, size - 1),
                                         st.integers(-9, 9).filter(bool),
-                                        min_size=1, max_size=6))
+                                        min_size=1, max_size=300))
     target = Sequence.from_entries({t: (float(v),) for t, v in support.items()})
     spec = synthesize_radix(target, l)
     diff = cnn_representation(spec).plus(target.scaled(-1.0))
@@ -114,16 +117,32 @@ def test_radix_synthesis_replays_exactly(l, K, data):
 
 
 def test_lowrank_synthesis_replays_the_window(rng):
-    for l, K in ((2, 3), (3, 2)):
+    for l, K in ((2, 3), (3, 2), (2, 8), (4, 3), (3, 4)):
         target = Sequence.from_values(rng.normal(size=l ** K))
         spec = synthesize_lowrank(target, l, K)
         diff = cnn_representation(spec).plus(target.scaled(-1.0))
-        assert float(diff.norm()) <= 1e-10 * float(target.norm())
+        assert float(diff.norm()) <= 1e-12 * float(target.norm())
     rank1 = Sequence.from_values([3.0, 6.0, 4.0, 8.0])
     spec = synthesize_lowrank(rank1, 2, 2)
     assert spec.channels == (1, 1, 1)
     zero = synthesize_lowrank(Sequence.zero(), 2, 2)
     assert zero.filter_count == 0
+
+
+def test_impulse_replay_is_exact_at_depth_40():
+    target = Sequence.impulse(2 ** 40 - 1)
+    spec = synthesize_radix(target, 2)
+    assert spec.K == 40 and spec.filter_count == 40
+    rep = cnn_representation(spec)
+    times, values = rep.arrays()
+    assert times.tolist() == [2 ** 40 - 1] and values.tolist() == [[1.0]]
+
+
+def test_replay_rejects_times_beyond_the_int64_limit():
+    spec = CnnSpec(l=2, K=64, channels=(1,) * 65,
+                   filters={(k, 0, 0): (0.0, 1.0) for k in range(64)})
+    with pytest.raises(ValueError, match="2\\^63"):
+        cnn_representation(spec)
 
 
 def test_rnn_spec_coercion_and_json():
@@ -163,6 +182,40 @@ def test_rnn_min_width_impulse_values():
         rnn_min_width_impulse(10, 0.5)
     with pytest.raises(ValueError):
         rnn_min_width_impulse(0, 0.1)
+
+
+def _width_by_search(K, budget):
+    m = 1
+    while m * m <= budget:
+        m += 1
+    return m
+
+
+EPS_GRID = (1e-9, 0.001, 0.01, 0.05, 0.1, 0.2, 0.25, 0.3, 1 / 3, 0.4, 0.45, 0.49)
+
+
+def test_rnn_min_width_impulse_equals_the_search():
+    for eps in EPS_GRID:
+        e = Fraction(eps)
+        for K in range(1, 25):
+            exact = _width_by_search(K, 2 ** (K - 1) * (1 - 2 * e) / (1 + e))
+            assert rnn_min_width_impulse(K, eps) == exact
+            rounded = _width_by_search(K, 2.0 ** (K - 1) * (1 - 2 * eps) / (1 + eps))
+            # The float budget of eps = 0.2 rounds onto the square 2^(K-2)
+            # for even K; the exact budget of the binary 0.2 lies just below.
+            if eps == 0.2 and K % 2 == 0 and K >= 2:
+                assert rounded == exact + 1
+            else:
+                assert rounded == exact
+
+
+def test_rnn_min_width_impulse_at_large_depth():
+    started = time.perf_counter()
+    width = rnn_min_width_impulse(62, 0.1)
+    assert time.perf_counter() - started < 0.1
+    e = Fraction(0.1)
+    assert width * width > 2 ** 61 * (1 - 2 * e) / (1 + e) >= (width - 1) ** 2
+    assert rnn_min_width_impulse(3000, 0.1).bit_length() == 1500
 
 
 def test_cnn_min_depth_expdecay_values():

@@ -189,3 +189,44 @@ def test_apply_functional_matches_brute_force():
 
 def test_apply_functional_zero_representation():
     assert apply_functional(Sequence.zero(), Sequence.from_values([1.0]), 0).value == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(1e-3, 1.0, exclude_max=True), st.integers(1, 4096))
+def test_generated_windows_match_their_rules(gamma, n):
+    geo = Sequence.geometric(gamma).flat_values(n)
+    want = np.array([gamma ** t for t in range(n)])
+    normal = want >= np.finfo(float).tiny
+    assert np.allclose(geo[normal], want[normal], rtol=1e-15, atol=0.0)
+    assert np.all(geo[~normal] <= np.finfo(float).tiny)
+    power = Sequence.power().flat_values(n)
+    assert power.tolist() == [0.0] + [1.0 / t for t in range(1, n)]
+    cut = Sequence.power(horizon=n // 2).truncate(n)
+    assert cut.radius() == (n // 2 or None)
+    assert cut.flat_values(n).tolist() == power[:n // 2 + 1].tolist() + [0.0] * (n - n // 2 - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2 ** 62),
+                          st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2)),
+                max_size=20))
+def test_json_round_trip_keeps_the_last_duplicate(rows):
+    seq = Sequence.from_json({"dim": 2, "entries": [[t, v] for t, v in rows]})
+    want = dict(rows)
+    assert seq.to_json() == {"dim": 2, "entries": [[t, want[t]] for t in sorted(want)]}
+    assert Sequence.from_json(seq.to_json()).to_json() == seq.to_json()
+    for t, v in want.items():
+        assert seq.value(t).tolist() == v
+
+
+def test_time_indices_stop_below_two_to_the_63():
+    top = Sequence.impulse(2 ** 63 - 1)
+    assert top.radius() == 2 ** 63 - 1
+    assert top.truncate(2 ** 64).radius() == 2 ** 63 - 1
+    for bad in (lambda: Sequence.impulse(2 ** 63),
+                lambda: Sequence.from_entries({2 ** 70: (1.0,)}),
+                lambda: Sequence.from_json({"entries": [[2 ** 63, [1.0]]]}),
+                lambda: Sequence.power().truncate(2 ** 64),
+                lambda: dilated_conv(Sequence.impulse(2 ** 62), Sequence.impulse(1), 2)):
+        with pytest.raises(ValueError, match="2\\^63"):
+            bad()
