@@ -9,8 +9,7 @@ bounds with per-budget error curves, exact and low-rank model synthesis,
 and head-to-head comparison scenarios.
 """
 
-from .sequences import (Scalar, Sequence, apply_functional, dilated_conv,
-                        dilated_conv_channelwise)
+from .sequences import Scalar, Sequence, apply_functional, dilated_conv
 from .tensors import (Spectrum, Tensor, hosvd, matrix_singular_values,
                       mode_flatten, outer_product, singular_values,
                       tensor_rank, tensorize, truncation_error_bound)
@@ -26,7 +25,6 @@ from .experiments import (ComparisonReport, CurveStudy, comparison_report,
 
 __all__ = [
     "Scalar", "Sequence", "apply_functional", "dilated_conv",
-    "dilated_conv_channelwise",
     "Spectrum", "Tensor", "hosvd", "matrix_singular_values", "mode_flatten",
     "outer_product", "singular_values", "tensor_rank", "tensorize",
     "truncation_error_bound",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sequences import Scalar, Sequence
-from .models import CnnSpec, effective_filters
+from .models import effective_filters
 from . import tensors
 
 COMPLEXITY_NOISE_REL_TOL = 1e-12
@@ -117,11 +117,6 @@ class ErrorCurveTable:
         return "\n".join(lines) + "\n"
 
 
-def _window_spectrum(rho: Sequence, l: int, K: int) -> np.ndarray:
-    window = rho.truncate(l ** K)
-    return tensors.singular_values(tensors.tensorize(window, l, K)).values
-
-
 def tail_sum_profile(rho: Sequence, l: int, K: int):
     """Square roots of the spectrum tail masses, indexed by the offset s.
 
@@ -132,7 +127,7 @@ def tail_sum_profile(rho: Sequence, l: int, K: int):
     """
     if l < 2 or K < 1:
         raise ValueError("need l >= 2 and K >= 1")
-    values = _window_spectrum(rho, l, K)
+    values = tensors.window_spectrum(rho, l, K).values
     total = l * K
     padded = np.zeros(total)
     padded[:len(values)] = values
@@ -152,12 +147,10 @@ def complexity_measure(rho: Sequence, l: int, g: DecayProfile,
     support); deeper windows only duplicate tail masses, so the cap does
     not change the value.  Tail masses below round-off relative to the
     sequence norm are treated as exact zeros.  Returns infinity when a
-    nonzero tail mass meets g(s) = 0.
+    nonzero tail mass meets g(s) = 0.  A generated rho is measured up to
+    its horizon, so it needs one (see tensors.analysis_window).
     """
-    if rho.kind == "generated":
-        if rho.horizon is None:
-            raise ValueError("split an infinite target before measuring it")
-        rho = rho.truncate(rho.horizon + 1)
+    rho = tensors.analysis_window(rho, l)
     r = rho.radius()
     if r is None:
         return Scalar(0.0)
@@ -179,34 +172,6 @@ def complexity_measure(rho: Sequence, l: int, g: DecayProfile,
     return Scalar(best)
 
 
-def measure_window(rho: Sequence, l: int, K: int) -> Sequence:
-    """rho as complexity_measure takes it: a generated sequence without a
-    horizon is cut to its length-l^K window, anything else is unchanged."""
-    if rho.kind == "generated" and rho.horizon is None:
-        return rho.truncate(l ** K)
-    return rho
-
-
-def stack_effective_filters(channels, l: int, K: int, d: int) -> float:
-    """Effective filter count from a CnnSpec or a full channel list.
-
-    A plain list must spell out (M_0, ..., M_K) with M_0 = d and
-    M_K = 1; the pair sum then runs over the K - 1 hidden width pairs.
-    """
-    if isinstance(channels, CnnSpec):
-        if channels.K != K or channels.l != l or channels.channels[0] != d:
-            raise ValueError("the stack does not match (l, K, d)")
-        return effective_filters(channels, l, d)
-    seq = tuple(int(m) for m in channels)
-    if len(seq) != K + 1:
-        raise ValueError("channels must list the K + 1 widths M_0, ..., M_K")
-    if seq[0] != d:
-        raise ValueError("M_0 must equal the target dimension")
-    if seq[-1] != 1:
-        raise ValueError("the output is a single channel")
-    return effective_filters(seq[1:], l, d)
-
-
 def rate_bound_interval(rho: Sequence, l: int, K: int, channels,
                         g: DecayProfile):
     """Two-sided approximation bound for a depth-K width-budgeted stack.
@@ -218,13 +183,13 @@ def rate_bound_interval(rho: Sequence, l: int, K: int, channels,
     complexity + the tail norm beyond the receptive field.
     """
     d = rho.dim
-    M = stack_effective_filters(channels, l, K, d)
+    M = effective_filters(channels, l, K, d)
     if M < 1:
         raise ValueError("effective filter count must be at least 1")
     size = l ** K
     budget = math.floor(K * M ** (1.0 / K))
     g_arg = max(0, budget - K)
-    c_val = complexity_measure(measure_window(rho, l, K), l, g)
+    c_val = complexity_measure(tensors.analysis_window(rho, l, K), l, g)
     tail = rho.tail_norm(size)
     upper = Scalar(d * g(g_arg) * c_val.value + tail.value, tail.halfwidth)
     lower = Scalar(rho.sup_abs_from(size) / math.sqrt(d))
@@ -244,8 +209,7 @@ def error_curve(rho: Sequence, l: int, K_list, M_range,
     """
     rows = []
     for K in sorted(set(int(k) for k in K_list)):
-        values = _window_spectrum(rho, l, K)
-        spec = tensors.Spectrum.from_mode_values([values])
+        spec = tensors.window_spectrum(rho, l, K)
         tail = rho.tail_norm(l ** K)
         tail_term = tail.upper
         for M in sorted(set(int(m) for m in M_range)):

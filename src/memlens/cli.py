@@ -1,12 +1,18 @@
 """Command line surface for the library.
 
-Subcommands map 1:1 onto library operations; the CLI only parses flags,
-routes values and serialises results, so every emitted number comes from
-a library call.  Exit codes: 0 success, 1 usage error, 2 computation
-error, 3 conformance failure.
+Each subcommand is one argparse subparser plus one handler.  argparse
+makes the whole usage check: required flags, choices, and range-checked
+numbers (--l >= 2; --K, --M-max and --horizon >= 1), so a malformed
+invocation exits 1 before any file is written.  A handler reads its
+subparser's namespace, calls the library and serialises the result;
+every number it writes comes from one library call.  Exit codes: 0
+success, 1 usage error, 2 computation error, 3 a failed check (reproduce,
+study).
 
-Targets are builtin ids (rho1, rho2, rho3, exp:GAMMA, impulse:T), or a
-path to a sequence JSON file.
+Targets are builtin ids (rho1, rho2, rho3[:H], exp:GAMMA, impulse:T), or
+a path to a sequence JSON file.  measure, bounds and synth read a
+generated target up to its horizon, or, without one, on its length-l^K
+window (tensors.analysis_window).
 """
 
 from __future__ import annotations
@@ -16,37 +22,18 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 from .sequences import Sequence
-from . import tensors
+from .tensors import analysis_window, window_spectrum
 from .bounds import (DecayProfile, complexity_measure, error_curve,
-                     measure_window, rate_bound_interval,
-                     stack_effective_filters)
+                     rate_bound_interval)
 from .charts import line_chart
-from .experiments import comparison_report, conformance_suite, make_target
-from .models import cnn_representation, synthesize_lowrank, synthesize_radix
+from .experiments import (comparison_report, conformance_suite,
+                          error_curve_study, make_target)
+from .models import (effective_filters, replay_residual, synthesize_lowrank,
+                     synthesize_radix)
 
 FORMATS = ("csv", "json", "svg")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation: one command plus everything it consumes."""
-
-    command: str
-    targets: tuple = ()
-    l: int = 2
-    K_list: tuple = ()
-    channels: tuple = ()
-    M_max: int = 64
-    g_family: str = ""
-    g_params: tuple = ()
-    out: str = ""
-    formats: tuple = ()
-    method: str = "radix"
-    scenario: str = ""
-    scenario_params: dict = field(default_factory=dict)
 
 
 def _parse_formats(text: str):
@@ -72,6 +59,28 @@ def _parse_floats(text: str):
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
+def _at_least(low: int):
+    """argparse type: an integer >= low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
+class _Depths(argparse.Action):
+    """Repeatable --K: the first one given replaces the default list."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        given = getattr(namespace, self.dest)
+        setattr(namespace, self.dest,
+                ([] if given is self.default else given) + [value])
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse with usage failures mapped to exit code 1."""
 
@@ -82,7 +91,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 class UsageError(Exception):
-    """A malformed invocation (missing or inconsistent flags)."""
+    """A malformed invocation argparse cannot see (the --g-params count)."""
 
 
 def load_target(text: str):
@@ -109,29 +118,24 @@ def load_target(text: str):
     raise ValueError(f"unknown target {text!r}")
 
 
-def _profile(config: RunConfig) -> DecayProfile:
-    family, params = config.g_family, config.g_params
-    if not family:
-        raise ValueError("this command needs --g (and --g-params)")
-    if family == "exponential":
-        if not params:
-            raise ValueError("--g-params for exponential: b[,a]")
-        return DecayProfile.exponential(params[0], params[1] if len(params) > 1 else 1.0)
-    if family == "power":
-        if not params:
-            raise ValueError("--g-params for power: p[,a]")
-        return DecayProfile.power(params[0], params[1] if len(params) > 1 else 1.0)
+def _profile(family: str, params) -> DecayProfile:
     if family == "table":
         if len(params) < 2:
-            raise ValueError("--g-params for table: v1,...,vn,cutoff")
+            raise UsageError("--g-params for table: v1,...,vn,cutoff")
         return DecayProfile.table(params[:-1], int(params[-1]))
-    raise ValueError(f"unknown profile family {family!r}")
+    if family == "exponential":
+        if not params:
+            raise UsageError("--g-params for exponential: b[,a]")
+        return DecayProfile.exponential(*params[:2])
+    if not params:
+        raise UsageError("--g-params for power: p[,a]")
+    return DecayProfile.power(*params[:2])
 
 
-def _emit(config: RunConfig, name: str, text: str):
-    if config.out:
-        os.makedirs(config.out, exist_ok=True)
-        path = os.path.join(config.out, name)
+def _emit(out: str, name: str, text: str):
+    if out:
+        os.makedirs(out, exist_ok=True)
+        path = os.path.join(out, name)
         with open(path, "w") as fh:
             fh.write(text)
         print(path)
@@ -147,119 +151,124 @@ def _safe_label(label: str) -> str:
     return label.replace(":", "-").replace(os.path.sep, "-")
 
 
-def _cmd_spectrum(config: RunConfig) -> int:
-    for text in config.targets:
+def _cmd_spectrum(args) -> int:
+    for text in args.target:
         target, label = load_target(text)
         per_K = []
-        for K in config.K_list:
-            window = target.truncate(config.l ** K)
-            tensor = tensors.tensorize(window, config.l, K)
-            spec = tensors.singular_values(tensor)
+        for K in args.K:
+            spec = window_spectrum(target, args.l, K)
             per_K.append({"K": K, "rank": spec.rank(),
                           "values": [[float(v), int(m)] for v, m in spec.entries]})
-        if "json" in config.formats:
-            _emit(config, f"{_safe_label(label)}_spectrum.json",
-                  _dump({"target": label, "l": config.l, "per_K": per_K}))
-        if "csv" in config.formats:
+        if "json" in args.format:
+            _emit(args.out, f"{_safe_label(label)}_spectrum.json",
+                  _dump({"target": label, "l": args.l, "per_K": per_K}))
+        if "csv" in args.format:
             lines = ["target,l,K,index,mode,value"]
             for row in per_K:
                 for idx, (v, m) in enumerate(row["values"], start=1):
-                    lines.append(f"{label},{config.l},{row['K']},{idx},{m},{v!r}")
-            _emit(config, f"{_safe_label(label)}_spectrum.csv",
+                    lines.append(f"{label},{args.l},{row['K']},{idx},{m},{v!r}")
+            _emit(args.out, f"{_safe_label(label)}_spectrum.csv",
                   "\n".join(lines) + "\n")
     return 0
 
 
-def _cmd_measure(config: RunConfig) -> int:
-    g = _profile(config)
-    for text in config.targets:
+def _cmd_measure(args) -> int:
+    g = _profile(args.g, args.g_params)
+    for text in args.target:
         target, label = load_target(text)
-        c = complexity_measure(measure_window(target, config.l, config.K_list[0]),
-                               config.l, g)
+        c = complexity_measure(analysis_window(target, args.l, args.K[0]), args.l, g)
         finite = math.isfinite(c.value)
-        _emit(config, f"{_safe_label(label)}_measure.json",
-              _dump({"target": label, "l": config.l,
-                     "g": {"family": config.g_family, "params": list(config.g_params)},
+        _emit(args.out, f"{_safe_label(label)}_measure.json",
+              _dump({"target": label, "l": args.l,
+                     "g": {"family": args.g, "params": list(args.g_params)},
                      "complexity": c.value if finite else None,
                      "infinite": not finite}))
     return 0
 
 
-def _cmd_bounds(config: RunConfig) -> int:
-    g = _profile(config)
-    if not config.channels:
-        raise UsageError("bounds needs --channels, e.g. --channels 1,4,4,1")
-    K = config.K_list[0]
-    for text in config.targets:
+def _cmd_bounds(args) -> int:
+    g = _profile(args.g, args.g_params)
+    K = args.K[0]
+    for text in args.target:
         target, label = load_target(text)
-        lower, upper = rate_bound_interval(target, config.l, K, config.channels, g)
-        _emit(config, f"{_safe_label(label)}_bounds.json",
-              _dump({"target": label, "l": config.l, "K": K,
-                     "channels": list(config.channels),
-                     "effective_filters": stack_effective_filters(
-                         config.channels, config.l, K, target.dim),
+        lower, upper = rate_bound_interval(target, args.l, K, args.channels, g)
+        _emit(args.out, f"{_safe_label(label)}_bounds.json",
+              _dump({"target": label, "l": args.l, "K": K,
+                     "channels": list(args.channels),
+                     "effective_filters": effective_filters(
+                         args.channels, args.l, K, target.dim),
                      "lower": {"value": lower.value, "halfwidth": lower.halfwidth},
                      "upper": {"value": upper.value, "halfwidth": upper.halfwidth}}))
     return 0
 
 
-def _cmd_curve(config: RunConfig) -> int:
-    for text in config.targets:
+def _cmd_curve(args) -> int:
+    for text in args.target:
         target, label = load_target(text)
-        table = error_curve(target, config.l, config.K_list,
-                            range(1, config.M_max + 1), target_id=label)
-        if "csv" in config.formats:
-            _emit(config, f"{_safe_label(label)}_curve.csv", table.to_csv())
-        if "json" in config.formats:
+        table = error_curve(target, args.l, args.K, range(1, args.M_max + 1),
+                            target_id=label)
+        if "csv" in args.format:
+            _emit(args.out, f"{_safe_label(label)}_curve.csv", table.to_csv())
+        if "json" in args.format:
             rows = [{"K": r.K, "M": r.M, "rank_term": r.rank_term,
                      "tail_term": r.tail_term, "upper_bound": r.upper_bound}
                     for r in table.rows]
-            _emit(config, f"{_safe_label(label)}_curve.json",
-                  _dump({"target": label, "l": config.l, "rows": rows}))
-        if "svg" in config.formats:
-            series = []
-            for K in sorted(set(config.K_list)):
-                ms, uppers = table.curve(K)
-                series.append((f"K={K}", ms, uppers))
+            _emit(args.out, f"{_safe_label(label)}_curve.json",
+                  _dump({"target": label, "l": args.l, "rows": rows}))
+        if "svg" in args.format:
+            series = [(f"K={K}", *table.curve(K)) for K in sorted(set(args.K))]
             svg = line_chart(series, title=f"{label}: approximation bound",
                              x_label="filters M", y_label="upper bound")
-            _emit(config, f"{_safe_label(label)}_curve.svg", svg + "\n")
+            _emit(args.out, f"{_safe_label(label)}_curve.svg", svg + "\n")
     return 0
 
 
-def _cmd_synth(config: RunConfig) -> int:
-    for text in config.targets:
+def _cmd_synth(args) -> int:
+    for text in args.target:
         target, label = load_target(text)
-        if config.method == "radix":
-            spec = synthesize_radix(target, config.l)
-            reference = target
+        if args.method == "radix":
+            window = analysis_window(target, args.l)
+            spec = synthesize_radix(window, args.l)
         else:
-            if config.K_list:
-                K = config.K_list[0]
-            else:
-                K = tensors.coverage_depth(config.l, target.radius() or 0)
-            spec = synthesize_lowrank(target, config.l, K)
-            reference = target.truncate(config.l ** K)
-        replay = cnn_representation(spec)
-        residual = float(replay.plus(reference.scaled(-1.0)).norm())
-        _emit(config, f"{_safe_label(label)}_{config.method}.json",
-              _dump({"target": label, "method": config.method, "l": config.l,
+            K = args.K[0] if args.K else None
+            window = analysis_window(target, args.l, K)
+            spec = synthesize_lowrank(window, args.l, K)
+        _emit(args.out, f"{_safe_label(label)}_{args.method}.json",
+              _dump({"target": label, "method": args.method, "l": args.l,
                      "depth": spec.K, "channels": list(spec.channels),
                      "filter_count": spec.filter_count,
-                     "replay_residual": residual, "spec": spec.to_json()}))
+                     "replay_residual": replay_residual(spec, window),
+                     "spec": spec.to_json()}))
     return 0
 
 
-def _cmd_compare(config: RunConfig) -> int:
-    params = dict(config.scenario_params, l=config.l)
-    if config.K_list:
-        params["K"] = config.K_list[0]
-    report = comparison_report(config.scenario, **params)
-    _emit(config, f"compare_{config.scenario}.json", _dump(report.to_json()))
+def _cmd_compare(args) -> int:
+    given = {key: getattr(args, key) for key in ("gamma", "eps", "K", "horizon")
+             if getattr(args, key) is not None}
+    report = comparison_report(args.scenario, l=args.l, **given)
+    _emit(args.out, f"compare_{args.scenario}.json", _dump(report.to_json()))
     return 0
 
 
-def _cmd_reproduce(config: RunConfig) -> int:
+def _cmd_study(args) -> int:
+    study = error_curve_study(l=args.l, K_list=args.K, M_max=args.M_max)
+    tables = sorted(study.tables.items())
+    for name, table in tables:
+        _emit(args.out, f"{name}_curves.csv", table.to_csv())
+    for K in sorted(set(args.K)):
+        series = [(name, *table.curve(K)) for name, table in tables]
+        _emit(args.out, f"curves_K{K}.svg",
+              line_chart(series, title=f"upper bound vs M (l={args.l}, K={K})",
+                         x_label="effective filters M", y_label="upper bound",
+                         log_y=True))
+    _emit(args.out, "study_summary.json",
+          _dump({"l": study.l, "checks": study.checks, "notes": study.notes}))
+    for name, ok in sorted(study.checks.items()):
+        print(f"{'PASS' if ok else 'FAIL'} {name}")
+    return 0 if study.passed else 3
+
+
+def _cmd_reproduce(args) -> int:
     items = conformance_suite()
     lines = [f"{item.status:6s} {item.name}: {item.detail}" for item in items]
     counts = {"PASS": 0, "FAIL": 0, "LOGGED": 0}
@@ -269,16 +278,17 @@ def _cmd_reproduce(config: RunConfig) -> int:
                  f"{counts['LOGGED']} logged")
     text = "\n".join(lines) + "\n"
     print(text, end="")
-    if config.out:
-        os.makedirs(config.out, exist_ok=True)
-        with open(os.path.join(config.out, "reproduce.txt"), "w") as fh:
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+        with open(os.path.join(args.out, "reproduce.txt"), "w") as fh:
             fh.write(text)
     return 3 if counts["FAIL"] else 0
 
 
 _HANDLERS = {"spectrum": _cmd_spectrum, "measure": _cmd_measure,
              "bounds": _cmd_bounds, "curve": _cmd_curve, "synth": _cmd_synth,
-             "compare": _cmd_compare, "reproduce": _cmd_reproduce}
+             "compare": _cmd_compare, "study": _cmd_study,
+             "reproduce": _cmd_reproduce}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -286,60 +296,63 @@ def build_parser() -> argparse.ArgumentParser:
                      description="spectra, complexity measures, approximation "
                                  "bounds and model synthesis for linear "
                                  "temporal functionals")
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_Parser)
+    depth = _at_least(1)
 
-    def add_common(p, with_g=False):
-        p.add_argument("--target", action="append", default=[],
-                       help="builtin id (rho1, rho2, rho3, exp:G, impulse:T) "
-                            "or sequence JSON path; repeatable")
-        p.add_argument("--l", type=int, default=2, help="filter size (default 2)")
+    def add_common(p, K, K_help, target=True, g=False):
+        if target:
+            p.add_argument("--target", action="append", required=True,
+                           help="builtin id (rho1, rho2, rho3[:H], exp:G, "
+                                "impulse:T) or sequence JSON path; repeatable")
+        p.add_argument("--l", type=_at_least(2), default=2,
+                       help="filter size (default 2)")
+        p.add_argument("--K", action=_Depths, type=depth, default=K, help=K_help)
         p.add_argument("--out", default="", help="output directory (default: stdout)")
-        if with_g:
-            p.add_argument("--g", default="", metavar="FAMILY",
+        if g:
+            p.add_argument("--g", required=True, metavar="FAMILY",
                            choices=("exponential", "power", "table"),
                            help="decay profile family")
-            p.add_argument("--g-params", type=_parse_floats, default=(),
+            p.add_argument("--g-params", type=_parse_floats, required=True,
                            help="profile parameters (exponential: b[,a]; "
                                 "power: p[,a]; table: v1,...,vn,cutoff)")
 
     p = sub.add_parser("spectrum", help="window tensor spectra and ranks")
-    add_common(p)
-    p.add_argument("--K", action="append", type=int, default=None, help="depth; repeatable")
+    add_common(p, [5], "depth; repeatable (default 5)")
     p.add_argument("--format", type=_parse_formats, default=("json",))
 
     p = sub.add_parser("measure", help="complexity measure against a decay profile")
-    add_common(p, with_g=True)
-    p.add_argument("--K", action="append", type=int, default=None,
-                   help="depth whose window measures a target without a "
-                        "horizon (default 5)")
+    add_common(p, [5], "depth whose window measures a target without a "
+                       "horizon (default 5)", g=True)
 
     p = sub.add_parser("bounds", help="two-sided approximation bound for explicit channels")
-    add_common(p, with_g=True)
-    p.add_argument("--K", action="append", type=int, default=None, help="depth")
-    p.add_argument("--channels", type=_parse_ints, default=(),
+    add_common(p, [5], "depth (default 5)", g=True)
+    p.add_argument("--channels", type=_parse_ints, required=True,
                    help="channel counts M_0,...,M_K, e.g. 1,4,4,1")
 
     p = sub.add_parser("curve", help="error curve tables over a (K, M) sweep")
-    add_common(p)
-    p.add_argument("--K", action="append", type=int, default=None,
-                   help="depth; repeatable (default 4,5,6)")
-    p.add_argument("--M-max", dest="M_max", type=int, default=64)
+    add_common(p, [4, 5, 6], "depth; repeatable (default 4,5,6)")
+    p.add_argument("--M-max", dest="M_max", type=depth, default=64)
     p.add_argument("--format", type=_parse_formats, default=("csv", "svg"))
 
     p = sub.add_parser("synth", help="build an exact or low-rank model for a target")
-    add_common(p)
-    p.add_argument("--K", action="append", type=int, default=None,
-                   help="depth for the low-rank method (default: cover the support)")
+    add_common(p, None, "depth of the low-rank bank, whose length-l^K window "
+                        "it synthesises (default: cover the support)")
     p.add_argument("--method", choices=("radix", "lowrank"), default="radix")
 
     p = sub.add_parser("compare", help="model-family comparison scenarios")
     p.add_argument("--scenario", required=True, choices=("exp_decay", "impulse_copy"))
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--K", type=int, default=None)
-    p.add_argument("--l", type=int, default=None)
-    p.add_argument("--horizon", type=int, default=None)
+    p.add_argument("--K", type=depth, default=None)
+    p.add_argument("--l", type=_at_least(2), default=2)
+    p.add_argument("--horizon", type=depth, default=None)
     p.add_argument("--out", default="")
+
+    p = sub.add_parser("study", help="error-curve study of the builtin targets "
+                                     "with its qualitative checks")
+    add_common(p, [4, 5, 6], "depth; repeatable (default 4,5,6)", target=False)
+    p.add_argument("--M-max", dest="M_max", type=depth, default=64)
 
     p = sub.add_parser("reproduce", help="replay the worked examples and report conformance")
     p.add_argument("--out", default="")
@@ -347,69 +360,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    command = args.command
-    defaults = {"spectrum": (5,), "measure": (5,), "bounds": (5,),
-                "curve": (4, 5, 6), "synth": ()}
-    scenario_params = {}
-    if command == "compare":
-        K_list = () if args.K is None else (args.K,)
-        for key in ("gamma", "eps", "horizon"):
-            value = getattr(args, key)
-            if value is not None:
-                scenario_params[key] = value
-    else:
-        K_list = tuple(getattr(args, "K", None) or defaults.get(command, ()))
-    l = getattr(args, "l", None)
-    return RunConfig(
-        command=command,
-        targets=tuple(getattr(args, "target", ()) or ()),
-        l=2 if l is None else l,
-        K_list=K_list,
-        channels=tuple(getattr(args, "channels", ()) or ()),
-        M_max=getattr(args, "M_max", 64),
-        g_family=getattr(args, "g", ""),
-        g_params=tuple(getattr(args, "g_params", ()) or ()),
-        out=getattr(args, "out", ""),
-        formats=tuple(getattr(args, "format", ()) or ()),
-        method=getattr(args, "method", "radix"),
-        scenario=getattr(args, "scenario", ""),
-        scenario_params=scenario_params)
-
-
-def run(config: RunConfig) -> int:
-    """Execute one resolved invocation; returns the process exit code."""
-    handler = _HANDLERS[config.command]
-    if config.command not in ("compare", "reproduce") and not config.targets:
-        raise UsageError("no --target given")
-    if config.l < 2:
-        raise UsageError("--l must be >= 2")
-    sizes = config.K_list + (config.M_max, config.scenario_params.get("horizon", 1))
-    if min(sizes) < 1:
-        raise UsageError("--K, --M-max and --horizon must be >= 1")
-    return handler(config)
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if not args.command:
-        parser.print_usage(sys.stderr)
-        return 1
-    config = _config_from_args(args)
     try:
-        return run(config)
+        return _HANDLERS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ArithmeticError, KeyError, OSError, MemoryError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, ArithmeticError, KeyError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

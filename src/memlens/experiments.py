@@ -17,7 +17,7 @@ import numpy as np
 from .sequences import Scalar, Sequence, dilated_conv
 from . import tensors
 from .bounds import DecayProfile, complexity_measure, error_curve, tail_sum_profile
-from .models import (cnn_min_depth_expdecay, cnn_representation,
+from .models import (cnn_min_depth_expdecay, replay_residual,
                      rnn_min_width_impulse, rnn_representation, RnnSpec,
                      synthesize_radix)
 
@@ -219,8 +219,7 @@ def comparison_report(scenario: str, **params) -> ComparisonReport:
         lag = l ** K - 1
         target = make_target("impulse", t=lag)
         cnn = synthesize_radix(target, l)
-        diff = cnn_representation(cnn).plus(target.scaled(-1.0))
-        residual = float(diff.norm())
+        residual = replay_residual(cnn, target)
         width = rnn_min_width_impulse(K, eps)
         return ComparisonReport(
             scenario=scenario,

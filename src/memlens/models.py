@@ -26,12 +26,6 @@ from .sequences import MAX_TIME, Scalar, Sequence
 from . import tensors
 
 
-def _one_hot(l, pos, scale=1.0):
-    w = [0.0] * l
-    w[pos] = float(scale)
-    return tuple(w)
-
-
 @dataclass(frozen=True, eq=False)
 class CnnSpec:
     """Linear dilated-convolution stack with sparse filter storage.
@@ -185,27 +179,66 @@ def cnn_representation(spec: CnnSpec) -> Sequence:
     return Sequence.from_arrays(uniq, values, dim=d)
 
 
-def effective_filters(channels, l: int, d: int = 1) -> float:
-    """Normalised pairwise-channel parameter count of a filter stack.
+def replay_residual(spec: CnnSpec, target: Sequence) -> float:
+    """Norm of the replayed representation minus target on the receptive
+    field [0, l^K - 1], the window a synthesis reproduces."""
+    window = target.truncate(spec.l ** spec.K)
+    return float(cnn_representation(spec).plus(window.scaled(-1.0)).norm())
 
-    Accepts a CnnSpec or the raw width list (M_1, ..., M_K); returns
-    (sum over consecutive width products - l*K) / d.  A single layer has
-    no width pairs and returns 0.  The value can be negative for very
-    narrow stacks.
+
+def effective_filters(channels, l: int, K: int, d: int = 1) -> float:
+    """Normalised pairwise-channel parameter count of a depth-K stack.
+
+    channels is a CnnSpec or the full width list (M_0, ..., M_K) with
+    M_0 = d and M_K = 1; either is checked against (l, K, d).  Returns
+    (sum of the products of consecutive widths among M_1, ..., M_K -
+    l*K) / d.  A single layer has no width pairs and returns 0.  The value
+    can be negative for very narrow stacks.
     """
     if isinstance(channels, CnnSpec):
-        widths = list(channels.channels[1:])
-        d = channels.channels[0]
-        l = channels.l
-    else:
-        widths = [int(m) for m in channels]
-    K = len(widths)
-    if K < 1:
-        raise ValueError("need at least one width")
+        if channels.K != K or channels.l != l:
+            raise ValueError("the stack does not match (l, K)")
+        channels = channels.channels
+    widths = tuple(int(m) for m in channels)
+    if K < 1 or len(widths) != K + 1:
+        raise ValueError("channels must list the K + 1 widths M_0, ..., M_K, K >= 1")
+    if widths[0] != d:
+        raise ValueError("M_0 must equal the target dimension")
+    if widths[-1] != 1:
+        raise ValueError("the output is a single channel")
     if K == 1:
         return 0.0
-    pair_sum = sum(widths[k] * widths[k - 1] for k in range(1, K))
+    pair_sum = sum(a * b for a, b in zip(widths[1:], widths[2:]))
     return (pair_sum - l * K) / d
+
+
+def _path_bank(l: int, K: int, positions, core, factors=None) -> CnnSpec:
+    """Filter bank with one single-channel path per core entry.
+
+    On layer k, path p holds column digit_k(positions[p]) of factors[k]
+    (base-l digits, least significant first), and core[p] scales its
+    first layer.  factors=None stands for identity factors, one-hot
+    filters: core[p] is written into the hot tap, so a negative value
+    leaves 0.0, not -0.0, on the other taps.  A single layer has one
+    output channel, so its filter is the sum of the paths.
+    """
+    positions = np.asarray(positions, dtype=np.int64)
+    core = np.asarray(core, dtype=float)
+    digits = positions[:, None] // l ** np.arange(K, dtype=np.int64) % l
+    if factors is None:
+        layers = [np.eye(l)[digits[:, k]] for k in range(K)]
+        layers[0][np.arange(len(core)), digits[:, 0]] = core
+    else:
+        layers = [factors[k][:, digits[:, k]].T for k in range(K)]
+        layers[0] = core[:, None] * layers[0]
+    if K == 1:
+        filters = {(0, 0, 0): tuple(layers[0].sum(axis=0).tolist())} if len(core) else {}
+        return CnnSpec(l=l, K=1, channels=(1, 1), filters=filters)
+    filters = {(k, 0 if k == 0 else p, 0 if k == K - 1 else p): tuple(w)
+               for k, layer in enumerate(layers)
+               for p, w in enumerate(layer.tolist())}
+    channels = (1,) + (max(1, len(core)),) * (K - 1) + (1,)
+    return CnnSpec(l=l, K=K, channels=channels, filters=filters)
 
 
 def synthesize_radix(target: Sequence, l: int) -> CnnSpec:
@@ -214,8 +247,10 @@ def synthesize_radix(target: Sequence, l: int) -> CnnSpec:
     Depth is the smallest K with l^K > radius(target).  Each nonzero
     entry at time t gets its own channel path of K one-hot filters, hot
     at the successive base-l digits of t (least significant digit on the
-    first layer) and scaled by the entry value on the first layer.  The
-    stored filter count is at most K times the target sparsity.
+    first layer) and scaled by the entry value on the first layer: the
+    low-rank construction with identity factors and the support values
+    as its core.  The stored filter count is at most K times the target
+    sparsity.
     """
     if target.dim != 1:
         raise ValueError("synthesis applies to one-dimensional targets")
@@ -223,76 +258,34 @@ def synthesize_radix(target: Sequence, l: int) -> CnnSpec:
         raise ValueError("synthesis needs a finitely supported target")
     if l < 2:
         raise ValueError("need l >= 2")
-    r = target.radius()
-    if r is None:
-        return CnnSpec(l=l, K=1, channels=(1, 1), filters={})
-    K = tensors.coverage_depth(l, r)
+    K = tensors.coverage_depth(l, target.radius() or 0)
     times, values = target.arrays()
     live = np.abs(values[:, 0]) > target.zero_tol()
-    support = list(zip(times[live].tolist(), values[live, 0].tolist()))
-    if K == 1:
-        w = [0.0] * l
-        for t, v in support:
-            w[t] = v
-        return CnnSpec(l=l, K=1, channels=(1, 1), filters={(0, 0, 0): tuple(w)})
-    P = len(support)
-    filters = {}
-    for p, (t, v) in enumerate(support):
-        digits = []
-        rem = t
-        for _ in range(K):
-            digits.append(rem % l)
-            rem //= l
-        filters[(0, 0, p)] = _one_hot(l, digits[0], v)
-        for k in range(1, K - 1):
-            filters[(k, p, p)] = _one_hot(l, digits[k])
-        filters[(K - 1, p, 0)] = _one_hot(l, digits[K - 1])
-    channels = (1,) + (P,) * (K - 1) + (1,)
-    return CnnSpec(l=l, K=K, channels=channels, filters=filters)
+    return _path_bank(l, K, times[live], values[live, 0])
 
 
-def synthesize_lowrank(target: Sequence, l: int, K: int,
+def synthesize_lowrank(target: Sequence, l: int, K=None,
                        core_rel_tol: float = 1e-12) -> CnnSpec:
-    """Exact filter bank from the orthogonal rank decomposition.
+    """Exact filter bank for the length-l^K window of target.
 
-    The tensorised target is expanded over its factor bases; every core
-    entry above core_rel_tol times the tensor norm becomes one
-    single-channel path whose layer-k filter is the matching mode-(k+1)
-    factor column, with the core value absorbed into the first layer.
+    K defaults to the coverage depth of the support.  The tensorised
+    window is expanded over its factor bases; every core entry above
+    core_rel_tol times the tensor norm becomes one single-channel path
+    whose layer-k filter is the matching mode-(k+1) factor column, with
+    the core value absorbed into the first layer.  A single layer's
+    filter is the window itself.
     """
     if target.dim != 1:
         raise ValueError("synthesis applies to one-dimensional targets")
-    if target.kind != "finite":
-        raise ValueError("synthesis needs a finitely supported target")
-    t = tensors.tensorize(target, l, K)
-    norm = t.norm()
-    if norm == 0.0:
-        return CnnSpec(l=l, K=K, channels=(1,) * (K + 1), filters={})
+    if K is None:
+        K = tensors.coverage_depth(l, target.radius() or 0)
+    t = tensors.tensorize(target.truncate(l ** K), l, K)
     if K == 1:
-        return CnnSpec(l=l, K=1, channels=(1, 1),
-                       filters={(0, 0, 0): tuple(float(x) for x in t.data)})
+        live = np.flatnonzero(t.data)
+        return _path_bank(l, 1, live, t.data[live])
     core, factors = tensors.hosvd(t)
-    retained = [pos for pos in range(core.shape[0])
-                if abs(core[pos]) > core_rel_tol * norm]
-    if not retained:
-        return CnnSpec(l=l, K=K, channels=(1,) * (K + 1), filters={})
-    filters = {}
-    for p, pos in enumerate(retained):
-        digits = []
-        rem = pos
-        for _ in range(K):
-            digits.append(rem % l)
-            rem //= l
-        first = core[pos] * factors[0][:, digits[0]]
-        filters[(0, 0, p)] = tuple(float(x) for x in first)
-        for k in range(1, K - 1):
-            col = factors[k][:, digits[k]]
-            filters[(k, p, p)] = tuple(float(x) for x in col)
-        last = factors[K - 1][:, digits[K - 1]]
-        filters[(K - 1, p, 0)] = tuple(float(x) for x in last)
-    P = len(retained)
-    channels = (1,) + (P,) * (K - 1) + (1,)
-    return CnnSpec(l=l, K=K, channels=channels, filters=filters)
+    retained = np.flatnonzero(np.abs(core) > core_rel_tol * t.norm())
+    return _path_bank(l, K, retained, core[retained], factors)
 
 
 def rnn_representation(spec: RnnSpec, horizon: int) -> Sequence:

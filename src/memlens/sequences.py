@@ -435,7 +435,13 @@ def _coalesced(times, values) -> Sequence:
     return Sequence._of(uniq, out)
 
 
-def _dilated(f: Sequence, g: Sequence, dilation: int, reduce: bool) -> Sequence:
+def dilated_conv(f: Sequence, g: Sequence, dilation: int) -> Sequence:
+    """Channel-reducing dilated convolution (f *_dilation g)(t).
+
+    The first operand is the dilated one: the result at time t is the sum
+    over s of f(s) . g(t - dilation * s), a scalar sequence.  The support
+    satisfies radius = dilation * radius(f) + radius(g).
+    """
     if dilation < 1:
         raise ValueError("dilation must be >= 1")
     if f.dim != g.dim:
@@ -450,24 +456,7 @@ def _dilated(f: Sequence, g: Sequence, dilation: int, reduce: bool) -> Sequence:
     # Pairs run s-major then u, so every time sums its terms in that order.
     times = (dilation * ft[:, None] + gt[None, :]).reshape(-1)
     products = (fv[:, None, :] * gv[None, :, :]).reshape(-1, f.dim)
-    if reduce:
-        products = products.sum(axis=1, keepdims=True)
-    return _coalesced(times, products)
-
-
-def dilated_conv(f: Sequence, g: Sequence, dilation: int) -> Sequence:
-    """Channel-reducing dilated convolution (f *_dilation g)(t).
-
-    The first operand is the dilated one: the result at time t is the sum
-    over s of f(s) . g(t - dilation * s), a scalar sequence.  The support
-    satisfies radius = dilation * radius(f) + radius(g).
-    """
-    return _dilated(f, g, dilation, reduce=True)
-
-
-def dilated_conv_channelwise(f: Sequence, g: Sequence, dilation: int) -> Sequence:
-    """Dilated convolution applied per channel, preserving the dimension."""
-    return _dilated(f, g, dilation, reduce=False)
+    return _coalesced(times, products.sum(axis=1, keepdims=True))
 
 
 def apply_functional(rho: Sequence, x: Sequence, t: int) -> Scalar:

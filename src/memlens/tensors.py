@@ -141,6 +141,20 @@ def coverage_depth(l: int, radius: int) -> int:
     return K
 
 
+def analysis_window(rho: Sequence, l: int, K=None) -> Sequence:
+    """rho as the analyses read it: a finite sequence as it is, a generated
+    one cut after its horizon, or, without a horizon, cut to its length-l^K
+    window, which needs a depth K."""
+    if rho.kind == "finite":
+        return rho
+    if rho.horizon is not None:
+        return rho.truncate(rho.horizon + 1)
+    if K is None:
+        raise ValueError("a generated target without a horizon has infinite "
+                         "support: give it a horizon or cut it to a window")
+    return rho.truncate(l ** K)
+
+
 def tensorize(rho: Sequence, l: int, K: int) -> Tensor:
     """Fold rho restricted to [0, l^K - 1] into an order-K tensor.
 
@@ -171,6 +185,11 @@ def singular_values(t: Tensor) -> Spectrum:
     """Pooled spectrum of all K mode flattenings."""
     return Spectrum.from_mode_values(
         matrix_singular_values(mode_flatten(t, k)) for k in range(1, t.order + 1))
+
+
+def window_spectrum(rho: Sequence, l: int, K: int) -> Spectrum:
+    """Pooled spectrum of the tensorised length-l^K window of rho."""
+    return singular_values(tensorize(rho.truncate(l ** K), l, K))
 
 
 def tensor_rank(t: Tensor, tol=RANK_REL_TOL) -> int:

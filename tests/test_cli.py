@@ -2,12 +2,15 @@ import contextlib
 import io
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from memlens.cli import main
+from memlens.cli import load_target, main
 from memlens.sequences import Sequence
 
 
@@ -146,6 +149,68 @@ def test_usage_errors_exit_one(tmp_path, capsys):
                  ["--scenario", "exp_decay", "--l", "1"],
                  ["--scenario", "exp_decay", "--horizon", "0"]):
         assert main(["compare", *args]) == 1
+        capsys.readouterr()
+    for args in (["measure", "--target", "rho1"],
+                 ["measure", "--target", "rho1", "--g", "power"],
+                 ["bounds", "--target", "rho1", "--channels", "1,4,4,4,4,1"],
+                 ["measure", "--target", "rho1", "--g", "table", "--g-params", "1"]):
+        assert main([*args, "--out", str(out)]) == 1, args
+        capsys.readouterr()
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_synth_covers_every_builtin_target(capsys):
+    for target, method, K in (("rho2", "lowrank", 4), ("rho3", "lowrank", 5),
+                              ("exp:0.9", "lowrank", 4), ("rho3:100", "lowrank", None),
+                              ("rho3:100", "radix", None)):
+        extra = [] if K is None else ["--K", str(K)]
+        code, out = run_cli(capsys, ["synth", "--target", target, "--method", method,
+                                     *extra])
+        assert code == 0, target
+        payload = json.loads(out)
+        target_seq = load_target(target)[0]
+        window = target_seq.truncate(2 ** payload["depth"])
+        assert payload["depth"] == (K or 7)
+        assert payload["replay_residual"] <= 1e-12 * float(window.norm())
+    code = main(["synth", "--target", "rho3", "--method", "radix", "--K", "5"])
+    assert code == 2
+    assert "horizon" in capsys.readouterr().err
+
+
+def test_study_writes_the_script_artifacts(tmp_path, capsys):
+    code = main(["study", "--out", str(tmp_path), "--l", "2", "--K", "4", "--K", "5",
+                 "--M-max", "16"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "curves_K4.svg", "curves_K5.svg", "rho1_curves.csv", "rho2_curves.csv",
+        "rho3_curves.csv", "study_summary.json"]
+    summary = json.loads((tmp_path / "study_summary.json").read_text())
+    assert all(summary["checks"].values())
+    assert "PASS curves_non_increasing" in out.splitlines()
+    # No depth of 2 covers the sparse supports, so the claim checks fail.
+    assert main(["study", "--out", str(tmp_path / "shallow"), "--K", "2"]) == 3
+    assert "FAIL low_rank_pointwise_easier" in capsys.readouterr().out
+
+
+def _readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("memlens "):
+                lines.append(shlex.split(line)[1:])
+    return lines
+
+
+def test_readme_commands_run(tmp_path, capsys):
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    for argv in commands:
+        if "--out" in argv:
+            at = argv.index("--out") + 1
+            argv[at] = str(tmp_path / argv[at])
+        assert main(argv) == 0, argv
         capsys.readouterr()
 
 

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from memlens.models import (CnnSpec, RnnSpec, cnn_min_depth_expdecay,
                             cnn_representation, effective_filters,
-                            power_sum_delta_bound, rnn_min_width_impulse,
-                            rnn_representation, synthesize_lowrank,
-                            synthesize_radix)
+                            power_sum_delta_bound, replay_residual,
+                            rnn_min_width_impulse, rnn_representation,
+                            synthesize_lowrank, synthesize_radix)
 from memlens.sequences import Sequence
+from memlens.tensors import hosvd, tensorize
 
 
 def test_cnn_spec_validation():
@@ -68,13 +69,16 @@ def test_representation_stays_in_receptive_field(rng):
 
 
 def test_effective_filters_values():
-    assert effective_filters((4, 4), 2) == 12.0
-    assert effective_filters((1,), 2) == 0.0
-    assert effective_filters((2, 2, 1), 3, d=2) == -1.5
+    assert effective_filters((1, 4, 4, 1), 2, 3) == 14.0
+    assert effective_filters((1, 1), 2, 1) == 0.0
+    assert effective_filters((2, 2, 2, 1), 3, 3, d=2) == -1.5
     spec = CnnSpec(l=2, K=2, channels=(1, 4, 1))
-    assert effective_filters(spec, 9, 9) == 0.0
-    with pytest.raises(ValueError):
-        effective_filters((), 2)
+    assert effective_filters(spec, 2, 2) == 0.0
+    for bad in ((spec, 3, 2, 1), (spec, 2, 3, 1), (spec, 2, 2, 2),
+                ((), 2, 1, 1), ((1, 4, 1), 2, 3, 1), ((2, 4, 1), 2, 2, 1),
+                ((1, 4, 2), 2, 2, 1)):
+        with pytest.raises(ValueError):
+            effective_filters(*bad)
 
 
 def test_radix_synthesis_worked_example():
@@ -127,6 +131,45 @@ def test_lowrank_synthesis_replays_the_window(rng):
     assert spec.channels == (1, 1, 1)
     zero = synthesize_lowrank(Sequence.zero(), 2, 2)
     assert zero.filter_count == 0
+
+
+def test_synthesis_banks_share_one_layout():
+    # Radix filters are one-hot with +0.0 off the hot tap, even for a
+    # negative value.
+    spec = synthesize_radix(Sequence.from_values([0.0, -2.0, 0.0, 0.0, -1.0]), 2)
+    assert spec.filters[(0, 0, 0)] == (0.0, -2.0)
+    assert all(math.copysign(1.0, x) == 1.0 for w in spec.filters.values()
+               for x in w if x == 0.0)
+    assert replay_residual(spec, Sequence.from_values([0.0, -2.0, 0.0, 0.0, -1.0])) == 0.0
+    # Low-rank synthesis reads the length-l^K window of a longer target.
+    target = Sequence.from_values([1.0, 2.0, 3.0, 4.0, 5.0])
+    window = target.truncate(4)
+    spec = synthesize_lowrank(target, 2, 2)
+    assert spec.K == 2 and replay_residual(spec, target) <= 1e-14
+    assert float(cnn_representation(spec).plus(window.scaled(-1.0)).norm()) <= 1e-14
+    assert synthesize_lowrank(target, 2).K == 3
+    shallow = synthesize_lowrank(Sequence.from_values([0.0, -3.0, 7.0]), 4, 1)
+    assert shallow.filters == {(0, 0, 0): (0.0, -3.0, 7.0, 0.0)}
+
+
+def test_lowrank_bank_matches_a_per_path_loop(rng):
+    # Reference: the per-path loop, digits by repeated division; the bank
+    # must hold the same floats, signed zeros included.
+    l, K = 3, 3
+    target = Sequence.from_values(rng.normal(size=l ** K) * (rng.random(l ** K) < 0.4))
+    t = tensorize(target, l, K)
+    core, factors = hosvd(t)
+    spec = synthesize_lowrank(target, l, K)
+    retained = [pos for pos in range(l ** K) if abs(core[pos]) > 1e-12 * t.norm()]
+    assert spec.channels == (1, len(retained), len(retained), 1)
+    for p, pos in enumerate(retained):
+        digits = [pos // l ** k % l for k in range(K)]
+        want = {(0, 0, p): core[pos] * factors[0][:, digits[0]],
+                (1, p, p): factors[1][:, digits[1]],
+                (2, p, 0): factors[2][:, digits[2]]}
+        for key, w in want.items():
+            got = np.array(spec.filters[key])
+            assert np.array_equal(got, w) and np.array_equal(np.signbit(got), np.signbit(w))
 
 
 def test_impulse_replay_is_exact_at_depth_40():

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memlens.sequences import (Scalar, Sequence, apply_functional,
-                               dilated_conv, dilated_conv_channelwise)
+from memlens.sequences import Scalar, Sequence, apply_functional, dilated_conv
 
 
 def test_scalar_interval_accessors():
@@ -163,14 +162,6 @@ def test_dilated_conv_radius_law(fv, gv, dilation):
             for u in range(rg + 1):
                 brute[dilation * s + u] += f.value(s)[0] * g.value(u)[0]
         assert np.allclose(out.flat_values(n), brute, atol=1e-12)
-
-
-def test_channelwise_conv_keeps_dimension():
-    f = Sequence.from_entries({0: (1.0, 2.0)}, dim=2)
-    g = Sequence.from_entries({1: (3.0, 5.0)}, dim=2)
-    out = dilated_conv_channelwise(f, g, 2)
-    assert out.dim == 2
-    assert np.array_equal(out.value(1), [3.0, 10.0])
 
 
 def test_apply_functional_matches_brute_force():

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memlens.sequences import Sequence, dilated_conv
-from memlens.tensors import (Spectrum, Tensor, hosvd, matrix_singular_values, mode_flatten,
+from memlens.tensors import (Spectrum, Tensor, analysis_window, hosvd,
+                             matrix_singular_values, mode_flatten,
                              mode_flatten_general, mode_refold_general,
                              outer_product, singular_values, tensor_rank,
-                             tensorize, truncation_error_bound)
+                             tensorize, truncation_error_bound, window_spectrum)
 
 
 def _numpy_mode_flatten(data, dims, k):
@@ -188,3 +189,19 @@ def test_hosvd_reconstructs_and_is_orthogonal(rng):
                 assert np.allclose(u.T @ u, np.eye(l), atol=1e-10)
                 data = np.moveaxis(np.tensordot(u, data, axes=(1, k)), 0, k)
             assert np.allclose(data.reshape(-1, order="F"), t.data, atol=1e-10)
+
+
+def test_analysis_window_rule():
+    finite = Sequence.from_values([1.0, 0.0, 0.0, 0.0, 2.0])
+    assert analysis_window(finite, 2, 1) is finite
+    cut = analysis_window(Sequence.power(horizon=5), 2, 1)
+    assert cut.kind == "finite" and cut.radius() == 5
+    assert analysis_window(Sequence.geometric(0.5), 2, 3).radius() == 7
+    with pytest.raises(ValueError, match="horizon"):
+        analysis_window(Sequence.geometric(0.5), 2)
+
+
+def test_window_spectrum_reads_the_truncated_window():
+    rho = Sequence.power(horizon=40)
+    spec = window_spectrum(rho, 2, 4)
+    assert spec.entries == singular_values(tensorize(rho.truncate(16), 2, 4)).entries
