@@ -203,7 +203,8 @@ def error_curve(rho: Sequence, l: int, K_list, M_range,
     """Bound split per (K, M): spectrum truncation plus window tail.
 
     The rank budget at width M is floor(K * M^(1/K)); the rank term is
-    the spectrum tail beyond that budget, the tail term is the norm of
+    the spectrum tail beyond that budget, computed once per distinct
+    budget of each depth; the tail term is the norm of
     the representation outside the window (upper bracket end when the
     tail is only known as an interval).
     """
@@ -212,11 +213,14 @@ def error_curve(rho: Sequence, l: int, K_list, M_range,
         spec = tensors.window_spectrum(rho, l, K)
         tail = rho.tail_norm(l ** K)
         tail_term = tail.upper
+        rank_terms = {}
         for M in sorted(set(int(m) for m in M_range)):
             if M < 1:
                 raise ValueError("widths must be >= 1")
             budget = math.floor(K * M ** (1.0 / K))
-            rank_term = tensors.truncation_error_bound(spec, budget).value
+            if budget not in rank_terms:
+                rank_terms[budget] = tensors.truncation_error_bound(spec, budget).value
+            rank_term = rank_terms[budget]
             rows.append(CurveRow(K=K, M=M, rank_term=rank_term,
                                  tail_term=tail_term,
                                  upper_bound=rank_term + tail_term))

@@ -9,6 +9,12 @@ every number it writes comes from one library call.  Exit codes: 0
 success, 1 usage error, 2 computation error, 3 a failed check (reproduce,
 study).
 
+The parser is built once per process (build_parser is cached) and holds
+no per-call state: each main call parses into a fresh namespace, and a
+given --K replaces the tuple of default depths.  spectrum, curve and
+study take a repeatable --K; measure, bounds and synth read one depth,
+so a second --K there is a usage error.
+
 Targets are builtin ids (rho1, rho2, rho3[:H], exp:GAMMA, impulse:T), or
 a path to a sequence JSON file.  measure, bounds and synth read a
 generated target up to its horizon, or, without one, on its length-l^K
@@ -18,6 +24,7 @@ window (tensors.analysis_window).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -73,12 +80,22 @@ def _at_least(low: int):
 
 
 class _Depths(argparse.Action):
-    """Repeatable --K: the first one given replaces the default list."""
+    """Repeatable --K: the first one given replaces the default depths."""
 
     def __call__(self, parser, namespace, value, option_string=None):
         given = getattr(namespace, self.dest)
         setattr(namespace, self.dest,
                 ([] if given is self.default else given) + [value])
+
+
+class _Depth(_Depths):
+    """--K for a command that reads one depth: a second one is refused."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if getattr(namespace, self.dest) is not self.default:
+            raise argparse.ArgumentError(
+                self, "this command reads one depth; give it once")
+        super().__call__(parser, namespace, value, option_string)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -124,12 +141,12 @@ def _profile(family: str, params) -> DecayProfile:
             raise UsageError("--g-params for table: v1,...,vn,cutoff")
         return DecayProfile.table(params[:-1], int(params[-1]))
     if family == "exponential":
-        if not params:
+        if not 1 <= len(params) <= 2:
             raise UsageError("--g-params for exponential: b[,a]")
-        return DecayProfile.exponential(*params[:2])
-    if not params:
+        return DecayProfile.exponential(*params)
+    if not 1 <= len(params) <= 2:
         raise UsageError("--g-params for power: p[,a]")
-    return DecayProfile.power(*params[:2])
+    return DecayProfile.power(*params)
 
 
 def _emit(out: str, name: str, text: str):
@@ -291,6 +308,7 @@ _HANDLERS = {"spectrum": _cmd_spectrum, "measure": _cmd_measure,
              "reproduce": _cmd_reproduce}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="memlens",
                      description="spectra, complexity measures, approximation "
@@ -300,14 +318,14 @@ def build_parser() -> argparse.ArgumentParser:
                                 parser_class=_Parser)
     depth = _at_least(1)
 
-    def add_common(p, K, K_help, target=True, g=False):
+    def add_common(p, K, K_help, target=True, g=False, depths=_Depths):
         if target:
             p.add_argument("--target", action="append", required=True,
                            help="builtin id (rho1, rho2, rho3[:H], exp:G, "
                                 "impulse:T) or sequence JSON path; repeatable")
         p.add_argument("--l", type=_at_least(2), default=2,
                        help="filter size (default 2)")
-        p.add_argument("--K", action=_Depths, type=depth, default=K, help=K_help)
+        p.add_argument("--K", action=depths, type=depth, default=K, help=K_help)
         p.add_argument("--out", default="", help="output directory (default: stdout)")
         if g:
             p.add_argument("--g", required=True, metavar="FAMILY",
@@ -318,26 +336,27 @@ def build_parser() -> argparse.ArgumentParser:
                                 "power: p[,a]; table: v1,...,vn,cutoff)")
 
     p = sub.add_parser("spectrum", help="window tensor spectra and ranks")
-    add_common(p, [5], "depth; repeatable (default 5)")
+    add_common(p, (5,), "depth; repeatable (default 5)")
     p.add_argument("--format", type=_parse_formats, default=("json",))
 
     p = sub.add_parser("measure", help="complexity measure against a decay profile")
-    add_common(p, [5], "depth whose window measures a target without a "
-                       "horizon (default 5)", g=True)
+    add_common(p, (5,), "depth whose window measures a target without a "
+                        "horizon (default 5)", g=True, depths=_Depth)
 
     p = sub.add_parser("bounds", help="two-sided approximation bound for explicit channels")
-    add_common(p, [5], "depth (default 5)", g=True)
+    add_common(p, (5,), "depth (default 5)", g=True, depths=_Depth)
     p.add_argument("--channels", type=_parse_ints, required=True,
                    help="channel counts M_0,...,M_K, e.g. 1,4,4,1")
 
     p = sub.add_parser("curve", help="error curve tables over a (K, M) sweep")
-    add_common(p, [4, 5, 6], "depth; repeatable (default 4,5,6)")
+    add_common(p, (4, 5, 6), "depth; repeatable (default 4,5,6)")
     p.add_argument("--M-max", dest="M_max", type=depth, default=64)
     p.add_argument("--format", type=_parse_formats, default=("csv", "svg"))
 
     p = sub.add_parser("synth", help="build an exact or low-rank model for a target")
     add_common(p, None, "depth of the low-rank bank, whose length-l^K window "
-                        "it synthesises (default: cover the support)")
+                        "it synthesises (default: cover the support)",
+               depths=_Depth)
     p.add_argument("--method", choices=("radix", "lowrank"), default="radix")
 
     p = sub.add_parser("compare", help="model-family comparison scenarios")
@@ -351,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("study", help="error-curve study of the builtin targets "
                                      "with its qualitative checks")
-    add_common(p, [4, 5, 6], "depth; repeatable (default 4,5,6)", target=False)
+    add_common(p, (4, 5, 6), "depth; repeatable (default 4,5,6)", target=False)
     p.add_argument("--M-max", dest="M_max", type=depth, default=64)
 
     p = sub.add_parser("reproduce", help="replay the worked examples and report conformance")

@@ -112,8 +112,9 @@ class Sequence:
         self._params = {}
         self._times = self._values = None
         if family is None:
-            pairs = list(entries.items() if hasattr(entries, "items") else entries or ())
-            times, values = zip(*pairs) if pairs else ((), np.zeros((0, self._dim)))
+            rows = list(entries.items() if hasattr(entries, "items") else entries or ())
+            times = [t for t, _ in rows]
+            values = [v for _, v in rows] if rows else np.zeros((0, self._dim))
             self._times, self._values = _columns(times, values, self._dim)
             return
         if family not in ("geometric", "power"):

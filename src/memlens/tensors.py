@@ -15,7 +15,7 @@ let round-off decide tensor ranks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,10 +66,17 @@ class Spectrum:
     entries holds (value, mode) pairs sorted by descending value with
     ties broken by ascending mode index.  Each mode contributes
     min(l, l^(K-1)) values, so the total length is l*K for K >= 2 and 1
-    for K = 1.
+    for K = 1.  values is the array of the pooled values in that order,
+    made once at construction and read-only.
     """
 
     entries: tuple
+    values: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        values = np.array([v for v, _ in self.entries])
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def from_mode_values(cls, per_mode) -> "Spectrum":
@@ -78,10 +85,6 @@ class Spectrum:
             pairs.extend((float(v), mode) for v in values)
         pairs.sort(key=lambda p: (-p[0], p[1]))
         return cls(entries=tuple(pairs))
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.array([v for v, _ in self.entries])
 
     def per_mode(self, k: int) -> np.ndarray:
         return np.array(sorted((v for v, m in self.entries if m == k), reverse=True))

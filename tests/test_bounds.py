@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from memlens.bounds import (DecayProfile, complexity_measure, error_curve,
                             rate_bound_interval, tail_sum_profile)
+from memlens.experiments import make_target
 from memlens.sequences import Sequence
-from memlens.tensors import singular_values, tensorize
+from memlens.tensors import (singular_values, tensorize, truncation_error_bound,
+                             window_spectrum)
 
 
 def test_decay_profile_families():
@@ -168,6 +170,24 @@ def test_error_curve_row_invariants():
     ms, uppers = table.curve(3)
     assert ms == list(range(1, 9))
     assert uppers[-1] == 0.0
+
+
+def test_error_curve_matches_a_per_width_loop():
+    for name, rho in (("rho1", make_target("rho1")), ("rho2", make_target("rho2")),
+                      ("rho3:700", make_target("rho3", horizon=700))):
+        for l in (2, 3):
+            table = error_curve(rho, l, [4, 5, 6], range(1, 65), target_id=name)
+            rows = []
+            for K in (4, 5, 6):
+                spec = window_spectrum(rho, l, K)
+                tail_term = rho.tail_norm(l ** K).upper
+                for M in range(1, 65):
+                    budget = math.floor(K * M ** (1.0 / K))
+                    rank_term = truncation_error_bound(spec, budget).value
+                    rows.append((K, M, rank_term.hex(), tail_term.hex(),
+                                 (rank_term + tail_term).hex()))
+            assert [(r.K, r.M, r.rank_term.hex(), r.tail_term.hex(),
+                     r.upper_bound.hex()) for r in table.rows] == rows, (name, l)
 
 
 def test_error_curve_tail_uses_bracket_upper_end():

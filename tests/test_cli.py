@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from memlens.cli import load_target, main
+from memlens.cli import build_parser, load_target, main
 from memlens.sequences import Sequence
 
 
@@ -153,10 +153,59 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     for args in (["measure", "--target", "rho1"],
                  ["measure", "--target", "rho1", "--g", "power"],
                  ["bounds", "--target", "rho1", "--channels", "1,4,4,4,4,1"],
-                 ["measure", "--target", "rho1", "--g", "table", "--g-params", "1"]):
+                 ["measure", "--target", "rho1", "--g", "table", "--g-params", "1"],
+                 ["measure", "--target", "rho1", "--g", "exponential",
+                  "--g-params", "0.5,1,7"],
+                 ["bounds", "--target", "rho1", "--channels", "1,4,4,4,4,1",
+                  "--g", "power", "--g-params", "1,1,7"]):
         assert main([*args, "--out", str(out)]) == 1, args
         capsys.readouterr()
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_single_depth_commands_refuse_a_second_K(tmp_path, capsys):
+    out = tmp_path / "out"
+    g = ["--g", "exponential", "--g-params", "0.5"]
+    for args in (["measure", "--target", "rho1", *g],
+                 ["bounds", "--target", "rho1", "--channels", "1,4,4,4,4,1", *g],
+                 ["synth", "--target", "rho1", "--method", "lowrank"]):
+        assert main([*args, "--K", "5", "--K", "3", "--out", str(out)]) == 1, args
+        assert "--K" in capsys.readouterr().err
+        assert main([*args, "--K", "4", "--K", "4", "--out", str(out)]) == 1, args
+        capsys.readouterr()
+    assert not out.exists() or not any(out.iterdir())
+    code, text = run_cli(capsys, ["spectrum", "--target", "rho1", "--K", "3", "--K", "4"])
+    assert code == 0
+    assert [row["K"] for row in json.loads(text)["per_K"]] == [3, 4]
+
+
+def test_main_calls_in_one_process_share_no_state(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    code, text = run_cli(capsys, ["spectrum", "--target", "rho1", "--K", "3"])
+    assert code == 0 and [r["K"] for r in json.loads(text)["per_K"]] == [3]
+    code, text = run_cli(capsys, ["spectrum", "--target", "rho1"])
+    assert code == 0 and [r["K"] for r in json.loads(text)["per_K"]] == [5]
+    code, text = run_cli(capsys, ["curve", "--target", "rho1", "--K", "2",
+                                  "--M-max", "2", "--format", "json"])
+    assert code == 0 and {r["K"] for r in json.loads(text)["rows"]} == {2}
+    code, text = run_cli(capsys, ["curve", "--target", "rho1", "--M-max", "2",
+                                  "--format", "json"])
+    assert code == 0 and {r["K"] for r in json.loads(text)["rows"]} == {4, 5, 6}
+    assert main(["spectrum", "--target", "rho1", "--K", "0"]) == 1
+    capsys.readouterr()
+    assert main(["measure", "--target", "rho1", "--g", "power", "--g-params", "1,1,7"]) == 1
+    capsys.readouterr()
+    code, text = run_cli(capsys, ["measure", "--target", "rho1", "--g", "power",
+                                  "--g-params", "1"])
+    assert code == 0 and json.loads(text)["g"]["params"] == [1.0]
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["spectrum", "--target", "rho1", "--target", "rho2",
+                 "--out", str(first)]) == 0
+    assert main(["spectrum", "--target", "impulse:3", "--out", str(second)]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in first.iterdir()) == ["rho1_spectrum.json",
+                                                        "rho2_spectrum.json"]
+    assert [p.name for p in second.iterdir()] == ["impulse-3_spectrum.json"]
 
 
 def test_synth_covers_every_builtin_target(capsys):

@@ -130,6 +130,16 @@ def test_spectrum_orders_ties_by_mode():
     assert np.array_equal(spec.per_mode(2), [1.0, 0.5])
 
 
+def test_spectrum_values_are_made_once_and_read_only():
+    spec = window_spectrum(Sequence.power(horizon=40), 2, 5)
+    assert spec.values is spec.values
+    assert np.array_equal(spec.values, [v for v, _ in spec.entries])
+    assert not spec.values.flags.writeable
+    with pytest.raises(ValueError):
+        spec.values[0] = 0.0
+    assert spec == Spectrum(entries=spec.entries)
+
+
 def test_outer_product_reads_one_vector_per_mode():
     t = outer_product([np.array([1.0, 2.0]), np.array([3.0, 4.0])])
     assert np.array_equal(t.data, [3.0, 6.0, 4.0, 8.0])
