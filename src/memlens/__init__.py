@@ -10,9 +10,9 @@ and head-to-head comparison scenarios.
 """
 
 from .sequences import Scalar, Sequence, apply_functional, dilated_conv
-from .tensors import (Spectrum, Tensor, hosvd, matrix_singular_values,
-                      mode_flatten, outer_product, singular_values,
-                      tensor_rank, tensorize, truncation_error_bound)
+from .tensors import (Spectrum, Tensor, matrix_singular_values, mode_flatten,
+                      outer_product, singular_values, tensor_rank, tensorize,
+                      truncation_error_bound)
 from .models import (CnnSpec, RnnSpec, cnn_min_depth_expdecay,
                      cnn_representation, effective_filters,
                      power_sum_delta_bound, rnn_min_width_impulse,
@@ -25,7 +25,7 @@ from .experiments import (ComparisonReport, CurveStudy, comparison_report,
 
 __all__ = [
     "Scalar", "Sequence", "apply_functional", "dilated_conv",
-    "Spectrum", "Tensor", "hosvd", "matrix_singular_values", "mode_flatten",
+    "Spectrum", "Tensor", "matrix_singular_values", "mode_flatten",
     "outer_product", "singular_values", "tensor_rank", "tensorize",
     "truncation_error_bound",
     "CnnSpec", "RnnSpec", "cnn_min_depth_expdecay", "cnn_representation",

@@ -5,8 +5,9 @@ layer-k dilation is l^k; its induced representation is the response to a
 unit impulse and is supported inside the receptive field [0, l^K - 1].
 Two synthesizers build exact filter banks for a finitely supported
 target: a digit-reading construction with one channel path per nonzero
-entry, and a rank-decomposition construction with one channel path per
-retained core entry.
+entry, and the TT-SVD of the window over its base-l digits, a tensor
+train whose cores are the filters and whose widths are the ranks of the
+window's sequential unfoldings.
 
 An RnnSpec holds a linear recurrence whose representation is the power
 sum c' W^(s-1) U for s >= 1 (and 0 at s = 0).  Width lower bounds for
@@ -212,45 +213,16 @@ def effective_filters(channels, l: int, K: int, d: int = 1) -> float:
     return (pair_sum - l * K) / d
 
 
-def _path_bank(l: int, K: int, positions, core, factors=None) -> CnnSpec:
-    """Filter bank with one single-channel path per core entry.
-
-    On layer k, path p holds column digit_k(positions[p]) of factors[k]
-    (base-l digits, least significant first), and core[p] scales its
-    first layer.  factors=None stands for identity factors, one-hot
-    filters: core[p] is written into the hot tap, so a negative value
-    leaves 0.0, not -0.0, on the other taps.  A single layer has one
-    output channel, so its filter is the sum of the paths.
-    """
-    positions = np.asarray(positions, dtype=np.int64)
-    core = np.asarray(core, dtype=float)
-    digits = positions[:, None] // l ** np.arange(K, dtype=np.int64) % l
-    if factors is None:
-        layers = [np.eye(l)[digits[:, k]] for k in range(K)]
-        layers[0][np.arange(len(core)), digits[:, 0]] = core
-    else:
-        layers = [factors[k][:, digits[:, k]].T for k in range(K)]
-        layers[0] = core[:, None] * layers[0]
-    if K == 1:
-        filters = {(0, 0, 0): tuple(layers[0].sum(axis=0).tolist())} if len(core) else {}
-        return CnnSpec(l=l, K=1, channels=(1, 1), filters=filters)
-    filters = {(k, 0 if k == 0 else p, 0 if k == K - 1 else p): tuple(w)
-               for k, layer in enumerate(layers)
-               for p, w in enumerate(layer.tolist())}
-    channels = (1,) + (max(1, len(core)),) * (K - 1) + (1,)
-    return CnnSpec(l=l, K=K, channels=channels, filters=filters)
-
-
 def synthesize_radix(target: Sequence, l: int) -> CnnSpec:
     """Exact filter bank reading base-l digits of the support positions.
 
     Depth is the smallest K with l^K > radius(target).  Each nonzero
     entry at time t gets its own channel path of K one-hot filters, hot
     at the successive base-l digits of t (least significant digit on the
-    first layer) and scaled by the entry value on the first layer: the
-    low-rank construction with identity factors and the support values
-    as its core.  The stored filter count is at most K times the target
-    sparsity.
+    first layer), with the entry value written into the first hot tap,
+    so a negative value leaves +0.0 on the other taps.  A single layer
+    sums the paths.  The stored filter count is at most K times the
+    target sparsity.
     """
     if target.dim != 1:
         raise ValueError("synthesis applies to one-dimensional targets")
@@ -261,31 +233,65 @@ def synthesize_radix(target: Sequence, l: int) -> CnnSpec:
     K = tensors.coverage_depth(l, target.radius() or 0)
     times, values = target.arrays()
     live = np.abs(values[:, 0]) > target.zero_tol()
-    return _path_bank(l, K, times[live], values[live, 0])
+    digits = times[live, None] // l ** np.arange(K, dtype=np.int64) % l
+    layers = [np.eye(l)[digits[:, k]] for k in range(K)]
+    layers[0][np.arange(len(digits)), digits[:, 0]] = values[live, 0]
+    if K == 1:
+        filters = {(0, 0, 0): tuple(layers[0].sum(axis=0).tolist())} if len(digits) else {}
+        return CnnSpec(l=l, K=1, channels=(1, 1), filters=filters)
+    filters = {(k, 0 if k == 0 else p, 0 if k == K - 1 else p): tuple(w)
+               for k, layer in enumerate(layers)
+               for p, w in enumerate(layer.tolist())}
+    channels = (1,) + (max(1, len(digits)),) * (K - 1) + (1,)
+    return CnnSpec(l=l, K=K, channels=channels, filters=filters)
 
 
-def synthesize_lowrank(target: Sequence, l: int, K=None,
-                       core_rel_tol: float = 1e-12) -> CnnSpec:
-    """Exact filter bank for the length-l^K window of target.
+# Share of the window norm that all TT-SVD steps together may discard:
+# the K - 1 step tails add in quadrature, so each step may drop
+# _TT_REL_TOL / sqrt(K - 1) of it, and the bank stays a tenth inside the
+# 1e-12 replay contract.
+_TT_REL_TOL = 1e-13
 
-    K defaults to the coverage depth of the support.  The tensorised
-    window is expanded over its factor bases; every core entry above
-    core_rel_tol times the tensor norm becomes one single-channel path
-    whose layer-k filter is the matching mode-(k+1) factor column, with
-    the core value absorbed into the first layer.  A single layer's
-    filter is the window itself.
+
+def synthesize_lowrank(target: Sequence, l: int, K=None) -> CnnSpec:
+    """Exact tensor-train filter bank for the length-l^K window of target.
+
+    K defaults to the coverage depth of the support.  The window, read
+    over the base-l digits of its time index, is split by TT-SVD: step
+    k < K takes one SVD of the (r_{k-1} l) x l^(K-k) unfolding of what is
+    left (r_0 = 1) and keeps the smallest rank r_k whose discarded tail
+    is at most _TT_REL_TOL / sqrt(K - 1) of the window norm, so r_k is
+    the numerical rank of the k-th sequential unfolding.  The widths are
+    (1, r_1, ..., r_{K-1}, 1) and filter (k, j, i) is the core slice
+    G_k[j, :, i] whenever it is nonzero.  A zero window gives an empty
+    bank of width-1 layers; a single layer's filter is the window itself.
     """
     if target.dim != 1:
         raise ValueError("synthesis applies to one-dimensional targets")
     if K is None:
         K = tensors.coverage_depth(l, target.radius() or 0)
-    t = tensors.tensorize(target.truncate(l ** K), l, K)
-    if K == 1:
-        live = np.flatnonzero(t.data)
-        return _path_bank(l, 1, live, t.data[live])
-    core, factors = tensors.hosvd(t)
-    retained = np.flatnonzero(np.abs(core) > core_rel_tol * t.norm())
-    return _path_bank(l, K, retained, core[retained], factors)
+    data = tensors.tensorize(target.truncate(l ** K), l, K).data
+    if not data.any():
+        return CnnSpec(l=l, K=K, channels=(1,) * (K + 1))
+    # The split runs on the window over its largest entry, which the last
+    # core takes back, so no norm underflows or overflows at any scale.
+    scale = np.abs(data).max()
+    rest = data[None, :] / scale
+    norm = np.linalg.norm(rest)
+    cores = []
+    for _ in range(K - 1):
+        u, s, vt = np.linalg.svd(rest.reshape(len(rest) * l, -1, order="F"),
+                                 full_matrices=False)
+        tails = np.cumsum((s[::-1] / norm) ** 2)[::-1]
+        r = int(np.sum(tails > _TT_REL_TOL ** 2 / (K - 1)))
+        cores.append(u[:, :r].reshape(len(rest), l, r, order="F"))
+        rest = s[:r, None] * vt[:r]
+    cores.append(scale * rest.reshape(len(rest), l, 1, order="F"))
+    filters = {(k, j, i): tuple(core[j, :, i].tolist())
+               for k, core in enumerate(cores)
+               for j, i in np.argwhere(core.any(axis=1)).tolist()}
+    channels = (1,) + tuple(core.shape[2] for core in cores)
+    return CnnSpec(l=l, K=K, channels=channels, filters=filters)
 
 
 def rnn_representation(spec: RnnSpec, horizon: int) -> Sequence:
@@ -335,7 +341,8 @@ def rnn_min_width_impulse(K: int, eps: float) -> int:
 
 
 def cnn_min_depth_expdecay(gamma: float, eps: float, l: int) -> int:
-    """Smallest depth K with l^K >= log(eps) / log(gamma).
+    """Smallest depth K with l^K >= log(eps) / log(gamma), the coverage
+    depth of time ceil(log(eps) / log(gamma)) - 1.
 
     A depth-K stack can only reach accuracy eps on the geometric target
     gamma^t once its receptive field covers the slow tail; the required
@@ -347,8 +354,4 @@ def cnn_min_depth_expdecay(gamma: float, eps: float, l: int) -> int:
         raise ValueError("need 0 < eps < 1")
     if l < 2:
         raise ValueError("need l >= 2")
-    ratio = math.log(eps) / math.log(gamma)
-    K = 1
-    while l ** K < ratio:
-        K += 1
-    return K
+    return tensors.coverage_depth(l, math.ceil(math.log(eps) / math.log(gamma)) - 1)

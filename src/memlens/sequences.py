@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,15 @@ def _check_time(t):
                          f"the int64 limit 2^63 - 1")
 
 
+def _whole(t) -> int:
+    """A time index as an int; a bool, a string, None or a fractional or
+    non-finite number is not one."""
+    if not isinstance(t, bool) and (isinstance(t, numbers.Integral) or
+                                    isinstance(t, numbers.Real) and float(t).is_integer()):
+        return int(t)
+    raise ValueError(f"a time index must be a whole number, not {t!r}")
+
+
 def _columns(times, values, dim):
     """Sorted distinct int64 times and their (n, dim) values.
 
@@ -71,8 +81,8 @@ def _columns(times, values, dim):
     (time, value) pairs would.
     """
     arr = np.asarray(times)
-    if arr.dtype.kind not in "iu":  # floats, strings, or beyond 64 bits
-        arr = np.array([int(t) for t in times], dtype=object)
+    if arr.dtype.kind not in "iu":  # floats, strings, None, or beyond 64 bits
+        arr = np.array([_whole(t) for t in times], dtype=object)
     if arr.size:
         if arr.min() < 0:
             raise ValueError("entries must live at t >= 0")
@@ -113,7 +123,10 @@ class Sequence:
         self._times = self._values = None
         if family is None:
             rows = list(entries.items() if hasattr(entries, "items") else entries or ())
-            times = [t for t, _ in rows]
+            try:
+                times = [t for t, _ in rows]
+            except TypeError:
+                raise ValueError("each entry must be a (time, value) pair") from None
             values = [v for _, v in rows] if rows else np.zeros((0, self._dim))
             self._times, self._values = _columns(times, values, self._dim)
             return

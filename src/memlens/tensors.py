@@ -225,23 +225,3 @@ def truncation_error_bound(spec: Spectrum, kept_rank: int) -> Scalar:
     tail = spec.values[kept_rank:]
     return Scalar(math.sqrt(float(np.sum(tail * tail))))
 
-
-def hosvd(t: Tensor):
-    """Orthogonal factor per mode plus the core tensor (flat layout).
-
-    Factors are the left singular vectors of each mode flattening ordered
-    by descending singular value; the core is the tensor multiplied by
-    every factor transpose, so t reassembles as the factor-weighted sum of
-    outer products of factor columns.
-    """
-    dims = (t.l,) * t.order
-    factors = []
-    core = t.data.copy()
-    for k in range(1, t.order + 1):
-        # Full matrices only for the l x 1 flattening of an order-1 tensor;
-        # elsewhere they would form l^(K-1) x l^(K-1) right vectors.
-        u = np.linalg.svd(mode_flatten(t, k), full_matrices=t.order == 1)[0]
-        factors.append(u)
-        a = mode_flatten_general(core, dims, k)
-        core = mode_refold_general(u.T @ a, dims, k)
-    return core, factors

@@ -226,6 +226,16 @@ def test_synth_covers_every_builtin_target(capsys):
     assert "horizon" in capsys.readouterr().err
 
 
+def test_lowrank_synth_of_a_dense_window_is_compact(tmp_path, capsys):
+    assert main(["synth", "--target", "rho3", "--l", "2", "--K", "12",
+                 "--method", "lowrank", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    payload = json.loads((tmp_path / "rho3_lowrank.json").read_text())
+    window = load_target("rho3")[0].truncate(2 ** 12)
+    assert payload["filter_count"] <= 1000
+    assert payload["replay_residual"] <= 1e-12 * float(window.norm())
+
+
 def test_study_writes_the_script_artifacts(tmp_path, capsys):
     code = main(["study", "--out", str(tmp_path), "--l", "2", "--K", "4", "--K", "5",
                  "--M-max", "16"])
@@ -276,6 +286,16 @@ def test_computation_errors_exit_two(capsys):
     ])
     capsys.readouterr()
     assert code == 2
+
+
+def test_malformed_json_target_rows_exit_two(tmp_path, capsys):
+    for i, rows in enumerate(([[2.5, [1.0]], [7, [2.0]]], [["3", [1.0]]],
+                              [[True, [1.0]]], [[None, [1.0]]], [1, 2])):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps({"entries": rows}))
+        assert main(["spectrum", "--target", str(path), "--K", "3"]) == 2, rows
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, rows
 
 
 def test_compare_beyond_the_time_limit_exits_two(capsys):

@@ -13,7 +13,6 @@ from memlens.models import (CnnSpec, RnnSpec, cnn_min_depth_expdecay,
                             rnn_min_width_impulse, rnn_representation,
                             synthesize_lowrank, synthesize_radix)
 from memlens.sequences import Sequence
-from memlens.tensors import hosvd, tensorize
 
 
 def test_cnn_spec_validation():
@@ -152,24 +151,38 @@ def test_synthesis_banks_share_one_layout():
     assert shallow.filters == {(0, 0, 0): (0.0, -3.0, 7.0, 0.0)}
 
 
-def test_lowrank_bank_matches_a_per_path_loop(rng):
-    # Reference: the per-path loop, digits by repeated division; the bank
-    # must hold the same floats, signed zeros included.
-    l, K = 3, 3
-    target = Sequence.from_values(rng.normal(size=l ** K) * (rng.random(l ** K) < 0.4))
-    t = tensorize(target, l, K)
-    core, factors = hosvd(t)
-    spec = synthesize_lowrank(target, l, K)
-    retained = [pos for pos in range(l ** K) if abs(core[pos]) > 1e-12 * t.norm()]
-    assert spec.channels == (1, len(retained), len(retained), 1)
-    for p, pos in enumerate(retained):
-        digits = [pos // l ** k % l for k in range(K)]
-        want = {(0, 0, p): core[pos] * factors[0][:, digits[0]],
-                (1, p, p): factors[1][:, digits[1]],
-                (2, p, 0): factors[2][:, digits[2]]}
-        for key, w in want.items():
-            got = np.array(spec.filters[key])
-            assert np.array_equal(got, w) and np.array_equal(np.signbit(got), np.signbit(w))
+def _tt_window(spec):
+    """The window of a bank as the product of its core slices, one layer
+    at a time, in the canonical (least significant digit first) order."""
+    l = spec.l
+    cores = [np.zeros((spec.channels[k], l, spec.channels[k + 1])) for k in range(spec.K)]
+    for (k, j, i), w in spec.filters.items():
+        cores[k][j, :, i] = w
+    window = cores[0][0]                      # (times so far, channels)
+    for core in cores[1:]:
+        window = np.einsum("tj,jsi->sti", window, core).reshape(-1, core.shape[2])
+    return window[:, 0]
+
+
+def test_lowrank_bank_is_the_tt_svd_of_the_window(rng):
+    for l, K in ((3, 3), (2, 6), (4, 3)):
+        for _ in range(5):
+            data = rng.normal(size=l ** K) * (rng.random(l ** K) < 0.3)
+            spec = synthesize_lowrank(Sequence.from_values(data), l, K)
+            assert spec.K == K and spec.channels[0] == spec.channels[-1] == 1
+            for k in range(1, K):
+                s = np.linalg.svd(data.reshape(l ** k, l ** (K - k), order="F"),
+                                  compute_uv=False)
+                assert spec.channels[k] == np.sum(s > 1e-10 * s[0])
+                assert spec.channels[k] <= min(l ** k, l ** (K - k))
+            assert (np.linalg.norm(_tt_window(spec) - data)
+                    <= 1e-12 * np.linalg.norm(data))
+            assert all(any(w) for w in spec.filters.values())
+            for scale in (1e-200, 1e200):
+                far = synthesize_lowrank(Sequence.from_values(data * scale), l, K)
+                assert far.channels == spec.channels
+                assert (np.linalg.norm(_tt_window(far) / scale - data)
+                        <= 1e-12 * np.linalg.norm(data))
 
 
 def test_impulse_replay_is_exact_at_depth_40():

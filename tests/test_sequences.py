@@ -221,3 +221,11 @@ def test_time_indices_stop_below_two_to_the_63():
                 lambda: dilated_conv(Sequence.impulse(2 ** 62), Sequence.impulse(1), 2)):
         with pytest.raises(ValueError, match="2\\^63"):
             bad()
+
+
+def test_row_form_times_must_be_whole_numbers():
+    assert list(Sequence.from_json({"entries": [[7.0, [2.0]], [3, [1.0]]]}).entries()) == [3, 7]
+    for rows in ([[2.5, [1.0]]], [["3", [1.0]]], [[True, [1.0]]], [[None, [1.0]]],
+                 [[float("nan"), [1.0]]], [[float("inf"), [1.0]]], [1, 2]):
+        with pytest.raises(ValueError):
+            Sequence.from_json({"entries": rows})

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memlens.sequences import Sequence, dilated_conv
-from memlens.tensors import (Spectrum, Tensor, analysis_window, hosvd,
+from memlens.tensors import (Spectrum, Tensor, analysis_window,
                              matrix_singular_values, mode_flatten,
                              mode_flatten_general, mode_refold_general,
                              outer_product, singular_values, tensor_rank,
@@ -185,20 +185,6 @@ def test_tensor_rank_counts_pooled_nonzeros():
     assert tensor_rank(tensorize(Sequence.from_values([1, 0, 1, 0]), 2, 2)) == 2
     assert tensor_rank(tensorize(Sequence.from_values([1, 0, 0, 1]), 2, 2)) == 4
     assert tensor_rank(tensorize(Sequence.zero(), 2, 3)) == 0
-
-
-def test_hosvd_reconstructs_and_is_orthogonal(rng):
-    for l, K in ((2, 3), (3, 2)):
-        for _ in range(5):
-            t = tensorize(Sequence.from_values(rng.normal(size=l ** K)), l, K)
-            core, factors = hosvd(t)
-            assert core.shape == (l ** K,)
-            data = core.reshape([l] * K, order="F")
-            for k in range(K):
-                u = factors[k]
-                assert np.allclose(u.T @ u, np.eye(l), atol=1e-10)
-                data = np.moveaxis(np.tensordot(u, data, axes=(1, k)), 0, k)
-            assert np.allclose(data.reshape(-1, order="F"), t.data, atol=1e-10)
 
 
 def test_analysis_window_rule():
