@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import Scalar, Sequence
+from .sequences import Scalar, Sequence, root_sum_squares
 from .models import effective_filters
 from . import tensors
 
@@ -131,11 +131,8 @@ def tail_sum_profile(rho: Sequence, l: int, K: int):
     total = l * K
     padded = np.zeros(total)
     padded[:len(values)] = values
-    out = []
-    for s in range(total - K + 1):
-        tail = padded[s + K - 1:]
-        out.append(Scalar(math.sqrt(float(np.sum(tail * tail)))))
-    return out
+    return [Scalar(float(root_sum_squares(padded[s + K - 1:])))
+            for s in range(total - K + 1)]
 
 
 def complexity_measure(rho: Sequence, l: int, g: DecayProfile,

@@ -29,6 +29,31 @@ import numpy as np
 ZERO_REL_TOL = 1e-10
 MAX_TIME = int(np.iinfo(np.int64).max)
 _TAIL_BLOCK = 1 << 20
+_TINY = float(np.finfo(float).tiny)
+_HUGE = float(np.finfo(float).max)
+
+
+def root_sum_squares(x, axis=None):
+    """sqrt(sum(x * x)) over axis (all of x by default), at any scale.
+
+    Where that plain sum of squares is finite and at least the smallest
+    normal double, or x is all zero, it is the result, bit for bit.
+    Elsewhere, where the squares overflow or underflow, x is first
+    divided by its largest magnitude along axis and the root multiplied
+    back.
+    """
+    with np.errstate(over="ignore"):
+        sq = (x * x).sum(axis=axis)
+    if axis is None and (_TINY <= sq <= _HUGE or not x.any()):
+        return math.sqrt(sq)        # the whole-array case, without array checks
+    plain = (sq >= _TINY) & (sq <= _HUGE)
+    if plain.all() or not x.any():
+        return np.sqrt(sq)
+    peak = np.max(np.abs(x), axis=axis, keepdims=True)
+    unit = np.where((peak > 0.0) & (peak <= _HUGE), peak, 1.0)
+    scaled = x / unit
+    rescaled = np.squeeze(unit, axis) * np.sqrt((scaled * scaled).sum(axis=axis))
+    return np.where(plain, np.sqrt(sq), rescaled)
 
 
 @dataclass(frozen=True)
@@ -328,7 +353,7 @@ class Sequence:
             raise ValueError("start must be >= 0")
         if self._family is None:
             tail = self._values[self._count_before(start):]
-            return Scalar(math.sqrt(float(np.sum(tail * tail))))
+            return Scalar(float(root_sum_squares(tail)))
         if self._family == "geometric":
             g = self._params["gamma"]
             if self._horizon is not None:
@@ -363,7 +388,7 @@ class Sequence:
         """sup over t >= start of the euclidean length of rho(t)."""
         if self._family is None:
             tail = self._values[self._count_before(start):]
-            return float(np.sqrt(np.max(np.sum(tail * tail, axis=1), initial=0.0)))
+            return float(np.max(root_sum_squares(tail, axis=1), initial=0.0))
         if self._horizon is not None and start > self._horizon:
             return 0.0
         if self._family == "geometric":

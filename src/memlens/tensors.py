@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sequences import Scalar, Sequence
+from .sequences import Scalar, Sequence, root_sum_squares
 
 RANK_REL_TOL = 1e-8
 
@@ -222,6 +222,5 @@ def truncation_error_bound(spec: Spectrum, kept_rank: int) -> Scalar:
     """
     if kept_rank < 0:
         raise ValueError("kept_rank must be >= 0")
-    tail = spec.values[kept_rank:]
-    return Scalar(math.sqrt(float(np.sum(tail * tail))))
+    return Scalar(float(root_sum_squares(spec.values[kept_rank:])))
 

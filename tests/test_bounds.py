@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from memlens.bounds import (DecayProfile, complexity_measure, error_curve,
                             rate_bound_interval, tail_sum_profile)
 from memlens.experiments import make_target
+from memlens.models import replay_residual, synthesize_lowrank, synthesize_radix
 from memlens.sequences import Sequence
 from memlens.tensors import (singular_values, tensorize, truncation_error_bound,
                              window_spectrum)
@@ -97,6 +98,29 @@ def test_complexity_is_absolutely_homogeneous(rng):
         for alpha in (normal, log_uniform, 1e-12, -1e12):
             scaled = complexity_measure(rho.scaled(alpha), 2, g).value
             assert scaled == pytest.approx(abs(alpha) * base, rel=1e-9)
+
+
+def test_outputs_scale_with_the_target_at_extreme_scales():
+    points = {0: 1.0, 3: 2.0, 5: -1.0, 9: 0.5}
+    g = DecayProfile.exponential(0.5)
+
+    def outputs(alpha):
+        rho = Sequence.from_entries({t: (alpha * v,) for t, v in points.items()})
+        values = [complexity_measure(rho, 2, g).value]
+        for K, channels in ((3, (1, 4, 4, 1)), (4, (1, 4, 4, 4, 1))):
+            lower, upper = rate_bound_interval(rho, 2, K, channels, g)
+            values += [lower.value, upper.value]
+        for row in error_curve(rho, 2, [1, 2, 3, 4], range(1, 17)).rows:
+            values += [row.rank_term, row.tail_term]
+        for synthesize in (synthesize_radix, synthesize_lowrank):
+            window_norm = float(rho.norm())
+            assert replay_residual(synthesize(rho, 2), rho) <= 1e-12 * window_norm
+        return np.array(values)
+
+    base = outputs(1.0)
+    assert base[0] > 0.0 and base[1] > 0.0
+    for alpha in (1e-200, 1e200):
+        assert np.allclose(outputs(alpha) / alpha, base, rtol=1e-12, atol=0.0)
 
 
 def test_complexity_requires_a_splittable_target():

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memlens import models
 from memlens.models import (CnnSpec, RnnSpec, cnn_min_depth_expdecay,
                             cnn_representation, effective_filters,
                             power_sum_delta_bound, replay_residual,
                             rnn_min_width_impulse, rnn_representation,
                             synthesize_lowrank, synthesize_radix)
-from memlens.sequences import Sequence
+from memlens.sequences import MAX_TIME, Sequence
 
 
 def test_cnn_spec_validation():
@@ -21,10 +23,33 @@ def test_cnn_spec_validation():
         CnnSpec(l=2, K=2, channels=(1, 3, 2))
     with pytest.raises(ValueError):
         CnnSpec(l=2, K=2, channels=(1, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^filter index \(0, 0, 1\) out of range$"):
         CnnSpec(l=2, K=1, channels=(1, 1), filters={(0, 0, 1): (1.0, 0.0)})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^every filter must have length l$"):
         CnnSpec(l=2, K=1, channels=(1, 1), filters={(0, 0, 0): (1.0, 0.0, 0.0)})
+    # The first bad filter in dict order names the error.
+    with pytest.raises(ValueError, match="length l"):
+        CnnSpec(l=2, K=2, channels=(1, 2, 1),
+                filters={(0, 0, 1): (1.0,), (2, 0, 0): (1.0, 0.0)})
+    with pytest.raises(ValueError, match=r"\(1, 2, 0\) out of range"):
+        CnnSpec(l=2, K=2, channels=(1, 2, 1),
+                filters={(0, 0, 1): (1.0, 0.0), (1, 2, 0): (1.0,)})
+    for key in ((0.5, 0, 0), (0, 0, 2 ** 64), (0, 1.0, 0)):
+        with pytest.raises(ValueError, match="out of range"):
+            CnnSpec(l=2, K=1, channels=(1, 1), filters={(0, 0, 0): (1.0, 0.0), key: (1.0, 0.0)})
+
+
+def test_cnn_spec_filter_arrays_are_sorted_and_read_only():
+    spec = CnnSpec(l=2, K=2, channels=(1, 2, 1),
+                   filters={(1, 1, 0): (0.0, -1.0), (0, 0, 1): (1.0, 2.0),
+                            (0, 0, 0): (3.0, 0.0)})
+    assert spec.index.tolist() == [[0, 0, 0], [0, 0, 1], [1, 1, 0]]
+    assert spec.weights.tolist() == [[3.0, 0.0], [1.0, 2.0], [0.0, -1.0]]
+    assert spec.index.dtype == np.int64
+    with pytest.raises(ValueError):
+        spec.weights[0, 0] = 1.0
+    empty = CnnSpec(l=3, K=1, channels=(1, 1))
+    assert empty.index.shape == (0, 3) and empty.weights.shape == (0, 3)
 
 
 def test_cnn_spec_json_round_trip():
@@ -199,6 +224,147 @@ def test_replay_rejects_times_beyond_the_int64_limit():
                    filters={(k, 0, 0): (0.0, 1.0) for k in range(64)})
     with pytest.raises(ValueError, match="2\\^63"):
         cnn_representation(spec)
+
+
+def _dense_replay(spec):
+    """The replay as a dense slab contraction on every layer, kept as the
+    bit-for-bit reference for cnn_representation."""
+    d, l = spec.channels[0], spec.l
+    keys = sorted(spec.filters)
+    index = np.array(keys, dtype=np.int64).reshape(-1, 3)
+    weights = np.array([spec.filters[key] for key in keys], dtype=float).reshape(-1, l)
+    starts = np.searchsorted(index[:, 0], np.arange(spec.K + 1))
+    state = np.eye(d)
+    times = np.zeros(d, dtype=np.int64)
+    comps = np.arange(d)
+    for k in range(spec.K):
+        layer = slice(starts[k], starts[k + 1])
+        j, i, w = index[layer, 1], index[layer, 2], weights[layer]
+        taps = np.flatnonzero(np.any(w != 0.0, axis=0))
+        span = int(taps[-1]) + 1 if len(taps) and len(times) else 0
+        dilation = l ** k
+        if span and (span - 1) * dilation + int(times[-1]) > MAX_TIME:
+            raise ValueError(f"layer {k} reaches times beyond the int64 limit 2^63 - 1")
+        offsets = np.array([s * dilation for s in range(span)], dtype=np.int64)
+        nxt = np.zeros((spec.channels[k + 1], span, len(times)))
+        step = max(1, 8192 // max(1, span * len(times)))
+        for lo in range(0, len(j), step):
+            block = slice(lo, lo + step)
+            np.add.at(nxt, i[block], w[block, :span, None] * state[j[block]][:, None, :])
+        live = np.any(nxt != 0.0, axis=0)
+        state = nxt[:, live]
+        times = (offsets[:, None] + times[None, :])[live]
+        comps = np.broadcast_to(comps, live.shape)[live]
+    if d == 1:
+        return Sequence.from_arrays(times, state[0])
+    uniq, inv = np.unique(times, return_inverse=True)
+    values = np.zeros((len(uniq), d))
+    values[inv, comps] = state[0]
+    return Sequence.from_arrays(uniq, values, dim=d)
+
+
+@pytest.fixture
+def forms(monkeypatch):
+    """The contraction form of every replayed layer, in order."""
+    seen = []
+    for name in ("dense", "sparse"):
+        layer = getattr(models, f"_{name}_layer")
+
+        def record(*args, name=name, layer=layer):
+            seen.append(name)
+            return layer(*args)
+
+        monkeypatch.setattr(models, f"_{name}_layer", record)
+    return seen
+
+
+def _assert_replay_is_the_reference(spec):
+    got_times, got_values = cnn_representation(spec).arrays()
+    ref_times, ref_values = _dense_replay(spec).arrays()
+    assert np.array_equal(got_times, ref_times)
+    assert got_values.dtype == ref_values.dtype and got_values.shape == ref_values.shape
+    assert got_values.tobytes() == ref_values.tobytes()
+
+
+def _path_bank(rng, l, K, paths, d=1, cross=0):
+    """Radix-like bank: one channel path per entry with random taps on
+    each path's random digits, plus `cross` random filters between
+    channels of the middle layers."""
+    digits = rng.integers(0, l, size=(paths, K))
+    filters = {}
+    for p in range(paths):
+        for k in range(K):
+            w = np.zeros(l)
+            w[digits[p, k]] = rng.normal()
+            filters[(k, p % d if k == 0 else p, 0 if k == K - 1 else p)] = tuple(w)
+    for _ in range(cross):
+        k = int(rng.integers(1, K - 1))
+        filters[(k, *rng.integers(0, paths, size=2).tolist())] = tuple(rng.normal(size=l))
+    return CnnSpec(l=l, K=K, channels=(d,) + (paths,) * (K - 1) + (1,), filters=filters)
+
+
+def test_replay_matches_the_dense_reference_on_radix_banks(rng, forms):
+    for l, K in ((2, 11), (3, 6), (4, 5)):
+        for _ in range(3):
+            size = l ** K
+            times = np.append(rng.choice(size - 1, size=int(rng.integers(20, 150)),
+                                         replace=False), size - 1)
+            target = Sequence.from_arrays(times, rng.normal(size=len(times)))
+            _assert_replay_is_the_reference(synthesize_radix(target, l))
+        _assert_replay_is_the_reference(_path_bank(rng, l, K, 60, cross=40))
+    assert "sparse" in forms and "dense" in forms
+
+
+def test_replay_matches_the_dense_reference_on_tt_banks(rng, forms):
+    for l, K in ((2, 10), (3, 5), (4, 4)):
+        data = rng.normal(size=l ** K) * (rng.random(l ** K) < 0.5)
+        _assert_replay_is_the_reference(synthesize_lowrank(Sequence.from_values(data), l, K))
+    _assert_replay_is_the_reference(synthesize_lowrank(Sequence.power(horizon=1023), 2, 10))
+    assert set(forms) == {"dense"}
+
+
+def test_replay_switches_forms_between_layers(rng, forms):
+    # Twenty one-entry paths go sparse once they span more than four
+    # columns; an all-to-all layer onto three channels then fills the
+    # state, and the last layer contracts it dense again.
+    paths = _path_bank(rng, 2, 5, 20)
+    filters = {key: w for key, w in paths.filters.items() if key[0] < 4}
+    filters.update({(4, p, q): tuple(rng.normal(size=2)) for p in range(20) for q in range(3)})
+    filters.update({(5, q, 0): tuple(rng.normal(size=2)) for q in range(3)})
+    spec = CnnSpec(l=2, K=6, channels=(1, 20, 20, 20, 20, 3, 1), filters=filters)
+    _assert_replay_is_the_reference(spec)
+    assert forms[3:] == ["sparse", "sparse", "dense"]
+
+
+def test_replay_matches_the_dense_reference_on_two_input_channels(rng, forms):
+    for l, K in ((2, 9), (3, 5)):
+        spec = _path_bank(rng, l, K, 80, d=2, cross=30)
+        assert cnn_representation(spec).dim == 2
+        _assert_replay_is_the_reference(spec)
+    assert "sparse" in forms
+
+
+def test_replay_of_an_empty_bank(forms):
+    for spec in (CnnSpec(l=3, K=2, channels=(1, 4, 1)),
+                 CnnSpec(l=2, K=3, channels=(2, 3, 3, 1))):
+        _assert_replay_is_the_reference(spec)
+        assert cnn_representation(spec).radius() is None
+
+
+def test_replay_memory_follows_the_nonzeros():
+    rng = np.random.default_rng(2000)
+    times = np.append(rng.choice(2 ** 16 - 1, size=1999, replace=False), 2 ** 16 - 1)
+    target = Sequence.from_arrays(times, rng.uniform(0.5, 2.0, size=2000))
+    spec = synthesize_radix(target, 2)
+    assert spec.channels[1] == 2000 and spec.K == 16
+    tracemalloc.start()
+    try:
+        rep = cnn_representation(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    assert float(rep.plus(target.scaled(-1.0)).norm()) == 0.0
 
 
 def test_rnn_spec_coercion_and_json():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memlens.sequences import Scalar, Sequence, apply_functional, dilated_conv
+from memlens.sequences import (Scalar, Sequence, apply_functional, dilated_conv,
+                               root_sum_squares)
 
 
 def test_scalar_interval_accessors():
@@ -14,6 +15,22 @@ def test_scalar_interval_accessors():
     assert float(s) == 2.0
     with pytest.raises(ValueError):
         Scalar(1.0, -0.1)
+
+
+def test_root_sum_squares_is_the_plain_formula_wherever_that_is_normal(rng):
+    for shape in ((7,), (40, 3), (1000,)):
+        x = rng.normal(size=shape) * 10.0 ** rng.uniform(-100, 100, size=shape)
+        assert root_sum_squares(x) == math.sqrt(float(np.sum(x * x)))
+        rows = np.sqrt(np.sum(x * x, axis=-1))
+        assert np.array_equal(root_sum_squares(x, axis=-1), rows)
+    x = np.array([3.0, -4.0, 0.0])
+    for alpha in (1e-300, 1e-200, 1e200, 1e300):
+        assert root_sum_squares(alpha * x) == pytest.approx(5.0 * alpha, rel=1e-15)
+    rows = np.array([[3e200, 4e200], [0.0, 0.0], [1.0, 0.0], [3e-200, -4e-200]])
+    assert root_sum_squares(rows, axis=1).tolist() == pytest.approx(
+        [5e200, 0.0, 1.0, 5e-200], rel=1e-15)
+    assert root_sum_squares(np.zeros(0)) == 0.0
+    assert root_sum_squares(np.array([np.inf, 1.0])) == np.inf
 
 
 def test_from_values_drops_zeros_and_keeps_support():
