@@ -19,19 +19,12 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
 from .sequences import MAX_TIME, Scalar, Sequence
 from . import tensors
-
-
-def _is_index(key) -> bool:
-    return len(key) == 3 and all(isinstance(p, numbers.Integral)
-                                 and -MAX_TIME - 1 <= p <= MAX_TIME for p in key)
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,18 +34,13 @@ class CnnSpec:
     channels lists the widths (M_0, M_1, ..., M_K) with M_0 the input
     dimension and M_K = 1 the single output channel.  filters maps
     (layer k, in-channel j, out-channel i) to a length-l filter; missing
-    keys are all-zero filters.  Layer k runs at dilation l^k.  index and
-    weights hold the filters in ascending key order, an (nnz, 3) int64
-    array of keys and an (nnz, l) array of taps, made once at
-    construction and read-only.
+    keys are all-zero filters.  Layer k runs at dilation l^k.
     """
 
     l: int
     K: int
     channels: tuple
     filters: dict = field(default_factory=dict)
-    index: np.ndarray = field(init=False, repr=False)
-    weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.l < 2 or self.K < 1:
@@ -63,32 +51,12 @@ class CnnSpec:
             raise ValueError("channel widths must be positive")
         if self.channels[-1] != 1:
             raise ValueError("the output is a single channel")
-        keys = list(self.filters)
-        index = np.array(keys)
-        if keys and (index.dtype.kind != "i" or index.shape[1:] != (3,)):
-            # A key that is not three int64 integers is out of range.
-            index = np.array([key if _is_index(key) else (-1, 0, 0) for key in keys])
-        index = index.astype(np.int64, copy=False).reshape(-1, 3)
-        k, j, i = index.T
-        widths = np.array([int(m) for m in self.channels], dtype=np.int64)
-        layer = (0 <= k) & (k < self.K)
-        k = np.where(layer, k, 0)
-        in_range = (layer & (0 <= j) & (j < widths[k])
-                    & (0 <= i) & (i < widths[k + 1]))
-        lengths = np.fromiter(map(len, self.filters.values()), dtype=np.int64,
-                              count=len(keys))
-        bad = np.flatnonzero(~in_range | (lengths != self.l))
-        if len(bad):
-            # The first bad filter in dict order names the error.
-            if not in_range[bad[0]]:
-                raise ValueError(f"filter index {tuple(keys[bad[0]])} out of range")
-            raise ValueError("every filter must have length l")
-        weights = np.fromiter(chain.from_iterable(self.filters.values()), dtype=float,
-                              count=len(keys) * self.l).reshape(-1, self.l)
-        order = np.lexsort(index.T[::-1])
-        for name, arr in (("index", index[order]), ("weights", weights[order])):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        for (k, j, i), w in self.filters.items():
+            if not (0 <= k < self.K and 0 <= j < self.channels[k]
+                    and 0 <= i < self.channels[k + 1]):
+                raise ValueError(f"filter index {(k, j, i)} out of range")
+            if len(w) != self.l:
+                raise ValueError("every filter must have length l")
 
     @property
     def filter_count(self) -> int:
@@ -96,12 +64,13 @@ class CnnSpec:
         return len(self.filters)
 
     def to_json(self) -> dict:
+        keys = sorted(self.filters)
         return {
             "l": self.l,
             "K": self.K,
             "channels": [int(m) for m in self.channels],
-            "filters": {f"{k},{j},{i}": w for (k, j, i), w
-                        in zip(self.index.tolist(), self.weights.tolist())},
+            "filters": {f"{k},{j},{i}": [float(x) for x in self.filters[(k, j, i)]]
+                        for (k, j, i) in keys},
         }
 
     @classmethod
@@ -157,48 +126,41 @@ class RnnSpec:
         return cls(m=int(obj["m"]), c=obj["c"], W=obj["W"], U=obj["U"])
 
 
-# A layer contracts its dense (channels x columns) state slab while the
-# slab forms at most this many times the products of the nonzero state
-# entries; beyond that it contracts the nonzero entries alone.
-_DENSE_WORK_RATIO = 4
-# Dense layers feed np.add.at in blocks whose products hold at most this
-# many values (64 KB), so a dense bank never forms an nnz x l x columns
-# array.
+# A layer sums its products on the full (out-channel, tap, column) grid
+# when that grid is no larger than the product list, in filter blocks of
+# about this many products (64 KB), so a dense bank never forms an
+# nnz x l x columns array; a sparser layer sums all its products at once
+# on their distinct cells, which are fewer than the grid.
 _PRODUCT_BLOCK = 8192
 
 
-def _dense_layer(state, j, i, w, span, width):
-    """Slab contraction: (M_k, columns) -> (M_{k+1}, span, columns)."""
-    nxt = np.zeros((width, span, state.shape[1]))
-    step = max(1, _PRODUCT_BLOCK // max(1, nxt[0].size))
+def _contract(chan, col, val, j, i, w, span, columns, width):
+    """One layer on the nonzero state entries (chan, col, val), sorted by
+    channel.  Each filter meets the entries of its in-channel, and
+    np.add.at sums the products per (out-channel, tap, column) cell.
+    Returns the nonzero cells as (out-channel, tap * columns + column,
+    value), sorted by out-channel."""
+    first = chan.searchsorted(j)
+    met = chan.searchsorted(j, side="right") - first
+    grid = width * span * columns
+    on_grid = grid <= span * int(met.sum())
+    step = max(1, _PRODUCT_BLOCK // max(1, span * columns)) if on_grid else len(j)
+    keys, sums = None, np.zeros(grid if on_grid else 0)
+    shift = np.arange(span) * columns
     for lo in range(0, len(j), step):
-        block = slice(lo, lo + step)
-        np.add.at(nxt, i[block], w[block, :span, None] * state[j[block]][:, None, :])
-    return nxt
-
-
-def _sparse_layer(entries, counts, j, i, w, span, columns):
-    """Entry contraction: each filter meets the nonzero entries of its
-    in-channel, and the products are summed per (out-channel, tap,
-    column) cell.  entries is (channel, column, value) sorted by channel
-    and counts[c] the number of entries of channel c.  Returns the
-    nonzero cells as entries of the same form and, for each new column
-    in order, tap * columns + old column."""
-    chan, col, val = entries
-    met = counts[j]
-    pair = np.repeat(np.arange(len(j)), met)
-    # The entries of channel c start at first[c]; pair p of filter f
-    # takes the (p - start of f's pairs)-th of them.
-    first = np.cumsum(counts) - counts
-    entry = np.arange(len(pair)) + np.repeat(first[j] - (np.cumsum(met) - met), met)
-    products = w[pair, :span] * val[entry, None]
-    cells = (i[pair, None] * span + np.arange(span)) * columns + col[entry, None]
-    keys, inv = np.unique(cells.reshape(-1), return_inverse=True)
-    sums = np.bincount(inv.reshape(-1), weights=products.reshape(-1), minlength=len(keys))
-    live = sums != 0.0
-    chan, cell = np.divmod(keys[live], span * columns)
-    used, col = np.unique(cell, return_inverse=True)
-    return (chan, col, sums[live]), used
+        f = slice(lo, lo + step)
+        m = met[f]
+        ends = m.cumsum()
+        # Filter f's pairs meet the entries first[f], first[f] + 1, ...
+        entry = np.arange(ends[-1]) + (first[f] + m - ends).repeat(m)
+        products = w[f, :span].repeat(m, axis=0) * val[entry, None]
+        cells = ((i[f] * (span * columns)).repeat(m) + col[entry])[:, None] + shift
+        if not on_grid:
+            keys, cells = np.unique(cells, return_inverse=True)
+            sums = np.zeros(len(keys))
+        np.add.at(sums, cells.reshape(-1), products.reshape(-1))
+    live = sums.nonzero()[0]
+    return (*np.divmod(live if keys is None else keys[live], span * columns), sums[live])
 
 
 def cnn_representation(spec: CnnSpec) -> Sequence:
@@ -206,71 +168,53 @@ def cnn_representation(spec: CnnSpec) -> Sequence:
 
     The replay is K layer contractions over the live time columns, each
     a (time u, input component) pair, starting from the identity on the
-    M_0 input channels at time 0.  Layer k maps its state to the cells
-    (out-channel i, tap s, column) at times s * l^k + u for filter taps
-    s < l, and columns that are exactly zero in every channel are then
-    dropped.  The state is held in one of two forms, chosen per layer:
-
-    - dense, a (M_k, columns) slab that every filter of the layer meets
-      whole (np.add.at in blocks);
-    - sparse, the list of nonzero (channel, column, value) entries, each
-      filter meeting only the entries of its in-channel (np.bincount).
-
-    A layer runs dense while filters x columns is at most
-    _DENSE_WORK_RATIO times the (filter, nonzero entry) pairs, so narrow
-    or well-filled banks (tensor trains, single-channel stacks) stay
-    dense and wide one-path-per-entry banks go sparse.  Both forms take
-    the layer's filters in ascending key order and add into each cell in
-    that order from 0.0, so every out-channel sums its in-channels in
-    ascending j and the products of zero entries a sparse layer skips
-    leave every nonzero sum unchanged: the result is bit-identical
-    whichever forms run.  It has one component per input channel; every
-    time it reaches must stay below 2^63.
+    M_0 input channels at time 0.  The state is the list of its nonzero
+    (channel, column, value) entries.  Layer k pairs each filter with
+    the entries of its in-channel and sums the products per cell
+    (out-channel i, tap s, column) at time s * l^k + u, for filter taps
+    s < l; cells that sum to exactly zero are dropped, and with them
+    every column that is zero in all channels.  The work is the number
+    of (filter, entry) pairs, so a one-path-per-entry bank costs its
+    nonzeros, not its channels times its columns.  The filters enter in
+    ascending key order and np.add.at adds in that order from 0.0, so
+    every out-channel sums its in-channels in ascending j: the
+    floating-point summation order is fixed, and the zero entries left
+    out would only add signed zeros.  The result has one component per
+    input channel; every time it reaches must stay below 2^63.
     """
     d, l = spec.channels[0], spec.l
-    index, weights = spec.index, spec.weights
+    keys = sorted(spec.filters)
+    index = np.array(keys, dtype=np.int64).reshape(-1, 3)
+    weights = np.array([spec.filters[key] for key in keys], dtype=float).reshape(-1, l)
     starts = np.searchsorted(index[:, 0], np.arange(spec.K + 1))
-    state, entries = np.eye(d), None        # exactly one form is held
+    chan, col, val = np.arange(d), np.arange(d), np.ones(d)
     times = np.zeros(d, dtype=np.int64)
     comps = np.arange(d)
     for k in range(spec.K):
         layer = slice(starts[k], starts[k + 1])
         j, i, w = index[layer, 1], index[layer, 2], weights[layer]
-        taps = np.flatnonzero(np.any(w != 0.0, axis=0))
+        taps = (w != 0.0).any(axis=0).nonzero()[0]
         columns = len(times)
         span = int(taps[-1]) + 1 if len(taps) and columns else 0
         dilation = l ** k
         if span and (span - 1) * dilation + int(times[-1]) > MAX_TIME:
             raise ValueError(f"layer {k} reaches times beyond the int64 limit 2^63 - 1")
-        if entries is None:
-            counts = np.count_nonzero(state, axis=1)
-        else:
-            counts = np.bincount(entries[0], minlength=spec.channels[k])
-        if len(j) * columns <= _DENSE_WORK_RATIO * int(counts[j].sum()):
-            if entries is not None:
-                state = np.zeros((spec.channels[k], columns))
-                state[entries[0], entries[1]] = entries[2]
-                entries = None
-            nxt = _dense_layer(state, j, i, w, span, spec.channels[k + 1])
-            live = np.any(nxt != 0.0, axis=0)
-            state = nxt[:, live]
-            tap, col = np.nonzero(live)
-        else:
-            if entries is None:
-                chan, col = np.nonzero(state)
-                entries, state = (chan, col, state[chan, col]), None
-            entries, used = _sparse_layer(entries, counts, j, i, w, span, columns)
-            tap, col = np.divmod(used, columns)
+        chan, cell, val = _contract(chan, col, val, j, i, w, span, columns,
+                                    spec.channels[k + 1])
+        # The new columns are the (tap, old column) pairs some channel reaches.
+        reached = np.zeros((span, columns), dtype=bool)
+        reached.reshape(-1)[cell] = True
+        col = (reached.cumsum() - 1)[cell]
+        tap, old = reached.nonzero()
         offsets = np.array([s * dilation for s in range(span)], dtype=np.int64)
-        times = offsets[tap] + times[col]
-        comps = comps[col]
-    # M_K = 1: a sparse last layer leaves one entry per column, in order.
-    row = state[0] if entries is None else entries[2]
+        times = offsets[tap] + times[old]
+        comps = comps[old]
+    # M_K = 1 leaves one entry per column, in column order.
     if d == 1:
-        return Sequence.from_arrays(times, row)
+        return Sequence.from_arrays(times, val)
     uniq, inv = np.unique(times, return_inverse=True)
     values = np.zeros((len(uniq), d))
-    values[inv, comps] = row
+    values[inv, comps] = val
     return Sequence.from_arrays(uniq, values, dim=d)
 
 

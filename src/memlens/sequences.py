@@ -44,8 +44,6 @@ def root_sum_squares(x, axis=None):
     """
     with np.errstate(over="ignore"):
         sq = (x * x).sum(axis=axis)
-    if axis is None and (_TINY <= sq <= _HUGE or not x.any()):
-        return math.sqrt(sq)        # the whole-array case, without array checks
     plain = (sq >= _TINY) & (sq <= _HUGE)
     if plain.all() or not x.any():
         return np.sqrt(sq)
