@@ -131,7 +131,7 @@ def tail_sum_profile(rho: Sequence, l: int, K: int):
     total = l * K
     padded = np.zeros(total)
     padded[:len(values)] = values
-    return [Scalar(float(root_sum_squares(padded[s + K - 1:])))
+    return [Scalar(root_sum_squares(padded[s + K - 1:]))
             for s in range(total - K + 1)]
 
 

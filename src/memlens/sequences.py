@@ -33,25 +33,28 @@ _TINY = float(np.finfo(float).tiny)
 _HUGE = float(np.finfo(float).max)
 
 
-def root_sum_squares(x, axis=None):
-    """sqrt(sum(x * x)) over axis (all of x by default), at any scale.
+def root_sum_squares(x, rows=False) -> float:
+    """sqrt(sum(x * x)) over all of x, or with rows the largest such root
+    over the rows of x, at any scale.
 
-    Where that plain sum of squares is finite and at least the smallest
-    normal double, or x is all zero, it is the result, bit for bit.
-    Elsewhere, where the squares overflow or underflow, x is first
-    divided by its largest magnitude along axis and the root multiplied
-    back.
+    Where the plain sum of squares (with rows, the largest row sum) is
+    finite and at least the smallest normal double, or x is all zero,
+    its root is the result, bit for bit.  Elsewhere, where the squares
+    overflow or underflow, x is first divided by its largest magnitude
+    and the root multiplied back.
     """
     with np.errstate(over="ignore"):
-        sq = (x * x).sum(axis=axis)
-    plain = (sq >= _TINY) & (sq <= _HUGE)
-    if plain.all() or not x.any():
-        return np.sqrt(sq)
-    peak = np.max(np.abs(x), axis=axis, keepdims=True)
-    unit = np.where((peak > 0.0) & (peak <= _HUGE), peak, 1.0)
-    scaled = x / unit
-    rescaled = np.squeeze(unit, axis) * np.sqrt((scaled * scaled).sum(axis=axis))
-    return np.where(plain, np.sqrt(sq), rescaled)
+        sq = _sum_squares(x, rows)
+    if _TINY <= sq <= _HUGE or not x.any():
+        return math.sqrt(sq)
+    peak = float(np.abs(x).max())
+    unit = min(peak, _HUGE)         # an inf entry keeps the sum inf, NaN stays NaN
+    return unit * math.sqrt(_sum_squares(x / unit, rows))
+
+
+def _sum_squares(x, rows):
+    squares = x * x
+    return float(np.max(squares.sum(axis=1), initial=0.0) if rows else squares.sum())
 
 
 @dataclass(frozen=True)
@@ -351,7 +354,7 @@ class Sequence:
             raise ValueError("start must be >= 0")
         if self._family is None:
             tail = self._values[self._count_before(start):]
-            return Scalar(float(root_sum_squares(tail)))
+            return Scalar(root_sum_squares(tail))
         if self._family == "geometric":
             g = self._params["gamma"]
             if self._horizon is not None:
@@ -386,7 +389,7 @@ class Sequence:
         """sup over t >= start of the euclidean length of rho(t)."""
         if self._family is None:
             tail = self._values[self._count_before(start):]
-            return float(np.max(root_sum_squares(tail, axis=1), initial=0.0))
+            return root_sum_squares(tail, rows=True)
         if self._horizon is not None and start > self._horizon:
             return 0.0
         if self._family == "geometric":

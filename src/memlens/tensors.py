@@ -222,5 +222,5 @@ def truncation_error_bound(spec: Spectrum, kept_rank: int) -> Scalar:
     """
     if kept_rank < 0:
         raise ValueError("kept_rank must be >= 0")
-    return Scalar(float(root_sum_squares(spec.values[kept_rank:])))
+    return Scalar(root_sum_squares(spec.values[kept_rank:]))
 

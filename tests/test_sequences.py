@@ -18,19 +18,23 @@ def test_scalar_interval_accessors():
 
 
 def test_root_sum_squares_is_the_plain_formula_wherever_that_is_normal(rng):
-    for shape in ((7,), (40, 3), (1000,)):
+    for shape in ((7,), (40, 3), (1000,), (30, 12)):
         x = rng.normal(size=shape) * 10.0 ** rng.uniform(-100, 100, size=shape)
         assert root_sum_squares(x) == math.sqrt(float(np.sum(x * x)))
-        rows = np.sqrt(np.sum(x * x, axis=-1))
-        assert np.array_equal(root_sum_squares(x, axis=-1), rows)
+        x = x.reshape(len(x), -1)
+        top = math.sqrt(float(np.max(np.sum(x * x, axis=1))))
+        assert root_sum_squares(x, rows=True) == top
     x = np.array([3.0, -4.0, 0.0])
     for alpha in (1e-300, 1e-200, 1e200, 1e300):
         assert root_sum_squares(alpha * x) == pytest.approx(5.0 * alpha, rel=1e-15)
-    rows = np.array([[3e200, 4e200], [0.0, 0.0], [1.0, 0.0], [3e-200, -4e-200]])
-    assert root_sum_squares(rows, axis=1).tolist() == pytest.approx(
-        [5e200, 0.0, 1.0, 5e-200], rel=1e-15)
+    rows = np.array([[0.0, 0.0], [1.0, 0.0], [3e-200, -4e-200]])
+    assert root_sum_squares(rows, rows=True) == 1.0
+    assert root_sum_squares(rows[[0, 2]], rows=True) == pytest.approx(5e-200, rel=1e-15)
+    assert root_sum_squares(1e300 * rows, rows=True) == 1e300
     assert root_sum_squares(np.zeros(0)) == 0.0
+    assert root_sum_squares(np.zeros((0, 2)), rows=True) == 0.0
     assert root_sum_squares(np.array([np.inf, 1.0])) == np.inf
+    assert math.isnan(root_sum_squares(np.array([np.nan, 1e300, 1e300])))
 
 
 def test_from_values_drops_zeros_and_keeps_support():
