@@ -336,12 +336,12 @@ def rnn_representation(spec: RnnSpec, horizon: int) -> Sequence:
     """Representation c' W^(s-1) U for 1 <= s <= horizon; zero at s = 0."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    values = np.empty((horizon, spec.dim))
-    v = spec.U.copy()
-    for s in range(horizon):
-        values[s] = spec.c @ v
-        v = spec.W @ v
-    return Sequence.from_arrays(np.arange(1, horizon + 1), values, dim=spec.dim)
+    states = np.empty((horizon, spec.m, spec.dim))
+    states[0] = spec.U
+    for s in range(1, horizon):
+        np.matmul(spec.W, states[s - 1], out=states[s])
+    return Sequence.from_arrays(np.arange(1, horizon + 1), spec.c @ states,
+                                dim=spec.dim)
 
 
 def power_sum_delta_bound(m_terms: int, t: int, sup_val: float) -> Scalar:

@@ -6,10 +6,10 @@ least significant digit).  The pooled singular values of the K mode
 flattenings drive the rank counts and truncation bounds used by the
 approximation-rate machinery.
 
-Singular values come from a direct SVD of each flattening, never from
-its Gram matrix: forming the Gram matrix squares the condition number
-and loses singular values below sqrt(eps) of the largest, which would
-let round-off decide tensor ranks.
+Singular values come from one batched direct SVD over the K flattenings,
+never their Gram matrices: forming a Gram matrix squares the condition
+number and loses singular values below sqrt(eps) of the largest, which
+would let round-off decide tensor ranks.
 """
 
 from __future__ import annotations
@@ -80,11 +80,16 @@ class Spectrum:
 
     @classmethod
     def from_mode_values(cls, per_mode) -> "Spectrum":
-        pairs = []
-        for mode, values in enumerate(per_mode, start=1):
-            pairs.extend((float(v), mode) for v in values)
-        pairs.sort(key=lambda p: (-p[0], p[1]))
-        return cls(entries=tuple(pairs))
+        """Pool a (K, r) array whose row k - 1 holds mode k's values."""
+        values = np.asarray(per_mode, dtype=float)
+        if values.ndim != 2:
+            raise ValueError("expected one row of values per mode")
+        # A stable sort on the negated row-major values keeps ties in
+        # ascending mode.
+        order = np.argsort(-values, axis=None, kind="stable")
+        modes = order // values.shape[1] + 1
+        return cls(entries=tuple(zip(values.reshape(-1)[order].tolist(),
+                                     modes.tolist())))
 
     def per_mode(self, k: int) -> np.ndarray:
         return np.array(sorted((v for v, m in self.entries if m == k), reverse=True))
@@ -114,8 +119,12 @@ def mode_flatten_general(data, dims, k) -> np.ndarray:
     flat = np.asarray(data, dtype=float).reshape(-1)
     if flat.shape != (math.prod(dims),):
         raise ValueError("data size does not match dims")
-    arr = np.moveaxis(flat.reshape(dims, order="F"), k - 1, 0)
-    return arr.reshape(dims[k - 1], -1, order="F")
+    # Row-major (higher modes, mode k, lower modes) is the first-index-fastest
+    # layout read backwards; moving mode k to the front leaves the columns
+    # reading the lower modes fastest.
+    n_k = dims[k - 1]
+    arr = flat.reshape(math.prod(dims[k:]), n_k, math.prod(dims[:k - 1]))
+    return arr.transpose(1, 0, 2).reshape(n_k, -1)
 
 
 def mode_refold_general(mat, dims, k) -> np.ndarray:
@@ -177,17 +186,20 @@ def tensorize(rho: Sequence, l: int, K: int) -> Tensor:
 
 
 def matrix_singular_values(mat) -> np.ndarray:
-    """Singular values (descending) of a matrix by a direct SVD."""
+    """Singular values (descending) by a direct SVD of a matrix, or of
+    each matrix of a stack in one call."""
     a = np.asarray(mat, dtype=float)
-    if a.ndim != 2:
-        raise ValueError("expected a matrix")
+    if a.ndim < 2:
+        raise ValueError("expected a matrix or a stack of matrices")
     return np.linalg.svd(a, compute_uv=False)
 
 
 def singular_values(t: Tensor) -> Spectrum:
-    """Pooled spectrum of all K mode flattenings."""
-    return Spectrum.from_mode_values(
-        matrix_singular_values(mode_flatten(t, k)) for k in range(1, t.order + 1))
+    """Pooled spectrum of all K mode flattenings, from one stacked SVD."""
+    stack = np.empty((t.order, t.l, t.l ** (t.order - 1)))
+    for k in range(1, t.order + 1):
+        stack[k - 1] = mode_flatten(t, k)
+    return Spectrum.from_mode_values(matrix_singular_values(stack))
 
 
 def window_spectrum(rho: Sequence, l: int, K: int) -> Spectrum:

@@ -351,6 +351,31 @@ def test_rnn_representation_is_a_power_sum():
         rnn_representation(spec, 0)
 
 
+def _stepped_recurrence(spec, horizon):
+    """The recurrence as one readout and one transition per step, kept as
+    the bit-for-bit reference for rnn_representation."""
+    values = np.empty((horizon, spec.dim))
+    v = spec.U.copy()
+    for s in range(horizon):
+        values[s] = spec.c @ v
+        v = spec.W @ v
+    return values
+
+
+def test_rnn_representation_is_the_stepped_recurrence(rng):
+    for m in (1, 2, 5):
+        for d in (1, 3):
+            W = rng.normal(size=(m, m))
+            W *= 0.95 / np.max(np.abs(np.linalg.eigvals(W)))
+            spec = RnnSpec(m=m, c=rng.normal(size=m), W=W, U=rng.normal(size=(m, d)))
+            for horizon in (1, 500):
+                times, values = rnn_representation(spec, horizon).arrays()
+                ref = _stepped_recurrence(spec, horizon)
+                assert np.array_equal(times, np.arange(1, horizon + 1))
+                assert values.shape == ref.shape
+                assert values.tobytes() == ref.tobytes()
+
+
 def test_power_sum_delta_bound_values_and_errors():
     assert power_sum_delta_bound(4, 10, 0.5).value == pytest.approx(0.4)
     with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memlens import tensors
 from memlens.sequences import Sequence, dilated_conv
 from memlens.tensors import (Spectrum, Tensor, analysis_window,
                              matrix_singular_values, mode_flatten,
@@ -28,6 +29,17 @@ def _pooled_numpy_spectrum(t):
             vals += [0.0] * (t.l - len(vals))
         out.extend(vals)
     return np.array(sorted(out, reverse=True))
+
+
+def _per_mode_spectrum(t):
+    """Pooled entries from one moveaxis flattening and one SVD per mode and a
+    keyed sort, kept as the exact reference for singular_values."""
+    pairs = []
+    for k in range(1, t.order + 1):
+        flat = _numpy_mode_flatten(t.data, (t.l,) * t.order, k)
+        pairs.extend((float(v), k) for v in np.linalg.svd(flat, compute_uv=False))
+    pairs.sort(key=lambda p: (-p[0], p[1]))
+    return tuple(pairs)
 
 
 def test_tensorize_layout_is_digit_addressed():
@@ -118,6 +130,36 @@ def test_rank_one_window_has_rank_equal_to_depth():
             assert spec.per_mode(k)[0] == pytest.approx(t.norm(), rel=1e-12)
 
 
+def test_batched_spectrum_is_the_per_mode_loop(rng):
+    for l in (2, 3, 4, 8):
+        K = 1
+        while l ** K <= 2 ** 15:
+            windows = [rng.normal(size=l ** K) * scale for scale in (1e-200, 1.0, 1e200)]
+            windows += [np.zeros(l ** K), np.eye(1, l ** K, l ** K - 1)[0]]
+            for data in windows:
+                t = Tensor(l=l, order=K, data=data)
+                assert singular_values(t).entries == _per_mode_spectrum(t)
+            K += 1
+
+
+def test_spectrum_flattens_each_mode_and_runs_one_svd(monkeypatch):
+    calls = {"flatten": 0, "svd": 0}
+    flatten, svd = tensors.mode_flatten_general, np.linalg.svd
+
+    def counted_flatten(*args, **kwargs):
+        calls["flatten"] += 1
+        return flatten(*args, **kwargs)
+
+    def counted_svd(*args, **kwargs):
+        calls["svd"] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(tensors, "mode_flatten_general", counted_flatten)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    singular_values(tensorize(Sequence.power(horizon=40).truncate(81), 3, 4))
+    assert calls == {"flatten": 4, "svd": 1}
+
+
 def test_spectrum_depth_one_is_the_window_norm():
     spec = singular_values(tensorize(Sequence.from_values([3.0, 4.0]), 2, 1))
     assert len(spec) == 1
@@ -128,6 +170,25 @@ def test_spectrum_orders_ties_by_mode():
     spec = Spectrum.from_mode_values([[1.0, 0.5], [1.0, 0.5]])
     assert [m for _, m in spec.entries] == [1, 2, 1, 2]
     assert np.array_equal(spec.per_mode(2), [1.0, 0.5])
+
+
+def test_spectrum_orders_equal_values_by_ascending_mode():
+    spec = Spectrum.from_mode_values([[1.0, 0.2], [1.0, 0.1], [1.0, 0.3]])
+    assert spec.entries == ((1.0, 1), (1.0, 2), (1.0, 3), (0.3, 3), (0.2, 1), (0.1, 2))
+
+
+def test_spectrum_keeps_a_signed_zero_tail_in_mode_order():
+    spec = Spectrum.from_mode_values([[2.0, -0.0], [1.0, 0.0], [0.5, -0.0]])
+    assert [m for _, m in spec.entries] == [1, 2, 3, 1, 2, 3]
+    assert [math.copysign(1.0, v) for v, _ in spec.entries[3:]] == [-1.0, 1.0, -1.0]
+
+
+def test_spectrum_from_lists_and_ragged_rows():
+    spec = Spectrum.from_mode_values([[3.0, 1.0, 2.0]])
+    assert spec.entries == ((3.0, 1), (2.0, 1), (1.0, 1))
+    assert all(type(v) is float and type(m) is int for v, m in spec.entries)
+    with pytest.raises(ValueError):
+        Spectrum.from_mode_values([[1.0, 0.5], [1.0]])
 
 
 def test_spectrum_values_are_made_once_and_read_only():
