@@ -119,9 +119,9 @@ def mode_flatten_general(data, dims, k) -> np.ndarray:
     flat = np.asarray(data, dtype=float).reshape(-1)
     if flat.shape != (math.prod(dims),):
         raise ValueError("data size does not match dims")
-    # Row-major (higher modes, mode k, lower modes) is the first-index-fastest
-    # layout read backwards; moving mode k to the front leaves the columns
-    # reading the lower modes fastest.
+    # Read row-major, the first-index-fastest data has axes (later modes,
+    # mode k, earlier modes); with mode k in front, each row reads the
+    # earlier modes fastest.
     n_k = dims[k - 1]
     arr = flat.reshape(math.prod(dims[k:]), n_k, math.prod(dims[:k - 1]))
     return arr.transpose(1, 0, 2).reshape(n_k, -1)
