@@ -170,9 +170,6 @@ def test_spectrum_orders_ties_by_mode():
     spec = Spectrum.from_mode_values([[1.0, 0.5], [1.0, 0.5]])
     assert [m for _, m in spec.entries] == [1, 2, 1, 2]
     assert np.array_equal(spec.per_mode(2), [1.0, 0.5])
-
-
-def test_spectrum_orders_equal_values_by_ascending_mode():
     spec = Spectrum.from_mode_values([[1.0, 0.2], [1.0, 0.1], [1.0, 0.3]])
     assert spec.entries == ((1.0, 1), (1.0, 2), (1.0, 3), (0.3, 3), (0.2, 1), (0.1, 2))
 
