@@ -29,6 +29,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from .sequences import Sequence
 from .tensors import analysis_window, window_spectrum
@@ -108,7 +109,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 class UsageError(Exception):
-    """A malformed invocation argparse cannot see (the --g-params count)."""
+    """A malformed invocation argparse cannot see (the --g-params count,
+    --K with radix synthesis)."""
 
 
 def load_target(text: str):
@@ -161,7 +163,64 @@ def _emit(out: str, name: str, text: str):
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """obj as json.dumps(obj, indent=2, sort_keys=True) writes it, plus a
+    newline, without the pure-Python encoder json falls back on for
+    indented output."""
+    parts = []
+    _write(obj, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write(obj, indent, parts):
+    """Append the JSON text of obj to parts; its nested lines start with
+    indent and two more spaces."""
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        brackets, items = "{}", [(_quote(key) + ": ", obj[key]) for key in sorted(obj)]
+    elif isinstance(obj, (list, tuple)):
+        text = _scalars(obj, "," + inner)
+        if text is not None:
+            parts.append("[" + inner + text + indent + "]")
+            return
+        brackets, items = "[]", [("", item) for item in obj]
+    else:
+        text = _scalars((obj,), "")
+        if text is None:
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        parts.append(text)
+        return
+    if not items:
+        parts.append(brackets)
+        return
+    lead = brackets[0] + inner
+    for head, value in items:
+        parts.append(lead + head)
+        _write(value, inner, parts)
+        lead = "," + inner
+    parts.append(indent + brackets[1])
+
+
+def _scalars(items, sep):
+    """items joined by sep, each as json writes it, when they are all of
+    one scalar type; None otherwise (also for no items)."""
+    kinds = set(map(type, items))
+    if len(kinds) != 1:
+        return None
+    kind = kinds.pop()
+    if kind is bool:
+        return sep.join(map(("false", "true").__getitem__, items))
+    if kind is type(None):
+        return sep.join(["null"] * len(items))
+    if issubclass(kind, float):
+        text = sep.join(map(float.__repr__, items))
+        # A finite float's repr holds no "n"; nan and inf become json's names.
+        return text.replace("nan", "NaN").replace("inf", "Infinity") if "n" in text else text
+    if issubclass(kind, int):
+        return sep.join(map(int.__repr__, items))
+    if issubclass(kind, str):
+        return sep.join(map(_quote, items))
+    return None
 
 
 def _safe_label(label: str) -> str:
@@ -241,6 +300,8 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    if args.method == "radix" and args.K:
+        raise UsageError("--K applies to --method lowrank")
     for text in args.target:
         target, label = load_target(text)
         if args.method == "radix":

@@ -17,9 +17,11 @@ closed-form comparisons between the two classes.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+import types
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,50 +29,103 @@ from .sequences import MAX_TIME, Scalar, Sequence
 from . import tensors
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class CnnSpec:
-    """Linear dilated-convolution stack with sparse filter storage.
+    """Linear dilated-convolution stack with array filter storage.
 
     channels lists the widths (M_0, M_1, ..., M_K) with M_0 the input
-    dimension and M_K = 1 the single output channel.  filters maps
-    (layer k, in-channel j, out-channel i) to a length-l filter; missing
-    keys are all-zero filters.  Layer k runs at dilation l^k.
+    dimension and M_K = 1 the single output channel.  The bank is two
+    read-only arrays: index, the (n, 3) int64 keys (layer k, in-channel
+    j, out-channel i) in ascending order, and weights, the (n, l) filters
+    of those keys; missing keys are all-zero filters.  Layer k runs at
+    dilation l^k.  CnnSpec(l, K, channels, filters) takes the bank as a
+    dict mapping (k, j, i) to a length-l filter, and from_arrays takes
+    the two arrays.
     """
 
     l: int
     K: int
     channels: tuple
-    filters: dict = field(default_factory=dict)
+    index: np.ndarray
+    weights: np.ndarray
 
-    def __post_init__(self):
-        if self.l < 2 or self.K < 1:
+    def __init__(self, l, K, channels, filters=None):
+        filters = filters or {}
+        index = np.array(list(filters), dtype=np.int64).reshape(len(filters), 3)
+        self._check(l, K, channels, index, np.fromiter(
+            map(len, filters.values()), dtype=np.int64, count=len(filters)))
+        self._store(l, K, channels, index,
+                    np.array(list(filters.values()), dtype=float).reshape(-1, l))
+
+    @classmethod
+    def from_arrays(cls, l, K, channels, index, weights) -> "CnnSpec":
+        """Stack from an (n, 3) key array and an (n, l) filter array, in
+        any key order; a key given twice is an error."""
+        index = np.asarray(index, dtype=np.int64).reshape(-1, 3)
+        weights = np.asarray(weights, dtype=float)
+        if weights.ndim != 2 or len(weights) != len(index):
+            raise ValueError("weights must hold one filter per index row")
+        cls._check(l, K, channels, index, np.full(len(index), weights.shape[1]))
+        spec = object.__new__(cls)
+        spec._store(l, K, channels, index, weights)
+        return spec
+
+    @staticmethod
+    def _check(l, K, channels, index, lengths):
+        """Check the shape of the stack, then name the first filter, in the
+        given order, whose key is out of range or whose length is not l."""
+        if l < 2 or K < 1:
             raise ValueError("need l >= 2 and K >= 1")
-        if len(self.channels) != self.K + 1:
+        if len(channels) != K + 1:
             raise ValueError("channels must list K + 1 widths")
-        if any(int(m) < 1 for m in self.channels):
+        if any(int(m) < 1 for m in channels):
             raise ValueError("channel widths must be positive")
-        if self.channels[-1] != 1:
+        if channels[-1] != 1:
             raise ValueError("the output is a single channel")
-        for (k, j, i), w in self.filters.items():
-            if not (0 <= k < self.K and 0 <= j < self.channels[k]
-                    and 0 <= i < self.channels[k + 1]):
-                raise ValueError(f"filter index {(k, j, i)} out of range")
-            if len(w) != self.l:
-                raise ValueError("every filter must have length l")
+        widths = np.array(channels, dtype=np.int64)
+        k, j, i = index.T
+        layer = (0 <= k) & (k < K)
+        k = np.where(layer, k, 0)
+        bad_key = ~(layer & (0 <= j) & (j < widths[k]) & (0 <= i) & (i < widths[k + 1]))
+        bad = bad_key | (lengths != l)
+        if bad.any():
+            first = int(bad.argmax())
+            if bad_key[first]:
+                raise ValueError(f"filter index {tuple(index[first].tolist())} out of range")
+            raise ValueError("every filter must have length l")
+
+    def _store(self, l, K, channels, index, weights):
+        """Set the fields, with the bank sorted by key into read-only arrays."""
+        order = np.lexsort(index.T[::-1])
+        index, weights = index[order], weights[order]
+        twice = (index[1:] == index[:-1]).all(axis=1)
+        if twice.any():
+            raise ValueError(f"filter index {tuple(index[twice.argmax()].tolist())} "
+                             f"given twice")
+        index.flags.writeable = weights.flags.writeable = False
+        for name, value in (("l", int(l)), ("K", int(K)),
+                            ("channels", tuple(int(m) for m in channels)),
+                            ("index", index), ("weights", weights)):
+            object.__setattr__(self, name, value)
+
+    @functools.cached_property
+    def filters(self):
+        """Read-only {(k, j, i): filter tuple} view of the bank, in key order."""
+        return types.MappingProxyType(dict(zip(map(tuple, self.index.tolist()),
+                                               map(tuple, self.weights.tolist()))))
 
     @property
     def filter_count(self) -> int:
         """Number of stored (nonzero) filters."""
-        return len(self.filters)
+        return len(self.index)
 
     def to_json(self) -> dict:
-        keys = sorted(self.filters)
         return {
             "l": self.l,
             "K": self.K,
-            "channels": [int(m) for m in self.channels],
-            "filters": {f"{k},{j},{i}": [float(x) for x in self.filters[(k, j, i)]]
-                        for (k, j, i) in keys},
+            "channels": list(self.channels),
+            "filters": dict(zip([f"{k},{j},{i}" for k, j, i in self.index.tolist()],
+                                self.weights.tolist())),
         }
 
     @classmethod
@@ -183,9 +238,7 @@ def cnn_representation(spec: CnnSpec) -> Sequence:
     input channel; every time it reaches must stay below 2^63.
     """
     d, l = spec.channels[0], spec.l
-    keys = sorted(spec.filters)
-    index = np.array(keys, dtype=np.int64).reshape(-1, 3)
-    weights = np.array([spec.filters[key] for key in keys], dtype=float).reshape(-1, l)
+    index, weights = spec.index, spec.weights
     starts = np.searchsorted(index[:, 0], np.arange(spec.K + 1))
     chan, col, val = np.arange(d), np.arange(d), np.ones(d)
     times = np.zeros(d, dtype=np.int64)
@@ -272,16 +325,20 @@ def synthesize_radix(target: Sequence, l: int) -> CnnSpec:
     times, values = target.arrays()
     live = np.abs(values[:, 0]) > target.zero_tol()
     digits = times[live, None] // l ** np.arange(K, dtype=np.int64) % l
-    layers = [np.eye(l)[digits[:, k]] for k in range(K)]
-    layers[0][np.arange(len(digits)), digits[:, 0]] = values[live, 0]
+    n = len(digits)
+    paths = np.arange(n)
+    weights = np.zeros((K, n, l))
+    weights[np.arange(K)[:, None], paths, digits.T] = 1.0
+    weights[0, paths, digits[:, 0]] = values[live, 0]
     if K == 1:
-        filters = {(0, 0, 0): tuple(layers[0].sum(axis=0).tolist())} if len(digits) else {}
-        return CnnSpec(l=l, K=1, channels=(1, 1), filters=filters)
-    filters = {(k, 0 if k == 0 else p, 0 if k == K - 1 else p): tuple(w)
-               for k, layer in enumerate(layers)
-               for p, w in enumerate(layer.tolist())}
-    channels = (1,) + (max(1, len(digits)),) * (K - 1) + (1,)
-    return CnnSpec(l=l, K=K, channels=channels, filters=filters)
+        return CnnSpec.from_arrays(l, 1, (1, 1), np.zeros((min(1, n), 3)),
+                                   weights.sum(axis=1)[:n])
+    # Path p runs (0, 0, p), (1, p, p), ..., (K - 1, p, 0), in key order.
+    index = np.zeros((K, n, 3), dtype=np.int64)
+    index[:, :, 0] = np.arange(K)[:, None]
+    index[1:, :, 1] = index[:-1, :, 2] = paths
+    channels = (1,) + (max(1, n),) * (K - 1) + (1,)
+    return CnnSpec.from_arrays(l, K, channels, index, weights.reshape(-1, l))
 
 
 # Share of the window norm that all TT-SVD steps together may discard:
@@ -325,11 +382,12 @@ def synthesize_lowrank(target: Sequence, l: int, K=None) -> CnnSpec:
         cores.append(u[:, :r].reshape(len(rest), l, r, order="F"))
         rest = s[:r, None] * vt[:r]
     cores.append(scale * rest.reshape(len(rest), l, 1, order="F"))
-    filters = {(k, j, i): tuple(core[j, :, i].tolist())
-               for k, core in enumerate(cores)
-               for j, i in np.argwhere(core.any(axis=1)).tolist()}
+    live = [np.nonzero(core.any(axis=1)) for core in cores]
+    index = np.concatenate([np.column_stack((np.full(len(j), k), j, i))
+                            for k, (j, i) in enumerate(live)])
+    weights = np.concatenate([core[j, :, i] for core, (j, i) in zip(cores, live)])
     channels = (1,) + tuple(core.shape[2] for core in cores)
-    return CnnSpec(l=l, K=K, channels=channels, filters=filters)
+    return CnnSpec.from_arrays(l, K, channels, index, weights)
 
 
 def rnn_representation(spec: RnnSpec, horizon: int) -> Sequence:

@@ -101,7 +101,7 @@ def _whole(t) -> int:
 
 
 def _columns(times, values, dim):
-    """Sorted distinct int64 times and their (n, dim) values.
+    """Sorted distinct int64 times and their finite (n, dim) values.
 
     A repeated time keeps its last value, as a dict built from the same
     (time, value) pairs would.
@@ -120,6 +120,9 @@ def _columns(times, values, dim):
     if values.shape != (len(times), dim):
         raise ValueError(f"expected {len(times)} length-{dim} values, "
                          f"got shape {values.shape}")
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"the value at t={times[finite.argmin()]} is not finite")
     order = np.argsort(times, kind="stable")
     times, values = times[order], values[order]
     last = np.ones(len(times), dtype=bool)
@@ -197,8 +200,9 @@ class Sequence:
     def from_arrays(cls, times, values, dim=1) -> "Sequence":
         """Finite sequence from a time array and a matching value array.
 
-        values has shape (n, dim), or (n,) when dim is 1; times need not
-        be sorted, and a repeated time keeps its last value.
+        values has shape (n, dim), or (n,) when dim is 1, and must be
+        finite; times need not be sorted, and a repeated time keeps its
+        last value.
         """
         return cls._of(*_columns(times, values, int(dim)))
 

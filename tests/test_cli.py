@@ -6,11 +6,12 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from memlens.cli import build_parser, load_target, main
+from memlens.cli import _dump, build_parser, load_target, main
 from memlens.sequences import Sequence
 
 
@@ -157,10 +158,13 @@ def test_usage_errors_exit_one(tmp_path, capsys):
                  ["measure", "--target", "rho1", "--g", "exponential",
                   "--g-params", "0.5,1,7"],
                  ["bounds", "--target", "rho1", "--channels", "1,4,4,4,4,1",
-                  "--g", "power", "--g-params", "1,1,7"]):
+                  "--g", "power", "--g-params", "1,1,7"],
+                 ["synth", "--target", "impulse:19", "--method", "radix", "--K", "2"]):
         assert main([*args, "--out", str(out)]) == 1, args
         capsys.readouterr()
     assert not out.exists() or not any(out.iterdir())
+    assert main(["synth", "--target", "impulse:19", "--method", "radix", "--K", "2"]) == 1
+    assert capsys.readouterr().err == "error: --K applies to --method lowrank\n"
 
 
 def test_single_depth_commands_refuse_a_second_K(tmp_path, capsys):
@@ -221,7 +225,7 @@ def test_synth_covers_every_builtin_target(capsys):
         window = target_seq.truncate(2 ** payload["depth"])
         assert payload["depth"] == (K or 7)
         assert payload["replay_residual"] <= 1e-12 * float(window.norm())
-    code = main(["synth", "--target", "rho3", "--method", "radix", "--K", "5"])
+    code = main(["synth", "--target", "rho3", "--method", "radix"])
     assert code == 2
     assert "horizon" in capsys.readouterr().err
 
@@ -296,6 +300,20 @@ def test_malformed_json_target_rows_exit_two(tmp_path, capsys):
         assert main(["spectrum", "--target", str(path), "--K", "3"]) == 2, rows
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err, rows
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_non_finite_target_values_exit_two(tmp_path, capsys, token):
+    path = tmp_path / "bad.json"
+    path.write_text('{"entries": [[0, [1.0]], [3, [%s]]]}' % token)
+    out = tmp_path / "out"
+    g = ["--g", "exponential", "--g-params", "0.5"]
+    for args in (["spectrum"], ["measure", *g],
+                 ["bounds", "--channels", "1,4,4,4,4,1", *g], ["curve"],
+                 ["synth"], ["synth", "--method", "lowrank"]):
+        assert main([*args, "--target", str(path), "--out", str(out)]) == 2, args
+        assert capsys.readouterr().err == "error: the value at t=3 is not finite\n"
+    assert not out.exists()
 
 
 def test_compare_beyond_the_time_limit_exits_two(capsys):
@@ -379,6 +397,9 @@ def _argv(data):
     argv = [command, "--target", target, "--l", str(l), "--K", str(K)]
     if command == "synth":
         argv += ["--method", "radix" if huge_ok else "lowrank"]
+        # --K with radix is a usage error; mostly leave it out so radix runs.
+        if huge_ok and data.draw(st.integers(0, 3)):
+            del argv[5:7]
     if command in ("measure", "bounds"):
         family = data.draw(st.sampled_from(["exponential", "power", "table"]))
         params = data.draw(st.lists(st.floats(0.05, 1.5), min_size=1, max_size=3))
@@ -404,3 +425,25 @@ def test_cli_fuzz_exits_with_a_documented_code(data):
         code = main(argv)
     assert code in (0, 1, 2, 3), argv
     assert "Traceback" not in err.getvalue(), argv
+
+
+_TEXT = st.one_of(st.text(max_size=8),
+                  st.sampled_from(["", "\x00\x1f\x7f", "\n\t\"\\/", "é", "日本",
+                                   "\u2028", "\U0001f600"]))
+_SCALAR = st.one_of(
+    st.none(), st.booleans(), st.integers(-2 ** 200, 2 ** 200), st.floats(),
+    st.floats().map(np.float64), _TEXT,
+    st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf")]))
+_LEAF_LIST = st.one_of(st.lists(st.floats(), max_size=6),
+                       st.lists(st.integers(-2 ** 70, 2 ** 70), max_size=6),
+                       st.lists(st.one_of(st.booleans(), st.integers(0, 1)), max_size=6),
+                       st.lists(_TEXT, max_size=6))
+_JSON = st.recursive(st.one_of(_SCALAR, _LEAF_LIST), lambda inner: st.one_of(
+    st.lists(inner, max_size=5), st.lists(inner, max_size=5).map(tuple),
+    st.dictionaries(_TEXT, inner, max_size=5)), max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON)
+def test_dump_is_json_dumps_indented_and_sorted(obj):
+    assert _dump(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"

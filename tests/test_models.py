@@ -1,3 +1,4 @@
+import json
 import math
 import time
 import tracemalloc
@@ -42,6 +43,77 @@ def test_cnn_spec_json_round_trip():
     assert back.channels == spec.channels
     assert back.filters == spec.filters
     assert back.filter_count == 2
+
+
+def _hex(filters):
+    """A bank as {key: weights in float.hex}, so signed zeros count."""
+    return {key: tuple(float(x).hex() for x in w) for key, w in filters.items()}
+
+
+def test_cnn_spec_from_arrays_sorts_and_checks_the_bank():
+    spec = CnnSpec.from_arrays(2, 2, (1, 2, 1), [[1, 1, 0], [0, 0, 1]],
+                               [[-0.0, -1.0], [1.0, 2.0]])
+    assert spec.index.dtype == np.int64 and spec.index.tolist() == [[0, 0, 1], [1, 1, 0]]
+    assert list(spec.filters) == [(0, 0, 1), (1, 1, 0)]
+    assert _hex(spec.filters) == _hex({(0, 0, 1): (1.0, 2.0), (1, 1, 0): (-0.0, -1.0)})
+    as_dict = CnnSpec(2, 2, (1, 2, 1), {(1, 1, 0): (-0.0, -1.0), (0, 0, 1): (1, 2)})
+    assert np.array_equal(as_dict.index, spec.index)
+    assert as_dict.weights.tobytes() == spec.weights.tobytes()
+    assert spec.to_json()["filters"] == {"0,0,1": [1.0, 2.0], "1,1,0": [-0.0, -1.0]}
+    assert math.copysign(1.0, spec.to_json()["filters"]["1,1,0"][0]) == -1.0
+    assert not spec.index.flags.writeable and not spec.weights.flags.writeable
+    with pytest.raises(TypeError):
+        spec.filters[(0, 0, 0)] = (1.0, 1.0)
+    for index, weights, message in (
+            ([[0, 0, 1], [1, 2, 0]], np.ones((2, 2)), r"^filter index \(1, 2, 0\) out of range$"),
+            ([[0, 0, 1]], np.ones((1, 3)), "^every filter must have length l$"),
+            ([[1, 1, 0], [0, 0, 1], [1, 1, 0]], np.ones((3, 2)),
+             r"^filter index \(1, 1, 0\) given twice$"),
+            ([[0, 0, 1]], np.ones((2, 2)), "one filter per index row")):
+        with pytest.raises(ValueError, match=message):
+            CnnSpec.from_arrays(2, 2, (1, 2, 1), index, weights)
+
+
+def test_cnn_spec_json_round_trip_keeps_the_arrays(rng):
+    target = Sequence.from_arrays(rng.choice(500, size=40, replace=False),
+                                  rng.normal(size=40))
+    banks = [synthesize_radix(target, 2), synthesize_radix(target, 3),
+             synthesize_lowrank(target, 2), synthesize_lowrank(Sequence.power(horizon=80), 3),
+             _path_bank(rng, 2, 6, 20, d=2, cross=10), CnnSpec(l=3, K=2, channels=(1, 4, 1)),
+             synthesize_lowrank(Sequence.zero(), 2, 3), synthesize_radix(Sequence.zero(), 2)]
+    for spec in banks:
+        for back in (CnnSpec.from_json(spec.to_json()),
+                     CnnSpec.from_json(json.dumps(spec.to_json()))):
+            assert (back.l, back.K, back.channels) == (spec.l, spec.K, spec.channels)
+            assert back.index.dtype == np.int64 and np.array_equal(back.index, spec.index)
+            assert back.weights.shape == spec.weights.shape == (spec.filter_count, spec.l)
+            assert back.weights.tobytes() == spec.weights.tobytes()
+            got, want = cnn_representation(back), cnn_representation(spec)
+            assert got.arrays()[0].tobytes() == want.arrays()[0].tobytes()
+            assert got.arrays()[1].tobytes() == want.arrays()[1].tobytes()
+
+
+def test_synthesis_banks_keep_their_dict_layout():
+    # Radix: path p of the entry at time t is (0, 0, p), (1, p, p), ...,
+    # (K - 1, p, 0), one-hot at the digits of t with +0.0 off the hot tap
+    # and the value in the first layer.
+    times, values = [0, 3, 6, 13, 26], [-2.0, 1.5, -0.5, 4.0, -1.0]
+    for l in (2, 3, 4):
+        spec = synthesize_radix(Sequence.from_arrays(times, values), l)
+        K, want = spec.K, {}
+        for k in range(K):
+            for p, (t, v) in enumerate(zip(times, values)):
+                w = [0.0] * l
+                w[t // l ** k % l] = v if k == 0 else 1.0
+                want[(k, 0 if k == 0 else p, 0 if k == K - 1 else p)] = tuple(w)
+        assert list(spec.filters) == list(want)
+        assert _hex(spec.filters) == _hex(want)
+    # TT: the dict is the arrays row by row, with the signs of their zeros.
+    for spec in (synthesize_lowrank(Sequence.from_entries({2: (1.0,), 9: (-3.0,)}), 2),
+                 synthesize_lowrank(Sequence.impulse(5, -1.0), 2, 3)):
+        rows = [tuple(key) for key in spec.index.tolist()]
+        assert list(spec.filters) == rows == sorted(rows)
+        assert _hex(spec.filters) == _hex(dict(zip(rows, spec.weights.tolist())))
 
 
 def test_representation_of_a_two_layer_chain():

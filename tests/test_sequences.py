@@ -244,6 +244,17 @@ def test_time_indices_stop_below_two_to_the_63():
             bad()
 
 
+def test_values_must_be_finite():
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        for make in (lambda: Sequence.from_json({"entries": [[0, [1.0]], [7, [bad]]]}),
+                     lambda: Sequence.from_entries({7: (bad,), 0: (1.0,)}),
+                     lambda: Sequence.from_arrays([7, 0], [bad, 1.0]),
+                     lambda: Sequence.from_arrays([7, 0], [[1.0, bad], [1.0, 1.0]], dim=2)):
+            with pytest.raises(ValueError, match="^the value at t=7 is not finite$"):
+                make()
+    assert Sequence.from_json('{"entries": [[7, [1e308]]]}').value(7)[0] == 1e308
+
+
 def test_row_form_times_must_be_whole_numbers():
     assert list(Sequence.from_json({"entries": [[7.0, [2.0]], [3, [1.0]]]}).entries()) == [3, 7]
     for rows in ([[2.5, [1.0]]], [["3", [1.0]]], [[True, [1.0]]], [[None, [1.0]]],
