@@ -3,10 +3,18 @@
 dump(obj) is json.dumps(obj, indent=2, sort_keys=True) plus a newline,
 byte for byte, for the objects json accepts with string keys.  json
 formats indented output with its pure-Python encoder, one generator step
-per item; this writer joins each list of one scalar type in one call.
+per item.  This writer joins each list of one scalar type in one call,
+and writes a dict of float rows -- a non-empty dict whose values are all
+lists of one length >= 1 holding only floats, such as a filter bank --
+in one pass, with one format template mapped over its keys and columns.
 """
 
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
+from math import isfinite
+
+# json's names for the float reprs of the non-finite numbers
+_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def dump(obj) -> str:
@@ -22,7 +30,14 @@ def _write(obj, indent, parts):
     indent and two more spaces."""
     inner = indent + "  "
     if isinstance(obj, dict):
-        brackets, items = "{}", [(_quote(key) + ": ", obj[key]) for key in sorted(obj)]
+        keys = sorted(obj)
+        values = list(map(obj.__getitem__, keys))
+        keys = list(map(_quote, keys))
+        text = _rows(keys, values, inner)
+        if text is not None:
+            parts.append("{" + text + indent + "}")
+            return
+        brackets, items = "{}", [(key + ": ", value) for key, value in zip(keys, values)]
     elif isinstance(obj, (list, tuple)):
         text = _scalars(obj, "," + inner)
         if text is not None:
@@ -66,3 +81,23 @@ def _scalars(items, sep):
     if issubclass(kind, str):
         return sep.join(map(_quote, items))
     return None
+
+
+def _rows(keys, rows, inner):
+    """The members of a dict, its quoted keys in order, as json writes them
+    when its values are lists of one length >= 1 holding only floats; None
+    for any other dict (also for no members)."""
+    if not rows or not all(issubclass(kind, (list, tuple)) for kind in set(map(type, rows))):
+        return None
+    width = len(rows[0])
+    if not width or set(map(len, rows)) != {width}:
+        return None
+    flat = list(chain.from_iterable(rows))
+    if not all(issubclass(kind, float) for kind in set(map(type, flat))):
+        return None
+    nums = list(map(float.__repr__, flat))
+    if not all(map(isfinite, flat)):
+        nums = list(map(_NAMES.get, nums, nums))
+    item = inner + "  "
+    row = inner + "{}: [" + item + ("{}," + item) * (width - 1) + "{}" + inner + "]"
+    return ",".join(map(row.format, keys, *(nums[c::width] for c in range(width))))

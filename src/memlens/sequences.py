@@ -190,7 +190,7 @@ class Sequence:
         """One-dimensional sequence from the dense prefix (v0, v1, ...)."""
         v = np.asarray(values, dtype=float).reshape(-1)
         t = np.flatnonzero(v)
-        return cls._of(t.astype(np.int64), v[t][:, None])
+        return cls._of(*_columns(t, v[t], 1))
 
     @classmethod
     def from_entries(cls, entries, dim=1) -> "Sequence":

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from memlens.cli import _dump, build_parser, load_target, main
@@ -275,6 +275,18 @@ def test_readme_commands_run(tmp_path, capsys):
             argv[at] = str(tmp_path / argv[at])
         assert main(argv) == 0, argv
         capsys.readouterr()
+    for l in (2, 3, 4):
+        for target in ("rho1", "rho2", "rho3:255", "impulse:19"):
+            for method in ("radix", "lowrank"):
+                argv = ["synth", "--target", target, "--l", str(l), "--method", method,
+                        "--out", str(tmp_path / f"synth_l{l}")]
+                assert main(argv) == 0, argv
+                capsys.readouterr()
+    written = sorted(tmp_path.rglob("*.json"))
+    assert len(written) >= 24
+    for path in written:
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path
 
 
 def test_computation_errors_exit_two(capsys):
@@ -447,3 +459,39 @@ _JSON = st.recursive(st.one_of(_SCALAR, _LEAF_LIST), lambda inner: st.one_of(
 @given(_JSON)
 def test_dump_is_json_dumps_indented_and_sorted(obj):
     assert _dump(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+_ROW_KEY = st.one_of(_TEXT, st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity",
+                                             'a"b', "\x00\x1f", "é日本", "{}", "{0}"]))
+_ROW_ITEM = st.one_of(st.floats(), st.floats().map(np.float64),
+                      st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf")]))
+
+
+@st.composite
+def _float_rows(draw):
+    """A dict of float rows of one width from 1 to 4, at times with one row
+    spoilt: made longer, shorter or empty, or holding one int or bool."""
+    width = draw(st.integers(1, 4))
+    rows = draw(st.dictionaries(_ROW_KEY, st.lists(_ROW_ITEM, min_size=width,
+                                                   max_size=width), max_size=8))
+    if rows and draw(st.booleans()):
+        row = rows[draw(st.sampled_from(sorted(rows)))]
+        at = draw(st.integers(0, width - 1))
+        row[at:at + 1] = draw(st.one_of(st.lists(_ROW_ITEM, max_size=2),
+                                        st.tuples(st.one_of(st.booleans(), st.integers()))))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_float_rows())
+@example({})
+@example({"a": [], "b": []})
+@example({"nan": [float("nan")], "inf": [float("inf")], "Infinity": [float("-inf")]})
+@example({'"q"\x00\n': [-0.0, np.float64(1.5)], "é日本": [np.float64("nan"), 2.0]})
+@example({"a": [1.0, 2.0, 3.0, 4.0], "b": [1.0, 2.0, 3.0, 4.0, 5.0]})
+@example({"a": [1.0, 2.0], "b": [1.0, 2]})
+@example({"a": [1.0, True], "b": [1.0, 2.0]})
+@example({"a": [1.0], "b": []})
+def test_dump_writes_dicts_of_float_rows_as_json_dumps(rows):
+    for obj in (rows, {"spec": {"filters": rows}, "rows": [rows]}):
+        assert _dump(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"

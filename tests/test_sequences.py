@@ -249,9 +249,11 @@ def test_values_must_be_finite():
         for make in (lambda: Sequence.from_json({"entries": [[0, [1.0]], [7, [bad]]]}),
                      lambda: Sequence.from_entries({7: (bad,), 0: (1.0,)}),
                      lambda: Sequence.from_arrays([7, 0], [bad, 1.0]),
-                     lambda: Sequence.from_arrays([7, 0], [[1.0, bad], [1.0, 1.0]], dim=2)):
+                     lambda: Sequence.from_arrays([7, 0], [[1.0, bad], [1.0, 1.0]], dim=2),
+                     lambda: Sequence.from_values([1.0, 0, 0, 0, 0, 0, 0, bad, 2.0])):
             with pytest.raises(ValueError, match="^the value at t=7 is not finite$"):
                 make()
+    assert sorted(Sequence.from_values([0.0, 1.0, 0.0, -0.0, 2.0]).entries()) == [1, 4]
     assert Sequence.from_json('{"entries": [[7, [1e308]]]}').value(7)[0] == 1e308
 
 
