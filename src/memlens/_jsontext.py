@@ -15,6 +15,8 @@ from math import isfinite
 
 # json's names for the float reprs of the non-finite numbers
 _NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# Members of a dict of float rows formatted at a time.
+_BLOCK = 512
 
 
 def dump(obj) -> str:
@@ -30,14 +32,11 @@ def _write(obj, indent, parts):
     indent and two more spaces."""
     inner = indent + "  "
     if isinstance(obj, dict):
-        keys = sorted(obj)
-        values = list(map(obj.__getitem__, keys))
-        keys = list(map(_quote, keys))
-        text = _rows(keys, values, inner)
+        text = _rows(obj, inner)
         if text is not None:
             parts.append("{" + text + indent + "}")
             return
-        brackets, items = "{}", [(key + ": ", value) for key, value in zip(keys, values)]
+        brackets, items = "{}", [(_quote(key) + ": ", obj[key]) for key in sorted(obj)]
     elif isinstance(obj, (list, tuple)):
         text = _scalars(obj, "," + inner)
         if text is not None:
@@ -83,21 +82,28 @@ def _scalars(items, sep):
     return None
 
 
-def _rows(keys, rows, inner):
-    """The members of a dict, its quoted keys in order, as json writes them
-    when its values are lists of one length >= 1 holding only floats; None
-    for any other dict (also for no members)."""
-    if not rows or not all(issubclass(kind, (list, tuple)) for kind in set(map(type, rows))):
+def _rows(obj, inner):
+    """The members of the dict obj as json writes them, when its values are
+    lists of one length >= 1 holding only floats; None for any other dict
+    (also for an empty one)."""
+    values = obj.values()
+    if not values or not all(issubclass(kind, (list, tuple)) for kind in set(map(type, values))):
         return None
-    width = len(rows[0])
-    if not width or set(map(len, rows)) != {width}:
+    width = len(next(iter(values)))
+    if not width or set(map(len, values)) != {width}:
         return None
-    flat = list(chain.from_iterable(rows))
-    if not all(issubclass(kind, float) for kind in set(map(type, flat))):
+    if not all(issubclass(kind, float) for kind in set(map(type, chain.from_iterable(values)))):
         return None
-    nums = list(map(float.__repr__, flat))
-    if not all(map(isfinite, flat)):
-        nums = list(map(_NAMES.get, nums, nums))
+    finite = all(map(isfinite, chain.from_iterable(values)))
     item = inner + "  "
     row = inner + "{}: [" + item + ("{}," + item) * (width - 1) + "{}" + inner + "]"
-    return ",".join(map(row.format, keys, *(nums[c::width] for c in range(width))))
+    keys, texts = sorted(obj), []
+    # Block by block, so that only one block's number texts are alive.
+    for at in range(0, len(keys), _BLOCK):
+        block = keys[at:at + _BLOCK]
+        nums = list(map(float.__repr__, chain.from_iterable(list(map(obj.__getitem__, block)))))
+        if not finite:
+            nums = list(map(_NAMES.get, nums, nums))
+        columns = (nums[c::width] for c in range(width))
+        texts.append(",".join(map(row.format, list(map(_quote, block)), *columns)))
+    return ",".join(texts)

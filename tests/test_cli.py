@@ -492,6 +492,7 @@ def _float_rows(draw):
 @example({"a": [1.0, 2.0], "b": [1.0, 2]})
 @example({"a": [1.0, True], "b": [1.0, 2.0]})
 @example({"a": [1.0], "b": []})
+@example({str(i): [float(i), float("nan") if i == 700 else -0.0] for i in range(1100)})
 def test_dump_writes_dicts_of_float_rows_as_json_dumps(rows):
     for obj in (rows, {"spec": {"filters": rows}, "rows": [rows]}):
         assert _dump(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
