@@ -6,7 +6,8 @@ formats indented output with its pure-Python encoder, one generator step
 per item.  This writer joins each list of one scalar type in one call,
 and writes a dict of float rows -- a non-empty dict whose values are all
 lists of one length >= 1 holding only floats, such as a filter bank --
-in one pass, with one format template mapped over its keys and columns.
+without a step per member: one format template is mapped over its quoted
+keys and its columns of number texts, _BLOCK members at a time.
 """
 
 from itertools import chain
@@ -15,7 +16,9 @@ from math import isfinite
 
 # json's names for the float reprs of the non-finite numbers
 _NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# Members of a dict of float rows formatted at a time.
+# Members of a dict of float rows formatted at a time; it bounds the
+# number texts alive at once, so a large bank costs no more memory to
+# write than it did one member at a time.
 _BLOCK = 512
 
 
@@ -98,7 +101,6 @@ def _rows(obj, inner):
     item = inner + "  "
     row = inner + "{}: [" + item + ("{}," + item) * (width - 1) + "{}" + inner + "]"
     keys, texts = sorted(obj), []
-    # Block by block, so that only one block's number texts are alive.
     for at in range(0, len(keys), _BLOCK):
         block = keys[at:at + _BLOCK]
         nums = list(map(float.__repr__, chain.from_iterable(list(map(obj.__getitem__, block)))))
