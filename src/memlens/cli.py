@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import math
 import os
@@ -116,8 +117,17 @@ class UsageError(Exception):
 def load_target(text: str):
     """(Sequence, label) from a builtin id or a JSON file path."""
     if text.endswith(".json") or os.path.sep in text:
-        with open(text) as fh:
-            seq = Sequence.from_json(json.load(fh))
+        # The decoded rows hold no reference cycles and are freed by
+        # reference counting; with the collector paused no collection walks
+        # them while they are decoded and converted.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            with open(text) as fh:
+                seq = Sequence.from_json(json.load(fh))
+        finally:
+            if enabled:
+                gc.enable()
         label = os.path.splitext(os.path.basename(text))[0]
         return seq, label
     name, _, arg = text.partition(":")

@@ -23,6 +23,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -91,13 +92,34 @@ def _check_time(t):
                          f"the int64 limit 2^63 - 1")
 
 
-def _whole(t) -> int:
-    """A time index as an int; a bool, a string, None or a fractional or
-    non-finite number is not one."""
+def _whole(t, what="a time index") -> int:
+    """A time index (or another integer field) as an int; a bool, a
+    string, None or a fractional or non-finite number is not one."""
     if not isinstance(t, bool) and (isinstance(t, numbers.Integral) or
                                     isinstance(t, numbers.Real) and float(t).is_integer()):
         return int(t)
-    raise ValueError(f"a time index must be a whole number, not {t!r}")
+    raise ValueError(f"{what} must be a whole number, not {t!r}")
+
+
+def _number(x, what) -> float:
+    """A real parameter as a float; a bool, a string or None is not one."""
+    if isinstance(x, numbers.Real) and not isinstance(x, bool):
+        return float(x)
+    raise ValueError(f"{what} must be a number, not {x!r}")
+
+
+def _matrix(values, dim):
+    """values as a float array: a list of rows that are all lists or tuples
+    of dim items in one pass over their items, anything else, or rows whose
+    items are not all numbers, as np.asarray reads it."""
+    if (isinstance(values, list) and {list, tuple}.issuperset(map(type, values))
+            and set(map(len, values)) == {dim}):
+        try:
+            return np.fromiter(chain.from_iterable(values), float,
+                               count=len(values) * dim).reshape(-1, dim)
+        except (TypeError, ValueError, OverflowError):
+            pass  # np.asarray below raises its own error, or reads nested rows
+    return np.asarray(values, dtype=float)
 
 
 def _columns(times, values, dim):
@@ -114,7 +136,7 @@ def _columns(times, values, dim):
             raise ValueError("entries must live at t >= 0")
         _check_time(int(arr.max()))
     times = arr.astype(np.int64).reshape(-1)
-    values = np.asarray(values, dtype=float)
+    values = _matrix(values, dim)
     if dim == 1 and values.ndim == 1:
         values = values[:, None]
     if values.shape != (len(times), dim):
@@ -444,17 +466,35 @@ class Sequence:
 
     @classmethod
     def from_json(cls, obj) -> "Sequence":
+        """Sequence from its JSON description: the row form {"dim", "entries"}
+        or the family form {"family", "params", "horizon"}.  A document of
+        any other shape, or with a field of the wrong type, raises
+        ValueError."""
         if isinstance(obj, str):
             obj = json.loads(obj)
+        if not isinstance(obj, dict):
+            raise ValueError(f"a sequence description is a JSON object, not {obj!r:.40}")
         if "entries" in obj:
-            return cls(dim=int(obj.get("dim", 1)), entries=obj["entries"])
+            entries = obj["entries"]
+            if not isinstance(entries, list):
+                raise ValueError(f"entries must be a list of (time, value) rows, "
+                                 f"not {entries!r:.40}")
+            try:
+                return cls(dim=_whole(obj.get("dim", 1), "dim"), entries=entries)
+            except TypeError as exc:  # a value numpy cannot read as a number
+                raise ValueError(str(exc)) from None
         family = obj.get("family")
         params = obj.get("params", {})
+        if not isinstance(params, dict):
+            raise ValueError(f"params must be a JSON object, not {params!r:.40}")
         horizon = obj.get("horizon")
+        if horizon is not None:
+            horizon = _whole(horizon, "horizon")
         if family == "impulse":
-            return cls.impulse(int(params["t"]), float(params.get("value", 1.0)))
+            return cls.impulse(_whole(params["t"], "an impulse position"),
+                               _number(params.get("value", 1.0), "an impulse value"))
         if family == "geometric":
-            return cls.geometric(float(params["gamma"]), horizon=horizon)
+            return cls.geometric(_number(params["gamma"], "gamma"), horizon=horizon)
         if family == "power":
             return cls.power(horizon=horizon)
         raise ValueError(f"unknown sequence description {obj!r}")

@@ -119,12 +119,17 @@ def mode_flatten_general(data, dims, k) -> np.ndarray:
     flat = np.asarray(data, dtype=float).reshape(-1)
     if flat.shape != (math.prod(dims),):
         raise ValueError("data size does not match dims")
-    # Read row-major, the first-index-fastest data has axes (later modes,
-    # mode k, earlier modes); with mode k in front, each row reads the
-    # earlier modes fastest.
-    n_k = dims[k - 1]
-    arr = flat.reshape(math.prod(dims[k:]), n_k, math.prod(dims[:k - 1]))
-    return arr.transpose(1, 0, 2).reshape(n_k, -1)
+    return _mode_view(flat, dims, k).reshape(dims[k - 1], -1)
+
+
+def _mode_view(flat, dims, k) -> np.ndarray:
+    """The mode-k flattening of flat first-index-fastest data as an
+    (n_k, later modes, earlier modes) view; reshaped to (n_k, -1) it is
+    the flattening."""
+    # Read row-major, the data has axes (later modes, mode k, earlier
+    # modes); with mode k in front, each row reads the earlier modes fastest.
+    arr = flat.reshape(math.prod(dims[k:]), dims[k - 1], math.prod(dims[:k - 1]))
+    return arr.transpose(1, 0, 2)
 
 
 def mode_refold_general(mat, dims, k) -> np.ndarray:
@@ -196,9 +201,12 @@ def matrix_singular_values(mat) -> np.ndarray:
 
 def singular_values(t: Tensor) -> Spectrum:
     """Pooled spectrum of all K mode flattenings, from one stacked SVD."""
+    dims = (t.l,) * t.order
     stack = np.empty((t.order, t.l, t.l ** (t.order - 1)))
     for k in range(1, t.order + 1):
-        stack[k - 1] = mode_flatten(t, k)
+        # Each mode's view is copied once, straight into its slot.
+        view = _mode_view(t.data, dims, k)
+        stack[k - 1].reshape(view.shape)[...] = view
     return Spectrum.from_mode_values(matrix_singular_values(stack))
 
 

@@ -1,5 +1,7 @@
 import contextlib
+import gc
 import io
+import tempfile
 import json
 import math
 import re
@@ -305,13 +307,51 @@ def test_computation_errors_exit_two(capsys):
 
 
 def test_malformed_json_target_rows_exit_two(tmp_path, capsys):
-    for i, rows in enumerate(([[2.5, [1.0]], [7, [2.0]]], [["3", [1.0]]],
-                              [[True, [1.0]]], [[None, [1.0]]], [1, 2])):
+    docs = [{"entries": rows} for rows in ([[2.5, [1.0]], [7, [2.0]]], [["3", [1.0]]],
+                                           [[True, [1.0]]], [[None, [1.0]]], [1, 2])]
+    docs += [[1, 2], None, {"entries": 5}, {"family": "geometric", "params": 5},
+             {"family": "geometric", "params": {"gamma": None}},
+             {"family": "impulse", "params": {"t": 3, "value": None}},
+             {"dim": 1.7, "entries": [[0, [1.0]]]},
+             {"family": "power", "horizon": 2.5}, {"family": "power", "horizon": "7"},
+             {"family": "impulse", "params": {"t": 1.5}},
+             {"family": "impulse", "params": {"t": True}},
+             {"family": "geometric", "params": {"gamma": "0.5"}}]
+    for i, doc in enumerate(docs):
         path = tmp_path / f"bad{i}.json"
-        path.write_text(json.dumps({"entries": rows}))
-        assert main(["spectrum", "--target", str(path), "--K", "3"]) == 2, rows
+        path.write_text(json.dumps(doc))
+        assert main(["spectrum", "--target", str(path), "--K", "3"]) == 2, doc
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err, rows
+        assert err.startswith("error: ") and err.count("\n") == 1, doc
+        assert "Traceback" not in err, doc
+
+
+def test_load_target_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch):
+    paths = [tmp_path / name for name in ("good.json", "cut.json", "nan.json")]
+    paths[0].write_text(json.dumps(Sequence.from_values([1.0, 0.0, 2.0]).to_json()))
+    paths[1].write_text('{"entries": [[0, [1.0]]')
+    paths[2].write_text('{"entries": [[0, [1.0]], [3, [NaN]]]}')
+    decode, paused = json.load, []
+
+    def watched(fh):
+        paused.append(not gc.isenabled())
+        return decode(fh)
+
+    monkeypatch.setattr(json, "load", watched)
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            seq, label = load_target(str(paths[0]))
+            assert (label, seq.to_json()["entries"]) == ("good", [[0, [1.0]], [2, [2.0]]])
+            assert gc.isenabled() is enabled
+            for path in paths[1:]:
+                with pytest.raises(ValueError):
+                    load_target(str(path))
+                assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert paused == [True] * 6
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
@@ -453,6 +493,40 @@ _LEAF_LIST = st.one_of(st.lists(st.floats(), max_size=6),
 _JSON = st.recursive(st.one_of(_SCALAR, _LEAF_LIST), lambda inner: st.one_of(
     st.lists(inner, max_size=5), st.lists(inner, max_size=5).map(tuple),
     st.dictionaries(_TEXT, inner, max_size=5)), max_leaves=30)
+
+
+# A target document: any JSON value, or an object whose keys that
+# Sequence.from_json reads hold well-formed or arbitrary values.
+_DOCUMENT = st.one_of(_JSON, st.fixed_dictionaries({}, optional={
+    "entries": st.one_of(_JSON, st.lists(st.one_of(
+        st.tuples(st.integers(0, 9), st.lists(st.floats(-9, 9), min_size=1, max_size=2)),
+        st.lists(_JSON, max_size=3)), max_size=6)),
+    "family": st.one_of(st.sampled_from(["geometric", "power", "impulse"]), _JSON),
+    "params": st.one_of(st.fixed_dictionaries({}, optional={
+        "gamma": st.one_of(st.floats(0, 1), _JSON),
+        "t": st.one_of(st.integers(0, 9), _JSON),
+        "value": st.one_of(st.floats(-9, 9), _JSON)}), _JSON),
+    "dim": st.one_of(st.integers(0, 3), _JSON),
+    "horizon": st.one_of(st.integers(0, 9), _JSON)}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_DOCUMENT)
+@example([1, 2])
+@example({"entries": [[0, {"a": 1.0}]]})
+@example({"dim": 2, "entries": []})
+@example({"family": "impulse", "params": {"t": 3, "value": 2 ** 1100}})
+def test_json_target_documents_exit_zero_or_two(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "doc.json", Path(tmp) / "out"
+        path.write_text(json.dumps(doc))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["spectrum", "--target", str(path), "--K", "3", "--out", str(out)])
+        assert code in (0, 2), doc
+        if code == 2:
+            assert stderr.getvalue().startswith("error: "), doc
+            assert not out.exists() or not any(out.iterdir()), doc
 
 
 @settings(max_examples=300, deadline=None)

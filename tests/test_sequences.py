@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from memlens import sequences
 from memlens.sequences import (Scalar, Sequence, apply_functional, dilated_conv,
                                root_sum_squares)
 
@@ -263,3 +265,59 @@ def test_row_form_times_must_be_whole_numbers():
                  [[float("nan"), [1.0]]], [[float("inf"), [1.0]]], [1, 2]):
         with pytest.raises(ValueError):
             Sequence.from_json({"entries": rows})
+
+
+def _outcome(make):
+    """arrays() bytes of the sequence make() builds, or its exception."""
+    try:
+        times, values = make().arrays()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return times.dtype, times.tobytes(), values.dtype, values.shape, values.tobytes()
+
+
+def _rows_as_numpy_read_them(dim, rows):
+    """The row conversion before the one-pass path: the value list through
+    np.asarray inside _columns."""
+    with mock.patch.object(sequences, "_matrix",
+                           lambda values, dim: np.asarray(values, dtype=float)):
+        return Sequence(dim=dim, entries=rows)
+
+
+_TIME = st.one_of(st.integers(0, 9), st.integers(0, 9).map(float),
+                  st.sampled_from([2 ** 62, 2.5, -1, "3", None]))
+_ITEM = st.one_of(st.integers(-2 ** 70, 2 ** 70), st.floats(allow_nan=False),
+                  st.sampled_from([-0.0, 1e308, -1e308]))
+_ODD_ITEM = st.one_of(st.booleans(), st.none(), st.text(max_size=3),
+                      st.sampled_from(["1.5", "nan", float("nan"), float("inf"),
+                                       float("-inf")]),
+                      st.lists(_ITEM, max_size=2), st.lists(_ITEM, max_size=2).map(tuple))
+
+
+@st.composite
+def _value_rows(draw):
+    """dim and (time, value) rows of lists or tuples of dim numbers, or for
+    dim 1 bare numbers, with at times one row spoilt: a wrong width, odd
+    items or a bare value."""
+    dim = draw(st.integers(1, 3))
+    row = st.lists(_ITEM, min_size=dim, max_size=dim)
+    row = st.one_of(row, row.map(tuple), *([_ITEM] if dim == 1 else []))
+    rows = draw(st.lists(st.tuples(_TIME, row), max_size=10))
+    if rows and draw(st.booleans()):
+        at = draw(st.integers(0, len(rows) - 1))
+        odd = st.lists(st.one_of(_ITEM, _ODD_ITEM), min_size=dim, max_size=dim)
+        rows[at] = (rows[at][0], draw(st.one_of(
+            st.lists(_ITEM, max_size=dim + 1), odd, odd.map(tuple), _ITEM, _ODD_ITEM)))
+    return dim, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_value_rows())
+@example((1, [(0, 1.0), (3, [2.0])]))
+@example((2, [(4, (1, 2 ** 70)), (4.0, [-0.0, 1e308]), (1, [3, 4])]))
+@example((1, [(0, [[1.0]]), (1, [[2.0]])]))
+@example((2, [(0, [1.0, "x"]), (1, [None, 2.0])]))
+def test_row_conversion_is_the_numpy_reading(case):
+    dim, rows = case
+    assert (_outcome(lambda: Sequence(dim=dim, entries=rows)) ==
+            _outcome(lambda: _rows_as_numpy_read_them(dim, rows)))

@@ -144,7 +144,7 @@ def test_batched_spectrum_is_the_per_mode_loop(rng):
 
 def test_spectrum_flattens_each_mode_and_runs_one_svd(monkeypatch):
     calls = {"flatten": 0, "svd": 0}
-    flatten, svd = tensors.mode_flatten_general, np.linalg.svd
+    flatten, svd = tensors._mode_view, np.linalg.svd
 
     def counted_flatten(*args, **kwargs):
         calls["flatten"] += 1
@@ -154,7 +154,7 @@ def test_spectrum_flattens_each_mode_and_runs_one_svd(monkeypatch):
         calls["svd"] += 1
         return svd(*args, **kwargs)
 
-    monkeypatch.setattr(tensors, "mode_flatten_general", counted_flatten)
+    monkeypatch.setattr(tensors, "_mode_view", counted_flatten)
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     singular_values(tensorize(Sequence.power(horizon=40).truncate(81), 3, 4))
     assert calls == {"flatten": 4, "svd": 1}
