@@ -109,9 +109,10 @@ def _number(x, what) -> float:
 
 
 def _matrix(values, dim):
-    """values as a float array: a list of rows that are all lists or tuples
-    of dim items in one pass over their items, anything else, or rows whose
-    items are not all numbers, as np.asarray reads it."""
+    """values as a float array.  A list of rows that are all lists or
+    tuples of dim items is read in one pass over their items; anything
+    else, and rows on which that pass fails, as np.asarray reads it, so
+    the result or the error is np.asarray's."""
     if (isinstance(values, list) and {list, tuple}.issuperset(map(type, values))
             and set(map(len, values)) == {dim}):
         try:

@@ -1,11 +1,11 @@
 import contextlib
 import gc
 import io
-import tempfile
 import json
 import math
 import re
 import shlex
+import tempfile
 from pathlib import Path
 
 import numpy as np
