@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,8 +82,7 @@ class DecayProfile:
         return self.values[min(s, len(self.values) - 1)]
 
 
-@dataclass(frozen=True)
-class CurveRow:
+class CurveRow(NamedTuple):
     K: int
     M: int
     rank_term: float
@@ -205,20 +205,16 @@ def error_curve(rho: Sequence, l: int, K_list, M_range,
     the representation outside the window (upper bracket end when the
     tail is only known as an interval).
     """
+    widths = sorted(set(int(m) for m in M_range))
+    if widths and widths[0] < 1:
+        raise ValueError("widths must be >= 1")
     rows = []
     for K in sorted(set(int(k) for k in K_list)):
         spec = tensors.window_spectrum(rho, l, K)
-        tail = rho.tail_norm(l ** K)
-        tail_term = tail.upper
-        rank_terms = {}
-        for M in sorted(set(int(m) for m in M_range)):
-            if M < 1:
-                raise ValueError("widths must be >= 1")
-            budget = math.floor(K * M ** (1.0 / K))
-            if budget not in rank_terms:
-                rank_terms[budget] = tensors.truncation_error_bound(spec, budget).value
-            rank_term = rank_terms[budget]
-            rows.append(CurveRow(K=K, M=M, rank_term=rank_term,
-                                 tail_term=tail_term,
-                                 upper_bound=rank_term + tail_term))
+        tail_term = rho.tail_norm(l ** K).upper
+        budgets = [math.floor(K * M ** (1.0 / K)) for M in widths]
+        rank_terms = {b: tensors.truncation_error_bound(spec, b).value
+                      for b in dict.fromkeys(budgets)}
+        rows += [CurveRow(K, M, rank_terms[b], tail_term, rank_terms[b] + tail_term)
+                 for M, b in zip(widths, budgets)]
     return ErrorCurveTable(target=target_id, l=l, rows=tuple(rows))

@@ -47,6 +47,8 @@ FORMATS = ("csv", "json", "svg")
 
 def _parse_formats(text: str):
     parts = tuple(p for p in text.split(",") if p)
+    if not parts:
+        raise argparse.ArgumentTypeError(f"expected at least one format, got {text!r}")
     bad = [p for p in parts if p not in FORMATS]
     if bad:
         raise argparse.ArgumentTypeError(
@@ -54,18 +56,21 @@ def _parse_formats(text: str):
     return parts
 
 
-def _parse_ints(text: str):
-    try:
-        return tuple(int(p) for p in text.split(",") if p)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+def _comma_list(convert, what: str):
+    """argparse type: a nonempty comma-separated list of convert(item)."""
+    def parse(text: str):
+        try:
+            parts = tuple(convert(p) for p in text.split(",") if p)
+        except ValueError:
+            parts = ()
+        if not parts:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}")
+        return parts
+    return parse
 
 
-def _parse_floats(text: str):
-    try:
-        return tuple(float(p) for p in text.split(",") if p)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+_parse_ints = _comma_list(int, "integers")
+_parse_floats = _comma_list(float, "numbers")
 
 
 def _at_least(low: int):

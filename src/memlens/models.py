@@ -396,8 +396,14 @@ def rnn_representation(spec: RnnSpec, horizon: int) -> Sequence:
         raise ValueError("horizon must be >= 1")
     states = np.empty((horizon, spec.m, spec.dim))
     states[0] = spec.U
-    for s in range(1, horizon):
-        np.matmul(spec.W, states[s - 1], out=states[s])
+    if spec.m == 1:
+        # One multiply per step: the cumulative product over [U, W, W, ...]
+        # forms the loop's products in the loop's order.
+        states[1:] = spec.W[0, 0]
+        np.multiply.accumulate(states, axis=0, out=states)
+    else:
+        for s in range(1, horizon):
+            np.matmul(spec.W, states[s - 1], out=states[s])
     return Sequence.from_arrays(np.arange(1, horizon + 1), spec.c @ states,
                                 dim=spec.dim)
 

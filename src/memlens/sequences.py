@@ -498,7 +498,7 @@ class Sequence:
             return cls.geometric(_number(params["gamma"], "gamma"), horizon=horizon)
         if family == "power":
             return cls.power(horizon=horizon)
-        raise ValueError(f"unknown sequence description {obj!r}")
+        raise ValueError(f"unknown sequence description {obj!r:.40}")
 
     def __repr__(self):
         if self._family is None:

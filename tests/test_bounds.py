@@ -235,6 +235,12 @@ def test_error_curve_rejects_bad_widths():
     rho = Sequence.from_values([1.0])
     with pytest.raises(ValueError):
         error_curve(rho, 2, [2], [0])
+    # Widths are checked before any depth, so no depth still refuses them.
+    with pytest.raises(ValueError):
+        error_curve(rho, 2, [], [0])
+    with pytest.raises(ValueError):
+        error_curve(rho, 2, [2, 3], [5, -1, 2])
+    assert error_curve(rho, 2, [], [1]).rows == ()
 
 
 @settings(max_examples=30, deadline=None)

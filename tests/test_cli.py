@@ -165,6 +165,16 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         assert main([*args, "--out", str(out)]) == 1, args
         capsys.readouterr()
     assert not out.exists() or not any(out.iterdir())
+    # An empty comma list is a usage error, not an empty run.
+    for args in (["curve", "--target", "rho1", "--format", ","],
+                 ["spectrum", "--target", "rho1", "--format", ""],
+                 ["bounds", "--target", "rho1", "--channels", ",", "--g",
+                  "exponential", "--g-params", "0.5"],
+                 ["measure", "--target", "rho1", "--g", "exponential",
+                  "--g-params", ","]):
+        assert main([*args, "--out", str(out)]) == 1, args
+        assert "expected" in capsys.readouterr().err, args
+    assert not out.exists() or not any(out.iterdir())
     assert main(["synth", "--target", "impulse:19", "--method", "radix", "--K", "2"]) == 1
     assert capsys.readouterr().err == "error: --K applies to --method lowrank\n"
 
@@ -316,13 +326,16 @@ def test_malformed_json_target_rows_exit_two(tmp_path, capsys):
              {"family": "power", "horizon": 2.5}, {"family": "power", "horizon": "7"},
              {"family": "impulse", "params": {"t": 1.5}},
              {"family": "impulse", "params": {"t": True}},
-             {"family": "geometric", "params": {"gamma": "0.5"}}]
+             {"family": "geometric", "params": {"gamma": "0.5"}},
+             # rows saved under a key Sequence.from_json does not know
+             {"rows": [[t, [0.5]] for t in range(2 ** 15)]}]
     for i, doc in enumerate(docs):
         path = tmp_path / f"bad{i}.json"
         path.write_text(json.dumps(doc))
         assert main(["spectrum", "--target", str(path), "--K", "3"]) == 2, doc
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, doc
+        assert len(err) < 200, doc
         assert "Traceback" not in err, doc
 
 

@@ -446,6 +446,19 @@ def test_rnn_representation_is_the_stepped_recurrence(rng):
                 assert np.array_equal(times, np.arange(1, horizon + 1))
                 assert values.shape == ref.shape
                 assert values.tobytes() == ref.tobytes()
+    # Width 1 is replayed as one cumulative product: signed zeros,
+    # subnormals and negative values, in U, W and the readout.
+    edge = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+            -0.5, -1.0, 0.999, -1e-3, -0.75)
+    for w in edge:
+        for d in (1, 2, 3):
+            U = [[edge[(i + d) % len(edge)] for i in range(d)]]
+            for c in (1.0, -0.0, -2.5):
+                spec = RnnSpec(m=1, c=[c], W=[[w]], U=U)
+                for horizon in (1, 2, 1000):
+                    values = rnn_representation(spec, horizon).arrays()[1]
+                    ref = _stepped_recurrence(spec, horizon)
+                    assert values.tobytes() == ref.tobytes(), (w, d, c, horizon)
 
 
 def test_power_sum_delta_bound_values_and_errors():

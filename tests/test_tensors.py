@@ -61,6 +61,14 @@ def test_tensorize_rejects_bad_inputs():
         tensorize(Sequence.geometric(0.5), 2, 2)
     window = tensorize(Sequence.geometric(0.5, horizon=3), 2, 2)
     assert window.data[3] == 0.125
+    # A live entry stored past the window is refused; entries past it
+    # below zero_tol() are round-off and only the window is folded.
+    with pytest.raises(ValueError, match="exceeds"):
+        tensorize(Sequence.from_entries({1: (1.0,), 4: (1e-9,)}), 2, 2)
+    rho = Sequence.from_entries({1: (1.0,), 4: (1e-11,), 9: (-1e-12,)})
+    assert rho.zero_tol() > 1e-11
+    assert np.array_equal(tensorize(rho, 2, 2).data, [0.0, 1.0, 0.0, 0.0])
+    assert tensorize(Sequence.from_entries({}), 2, 2).data.tobytes() == bytes(32)
 
 
 def test_mode_flatten_small_case():
@@ -188,7 +196,7 @@ def test_spectrum_from_lists_and_ragged_rows():
         Spectrum.from_mode_values([[1.0, 0.5], [1.0]])
 
 
-def test_spectrum_values_are_made_once_and_read_only():
+def test_spectrum_values_are_made_once_and_read_only(rng):
     spec = window_spectrum(Sequence.power(horizon=40), 2, 5)
     assert spec.values is spec.values
     assert np.array_equal(spec.values, [v for v, _ in spec.entries])
@@ -196,6 +204,16 @@ def test_spectrum_values_are_made_once_and_read_only():
     with pytest.raises(ValueError):
         spec.values[0] = 0.0
     assert spec == Spectrum(entries=spec.entries)
+    for per_mode in ([[2.0, -0.0], [1.0, 0.0], [0.5, -0.0]], [[3.0, 1.0, 2.0]],
+                     np.zeros((3, 0)), rng.normal(size=(5, 4)),
+                     np.round(rng.random((4, 8)), 1)):
+        spec = Spectrum.from_mode_values(per_mode)
+        ref = np.array([v for v, _ in spec.entries])
+        assert spec.values.dtype == ref.dtype and spec.values.shape == ref.shape
+        assert spec.values.tobytes() == ref.tobytes()
+        assert not spec.values.flags.writeable
+        with pytest.raises(ValueError):
+            spec.values[...] = 1.0
 
 
 def test_outer_product_reads_one_vector_per_mode():
