@@ -110,10 +110,10 @@ class ErrorCurveTable:
         return [m for m, _ in picked], [u for _, u in picked]
 
     def to_csv(self) -> str:
+        head = f"{self.target},{self.l}"
         lines = ["target,l,K,M,rank_term,tail_term,upper_bound"]
-        for r in self.rows:
-            lines.append(f"{self.target},{self.l},{r.K},{r.M},"
-                         f"{r.rank_term!r},{r.tail_term!r},{r.upper_bound!r}")
+        lines += [f"{head},{K},{M},{rank!r},{tail!r},{upper!r}"
+                  for K, M, rank, tail, upper in self.rows]
         return "\n".join(lines) + "\n"
 
 

@@ -240,9 +240,7 @@ def _cmd_curve(args) -> int:
         if "csv" in args.format:
             _emit(args.out, f"{_safe_label(label)}_curve.csv", table.to_csv())
         if "json" in args.format:
-            rows = [{"K": r.K, "M": r.M, "rank_term": r.rank_term,
-                     "tail_term": r.tail_term, "upper_bound": r.upper_bound}
-                    for r in table.rows]
+            rows = [r._asdict() for r in table.rows]
             _emit(args.out, f"{_safe_label(label)}_curve.json",
                   _dump({"target": label, "l": args.l, "rows": rows}))
         if "svg" in args.format:

@@ -139,8 +139,8 @@ def error_curve_study(l: int = 2, K_list=(4, 5, 6), M_max: int = 64) -> CurveStu
             _, uppers = table.curve(K)
             non_inc &= all(uppers[i + 1] <= uppers[i] + 1e-12
                            for i in range(len(uppers) - 1))
-            rows = [r for r in table.rows if r.K == K]
-            last = max(rows, key=lambda r: r.M)
+            # Rows compare as (K, M, ...) tuples: the largest is the widest.
+            last = max([r for r in table.rows if r.K == K])
             if math.floor(K * M_max ** (1.0 / K)) >= l * K:
                 plateau &= (last.rank_term == 0.0
                             and last.upper_bound == last.tail_term)
