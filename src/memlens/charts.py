@@ -121,7 +121,7 @@ def line_chart(series, title: str = "", x_label: str = "",
 
     for idx, (label, xs, ys) in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
-        points = " ".join(map("{:.1f},{:.1f}".format, map(sx, xs), map(sy, ys)))
+        points = " ".join(f"{sx(x):.1f},{sy(y):.1f}" for x, y in zip(xs, ys))
         parts.append(f'<polyline points="{points}" fill="none" '
                      f'stroke="{color}" stroke-width="1.5"/>')
         ly = _MARGIN_T + 14 * idx + 4

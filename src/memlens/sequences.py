@@ -361,6 +361,17 @@ class Sequence:
             return None if self._horizon == 0 else self._horizon
         return self._horizon
 
+    def reaches(self, n: int) -> bool:
+        """Whether a nonzero entry lies at some t >= n, that is radius() >= n.
+
+        A finite sequence stored only below n answers without a scan.
+        """
+        if self._family is None:
+            k = self._count_before(n)
+            return k < len(self._times) and bool(self._live()[k:].any())
+        r = self.radius()
+        return r is not None and r >= n
+
     def sparsity(self, tol=None) -> int:
         """Number of time indices carrying a nonzero entry."""
         if self._family is not None:

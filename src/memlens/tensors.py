@@ -66,19 +66,17 @@ class Spectrum:
     entries holds (value, mode) pairs sorted by descending value with
     ties broken by ascending mode index.  Each mode contributes
     min(l, l^(K-1)) values, so the total length is l*K for K >= 2 and 1
-    for K = 1.  values is the read-only array of the pooled values in that
-    order: the array from_mode_values sorted, or else made once from
-    entries at construction.
+    for K = 1.  values is the array of the pooled values in that order,
+    made once at construction and read-only.
     """
 
     entries: tuple
-    values: np.ndarray = field(default=None, repr=False, compare=False)
+    values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.values is None:
-            values = np.array([v for v, _ in self.entries])
-            values.flags.writeable = False
-            object.__setattr__(self, "values", values)
+        values = np.array([v for v, _ in self.entries])
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def from_mode_values(cls, per_mode) -> "Spectrum":
@@ -92,8 +90,12 @@ class Spectrum:
         modes = order // values.shape[1] + 1
         pooled = values.reshape(-1)[order]
         pooled.flags.writeable = False
-        return cls(entries=tuple(zip(pooled.tolist(), modes.tolist())),
-                   values=pooled)
+        # The sorted array is the values array; __post_init__ would only
+        # rebuild it from the entries.
+        spec = object.__new__(cls)
+        object.__setattr__(spec, "entries", tuple(zip(pooled.tolist(), modes.tolist())))
+        object.__setattr__(spec, "values", pooled)
+        return spec
 
     def per_mode(self, k: int) -> np.ndarray:
         return np.array(sorted((v for v, m in self.entries if m == k), reverse=True))
@@ -188,13 +190,8 @@ def tensorize(rho: Sequence, l: int, K: int) -> Tensor:
     if l < 2 or K < 1:
         raise ValueError("need l >= 2 and K >= 1")
     size = l ** K
-    # A finite sequence stored only inside the window has no live entry
-    # past it; every other sequence is scanned.
-    times = rho.arrays()[0] if rho.kind == "finite" else None
-    if times is None or (len(times) and int(times[-1]) >= size):
-        r = rho.radius()
-        if r is not None and r > size - 1:
-            raise ValueError("sequence support exceeds the tensor window")
+    if rho.reaches(size):
+        raise ValueError("sequence support exceeds the tensor window")
     return Tensor(l=l, order=K, data=rho.flat_values(size))
 
 

@@ -56,6 +56,20 @@ def test_zero_sequence_has_no_radius():
     assert z.norm().value == 0.0
 
 
+def test_reaches_is_radius_at_least_n():
+    cases = [Sequence.zero(), Sequence.impulse(4), Sequence.from_values([0.0, 3.0, 0.0, -1.0]),
+             Sequence.from_entries({1: (1.0,), 4: (1e-11,), 9: (-1e-12,)}),
+             Sequence.from_entries({0: (0.0, 2.0), 6: (-1e-3, 0.0)}, dim=2),
+             Sequence.geometric(0.5, horizon=5), Sequence.power(horizon=0),
+             Sequence.power(horizon=7)]
+    for rho in cases:
+        r = rho.radius()
+        for n in range(12):
+            assert rho.reaches(n) == (r is not None and r >= n)
+    with pytest.raises(ValueError, match="horizon"):
+        Sequence.geometric(0.5).reaches(3)
+
+
 def test_impulse_and_vector_entries():
     imp = Sequence.impulse(4, value=2.5)
     assert imp.value(4)[0] == 2.5 and imp.radius() == 4
