@@ -94,6 +94,7 @@ class CurveRow(NamedTuple):
 class ErrorCurveTable:
     """Per-(K, M) split of the approximation bound for one target.
 
+    The rows run in ascending (K, M) order, as error_curve builds them.
     Every row satisfies upper_bound = rank_term + tail_term, and within
     one depth the rows are non-increasing in M.  Bracketed tail norms
     enter through their upper end so the bound stays valid.
@@ -104,9 +105,8 @@ class ErrorCurveTable:
     rows: tuple
 
     def curve(self, K: int):
-        """(M values, upper bounds) for one depth, ascending in M."""
+        """(M values, upper bounds) for one depth, in row order: ascending in M."""
         picked = [(r.M, r.upper_bound) for r in self.rows if r.K == K]
-        picked.sort()
         return [m for m, _ in picked], [u for _, u in picked]
 
     def to_csv(self) -> str:

@@ -137,6 +137,8 @@ def load_target(text: str):
         return seq, label
     name, _, arg = text.partition(":")
     if name in ("rho1", "rho2"):
+        if text != name:
+            raise ValueError(f"target {name} takes no argument, not {text!r}")
         return make_target(name), name
     if name == "rho3":
         horizon = int(arg) if arg else None

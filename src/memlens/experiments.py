@@ -40,9 +40,9 @@ def make_target(name: str, **params) -> Sequence:
     the position t.  "rho3" and "exp" accept an optional horizon.
     """
     if name == "rho1":
-        return Sequence.from_entries({t: (SPARSE_VALUE,) for t in RHO1_SLOTS})
+        return Sequence.from_arrays(RHO1_SLOTS, [SPARSE_VALUE] * len(RHO1_SLOTS))
     if name == "rho2":
-        return Sequence.from_entries({t: (SPARSE_VALUE,) for t in RHO2_SLOTS})
+        return Sequence.from_arrays(RHO2_SLOTS, [SPARSE_VALUE] * len(RHO2_SLOTS))
     if name == "rho3":
         return Sequence.power(horizon=params.get("horizon"))
     if name == "exp":
@@ -136,11 +136,10 @@ def error_curve_study(l: int = 2, K_list=(4, 5, 6), M_max: int = 64) -> CurveStu
     plateau = True
     for name, table in tables.items():
         for K in K_list:
-            _, uppers = table.curve(K)
-            non_inc &= all(uppers[i + 1] <= uppers[i] + 1e-12
-                           for i in range(len(uppers) - 1))
-            # Rows compare as (K, M, ...) tuples: the largest is the widest.
-            last = max([r for r in table.rows if r.K == K])
+            depth = [r for r in table.rows if r.K == K]     # ascending in M
+            non_inc &= all(b.upper_bound <= a.upper_bound + 1e-12
+                           for a, b in zip(depth, depth[1:]))
+            last = depth[-1]
             if math.floor(K * M_max ** (1.0 / K)) >= l * K:
                 plateau &= (last.rank_term == 0.0
                             and last.upper_bound == last.tail_term)

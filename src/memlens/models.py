@@ -17,15 +17,13 @@ closed-form comparisons between the two classes.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
-import types
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import MAX_TIME, Scalar, Sequence
+from .sequences import MAX_TIME, Scalar, Sequence, _whole
 from . import tensors
 
 
@@ -38,9 +36,8 @@ class CnnSpec:
     read-only arrays: index, the (n, 3) int64 keys (layer k, in-channel
     j, out-channel i) in ascending order, and weights, the (n, l) filters
     of those keys; missing keys are all-zero filters.  Layer k runs at
-    dilation l^k.  CnnSpec(l, K, channels, filters) takes the bank as a
-    dict mapping (k, j, i) to a length-l filter, and from_arrays takes
-    the two arrays.
+    dilation l^k.  from_arrays builds a stack from the two arrays, and
+    from_json reads one through it.
     """
 
     l: int
@@ -49,13 +46,8 @@ class CnnSpec:
     index: np.ndarray
     weights: np.ndarray
 
-    def __init__(self, l, K, channels, filters=None):
-        filters = filters or {}
-        index = np.array(list(filters), dtype=np.int64).reshape(len(filters), 3)
-        self._check(l, K, channels, index, np.fromiter(
-            map(len, filters.values()), dtype=np.int64, count=len(filters)))
-        self._store(l, K, channels, index,
-                    np.array(list(filters.values()), dtype=float).reshape(-1, l))
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a CnnSpec is built by CnnSpec.from_arrays or CnnSpec.from_json")
 
     @classmethod
     def from_arrays(cls, l, K, channels, index, weights) -> "CnnSpec":
@@ -66,8 +58,18 @@ class CnnSpec:
         if weights.ndim != 2 or len(weights) != len(index):
             raise ValueError("weights must hold one filter per index row")
         cls._check(l, K, channels, index, np.full(len(index), weights.shape[1]))
+        order = np.lexsort(index.T[::-1])
+        index, weights = index[order], weights[order]
+        twice = (index[1:] == index[:-1]).all(axis=1)
+        if twice.any():
+            raise ValueError(f"filter index {tuple(index[twice.argmax()].tolist())} "
+                             f"given twice")
+        index.flags.writeable = weights.flags.writeable = False
         spec = object.__new__(cls)
-        spec._store(l, K, channels, index, weights)
+        for name, value in (("l", int(l)), ("K", int(K)),
+                            ("channels", tuple(int(m) for m in channels)),
+                            ("index", index), ("weights", weights)):
+            object.__setattr__(spec, name, value)
         return spec
 
     @staticmethod
@@ -94,26 +96,6 @@ class CnnSpec:
                 raise ValueError(f"filter index {tuple(index[first].tolist())} out of range")
             raise ValueError("every filter must have length l")
 
-    def _store(self, l, K, channels, index, weights):
-        """Set the fields, with the bank sorted by key into read-only arrays."""
-        order = np.lexsort(index.T[::-1])
-        index, weights = index[order], weights[order]
-        twice = (index[1:] == index[:-1]).all(axis=1)
-        if twice.any():
-            raise ValueError(f"filter index {tuple(index[twice.argmax()].tolist())} "
-                             f"given twice")
-        index.flags.writeable = weights.flags.writeable = False
-        for name, value in (("l", int(l)), ("K", int(K)),
-                            ("channels", tuple(int(m) for m in channels)),
-                            ("index", index), ("weights", weights)):
-            object.__setattr__(self, name, value)
-
-    @functools.cached_property
-    def filters(self):
-        """Read-only {(k, j, i): filter tuple} view of the bank, in key order."""
-        return types.MappingProxyType(dict(zip(map(tuple, self.index.tolist()),
-                                               map(tuple, self.weights.tolist()))))
-
     @property
     def filter_count(self) -> int:
         """Number of stored (nonzero) filters."""
@@ -130,15 +112,34 @@ class CnnSpec:
 
     @classmethod
     def from_json(cls, obj) -> "CnnSpec":
+        """Stack from the description to_json writes.  l, K, the widths and
+        the three parts of every "k,j,i" key must be whole numbers, every
+        filter must be finite, and two keys may not name one filter."""
         if isinstance(obj, str):
             obj = json.loads(obj)
-        filters = {}
+        keys, rows = [], []
         for key, w in obj.get("filters", {}).items():
-            k, j, i = (int(p) for p in key.split(","))
-            filters[(k, j, i)] = tuple(float(x) for x in w)
-        return cls(l=int(obj["l"]), K=int(obj["K"]),
-                   channels=tuple(int(m) for m in obj["channels"]),
-                   filters=filters)
+            k, j, i = map(_key_part, key.split(","))
+            keys.append((k, j, i))
+            rows.append([float(x) for x in w])
+        index = np.array(keys, dtype=np.int64).reshape(-1, 3)
+        l, K = _whole(obj["l"], "l"), _whole(obj["K"], "K")
+        channels = tuple(_whole(m, "a channel width") for m in obj["channels"])
+        cls._check(l, K, channels, index, np.array([len(w) for w in rows], dtype=np.int64))
+        weights = np.array(rows).reshape(-1, l)
+        finite = np.isfinite(weights).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"filter {keys[finite.argmin()]} is not finite")
+        return cls.from_arrays(l, K, channels, index, weights)
+
+
+def _key_part(text) -> int:
+    """One part of a "k,j,i" filter key: an integer text, or a number text
+    that sequences._whole takes as a whole number."""
+    try:
+        return int(text)
+    except ValueError:
+        return _whole(float(text), "a filter key part")
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,7 +368,7 @@ def synthesize_lowrank(target: Sequence, l: int, K=None) -> CnnSpec:
         K = tensors.coverage_depth(l, target.radius() or 0)
     data = tensors.tensorize(target.truncate(l ** K), l, K).data
     if not data.any():
-        return CnnSpec(l=l, K=K, channels=(1,) * (K + 1))
+        return CnnSpec.from_arrays(l, K, (1,) * (K + 1), (), np.zeros((0, l)))
     # The split runs on the window over its largest entry, which the last
     # core takes back, so no norm underflows or overflows at any scale.
     scale = np.abs(data).max()

@@ -124,11 +124,14 @@ def _matrix(values, dim):
 
 
 def _columns(times, values, dim):
-    """Sorted distinct int64 times and their finite (n, dim) values.
+    """Sorted distinct int64 times and their finite (n, dim) values, for
+    dim >= 1.
 
     A repeated time keeps its last value, as a dict built from the same
     (time, value) pairs would.
     """
+    if dim < 1:
+        raise ValueError("dim must be a positive integer")
     arr = np.asarray(times)
     if arr.dtype.kind not in "iu":  # floats, strings, None, or beyond 64 bits
         arr = np.array([_whole(t) for t in times], dtype=object)
@@ -156,36 +159,23 @@ def _columns(times, values, dim):
 class Sequence:
     """A finitely supported or rule-generated sequence rho: N -> R^d.
 
-    kind="finite" stores sorted int64 times with an (n, dim) value array.
+    kind="finite" stores sorted int64 times with an (n, dim) value array;
+    every finite sequence is built by from_arrays or through it.
     kind="generated" evaluates a registered family ("geometric" with
     parameter gamma, or "power" for the inverse-time sequence 0, 1, 1/2,
     1/3, ...) and is optionally truncated to zero beyond an integer
-    horizon.
+    horizon; the constructor builds only these.
     """
 
-    def __init__(self, dim=1, entries=None, family=None, params=None, horizon=None):
-        if dim < 1:
-            raise ValueError("dim must be a positive integer")
-        self._dim = int(dim)
+    def __init__(self, family, params=None, horizon=None):
+        self._dim = 1
         self._horizon = None if horizon is None else int(horizon)
         if self._horizon is not None and self._horizon < 0:
             raise ValueError("horizon must be >= 0")
-        self._family = family
-        self._params = {}
-        self._times = self._values = None
-        if family is None:
-            rows = list(entries.items() if hasattr(entries, "items") else entries or ())
-            try:
-                times = [t for t, _ in rows]
-            except TypeError:
-                raise ValueError("each entry must be a (time, value) pair") from None
-            values = [v for _, v in rows] if rows else np.zeros((0, self._dim))
-            self._times, self._values = _columns(times, values, self._dim)
-            return
         if family not in ("geometric", "power"):
             raise ValueError(f"unknown family {family!r}")
-        if dim != 1:
-            raise ValueError("generated families are one dimensional")
+        self._family = family
+        self._times = self._values = None
         self._params = dict(params or {})
         if family == "geometric":
             g = float(self._params.get("gamma", 0.0))
@@ -206,18 +196,15 @@ class Sequence:
 
     @classmethod
     def zero(cls, dim=1) -> "Sequence":
-        return cls(dim=dim, entries={})
+        # from_arrays refuses dim < 1 with its own message, before np.zeros would.
+        return cls.from_arrays((), np.zeros((0, max(dim, 0))), dim)
 
     @classmethod
     def from_values(cls, values) -> "Sequence":
         """One-dimensional sequence from the dense prefix (v0, v1, ...)."""
         v = np.asarray(values, dtype=float).reshape(-1)
         t = np.flatnonzero(v)
-        return cls._of(*_columns(t, v[t], 1))
-
-    @classmethod
-    def from_entries(cls, entries, dim=1) -> "Sequence":
-        return cls(dim=dim, entries=entries)
+        return cls.from_arrays(t, v[t])
 
     @classmethod
     def from_arrays(cls, times, values, dim=1) -> "Sequence":
@@ -234,17 +221,17 @@ class Sequence:
         """Unit (or scaled) impulse at time t >= 0."""
         if t < 0:
             raise ValueError("impulse position must be >= 0")
-        return cls(dim=1, entries={int(t): (float(value),)})
+        return cls.from_arrays([int(t)], [float(value)])
 
     @classmethod
     def geometric(cls, gamma, horizon=None) -> "Sequence":
         """rho(t) = gamma^t for t >= 0, with 0 < gamma < 1."""
-        return cls(dim=1, family="geometric", params={"gamma": gamma}, horizon=horizon)
+        return cls("geometric", params={"gamma": gamma}, horizon=horizon)
 
     @classmethod
     def power(cls, horizon=None) -> "Sequence":
         """rho(0) = 0 and rho(t) = 1/t for t >= 1."""
-        return cls(dim=1, family="power", horizon=horizon)
+        return cls("power", horizon=horizon)
 
     # -- basic accessors -----------------------------------------------
 
@@ -491,8 +478,13 @@ class Sequence:
             if not isinstance(entries, list):
                 raise ValueError(f"entries must be a list of (time, value) rows, "
                                  f"not {entries!r:.40}")
+            dim = _whole(obj.get("dim", 1), "dim")
             try:
-                return cls(dim=_whole(obj.get("dim", 1), "dim"), entries=entries)
+                times, values = [t for t, _ in entries], [v for _, v in entries]
+            except TypeError:
+                raise ValueError("each entry must be a (time, value) pair") from None
+            try:
+                return cls.from_arrays(times, values, dim) if entries else cls.zero(dim)
             except TypeError as exc:  # a value numpy cannot read as a number
                 raise ValueError(str(exc)) from None
         family = obj.get("family")

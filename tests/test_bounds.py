@@ -105,7 +105,7 @@ def test_outputs_scale_with_the_target_at_extreme_scales():
     g = DecayProfile.exponential(0.5)
 
     def outputs(alpha):
-        rho = Sequence.from_entries({t: (alpha * v,) for t, v in points.items()})
+        rho = Sequence.from_arrays(list(points), [alpha * v for v in points.values()])
         values = [complexity_measure(rho, 2, g).value]
         for K, channels in ((3, (1, 4, 4, 1)), (4, (1, 4, 4, 4, 1))):
             lower, upper = rate_bound_interval(rho, 2, K, channels, g)

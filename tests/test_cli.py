@@ -314,6 +314,11 @@ def test_computation_errors_exit_two(capsys):
     ])
     capsys.readouterr()
     assert code == 2
+    # The two sparse builtins take no argument.
+    for target in ("rho1:garbage", "rho2:5", "rho1:"):
+        assert main(["spectrum", "--target", target, "--K", "3"]) == 2
+        assert capsys.readouterr().err == (f"error: target {target[:4]} takes no "
+                                           f"argument, not {target!r}\n")
 
 
 def test_malformed_json_target_rows_exit_two(tmp_path, capsys):

@@ -17,53 +17,89 @@ from memlens.models import (CnnSpec, RnnSpec, cnn_min_depth_expdecay,
 from memlens.sequences import MAX_TIME, Sequence
 
 
+def _bank(l, K, channels, filters=None):
+    """Stack from a {(k, j, i): filter} dict, through CnnSpec.from_arrays."""
+    filters = filters or {}
+    return CnnSpec.from_arrays(l, K, channels, list(filters),
+                               np.reshape(list(filters.values()), (len(filters), l)))
+
+
 def test_cnn_spec_validation():
-    CnnSpec(l=2, K=2, channels=(1, 3, 1))
+    CnnSpec.from_json({"l": 2, "K": 2, "channels": [1, 3, 1]})
     with pytest.raises(ValueError):
-        CnnSpec(l=2, K=2, channels=(1, 3, 2))
+        CnnSpec.from_json({"l": 2, "K": 2, "channels": [1, 3, 2]})
     with pytest.raises(ValueError):
-        CnnSpec(l=2, K=2, channels=(1, 1))
+        CnnSpec.from_json({"l": 2, "K": 2, "channels": [1, 1]})
     with pytest.raises(ValueError, match=r"^filter index \(0, 0, 1\) out of range$"):
-        CnnSpec(l=2, K=1, channels=(1, 1), filters={(0, 0, 1): (1.0, 0.0)})
+        CnnSpec.from_json({"l": 2, "K": 1, "channels": [1, 1],
+                           "filters": {"0,0,1": [1.0, 0.0]}})
     with pytest.raises(ValueError, match="^every filter must have length l$"):
-        CnnSpec(l=2, K=1, channels=(1, 1), filters={(0, 0, 0): (1.0, 0.0, 0.0)})
-    # The first bad filter in dict order names the error.
+        CnnSpec.from_json({"l": 2, "K": 1, "channels": [1, 1],
+                           "filters": {"0,0,0": [1.0, 0.0, 0.0]}})
+    # The first bad filter in the document's order names the error.
     with pytest.raises(ValueError, match="length l"):
-        CnnSpec(l=2, K=2, channels=(1, 2, 1),
-                filters={(0, 0, 1): (1.0,), (2, 0, 0): (1.0, 0.0)})
+        CnnSpec.from_json({"l": 2, "K": 2, "channels": [1, 2, 1],
+                           "filters": {"0,0,1": [1.0], "2,0,0": [1.0, 0.0]}})
     with pytest.raises(ValueError, match=r"\(1, 2, 0\) out of range"):
-        CnnSpec(l=2, K=2, channels=(1, 2, 1),
-                filters={(0, 0, 1): (1.0, 0.0), (1, 2, 0): (1.0,)})
+        CnnSpec.from_json({"l": 2, "K": 2, "channels": [1, 2, 1],
+                           "filters": {"0,0,1": [1.0, 0.0], "1,2,0": [1.0]}})
 
 
 def test_cnn_spec_json_round_trip():
-    spec = CnnSpec(l=2, K=2, channels=(1, 2, 1),
-                   filters={(0, 0, 1): (1.0, 2.0), (1, 1, 0): (0.0, -1.0)})
+    spec = _bank(2, 2, (1, 2, 1), {(0, 0, 1): (1.0, 2.0), (1, 1, 0): (0.0, -1.0)})
     back = CnnSpec.from_json(spec.to_json())
     assert back.channels == spec.channels
-    assert back.filters == spec.filters
+    assert np.array_equal(back.index, spec.index)
+    assert back.weights.tobytes() == spec.weights.tobytes()
     assert back.filter_count == 2
+    doc = spec.to_json()
+    # Whole numbers may be written as integral floats.
+    doc_float = dict(doc, l=2.0, channels=[1.0, 2, 1],
+                     filters={"0,0.0,1": [1.0, 2.0], "1,1,0": [0.0, -1.0]})
+    assert CnnSpec.from_json(doc_float).weights.tobytes() == spec.weights.tobytes()
+    for field, bad, message in (
+            ("l", 2.5, "^l must be a whole number, not 2.5$"),
+            ("K", True, "^K must be a whole number, not True$"),
+            ("channels", [1, 2.5, 1], "^a channel width must be a whole number, not 2.5$"),
+            ("filters", {"0,0,1": [1.0, 2.0], "1,1.5,0": [0.0, -1.0]},
+             "^a filter key part must be a whole number, not 1.5$"),
+            ("filters", {"0,0,1": [1.0, 2.0], "1,1,0": [0.0, float("nan")]},
+             r"^filter \(1, 1, 0\) is not finite$"),
+            ("filters", {"0,0,1": [float("-inf"), 2.0]}, r"^filter \(0, 0, 1\) is not finite$"),
+            ("filters", {"0,0,1": [1.0, 2.0], "0, 0,1": [0.0, -1.0]},
+             r"^filter index \(0, 0, 1\) given twice$")):
+        with pytest.raises(ValueError, match=message):
+            CnnSpec.from_json(dict(doc, **{field: bad}))
+        with pytest.raises(ValueError, match=message):
+            CnnSpec.from_json(json.dumps(dict(doc, **{field: bad})))
 
 
-def _hex(filters):
-    """A bank as {key: weights in float.hex}, so signed zeros count."""
-    return {key: tuple(float(x).hex() for x in w) for key, w in filters.items()}
+def _hex(bank):
+    """A bank, a CnnSpec or a {key: filter} dict, as {key: weights in
+    float.hex} in its own order, so signed zeros count."""
+    if isinstance(bank, CnnSpec):
+        bank = dict(zip(map(tuple, bank.index.tolist()), bank.weights.tolist()))
+    return {key: tuple(float(x).hex() for x in w) for key, w in bank.items()}
 
 
 def test_cnn_spec_from_arrays_sorts_and_checks_the_bank():
     spec = CnnSpec.from_arrays(2, 2, (1, 2, 1), [[1, 1, 0], [0, 0, 1]],
                                [[-0.0, -1.0], [1.0, 2.0]])
     assert spec.index.dtype == np.int64 and spec.index.tolist() == [[0, 0, 1], [1, 1, 0]]
-    assert list(spec.filters) == [(0, 0, 1), (1, 1, 0)]
-    assert _hex(spec.filters) == _hex({(0, 0, 1): (1.0, 2.0), (1, 1, 0): (-0.0, -1.0)})
-    as_dict = CnnSpec(2, 2, (1, 2, 1), {(1, 1, 0): (-0.0, -1.0), (0, 0, 1): (1, 2)})
+    assert list(_hex(spec)) == [(0, 0, 1), (1, 1, 0)]
+    assert _hex(spec) == _hex({(0, 0, 1): (1.0, 2.0), (1, 1, 0): (-0.0, -1.0)})
+    as_dict = _bank(2, 2, (1, 2, 1), {(1, 1, 0): (-0.0, -1.0), (0, 0, 1): (1, 2)})
     assert np.array_equal(as_dict.index, spec.index)
     assert as_dict.weights.tobytes() == spec.weights.tobytes()
     assert spec.to_json()["filters"] == {"0,0,1": [1.0, 2.0], "1,1,0": [-0.0, -1.0]}
     assert math.copysign(1.0, spec.to_json()["filters"]["1,1,0"][0]) == -1.0
     assert not spec.index.flags.writeable and not spec.weights.flags.writeable
-    with pytest.raises(TypeError):
-        spec.filters[(0, 0, 0)] = (1.0, 1.0)
+    with pytest.raises(ValueError, match="read-only"):
+        spec.weights[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        spec.index[0, 0] = 1
+    with pytest.raises(TypeError, match="from_arrays"):
+        CnnSpec(2, 2, (1, 2, 1), {(0, 0, 1): (1.0, 2.0)})
     for index, weights, message in (
             ([[0, 0, 1], [1, 2, 0]], np.ones((2, 2)), r"^filter index \(1, 2, 0\) out of range$"),
             ([[0, 0, 1]], np.ones((1, 3)), "^every filter must have length l$"),
@@ -79,7 +115,7 @@ def test_cnn_spec_json_round_trip_keeps_the_arrays(rng):
                                   rng.normal(size=40))
     banks = [synthesize_radix(target, 2), synthesize_radix(target, 3),
              synthesize_lowrank(target, 2), synthesize_lowrank(Sequence.power(horizon=80), 3),
-             _path_bank(rng, 2, 6, 20, d=2, cross=10), CnnSpec(l=3, K=2, channels=(1, 4, 1)),
+             _path_bank(rng, 2, 6, 20, d=2, cross=10), _bank(3, 2, (1, 4, 1)),
              synthesize_lowrank(Sequence.zero(), 2, 3), synthesize_radix(Sequence.zero(), 2)]
     for spec in banks:
         for back in (CnnSpec.from_json(spec.to_json()),
@@ -106,26 +142,25 @@ def test_synthesis_banks_keep_their_dict_layout():
                 w = [0.0] * l
                 w[t // l ** k % l] = v if k == 0 else 1.0
                 want[(k, 0 if k == 0 else p, 0 if k == K - 1 else p)] = tuple(w)
-        assert list(spec.filters) == list(want)
-        assert _hex(spec.filters) == _hex(want)
-    # TT: the dict is the arrays row by row, with the signs of their zeros.
-    for spec in (synthesize_lowrank(Sequence.from_entries({2: (1.0,), 9: (-3.0,)}), 2),
+        assert list(_hex(spec)) == list(want)
+        assert _hex(spec) == _hex(want)
+    # TT: the keys are in ascending order, the zeros keep their signs.
+    for spec in (synthesize_lowrank(Sequence.from_arrays([2, 9], [1.0, -3.0]), 2),
                  synthesize_lowrank(Sequence.impulse(5, -1.0), 2, 3)):
         rows = [tuple(key) for key in spec.index.tolist()]
-        assert list(spec.filters) == rows == sorted(rows)
-        assert _hex(spec.filters) == _hex(dict(zip(rows, spec.weights.tolist())))
+        assert rows == sorted(rows)
+        assert (_hex(spec.to_json()["filters"]) ==
+                {"%d,%d,%d" % key: w for key, w in _hex(spec).items()})
 
 
 def test_representation_of_a_two_layer_chain():
-    spec = CnnSpec(l=2, K=2, channels=(1, 1, 1),
-                   filters={(0, 0, 0): (1.0, 2.0), (1, 0, 0): (3.0, 4.0)})
+    spec = _bank(2, 2, (1, 1, 1), {(0, 0, 0): (1.0, 2.0), (1, 0, 0): (3.0, 4.0)})
     rep = cnn_representation(spec)
     assert list(rep.flat_values(4)) == [3.0, 6.0, 4.0, 8.0]
 
 
 def test_representation_stacks_input_channels():
-    spec = CnnSpec(l=2, K=1, channels=(2, 1),
-                   filters={(0, 0, 0): (1.0, 0.0), (0, 1, 0): (0.0, 2.0)})
+    spec = _bank(2, 1, (2, 1), {(0, 0, 0): (1.0, 0.0), (0, 1, 0): (0.0, 2.0)})
     rep = cnn_representation(spec)
     assert rep.dim == 2
     assert np.array_equal(rep.value(0), [1.0, 0.0])
@@ -141,8 +176,7 @@ def test_representation_stays_in_receptive_field(rng):
             for j in range(channels[k]):
                 for i in range(channels[k + 1]):
                     filters[(k, j, i)] = tuple(rng.normal(size=2))
-        rep = cnn_representation(CnnSpec(l=2, K=K, channels=channels,
-                                         filters=filters))
+        rep = cnn_representation(_bank(2, K, channels, filters))
         r = rep.radius()
         assert r is None or r <= 2 ** K - 1
 
@@ -151,7 +185,7 @@ def test_effective_filters_values():
     assert effective_filters((1, 4, 4, 1), 2, 3) == 14.0
     assert effective_filters((1, 1), 2, 1) == 0.0
     assert effective_filters((2, 2, 2, 1), 3, 3, d=2) == -1.5
-    spec = CnnSpec(l=2, K=2, channels=(1, 4, 1))
+    spec = _bank(2, 2, (1, 4, 1))
     assert effective_filters(spec, 2, 2) == 0.0
     for bad in ((spec, 3, 2, 1), (spec, 2, 3, 1), (spec, 2, 2, 2),
                 ((), 2, 1, 1), ((1, 4, 1), 2, 3, 1), ((2, 4, 1), 2, 2, 1),
@@ -164,9 +198,9 @@ def test_radix_synthesis_worked_example():
     spec = synthesize_radix(Sequence.impulse(19), 4)
     assert spec.K == 3 and spec.channels == (1, 1, 1, 1)
     assert spec.filter_count == 3
-    assert spec.filters[(0, 0, 0)] == (0.0, 0.0, 0.0, 1.0)
-    assert spec.filters[(1, 0, 0)] == (1.0, 0.0, 0.0, 0.0)
-    assert spec.filters[(2, 0, 0)] == (0.0, 1.0, 0.0, 0.0)
+    assert spec.index.tolist() == [[0, 0, 0], [1, 0, 0], [2, 0, 0]]
+    assert spec.weights.tolist() == [[0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0],
+                                     [0.0, 1.0, 0.0, 0.0]]
     diff = cnn_representation(spec).plus(Sequence.impulse(19).scaled(-1.0))
     assert float(diff.norm()) == 0.0
 
@@ -174,14 +208,14 @@ def test_radix_synthesis_worked_example():
 def test_radix_synthesis_shallow_and_degenerate_cases():
     dense = synthesize_radix(Sequence.from_values([1.0, 0.0, -2.0]), 4)
     assert dense.K == 1
-    assert dense.filters[(0, 0, 0)] == (1.0, 0.0, -2.0, 0.0)
+    assert _hex(dense) == _hex({(0, 0, 0): (1.0, 0.0, -2.0, 0.0)})
     zero = synthesize_radix(Sequence.zero(), 3)
     assert zero.filter_count == 0
     assert cnn_representation(zero).radius() is None
     with pytest.raises(ValueError):
         synthesize_radix(Sequence.geometric(0.5), 2)
     with pytest.raises(ValueError):
-        synthesize_radix(Sequence.from_entries({0: (1.0, 1.0)}, dim=2), 2)
+        synthesize_radix(Sequence.from_arrays([0], [[1.0, 1.0]], dim=2), 2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -192,7 +226,7 @@ def test_radix_synthesis_replays_exactly(l, data):
     support = data.draw(st.dictionaries(st.integers(0, size - 1),
                                         st.integers(-9, 9).filter(bool),
                                         min_size=1, max_size=300))
-    target = Sequence.from_entries({t: (float(v),) for t, v in support.items()})
+    target = Sequence.from_arrays(list(support), [float(v) for v in support.values()])
     spec = synthesize_radix(target, l)
     diff = cnn_representation(spec).plus(target.scaled(-1.0))
     assert float(diff.norm()) == 0.0
@@ -216,9 +250,8 @@ def test_synthesis_banks_share_one_layout():
     # Radix filters are one-hot with +0.0 off the hot tap, even for a
     # negative value.
     spec = synthesize_radix(Sequence.from_values([0.0, -2.0, 0.0, 0.0, -1.0]), 2)
-    assert spec.filters[(0, 0, 0)] == (0.0, -2.0)
-    assert all(math.copysign(1.0, x) == 1.0 for w in spec.filters.values()
-               for x in w if x == 0.0)
+    assert spec.index[0].tolist() == [0, 0, 0] and spec.weights[0].tolist() == [0.0, -2.0]
+    assert all(math.copysign(1.0, x) == 1.0 for x in spec.weights.reshape(-1) if x == 0.0)
     assert replay_residual(spec, Sequence.from_values([0.0, -2.0, 0.0, 0.0, -1.0])) == 0.0
     # Low-rank synthesis reads the length-l^K window of a longer target.
     target = Sequence.from_values([1.0, 2.0, 3.0, 4.0, 5.0])
@@ -228,7 +261,7 @@ def test_synthesis_banks_share_one_layout():
     assert float(cnn_representation(spec).plus(window.scaled(-1.0)).norm()) <= 1e-14
     assert synthesize_lowrank(target, 2).K == 3
     shallow = synthesize_lowrank(Sequence.from_values([0.0, -3.0, 7.0]), 4, 1)
-    assert shallow.filters == {(0, 0, 0): (0.0, -3.0, 7.0, 0.0)}
+    assert _hex(shallow) == _hex({(0, 0, 0): (0.0, -3.0, 7.0, 0.0)})
 
 
 def _tt_window(spec):
@@ -236,7 +269,7 @@ def _tt_window(spec):
     at a time, in the canonical (least significant digit first) order."""
     l = spec.l
     cores = [np.zeros((spec.channels[k], l, spec.channels[k + 1])) for k in range(spec.K)]
-    for (k, j, i), w in spec.filters.items():
+    for (k, j, i), w in zip(spec.index.tolist(), spec.weights):
         cores[k][j, :, i] = w
     window = cores[0][0]                      # (times so far, channels)
     for core in cores[1:]:
@@ -257,7 +290,7 @@ def test_lowrank_bank_is_the_tt_svd_of_the_window(rng):
                 assert spec.channels[k] <= min(l ** k, l ** (K - k))
             assert (np.linalg.norm(_tt_window(spec) - data)
                     <= 1e-12 * np.linalg.norm(data))
-            assert all(any(w) for w in spec.filters.values())
+            assert spec.weights.any(axis=1).all()
             for scale in (1e-200, 1e200):
                 far = synthesize_lowrank(Sequence.from_values(data * scale), l, K)
                 assert far.channels == spec.channels
@@ -275,8 +308,7 @@ def test_impulse_replay_is_exact_at_depth_40():
 
 
 def test_replay_rejects_times_beyond_the_int64_limit():
-    spec = CnnSpec(l=2, K=64, channels=(1,) * 65,
-                   filters={(k, 0, 0): (0.0, 1.0) for k in range(64)})
+    spec = _bank(2, 64, (1,) * 65, {(k, 0, 0): (0.0, 1.0) for k in range(64)})
     with pytest.raises(ValueError, match="2\\^63"):
         cnn_representation(spec)
 
@@ -285,9 +317,7 @@ def _dense_replay(spec):
     """The replay as a dense slab contraction on every layer, kept as the
     bit-for-bit reference for cnn_representation."""
     d, l = spec.channels[0], spec.l
-    keys = sorted(spec.filters)
-    index = np.array(keys, dtype=np.int64).reshape(-1, 3)
-    weights = np.array([spec.filters[key] for key in keys], dtype=float).reshape(-1, l)
+    index, weights = spec.index, spec.weights
     starts = np.searchsorted(index[:, 0], np.arange(spec.K + 1))
     state = np.eye(d)
     times = np.zeros(d, dtype=np.int64)
@@ -340,7 +370,7 @@ def _path_bank(rng, l, K, paths, d=1, cross=0):
     for _ in range(cross):
         k = int(rng.integers(1, K - 1))
         filters[(k, *rng.integers(0, paths, size=2).tolist())] = tuple(rng.normal(size=l))
-    return CnnSpec(l=l, K=K, channels=(d,) + (paths,) * (K - 1) + (1,), filters=filters)
+    return _bank(l, K, (d,) + (paths,) * (K - 1) + (1,), filters)
 
 
 def test_replay_matches_the_dense_reference_on_radix_banks(rng):
@@ -366,10 +396,11 @@ def test_replay_matches_the_dense_reference_as_the_state_fills(rng):
     # more than a few columns; an all-to-all layer onto three channels
     # then fills the state, and the last layer sums on the full grid.
     paths = _path_bank(rng, 2, 5, 20)
-    filters = {key: w for key, w in paths.filters.items() if key[0] < 4}
+    filters = {key: w for key, w in zip(map(tuple, paths.index.tolist()), paths.weights)
+               if key[0] < 4}
     filters.update({(4, p, q): tuple(rng.normal(size=2)) for p in range(20) for q in range(3)})
     filters.update({(5, q, 0): tuple(rng.normal(size=2)) for q in range(3)})
-    spec = CnnSpec(l=2, K=6, channels=(1, 20, 20, 20, 20, 3, 1), filters=filters)
+    spec = _bank(2, 6, (1, 20, 20, 20, 20, 3, 1), filters)
     _assert_replay_is_the_reference(spec)
 
 
@@ -381,8 +412,7 @@ def test_replay_matches_the_dense_reference_on_two_input_channels(rng):
 
 
 def test_replay_of_an_empty_bank():
-    for spec in (CnnSpec(l=3, K=2, channels=(1, 4, 1)),
-                 CnnSpec(l=2, K=3, channels=(2, 3, 3, 1))):
+    for spec in (_bank(3, 2, (1, 4, 1)), _bank(2, 3, (2, 3, 3, 1))):
         _assert_replay_is_the_reference(spec)
         assert cnn_representation(spec).radius() is None
 

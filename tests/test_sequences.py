@@ -56,10 +56,22 @@ def test_zero_sequence_has_no_radius():
     assert z.norm().value == 0.0
 
 
+def test_finite_sequences_need_a_positive_dim():
+    for dim in (0, -1):
+        for make in (lambda: Sequence.from_arrays([], np.zeros((0, 0)), dim=dim),
+                     lambda: Sequence.from_arrays([3], [[1.0]], dim=dim),
+                     lambda: Sequence.zero(dim=dim),
+                     lambda: Sequence.from_json({"dim": dim, "entries": []}),
+                     lambda: Sequence.from_json({"dim": dim, "entries": [[0, [1.0]]]})):
+            with pytest.raises(ValueError, match="^dim must be a positive integer$"):
+                make()
+    assert Sequence.zero(dim=3).dim == Sequence.from_json({"dim": 3, "entries": []}).dim == 3
+
+
 def test_reaches_is_radius_at_least_n():
     cases = [Sequence.zero(), Sequence.impulse(4), Sequence.from_values([0.0, 3.0, 0.0, -1.0]),
-             Sequence.from_entries({1: (1.0,), 4: (1e-11,), 9: (-1e-12,)}),
-             Sequence.from_entries({0: (0.0, 2.0), 6: (-1e-3, 0.0)}, dim=2),
+             Sequence.from_arrays([1, 4, 9], [1.0, 1e-11, -1e-12]),
+             Sequence.from_arrays([0, 6], [[0.0, 2.0], [-1e-3, 0.0]], dim=2),
              Sequence.geometric(0.5, horizon=5), Sequence.power(horizon=0),
              Sequence.power(horizon=7)]
     for rho in cases:
@@ -73,13 +85,13 @@ def test_reaches_is_radius_at_least_n():
 def test_impulse_and_vector_entries():
     imp = Sequence.impulse(4, value=2.5)
     assert imp.value(4)[0] == 2.5 and imp.radius() == 4
-    v = Sequence.from_entries({0: (1.0, 2.0), 3: (0.0, -1.0)}, dim=2)
+    v = Sequence.from_arrays([0, 3], [(1.0, 2.0), (0.0, -1.0)], dim=2)
     assert v.dim == 2
     assert np.array_equal(v.values_upto(4)[3], [0.0, -1.0])
     with pytest.raises(ValueError):
         Sequence.impulse(-1)
     with pytest.raises(ValueError):
-        Sequence.from_entries({-2: (1.0,)})
+        Sequence.from_arrays([-2], [1.0])
 
 
 def test_generated_families_evaluate_pointwise():
@@ -133,7 +145,7 @@ def test_power_tail_norm_with_horizon_is_exact():
 
 
 def test_sup_abs_from():
-    s = Sequence.from_entries({2: (3.0, 4.0), 7: (1.0, 0.0)}, dim=2)
+    s = Sequence.from_arrays([2, 7], [[3.0, 4.0], [1.0, 0.0]], dim=2)
     assert s.sup_abs_from(0) == 5.0
     assert s.sup_abs_from(3) == 1.0
     assert s.sup_abs_from(8) == 0.0
@@ -152,7 +164,7 @@ def test_truncate_scaled_plus():
 
 
 def test_json_round_trip():
-    for s in (Sequence.from_entries({1: (1.0, -2.0)}, dim=2),
+    for s in (Sequence.from_arrays([1], [[1.0, -2.0]], dim=2),
               Sequence.geometric(0.25, horizon=9),
               Sequence.power()):
         back = Sequence.from_json(s.to_json())
@@ -252,7 +264,7 @@ def test_time_indices_stop_below_two_to_the_63():
     assert top.radius() == 2 ** 63 - 1
     assert top.truncate(2 ** 64).radius() == 2 ** 63 - 1
     for bad in (lambda: Sequence.impulse(2 ** 63),
-                lambda: Sequence.from_entries({2 ** 70: (1.0,)}),
+                lambda: Sequence.from_arrays([2 ** 70], [1.0]),
                 lambda: Sequence.from_json({"entries": [[2 ** 63, [1.0]]]}),
                 lambda: Sequence.power().truncate(2 ** 64),
                 lambda: dilated_conv(Sequence.impulse(2 ** 62), Sequence.impulse(1), 2)):
@@ -263,7 +275,7 @@ def test_time_indices_stop_below_two_to_the_63():
 def test_values_must_be_finite():
     for bad in (float("nan"), float("inf"), float("-inf")):
         for make in (lambda: Sequence.from_json({"entries": [[0, [1.0]], [7, [bad]]]}),
-                     lambda: Sequence.from_entries({7: (bad,), 0: (1.0,)}),
+                     lambda: Sequence.from_arrays([7, 0], [(bad,), (1.0,)]),
                      lambda: Sequence.from_arrays([7, 0], [bad, 1.0]),
                      lambda: Sequence.from_arrays([7, 0], [[1.0, bad], [1.0, 1.0]], dim=2),
                      lambda: Sequence.from_values([1.0, 0, 0, 0, 0, 0, 0, bad, 2.0])):
@@ -295,7 +307,7 @@ def _rows_as_numpy_read_them(dim, rows):
     np.asarray inside _columns."""
     with mock.patch.object(sequences, "_matrix",
                            lambda values, dim: np.asarray(values, dtype=float)):
-        return Sequence(dim=dim, entries=rows)
+        return Sequence.from_json({"dim": dim, "entries": rows})
 
 
 _TIME = st.one_of(st.integers(0, 9), st.integers(0, 9).map(float),
@@ -333,5 +345,5 @@ def _value_rows(draw):
 @example((2, [(0, [1.0, "x"]), (1, [None, 2.0])]))
 def test_row_conversion_is_the_numpy_reading(case):
     dim, rows = case
-    assert (_outcome(lambda: Sequence(dim=dim, entries=rows)) ==
+    assert (_outcome(lambda: Sequence.from_json({"dim": dim, "entries": rows})) ==
             _outcome(lambda: _rows_as_numpy_read_them(dim, rows)))

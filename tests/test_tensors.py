@@ -54,7 +54,7 @@ def test_tensorize_layout_is_digit_addressed():
 
 def test_tensorize_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        tensorize(Sequence.from_entries({0: (1.0, 2.0)}, dim=2), 2, 2)
+        tensorize(Sequence.from_arrays([0], [[1.0, 2.0]], dim=2), 2, 2)
     with pytest.raises(ValueError):
         tensorize(Sequence.from_values([0, 0, 0, 0, 1.0]), 2, 2)
     with pytest.raises(ValueError):
@@ -64,11 +64,11 @@ def test_tensorize_rejects_bad_inputs():
     # A live entry stored past the window is refused; entries past it
     # below zero_tol() are round-off and only the window is folded.
     with pytest.raises(ValueError, match="exceeds"):
-        tensorize(Sequence.from_entries({1: (1.0,), 4: (1e-9,)}), 2, 2)
-    rho = Sequence.from_entries({1: (1.0,), 4: (1e-11,), 9: (-1e-12,)})
+        tensorize(Sequence.from_arrays([1, 4], [1.0, 1e-9]), 2, 2)
+    rho = Sequence.from_arrays([1, 4, 9], [1.0, 1e-11, -1e-12])
     assert rho.zero_tol() > 1e-11
     assert np.array_equal(tensorize(rho, 2, 2).data, [0.0, 1.0, 0.0, 0.0])
-    assert tensorize(Sequence.from_entries({}), 2, 2).data.tobytes() == bytes(32)
+    assert tensorize(Sequence.from_arrays([], []), 2, 2).data.tobytes() == bytes(32)
 
 
 def test_mode_flatten_small_case():
