@@ -10,29 +10,28 @@ and head-to-head comparison scenarios.
 """
 
 from .sequences import Scalar, Sequence, apply_functional, dilated_conv
-from .tensors import (Spectrum, Tensor, matrix_singular_values, mode_flatten,
-                      outer_product, singular_values, tensor_rank, tensorize,
-                      truncation_error_bound)
+from .tensors import (Spectrum, Tensor, matrix_singular_values, outer_product,
+                      singular_values, tensorize, truncation_error_bound,
+                      window_spectrum)
 from .models import (CnnSpec, RnnSpec, cnn_min_depth_expdecay,
                      cnn_representation, effective_filters,
                      power_sum_delta_bound, rnn_min_width_impulse,
                      rnn_representation, synthesize_lowrank, synthesize_radix)
 from .bounds import (DecayProfile, ErrorCurveTable, complexity_measure,
-                     error_curve, rate_bound_interval, tail_sum_profile)
+                     error_curve, rate_bound_interval)
 from .experiments import (ComparisonReport, CurveStudy, comparison_report,
                           conformance_suite, error_curve_study, make_target,
                           oracle_best_rank_matrix)
 
 __all__ = [
     "Scalar", "Sequence", "apply_functional", "dilated_conv",
-    "Spectrum", "Tensor", "matrix_singular_values", "mode_flatten",
-    "outer_product", "singular_values", "tensor_rank", "tensorize",
-    "truncation_error_bound",
+    "Spectrum", "Tensor", "matrix_singular_values", "outer_product",
+    "singular_values", "tensorize", "truncation_error_bound", "window_spectrum",
     "CnnSpec", "RnnSpec", "cnn_min_depth_expdecay", "cnn_representation",
     "effective_filters", "power_sum_delta_bound", "rnn_min_width_impulse",
     "rnn_representation", "synthesize_lowrank", "synthesize_radix",
     "DecayProfile", "ErrorCurveTable", "complexity_measure", "error_curve",
-    "rate_bound_interval", "tail_sum_profile",
+    "rate_bound_interval",
     "ComparisonReport", "CurveStudy", "comparison_report",
     "conformance_suite", "error_curve_study", "make_target",
     "oracle_best_rank_matrix",

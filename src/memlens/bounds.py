@@ -2,9 +2,12 @@
 
 The complexity of a target relative to a decay budget g is the smallest
 constant c such that every spectrum tail mass of every tensorised window
-stays below c * g(s).  Together with the window tail norm it yields the
-two-sided approximation bound for a dilated-convolution stack, and the
-per-(K, M) error curves that compare targets at equal parameter budgets.
+stays below c * g(s); the tail mass at offset s of the depth-K window is
+tensors.truncation_error_bound(spec, s + K - 1) on its pooled spectrum
+spec = tensors.window_spectrum(rho, l, K).  Together with the window tail
+norm it yields the two-sided approximation bound for a dilated-convolution
+stack, and the per-(K, M) error curves that compare targets at equal
+parameter budgets.
 """
 
 from __future__ import annotations
@@ -13,9 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
-from .sequences import Scalar, Sequence, root_sum_squares
+from .sequences import Scalar, Sequence
 from .models import effective_filters
 from . import tensors
 
@@ -117,35 +118,22 @@ class ErrorCurveTable:
         return "\n".join(lines) + "\n"
 
 
-def tail_sum_profile(rho: Sequence, l: int, K: int):
-    """Square roots of the spectrum tail masses, indexed by the offset s.
-
-    Entry s is sqrt of the sum of squared spectrum values from position
-    s + K (one-based) to the end of the pooled spectrum of the length
-    l^K window; support beyond the window is excluded here and accounted
-    separately through tail norms.
-    """
-    if l < 2 or K < 1:
-        raise ValueError("need l >= 2 and K >= 1")
-    values = tensors.window_spectrum(rho, l, K).values
-    total = l * K
-    padded = np.zeros(total)
-    padded[:len(values)] = values
-    return [Scalar(root_sum_squares(padded[s + K - 1:]))
-            for s in range(total - K + 1)]
-
-
 def complexity_measure(rho: Sequence, l: int, g: DecayProfile,
                        k_cap=None) -> Scalar:
     """Smallest constant bounding every spectrum tail mass by c * g(s).
 
-    The supremum runs over offsets s >= 0 and window depths K from 1 up
-    to the coverage depth (the smallest K whose window holds the whole
-    support); deeper windows only duplicate tail masses, so the cap does
-    not change the value.  Tail masses below round-off relative to the
-    sequence norm are treated as exact zeros.  Returns infinity when a
-    nonzero tail mass meets g(s) = 0.  A generated rho is measured up to
-    its horizon, so it needs one (see tensors.analysis_window).
+    The tail mass at offset s of the depth-K window is
+    tensors.truncation_error_bound(spec, s + K - 1): the root of the summed
+    squares of the pooled spectrum from position s + K (one-based) on, for
+    s up to l*K - K; support beyond the window is accounted separately
+    through tail norms.  The supremum runs over those offsets and window
+    depths K from 1 up to the coverage depth (the smallest K whose window
+    holds the whole support); deeper windows only duplicate tail masses,
+    so the cap does not change the value.  Tail masses below round-off
+    relative to the sequence norm are treated as exact zeros.  Returns
+    infinity when a nonzero tail mass meets g(s) = 0.  A generated rho is
+    measured up to its horizon, so it needs one (see
+    tensors.analysis_window).
     """
     rho = tensors.analysis_window(rho, l)
     r = rho.radius()
@@ -158,8 +146,9 @@ def complexity_measure(rho: Sequence, l: int, g: DecayProfile,
     noise = COMPLEXITY_NOISE_REL_TOL * float(rho.norm())
     best = 0.0
     for K in range(1, cap + 1):
-        for s, tail in enumerate(tail_sum_profile(rho, l, K)):
-            t = tail.value
+        spec = tensors.window_spectrum(rho, l, K)
+        for s in range(l * K - K + 1):
+            t = tensors.truncation_error_bound(spec, s + K - 1).value
             if t <= noise:
                 continue
             gs = g(s)

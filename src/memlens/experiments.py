@@ -16,7 +16,7 @@ import numpy as np
 
 from .sequences import Scalar, Sequence, dilated_conv
 from . import tensors
-from .bounds import DecayProfile, complexity_measure, error_curve, tail_sum_profile
+from .bounds import DecayProfile, complexity_measure, error_curve
 from .models import (cnn_min_depth_expdecay, replay_residual,
                      rnn_min_width_impulse, rnn_representation, RnnSpec,
                      synthesize_radix)
@@ -114,8 +114,8 @@ def error_curve_study(l: int = 2, K_list=(4, 5, 6), M_max: int = 64) -> CurveStu
     cover = max(targets["rho1"].radius(), targets["rho2"].radius())
     claim_K = next((K for K in K_list if l ** K > cover), None)
     if claim_K is not None:
-        r1 = tensors.tensor_rank(tensors.tensorize(targets["rho1"], l, claim_K))
-        r2 = tensors.tensor_rank(tensors.tensorize(targets["rho2"], l, claim_K))
+        r1 = tensors.window_spectrum(targets["rho1"], l, claim_K).rank()
+        r2 = tensors.window_spectrum(targets["rho2"], l, claim_K).rank()
         notes.append(f"window tensor ranks at K={claim_K}: rho1 -> {r1}, rho2 -> {r2}")
         _, u1 = tables["rho1"].curve(claim_K)
         _, u2 = tables["rho2"].curve(claim_K)
@@ -279,27 +279,28 @@ def conformance_suite():
         "a two-layer chain tensorises to the outer product of its filters"))
 
     rho = Sequence.from_values([1, 0, 0, 1])
+    spectra = {K: tensors.window_spectrum(rho, 2, K) for K in range(1, 5)}
     refs = {2: (1.0, 1.0, 1.0, 1.0),
             3: (sq2, 1.0, 1.0, 1.0, 1.0, 0.0),
             4: (sq2, sq2, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0)}
     ok = True
     for K, ref in refs.items():
-        vals = tensors.singular_values(
-            tensors.tensorize(rho.truncate(2 ** K), 2, K)).values
+        vals = spectra[K].values
         ok &= len(vals) == len(ref)
         ok &= float(np.max(np.abs(vals - np.array(ref)))) <= 1e-9
     items.append(_check(
         "edge-impulse-spectra", ok,
         "pooled spectra of the two-ended impulse pattern match the "
         "reference table for K = 2, 3, 4 to 1e-9"))
-    k1 = tensors.singular_values(tensors.tensorize(rho.truncate(2), 2, 1)).values
+    k1 = spectra[1].values
     items.append(_logged(
         "depth-one-spectrum",
         f"the K = 1 window [1, 0] has the single spectrum value "
         f"{float(k1[0]):g}; the reference table lists two values for this "
         f"row, which has no reading under the depth-one definition"))
 
-    prof = tail_sum_profile(rho, 2, 3)
+    # The tail mass at offset s of the depth-3 window.
+    prof = [tensors.truncation_error_bound(spectra[3], s + 2) for s in range(3)]
     ok = (abs(prof[1].value ** 2 - 2.0) <= 1e-9
           and abs(prof[2].value ** 2 - 1.0) <= 1e-9)
     items.append(_check(
@@ -310,13 +311,12 @@ def conformance_suite():
         f"the s = 0 squared tail mass is {prof[0].value ** 2:g}; the "
         f"reference case list assigns 0 to every s outside {{1, 2}}"))
 
-    r_alt = tensors.tensor_rank(tensors.tensorize(
-        Sequence.from_values([1, 0, 1, 0]), 2, 2))
-    r_edge = tensors.tensor_rank(tensors.tensorize(rho, 2, 2))
+    r_alt = tensors.window_spectrum(Sequence.from_values([1, 0, 1, 0]), 2, 2).rank()
+    r_edge = spectra[2].rank()
     rho1 = make_target("rho1")
     rho2 = make_target("rho2")
-    r1 = tensors.tensor_rank(tensors.tensorize(rho1, 2, 5))
-    r2 = tensors.tensor_rank(tensors.tensorize(rho2, 2, 5))
+    r1 = tensors.window_spectrum(rho1, 2, 5).rank()
+    r2 = tensors.window_spectrum(rho2, 2, 5).rank()
     items.append(_check(
         "window-ranks", (r_alt, r_edge, r1, r2) == (2, 4, 5, 10),
         f"pooled ranks: alternating pair -> {r_alt}, two-ended pair -> "
@@ -358,10 +358,8 @@ def conformance_suite():
         "flattening-walkthrough", ok,
         "the 4x3x2 worked flattenings and their refolds are reproduced"))
 
-    s2 = tensors.singular_values(tensors.tensorize(rho.truncate(4), 2, 2)).values
-    s3 = tensors.singular_values(tensors.tensorize(rho.truncate(8), 2, 3)).values
-    merged = sorted(list(s2) + [float(rho.norm()), 0.0], reverse=True)
-    ok = float(np.max(np.abs(s3 - np.array(merged)))) <= 1e-10
+    merged = sorted(list(spectra[2].values) + [float(rho.norm()), 0.0], reverse=True)
+    ok = float(np.max(np.abs(spectra[3].values - np.array(merged)))) <= 1e-10
     g = DecayProfile.exponential(0.5)
     c_base = complexity_measure(rho, 2, g)
     c_capped = complexity_measure(rho, 2, g, k_cap=5)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import MAX_TIME, Scalar, Sequence, _whole
+from .sequences import MAX_TIME, Scalar, Sequence, _number, _whole
 from . import tensors
 
 
@@ -114,14 +114,15 @@ class CnnSpec:
     def from_json(cls, obj) -> "CnnSpec":
         """Stack from the description to_json writes.  l, K, the widths and
         the three parts of every "k,j,i" key must be whole numbers, every
-        filter must be finite, and two keys may not name one filter."""
+        filter weight a finite number (not a string or a bool), and two
+        keys may not name one filter."""
         if isinstance(obj, str):
             obj = json.loads(obj)
         keys, rows = [], []
         for key, w in obj.get("filters", {}).items():
             k, j, i = map(_key_part, key.split(","))
             keys.append((k, j, i))
-            rows.append([float(x) for x in w])
+            rows.append([_number(x, "a filter weight") for x in w])
         index = np.array(keys, dtype=np.int64).reshape(-1, 3)
         l, K = _whole(obj["l"], "l"), _whole(obj["K"], "K")
         channels = tuple(_whole(m, "a channel width") for m in obj["channels"])
@@ -165,21 +166,6 @@ class RnnSpec:
     @property
     def dim(self) -> int:
         return self.U.shape[1]
-
-    def spectral_radius(self) -> float:
-        return float(np.max(np.abs(np.linalg.eigvals(self.W))))
-
-    def to_json(self) -> dict:
-        return {"m": self.m,
-                "c": [float(x) for x in self.c],
-                "W": [[float(x) for x in row] for row in self.W],
-                "U": [[float(x) for x in row] for row in self.U]}
-
-    @classmethod
-    def from_json(cls, obj) -> "RnnSpec":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        return cls(m=int(obj["m"]), c=obj["c"], W=obj["W"], U=obj["U"])
 
 
 # A layer sums its products on the full (out-channel, tap, column) grid
@@ -320,8 +306,6 @@ def synthesize_radix(target: Sequence, l: int) -> CnnSpec:
         raise ValueError("synthesis applies to one-dimensional targets")
     if target.kind != "finite":
         raise ValueError("synthesis needs a finitely supported target")
-    if l < 2:
-        raise ValueError("need l >= 2")
     K = tensors.coverage_depth(l, target.radius() or 0)
     times, values = target.arrays()
     live = np.abs(values[:, 0]) > target.zero_tol()
@@ -455,6 +439,4 @@ def cnn_min_depth_expdecay(gamma: float, eps: float, l: int) -> int:
         raise ValueError("need 0 < gamma < 1")
     if not 0.0 < eps < 1.0:
         raise ValueError("need 0 < eps < 1")
-    if l < 2:
-        raise ValueError("need l >= 2")
     return tensors.coverage_depth(l, math.ceil(math.log(eps) / math.log(gamma)) - 1)

@@ -109,17 +109,26 @@ def _number(x, what) -> float:
 
 
 def _matrix(values, dim):
-    """values as a float array.  A list of rows that are all lists or
-    tuples of dim items is read in one pass over their items; anything
-    else, and rows on which that pass fails, as np.asarray reads it, so
-    the result or the error is np.asarray's."""
-    if (isinstance(values, list) and {list, tuple}.issuperset(map(type, values))
-            and set(map(len, values)) == {dim}):
-        try:
-            return np.fromiter(chain.from_iterable(values), float,
-                               count=len(values) * dim).reshape(-1, dim)
-        except (TypeError, ValueError, OverflowError):
-            pass  # np.asarray below raises its own error, or reads nested rows
+    """values as a float array.  In a list, a string or a bool, as a value
+    or as an item of a list or tuple value, is refused, though numpy would
+    read it as a number.  A list of rows that are all lists or tuples of
+    dim ints and floats is read in one pass over their items; anything
+    else, and an int too large for a float, as np.asarray reads it, so the
+    result or the error is np.asarray's."""
+    if isinstance(values, list):
+        rows = {list, tuple}.issuperset(map(type, values))
+        # One flat list costs less than walking the rows twice.
+        items = list(chain.from_iterable(values)) if rows else values
+        if not {int, float}.issuperset(map(type, items)):
+            for x in chain.from_iterable(v if type(v) in (list, tuple) else (v,)
+                                         for v in values):
+                if isinstance(x, (str, bool)):
+                    raise ValueError(f"a value must be a number, not {x!r:.40}")
+        elif rows and set(map(len, values)) == {dim}:
+            try:
+                return np.fromiter(items, float, count=len(items)).reshape(-1, dim)
+            except OverflowError:
+                pass  # np.asarray below raises its own error
     return np.asarray(values, dtype=float)
 
 
@@ -242,14 +251,6 @@ class Sequence:
     @property
     def kind(self) -> str:
         return "finite" if self._family is None else "generated"
-
-    @property
-    def family(self):
-        return self._family
-
-    @property
-    def params(self) -> dict:
-        return dict(self._params)
 
     @property
     def horizon(self):
@@ -552,7 +553,8 @@ def apply_functional(rho: Sequence, x: Sequence, t: int) -> Scalar:
 
     x must be defined on the whole window [t - radius(rho), t]; since
     inputs start at time 0 this requires t >= radius(rho), and generated
-    inputs must declare a horizon covering t.
+    inputs must declare a horizon covering t.  It stays public because it
+    is the functional whose representation every analysis reads.
     """
     if rho.dim != x.dim:
         raise ValueError("dimension mismatch")

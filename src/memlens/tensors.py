@@ -4,7 +4,10 @@ A length-l^K window of a sequence is folded into an order-K tensor whose
 mode-k index reads the k-th base-l digit of the time index (mode 1 is the
 least significant digit).  The pooled singular values of the K mode
 flattenings drive the rank counts and truncation bounds used by the
-approximation-rate machinery.
+approximation-rate machinery.  window_spectrum is the one path from a
+target to its depth-K pooled spectrum, and truncation_error_bound the one
+path from a spectrum to a tail: the spectrum tail at offset s that the
+complexity measure reads is truncation_error_bound(spec, s + K - 1).
 
 Singular values come from one batched direct SVD over the K flattenings,
 never their Gram matrices: forming a Gram matrix squares the condition
@@ -59,7 +62,7 @@ class Tensor:
         return float(cube[tuple(i - 1 for i in index)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Spectrum:
     """Pooled singular values of all mode flattenings of a tensor.
 
@@ -67,16 +70,15 @@ class Spectrum:
     ties broken by ascending mode index.  Each mode contributes
     min(l, l^(K-1)) values, so the total length is l*K for K >= 2 and 1
     for K = 1.  values is the array of the pooled values in that order,
-    made once at construction and read-only.
+    made once at construction and read-only.  from_mode_values is the one
+    constructor.
     """
 
     entries: tuple
-    values: np.ndarray = field(init=False, repr=False, compare=False)
+    values: np.ndarray = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        values = np.array([v for v, _ in self.entries])
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a Spectrum is built by Spectrum.from_mode_values")
 
     @classmethod
     def from_mode_values(cls, per_mode) -> "Spectrum":
@@ -90,15 +92,10 @@ class Spectrum:
         modes = order // values.shape[1] + 1
         pooled = values.reshape(-1)[order]
         pooled.flags.writeable = False
-        # The sorted array is the values array; __post_init__ would only
-        # rebuild it from the entries.
         spec = object.__new__(cls)
         object.__setattr__(spec, "entries", tuple(zip(pooled.tolist(), modes.tolist())))
         object.__setattr__(spec, "values", pooled)
         return spec
-
-    def per_mode(self, k: int) -> np.ndarray:
-        return np.array(sorted((v for v, m in self.entries if m == k), reverse=True))
 
     def rank(self, tol=RANK_REL_TOL) -> int:
         """Number of entries above tol relative to the largest."""
@@ -151,13 +148,11 @@ def mode_refold_general(mat, dims, k) -> np.ndarray:
     return arr.reshape(-1, order="F")
 
 
-def mode_flatten(t: Tensor, k: int) -> np.ndarray:
-    """The l x l^(K-1) mode-k flattening of an all-modes-l tensor."""
-    return mode_flatten_general(t.data, (t.l,) * t.order, k)
-
-
 def coverage_depth(l: int, radius: int) -> int:
-    """Smallest depth K >= 1 whose length-l^K window holds time radius."""
+    """Smallest depth K >= 1 whose length-l^K window holds time radius;
+    l must be at least 2, or no window would ever hold it."""
+    if l < 2:
+        raise ValueError("need l >= 2")
     K = 1
     while l ** K <= radius:
         K += 1
@@ -220,11 +215,6 @@ def window_spectrum(rho: Sequence, l: int, K: int) -> Spectrum:
     return singular_values(tensorize(rho.truncate(l ** K), l, K))
 
 
-def tensor_rank(t: Tensor, tol=RANK_REL_TOL) -> int:
-    """Number of spectrum entries above tol relative to the largest."""
-    return singular_values(t).rank(tol)
-
-
 def outer_product(vectors) -> Tensor:
     """Order-K tensor with entries prod_k v_k[i_k]; mode k reads v_k."""
     vs = [np.asarray(v, dtype=float).reshape(-1) for v in vectors]
@@ -243,7 +233,8 @@ def truncation_error_bound(spec: Spectrum, kept_rank: int) -> Scalar:
     """sqrt of the spectrum tail mass beyond the kept_rank largest values.
 
     This bounds the best approximation error achievable by any tensor
-    whose summed mode ranks stay within kept_rank.
+    whose summed mode ranks stay within kept_rank.  A kept_rank at or past
+    the end of the spectrum leaves an empty tail, 0.0.
     """
     if kept_rank < 0:
         raise ValueError("kept_rank must be >= 0")

@@ -6,15 +6,14 @@ import time
 import numpy as np
 import pytest
 
-from memlens.bounds import (DecayProfile, complexity_measure, error_curve,
-                            tail_sum_profile)
+from memlens.bounds import DecayProfile, complexity_measure, error_curve
 from memlens.experiments import (comparison_report, conformance_suite,
                                  make_target, oracle_best_rank_matrix)
 from memlens.models import (RnnSpec, cnn_representation, power_sum_delta_bound,
                             rnn_representation, synthesize_radix)
 from memlens.sequences import Sequence, dilated_conv
 from memlens.tensors import (Spectrum, outer_product, singular_values,
-                             tensor_rank, tensorize, truncation_error_bound)
+                             tensorize, truncation_error_bound, window_spectrum)
 
 EXAMPLE_TARGET = [1.0, 0.0, 0.0, 1.0]
 
@@ -42,7 +41,8 @@ def test_criterion_01_window_spectra_match_reference_table():
 def test_criterion_02_tail_sums_match_reference_values():
     rho = Sequence.from_values(EXAMPLE_TARGET)
     for K in (2, 3, 4):
-        profile = tail_sum_profile(rho, 2, K)
+        spec = window_spectrum(rho, 2, K)
+        profile = [truncation_error_bound(spec, s + K - 1) for s in range(K + 1)]
         assert profile[1].value ** 2 == pytest.approx(2.0, abs=1e-9)
         assert profile[2].value ** 2 == pytest.approx(1.0, abs=1e-9)
     # the s = 0 mass disagrees with the reference case list and is logged
@@ -50,10 +50,10 @@ def test_criterion_02_tail_sums_match_reference_values():
 
 
 def test_criterion_03_tensor_rank_claims():
-    assert tensor_rank(tensorize(Sequence.from_values([1, 0, 1, 0]), 2, 2)) == 2
-    assert tensor_rank(tensorize(Sequence.from_values([1, 0, 0, 1]), 2, 2)) == 4
-    assert tensor_rank(tensorize(make_target("rho1"), 2, 5)) == 5
-    assert tensor_rank(tensorize(make_target("rho2"), 2, 5)) == 10
+    assert window_spectrum(Sequence.from_values([1, 0, 1, 0]), 2, 2).rank() == 2
+    assert window_spectrum(Sequence.from_values([1, 0, 0, 1]), 2, 2).rank() == 4
+    assert window_spectrum(make_target("rho1"), 2, 5).rank() == 5
+    assert window_spectrum(make_target("rho2"), 2, 5).rank() == 10
 
 
 def test_criterion_04_radix_synthesis_replays_impulses(rng):

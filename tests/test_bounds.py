@@ -5,13 +5,43 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memlens.bounds import (DecayProfile, complexity_measure, error_curve,
-                            rate_bound_interval, tail_sum_profile)
+from memlens.bounds import (COMPLEXITY_NOISE_REL_TOL, DecayProfile,
+                            complexity_measure, error_curve, rate_bound_interval)
 from memlens.experiments import make_target
 from memlens.models import replay_residual, synthesize_lowrank, synthesize_radix
-from memlens.sequences import Sequence
-from memlens.tensors import (singular_values, tensorize, truncation_error_bound,
-                             window_spectrum)
+from memlens.sequences import Sequence, root_sum_squares
+from memlens.tensors import (coverage_depth, singular_values, tensorize,
+                             truncation_error_bound, window_spectrum)
+
+
+def _tail_profile(rho, l, K):
+    """The spectrum tail masses of the depth-K window, by offset s."""
+    spec = window_spectrum(rho, l, K)
+    return [truncation_error_bound(spec, s + K - 1) for s in range(l * K - K + 1)]
+
+
+def _padded_tail_profile(rho, l, K):
+    """The same tail masses as root_sum_squares over the pooled spectrum
+    zero-padded to l*K values, the reading complexity_measure once had."""
+    values = window_spectrum(rho, l, K).values
+    padded = np.zeros(l * K)
+    padded[:len(values)] = values
+    return [root_sum_squares(padded[s + K - 1:]) for s in range(l * K - K + 1)]
+
+
+def _padded_complexity(rho, l, g):
+    """complexity_measure of a finite rho over _padded_tail_profile, for a
+    profile g with no zeros."""
+    r = rho.radius()
+    if r is None:
+        return 0.0
+    noise = COMPLEXITY_NOISE_REL_TOL * float(rho.norm())
+    best = 0.0
+    for K in range(1, coverage_depth(l, r) + 1):
+        for s, tail in enumerate(_padded_tail_profile(rho, l, K)):
+            if tail > noise:
+                best = max(best, tail / g(s))
+    return best
 
 
 def test_decay_profile_families():
@@ -41,7 +71,7 @@ def test_decay_profile_validation():
 def test_tail_sum_profile_worked_values():
     rho = Sequence.from_values([1, 0, 0, 1])
     for K in (2, 3, 4):
-        prof = tail_sum_profile(rho, 2, K)
+        prof = _tail_profile(rho, 2, K)
         assert len(prof) == 2 * K - K + 1
         assert prof[1].value ** 2 == pytest.approx(2.0, abs=1e-9)
         assert prof[2].value ** 2 == pytest.approx(1.0, abs=1e-9)
@@ -53,15 +83,31 @@ def test_tail_sum_profile_worked_values():
 def test_tail_sum_profile_is_non_increasing(rng):
     for _ in range(20):
         rho = Sequence.from_values(rng.normal(size=8))
-        prof = tail_sum_profile(rho, 2, 3)
+        prof = _tail_profile(rho, 2, 3)
         vals = [p.value for p in prof]
         assert all(vals[i + 1] <= vals[i] + 1e-12 for i in range(len(vals) - 1))
 
 
 def test_tail_sum_profile_depth_one_pads_with_zeros():
-    prof = tail_sum_profile(Sequence.from_values([3.0, 4.0]), 2, 1)
+    prof = _tail_profile(Sequence.from_values([3.0, 4.0]), 2, 1)
     assert prof[0].value == pytest.approx(5.0)
     assert prof[1].value == 0.0
+
+
+def test_complexity_reads_the_padded_tail_profile_bit_for_bit(rng):
+    profiles = (DecayProfile.exponential(0.5), DecayProfile.power(2.0, a=3.0))
+    for l, top in ((2, 6), (3, 4), (4, 3), (8, 3)):
+        for scale in (1e-200, 1.0, 1e200):
+            for _ in range(3):
+                n = l ** int(rng.integers(1, top + 1))
+                times = rng.choice(n, size=int(rng.integers(1, min(n, 8) + 1)),
+                                   replace=False)
+                rho = Sequence.from_arrays(times, rng.normal(size=len(times)) * scale)
+                for K in range(1, coverage_depth(l, rho.radius()) + 1):
+                    assert ([t.value for t in _tail_profile(rho, l, K)] ==
+                            _padded_tail_profile(rho, l, K))
+                for g in profiles:
+                    assert complexity_measure(rho, l, g).value == _padded_complexity(rho, l, g)
 
 
 def test_complexity_worked_example():
@@ -129,6 +175,10 @@ def test_complexity_requires_a_splittable_target():
         complexity_measure(Sequence.geometric(0.9), 2, g)
     value = complexity_measure(Sequence.geometric(0.9, horizon=20), 2, g)
     assert math.isfinite(value.value)
+    # A base below 2 splits no window; it once looped for ever.
+    for l in (1, 0):
+        with pytest.raises(ValueError, match="l >= 2"):
+            complexity_measure(Sequence.from_values([1.0, 2.0]), l, g)
 
 
 def test_rate_bound_interval_rejects_starved_stacks():

@@ -332,6 +332,9 @@ def test_malformed_json_target_rows_exit_two(tmp_path, capsys):
              {"family": "impulse", "params": {"t": 1.5}},
              {"family": "impulse", "params": {"t": True}},
              {"family": "geometric", "params": {"gamma": "0.5"}},
+             # numbers given as strings or booleans, in rows and bare
+             {"entries": [[0, ["1.5"]], [1, [True]]]}, {"entries": [[0, 1.0], [1, True]]},
+             {"entries": [[0, "2e0"]]},
              # rows saved under a key Sequence.from_json does not know
              {"rows": [[t, [0.5]] for t in range(2 ** 15)]}]
     for i, doc in enumerate(docs):
@@ -413,6 +416,21 @@ def test_reproduce_passes(capsys):
     code, out = run_cli(capsys, ["reproduce"])
     assert code == 0
     assert "FAIL" not in [line.split()[0] for line in out.splitlines() if line]
+
+
+def test_reproduce_computes_25_spectra(monkeypatch, capsys):
+    from memlens import tensors
+    computed = []
+    singular_values = tensors.singular_values
+
+    def counted(t):
+        computed.append(t.order)
+        return singular_values(t)
+
+    monkeypatch.setattr(tensors, "singular_values", counted)
+    code, out = run_cli(capsys, ["reproduce"])
+    assert code == 0 and out.endswith("totals: 10 pass, 0 fail, 4 logged\n")
+    assert len(computed) == 25
 
 
 def test_reproduce_fail_exits_three(monkeypatch, capsys):

@@ -7,7 +7,7 @@ from memlens.experiments import (RHO1_SLOTS, RHO2_SLOTS, SPARSE_VALUE,
                                  comparison_report, conformance_suite,
                                  error_curve_study, make_target,
                                  oracle_best_rank_matrix)
-from memlens.tensors import tensor_rank, tensorize
+from memlens.tensors import window_spectrum
 
 
 def test_make_target_sparse_values():
@@ -23,8 +23,8 @@ def test_make_target_sparse_values():
 
 
 def test_make_target_sparse_ranks():
-    assert tensor_rank(tensorize(make_target("rho1"), 2, 5)) == 5
-    assert tensor_rank(tensorize(make_target("rho2"), 2, 5)) == 10
+    assert window_spectrum(make_target("rho1"), 2, 5).rank() == 5
+    assert window_spectrum(make_target("rho2"), 2, 5).rank() == 10
 
 
 def test_make_target_decaying_families():

@@ -285,6 +285,19 @@ def test_values_must_be_finite():
     assert Sequence.from_json('{"entries": [[7, [1e308]]]}').value(7)[0] == 1e308
 
 
+def test_values_must_be_numbers():
+    for dim, rows, bad in ((1, [[0, ["1.5"]], [1, [True]]], "'1.5'"),
+                           (1, [[0, [1.0]], [1, [True]]], "True"),
+                           (1, [[0, 1.0], [1, "2e0"]], "'2e0'"),
+                           (1, [[0, False], [1, 2.0]], "False"),
+                           (2, [[0, (1.0, "1")]], "'1'")):
+        with pytest.raises(ValueError, match=f"^a value must be a number, not {bad}$"):
+            Sequence.from_json({"dim": dim, "entries": rows})
+    for rows in ([[0, [1]], [2, [-3.5]]], [[0, 1], [2, -3.5]]):
+        seq = Sequence.from_json({"entries": rows})
+        assert seq.arrays()[1].tobytes() == np.array([[1.0], [-3.5]]).tobytes()
+
+
 def test_row_form_times_must_be_whole_numbers():
     assert list(Sequence.from_json({"entries": [[7.0, [2.0]], [3, [1.0]]]}).entries()) == [3, 7]
     for rows in ([[2.5, [1.0]]], [["3", [1.0]]], [[True, [1.0]]], [[None, [1.0]]],
@@ -302,11 +315,20 @@ def _outcome(make):
     return times.dtype, times.tobytes(), values.dtype, values.shape, values.tobytes()
 
 
+def _numpy_reading(values, dim):
+    """The value list through np.asarray, once no value and no item of a
+    list or tuple value is a string or a bool."""
+    for value in values:
+        for x in value if isinstance(value, (list, tuple)) else [value]:
+            if isinstance(x, (str, bool)):
+                raise ValueError(f"a value must be a number, not {x!r:.40}")
+    return np.asarray(values, dtype=float)
+
+
 def _rows_as_numpy_read_them(dim, rows):
-    """The row conversion before the one-pass path: the value list through
-    np.asarray inside _columns."""
-    with mock.patch.object(sequences, "_matrix",
-                           lambda values, dim: np.asarray(values, dtype=float)):
+    """The row conversion without the one-pass path: _numpy_reading inside
+    _columns."""
+    with mock.patch.object(sequences, "_matrix", _numpy_reading):
         return Sequence.from_json({"dim": dim, "entries": rows})
 
 

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from memlens import tensors
 from memlens.sequences import Sequence, dilated_conv
 from memlens.tensors import (Spectrum, Tensor, analysis_window,
-                             matrix_singular_values, mode_flatten,
-                             mode_flatten_general, mode_refold_general,
-                             outer_product, singular_values, tensor_rank,
-                             tensorize, truncation_error_bound, window_spectrum)
+                             matrix_singular_values, mode_flatten_general,
+                             mode_refold_general, outer_product,
+                             singular_values, tensorize,
+                             truncation_error_bound, window_spectrum)
 
 
 def _numpy_mode_flatten(data, dims, k):
@@ -40,6 +40,11 @@ def _per_mode_spectrum(t):
         pairs.extend((float(v), k) for v in np.linalg.svd(flat, compute_uv=False))
     pairs.sort(key=lambda p: (-p[0], p[1]))
     return tuple(pairs)
+
+
+def _mode_values(spec, k):
+    """Mode k's values in a pooled spectrum, largest first."""
+    return np.array(sorted((v for v, m in spec.entries if m == k), reverse=True))
 
 
 def test_tensorize_layout_is_digit_addressed():
@@ -73,8 +78,8 @@ def test_tensorize_rejects_bad_inputs():
 
 def test_mode_flatten_small_case():
     t = tensorize(Sequence.from_values([1, 2, 3, 4]), 2, 2)
-    assert np.array_equal(mode_flatten(t, 1), [[1.0, 3.0], [2.0, 4.0]])
-    assert np.array_equal(mode_flatten(t, 2), [[1.0, 2.0], [3.0, 4.0]])
+    assert np.array_equal(mode_flatten_general(t.data, (2, 2), 1), [[1.0, 3.0], [2.0, 4.0]])
+    assert np.array_equal(mode_flatten_general(t.data, (2, 2), 2), [[1.0, 2.0], [3.0, 4.0]])
 
 
 @settings(max_examples=50, deadline=None)
@@ -108,7 +113,7 @@ def test_spectrum_pools_all_mode_flattenings(rng):
             assert len(spec) == l * K
             assert np.allclose(spec.values, _pooled_numpy_spectrum(t), atol=1e-10)
             for k in range(1, K + 1):
-                energy = float(np.sum(spec.per_mode(k) ** 2))
+                energy = float(np.sum(_mode_values(spec, k) ** 2))
                 assert energy == pytest.approx(t.norm() ** 2, rel=1e-10)
 
 
@@ -132,10 +137,10 @@ def test_rank_one_window_has_rank_equal_to_depth():
     data = _decaying_windows(2 ** 15)["exp:0.99"]
     for l, K in ((2, 15), (8, 5)):
         t = Tensor(l=l, order=K, data=data)
-        assert tensor_rank(t) == K
         spec = singular_values(t)
+        assert spec.rank() == K
         for k in range(1, K + 1):
-            assert spec.per_mode(k)[0] == pytest.approx(t.norm(), rel=1e-12)
+            assert _mode_values(spec, k)[0] == pytest.approx(t.norm(), rel=1e-12)
 
 
 def test_batched_spectrum_is_the_per_mode_loop(rng):
@@ -177,7 +182,7 @@ def test_spectrum_depth_one_is_the_window_norm():
 def test_spectrum_orders_ties_by_mode():
     spec = Spectrum.from_mode_values([[1.0, 0.5], [1.0, 0.5]])
     assert [m for _, m in spec.entries] == [1, 2, 1, 2]
-    assert np.array_equal(spec.per_mode(2), [1.0, 0.5])
+    assert np.array_equal(_mode_values(spec, 2), [1.0, 0.5])
     spec = Spectrum.from_mode_values([[1.0, 0.2], [1.0, 0.1], [1.0, 0.3]])
     assert spec.entries == ((1.0, 1), (1.0, 2), (1.0, 3), (0.3, 3), (0.2, 1), (0.1, 2))
 
@@ -203,7 +208,9 @@ def test_spectrum_values_are_made_once_and_read_only(rng):
     assert not spec.values.flags.writeable
     with pytest.raises(ValueError):
         spec.values[0] = 0.0
-    assert spec == Spectrum(entries=spec.entries)
+    assert spec == window_spectrum(Sequence.power(horizon=40), 2, 5)
+    with pytest.raises(TypeError, match="from_mode_values"):
+        Spectrum(entries=spec.entries)
     for per_mode in ([[2.0, -0.0], [1.0, 0.0], [0.5, -0.0]], [[3.0, 1.0, 2.0]],
                      np.zeros((3, 0)), rng.normal(size=(5, 4)),
                      np.round(rng.random((4, 8)), 1)):
@@ -258,9 +265,9 @@ def test_truncation_error_bound_tail_semantics():
 
 
 def test_tensor_rank_counts_pooled_nonzeros():
-    assert tensor_rank(tensorize(Sequence.from_values([1, 0, 1, 0]), 2, 2)) == 2
-    assert tensor_rank(tensorize(Sequence.from_values([1, 0, 0, 1]), 2, 2)) == 4
-    assert tensor_rank(tensorize(Sequence.zero(), 2, 3)) == 0
+    assert window_spectrum(Sequence.from_values([1, 0, 1, 0]), 2, 2).rank() == 2
+    assert window_spectrum(Sequence.from_values([1, 0, 0, 1]), 2, 2).rank() == 4
+    assert window_spectrum(Sequence.zero(), 2, 3).rank() == 0
 
 
 def test_analysis_window_rule():
