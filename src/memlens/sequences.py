@@ -113,8 +113,8 @@ def _matrix(values, dim):
     or as an item of a list or tuple value, is refused, though numpy would
     read it as a number.  A list of rows that are all lists or tuples of
     dim ints and floats is read in one pass over their items; anything
-    else, and an int too large for a float, as np.asarray reads it, so the
-    result or the error is np.asarray's."""
+    else as np.asarray reads it, so the result or the error is
+    np.asarray's."""
     if isinstance(values, list):
         rows = {list, tuple}.issuperset(map(type, values))
         # One flat list costs less than walking the rows twice.
@@ -125,10 +125,7 @@ def _matrix(values, dim):
                 if isinstance(x, (str, bool)):
                     raise ValueError(f"a value must be a number, not {x!r:.40}")
         elif rows and set(map(len, values)) == {dim}:
-            try:
-                return np.fromiter(items, float, count=len(items)).reshape(-1, dim)
-            except OverflowError:
-                pass  # np.asarray below raises its own error
+            return np.fromiter(items, float, count=len(items)).reshape(-1, dim)
     return np.asarray(values, dtype=float)
 
 
