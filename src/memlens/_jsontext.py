@@ -8,6 +8,8 @@ and writes a dict of float rows -- a non-empty dict whose values are all
 lists of one length >= 1 holding only floats, such as a filter bank --
 without a step per member: one format template is mapped over its quoted
 keys and its columns of number texts, _BLOCK members at a time.
+
+csv_field(text) is the one quoting rule of the CSV artifacts.
 """
 
 from itertools import chain
@@ -28,6 +30,14 @@ def dump(obj) -> str:
     _write(obj, "\n", parts)
     parts.append("\n")
     return "".join(parts)
+
+
+def csv_field(text: str) -> str:
+    """text as one CSV field: quoted, with its quotes doubled, when it
+    holds a comma, a quote or a line break (RFC 4180), else as it is."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _write(obj, indent, parts):

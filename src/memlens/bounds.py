@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from ._jsontext import csv_field
 from .sequences import Scalar, Sequence
 from .models import effective_filters
 from . import tensors
@@ -111,7 +112,7 @@ class ErrorCurveTable:
         return [m for m, _ in picked], [u for _, u in picked]
 
     def to_csv(self) -> str:
-        head = f"{self.target},{self.l}"
+        head = f"{csv_field(self.target)},{self.l}"
         lines = ["target,l,K,M,rank_term,tail_term,upper_bound"]
         lines += [f"{head},{K},{M},{rank!r},{tail!r},{upper!r}"
                   for K, M, rank, tail, upper in self.rows]

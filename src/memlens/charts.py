@@ -14,6 +14,11 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 62, 18, 34, 46
 
 
+def _escape(text: str) -> str:
+    """text as SVG character data."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _fmt(v: float) -> str:
     return f"{v:.4g}"
 
@@ -37,12 +42,13 @@ def line_chart(series, title: str = "", x_label: str = "",
                width: int = 640, height: int = 420) -> str:
     """Render labelled (xs, ys) series as an SVG line chart.
 
-    series is an iterable of (label, xs, ys) triples.  With log_y, zero
+    series is an iterable of (label, xs, ys) triples; the labels, title
+    and axis labels are plain text, escaped here.  With log_y, zero
     or negative values are clamped to one decade below the smallest
     positive value so plateaus at exact zero remain visible.
     """
-    series = [(str(label), [float(x) for x in xs], [float(y) for y in ys])
-              for label, xs, ys in series]
+    series = [(_escape(str(label)), [float(x) for x in xs],
+               [float(y) for y in ys]) for label, xs, ys in series]
     if not series or any(len(xs) != len(ys) or not xs for _, xs, ys in series):
         raise ValueError("series must be nonempty (label, xs, ys) triples")
 
@@ -82,6 +88,7 @@ def line_chart(series, title: str = "", x_label: str = "",
         frac = (x - x_lo) / (x_hi - x_lo)
         return _MARGIN_L + frac * (width - _MARGIN_L - _MARGIN_R)
 
+    title, x_label, y_label = map(_escape, (title, x_label, y_label))
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
              f'height="{height}" viewBox="0 0 {width} {height}">',
              f'<rect width="{width}" height="{height}" fill="white"/>']

@@ -5,9 +5,12 @@ makes the whole usage check: required flags, choices, and range-checked
 numbers (--l >= 2; --K, --M-max and --horizon >= 1), so a malformed
 invocation exits 1 before any file is written.  A handler reads its
 subparser's namespace, calls the library and serialises the result;
-every number it writes comes from one library call.  Exit codes: 0
-success, 1 usage error, 2 computation error, 3 a failed check (reproduce,
-study).
+every number it writes comes from one library call.  A handler writes
+and prints nothing: it hands each artifact to main, which prints them
+all, or writes them all into --out, once the handler has returned.
+Exit codes: 0 success, 1 usage error, 2 computation error, 3 a failed
+check (reproduce, study).  Exits 1 and 2 write and print no artifact;
+study and reproduce still write theirs on exit 3.
 
 The parser is built once per process (build_parser is cached) and holds
 no per-call state: each main call parses into a fresh namespace, and a
@@ -24,6 +27,7 @@ window (tensors.analysis_window).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import gc
 import json
@@ -40,7 +44,7 @@ from .experiments import (comparison_report, conformance_suite,
                           error_curve_study, make_target)
 from .models import (effective_filters, replay_residual, synthesize_lowrank,
                      synthesize_radix)
-from ._jsontext import dump as _dump
+from ._jsontext import csv_field, dump as _dump
 
 FORMATS = ("csv", "json", "svg")
 
@@ -168,22 +172,48 @@ def _profile(family: str, params) -> DecayProfile:
     return DecayProfile.power(*params)
 
 
-def _emit(out: str, name: str, text: str):
-    if out:
+def _write(out: str, artifacts) -> None:
+    """Print a command's (name, text, echo) artifacts, or write them to out.
+
+    Without out every text is printed, in order.  With out, each named
+    artifact goes to out/name (':' and the path separator read as '-') and
+    its path is printed, or its text when echo is set; one without a name
+    is only printed.  Two artifacts bound for one file are a usage error.
+    The texts go to dot-prefixed temporary files of this process in out,
+    which are renamed in place once all are written.  A failure or
+    interrupt before the renames removes them and re-raises, so no artifact
+    is left; a failure between two renames can still leave part of the set.
+    """
+    paths = [os.path.join(out, name.replace(":", "-").replace(os.sep, "-"))
+             if out and name else None for name, _, _ in artifacts]
+    named = [path for path in paths if path]
+    if len(set(named)) < len(named):
+        twice = next(path for i, path in enumerate(named) if path in named[:i])
+        raise UsageError(f"two artifacts of this command would both be "
+                         f"written to {twice}")
+    if named:
         os.makedirs(out, exist_ok=True)
-        path = os.path.join(out, name)
-        with open(path, "w") as fh:
-            fh.write(text)
-        print(path)
-    else:
+    temps = []
+    try:
+        for path, (_, text, _) in zip(paths, artifacts):
+            if path:
+                temps.append(os.path.join(
+                    out, f".{os.path.basename(path)}.{os.getpid()}.tmp"))
+                with open(temps[-1], "w") as fh:
+                    fh.write(text)
+        for temp, path in zip(temps, named):
+            os.replace(temp, path)
+    except BaseException:
+        for temp in temps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temp)
+        raise
+    for path, (_, text, echo) in zip(paths, artifacts):
+        text = text if echo or not path else path
         print(text, end="" if text.endswith("\n") else "\n")
 
 
-def _safe_label(label: str) -> str:
-    return label.replace(":", "-").replace(os.path.sep, "-")
-
-
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args, emit) -> int:
     for text in args.target:
         target, label = load_target(text)
         per_K = []
@@ -192,68 +222,68 @@ def _cmd_spectrum(args) -> int:
             per_K.append({"K": K, "rank": spec.rank(),
                           "values": [[float(v), int(m)] for v, m in spec.entries]})
         if "json" in args.format:
-            _emit(args.out, f"{_safe_label(label)}_spectrum.json",
-                  _dump({"target": label, "l": args.l, "per_K": per_K}))
+            emit(f"{label}_spectrum.json",
+                 _dump({"target": label, "l": args.l, "per_K": per_K}))
         if "csv" in args.format:
+            head = f"{csv_field(label)},{args.l}"
             lines = ["target,l,K,index,mode,value"]
             for row in per_K:
                 for idx, (v, m) in enumerate(row["values"], start=1):
-                    lines.append(f"{label},{args.l},{row['K']},{idx},{m},{v!r}")
-            _emit(args.out, f"{_safe_label(label)}_spectrum.csv",
-                  "\n".join(lines) + "\n")
+                    lines.append(f"{head},{row['K']},{idx},{m},{v!r}")
+            emit(f"{label}_spectrum.csv", "\n".join(lines) + "\n")
     return 0
 
 
-def _cmd_measure(args) -> int:
+def _cmd_measure(args, emit) -> int:
     g = _profile(args.g, args.g_params)
     for text in args.target:
         target, label = load_target(text)
         c = complexity_measure(analysis_window(target, args.l, args.K[0]), args.l, g)
         finite = math.isfinite(c.value)
-        _emit(args.out, f"{_safe_label(label)}_measure.json",
-              _dump({"target": label, "l": args.l,
-                     "g": {"family": args.g, "params": list(args.g_params)},
-                     "complexity": c.value if finite else None,
-                     "infinite": not finite}))
+        emit(f"{label}_measure.json",
+             _dump({"target": label, "l": args.l,
+                    "g": {"family": args.g, "params": list(args.g_params)},
+                    "complexity": c.value if finite else None,
+                    "infinite": not finite}))
     return 0
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args, emit) -> int:
     g = _profile(args.g, args.g_params)
     K = args.K[0]
     for text in args.target:
         target, label = load_target(text)
         lower, upper = rate_bound_interval(target, args.l, K, args.channels, g)
-        _emit(args.out, f"{_safe_label(label)}_bounds.json",
-              _dump({"target": label, "l": args.l, "K": K,
-                     "channels": list(args.channels),
-                     "effective_filters": effective_filters(
-                         args.channels, args.l, K, target.dim),
-                     "lower": {"value": lower.value, "halfwidth": lower.halfwidth},
-                     "upper": {"value": upper.value, "halfwidth": upper.halfwidth}}))
+        emit(f"{label}_bounds.json",
+             _dump({"target": label, "l": args.l, "K": K,
+                    "channels": list(args.channels),
+                    "effective_filters": effective_filters(
+                        args.channels, args.l, K, target.dim),
+                    "lower": {"value": lower.value, "halfwidth": lower.halfwidth},
+                    "upper": {"value": upper.value, "halfwidth": upper.halfwidth}}))
     return 0
 
 
-def _cmd_curve(args) -> int:
+def _cmd_curve(args, emit) -> int:
     for text in args.target:
         target, label = load_target(text)
         table = error_curve(target, args.l, args.K, range(1, args.M_max + 1),
                             target_id=label)
         if "csv" in args.format:
-            _emit(args.out, f"{_safe_label(label)}_curve.csv", table.to_csv())
+            emit(f"{label}_curve.csv", table.to_csv())
         if "json" in args.format:
             rows = [r._asdict() for r in table.rows]
-            _emit(args.out, f"{_safe_label(label)}_curve.json",
-                  _dump({"target": label, "l": args.l, "rows": rows}))
+            emit(f"{label}_curve.json",
+                 _dump({"target": label, "l": args.l, "rows": rows}))
         if "svg" in args.format:
             series = [(f"K={K}", *table.curve(K)) for K in sorted(set(args.K))]
             svg = line_chart(series, title=f"{label}: approximation bound",
                              x_label="filters M", y_label="upper bound")
-            _emit(args.out, f"{_safe_label(label)}_curve.svg", svg + "\n")
+            emit(f"{label}_curve.svg", svg + "\n")
     return 0
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args, emit) -> int:
     if args.method == "radix" and args.K:
         raise UsageError("--K applies to --method lowrank")
     for text in args.target:
@@ -265,42 +295,42 @@ def _cmd_synth(args) -> int:
             K = args.K[0] if args.K else None
             window = analysis_window(target, args.l, K)
             spec = synthesize_lowrank(window, args.l, K)
-        _emit(args.out, f"{_safe_label(label)}_{args.method}.json",
-              _dump({"target": label, "method": args.method, "l": args.l,
-                     "depth": spec.K, "channels": list(spec.channels),
-                     "filter_count": spec.filter_count,
-                     "replay_residual": replay_residual(spec, window),
-                     "spec": spec.to_json()}))
+        emit(f"{label}_{args.method}.json",
+             _dump({"target": label, "method": args.method, "l": args.l,
+                    "depth": spec.K, "channels": list(spec.channels),
+                    "filter_count": spec.filter_count,
+                    "replay_residual": replay_residual(spec, window),
+                    "spec": spec.to_json()}))
     return 0
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args, emit) -> int:
     given = {key: getattr(args, key) for key in ("gamma", "eps", "K", "horizon")
              if getattr(args, key) is not None}
     report = comparison_report(args.scenario, l=args.l, **given)
-    _emit(args.out, f"compare_{args.scenario}.json", _dump(report.to_json()))
+    emit(f"compare_{args.scenario}.json", _dump(report.to_json()))
     return 0
 
 
-def _cmd_study(args) -> int:
+def _cmd_study(args, emit) -> int:
     study = error_curve_study(l=args.l, K_list=args.K, M_max=args.M_max)
     tables = sorted(study.tables.items())
     for name, table in tables:
-        _emit(args.out, f"{name}_curves.csv", table.to_csv())
+        emit(f"{name}_curves.csv", table.to_csv())
     for K in sorted(set(args.K)):
         series = [(name, *table.curve(K)) for name, table in tables]
-        _emit(args.out, f"curves_K{K}.svg",
-              line_chart(series, title=f"upper bound vs M (l={args.l}, K={K})",
-                         x_label="effective filters M", y_label="upper bound",
-                         log_y=True))
-    _emit(args.out, "study_summary.json",
-          _dump({"l": study.l, "checks": study.checks, "notes": study.notes}))
-    for name, ok in sorted(study.checks.items()):
-        print(f"{'PASS' if ok else 'FAIL'} {name}")
+        emit(f"curves_K{K}.svg",
+             line_chart(series, title=f"upper bound vs M (l={args.l}, K={K})",
+                        x_label="effective filters M", y_label="upper bound",
+                        log_y=True))
+    emit("study_summary.json",
+         _dump({"l": study.l, "checks": study.checks, "notes": study.notes}))
+    emit(None, "".join(f"{'PASS' if ok else 'FAIL'} {name}\n"
+                       for name, ok in sorted(study.checks.items())))
     return 0 if study.passed else 3
 
 
-def _cmd_reproduce(args) -> int:
+def _cmd_reproduce(args, emit) -> int:
     items = conformance_suite()
     lines = [f"{item.status:6s} {item.name}: {item.detail}" for item in items]
     counts = {"PASS": 0, "FAIL": 0, "LOGGED": 0}
@@ -308,12 +338,7 @@ def _cmd_reproduce(args) -> int:
         counts[item.status] += 1
     lines.append(f"totals: {counts['PASS']} pass, {counts['FAIL']} fail, "
                  f"{counts['LOGGED']} logged")
-    text = "\n".join(lines) + "\n"
-    print(text, end="")
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "reproduce.txt"), "w") as fh:
-            fh.write(text)
+    emit("reproduce.txt", "\n".join(lines) + "\n", echo=True)
     return 3 if counts["FAIL"] else 0
 
 
@@ -399,8 +424,15 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    artifacts = []
+
+    def emit(name, text, echo=False):
+        artifacts.append((name, text, echo))
+
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args, emit)
+        _write(args.out, artifacts)
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,3 +1,5 @@
+import xml.dom.minidom
+
 import pytest
 
 from memlens.charts import line_chart
@@ -20,3 +22,11 @@ from memlens.charts import line_chart
 def test_line_chart_maps_data_ranges_onto_the_plot_area(series, log_y, points):
     svg = line_chart(series, log_y=log_y)
     assert f'<polyline points="{points}"' in svg
+
+
+def test_line_chart_escapes_its_texts():
+    svg = line_chart([("a<b & c>", [0, 1], [0.0, 1.0])], title="t & u",
+                     x_label="<x>", y_label="y&")
+    doc = xml.dom.minidom.parseString(svg)
+    texts = [node.firstChild.data for node in doc.getElementsByTagName("text")]
+    assert {"a<b & c>", "t & u", "<x>", "y&"} <= set(texts)

@@ -1,11 +1,16 @@
 import contextlib
+import csv
 import gc
 import io
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import tempfile
+import xml.dom.minidom
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +18,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import memlens
+from memlens import cli as cli_module
+from memlens._jsontext import csv_field
 from memlens.cli import _dump, build_parser, load_target, main
 from memlens.sequences import Sequence
 
@@ -266,6 +274,7 @@ def test_study_writes_the_script_artifacts(tmp_path, capsys):
     # No depth of 2 covers the sparse supports, so the claim checks fail.
     assert main(["study", "--out", str(tmp_path / "shallow"), "--K", "2"]) == 3
     assert "FAIL low_rank_pointwise_easier" in capsys.readouterr().out
+    assert (tmp_path / "shallow" / "study_summary.json").exists()
 
 
 def _readme_commands():
@@ -381,12 +390,125 @@ def test_non_finite_target_values_exit_two(tmp_path, capsys, token):
     path.write_text('{"entries": [[0, [1.0]], [3, [%s]]]}' % token)
     out = tmp_path / "out"
     g = ["--g", "exponential", "--g-params", "0.5"]
+    # A good target before the bad one leaves no artifact either, printed
+    # or written.
     for args in (["spectrum"], ["measure", *g],
                  ["bounds", "--channels", "1,4,4,4,4,1", *g], ["curve"],
                  ["synth"], ["synth", "--method", "lowrank"]):
-        assert main([*args, "--target", str(path), "--out", str(out)]) == 2, args
-        assert capsys.readouterr().err == "error: the value at t=3 is not finite\n"
+        for targets in (["--target", str(path)],
+                        ["--target", "rho1", "--target", str(path)]):
+            for where in ([], ["--out", str(out)]):
+                assert main([*args, *targets, *where]) == 2, args
+                captured = capsys.readouterr()
+                assert captured.out == "", args
+                assert captured.err == "error: the value at t=3 is not finite\n"
     assert not out.exists()
+
+
+NAN_TARGET = '{"entries": [[0, [1.0]], [3, [NaN]]]}'
+
+
+def test_a_failed_command_exits_two_from_a_process(tmp_path):
+    (tmp_path / "bad.json").write_text(NAN_TARGET)
+    src = str(Path(memlens.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "memlens.cli", "spectrum", "--target", "rho1",
+         "--target", "bad.json", "--out", "d"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: the value at t=3 is not finite\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+
+@pytest.mark.parametrize("error", [OSError("disk full"), KeyboardInterrupt()])
+def test_a_failed_write_or_rename_leaves_nothing(tmp_path, monkeypatch, capsys, error):
+    out = tmp_path / "out"
+    curve = ["curve", "--target", "rho1", "--K", "2", "--M-max", "4",
+             "--format", "csv,json,svg", "--out", str(out)]
+    spectrum = ["spectrum", "--target", "rho1", "--K", "3", "--out", str(out)]
+
+    def open_failing_last(path, *args, **kwargs):
+        if str(path).endswith(f"_curve.svg.{os.getpid()}.tmp"):
+            raise error
+        return open(path, *args, **kwargs)
+
+    def failing_replace(*args):
+        raise error
+
+    # The last of three artifacts fails to write; the only one fails to
+    # be renamed into place.
+    for argv, owner, name, failing in ((curve, cli_module, "open", open_failing_last),
+                                       (spectrum, os, "replace", failing_replace)):
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, failing, raising=False)
+            if isinstance(error, KeyboardInterrupt):
+                with pytest.raises(KeyboardInterrupt):
+                    main(argv)
+            else:
+                assert main(argv) == 2
+                assert capsys.readouterr().err == "error: disk full\n"
+        assert capsys.readouterr().out == ""
+        assert list(out.iterdir()) == []
+    assert main(curve) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+    assert len(list(out.iterdir())) == 3
+
+
+def test_artifacts_keep_the_mode_of_a_plain_open(tmp_path, capsys):
+    old = os.umask(0o027)
+    try:
+        assert main(["spectrum", "--target", "rho1", "--K", "3",
+                     "--out", str(tmp_path / "out")]) == 0
+    finally:
+        os.umask(old)
+    capsys.readouterr()
+    (path,) = (tmp_path / "out").iterdir()
+    assert path.stat().st_mode & 0o777 == 0o640
+
+
+def test_two_artifacts_for_one_file_are_refused(tmp_path, capsys):
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "k.json").write_text('{"entries": [[0, [1.0]], [3, [2.0]]]}')
+    (tmp_path / "rho3-5.json").write_text('{"entries": [[0, [1.0]]]}')
+    out = tmp_path / "dup"
+    spectrum = ["spectrum", "--target", str(tmp_path / "a" / "k.json"),
+                "--target", str(tmp_path / "b" / "k.json"), "--K", "2"]
+    measure = ["measure", "--target", "rho3:5", "--target", str(tmp_path / "rho3-5.json"),
+               "--g", "exponential", "--g-params", "0.5"]
+    for argv, name in ((spectrum, "k_spectrum.json"), (measure, "rho3-5_measure.json")):
+        assert main([*argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: two artifacts of this command would "
+                                f"both be written to {out / name}\n")
+        assert not out.exists()
+        # Printed, both texts are kept.
+        assert main(argv) == 0
+        assert capsys.readouterr().out.count('"target"') == 2
+
+
+@pytest.mark.parametrize("label", ["a&b,c", 'x "q" <y>\nz'])
+def test_artifacts_are_well_formed_for_any_target_name(tmp_path, capsys, label):
+    path = tmp_path / f"{label}.json"
+    path.write_text('{"entries": [[0, [1.0]], [3, [0.5]]]}')
+    out = tmp_path / "out"
+    assert main(["curve", "--target", str(path), "--K", "2", "--K", "3",
+                 "--M-max", "4", "--format", "csv,svg", "--out", str(out)]) == 0
+    assert main(["spectrum", "--target", str(path), "--K", "3",
+                 "--format", "csv", "--out", str(out)]) == 0
+    capsys.readouterr()
+    for suffix, width in (("_curve.csv", 7), ("_spectrum.csv", 6)):
+        with open(out / f"{label}{suffix}", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert {len(row) for row in rows} == {width}
+        assert {row[0] for row in rows[1:]} == {label}
+    doc = xml.dom.minidom.parse(str(out / f"{label}_curve.svg"))
+    texts = [node.firstChild.data for node in doc.getElementsByTagName("text")]
+    assert f"{label}: approximation bound" in texts
+    assert csv_field("rho3:5") == "rho3:5"
 
 
 def test_compare_beyond_the_time_limit_exits_two(capsys):
@@ -508,11 +630,22 @@ def _argv(data):
 @given(st.data())
 def test_cli_fuzz_exits_with_a_documented_code(data):
     argv = _argv(data)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 1, 2, 3), argv
-    assert "Traceback" not in err.getvalue(), argv
+    with tempfile.TemporaryDirectory() as tmp:
+        if "--target" in argv and data.draw(st.booleans()):
+            bad = Path(tmp) / "bad.json"
+            bad.write_text(NAN_TARGET)
+            argv += ["--target", str(bad)]
+        out = Path(tmp) / "out"
+        argv += ["--out", str(out)]
+        stdout, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in err.getvalue(), argv
+        written = sorted(p.name for p in out.iterdir()) if out.exists() else []
+        if code in (1, 2):
+            assert written == [], argv
+        assert not [name for name in written if name.startswith(".")], argv
 
 
 _TEXT = st.one_of(st.text(max_size=8),
