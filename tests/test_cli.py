@@ -556,7 +556,6 @@ def test_reproduce_computes_25_spectra(monkeypatch, capsys):
 
 
 def test_reproduce_fail_exits_three(monkeypatch, capsys):
-    from memlens import cli as cli_module
     from memlens.experiments import ConformanceItem
 
     def broken_suite():
