@@ -11,23 +11,25 @@ import math
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
+_WIDTH, _HEIGHT, _LINEAR_TICKS = 640, 420, 5
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 62, 18, 34, 46
 
-
-def _escape(text: str) -> str:
-    """text as SVG character data."""
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+# str.translate table from plain text to SVG character data.  XML 1.0
+# allows no C0 control character but tab, newline and carriage return, not
+# even as a character reference, so each of the others becomes U+FFFD.
+_SVG_TEXT = {**dict.fromkeys({*range(0x20)} - {0x9, 0xA, 0xD}, "\ufffd"),
+             ord("&"): "&amp;", ord("<"): "&lt;", ord(">"): "&gt;"}
 
 
 def _fmt(v: float) -> str:
     return f"{v:.4g}"
 
 
-def _linear_ticks(lo: float, hi: float, count: int = 5):
+def _linear_ticks(lo: float, hi: float):
     if hi <= lo:
         hi = lo + 1.0
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
+    step = (hi - lo) / (_LINEAR_TICKS - 1)
+    return [lo + i * step for i in range(_LINEAR_TICKS)]
 
 
 def _log_ticks(lo: float, hi: float):
@@ -38,8 +40,7 @@ def _log_ticks(lo: float, hi: float):
 
 
 def line_chart(series, title: str = "", x_label: str = "",
-               y_label: str = "", log_y: bool = False,
-               width: int = 640, height: int = 420) -> str:
+               y_label: str = "", log_y: bool = False) -> str:
     """Render labelled (xs, ys) series as an SVG line chart.
 
     series is an iterable of (label, xs, ys) triples; the labels, title
@@ -47,7 +48,7 @@ def line_chart(series, title: str = "", x_label: str = "",
     or negative values are clamped to one decade below the smallest
     positive value so plateaus at exact zero remain visible.
     """
-    series = [(_escape(str(label)), [float(x) for x in xs],
+    series = [(str(label).translate(_SVG_TEXT), [float(x) for x in xs],
                [float(y) for y in ys]) for label, xs, ys in series]
     if not series or any(len(xs) != len(ys) or not xs for _, xs, ys in series):
         raise ValueError("series must be nonempty (label, xs, ys) triples")
@@ -73,7 +74,7 @@ def line_chart(series, title: str = "", x_label: str = "",
             y = max(y, floor)
             frac = ((math.log10(y) - math.log10(y_lo))
                     / (math.log10(y_hi) - math.log10(y_lo)))
-            return height - _MARGIN_B - frac * (height - _MARGIN_T - _MARGIN_B)
+            return _HEIGHT - _MARGIN_B - frac * (_HEIGHT - _MARGIN_T - _MARGIN_B)
     else:
         y_lo, y_hi = min(all_y), max(all_y)
         if y_hi <= y_lo:
@@ -82,22 +83,22 @@ def line_chart(series, title: str = "", x_label: str = "",
 
         def sy(y):
             frac = (y - y_lo) / (y_hi - y_lo)
-            return height - _MARGIN_B - frac * (height - _MARGIN_T - _MARGIN_B)
+            return _HEIGHT - _MARGIN_B - frac * (_HEIGHT - _MARGIN_T - _MARGIN_B)
 
     def sx(x):
         frac = (x - x_lo) / (x_hi - x_lo)
-        return _MARGIN_L + frac * (width - _MARGIN_L - _MARGIN_R)
+        return _MARGIN_L + frac * (_WIDTH - _MARGIN_L - _MARGIN_R)
 
-    title, x_label, y_label = map(_escape, (title, x_label, y_label))
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-             f'height="{height}" viewBox="0 0 {width} {height}">',
-             f'<rect width="{width}" height="{height}" fill="white"/>']
+    title, x_label, y_label = (t.translate(_SVG_TEXT) for t in (title, x_label, y_label))
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+             f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+             f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>']
     if title:
-        parts.append(f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
+        parts.append(f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="14">{title}</text>')
 
-    x0, y0 = _MARGIN_L, height - _MARGIN_B
-    x1, y1 = width - _MARGIN_R, _MARGIN_T
+    x0, y0 = _MARGIN_L, _HEIGHT - _MARGIN_B
+    x1, y1 = _WIDTH - _MARGIN_R, _MARGIN_T
     parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" '
                  f'stroke="black"/>')
     parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" '
@@ -117,7 +118,7 @@ def line_chart(series, title: str = "", x_label: str = "",
                      f'font-family="sans-serif" font-size="11">{_fmt(ty)}</text>')
 
     if x_label:
-        parts.append(f'<text x="{(x0 + x1) / 2:.1f}" y="{height - 10}" '
+        parts.append(f'<text x="{(x0 + x1) / 2:.1f}" y="{_HEIGHT - 10}" '
                      f'text-anchor="middle" font-family="sans-serif" '
                      f'font-size="12">{x_label}</text>')
     if y_label:
@@ -132,7 +133,7 @@ def line_chart(series, title: str = "", x_label: str = "",
         parts.append(f'<polyline points="{points}" fill="none" '
                      f'stroke="{color}" stroke-width="1.5"/>')
         ly = _MARGIN_T + 14 * idx + 4
-        lx = width - _MARGIN_R - 130
+        lx = _WIDTH - _MARGIN_R - 130
         parts.append(f'<line x1="{lx}" y1="{ly}" x2="{lx + 22}" y2="{ly}" '
                      f'stroke="{color}" stroke-width="1.5"/>')
         parts.append(f'<text x="{lx + 27}" y="{ly + 4}" '

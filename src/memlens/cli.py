@@ -18,8 +18,9 @@ given --K replaces the tuple of default depths.  spectrum, curve and
 study take a repeatable --K; measure, bounds and synth read one depth,
 so a second --K there is a usage error.
 
-Targets are builtin ids (rho1, rho2, rho3[:H], exp:GAMMA, impulse:T), or
-a path to a sequence JSON file.  measure, bounds and synth read a
+Targets are paths to sequence JSON files, or builtin ids (rho1, rho2,
+rho3[:H], exp:GAMMA, impulse:T), which experiments.make_target reads as
+shorthand for the JSON family forms.  measure, bounds and synth read a
 generated target up to its horizon, or, without one, on its length-l^K
 window (tensors.analysis_window).
 """
@@ -30,6 +31,7 @@ import argparse
 import contextlib
 import functools
 import gc
+import inspect
 import json
 import math
 import os
@@ -40,7 +42,7 @@ from .tensors import analysis_window, window_spectrum
 from .bounds import (DecayProfile, complexity_measure, error_curve,
                      rate_bound_interval)
 from .charts import line_chart
-from .experiments import (comparison_report, conformance_suite,
+from .experiments import (SCENARIOS, comparison_report, conformance_suite,
                           error_curve_study, make_target)
 from .models import (effective_filters, replay_residual, synthesize_lowrank,
                      synthesize_radix)
@@ -120,11 +122,12 @@ class _Parser(argparse.ArgumentParser):
 
 class UsageError(Exception):
     """A malformed invocation argparse cannot see (the --g-params count,
-    --K with radix synthesis)."""
+    --K with radix synthesis, a compare flag its scenario does not take)."""
 
 
 def load_target(text: str):
-    """(Sequence, label) from a builtin id or a JSON file path."""
+    """(Sequence, label) from a JSON file path, or from a builtin id, which
+    experiments.make_target reads and which is its own label."""
     if text.endswith(".json") or os.path.sep in text:
         # The decoded rows hold no reference cycles and are freed by
         # reference counting; with the collector paused no collection walks
@@ -139,23 +142,7 @@ def load_target(text: str):
                 gc.enable()
         label = os.path.splitext(os.path.basename(text))[0]
         return seq, label
-    name, _, arg = text.partition(":")
-    if name in ("rho1", "rho2"):
-        if text != name:
-            raise ValueError(f"target {name} takes no argument, not {text!r}")
-        return make_target(name), name
-    if name == "rho3":
-        horizon = int(arg) if arg else None
-        return make_target(name, horizon=horizon), text
-    if name == "exp":
-        if not arg:
-            raise ValueError("exp target needs a value, e.g. exp:0.9")
-        return make_target(name, gamma=float(arg)), text
-    if name == "impulse":
-        if not arg:
-            raise ValueError("impulse target needs a position, e.g. impulse:19")
-        return make_target(name, t=int(arg)), text
-    raise ValueError(f"unknown target {text!r}")
+    return make_target(text), text
 
 
 def _profile(family: str, params) -> DecayProfile:
@@ -307,6 +294,10 @@ def _cmd_synth(args, emit) -> int:
 def _cmd_compare(args, emit) -> int:
     given = {key: getattr(args, key) for key in ("gamma", "eps", "K", "horizon")
              if getattr(args, key) is not None}
+    takes = inspect.signature(SCENARIOS[args.scenario]).parameters
+    extra = [f"--{key}" for key in given if key not in takes]
+    if extra:
+        raise UsageError(f"scenario {args.scenario} takes no {' or '.join(extra)}")
     report = comparison_report(args.scenario, l=args.l, **given)
     emit(f"compare_{args.scenario}.json", _dump(report.to_json()))
     return 0
@@ -400,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("radix", "lowrank"), default="radix")
 
     p = sub.add_parser("compare", help="model-family comparison scenarios")
-    p.add_argument("--scenario", required=True, choices=("exp_decay", "impulse_copy"))
+    p.add_argument("--scenario", required=True, choices=tuple(SCENARIOS))
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--K", type=depth, default=None)

@@ -9,12 +9,13 @@ worked example and reports PASS, FAIL or LOGGED per item.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import Scalar, Sequence, dilated_conv
+from .sequences import Scalar, Sequence, _read_number, dilated_conv
 from . import tensors
 from .bounds import DecayProfile, complexity_measure, error_curve
 from .models import (cnn_min_depth_expdecay, replay_residual,
@@ -30,35 +31,36 @@ RHO1_SLOTS = (16, 17, 24, 25)
 RHO2_SLOTS = (8, 14, 18, 25)
 
 
-def make_target(name: str, **params) -> Sequence:
-    """Builtin analysis targets.
+# The family document each builtin id with an argument stands for.
+_SHORTHAND = {"rho3": lambda x: {"family": "power", "horizon": x},
+              "exp": lambda x: {"family": "geometric", "params": {"gamma": x}},
+              "impulse": lambda x: {"family": "impulse", "params": {"t": x}}}
+
+
+def make_target(text: str) -> Sequence:
+    """The builtin analysis target a target id names.
 
     "rho1" and "rho2" put the value pi^2 / 12 on four window slots each
-    (a low-rank and a full-rank pattern under tensorisation), "rho3" is
-    the inverse-time sequence, "exp" takes gamma (gamma = 0 degenerates
-    to a unit impulse at 0 via the 0^0 = 1 convention), "impulse" takes
-    the position t.  "rho3" and "exp" accept an optional horizon.
+    (a low-rank and a full-rank pattern under tensorisation); "rho3" is
+    the inverse-time sequence.  "rho3:H", "exp:G" and "impulse:T" are
+    shorthand for the family documents in _SHORTHAND, which
+    Sequence.from_json reads, with an integer argument text as an int and
+    any other as a float.  "exp:0" is the unit impulse at 0 (0^0 = 1).
     """
-    if name == "rho1":
-        return Sequence.from_arrays(RHO1_SLOTS, [SPARSE_VALUE] * len(RHO1_SLOTS))
-    if name == "rho2":
-        return Sequence.from_arrays(RHO2_SLOTS, [SPARSE_VALUE] * len(RHO2_SLOTS))
-    if name == "rho3":
-        return Sequence.power(horizon=params.get("horizon"))
-    if name == "exp":
-        if "gamma" not in params:
-            raise ValueError("exp target needs gamma")
-        gamma = float(params["gamma"])
-        if gamma == 0.0:
-            return Sequence.impulse(0)
-        if not 0.0 < gamma < 1.0:
-            raise ValueError("exp target needs 0 <= gamma < 1")
-        return Sequence.geometric(gamma, horizon=params.get("horizon"))
-    if name == "impulse":
-        if "t" not in params:
-            raise ValueError("impulse target needs t")
-        return Sequence.impulse(int(params["t"]))
-    raise ValueError(f"unknown target {name!r}")
+    name, colon, arg = text.partition(":")
+    if name in ("rho1", "rho2"):
+        if colon:
+            raise ValueError(f"target {name} takes no argument, not {text!r}")
+        slots = RHO1_SLOTS if name == "rho1" else RHO2_SLOTS
+        return Sequence.from_arrays(slots, [SPARSE_VALUE] * len(slots))
+    if text == "rho3":
+        return Sequence.power()
+    if name not in _SHORTHAND:
+        raise ValueError(f"unknown target {text!r}")
+    x = _read_number(arg, f"the argument of {name}")
+    if name == "exp" and x == 0:
+        return Sequence.impulse(0)
+    return Sequence.from_json(_SHORTHAND[name](x))
 
 
 def oracle_best_rank_matrix(mat, rank: int) -> Scalar:
@@ -102,8 +104,7 @@ def error_curve_study(l: int = 2, K_list=(4, 5, 6), M_max: int = 64) -> CurveStu
     """Bound curves for the builtin targets over a shared (K, M) sweep."""
     if M_max < 1:
         raise ValueError("M_max must be >= 1")
-    targets = {"rho1": make_target("rho1"), "rho2": make_target("rho2"),
-               "rho3": make_target("rho3")}
+    targets = {name: make_target(name) for name in ("rho1", "rho2", "rho3")}
     K_list = sorted(set(int(k) for k in K_list))
     M_range = range(1, M_max + 1)
     tables = {name: error_curve(rho, l, K_list, M_range, target_id=name)
@@ -171,67 +172,67 @@ class ComparisonReport:
     verdict: str
 
     def to_json(self) -> dict:
-        return {"scenario": self.scenario, "parameters": dict(self.parameters),
-                "cnn_requirement": dict(self.cnn_requirement),
-                "rnn_requirement": dict(self.rnn_requirement),
-                "verdict": self.verdict}
+        return dataclasses.asdict(self)
+
+
+def _exp_decay(gamma=0.99, eps=0.01, l=2, horizon=1000) -> ComparisonReport:
+    """A geometric memory kernel is reproduced exactly by a width-1
+    recurrence (checked numerically over the horizon, matching on t >= 1
+    where the recurrence is defined), while a dilated stack needs its
+    receptive field to outgrow the decay."""
+    gamma, eps, l, horizon = float(gamma), float(eps), int(l), int(horizon)
+    depth = cnn_min_depth_expdecay(gamma, eps, l)
+    spec = RnnSpec(m=1, c=[1.0], W=[[gamma]], U=[[gamma]])
+    rep = rnn_representation(spec, horizon)
+    kernel = np.array([gamma ** t for t in range(1, horizon + 1)])
+    residual = float(np.max(np.abs(rep.flat_values(horizon + 1)[1:] - kernel)))
+    return ComparisonReport(
+        scenario="exp_decay",
+        parameters={"gamma": gamma, "eps": eps, "l": l, "horizon": horizon},
+        cnn_requirement={"min_depth": depth, "receptive_field": l ** depth},
+        rnn_requirement={"width": 1, "residual_sup": residual,
+                         "exact": residual <= 1e-12, "checked_horizon": horizon},
+        verdict=(f"a width-1 recurrence reproduces the geometric kernel "
+                 f"exactly (residual {residual:.2e} over t <= {horizon}), "
+                 f"while the dilated stack needs depth {depth} to reach "
+                 f"tolerance {eps}"))
+
+
+def _impulse_copy(K=10, eps=0.1, l=2) -> ComparisonReport:
+    """Copying the input from the far end of a depth-K receptive field
+    (lag l^K - 1) takes one filter per layer, while a linear recurrence
+    needs width growing exponentially in K."""
+    K, eps, l = int(K), float(eps), int(l)
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    lag = l ** K - 1
+    target = Sequence.impulse(lag)
+    cnn = synthesize_radix(target, l)
+    residual = replay_residual(cnn, target)
+    width = rnn_min_width_impulse(K, eps)
+    return ComparisonReport(
+        scenario="impulse_copy",
+        parameters={"K": K, "eps": eps, "l": l, "lag": lag},
+        cnn_requirement={"depth": cnn.K, "filter_count": cnn.filter_count,
+                         "channels": list(cnn.channels),
+                         "replay_residual": residual},
+        rnn_requirement={"min_width": width, "tolerance": eps},
+        verdict=(f"a depth-{cnn.K} stack with one channel per layer "
+                 f"copies lag {lag} exactly with {cnn.filter_count} "
+                 f"filters, while a linear recurrence needs width at "
+                 f"least {width} to reach tolerance {eps}"))
+
+
+# The canned scenarios; the keyword arguments of each are its parameters.
+SCENARIOS = {"exp_decay": _exp_decay, "impulse_copy": _impulse_copy}
 
 
 def comparison_report(scenario: str, **params) -> ComparisonReport:
-    """Build the model-family comparison for one canned scenario.
-
-    "exp_decay" (gamma, eps, l, horizon): a geometric memory kernel is
-    reproduced exactly by a width-1 recurrence (checked numerically over
-    the horizon, matching on t >= 1 where the recurrence is defined),
-    while a dilated stack needs its receptive field to outgrow the decay.
-    "impulse_copy" (K, eps, l): copying the input from the far end of a
-    depth-K receptive field (lag l^K - 1) takes one filter per layer,
-    while a linear recurrence needs width growing exponentially in K.
-    """
-    if scenario == "exp_decay":
-        gamma = float(params.get("gamma", 0.99))
-        eps = float(params.get("eps", 0.01))
-        l = int(params.get("l", 2))
-        horizon = int(params.get("horizon", 1000))
-        depth = cnn_min_depth_expdecay(gamma, eps, l)
-        spec = RnnSpec(m=1, c=[1.0], W=[[gamma]], U=[[gamma]])
-        rep = rnn_representation(spec, horizon)
-        kernel = np.array([gamma ** t for t in range(1, horizon + 1)])
-        residual = float(np.max(np.abs(rep.flat_values(horizon + 1)[1:] - kernel)))
-        exact = residual <= 1e-12
-        return ComparisonReport(
-            scenario=scenario,
-            parameters={"gamma": gamma, "eps": eps, "l": l, "horizon": horizon},
-            cnn_requirement={"min_depth": depth, "receptive_field": l ** depth},
-            rnn_requirement={"width": 1, "residual_sup": residual,
-                             "exact": exact, "checked_horizon": horizon},
-            verdict=(f"a width-1 recurrence reproduces the geometric kernel "
-                     f"exactly (residual {residual:.2e} over t <= {horizon}), "
-                     f"while the dilated stack needs depth {depth} to reach "
-                     f"tolerance {eps}"))
-    if scenario == "impulse_copy":
-        K = int(params.get("K", 10))
-        eps = float(params.get("eps", 0.1))
-        l = int(params.get("l", 2))
-        if K < 1:
-            raise ValueError("K must be >= 1")
-        lag = l ** K - 1
-        target = make_target("impulse", t=lag)
-        cnn = synthesize_radix(target, l)
-        residual = replay_residual(cnn, target)
-        width = rnn_min_width_impulse(K, eps)
-        return ComparisonReport(
-            scenario=scenario,
-            parameters={"K": K, "eps": eps, "l": l, "lag": lag},
-            cnn_requirement={"depth": cnn.K, "filter_count": cnn.filter_count,
-                             "channels": list(cnn.channels),
-                             "replay_residual": residual},
-            rnn_requirement={"min_width": width, "tolerance": eps},
-            verdict=(f"a depth-{cnn.K} stack with one channel per layer "
-                     f"copies lag {lag} exactly with {cnn.filter_count} "
-                     f"filters, while a linear recurrence needs width at "
-                     f"least {width} to reach tolerance {eps}"))
-    raise ValueError(f"unknown scenario {scenario!r}")
+    """The model-family comparison of one of the SCENARIOS, given any of
+    its parameters."""
+    if scenario not in SCENARIOS:
+        raise ValueError(f"unknown scenario {scenario!r}")
+    return SCENARIOS[scenario](**params)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import MAX_TIME, Scalar, Sequence, _number, _whole
+from .sequences import MAX_TIME, Scalar, Sequence, _number, _read_number, _whole
 from . import tensors
 
 
@@ -120,7 +120,8 @@ class CnnSpec:
             obj = json.loads(obj)
         keys, rows = [], []
         for key, w in obj.get("filters", {}).items():
-            k, j, i = map(_key_part, key.split(","))
+            k, j, i = (_whole(_read_number(part, "a filter key part"),
+                              "a filter key part") for part in key.split(","))
             keys.append((k, j, i))
             rows.append([_number(x, "a filter weight") for x in w])
         index = np.array(keys, dtype=np.int64).reshape(-1, 3)
@@ -132,15 +133,6 @@ class CnnSpec:
         if not finite.all():
             raise ValueError(f"filter {keys[finite.argmin()]} is not finite")
         return cls.from_arrays(l, K, channels, index, weights)
-
-
-def _key_part(text) -> int:
-    """One part of a "k,j,i" filter key: an integer text, or a number text
-    that sequences._whole takes as a whole number."""
-    try:
-        return int(text)
-    except ValueError:
-        return _whole(float(text), "a filter key part")
 
 
 @dataclass(frozen=True, eq=False)

@@ -108,6 +108,17 @@ def _number(x, what) -> float:
     raise ValueError(f"{what} must be a number, not {x!r}")
 
 
+def _read_number(text: str, what):
+    """The number a text names: an int for an integer text, else a float."""
+    try:
+        return int(text)
+    except ValueError:
+        try:
+            return float(text)
+        except ValueError:
+            raise ValueError(f"{what} must be a number, not {text!r:.40}") from None
+
+
 def _matrix(values, dim):
     """values as a float array.  In a list, a string or a bool, as a value
     or as an item of a list or tuple value, is refused, though numpy would
@@ -492,6 +503,9 @@ class Sequence:
         horizon = obj.get("horizon")
         if horizon is not None:
             horizon = _whole(horizon, "horizon")
+        for name, key in (("impulse", "t"), ("geometric", "gamma")):
+            if family == name and key not in params:
+                raise ValueError(f"the {name} family needs params.{key}")
         if family == "impulse":
             return cls.impulse(_whole(params["t"], "an impulse position"),
                                _number(params.get("value", 1.0), "an impulse value"))

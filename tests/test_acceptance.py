@@ -160,7 +160,7 @@ def test_criterion_09_architecture_comparisons():
 
 
 def test_criterion_10_upper_bound_vanishes_with_depth():
-    rho3 = make_target("rho3", horizon=10 ** 4)
+    rho3 = make_target("rho3:10000")
     best = math.inf
     for K in range(1, 15):
         table = error_curve(rho3, 2, [K], [2 ** K], target_id="rho3")

@@ -248,7 +248,7 @@ def test_error_curve_row_invariants():
 
 def test_error_curve_matches_a_per_width_loop():
     for name, rho in (("rho1", make_target("rho1")), ("rho2", make_target("rho2")),
-                      ("rho3:700", make_target("rho3", horizon=700))):
+                      ("rho3:700", make_target("rho3:700"))):
         for l in (2, 3):
             table = error_curve(rho, l, [4, 5, 6], range(1, 65), target_id=name)
             rows = []

@@ -30,3 +30,14 @@ def test_line_chart_escapes_its_texts():
     doc = xml.dom.minidom.parseString(svg)
     texts = [node.firstChild.data for node in doc.getElementsByTagName("text")]
     assert {"a<b & c>", "t & u", "<x>", "y&"} <= set(texts)
+
+
+def test_line_chart_shows_characters_xml_forbids_as_replacements():
+    # Every C0 control but tab, newline and carriage return becomes U+FFFD;
+    # an XML parser reads a lone carriage return as a newline.
+    label = "".join(map(chr, range(0x20))) + "\x7f\u0085é"
+    svg = line_chart([(label, [0, 1], [0.0, 1.0])], title=label)
+    doc = xml.dom.minidom.parseString(svg)
+    texts = [node.firstChild.data for node in doc.getElementsByTagName("text")]
+    shown = "".join(c if c in "\t\n\r" or c >= " " else "\ufffd" for c in label)
+    assert texts.count(shown.replace("\r", "\n")) == 2

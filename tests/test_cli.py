@@ -330,6 +330,49 @@ def test_computation_errors_exit_two(capsys):
                                            f"argument, not {target!r}\n")
 
 
+# The family document each id form is shorthand for, the argument texts it
+# is tried with and the value each names in a document (None: no number),
+# and the texts with which the id loads.
+ID_DOCUMENTS = {"rho3": lambda x: {"family": "power", "horizon": x},
+                "exp": lambda x: {"family": "geometric", "params": {"gamma": x}},
+                "impulse": lambda x: {"family": "impulse", "params": {"t": x}}}
+ID_ARGUMENTS = {"700": 700, "7.0": 7.0, "1e3": 1e3, "2305843009213693952": 2 ** 61,
+                "2305843009213693953": 2 ** 61 + 1, "+5": 5, "0.9": 0.9, ".5": 0.5,
+                "5e-1": 0.5, "5.5": 5.5, "abc": None, "": None, "nan": math.nan,
+                "inf": math.inf, "-1": -1, "true": True, "1e19": 1e19}
+WHOLE_TEXTS = {"700", "7.0", "1e3", "2305843009213693952", "2305843009213693953", "+5"}
+ID_LOADS = {"rho3": WHOLE_TEXTS | {"1e19"}, "exp": {"0.9", ".5", "5e-1"},
+            "impulse": WHOLE_TEXTS}
+
+
+@pytest.mark.parametrize("form", sorted(ID_DOCUMENTS))
+def test_an_id_loads_exactly_as_its_family_document(capsys, form):
+    loaded = set()
+    for text, value in ID_ARGUMENTS.items():
+        target = f"{form}:{text}"
+        try:
+            doc = None if value is None else Sequence.from_json(ID_DOCUMENTS[form](value))
+        except ValueError:
+            doc = None
+        try:
+            seq, label = load_target(target)
+        except ValueError:
+            assert doc is None, target
+            assert main(["spectrum", "--target", target, "--K", "3"]) == 2, target
+            captured = capsys.readouterr()
+            assert captured.out == "", target
+            assert captured.err.startswith("error: "), target
+            assert captured.err.count("\n") == 1, target
+            continue
+        assert doc is not None and label == target, target
+        assert seq.to_json() == doc.to_json(), target
+        if seq.kind == "finite":
+            assert all(a.tobytes() == b.tobytes()
+                       for a, b in zip(seq.arrays(), doc.arrays())), target
+        loaded.add(text)
+    assert loaded == ID_LOADS[form]
+
+
 def test_malformed_json_target_rows_exit_two(tmp_path, capsys):
     docs = [{"entries": rows} for rows in ([[2.5, [1.0]], [7, [2.0]]], [["3", [1.0]]],
                                            [[True, [1.0]]], [[None, [1.0]]], [1, 2])]
@@ -346,14 +389,23 @@ def test_malformed_json_target_rows_exit_two(tmp_path, capsys):
              {"entries": [[0, "2e0"]]},
              # rows saved under a key Sequence.from_json does not know
              {"rows": [[t, [0.5]] for t in range(2 ** 15)]}]
-    for i, doc in enumerate(docs):
-        path = tmp_path / f"bad{i}.json"
+
+    def error_of(doc):
+        path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert main(["spectrum", "--target", str(path), "--K", "3"]) == 2, doc
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, doc
         assert len(err) < 200, doc
         assert "Traceback" not in err, doc
+        return err
+
+    for doc in docs:
+        error_of(doc)
+    # A family document without the parameter it needs names that field.
+    assert error_of({"family": "impulse"}) == "error: the impulse family needs params.t\n"
+    assert error_of({"family": "geometric", "params": {}}) == (
+        "error: the geometric family needs params.gamma\n")
 
 
 def test_load_target_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch):
@@ -490,7 +542,7 @@ def test_two_artifacts_for_one_file_are_refused(tmp_path, capsys):
         assert capsys.readouterr().out.count('"target"') == 2
 
 
-@pytest.mark.parametrize("label", ["a&b,c", 'x "q" <y>\nz'])
+@pytest.mark.parametrize("label", ["a&b,c", 'x "q" <y>\nz', "c\x01d", "\x0b", "e\x1f"])
 def test_artifacts_are_well_formed_for_any_target_name(tmp_path, capsys, label):
     path = tmp_path / f"{label}.json"
     path.write_text('{"entries": [[0, [1.0]], [3, [0.5]]]}')
@@ -498,17 +550,48 @@ def test_artifacts_are_well_formed_for_any_target_name(tmp_path, capsys, label):
     assert main(["curve", "--target", str(path), "--K", "2", "--K", "3",
                  "--M-max", "4", "--format", "csv,svg", "--out", str(out)]) == 0
     assert main(["spectrum", "--target", str(path), "--K", "3",
-                 "--format", "csv", "--out", str(out)]) == 0
+                 "--format", "csv,json", "--out", str(out)]) == 0
     capsys.readouterr()
     for suffix, width in (("_curve.csv", 7), ("_spectrum.csv", 6)):
         with open(out / f"{label}{suffix}", newline="") as fh:
             rows = list(csv.reader(fh))
         assert {len(row) for row in rows} == {width}
         assert {row[0] for row in rows[1:]} == {label}
+    assert json.loads((out / f"{label}_spectrum.json").read_text())["target"] == label
+    # XML 1.0 allows no control character but tab, newline and carriage
+    # return, so the chart shows U+FFFD for each of the others.
+    shown = re.sub("[\x00-\x08\x0b\x0c\x0e-\x1f]", "\ufffd", label)
     doc = xml.dom.minidom.parse(str(out / f"{label}_curve.svg"))
     texts = [node.firstChild.data for node in doc.getElementsByTagName("text")]
-    assert f"{label}: approximation bound" in texts
+    assert f"{shown}: approximation bound" in texts
     assert csv_field("rho3:5") == "rho3:5"
+
+
+# The compare flags each scenario reads.
+COMPARE_FLAGS = {"exp_decay": {"--l", "--gamma", "--eps", "--horizon"},
+                 "impulse_copy": {"--l", "--K", "--eps"}}
+
+
+def test_compare_reads_only_its_scenario_flags(tmp_path, capsys):
+    out = tmp_path / "out"
+    for argv, err in ((["--scenario", "exp_decay", "--K", "5"], "--K"),
+                      (["--scenario", "impulse_copy", "--gamma", "0.5", "--horizon", "7"],
+                       "--gamma or --horizon")):
+        assert main(["compare", *argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: scenario {argv[1]} takes no {err}\n"
+    assert not out.exists()
+    # Every flag a scenario reads is taken, and its defaults are today's.
+    code, text = run_cli(capsys, ["compare", "--scenario", "exp_decay", "--gamma", "0.5",
+                                  "--eps", "0.1", "--horizon", "7", "--l", "3"])
+    assert code == 0
+    assert json.loads(text)["parameters"] == {"gamma": 0.5, "eps": 0.1, "l": 3, "horizon": 7}
+    for scenario, parameters in (
+            ("exp_decay", {"gamma": 0.99, "eps": 0.01, "l": 2, "horizon": 1000}),
+            ("impulse_copy", {"K": 10, "eps": 0.1, "l": 2, "lag": 1023})):
+        code, text = run_cli(capsys, ["compare", "--scenario", scenario])
+        assert code == 0 and json.loads(text)["parameters"] == parameters
 
 
 def test_compare_beyond_the_time_limit_exits_two(capsys):
@@ -591,13 +674,20 @@ def _argv(data):
         return [command]
     l = data.draw(st.sampled_from([2, 3, 4, 5, 6, 1, 0]))
     if command == "compare":
-        return [command, "--scenario",
-                data.draw(st.sampled_from(["exp_decay", "impulse_copy"])),
-                "--l", str(l),
-                "--K", str(_depth(data, 40, huge=60)),
-                "--horizon", str(data.draw(st.sampled_from([1, 10, 2000, 0]))),
-                "--eps", repr(data.draw(st.floats(-0.1, 0.6))),
-                "--gamma", repr(data.draw(st.floats(-0.1, 1.1)))]
+        # The scenario's own flags, each present or not, and at times one
+        # flag of the other scenario.
+        scenario = data.draw(st.sampled_from(sorted(COMPARE_FLAGS)))
+        flags = [f for f in sorted(COMPARE_FLAGS[scenario]) if data.draw(st.booleans())]
+        if data.draw(st.integers(0, 3)) == 0:
+            flags.append(data.draw(st.sampled_from(
+                sorted(set.union(*COMPARE_FLAGS.values()) - COMPARE_FLAGS[scenario]))))
+        values = {"--l": lambda: str(l),
+                  "--K": lambda: str(_depth(data, 40, huge=60)),
+                  "--horizon": lambda: str(data.draw(st.sampled_from([1, 10, 2000, 0]))),
+                  "--eps": lambda: repr(data.draw(st.floats(-0.1, 0.6))),
+                  "--gamma": lambda: repr(data.draw(st.floats(-0.1, 1.1)))}
+        return [command, "--scenario", scenario,
+                *(item for flag in flags for item in (flag, values[flag]()))]
     # Windows of at most 2^12 entries below the huge depths.
     K = _depth(data, 12 if l < 2 else int(math.log(2 ** 12, l) + 1e-9))
     huge_ok = command in ("spectrum", "curve") or (
@@ -641,6 +731,9 @@ def test_cli_fuzz_exits_with_a_documented_code(data):
             code = main(argv)
         assert code in (0, 1, 2, 3), argv
         assert "Traceback" not in err.getvalue(), argv
+        if argv[0] == "compare":
+            foreign = set(argv) & (set.union(*COMPARE_FLAGS.values()) - COMPARE_FLAGS[argv[2]])
+            assert code == 1 or not foreign, argv
         written = sorted(p.name for p in out.iterdir()) if out.exists() else []
         if code in (1, 2):
             assert written == [], argv
