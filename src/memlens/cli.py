@@ -32,7 +32,6 @@ import contextlib
 import functools
 import gc
 import inspect
-import json
 import math
 import os
 import sys
@@ -129,14 +128,14 @@ def load_target(text: str):
     """(Sequence, label) from a JSON file path, or from a builtin id, which
     experiments.make_target reads and which is its own label."""
     if text.endswith(".json") or os.path.sep in text:
-        # The decoded rows hold no reference cycles and are freed by
+        # The decoded numbers hold no reference cycles and are freed by
         # reference counting; with the collector paused no collection walks
         # them while they are decoded and converted.
         enabled = gc.isenabled()
         gc.disable()
         try:
             with open(text) as fh:
-                seq = Sequence.from_json(json.load(fh))
+                seq = Sequence.from_json(fh.read())
         finally:
             if enabled:
                 gc.enable()

@@ -13,6 +13,15 @@ operation.  Generated sequences are evaluated with numpy (gamma ** t,
 index raises ValueError before any int64 arithmetic runs, so no time
 wraps silently.
 
+Sequence.from_json reads a text in the row layout that to_json writes
+through json.dumps, compact or indented, without building a list per
+row: once the entries are seen to hold only numbers, JSON whitespace,
+commas and brackets, in the bracket skeleton of that layout, json reads
+the numbers as one flat list with the brackets as spaces.  Every other
+text (another key order, a string, NaN, malformed JSON, an int beyond a
+float) is decoded whole, as a dict, so either way the sequence or the
+error is the same.
+
 All operations are pure: sequences are immutable after construction and
 every operation returns a new value.
 """
@@ -22,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import re
 from dataclasses import dataclass
 from itertools import chain
 
@@ -30,8 +40,25 @@ import numpy as np
 ZERO_REL_TOL = 1e-10
 MAX_TIME = int(np.iinfo(np.int64).max)
 _TAIL_BLOCK = 1 << 20
+# A power tail of more terms than this is summed in closed form beyond its
+# first _TAIL_HEAD_TERMS terms.
+_EXACT_TAIL_TERMS = 1 << 24
+_TAIL_HEAD_TERMS = 1 << 12
 _TINY = float(np.finfo(float).tiny)
 _HUGE = float(np.finfo(float).max)
+_EPS = float(np.finfo(float).eps)
+
+# The row layout Sequence.to_json writes, as json.dumps prints it; JSON
+# whitespace is these four characters only, not what \s or str.strip take.
+_WS = " \t\n\r"
+_ROWS_HEAD = re.compile(r'[ \t\n\r]*\{[ \t\n\r]*"dim"[ \t\n\r]*:[ \t\n\r]*([1-9][0-9]{0,17})'
+                        r'[ \t\n\r]*,[ \t\n\r]*"entries"[ \t\n\r]*:[ \t\n\r]*\[')
+_ROW_END = re.compile(r"\][ \t\n\r]*\][ \t\n\r]*,")
+_ROWS_BLOCK = 1 << 16
+# Every number character reads as 0 and JSON whitespace is dropped.
+_NUMBER_CHARS = b"0123456789+-.eE"
+_SHAPE = bytes.maketrans(_NUMBER_CHARS, b"0" * len(_NUMBER_CHARS))
+_UNBRACKET = bytes.maketrans(b"[]", b"  ")
 
 
 def root_sum_squares(x, rows=False) -> float:
@@ -86,6 +113,32 @@ class Scalar:
         return float(self.value)
 
 
+def _power_tail_norm(start, stop) -> Scalar:
+    """sqrt of the sum of 1/t^2 over start <= t <= stop, for a stop far
+    beyond start.
+
+    The first _TAIL_HEAD_TERMS terms are summed with one rounding
+    (math.fsum); the rest, from a to stop, is the Euler-Maclaurin sum
+    through the B4 term, evaluated exactly in integers and rounded once.
+    1/t^2 is completely monotone, so the omitted remainder lies between 0
+    and the B6 term, (a^-7 - stop^-7) / 42.  The half-width covers that
+    term and the rounding of the terms and sums, a few units in the last
+    place.
+    """
+    a, b = start + _TAIL_HEAD_TERMS, stop
+    t = np.arange(start, a, dtype=float)
+    head = math.fsum((1.0 / (t * t)).tolist())
+    # (a^-1 - b^-1) + (a^-2 + b^-2) / 2 + (a^-3 - b^-3) / 6 - (a^-5 - b^-5) / 30
+    # over the one denominator 30 (ab)^5; an int divided by an int rounds once.
+    ab = a * b
+    rest = (30 * (b - a) * ab ** 4 + 15 * (a * a + b * b) * ab ** 3 +
+            5 * (b ** 3 - a ** 3) * ab ** 2 - (b ** 5 - a ** 5)) / (30 * ab ** 5)
+    sq = head + rest
+    err = (b ** 7 - a ** 7) / (42 * ab ** 7) + 4 * _EPS * sq
+    lo, hi = math.sqrt(sq - err), math.sqrt(sq + err)
+    return Scalar((lo + hi) / 2.0, (hi - lo) / 2.0)
+
+
 def _check_time(t):
     if t > MAX_TIME:
         raise ValueError(f"a {int(t).bit_length()}-bit time index is beyond "
@@ -138,6 +191,64 @@ def _matrix(values, dim):
         elif rows and set(map(len, values)) == {dim}:
             return np.fromiter(items, float, count=len(items)).reshape(-1, dim)
     return np.asarray(values, dtype=float)
+
+
+def _whole_rows(block, row) -> bool:
+    """Whether the bytes block are rows of the skeleton row, joined by
+    commas, with one number in each number slot and nothing else but JSON
+    whitespace.  Its buffers are freed before json reads the block."""
+    shape = block.translate(_SHAPE, _WS.encode())
+    skeleton = shape.translate(None, b"0") + b","
+    # A number beside the outer side of a bracket is outside its slot.
+    at = np.frombuffer(shape, np.uint8)
+    number = at == ord("0")
+    return (skeleton == row * (len(skeleton) // len(row)) and
+            not (number[1:] & (at[:-1] == ord("]"))).any() and
+            not (number[:-1] & (at[1:] == ord("["))).any())
+
+
+def _flat_rows(text):
+    """(times, values, dim) of a row-form text in the layout to_json writes,
+    compact or indented, read as one flat list of numbers; None for any
+    other text, which json then reads as a whole.
+
+    The entries must hold only number characters, JSON whitespace, commas
+    and brackets, and their bracket skeleton must be [t,[v,...]] with dim
+    values per row, each number in its slot.  The brackets then carry no
+    information, and json.loads reads the entries with them as spaces, in
+    row-aligned blocks of about _ROWS_BLOCK characters.  json still reads
+    every number, so each keeps its int or float type; a number json
+    refuses, or an int beyond a float, gives None, so that the whole
+    document raises what json or _columns make of it.
+    """
+    head = _ROWS_HEAD.match(text)
+    close = len(text.rstrip(_WS)) - 1
+    stop = text.rfind("]", head.end(), close) if head else -1
+    if stop < 0 or text[close] != "}" or text[stop + 1:close].strip(_WS):
+        return None
+    dim, start = int(head[1]), head.end()
+    if dim > stop - start:  # no row fits, so build nothing of that size
+        return None
+    row = b"[,[" + b"," * (dim - 1) + b"]],"
+    times, values = [], []
+    while start < stop:
+        end = _ROW_END.search(text, start + _ROWS_BLOCK, stop)
+        end = end.end() - 1 if end else stop
+        block = text[start:end]
+        if not block.isascii():
+            return None
+        block = block.encode()
+        if not _whole_rows(block, row):
+            return None
+        try:
+            flat = json.loads(b"[" + block.translate(_UNBRACKET) + b"]")
+            times += flat[::dim + 1]
+            del flat[::dim + 1]
+            values.append(np.fromiter(flat, float, count=len(flat)))
+        except (ValueError, OverflowError):
+            return None
+        start = end + 1
+    return (times, np.concatenate(values).reshape(-1, dim), dim) if times else None
 
 
 def _columns(times, values, dim):
@@ -382,7 +493,9 @@ class Sequence:
         """sqrt of the summed squared entries at t >= start.
 
         Exact for finite sequences and for geometric decay (closed form);
-        inverse-time decay without a horizon returns an integral bracket.
+        inverse-time decay without a horizon returns an integral bracket,
+        and with more than 2^24 terms to its horizon a bracket of a few
+        units in the last place (_power_tail_norm).
         """
         if start < 0:
             raise ValueError("start must be >= 0")
@@ -402,6 +515,8 @@ class Sequence:
         if self._horizon is not None:
             if s0 > self._horizon:
                 return Scalar(0.0)
+            if self._horizon - s0 >= _EXACT_TAIL_TERMS:
+                return _power_tail_norm(int(s0), self._horizon)
             # Smallest terms first, added strictly in sequence (a cumulative
             # sum), in blocks that bound the memory used.
             sq = 0.0
@@ -477,8 +592,13 @@ class Sequence:
         """Sequence from its JSON description: the row form {"dim", "entries"}
         or the family form {"family", "params", "horizon"}.  A document of
         any other shape, or with a field of the wrong type, raises
-        ValueError."""
+        ValueError.  A text in the row layout to_json writes is read
+        without per-row objects (_flat_rows); any other text is decoded
+        whole."""
         if isinstance(obj, str):
+            rows = _flat_rows(obj)
+            if rows:
+                return cls.from_arrays(*rows)
             obj = json.loads(obj)
         if not isinstance(obj, dict):
             raise ValueError(f"a sequence description is a JSON object, not {obj!r:.40}")

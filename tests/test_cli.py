@@ -10,6 +10,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import time
 import xml.dom.minidom
 from pathlib import Path
 
@@ -413,13 +414,13 @@ def test_load_target_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch):
     paths[0].write_text(json.dumps(Sequence.from_values([1.0, 0.0, 2.0]).to_json()))
     paths[1].write_text('{"entries": [[0, [1.0]]')
     paths[2].write_text('{"entries": [[0, [1.0]], [3, [NaN]]]}')
-    decode, paused = json.load, []
+    decode, paused = json.loads, []
 
-    def watched(fh):
+    def watched(text, *args, **kwargs):
         paused.append(not gc.isenabled())
-        return decode(fh)
+        return decode(text, *args, **kwargs)
 
-    monkeypatch.setattr(json, "load", watched)
+    monkeypatch.setattr(json, "loads", watched)
     was = gc.isenabled()
     try:
         for enabled in (True, False):
@@ -601,6 +602,14 @@ def test_compare_beyond_the_time_limit_exits_two(capsys):
     code, out = run_cli(capsys, ["compare", "--scenario", "impulse_copy", "--K", "62"])
     assert code == 0
     assert json.loads(out)["cnn_requirement"]["replay_residual"] == 0.0
+
+
+def test_curve_of_rho3_with_a_horizon_of_10_to_the_12_finishes(tmp_path, capsys):
+    began = time.perf_counter()
+    assert main(["curve", "--target", "rho3:1000000000000", "--K", "4", "--M-max", "4",
+                 "--format", "csv", "--out", str(tmp_path)]) == 0
+    assert time.perf_counter() - began < 10
+    assert os.listdir(tmp_path) == ["rho3-1000000000000_curve.csv"]
 
 
 def test_measure_windows_targets_without_a_horizon(capsys):

@@ -1,4 +1,7 @@
+import decimal
+import json
 import math
+from decimal import Decimal
 from unittest import mock
 
 import numpy as np
@@ -142,6 +145,42 @@ def test_power_tail_norm_with_horizon_is_exact():
     got = pw.tail_norm(7)
     assert got.halfwidth == 0.0
     assert got.value == pytest.approx(brute, rel=1e-14)
+
+
+def _inverse_square_sum(start, stop, head=10000):
+    """sum(1/t^2 for start <= t <= stop) to about 50 digits: 10000 terms
+    in 60-digit decimals, the rest by Euler-Maclaurin through the B8 term,
+    whose remainder is below 1e-50 of the sum."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        a, b = Decimal(start + head), Decimal(stop)
+        gap = lambda k: 1 / a ** k - 1 / b ** k  # noqa: E731
+        return (sum(1 / (Decimal(t) * t) for t in range(start, start + head)) + gap(1) +
+                (1 / a ** 2 + 1 / b ** 2) / 2 + gap(3) / 6 - gap(5) / 30 + gap(7) / 42 -
+                gap(9) / 30)
+
+
+def test_power_tail_norm_beyond_two_to_the_24_terms_is_a_round_off_bracket(monkeypatch):
+    for start in (1, 2, 1000, 10 ** 6, 2 ** 62):
+        stop = start + 2 ** 24
+        got = Sequence.power(horizon=stop).tail_norm(start)
+        true = _inverse_square_sum(start, stop).sqrt()
+        assert Decimal(got.lower) <= true <= Decimal(got.upper)
+        assert 0 < got.halfwidth <= 5 * math.ulp(got.value)
+    # 2^24 terms are still summed one by one, and one term more falls
+    # inside the bracket of the closed form.
+    blocked = {}
+    for patched in (False, True):
+        if patched:
+            monkeypatch.setattr(sequences, "_EXACT_TAIL_TERMS", 2 ** 25)
+        blocked[patched] = [Sequence.power(horizon=stop).tail_norm(1)
+                            for stop in (2 ** 24, 2 ** 24 + 1)]
+    assert blocked[False][0] == blocked[True][0] and blocked[True][0].halfwidth == 0
+    assert blocked[False][1].lower <= blocked[True][1].value <= blocked[False][1].upper
+    # So are horizons far beyond any term-by-term sum.
+    for stop in (10 ** 12, 10 ** 400):
+        got = Sequence.power(horizon=stop).tail_norm(64)
+        assert Decimal(got.lower) <= _inverse_square_sum(64, stop).sqrt() <= Decimal(got.upper)
 
 
 def test_sup_abs_from():
@@ -369,3 +408,79 @@ def test_row_conversion_is_the_numpy_reading(case):
     dim, rows = case
     assert (_outcome(lambda: Sequence.from_json({"dim": dim, "entries": rows})) ==
             _outcome(lambda: _rows_as_numpy_read_them(dim, rows)))
+
+
+_TIME_TOKENS = [str(2 ** 63 - 1), str(2 ** 63), "-1", "2.0", "1e1"]
+_VALUE_TOKENS = ["-0", "-0.0", "5e-324", "1e308", "1e400", str(2 ** 53 + 1), "7" * 400]
+_EDITS = list('[],0123456789-.eE "{}:') + ["true", "null", "NaN", '"1.5"']
+
+
+@st.composite
+def _row_texts(draw):
+    """A row-form text as json.dumps prints it, compact or indented, with
+    odd number tokens, layouts and prefixes, and with at times one to
+    three edits of a character or a token."""
+    dim = draw(st.integers(1, 3))
+    time = st.one_of(st.integers(0, 40).map(str), st.sampled_from(_TIME_TOKENS))
+    value = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(json.dumps),
+                      st.integers(-10 ** 6, 10 ** 6).map(str), st.sampled_from(_VALUE_TOKENS))
+    bare = dim == 1 and draw(st.booleans())
+    rows = draw(st.lists(st.tuples(time, st.lists(value, min_size=dim, max_size=dim)),
+                         max_size=6))
+    # Each number is a placeholder string until json.dumps has laid it out.
+    tokens = [tok for t, v in rows for tok in (t, *v)]
+    marks = iter(f"@{k}@" for k in range(len(tokens)))
+    entries = [[next(marks), next(marks) if bare else [next(marks) for _ in v]]
+               for _, v in rows]
+    keys = draw(st.sampled_from(["dim entries"] * 6 + ["entries dim", "entries"]))
+    doc = {key: dim if key == "dim" else entries for key in keys.split()}
+    text = json.dumps(doc, indent=draw(st.sampled_from([None, 2])))
+    for k, tok in enumerate(tokens):
+        text = text.replace(f'"@{k}@"', tok)
+    text = draw(st.sampled_from([""] * 6 + [" \t", "\ufeff", "\xa0"])) + text
+    if draw(st.booleans()):
+        text = text.replace("\n", "\r\n") + "\r\n"
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        # Anywhere, or at a bracket or a comma, where the layout is decided.
+        spots = [at for at, char in enumerate(text) if char in "{[],}"]
+        at = draw(st.one_of(st.integers(0, len(text)), st.sampled_from(spots)))
+        edit = draw(st.sampled_from(_EDITS))
+        head, tail = text[:at], text[at:]
+        # An insertion, a replacement, a deletion or a swap of two neighbours.
+        text = draw(st.sampled_from([head + edit + tail, head + edit + tail[1:], head + tail[1:],
+                                     head + tail[1:2] + tail[:1] + tail[2:]]))
+    return text
+
+
+# Each example is misread by a reader without one of its checks: a number
+# beside the outer side of a bracket, the bracket skeleton, JSON whitespace
+# (twice), and an int beyond a float before a negative time.
+@settings(max_examples=400, deadline=None)
+@given(_row_texts(), st.sampled_from([1, 8, 1 << 16]))
+@example('{"dim": 1, "entries": [[0, 5[]]]}', 1 << 16)
+@example('{"dim": 1, "entries": [[0, [1]]], [2, [3]]]}', 1)
+@example('{"dim": 2, "entries": [[0, [1, 2]],\xa0[2, [3, 4]]]}', 8)
+@example('{"dim": 1, "entries": [[0, [1]]]}\xa0', 1 << 16)
+@example('{"dim": 1, "entries": [[-1, [%s]]]}' % ("7" * 400), 1 << 16)
+def test_a_row_text_reads_as_json_reads_it(text, block):
+    with mock.patch.object(sequences, "_ROWS_BLOCK", block):
+        assert (_outcome(lambda: Sequence.from_json(text)) ==
+                _outcome(lambda: Sequence.from_json(json.loads(text))))
+
+
+def test_to_json_texts_are_read_as_one_flat_list(rng):
+    flat_rows, read = sequences._flat_rows, []
+
+    def spy(text):
+        read.append(flat_rows(text))
+        return read[-1]
+
+    with mock.patch.object(sequences, "_flat_rows", spy):
+        for dim, n in ((1, 5), (2, 3000), (3, 12000), (1, 40000)):
+            times = rng.choice(10 * n, size=n, replace=False)
+            values = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-300, 300, size=(n, dim))
+            seq = Sequence.from_arrays(times, values, dim)
+            for indent in (None, 2):
+                text = json.dumps(seq.to_json(), indent=indent)
+                assert _outcome(lambda: Sequence.from_json(text)) == _outcome(lambda: seq)
+                assert read[-1] is not None
