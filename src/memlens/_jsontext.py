@@ -6,15 +6,23 @@ formats indented output with its pure-Python encoder, one generator step
 per item.  This writer joins each list of one scalar type in one call,
 and writes a dict of float rows -- a non-empty dict whose values are all
 lists of one length >= 1 holding only floats, such as a filter bank --
-without a step per member: one format template is mapped over its quoted
-keys and its columns of number texts, _BLOCK members at a time.
+without a step per member, _BLOCK members at a time: the block's numbers
+are read into one float array, each distinct number (by its bits, so
+-0.0 and 0.0 stay apart) is formatted once, and the block's text is one
+join over its quoted keys, those number texts and the fixed text between
+them.
 
-csv_field(text) is the one quoting rule of the CSV artifacts.
+csv_field(text) is the one quoting rule of the CSV artifacts.  Every
+artifact is written as UTF-8: CSV and SVG text shows U+FFFD for what
+UTF-8 cannot write, the lone surrogates of a label from a file name that
+is not UTF-8 (_SURROGATE), while JSON keeps them as \\u escapes.
 """
 
+import re
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
-from math import isfinite
+
+import numpy as np
 
 # json's names for the float reprs of the non-finite numbers
 _NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -22,6 +30,9 @@ _NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 # number texts alive at once, so a large bank costs no more memory to
 # write than it did one member at a time.
 _BLOCK = 512
+# A lone surrogate, which is what a byte of a file name that is not UTF-8
+# decodes to; UTF-8 cannot write one, and the text artifacts are UTF-8.
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 
 def dump(obj) -> str:
@@ -34,7 +45,9 @@ def dump(obj) -> str:
 
 def csv_field(text: str) -> str:
     """text as one CSV field: quoted, with its quotes doubled, when it
-    holds a comma, a quote or a line break (RFC 4180), else as it is."""
+    holds a comma, a quote or a line break (RFC 4180), else as it is; a
+    lone surrogate becomes U+FFFD."""
+    text = _SURROGATE.sub("\ufffd", text)
     if any(c in text for c in ',"\r\n'):
         return '"' + text.replace('"', '""') + '"'
     return text
@@ -107,15 +120,26 @@ def _rows(obj, inner):
         return None
     if not all(issubclass(kind, float) for kind in set(map(type, chain.from_iterable(values)))):
         return None
-    finite = all(map(isfinite, chain.from_iterable(values)))
     item = inner + "  "
-    row = inner + "{}: [" + item + ("{}," + item) * (width - 1) + "{}" + inner + "]"
+    # One member's parts: its quoted key, then each number and the text
+    # after it, up to the next member's key.
+    member = [None, ": [" + item] + [None, "," + item] * (width - 1) + [None, inner + "]," + inner]
+    stride = len(member)
     keys, texts = sorted(obj), []
     for at in range(0, len(keys), _BLOCK):
         block = keys[at:at + _BLOCK]
-        nums = list(map(float.__repr__, chain.from_iterable(list(map(obj.__getitem__, block)))))
-        if not finite:
-            nums = list(map(_NAMES.get, nums, nums))
-        columns = (nums[c::width] for c in range(width))
-        texts.append(",".join(map(row.format, list(map(_quote, block)), *columns)))
+        # Numbers are told apart by their bits, so -0.0 and 0.0 keep their
+        # own texts.
+        bits = np.fromiter(chain.from_iterable(map(obj.__getitem__, block)), float,
+                           len(block) * width).view(np.uint64)
+        distinct, which = np.unique(bits, return_inverse=True)
+        reprs = list(map(float.__repr__, distinct.view(float).tolist()))
+        reprs = list(map(_NAMES.get, reprs, reprs))
+        nums = list(map(reprs.__getitem__, which.tolist()))
+        parts = member * len(block)
+        parts[::stride] = map(_quote, block)
+        for c in range(width):
+            parts[2 + 2 * c::stride] = nums[c::width]
+        parts[-1] = inner + "]"
+        texts.append(inner + "".join(parts))
     return ",".join(texts)

@@ -148,8 +148,7 @@ def complexity_measure(rho: Sequence, l: int, g: DecayProfile,
     best = 0.0
     for K in range(1, cap + 1):
         spec = tensors.window_spectrum(rho, l, K)
-        for s in range(l * K - K + 1):
-            t = tensors.truncation_error_bound(spec, s + K - 1).value
+        for s, t in enumerate(tensors._tail_masses(spec, range(K - 1, l * K))):
             if t <= noise:
                 continue
             gs = g(s)
@@ -203,8 +202,8 @@ def error_curve(rho: Sequence, l: int, K_list, M_range,
         spec = tensors.window_spectrum(rho, l, K)
         tail_term = rho.tail_norm(l ** K).upper
         budgets = [math.floor(K * M ** (1.0 / K)) for M in widths]
-        rank_terms = {b: tensors.truncation_error_bound(spec, b).value
-                      for b in dict.fromkeys(budgets)}
+        kept = list(dict.fromkeys(budgets))
+        rank_terms = dict(zip(kept, tensors._tail_masses(spec, kept)))
         rows += [CurveRow(K, M, rank_terms[b], tail_term, rank_terms[b] + tail_term)
                  for M, b in zip(widths, budgets)]
     return ErrorCurveTable(target=target_id, l=l, rows=tuple(rows))

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+from ._jsontext import _SURROGATE
+
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 _WIDTH, _HEIGHT, _LINEAR_TICKS = 640, 420, 5
@@ -19,6 +21,12 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 62, 18, 34, 46
 # even as a character reference, so each of the others becomes U+FFFD.
 _SVG_TEXT = {**dict.fromkeys({*range(0x20)} - {0x9, 0xA, 0xD}, "\ufffd"),
              ord("&"): "&amp;", ord("<"): "&lt;", ord(">"): "&gt;"}
+
+
+def _svg_text(text: str) -> str:
+    """Plain text as SVG character data; a lone surrogate, which UTF-8
+    cannot write, becomes U+FFFD too."""
+    return _SURROGATE.sub("\ufffd", text).translate(_SVG_TEXT)
 
 
 def _fmt(v: float) -> str:
@@ -48,7 +56,7 @@ def line_chart(series, title: str = "", x_label: str = "",
     or negative values are clamped to one decade below the smallest
     positive value so plateaus at exact zero remain visible.
     """
-    series = [(str(label).translate(_SVG_TEXT), [float(x) for x in xs],
+    series = [(_svg_text(str(label)), [float(x) for x in xs],
                [float(y) for y in ys]) for label, xs, ys in series]
     if not series or any(len(xs) != len(ys) or not xs for _, xs, ys in series):
         raise ValueError("series must be nonempty (label, xs, ys) triples")
@@ -89,7 +97,7 @@ def line_chart(series, title: str = "", x_label: str = "",
         frac = (x - x_lo) / (x_hi - x_lo)
         return _MARGIN_L + frac * (_WIDTH - _MARGIN_L - _MARGIN_R)
 
-    title, x_label, y_label = (t.translate(_SVG_TEXT) for t in (title, x_label, y_label))
+    title, x_label, y_label = map(_svg_text, (title, x_label, y_label))
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
              f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
              f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>']

@@ -134,7 +134,7 @@ def load_target(text: str):
         enabled = gc.isenabled()
         gc.disable()
         try:
-            with open(text) as fh:
+            with open(text, encoding="utf-8") as fh:
                 seq = Sequence.from_json(fh.read())
         finally:
             if enabled:
@@ -185,7 +185,7 @@ def _write(out: str, artifacts) -> None:
             if path:
                 temps.append(os.path.join(
                     out, f".{os.path.basename(path)}.{os.getpid()}.tmp"))
-                with open(temps[-1], "w") as fh:
+                with open(temps[-1], "w", encoding="utf-8") as fh:
                     fh.write(text)
         for temp, path in zip(temps, named):
             os.replace(temp, path)

@@ -102,12 +102,22 @@ class CnnSpec:
         return len(self.index)
 
     def to_json(self) -> dict:
+        # Every "k,j,i" key joins three texts of one list of digit texts:
+        # those of 0 up to the largest key part, or, when that list would be
+        # longer than the key parts (wide channels, few filters), those of
+        # the distinct parts.
+        parts, top = self.index, int(self.index.max(initial=0))
+        if top < parts.size:
+            digits = list(map(str, range(top + 1)))
+        else:
+            values, parts = np.unique(parts, return_inverse=True)
+            digits, parts = list(map(str, values.tolist())), parts.reshape(self.index.shape)
+        k, j, i = (map(digits.__getitem__, column) for column in parts.T.tolist())
         return {
             "l": self.l,
             "K": self.K,
             "channels": list(self.channels),
-            "filters": dict(zip([f"{k},{j},{i}" for k, j, i in self.index.tolist()],
-                                self.weights.tolist())),
+            "filters": dict(zip(map(",".join, zip(k, j, i)), self.weights.tolist())),
         }
 
     @classmethod

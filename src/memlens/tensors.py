@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sequences import Scalar, Sequence, root_sum_squares
+from .sequences import _HUGE, _TINY, Scalar, Sequence, root_sum_squares
 
 RANK_REL_TOL = 1e-8
 
@@ -238,5 +238,18 @@ def truncation_error_bound(spec: Spectrum, kept_rank: int) -> Scalar:
     """
     if kept_rank < 0:
         raise ValueError("kept_rank must be >= 0")
-    return Scalar(root_sum_squares(spec.values[kept_rank:]))
+    return Scalar(_tail_masses(spec, (kept_rank,))[0])
+
+
+def _tail_masses(spec: Spectrum, kept_ranks) -> list:
+    """truncation_error_bound(spec, r).value for each r of kept_ranks (all
+    >= 0), bit for bit, from one array of squares: where a tail's sum of
+    squares is normal it is the same sum of the same squares, and
+    elsewhere root_sum_squares rescales that tail."""
+    values = spec.values
+    with np.errstate(over="ignore"):
+        squares = values * values
+        sums = [float(squares[r:].sum()) for r in kept_ranks]
+    return [math.sqrt(s) if _TINY <= s <= _HUGE else root_sum_squares(values[r:])
+            for r, s in zip(kept_ranks, sums)]
 

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 import xml.dom.minidom
 from pathlib import Path
 
@@ -23,7 +24,9 @@ import memlens
 from memlens import cli as cli_module
 from memlens._jsontext import csv_field
 from memlens.cli import _dump, build_parser, load_target, main
+from memlens.models import synthesize_lowrank, synthesize_radix
 from memlens.sequences import Sequence
+from memlens.tensors import analysis_window
 
 
 def run_cli(capsys, args):
@@ -103,7 +106,7 @@ def test_curve_svg_output(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     svgs = list(tmp_path.glob("*.svg"))
-    assert svgs and svgs[0].read_text().startswith("<svg")
+    assert svgs and svgs[0].read_text(encoding="utf-8").startswith("<svg")
 
 
 def test_synth_exact_replay(capsys):
@@ -119,7 +122,7 @@ def test_synth_exact_replay(capsys):
 def test_target_from_json_file(tmp_path, capsys):
     target = Sequence.from_values([1.0, 0.0, 0.0, 1.0])
     path = tmp_path / "target.json"
-    path.write_text(json.dumps(target.to_json()))
+    path.write_text(json.dumps(target.to_json()), encoding="utf-8")
     code, out = run_cli(capsys, [
         "measure", "--target", str(path), "--l", "2",
         "--g", "exponential", "--g-params", "0.5",
@@ -255,7 +258,7 @@ def test_lowrank_synth_of_a_dense_window_is_compact(tmp_path, capsys):
     assert main(["synth", "--target", "rho3", "--l", "2", "--K", "12",
                  "--method", "lowrank", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    payload = json.loads((tmp_path / "rho3_lowrank.json").read_text())
+    payload = json.loads((tmp_path / "rho3_lowrank.json").read_text(encoding="utf-8"))
     window = load_target("rho3")[0].truncate(2 ** 12)
     assert payload["filter_count"] <= 1000
     assert payload["replay_residual"] <= 1e-12 * float(window.norm())
@@ -269,7 +272,7 @@ def test_study_writes_the_script_artifacts(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "curves_K4.svg", "curves_K5.svg", "rho1_curves.csv", "rho2_curves.csv",
         "rho3_curves.csv", "study_summary.json"]
-    summary = json.loads((tmp_path / "study_summary.json").read_text())
+    summary = json.loads((tmp_path / "study_summary.json").read_text(encoding="utf-8"))
     assert all(summary["checks"].values())
     assert "PASS curves_non_increasing" in out.splitlines()
     # No depth of 2 covers the sparse supports, so the claim checks fail.
@@ -279,7 +282,7 @@ def test_study_writes_the_script_artifacts(tmp_path, capsys):
 
 
 def _readme_commands():
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     lines = []
     for block in re.findall(r"```sh\n(.*?)```", text, re.S):
         for line in block.replace("\\\n", " ").splitlines():
@@ -307,8 +310,41 @@ def test_readme_commands_run(tmp_path, capsys):
     written = sorted(tmp_path.rglob("*.json"))
     assert len(written) >= 24
     for path in written:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path
+
+
+@pytest.mark.parametrize("l", [2, 3, 4])
+def test_synth_artifacts_are_json_dumps(tmp_path, capsys, rng, l):
+    # Negative values leave +0.0 taps beside them and TT cores hold -0.0;
+    # about 80 radix paths make key parts past 9, so string order is not
+    # numeric order, and over 512 filters, more than one writer block.
+    # Entries far below the largest read as zeros, so the magnitudes get
+    # their own targets.
+    pools = ([-1.5, 2.0, -0.0, 0.75, -3.25], [5e-324, -1e-310, 2.5e-320], [1e300, -3e299])
+    for at, pool in enumerate(pools):
+        for method, points, depth in (("radix", 100, 7), ("lowrank", 12, 4)):
+            times = np.append(rng.choice(l ** depth - 1, size=points - 1, replace=False),
+                              l ** depth - 1)
+            path = tmp_path / f"{method}{at}.json"
+            path.write_text(json.dumps({"dim": 1, "entries": [
+                [t, [v]] for t, v in zip(sorted(times.tolist()),
+                                         rng.choice(pool, points).tolist())]}),
+                encoding="utf-8")
+            assert main(["synth", "--target", str(path), "--method", method,
+                         "--l", str(l), "--out", str(tmp_path)]) == 0
+            capsys.readouterr()
+            text = (tmp_path / f"{method}{at}_{method}.json").read_text(encoding="utf-8")
+            window = analysis_window(load_target(str(path))[0], l)
+            spec = (synthesize_radix(window, l) if method == "radix"
+                    else synthesize_lowrank(window, l))
+            want = {"l": spec.l, "K": spec.K, "channels": list(spec.channels),
+                    "filters": {f"{k},{j},{i}": w for (k, j, i), w in
+                                zip(spec.index.tolist(), spec.weights.tolist())}}
+            assert text == json.dumps({**json.loads(text), "spec": want},
+                                      indent=2, sort_keys=True) + "\n", (method, pool)
+            if method == "radix" and at == 0:
+                assert spec.filter_count > 512 and spec.channels[1] > 10
 
 
 def test_computation_errors_exit_two(capsys):
@@ -393,7 +429,7 @@ def test_malformed_json_target_rows_exit_two(tmp_path, capsys):
 
     def error_of(doc):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["spectrum", "--target", str(path), "--K", "3"]) == 2, doc
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, doc
@@ -411,9 +447,10 @@ def test_malformed_json_target_rows_exit_two(tmp_path, capsys):
 
 def test_load_target_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch):
     paths = [tmp_path / name for name in ("good.json", "cut.json", "nan.json")]
-    paths[0].write_text(json.dumps(Sequence.from_values([1.0, 0.0, 2.0]).to_json()))
-    paths[1].write_text('{"entries": [[0, [1.0]]')
-    paths[2].write_text('{"entries": [[0, [1.0]], [3, [NaN]]]}')
+    paths[0].write_text(json.dumps(Sequence.from_values([1.0, 0.0, 2.0]).to_json()),
+                        encoding="utf-8")
+    paths[1].write_text('{"entries": [[0, [1.0]]', encoding="utf-8")
+    paths[2].write_text('{"entries": [[0, [1.0]], [3, [NaN]]]}', encoding="utf-8")
     decode, paused = json.loads, []
 
     def watched(text, *args, **kwargs):
@@ -440,7 +477,7 @@ def test_load_target_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch):
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
 def test_non_finite_target_values_exit_two(tmp_path, capsys, token):
     path = tmp_path / "bad.json"
-    path.write_text('{"entries": [[0, [1.0]], [3, [%s]]]}' % token)
+    path.write_text('{"entries": [[0, [1.0]], [3, [%s]]]}' % token, encoding="utf-8")
     out = tmp_path / "out"
     g = ["--g", "exponential", "--g-params", "0.5"]
     # A good target before the bad one leaves no artifact either, printed
@@ -462,14 +499,14 @@ NAN_TARGET = '{"entries": [[0, [1.0]], [3, [NaN]]]}'
 
 
 def test_a_failed_command_exits_two_from_a_process(tmp_path):
-    (tmp_path / "bad.json").write_text(NAN_TARGET)
+    (tmp_path / "bad.json").write_text(NAN_TARGET, encoding="utf-8")
     src = str(Path(memlens.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
         [sys.executable, "-m", "memlens.cli", "spectrum", "--target", "rho1",
          "--target", "bad.json", "--out", "d"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        cwd=tmp_path, env=env, capture_output=True, encoding="utf-8", timeout=120)
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == "error: the value at t=3 is not finite\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
@@ -524,8 +561,9 @@ def test_artifacts_keep_the_mode_of_a_plain_open(tmp_path, capsys):
 def test_two_artifacts_for_one_file_are_refused(tmp_path, capsys):
     for sub in ("a", "b"):
         (tmp_path / sub).mkdir()
-        (tmp_path / sub / "k.json").write_text('{"entries": [[0, [1.0]], [3, [2.0]]]}')
-    (tmp_path / "rho3-5.json").write_text('{"entries": [[0, [1.0]]]}')
+        (tmp_path / sub / "k.json").write_text('{"entries": [[0, [1.0]], [3, [2.0]]]}',
+                                               encoding="utf-8")
+    (tmp_path / "rho3-5.json").write_text('{"entries": [[0, [1.0]]]}', encoding="utf-8")
     out = tmp_path / "dup"
     spectrum = ["spectrum", "--target", str(tmp_path / "a" / "k.json"),
                 "--target", str(tmp_path / "b" / "k.json"), "--K", "2"]
@@ -546,7 +584,7 @@ def test_two_artifacts_for_one_file_are_refused(tmp_path, capsys):
 @pytest.mark.parametrize("label", ["a&b,c", 'x "q" <y>\nz', "c\x01d", "\x0b", "e\x1f"])
 def test_artifacts_are_well_formed_for_any_target_name(tmp_path, capsys, label):
     path = tmp_path / f"{label}.json"
-    path.write_text('{"entries": [[0, [1.0]], [3, [0.5]]]}')
+    path.write_text('{"entries": [[0, [1.0]], [3, [0.5]]]}', encoding="utf-8")
     out = tmp_path / "out"
     assert main(["curve", "--target", str(path), "--K", "2", "--K", "3",
                  "--M-max", "4", "--format", "csv,svg", "--out", str(out)]) == 0
@@ -554,11 +592,12 @@ def test_artifacts_are_well_formed_for_any_target_name(tmp_path, capsys, label):
                  "--format", "csv,json", "--out", str(out)]) == 0
     capsys.readouterr()
     for suffix, width in (("_curve.csv", 7), ("_spectrum.csv", 6)):
-        with open(out / f"{label}{suffix}", newline="") as fh:
+        with open(out / f"{label}{suffix}", newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         assert {len(row) for row in rows} == {width}
         assert {row[0] for row in rows[1:]} == {label}
-    assert json.loads((out / f"{label}_spectrum.json").read_text())["target"] == label
+    spectrum = json.loads((out / f"{label}_spectrum.json").read_text(encoding="utf-8"))
+    assert spectrum["target"] == label
     # XML 1.0 allows no control character but tab, newline and carriage
     # return, so the chart shows U+FFFD for each of the others.
     shown = re.sub("[\x00-\x08\x0b\x0c\x0e-\x1f]", "\ufffd", label)
@@ -566,6 +605,32 @@ def test_artifacts_are_well_formed_for_any_target_name(tmp_path, capsys, label):
     texts = [node.firstChild.data for node in doc.getElementsByTagName("text")]
     assert f"{shown}: approximation bound" in texts
     assert csv_field("rho3:5") == "rho3:5"
+
+
+def test_labels_from_file_names_that_are_not_utf8(tmp_path, capfd):
+    # Such a name's bytes decode to lone surrogates, which UTF-8 cannot
+    # write: CSV and SVG show U+FFFD for each, JSON keeps its \\u escape.
+    # (capfd, unlike capsys, can print the artifact paths, which keep them.)
+    label = os.fsdecode(b"bad\xff")
+    out = tmp_path / "out"
+    for stem in (label, "good"):
+        path = tmp_path / f"{stem}.json"
+        path.write_text('{"entries": [[0, [1.0]], [3, [0.5]]]}', encoding="utf-8")
+        assert main(["curve", "--target", str(path), "--K", "4", "--M-max", "2",
+                     "--format", "csv,svg", "--out", str(out)]) == 0
+        assert main(["spectrum", "--target", str(path), "--format", "json,csv,svg",
+                     "--out", str(out)]) == 0
+    capfd.readouterr()
+    for suffix in ("_curve.csv", "_curve.svg", "_spectrum.csv"):
+        text = (out / f"{label}{suffix}").read_bytes().decode("utf-8")
+        good = (out / f"good{suffix}").read_text(encoding="utf-8")
+        assert text == good.replace("good", "bad\ufffd")
+    doc = xml.dom.minidom.parse(str(out / f"{label}_curve.svg"))
+    texts = [node.firstChild.data for node in doc.getElementsByTagName("text")]
+    assert "bad\ufffd: approximation bound" in texts
+    good = (out / "good_spectrum.json").read_bytes()
+    assert (out / f"{label}_spectrum.json").read_bytes() == good.replace(b'"good"',
+                                                                        b'"bad\\udcff"')
 
 
 # The compare flags each scenario reads.
@@ -731,7 +796,7 @@ def test_cli_fuzz_exits_with_a_documented_code(data):
     with tempfile.TemporaryDirectory() as tmp:
         if "--target" in argv and data.draw(st.booleans()):
             bad = Path(tmp) / "bad.json"
-            bad.write_text(NAN_TARGET)
+            bad.write_text(NAN_TARGET, encoding="utf-8")
             argv += ["--target", str(bad)]
         out = Path(tmp) / "out"
         argv += ["--out", str(out)]
@@ -789,7 +854,7 @@ _DOCUMENT = st.one_of(_JSON, st.fixed_dictionaries({}, optional={
 def test_json_target_documents_exit_zero_or_two(doc):
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "doc.json", Path(tmp) / "out"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc), encoding="utf-8")
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main(["spectrum", "--target", str(path), "--K", "3", "--out", str(out)])
@@ -824,6 +889,23 @@ def _float_rows(draw):
         row[at:at + 1] = draw(st.one_of(st.lists(_ROW_ITEM, max_size=2),
                                         st.tuples(st.one_of(st.booleans(), st.integers()))))
     return rows
+
+
+def test_dump_of_a_large_bank_peaks_at_three_times_its_text():
+    # The bank is written _BLOCK members at a time, so no transient grows
+    # with it: the peak is the joins of the finished text.
+    rng = np.random.default_rng(2024)
+    times = np.append(rng.choice(2 ** 20 - 1, size=19999, replace=False), 2 ** 20 - 1)
+    values = rng.uniform(0.5, 2.0, 20000) * rng.choice((-1.0, 1.0), 20000)
+    doc = {"spec": synthesize_radix(Sequence.from_arrays(times, values), 2).to_json()}
+    assert len(doc["spec"]["filters"]) == 400000
+    tracemalloc.start()
+    try:
+        text = _dump(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.1 * len(text)
 
 
 @settings(max_examples=300, deadline=None)

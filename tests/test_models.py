@@ -155,6 +155,18 @@ def test_synthesis_banks_keep_their_dict_layout():
                 {"%d,%d,%d" % key: w for key, w in _hex(spec).items()})
 
 
+def test_to_json_keys_of_a_wide_stack_of_few_filters():
+    # Key texts come from the distinct key parts here, not from every
+    # number up to the widest channel.
+    wide = 10 ** 12
+    spec = CnnSpec.from_arrays(2, 2, (1, wide + 1, 1), [[1, wide, 0], [0, 0, wide], [0, 0, 7]],
+                               [[0.5, 2.0], [1.0, -0.0], [3.0, 0.0]])
+    filters = spec.to_json()["filters"]
+    assert list(filters) == ["0,0,7", f"0,0,{wide}", f"1,{wide},0"]
+    assert _hex(filters) == _hex({"0,0,7": [3.0, 0.0], f"0,0,{wide}": [1.0, -0.0],
+                                  f"1,{wide},0": [0.5, 2.0]})
+
+
 def test_representation_of_a_two_layer_chain():
     spec = _bank(2, 2, (1, 1, 1), {(0, 0, 0): (1.0, 2.0), (1, 0, 0): (3.0, 4.0)})
     rep = cnn_representation(spec)

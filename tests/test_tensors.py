@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memlens import tensors
-from memlens.sequences import Sequence, dilated_conv
+from memlens.sequences import Sequence, dilated_conv, root_sum_squares
 from memlens.tensors import (Spectrum, Tensor, analysis_window,
                              matrix_singular_values, mode_flatten_general,
                              mode_refold_general, outer_product,
@@ -262,6 +262,24 @@ def test_truncation_error_bound_tail_semantics():
     assert truncation_error_bound(spec, 99).value == 0.0
     with pytest.raises(ValueError):
         truncation_error_bound(spec, -1)
+
+
+def test_tail_masses_are_root_sum_squares_of_each_tail(rng):
+    """The tails of one array of squares are root_sum_squares of each tail,
+    bit for bit: at scales whose sums of squares underflow, overflow or
+    only partly do, with zero tails and an empty one."""
+    spectra = [window_spectrum(Sequence.from_values([1, 0, 0, 1]), 2, 4).values]
+    for l, K in ((2, 6), (3, 4), (4, 5), (8, 3)):
+        values = rng.standard_normal(l ** K) * (rng.random(l ** K) < 0.7)
+        spectra.append(np.append(window_spectrum(Sequence.from_values(values), l, K).values,
+                                 np.zeros(3)))
+    for values in spectra:
+        for scale in (1.0, 1e-200, 1e-160, 1e154, 1e200):
+            spec = Spectrum.from_mode_values([scale * values])
+            ranks = range(len(values) + 2)
+            want = [root_sum_squares(spec.values[r:]).hex() for r in ranks]
+            assert [t.hex() for t in tensors._tail_masses(spec, ranks)] == want
+            assert [truncation_error_bound(spec, r).value.hex() for r in ranks] == want
 
 
 def test_tensor_rank_counts_pooled_nonzeros():
