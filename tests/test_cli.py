@@ -317,20 +317,20 @@ def test_readme_commands_run(tmp_path, capsys):
 @pytest.mark.parametrize("l", [2, 3, 4])
 def test_synth_artifacts_are_json_dumps(tmp_path, capsys, rng, l):
     # Negative values leave +0.0 taps beside them and TT cores hold -0.0;
-    # about 80 radix paths make key parts past 9, so string order is not
-    # numeric order, and over 512 filters, more than one writer block.
-    # Entries far below the largest read as zeros, so the magnitudes get
-    # their own targets.
+    # about 100 radix paths of depth 8 make key parts past 9, so string
+    # order is not numeric order, and over 512 filters, more than one
+    # writer block.  Entries far below the largest read as zeros, so the
+    # magnitudes get their own targets.
     pools = ([-1.5, 2.0, -0.0, 0.75, -3.25], [5e-324, -1e-310, 2.5e-320], [1e300, -3e299])
     for at, pool in enumerate(pools):
-        for method, points, depth in (("radix", 100, 7), ("lowrank", 12, 4)):
-            times = np.append(rng.choice(l ** depth - 1, size=points - 1, replace=False),
-                              l ** depth - 1)
+        for method, points, depth in (("radix", 130, 8), ("lowrank", 12, 4)):
+            times = np.sort(np.append(
+                rng.choice(l ** depth - 1, size=points - 1, replace=False), l ** depth - 1))
+            values = rng.choice(pool, points)
+            values[-1] = pool[0]        # the top slot is live: the depth is fixed
             path = tmp_path / f"{method}{at}.json"
             path.write_text(json.dumps({"dim": 1, "entries": [
-                [t, [v]] for t, v in zip(sorted(times.tolist()),
-                                         rng.choice(pool, points).tolist())]}),
-                encoding="utf-8")
+                [t, [v]] for t, v in zip(times.tolist(), values.tolist())]}), encoding="utf-8")
             assert main(["synth", "--target", str(path), "--method", method,
                          "--l", str(l), "--out", str(tmp_path)]) == 0
             capsys.readouterr()
