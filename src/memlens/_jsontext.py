@@ -60,13 +60,14 @@ def _write(obj, indent, parts):
     if isinstance(obj, dict):
         text = _rows(obj, inner)
         if text is not None:
-            parts.append("{" + text + indent + "}")
+            # A bank's text goes in as it is: wrapping it would copy it twice.
+            parts += ("{", text, indent + "}")
             return
         brackets, items = "{}", [(_quote(key) + ": ", obj[key]) for key in sorted(obj)]
     elif isinstance(obj, (list, tuple)):
         text = _scalars(obj, "," + inner)
         if text is not None:
-            parts.append("[" + inner + text + indent + "]")
+            parts += ("[" + inner, text, indent + "]")
             return
         brackets, items = "[]", [("", item) for item in obj]
     else:

@@ -891,9 +891,10 @@ def _float_rows(draw):
     return rows
 
 
-def test_dump_of_a_large_bank_peaks_at_three_times_its_text():
+def test_dump_of_a_large_bank_peaks_near_twice_its_text():
     # The bank is written _BLOCK members at a time, so no transient grows
-    # with it: the peak is the joins of the finished text.
+    # with it, and its text is not copied to be wrapped: the peak is the
+    # block texts and their join, then that join and the artifact's.
     rng = np.random.default_rng(2024)
     times = np.append(rng.choice(2 ** 20 - 1, size=19999, replace=False), 2 ** 20 - 1)
     values = rng.uniform(0.5, 2.0, 20000) * rng.choice((-1.0, 1.0), 20000)
@@ -905,7 +906,7 @@ def test_dump_of_a_large_bank_peaks_at_three_times_its_text():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.1 * len(text)
+    assert peak <= 2.2 * len(text)
 
 
 @settings(max_examples=300, deadline=None)
