@@ -6,10 +6,9 @@ formats indented output with its pure-Python encoder, one generator step
 per item.  This writer joins each list of one scalar type in one call,
 and writes a dict of float rows -- a non-empty dict whose values are all
 lists of one length >= 1 holding only floats, such as a filter bank --
-without a step per member, _BLOCK members at a time: the block's numbers
-are read into one float array, each distinct number (by its bits, so
--0.0 and 0.0 stay apart) is formatted once, and the block's text is one
-join over its quoted keys, those number texts and the fixed text between
+without a step per member, _BLOCK members at a time: each number of the
+block is formatted by one float repr, and the block's text is one join
+over its quoted keys, those number texts and the fixed text between
 them.
 
 csv_field(text) is the one quoting rule of the CSV artifacts.  Every
@@ -21,8 +20,7 @@ is not UTF-8 (_SURROGATE), while JSON keeps them as \\u escapes.
 import re
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
-
-import numpy as np
+from math import isfinite
 
 # json's names for the float reprs of the non-finite numbers
 _NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -121,6 +119,7 @@ def _rows(obj, inner):
         return None
     if not all(issubclass(kind, float) for kind in set(map(type, chain.from_iterable(values)))):
         return None
+    finite = all(map(isfinite, chain.from_iterable(values)))
     item = inner + "  "
     # One member's parts: its quoted key, then each number and the text
     # after it, up to the next member's key.
@@ -129,14 +128,9 @@ def _rows(obj, inner):
     keys, texts = sorted(obj), []
     for at in range(0, len(keys), _BLOCK):
         block = keys[at:at + _BLOCK]
-        # Numbers are told apart by their bits, so -0.0 and 0.0 keep their
-        # own texts.
-        bits = np.fromiter(chain.from_iterable(map(obj.__getitem__, block)), float,
-                           len(block) * width).view(np.uint64)
-        distinct, which = np.unique(bits, return_inverse=True)
-        reprs = list(map(float.__repr__, distinct.view(float).tolist()))
-        reprs = list(map(_NAMES.get, reprs, reprs))
-        nums = list(map(reprs.__getitem__, which.tolist()))
+        nums = list(map(float.__repr__, chain.from_iterable(list(map(obj.__getitem__, block)))))
+        if not finite:
+            nums = list(map(_NAMES.get, nums, nums))
         parts = member * len(block)
         parts[::stride] = map(_quote, block)
         for c in range(width):

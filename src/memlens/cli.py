@@ -45,7 +45,7 @@ from .experiments import (SCENARIOS, comparison_report, conformance_suite,
                           error_curve_study, make_target)
 from .models import (effective_filters, replay_residual, synthesize_lowrank,
                      synthesize_radix)
-from ._jsontext import csv_field, dump as _dump
+from ._jsontext import _SURROGATE, csv_field, dump as _dump
 
 FORMATS = ("csv", "json", "svg")
 
@@ -163,8 +163,9 @@ def _write(out: str, artifacts) -> None:
 
     Without out every text is printed, in order.  With out, each named
     artifact goes to out/name (':' and the path separator read as '-') and
-    its path is printed, or its text when echo is set; one without a name
-    is only printed.  Two artifacts bound for one file are a usage error.
+    its path is printed (with U+FFFD for a lone surrogate), or its text
+    when echo is set; one without a name is only printed.  Two artifacts
+    bound for one file are a usage error.
     The texts go to dot-prefixed temporary files of this process in out,
     which are renamed in place once all are written.  A failure or
     interrupt before the renames removes them and re-raises, so no artifact
@@ -195,7 +196,10 @@ def _write(out: str, artifacts) -> None:
                 os.remove(temp)
         raise
     for path, (_, text, echo) in zip(paths, artifacts):
-        text = text if echo or not path else path
+        # A path shows U+FFFD for each lone surrogate of a file name that is
+        # not UTF-8, as CSV and SVG labels do, so printing it cannot fail
+        # once the files are in place.
+        text = text if echo or not path else _SURROGATE.sub("\ufffd", path)
         print(text, end="" if text.endswith("\n") else "\n")
 
 

@@ -102,17 +102,12 @@ class CnnSpec:
         return len(self.index)
 
     def to_json(self) -> dict:
-        # Every "k,j,i" key joins three texts of one list of digit texts:
-        # those of 0 up to the largest key part, or, when that list would be
-        # longer than the key parts (wide channels, few filters), those of
-        # the distinct parts.
-        parts, top = self.index, int(self.index.max(initial=0))
-        if top < parts.size:
-            digits = list(map(str, range(top + 1)))
-        else:
-            values, parts = np.unique(parts, return_inverse=True)
-            digits, parts = list(map(str, values.tolist())), parts.reshape(self.index.shape)
-        k, j, i = (map(digits.__getitem__, column) for column in parts.T.tolist())
+        # Every "k,j,i" key joins three texts of one list: the digit texts
+        # of the distinct key parts.
+        values, parts = np.unique(self.index, return_inverse=True)
+        digits = list(map(str, values.tolist()))
+        k, j, i = (map(digits.__getitem__, column)
+                   for column in parts.reshape(self.index.shape).T.tolist())
         return {
             "l": self.l,
             "K": self.K,

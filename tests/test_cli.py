@@ -607,10 +607,11 @@ def test_artifacts_are_well_formed_for_any_target_name(tmp_path, capsys, label):
     assert csv_field("rho3:5") == "rho3:5"
 
 
-def test_labels_from_file_names_that_are_not_utf8(tmp_path, capfd):
+def test_labels_from_file_names_that_are_not_utf8(tmp_path, capsys):
     # Such a name's bytes decode to lone surrogates, which UTF-8 cannot
-    # write: CSV and SVG show U+FFFD for each, JSON keeps its \\u escape.
-    # (capfd, unlike capsys, can print the artifact paths, which keep them.)
+    # write: CSV, SVG and the printed paths show U+FFFD for each, JSON
+    # keeps its \\u escape.  capsys's stdout is strict UTF-8, as under a
+    # UTF-8 locale.
     label = os.fsdecode(b"bad\xff")
     out = tmp_path / "out"
     for stem in (label, "good"):
@@ -620,7 +621,10 @@ def test_labels_from_file_names_that_are_not_utf8(tmp_path, capfd):
                      "--format", "csv,svg", "--out", str(out)]) == 0
         assert main(["spectrum", "--target", str(path), "--format", "json,csv,svg",
                      "--out", str(out)]) == 0
-    capfd.readouterr()
+        shown = stem.replace(label, "bad\ufffd")
+        assert capsys.readouterr().out.splitlines() == [
+            str(out / f"{shown}{suffix}")
+            for suffix in ("_curve.csv", "_curve.svg", "_spectrum.json", "_spectrum.csv")]
     for suffix in ("_curve.csv", "_curve.svg", "_spectrum.csv"):
         text = (out / f"{label}{suffix}").read_bytes().decode("utf-8")
         good = (out / f"good{suffix}").read_text(encoding="utf-8")
