@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -102,12 +103,10 @@ class CnnSpec:
         return len(self.index)
 
     def to_json(self) -> dict:
-        # Every "k,j,i" key joins three texts of one list: the digit texts
-        # of the distinct key parts.
-        values, parts = np.unique(self.index, return_inverse=True)
-        digits = list(map(str, values.tolist()))
-        k, j, i = (map(digits.__getitem__, column)
-                   for column in parts.reshape(self.index.shape).T.tolist())
+        # Every "k,j,i" key joins three texts of the distinct key parts.
+        columns = self.index.T.tolist()
+        digits = {part: str(part) for part in set(chain.from_iterable(columns))}
+        k, j, i = (map(digits.__getitem__, column) for column in columns)
         return {
             "l": self.l,
             "K": self.K,
