@@ -1,0 +1,25 @@
+import difflib
+
+import pytest
+
+from contract import corpus
+
+
+def test_cli_outputs_match_the_committed_corpus(tmp_path):
+    # Every manifest command in one pinned process; regen.py rewrites the
+    # corpus after a change that alters an output on purpose.
+    problem, found = corpus.outputs(tmp_path)
+    if problem:
+        pytest.fail(problem)
+    want = corpus.expected()
+    assert sorted(found) == sorted(want), "the manifest and the corpus name other commands"
+    wrong = [(name, path) for name in sorted(want)
+             for path in sorted(want[name].keys() | found[name].keys())
+             if want[name].get(path) != found[name].get(path)]
+    if wrong:
+        name, path = wrong[0]
+        diff = difflib.unified_diff(want[name].get(path, "").splitlines(),
+                                    found[name].get(path, "").splitlines(),
+                                    "expected", "found", lineterm="", n=1)
+        pytest.fail(f"{len(wrong)} outputs differ from tests/contract/expected, "
+                    f"first {name}/{path}:\n" + "\n".join(list(diff)[:40]))
