@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from ._jsontext import csv_field
-from .sequences import Scalar, Sequence
+from .sequences import Family, Scalar, Sequence
 from .models import effective_filters
 from . import tensors
 
@@ -119,7 +119,7 @@ class ErrorCurveTable:
         return "\n".join(lines) + "\n"
 
 
-def complexity_measure(rho: Sequence, l: int, g: DecayProfile,
+def complexity_measure(rho: Sequence | Family, l: int, g: DecayProfile,
                        k_cap=None) -> Scalar:
     """Smallest constant bounding every spectrum tail mass by c * g(s).
 
@@ -158,7 +158,7 @@ def complexity_measure(rho: Sequence, l: int, g: DecayProfile,
     return Scalar(best)
 
 
-def rate_bound_interval(rho: Sequence, l: int, K: int, channels,
+def rate_bound_interval(rho: Sequence | Family, l: int, K: int, channels,
                         g: DecayProfile):
     """Two-sided approximation bound for a depth-K width-budgeted stack.
 
@@ -184,7 +184,7 @@ def rate_bound_interval(rho: Sequence, l: int, K: int, channels,
     return lower, upper
 
 
-def error_curve(rho: Sequence, l: int, K_list, M_range,
+def error_curve(rho: Sequence | Family, l: int, K_list, M_range,
                 target_id: str = "target") -> ErrorCurveTable:
     """Bound split per (K, M): spectrum truncation plus window tail.
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import Scalar, Sequence, _read_number, dilated_conv
+from .sequences import Family, Scalar, Sequence, _read_number, dilated_conv
 from . import tensors
 from .bounds import DecayProfile, complexity_measure, error_curve
 from .models import (cnn_min_depth_expdecay, replay_residual,
@@ -37,7 +37,7 @@ _SHORTHAND = {"rho3": lambda x: {"family": "power", "horizon": x},
               "impulse": lambda x: {"family": "impulse", "params": {"t": x}}}
 
 
-def make_target(text: str) -> Sequence:
+def make_target(text: str) -> Sequence | Family:
     """The builtin analysis target a target id names.
 
     "rho1" and "rho2" put the value pi^2 / 12 on four window slots each

@@ -24,7 +24,8 @@ from itertools import chain
 
 import numpy as np
 
-from .sequences import MAX_TIME, Scalar, Sequence, _number, _read_number, _whole
+from .sequences import (MAX_TIME, Family, Scalar, Sequence, _number, _read_number,
+                        _whole)
 from . import tensors
 
 
@@ -254,7 +255,7 @@ def cnn_representation(spec: CnnSpec) -> Sequence:
     return Sequence.from_arrays(uniq, values, dim=d)
 
 
-def replay_residual(spec: CnnSpec, target: Sequence) -> float:
+def replay_residual(spec: CnnSpec, target: Sequence | Family) -> float:
     """Norm of the replayed representation minus target on the receptive
     field [0, l^K - 1], the window a synthesis reproduces."""
     window = target.truncate(spec.l ** spec.K)
@@ -329,7 +330,7 @@ def synthesize_radix(target: Sequence, l: int) -> CnnSpec:
 _TT_REL_TOL = 1e-13
 
 
-def synthesize_lowrank(target: Sequence, l: int, K=None) -> CnnSpec:
+def synthesize_lowrank(target: Sequence | Family, l: int, K=None) -> CnnSpec:
     """Exact tensor-train filter bank for the length-l^K window of target.
 
     K defaults to the coverage depth of the support.  The window, read

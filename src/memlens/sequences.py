@@ -1,17 +1,18 @@
 """Exact arithmetic on discrete-time vector sequences.
 
-A Sequence models a causal map rho: N -> R^d with either an explicit
-finite support or a generator rule (geometric decay, inverse-time decay)
-plus an optional hard truncation horizon.  These objects carry the
-representations of linear temporal functionals, the filters of the
-convolutional models, and the probe inputs used in tests.
+A Sequence models a causal map rho: N -> R^d with an explicit finite
+support, and a Family a scalar one given by a rule (geometric decay,
+inverse-time decay) plus an optional hard truncation horizon.  These
+objects carry the representations of linear temporal functionals, the
+filters of the convolutional models, and the probe inputs used in tests.
 
-A finite sequence is stored as one sorted int64 array of distinct times
-and one (n, d) array of values, and every operation on it is an array
-operation.  Generated sequences are evaluated with numpy (gamma ** t,
-1 / t) over whole windows.  Time indices must stay below 2^63: a larger
-index raises ValueError before any int64 arithmetic runs, so no time
-wraps silently.
+A Sequence is stored as one sorted int64 array of distinct times and one
+(n, d) array of values, and every operation on it is an array operation.
+A Family is read through its window, truncate(n), a Sequence whose
+values numpy evaluates in one pass (gamma ** t, 1 / t), and through its
+tail beyond a window in closed form (tail_norm, sup_abs_from).  Time
+indices must stay below 2^63: a larger index raises ValueError before
+any int64 arithmetic runs, so no time wraps silently.
 
 Sequence.from_json reads a text in the row layout that to_json writes
 through json.dumps, compact or indented, without building a list per
@@ -285,38 +286,20 @@ def _columns(times, values, dim):
 
 
 class Sequence:
-    """A finitely supported or rule-generated sequence rho: N -> R^d.
+    """A finitely supported sequence rho: N -> R^d.
 
-    kind="finite" stores sorted int64 times with an (n, dim) value array;
-    every finite sequence is built by from_arrays or through it.
-    kind="generated" evaluates a registered family ("geometric" with
-    parameter gamma, or "power" for the inverse-time sequence 0, 1, 1/2,
-    1/3, ...) and is optionally truncated to zero beyond an integer
-    horizon; the constructor builds only these.
+    It stores sorted distinct int64 times with an (n, dim) value array,
+    and every one is built by from_arrays or through it.  geometric,
+    power and the family form of from_json give a Family instead.
     """
 
-    def __init__(self, family, params=None, horizon=None):
-        self._dim = 1
-        self._horizon = None if horizon is None else int(horizon)
-        if self._horizon is not None and self._horizon < 0:
-            raise ValueError("horizon must be >= 0")
-        if family not in ("geometric", "power"):
-            raise ValueError(f"unknown family {family!r}")
-        self._family = family
-        self._times = self._values = None
-        self._params = dict(params or {})
-        if family == "geometric":
-            g = float(self._params.get("gamma", 0.0))
-            if not 0.0 < g < 1.0:
-                raise ValueError("geometric family needs 0 < gamma < 1")
-            self._params["gamma"] = g
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a Sequence is built by Sequence.from_arrays or its callers")
 
     @classmethod
     def _of(cls, times, values) -> "Sequence":
         """Finite sequence over already sorted distinct int64 times."""
         seq = object.__new__(cls)
-        seq._dim = values.shape[1]
-        seq._horizon, seq._family, seq._params = None, None, {}
         seq._times, seq._values = times, values
         return seq
 
@@ -352,39 +335,33 @@ class Sequence:
         return cls.from_arrays([int(t)], [float(value)])
 
     @classmethod
-    def geometric(cls, gamma, horizon=None) -> "Sequence":
+    def geometric(cls, gamma, horizon=None) -> "Family":
         """rho(t) = gamma^t for t >= 0, with 0 < gamma < 1."""
-        return cls("geometric", params={"gamma": gamma}, horizon=horizon)
+        return Family("geometric", gamma, horizon)
 
     @classmethod
-    def power(cls, horizon=None) -> "Sequence":
+    def power(cls, horizon=None) -> "Family":
         """rho(0) = 0 and rho(t) = 1/t for t >= 1."""
-        return cls("power", horizon=horizon)
+        return Family("power", horizon=horizon)
 
     # -- basic accessors -----------------------------------------------
 
     @property
     def dim(self) -> int:
-        return self._dim
+        return self._values.shape[1]
 
     @property
     def kind(self) -> str:
-        return "finite" if self._family is None else "generated"
-
-    @property
-    def horizon(self):
-        return self._horizon
+        return "finite"
 
     def arrays(self):
-        """Read-only (times, values) views of a finite sequence's support."""
-        _require_finite(self, "arrays()")
+        """Read-only (times, values) views of the support."""
         times, values = self._times.view(), self._values.view()
         times.flags.writeable = values.flags.writeable = False
         return times, values
 
     def entries(self) -> dict:
-        """Sorted copy of the stored support (finite sequences only)."""
-        _require_finite(self, "entries()")
+        """Sorted copy of the stored support."""
         return dict(zip(self._times.tolist(), self._values.copy()))
 
     def _count_before(self, t) -> int:
@@ -393,50 +370,31 @@ class Sequence:
             return len(self._times)
         return int(np.searchsorted(self._times, t))
 
-    def _rule(self, t: np.ndarray) -> np.ndarray:
-        """Generated values at the int64 times t, all inside the horizon."""
-        if self._family == "geometric":
-            return self._params["gamma"] ** t.astype(float)
-        out = np.zeros(len(t))
-        pos = t > 0
-        out[pos] = 1.0 / t[pos]
-        return out
-
     def _at(self, t: np.ndarray) -> np.ndarray:
         """(len(t), dim) values at the int64 times t; zero off the support."""
-        out = np.zeros((len(t), self._dim))
-        if self._family is None:
-            if len(self._times):
-                idx = np.minimum(np.searchsorted(self._times, t), len(self._times) - 1)
-                hit = self._times[idx] == t
-                out[hit] = self._values[idx[hit]]
-            return out
-        live = t >= 0
-        if self._horizon is not None:
-            live &= t <= self._horizon
-        out[live, 0] = self._rule(t[live])
+        out = np.zeros((len(t), self.dim))
+        if len(self._times):
+            idx = np.minimum(np.searchsorted(self._times, t), len(self._times) - 1)
+            hit = self._times[idx] == t
+            out[hit] = self._values[idx[hit]]
         return out
 
     def value(self, t: int) -> np.ndarray:
         """The vector rho(t); zero outside the support (and for t < 0)."""
         if t < 0:
-            return np.zeros(self._dim)
+            return np.zeros(self.dim)
         _check_time(t)
         return self._at(np.array([t], dtype=np.int64))[0]
 
     def values_upto(self, n: int) -> np.ndarray:
         """Dense (n, dim) array of rho(0), ..., rho(n-1)."""
-        out = np.zeros((int(n), self._dim))
-        if self._family is None:
-            k = self._count_before(n)
-            out[self._times[:k]] = self._values[:k]
-        else:
-            m = n if self._horizon is None else min(n, self._horizon + 1)
-            out[:m, 0] = self._rule(np.arange(m, dtype=np.int64))
+        out = np.zeros((int(n), self.dim))
+        k = self._count_before(n)
+        out[self._times[:k]] = self._values[:k]
         return out
 
     def flat_values(self, n: int) -> np.ndarray:
-        if self._dim != 1:
+        if self.dim != 1:
             raise ValueError("flat_values requires dim == 1")
         return self.values_upto(n)[:, 0]
 
@@ -444,108 +402,41 @@ class Sequence:
 
     def zero_tol(self) -> float:
         """Scale-relative threshold separating true support from round-off."""
-        if self._family is None:
-            peak = float(np.max(np.abs(self._values), initial=0.0))
-        else:
-            peak = 1.0  # both registered families have sup |rho| <= 1
-        return ZERO_REL_TOL * peak
+        return ZERO_REL_TOL * float(np.max(np.abs(self._values), initial=0.0))
 
     def _live(self, tol=None) -> np.ndarray:
         tol = self.zero_tol() if tol is None else tol
         return np.max(np.abs(self._values), axis=1, initial=0.0) > tol
 
     def radius(self):
-        """Largest t with a nonzero entry, or None for the zero sequence.
-
-        Generated sequences need a declared horizon for this to be finite.
-        """
-        if self._family is None:
-            live = np.flatnonzero(self._live())
-            return int(self._times[live[-1]]) if len(live) else None
-        if self._horizon is None:
-            raise ValueError("radius of a generated sequence needs a horizon")
-        if self._family == "power":
-            return None if self._horizon == 0 else self._horizon
-        return self._horizon
+        """Largest t with a nonzero entry, or None for the zero sequence."""
+        live = np.flatnonzero(self._live())
+        return int(self._times[live[-1]]) if len(live) else None
 
     def reaches(self, n: int) -> bool:
         """Whether a nonzero entry lies at some t >= n, that is radius() >= n.
 
-        A finite sequence stored only below n answers without a scan.
+        A sequence stored only below n answers without a scan.
         """
-        if self._family is None:
-            k = self._count_before(n)
-            return k < len(self._times) and bool(self._live()[k:].any())
-        r = self.radius()
-        return r is not None and r >= n
+        k = self._count_before(n)
+        return k < len(self._times) and bool(self._live()[k:].any())
 
     def sparsity(self, tol=None) -> int:
         """Number of time indices carrying a nonzero entry."""
-        if self._family is not None:
-            r = self.radius()
-            if r is None:
-                return 0
-            start = 1 if self._family == "power" else 0
-            return r - start + 1
         return int(np.count_nonzero(self._live(tol)))
 
     def tail_norm(self, start: int) -> Scalar:
-        """sqrt of the summed squared entries at t >= start.
-
-        Exact for finite sequences and for geometric decay (closed form);
-        inverse-time decay without a horizon returns an integral bracket,
-        and with more than 2^24 terms to its horizon a bracket of a few
-        units in the last place (_power_tail_norm).
-        """
+        """sqrt of the summed squared entries at t >= start, exactly."""
         if start < 0:
             raise ValueError("start must be >= 0")
-        if self._family is None:
-            tail = self._values[self._count_before(start):]
-            return Scalar(root_sum_squares(tail))
-        if self._family == "geometric":
-            g = self._params["gamma"]
-            if self._horizon is not None:
-                if start > self._horizon:
-                    return Scalar(0.0)
-                sq = (g ** (2 * start) - g ** (2 * (self._horizon + 1))) / (1 - g * g)
-            else:
-                sq = g ** (2 * start) / (1 - g * g)
-            return Scalar(math.sqrt(sq))
-        s0 = max(start, 1)
-        if self._horizon is not None:
-            if s0 > self._horizon:
-                return Scalar(0.0)
-            if self._horizon - s0 >= _EXACT_TAIL_TERMS:
-                return _power_tail_norm(int(s0), self._horizon)
-            # Smallest terms first, added strictly in sequence (a cumulative
-            # sum), in blocks that bound the memory used.
-            sq = 0.0
-            for top in range(self._horizon, s0 - 1, -_TAIL_BLOCK):
-                t = np.arange(top, max(top - _TAIL_BLOCK, s0 - 1), -1, dtype=float)
-                sq = float(np.cumsum(np.append(sq, 1.0 / (t * t)))[-1])
-            return Scalar(math.sqrt(sq))
-        lo_sq = 1.0 / s0
-        hi_sq = 1.0 / (s0 * s0) + 1.0 / s0
-        if s0 >= 2:
-            hi_sq = min(hi_sq, 1.0 / (s0 - 1))
-        lo, hi = math.sqrt(lo_sq), math.sqrt(hi_sq)
-        return Scalar((lo + hi) / 2.0, (hi - lo) / 2.0)
+        return Scalar(root_sum_squares(self._values[self._count_before(start):]))
 
     def norm(self) -> Scalar:
         return self.tail_norm(0)
 
     def sup_abs_from(self, start: int) -> float:
         """sup over t >= start of the euclidean length of rho(t)."""
-        if self._family is None:
-            tail = self._values[self._count_before(start):]
-            return root_sum_squares(tail, rows=True)
-        if self._horizon is not None and start > self._horizon:
-            return 0.0
-        if self._family == "geometric":
-            return self._params["gamma"] ** start
-        if self._horizon == 0:
-            return 0.0
-        return 1.0 / max(start, 1)
+        return root_sum_squares(self._values[self._count_before(start):], rows=True)
 
     # -- derived sequences -----------------------------------------------
 
@@ -553,24 +444,14 @@ class Sequence:
         """Finite restriction to the window [0, length - 1]."""
         if length < 0:
             raise ValueError("length must be >= 0")
-        if self._family is None:
-            k = self._count_before(length)
-            return Sequence._of(self._times[:k], self._values[:k])
-        m = length if self._horizon is None else min(length, self._horizon + 1)
-        _check_time(m - 1)
-        t = np.arange(m, dtype=np.int64)
-        v = self._rule(t)
-        nonzero = v != 0.0
-        return Sequence._of(t[nonzero], v[nonzero][:, None])
+        k = self._count_before(length)
+        return Sequence._of(self._times[:k], self._values[:k])
 
     def scaled(self, alpha: float) -> "Sequence":
-        _require_finite(self, "scaled()")
         return Sequence._of(self._times, alpha * self._values)
 
     def plus(self, other: "Sequence") -> "Sequence":
-        _require_finite(self, "plus()")
-        _require_finite(other, "plus()")
-        if self._dim != other._dim:
+        if self.dim != other.dim:
             raise ValueError("dimension mismatch")
         return _coalesced(np.concatenate([self._times, other._times]),
                           np.concatenate([self._values, other._values]))
@@ -578,23 +459,17 @@ class Sequence:
     # -- serialisation -----------------------------------------------------
 
     def to_json(self) -> dict:
-        if self._family is None:
-            rows = [list(row) for row in zip(self._times.tolist(),
-                                             self._values.tolist())]
-            return {"dim": self._dim, "entries": rows}
-        obj = {"family": self._family, "params": dict(self._params)}
-        if self._horizon is not None:
-            obj["horizon"] = self._horizon
-        return obj
+        rows = [list(row) for row in zip(self._times.tolist(), self._values.tolist())]
+        return {"dim": self.dim, "entries": rows}
 
     @classmethod
-    def from_json(cls, obj) -> "Sequence":
-        """Sequence from its JSON description: the row form {"dim", "entries"}
-        or the family form {"family", "params", "horizon"}.  A document of
-        any other shape, or with a field of the wrong type, raises
-        ValueError.  A text in the row layout to_json writes is read
-        without per-row objects (_flat_rows); any other text is decoded
-        whole."""
+    def from_json(cls, obj) -> "Sequence | Family":
+        """Sequence from its JSON description: the row form {"dim", "entries"},
+        or the family form {"family", "params", "horizon"}, which gives a
+        Family for "geometric" and "power".  A document of any other
+        shape, or with a field of the wrong type, raises ValueError.  A
+        text in the row layout to_json writes is read without per-row
+        objects (_flat_rows); any other text is decoded whole."""
         if isinstance(obj, str):
             rows = _flat_rows(obj)
             if rows:
@@ -636,15 +511,128 @@ class Sequence:
         raise ValueError(f"unknown sequence description {obj!r:.40}")
 
     def __repr__(self):
-        if self._family is None:
-            return f"Sequence(dim={self._dim}, support={self._times.tolist()})"
-        return (f"Sequence(family={self._family!r}, params={self._params}, "
-                f"horizon={self._horizon})")
+        return f"Sequence(dim={self.dim}, support={self._times.tolist()})"
 
 
-def _require_finite(s: Sequence, name: str):
-    if s.kind != "finite":
-        raise ValueError(f"{name} must be finitely supported")
+@dataclass(frozen=True)
+class Family:
+    """A rule-generated scalar sequence, zero beyond an optional horizon.
+
+    family "geometric" is rho(t) = gamma^t with 0 < gamma < 1; family
+    "power" is the inverse-time sequence rho(0) = 0, rho(t) = 1/t.  A
+    Family stores no entries: its window is truncate(n), a finite
+    Sequence, and its tail beyond a window is a closed form (tail_norm,
+    sup_abs_from).  Sequence.geometric, Sequence.power and
+    Sequence.from_json build one.
+    """
+
+    family: str
+    gamma: float | None = None
+    horizon: int | None = None
+
+    def __post_init__(self):
+        if self.horizon is not None:
+            object.__setattr__(self, "horizon", int(self.horizon))
+            if self.horizon < 0:
+                raise ValueError("horizon must be >= 0")
+        if self.family not in ("geometric", "power"):
+            raise ValueError(f"unknown family {self.family!r}")
+        if self.family == "geometric":
+            g = float(self.gamma or 0.0)
+            if not 0.0 < g < 1.0:
+                raise ValueError("geometric family needs 0 < gamma < 1")
+            object.__setattr__(self, "gamma", g)
+
+    @property
+    def dim(self) -> int:
+        return 1
+
+    @property
+    def kind(self) -> str:
+        return "generated"
+
+    def truncate(self, length: int) -> Sequence:
+        """The finite restriction to the window [0, length - 1]."""
+        if length < 0:
+            raise ValueError("length must be >= 0")
+        m = length if self.horizon is None else min(length, self.horizon + 1)
+        _check_time(m - 1)
+        t = np.arange(m, dtype=np.int64)
+        if self.family == "geometric":
+            v = self.gamma ** t.astype(float)
+        else:
+            v = np.zeros(m)
+            v[1:] = 1.0 / t[1:]
+        nonzero = v != 0.0
+        return Sequence._of(t[nonzero], v[nonzero][:, None])
+
+    def radius(self):
+        """The horizon, or None for the power rule cut at 0; a Family
+        without a horizon has no finite radius."""
+        if self.horizon is None:
+            raise ValueError("radius of a generated sequence needs a horizon")
+        if self.family == "power" and self.horizon == 0:
+            return None
+        return self.horizon
+
+    def tail_norm(self, start: int) -> Scalar:
+        """sqrt of the summed squared values at t >= start.
+
+        Geometric decay is a closed form.  Inverse-time decay without a
+        horizon returns an integral bracket, and with more than 2^24
+        terms to its horizon a bracket of a few units in the last place
+        (_power_tail_norm).
+        """
+        if start < 0:
+            raise ValueError("start must be >= 0")
+        if self.family == "geometric":
+            g = self.gamma
+            if self.horizon is not None:
+                if start > self.horizon:
+                    return Scalar(0.0)
+                sq = (g ** (2 * start) - g ** (2 * (self.horizon + 1))) / (1 - g * g)
+            else:
+                sq = g ** (2 * start) / (1 - g * g)
+            return Scalar(math.sqrt(sq))
+        s0 = max(start, 1)
+        if self.horizon is not None:
+            if s0 > self.horizon:
+                return Scalar(0.0)
+            if self.horizon - s0 >= _EXACT_TAIL_TERMS:
+                return _power_tail_norm(int(s0), self.horizon)
+            # Smallest terms first, added strictly in sequence (a cumulative
+            # sum), in blocks that bound the memory used.
+            sq = 0.0
+            for top in range(self.horizon, s0 - 1, -_TAIL_BLOCK):
+                t = np.arange(top, max(top - _TAIL_BLOCK, s0 - 1), -1, dtype=float)
+                sq = float(np.cumsum(np.append(sq, 1.0 / (t * t)))[-1])
+            return Scalar(math.sqrt(sq))
+        lo_sq = 1.0 / s0
+        hi_sq = 1.0 / (s0 * s0) + 1.0 / s0
+        if s0 >= 2:
+            hi_sq = min(hi_sq, 1.0 / (s0 - 1))
+        lo, hi = math.sqrt(lo_sq), math.sqrt(hi_sq)
+        return Scalar((lo + hi) / 2.0, (hi - lo) / 2.0)
+
+    def norm(self) -> Scalar:
+        return self.tail_norm(0)
+
+    def sup_abs_from(self, start: int) -> float:
+        """sup over t >= start of |rho(t)|."""
+        if self.horizon is not None and start > self.horizon:
+            return 0.0
+        if self.family == "geometric":
+            return self.gamma ** start
+        if self.horizon == 0:
+            return 0.0
+        return 1.0 / max(start, 1)
+
+    def to_json(self) -> dict:
+        params = {"gamma": self.gamma} if self.family == "geometric" else {}
+        obj = {"family": self.family, "params": params}
+        if self.horizon is not None:
+            obj["horizon"] = self.horizon
+        return obj
 
 
 def _coalesced(times, values) -> Sequence:
@@ -666,8 +654,9 @@ def dilated_conv(f: Sequence, g: Sequence, dilation: int) -> Sequence:
         raise ValueError("dilation must be >= 1")
     if f.dim != g.dim:
         raise ValueError("dimension mismatch")
-    _require_finite(f, "f")
-    _require_finite(g, "g")
+    for name, operand in (("f", f), ("g", g)):
+        if operand.kind != "finite":
+            raise ValueError(f"{name} must be finitely supported")
     ft, fv = f.arrays()
     gt, gv = g.arrays()
     _check_time(dilation)
@@ -679,13 +668,14 @@ def dilated_conv(f: Sequence, g: Sequence, dilation: int) -> Sequence:
     return _coalesced(times, products.sum(axis=1, keepdims=True))
 
 
-def apply_functional(rho: Sequence, x: Sequence, t: int) -> Scalar:
+def apply_functional(rho: Sequence | Family, x: Sequence | Family, t: int) -> Scalar:
     """Evaluate the induced linear functional: sum_s rho(s) . x(t - s).
 
     x must be defined on the whole window [t - radius(rho), t]; since
     inputs start at time 0 this requires t >= radius(rho), and generated
-    inputs must declare a horizon covering t.  It stays public because it
-    is the functional whose representation every analysis reads.
+    inputs must declare a horizon covering t; a generated rho or x is read
+    through its window.  It stays public because it is the functional
+    whose representation every analysis reads.
     """
     if rho.dim != x.dim:
         raise ValueError("dimension mismatch")
@@ -698,5 +688,6 @@ def apply_functional(rho: Sequence, x: Sequence, t: int) -> Scalar:
     if x.kind == "generated" and (x.horizon is None or x.horizon < t):
         raise ValueError("input window does not cover the representation support")
     _check_time(t)
+    x = x if x.kind == "finite" else x.truncate(t + 1)
     times, values = work.arrays()
     return Scalar(float(np.sum(values * x._at(t - times))))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sequences import _HUGE, _TINY, Scalar, Sequence, root_sum_squares
+from .sequences import _HUGE, _TINY, Family, Scalar, Sequence, root_sum_squares
 
 RANK_REL_TOL = 1e-8
 
@@ -159,10 +159,10 @@ def coverage_depth(l: int, radius: int) -> int:
     return K
 
 
-def analysis_window(rho: Sequence, l: int, K=None) -> Sequence:
-    """rho as the analyses read it: a finite sequence as it is, a generated
-    one cut after its horizon, or, without a horizon, cut to its length-l^K
-    window, which needs a depth K."""
+def analysis_window(rho: Sequence | Family, l: int, K=None) -> Sequence:
+    """rho as the analyses read it: a Sequence as it is, and a Family as
+    the Sequence its truncate makes, cut after its horizon or, without a
+    horizon, to its length-l^K window, which needs a depth K."""
     if rho.kind == "finite":
         return rho
     if rho.horizon is not None:
@@ -173,19 +173,22 @@ def analysis_window(rho: Sequence, l: int, K=None) -> Sequence:
     return rho.truncate(l ** K)
 
 
-def tensorize(rho: Sequence, l: int, K: int) -> Tensor:
+def tensorize(rho: Sequence | Family, l: int, K: int) -> Tensor:
     """Fold rho restricted to [0, l^K - 1] into an order-K tensor.
 
     The entry at time t goes to the multi-index whose mode-k digit is the
     k-th base-l digit of t.  Sequences reaching beyond the window are
-    rejected; callers split off the tail first.
+    rejected, and so is a Family without a horizon; callers split off the
+    tail first.
     """
     if rho.dim != 1:
         raise ValueError("tensorisation applies to one-dimensional sequences")
     if l < 2 or K < 1:
         raise ValueError("need l >= 2 and K >= 1")
     size = l ** K
-    if rho.reaches(size):
+    if rho.kind != "finite" and (rho.radius() or 0) < size:
+        rho = rho.truncate(size)    # radius() refuses a generated rho without a horizon
+    if rho.kind != "finite" or rho.reaches(size):
         raise ValueError("sequence support exceeds the tensor window")
     return Tensor(l=l, order=K, data=rho.flat_values(size))
 
@@ -210,7 +213,7 @@ def singular_values(t: Tensor) -> Spectrum:
     return Spectrum.from_mode_values(matrix_singular_values(stack))
 
 
-def window_spectrum(rho: Sequence, l: int, K: int) -> Spectrum:
+def window_spectrum(rho: Sequence | Family, l: int, K: int) -> Spectrum:
     """Pooled spectrum of the tensorised length-l^K window of rho."""
     return singular_values(tensorize(rho.truncate(l ** K), l, K))
 

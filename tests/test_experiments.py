@@ -28,11 +28,11 @@ def test_make_target_sparse_ranks():
 
 
 def test_make_target_decaying_families():
-    rho3 = make_target("rho3:100")
+    rho3 = make_target("rho3:100").truncate(11)
     assert rho3.value(1) == pytest.approx(1.0)
     assert rho3.value(10) == pytest.approx(0.1)
     assert rho3.value(0) == 0.0
-    exp = make_target("exp:0.5")
+    exp = make_target("exp:0.5").truncate(4)
     assert exp.value(0) == 1.0 and exp.value(3) == 0.125
     imp = make_target("impulse:7")
     assert imp.value(7) == 1.0 and imp.sparsity() == 1

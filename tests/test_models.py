@@ -226,7 +226,7 @@ def test_radix_synthesis_shallow_and_degenerate_cases():
     zero = synthesize_radix(Sequence.zero(), 3)
     assert zero.filter_count == 0
     assert cnn_representation(zero).radius() is None
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^synthesis needs a finitely supported target$"):
         synthesize_radix(Sequence.geometric(0.5), 2)
     with pytest.raises(ValueError):
         synthesize_radix(Sequence.from_arrays([0], [[1.0, 1.0]], dim=2), 2)

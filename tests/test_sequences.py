@@ -72,17 +72,20 @@ def test_finite_sequences_need_a_positive_dim():
 
 
 def test_reaches_is_radius_at_least_n():
+    # A generated target is read through its window, whose radius is its own.
+    families = [Sequence.geometric(0.5, horizon=5), Sequence.power(horizon=0),
+                Sequence.power(horizon=7)]
+    windows = [rho.truncate(20) for rho in families]
+    assert [w.radius() for w in windows] == [rho.radius() for rho in families] == [5, None, 7]
     cases = [Sequence.zero(), Sequence.impulse(4), Sequence.from_values([0.0, 3.0, 0.0, -1.0]),
              Sequence.from_arrays([1, 4, 9], [1.0, 1e-11, -1e-12]),
-             Sequence.from_arrays([0, 6], [[0.0, 2.0], [-1e-3, 0.0]], dim=2),
-             Sequence.geometric(0.5, horizon=5), Sequence.power(horizon=0),
-             Sequence.power(horizon=7)]
+             Sequence.from_arrays([0, 6], [[0.0, 2.0], [-1e-3, 0.0]], dim=2), *windows]
     for rho in cases:
         r = rho.radius()
         for n in range(12):
             assert rho.reaches(n) == (r is not None and r >= n)
-    with pytest.raises(ValueError, match="horizon"):
-        Sequence.geometric(0.5).reaches(3)
+    with pytest.raises(ValueError, match="radius of a generated sequence needs a horizon"):
+        Sequence.geometric(0.5).radius()
 
 
 def test_impulse_and_vector_entries():
@@ -98,14 +101,14 @@ def test_impulse_and_vector_entries():
 
 
 def test_generated_families_evaluate_pointwise():
-    geo = Sequence.geometric(0.5)
+    geo = Sequence.geometric(0.5).truncate(4)
     assert geo.value(3)[0] == 0.125
-    pw = Sequence.power()
+    pw = Sequence.power().truncate(5)
     assert pw.value(0)[0] == 0.0
     assert pw.value(4)[0] == 0.25
     cut = Sequence.power(horizon=10)
-    assert cut.value(10)[0] == 0.1
-    assert cut.value(11)[0] == 0.0
+    assert cut.truncate(20).value(10)[0] == 0.1
+    assert cut.truncate(20).value(11)[0] == 0.0
     assert cut.radius() == 10
     with pytest.raises(ValueError):
         Sequence.geometric(1.0)
@@ -225,7 +228,7 @@ def test_dilated_conv_rejects_bad_inputs():
     f = Sequence.from_values([1.0])
     with pytest.raises(ValueError):
         dilated_conv(f, f, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^g must be finitely supported$"):
         dilated_conv(f, Sequence.geometric(0.5), 1)
     with pytest.raises(ValueError):
         dilated_conv(f, Sequence.zero(dim=2), 1)
@@ -259,7 +262,8 @@ def test_apply_functional_matches_brute_force():
     assert apply_functional(rho, x, 3).value == 5.0
     with pytest.raises(ValueError):
         apply_functional(rho, x, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^input window does not cover the "
+                                         "representation support$"):
         apply_functional(rho, Sequence.geometric(0.5), 5)
     geo = Sequence.geometric(0.5, horizon=10)
     got = apply_functional(rho, geo, 5)
@@ -273,12 +277,12 @@ def test_apply_functional_zero_representation():
 @settings(max_examples=40, deadline=None)
 @given(st.floats(1e-3, 1.0, exclude_max=True), st.integers(1, 4096))
 def test_generated_windows_match_their_rules(gamma, n):
-    geo = Sequence.geometric(gamma).flat_values(n)
+    geo = Sequence.geometric(gamma).truncate(n).flat_values(n)
     want = np.array([gamma ** t for t in range(n)])
     normal = want >= np.finfo(float).tiny
     assert np.allclose(geo[normal], want[normal], rtol=1e-15, atol=0.0)
     assert np.all(geo[~normal] <= np.finfo(float).tiny)
-    power = Sequence.power().flat_values(n)
+    power = Sequence.power().truncate(n).flat_values(n)
     assert power.tolist() == [0.0] + [1.0 / t for t in range(1, n)]
     cut = Sequence.power(horizon=n // 2).truncate(n)
     assert cut.radius() == (n // 2 or None)

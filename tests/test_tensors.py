@@ -62,8 +62,10 @@ def test_tensorize_rejects_bad_inputs():
         tensorize(Sequence.from_arrays([0], [[1.0, 2.0]], dim=2), 2, 2)
     with pytest.raises(ValueError):
         tensorize(Sequence.from_values([0, 0, 0, 0, 1.0]), 2, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^radius of a generated sequence needs a horizon$"):
         tensorize(Sequence.geometric(0.5), 2, 2)
+    with pytest.raises(ValueError, match="^sequence support exceeds the tensor window$"):
+        tensorize(Sequence.power(horizon=10 ** 12), 2, 2)
     window = tensorize(Sequence.geometric(0.5, horizon=3), 2, 2)
     assert window.data[3] == 0.125
     # A live entry stored past the window is refused; entries past it
