@@ -578,22 +578,24 @@ class Family:
     def tail_norm(self, start: int) -> Scalar:
         """sqrt of the summed squared values at t >= start.
 
-        Geometric decay is a closed form.  Inverse-time decay without a
-        horizon returns an integral bracket, and with more than 2^24
-        terms to its horizon a bracket of a few units in the last place
+        Geometric decay is a closed form within a few units in the last
+        place for every gamma.  Inverse-time decay without a horizon
+        returns an integral bracket, and with more than 2^24 terms to its
+        horizon a bracket of a few units in the last place
         (_power_tail_norm).
         """
         if start < 0:
             raise ValueError("start must be >= 0")
         if self.family == "geometric":
-            g = self.gamma
-            if self.horizon is not None:
-                if start > self.horizon:
-                    return Scalar(0.0)
-                sq = (g ** (2 * start) - g ** (2 * (self.horizon + 1))) / (1 - g * g)
-            else:
-                sq = g ** (2 * start) / (1 - g * g)
-            return Scalar(math.sqrt(sq))
+            if self.horizon is not None and start > self.horizon:
+                return Scalar(0.0)
+            # gamma^s sqrt((1 - gamma^(2n)) / (1 - gamma^2)) over the n terms to
+            # the horizon: expm1 keeps both differences from cancelling as
+            # gamma -> 1, and gamma^s stays normal where gamma^(2s) underflows.
+            n = math.inf if self.horizon is None else self.horizon + 1 - start
+            log_sq = 2.0 * math.log(self.gamma)
+            return Scalar(self.gamma ** start *
+                          math.sqrt(math.expm1(n * log_sq) / math.expm1(log_sq)))
         s0 = max(start, 1)
         if self.horizon is not None:
             if s0 > self.horizon:

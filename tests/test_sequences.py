@@ -133,6 +133,26 @@ def test_geometric_tail_norm_matches_brute_force():
     assert cut.tail_norm(21).value == 0.0
 
 
+def test_geometric_tail_norm_is_within_four_ulp_as_gamma_nears_one():
+    # sqrt(sum g^2t for start <= t <= horizon) against 60-digit decimals,
+    # wherever that root is a normal double.
+    checked = 0
+    for gamma in (0.8, 0.999, 0.999999, 1 - 1e-9, 1 - 2.0 ** -40):
+        for start in (0, 1, 7, 1000, 10 ** 6, 10 ** 9):
+            for terms in (None, 1, 2, 100, 10 ** 6, 10 ** 12):
+                horizon = None if terms is None else start + terms - 1
+                got = Sequence.geometric(gamma, horizon=horizon).tail_norm(start).value
+                with decimal.localcontext() as ctx:
+                    ctx.prec, ctx.Emin = 60, decimal.MIN_EMIN
+                    g = Decimal(gamma)
+                    rest = 1 if terms is None else 1 - g ** (2 * terms)
+                    want = float(g ** start * (rest / (1 - g * g)).sqrt())
+                if want >= np.finfo(float).tiny:
+                    assert abs(got - want) <= 4 * math.ulp(want), (gamma, start, horizon)
+                    checked += 1
+    assert checked > 100
+
+
 def test_power_tail_norm_brackets_the_true_value():
     pw = Sequence.power()
     true_sq = sum(1.0 / (t * t) for t in range(7, 200000))
