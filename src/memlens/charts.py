@@ -33,16 +33,25 @@ def _fmt(v: float) -> str:
     return f"{v:.4g}"
 
 
-def _linear_ticks(lo: float, hi: float):
+def _span(lo: float, hi: float):
+    """(lo, hi) of a linear axis with a nonzero span: an empty range is
+    widened by one, or, where adding one is lost to rounding (|lo| >=
+    2^53), out to zero."""
     if hi <= lo:
         hi = lo + 1.0
+    if hi <= lo:
+        lo, hi = min(lo, 0.0), max(hi, 0.0)
+    return lo, hi
+
+
+def _linear_ticks(lo: float, hi: float):
     step = (hi - lo) / (_LINEAR_TICKS - 1)
     return [lo + i * step for i in range(_LINEAR_TICKS)]
 
 
 def _log_ticks(lo: float, hi: float):
     lo_e = math.floor(math.log10(lo))
-    hi_e = math.ceil(math.log10(hi))
+    hi_e = min(math.ceil(math.log10(hi)), 308)     # 10.0 ** 309 overflows
     step = max(1, (hi_e - lo_e) // 7)
     return [10.0 ** e for e in range(lo_e, hi_e + 1, step)]
 
@@ -63,9 +72,7 @@ def line_chart(series, title: str = "", x_label: str = "",
 
     all_x = [x for _, xs, _ in series for x in xs]
     all_y = [y for _, _, ys in series for y in ys]
-    x_lo, x_hi = min(all_x), max(all_x)
-    if x_hi <= x_lo:
-        x_hi = x_lo + 1.0
+    x_lo, x_hi = _span(min(all_x), max(all_x))
 
     if log_y:
         positive = [y for y in all_y if y > 0]
@@ -73,7 +80,8 @@ def line_chart(series, title: str = "", x_label: str = "",
         all_y = [max(y, floor) for y in all_y]
         y_lo, y_hi = min(all_y), max(all_y)
         if y_hi <= y_lo:
-            y_hi = y_lo * 10.0
+            # A decade above, or below where the decade above overflows.
+            y_lo, y_hi = (y_lo, y_lo * 10.0) if y_lo * 10.0 < math.inf else (y_lo / 10.0, y_lo)
         ticks_y = _log_ticks(y_lo, y_hi)
         y_lo = min(y_lo, ticks_y[0])
         y_hi = max(y_hi, ticks_y[-1])
@@ -84,9 +92,7 @@ def line_chart(series, title: str = "", x_label: str = "",
                     / (math.log10(y_hi) - math.log10(y_lo)))
             return _HEIGHT - _MARGIN_B - frac * (_HEIGHT - _MARGIN_T - _MARGIN_B)
     else:
-        y_lo, y_hi = min(all_y), max(all_y)
-        if y_hi <= y_lo:
-            y_hi = y_lo + 1.0
+        y_lo, y_hi = _span(min(all_y), max(all_y))
         ticks_y = _linear_ticks(y_lo, y_hi)
 
         def sy(y):

@@ -347,6 +347,17 @@ def test_synth_artifacts_are_json_dumps(tmp_path, capsys, rng, l):
                 assert spec.filter_count > 512 and spec.channels[1] > 10
 
 
+@pytest.mark.parametrize("value", [1e16, 1e200])
+def test_flat_curves_chart_at_any_scale(tmp_path, capsys, value):
+    path = tmp_path / "imp.json"
+    path.write_text(json.dumps({"dim": 1, "entries": [[40, [value]]]}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["curve", "--target", str(path), "--K", "2", "--M-max", "3",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    xml.dom.minidom.parse(str(out / "imp_curve.svg"))
+
+
 def test_computation_errors_exit_two(capsys):
     code = main([
         "measure", "--target", "rho9", "--l", "2",
