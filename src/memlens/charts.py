@@ -34,9 +34,8 @@ def _fmt(v: float) -> str:
 
 
 def _span(lo: float, hi: float):
-    """(lo, hi) of a linear axis with a nonzero span: an empty range is
-    widened by one, or, where adding one is lost to rounding (|lo| >=
-    2^53), out to zero."""
+    """(lo, hi) with a nonzero span: an empty range widens by one, or out to
+    zero where adding one is lost to rounding (|lo| >= 2^53)."""
     if hi <= lo:
         hi = lo + 1.0
     if hi <= lo:

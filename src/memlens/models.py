@@ -24,8 +24,7 @@ from itertools import chain
 
 import numpy as np
 
-from .sequences import (MAX_TIME, Family, Scalar, Sequence, _number, _read_number,
-                        _whole)
+from .sequences import MAX_TIME, Family, Scalar, Sequence, _number, _read_number, _whole
 from . import tensors
 
 

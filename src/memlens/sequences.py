@@ -404,9 +404,8 @@ class Sequence:
         """Scale-relative threshold separating true support from round-off."""
         return ZERO_REL_TOL * float(np.max(np.abs(self._values), initial=0.0))
 
-    def _live(self, tol=None) -> np.ndarray:
-        tol = self.zero_tol() if tol is None else tol
-        return np.max(np.abs(self._values), axis=1, initial=0.0) > tol
+    def _live(self) -> np.ndarray:
+        return np.max(np.abs(self._values), axis=1, initial=0.0) > self.zero_tol()
 
     def radius(self):
         """Largest t with a nonzero entry, or None for the zero sequence."""
@@ -421,9 +420,9 @@ class Sequence:
         k = self._count_before(n)
         return k < len(self._times) and bool(self._live()[k:].any())
 
-    def sparsity(self, tol=None) -> int:
+    def sparsity(self) -> int:
         """Number of time indices carrying a nonzero entry."""
-        return int(np.count_nonzero(self._live(tol)))
+        return int(np.count_nonzero(self._live()))
 
     def tail_norm(self, start: int) -> Scalar:
         """sqrt of the summed squared entries at t >= start, exactly."""
@@ -587,12 +586,10 @@ class Family:
         if start < 0:
             raise ValueError("start must be >= 0")
         if self.family == "geometric":
-            if self.horizon is not None and start > self.horizon:
-                return Scalar(0.0)
             # gamma^s sqrt((1 - gamma^(2n)) / (1 - gamma^2)) over the n terms to
             # the horizon: expm1 keeps both differences from cancelling as
             # gamma -> 1, and gamma^s stays normal where gamma^(2s) underflows.
-            n = math.inf if self.horizon is None else self.horizon + 1 - start
+            n = math.inf if self.horizon is None else max(self.horizon + 1 - start, 0)
             log_sq = 2.0 * math.log(self.gamma)
             return Scalar(self.gamma ** start *
                           math.sqrt(math.expm1(n * log_sq) / math.expm1(log_sq)))
