@@ -14,13 +14,13 @@ from memlens.charts import line_chart
     ([("one", [3.0], [2.0])], False, "62.0,374.0"),
     ([("flat", [1, 2, 3], [0.5, 0.5, 0.5])], False,
      "62.0,374.0 342.0,374.0 622.0,374.0"),
-    # Beyond 2^53, where adding one is lost, the range reaches out to zero.
-    ([("far", [1, 2], [1e16, 1e16])], False, "62.0,34.0 622.0,34.0"),
-    ([("below", [1, 2], [-1e300, -1e300])], False, "62.0,374.0 622.0,374.0"),
     # On a log scale a zero is drawn one decade below the smallest
     # positive value, and decades are evenly spaced.
     ([("d", [1, 2, 3], [1.0, 0.1, 0.0])], True,
      "62.0,34.0 342.0,204.0 622.0,374.0"),
+    # Beyond 2^53, where adding one is lost, the range reaches out to zero.
+    ([("far", [1, 2], [1e16, 1e16])], False, "62.0,34.0 622.0,34.0"),
+    ([("below", [1, 2], [-1e300, -1e300])], False, "62.0,374.0 622.0,374.0"),
     # A flat series spans the decade below it where the decade above overflows.
     ([("top", [1, 2], [1.7e308, 1.7e308])], True, "62.0,34.0 622.0,34.0"),
 ])
