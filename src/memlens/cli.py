@@ -125,8 +125,8 @@ class UsageError(Exception):
 
 
 def load_target(text: str):
-    """(Sequence, label) from a JSON file path, or from a builtin id, which
-    experiments.make_target reads and which is its own label."""
+    """(Sequence or Family, label) from a JSON file path, or from a builtin
+    id, which experiments.make_target reads and which is its own label."""
     if text.endswith(".json") or os.path.sep in text:
         # The decoded numbers hold no reference cycles and are freed by
         # reference counting; with the collector paused no collection walks
