@@ -3,13 +3,13 @@
 dump(obj) is json.dumps(obj, indent=2, sort_keys=True) plus a newline,
 byte for byte, for the objects json accepts with string keys.  json
 formats indented output with its pure-Python encoder, one generator step
-per item.  This writer joins each list of one scalar type in one call,
-and writes a dict of float rows -- a non-empty dict whose values are all
-lists of one length >= 1 holding only floats, such as a filter bank --
-without a step per member, _BLOCK members at a time: each number of the
-block is formatted by one float repr, and the block's text is one join
-over its quoted keys, those number texts and the fixed text between
-them.
+per item.  This writer joins each list of one scalar type in one call.
+An object json does not accept is written by its json_parts(indent)
+method, when it has one: the texts it yields go into the artifact's
+parts as they are.  That is how a filter bank (models.CnnSpec) is
+written: straight from its arrays, 512 filters per block, with the
+bytes json.dumps gives for its to_json() dict and no dict built.
+float_texts formats the numbers of such a block.
 
 csv_field(text) is the one quoting rule of the CSV artifacts.  Every
 artifact is written as UTF-8: CSV and SVG text shows U+FFFD for what
@@ -18,16 +18,12 @@ is not UTF-8 (_SURROGATE), while JSON keeps them as \\u escapes.
 """
 
 import re
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
-from math import isfinite
+
+import numpy as np
 
 # json's names for the float reprs of the non-finite numbers
 _NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# Members of a dict of float rows formatted at a time; it bounds the
-# number texts alive at once, so a large bank costs no more memory to
-# write than it did one member at a time.
-_BLOCK = 512
 # A lone surrogate, which is what a byte of a file name that is not UTF-8
 # decodes to; UTF-8 cannot write one, and the text artifacts are UTF-8.
 _SURROGATE = re.compile(r"[\ud800-\udfff]")
@@ -56,11 +52,6 @@ def _write(obj, indent, parts):
     indent and two more spaces."""
     inner = indent + "  "
     if isinstance(obj, dict):
-        text = _rows(obj, inner)
-        if text is not None:
-            # A bank's text goes in as it is: wrapping it would copy it twice.
-            parts += ("{", text, indent + "}")
-            return
         brackets, items = "{}", [(_quote(key) + ": ", obj[key]) for key in sorted(obj)]
     elif isinstance(obj, (list, tuple)):
         text = _scalars(obj, "," + inner)
@@ -70,9 +61,13 @@ def _write(obj, indent, parts):
         brackets, items = "[]", [("", item) for item in obj]
     else:
         text = _scalars((obj,), "")
-        if text is None:
+        if text is not None:
+            parts.append(text)
+        elif hasattr(obj, "json_parts"):
+            # Its texts go in as they are: joining them would copy them.
+            parts += obj.json_parts(indent)
+        else:
             raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-        parts.append(text)
         return
     if not items:
         parts.append(brackets)
@@ -107,34 +102,12 @@ def _scalars(items, sep):
     return None
 
 
-def _rows(obj, inner):
-    """The members of the dict obj as json writes them, when its values are
-    lists of one length >= 1 holding only floats; None for any other dict
-    (also for an empty one)."""
-    values = obj.values()
-    if not values or not all(issubclass(kind, (list, tuple)) for kind in set(map(type, values))):
-        return None
-    width = len(next(iter(values)))
-    if not width or set(map(len, values)) != {width}:
-        return None
-    if not all(issubclass(kind, float) for kind in set(map(type, chain.from_iterable(values)))):
-        return None
-    finite = all(map(isfinite, chain.from_iterable(values)))
-    item = inner + "  "
-    # One member's parts: its quoted key, then each number and the text
-    # after it, up to the next member's key.
-    member = [None, ": [" + item] + [None, "," + item] * (width - 1) + [None, inner + "]," + inner]
-    stride = len(member)
-    keys, texts = sorted(obj), []
-    for at in range(0, len(keys), _BLOCK):
-        block = keys[at:at + _BLOCK]
-        nums = list(map(float.__repr__, chain.from_iterable(list(map(obj.__getitem__, block)))))
-        if not finite:
-            nums = list(map(_NAMES.get, nums, nums))
-        parts = member * len(block)
-        parts[::stride] = map(_quote, block)
-        for c in range(width):
-            parts[2 + 2 * c::stride] = nums[c::width]
-        parts[-1] = inner + "]"
-        texts.append(inner + "".join(parts))
-    return ",".join(texts)
+def float_texts(values: np.ndarray) -> list:
+    """The JSON texts of the entries of a float64 array, in C order: one
+    float repr per distinct bit pattern, so -0.0 and each NaN keep their
+    own, and json's names for the non-finite ones."""
+    bits, at = np.unique(values.view(np.int64), return_inverse=True)
+    texts = list(map(float.__repr__, bits.view(np.float64).tolist()))
+    if not np.isfinite(bits.view(np.float64)).all():
+        texts = list(map(_NAMES.get, texts, texts))
+    return list(map(texts.__getitem__, at.reshape(-1).tolist()))

@@ -290,7 +290,7 @@ def _cmd_synth(args, emit) -> int:
                     "depth": spec.K, "channels": list(spec.channels),
                     "filter_count": spec.filter_count,
                     "replay_residual": replay_residual(spec, window),
-                    "spec": spec.to_json()}))
+                    "spec": spec}))
     return 0
 
 

@@ -20,12 +20,24 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
+from ._jsontext import float_texts
 from .sequences import MAX_TIME, Family, Scalar, Sequence, _number, _read_number, _whole
 from . import tensors
+
+
+# Filters of a bank written at a time: it bounds the texts alive at once,
+# so a large bank costs no more memory to write than one filter at a time.
+_BLOCK = 512
+
+
+def _key_texts(at, texts):
+    """The "k,j,i" key of each row of at, whose entries index texts, the
+    decimal texts of the key parts."""
+    k, j, i = (map(texts.__getitem__, column) for column in at.T.tolist())
+    return list(map(",".join, zip(k, j, i)))
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -104,15 +116,55 @@ class CnnSpec:
 
     def to_json(self) -> dict:
         # Every "k,j,i" key joins three texts of the distinct key parts.
-        columns = self.index.T.tolist()
-        digits = {part: str(part) for part in set(chain.from_iterable(columns))}
-        k, j, i = (map(digits.__getitem__, column) for column in columns)
+        parts, at = np.unique(self.index, return_inverse=True)
+        keys = _key_texts(at.reshape(-1, 3), list(map(str, parts.tolist())))
         return {
             "l": self.l,
             "K": self.K,
             "channels": list(self.channels),
-            "filters": dict(zip(map(",".join, zip(k, j, i)), self.weights.tolist())),
+            "filters": dict(zip(keys, self.weights.tolist())),
         }
+
+    def json_parts(self, indent: str):
+        """The text of to_json() as _jsontext.dump writes it, its nested
+        lines starting with indent and two more spaces, in parts: the
+        filters go _BLOCK at a time, read from the arrays in key-text
+        order, which is the tuple order of the parts' texts (',' sorts
+        below every digit)."""
+        inner, item = indent + "  ", indent + "    "
+        number = item + "  "
+        channels = f",{item}".join(map(str, self.channels))
+        yield (f'{{{inner}"K": {self.K},{inner}"channels": [{item}{channels}{inner}],'
+               f'{inner}"filters": ')
+        if not self.filter_count:
+            yield f'{{}},{inner}"l": {self.l}{indent}}}'
+            return
+        # Rank the distinct key parts by their texts, then sort the keys
+        # by those ranks.
+        parts, at = np.unique(self.index, return_inverse=True)
+        texts = list(map(str, parts.tolist()))
+        ranks = np.empty(len(texts), dtype=np.int64)
+        ranks[sorted(range(len(texts)), key=texts.__getitem__)] = np.arange(len(texts))
+        at = ranks[at.reshape(-1, 3)]
+        order = np.lexsort(at.T[::-1])
+        texts.sort()
+        # One filter's parts: its key, then each weight and the text after
+        # it, up to the next key; the first key of a block follows lead.
+        member = ([None, '": [' + number] + [None, "," + number] * (self.l - 1)
+                  + [None, f'{item}],{item}"'])
+        stride = len(member)
+        lead = "{" + item + '"'
+        for lo in range(0, len(order), _BLOCK):
+            rows = order[lo:lo + _BLOCK]
+            block = [lead] + member * len(rows)
+            block[1::stride] = _key_texts(at[rows], texts)
+            weights = float_texts(self.weights[rows])
+            for c in range(self.l):
+                block[3 + 2 * c::stride] = weights[c::self.l]
+            block[-1] = item + "]"
+            yield "".join(block)
+            lead = "," + item + '"'
+        yield f'{inner}}},{inner}"l": {self.l}{indent}}}'
 
     @classmethod
     def from_json(cls, obj) -> "CnnSpec":

@@ -24,7 +24,7 @@ import memlens
 from memlens import cli as cli_module
 from memlens._jsontext import csv_field
 from memlens.cli import _dump, build_parser, load_target, main
-from memlens.models import synthesize_lowrank, synthesize_radix
+from memlens.models import CnnSpec, synthesize_lowrank, synthesize_radix
 from memlens.sequences import Sequence
 from memlens.tensors import analysis_window
 
@@ -907,21 +907,58 @@ def _float_rows(draw):
 
 
 def test_dump_of_a_large_bank_peaks_near_twice_its_text():
-    # The bank is written _BLOCK members at a time, so no transient grows
-    # with it, and its text is not copied to be wrapped: the peak is the
-    # block texts and their join, then that join and the artifact's.
+    # synth writes a bank from its arrays, _BLOCK filters at a time, so
+    # the traced region holds the key ordering and every block's keys and
+    # weight texts, and no transient grows with the bank but the key
+    # ranks and the order: the peak is the block texts and their join.
     rng = np.random.default_rng(2024)
     times = np.append(rng.choice(2 ** 20 - 1, size=19999, replace=False), 2 ** 20 - 1)
     values = rng.uniform(0.5, 2.0, 20000) * rng.choice((-1.0, 1.0), 20000)
-    doc = {"spec": synthesize_radix(Sequence.from_arrays(times, values), 2).to_json()}
-    assert len(doc["spec"]["filters"]) == 400000
+    spec = synthesize_radix(Sequence.from_arrays(times, values), 2)
+    assert spec.filter_count == 400000
     tracemalloc.start()
     try:
-        text = _dump(doc)
+        text = _dump({"spec": spec})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 2.2 * len(text)
+
+
+# Weights a bank's text must tell apart: both zeros, the least subnormal,
+# NaN of either sign and both infinities.
+_SPECIAL_WEIGHTS = [-0.0, 0.0, 5e-324, math.nan, -math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def _banks(draw):
+    """A bank of 0, 1, 512, 513 or a few filters of 2 to 4 taps, keys in
+    a random order up to layer 11 and channel 39, so key parts run past
+    9, and weights drawn from _SPECIAL_WEIGHTS and a few normal values."""
+    l, K, width = draw(st.integers(2, 4)), draw(st.integers(1, 12)), draw(st.integers(1, 40))
+    n = draw(st.one_of(st.sampled_from([0, 1, 512, 513]), st.integers(2, 30)))
+    if n > 1:
+        K, width = max(K, 3), max(width, 23)
+    channels = (1,) + (width,) * (K - 1) + (1,)
+    sizes = np.multiply(channels[:-1], channels[1:])
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    flat = rng.choice(sizes.sum(), size=n, replace=False)
+    k = np.searchsorted(sizes.cumsum(), flat, side="right")
+    j, i = np.divmod(flat - (sizes.cumsum() - sizes)[k], np.array(channels)[k + 1])
+    pool = _SPECIAL_WEIGHTS + draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                            min_size=1, max_size=6))
+    return CnnSpec.from_arrays(l, K, channels, np.column_stack((k, j, i)),
+                               rng.choice(pool, size=(n, l)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_banks())
+@example(CnnSpec.from_arrays(2, 2, (1, 11, 1), [[0, 0, 9], [0, 0, 10], [1, 10, 0]],
+                             [[-0.0, 1.0], [math.nan, 5e-324], [math.inf, -math.inf]]))
+def test_dump_writes_a_bank_from_its_arrays_as_json_dumps(spec):
+    want = spec.to_json()
+    for obj, doc in ((spec, want), ({"spec": spec, "l": 2}, {"spec": want, "l": 2})):
+        assert _dump(obj) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 @settings(max_examples=300, deadline=None)
