@@ -15,6 +15,9 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 _WIDTH, _HEIGHT, _LINEAR_TICKS = 640, 420, 5
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 62, 18, 34, 46
+# The least value whose log10 is finite, the smallest subnormal: a log
+# scale's floor and ticks go no lower.
+_TINY = 5e-324
 
 # str.translate table from plain text to SVG character data.  XML 1.0
 # allows no C0 control character but tab, newline and carriage return, not
@@ -52,7 +55,7 @@ def _log_ticks(lo: float, hi: float):
     lo_e = math.floor(math.log10(lo))
     hi_e = min(math.ceil(math.log10(hi)), 308)     # 10.0 ** 309 overflows
     step = max(1, (hi_e - lo_e) // 7)
-    return [10.0 ** e for e in range(lo_e, hi_e + 1, step)]
+    return [max(10.0 ** e, _TINY) for e in range(lo_e, hi_e + 1, step)]
 
 
 def line_chart(series, title: str = "", x_label: str = "",
@@ -62,7 +65,8 @@ def line_chart(series, title: str = "", x_label: str = "",
     series is an iterable of (label, xs, ys) triples; the labels, title
     and axis labels are plain text, escaped here.  With log_y, zero
     or negative values are clamped to one decade below the smallest
-    positive value so plateaus at exact zero remain visible.
+    positive value, or to the smallest subnormal, so plateaus at exact
+    zero remain visible.
     """
     series = [(_svg_text(str(label)), [float(x) for x in xs],
                [float(y) for y in ys]) for label, xs, ys in series]
@@ -75,7 +79,7 @@ def line_chart(series, title: str = "", x_label: str = "",
 
     if log_y:
         positive = [y for y in all_y if y > 0]
-        floor = (min(positive) / 10.0) if positive else 0.1
+        floor = max(min(positive) / 10.0, _TINY) if positive else 0.1
         all_y = [max(y, floor) for y in all_y]
         y_lo, y_hi = min(all_y), max(all_y)
         if y_hi <= y_lo:

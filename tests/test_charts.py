@@ -46,3 +46,14 @@ def test_line_chart_shows_characters_xml_forbids_as_replacements():
     texts = [node.firstChild.data for node in doc.getElementsByTagName("text")]
     shown = "".join(c if c in "\t\n\r" or c >= " " else "\ufffd" for c in label)
     assert texts.count(shown.replace("\r", "\n")) == 2
+
+
+@pytest.mark.parametrize("ys", [[5e-324, 0.0], [1e-322, 0.0], [5e-324, 1.0]])
+def test_log_charts_of_subnormal_values_render(ys):
+    # The floor a decade below 1e-322 and the tick 10^-324 underflow to
+    # zero; both stop at the smallest subnormal, whose log10 is finite.
+    svg = line_chart([("tiny", [1, 2], ys)], log_y=True)
+    doc = xml.dom.minidom.parseString(svg)
+    points = doc.getElementsByTagName("polyline")[0].getAttribute("points")
+    ys_drawn = [float(point.split(",")[1]) for point in points.split()]
+    assert all(34.0 <= y <= 374.0 for y in ys_drawn)
