@@ -37,6 +37,9 @@ SRC = HERE.parents[1] / "src"
 MANIFEST, INPUTS, EXPECTED = HERE / "manifest.txt", HERE / "inputs", HERE / "expected"
 PIN = {"machine": "x86_64", "numpy": "2.4.6", "kernel": "Haswell"}
 PINNED_ENV = {"OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1"}
+# The corpus may hold at most this many bytes (1 MB); a command whose
+# outputs would outgrow it belongs in a test of its own.
+BUDGET = 1_000_000
 
 
 def commands():
@@ -53,6 +56,12 @@ def _files(root: Path) -> dict:
     """{relative POSIX path: UTF-8 text} of every file under root."""
     return {path.relative_to(root).as_posix(): path.read_bytes().decode("utf-8")
             for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def size(corpus: dict) -> int:
+    """The UTF-8 bytes of every file of a {name: {path: text}} corpus."""
+    return sum(len(text.encode("utf-8")) for files in corpus.values()
+               for text in files.values())
 
 
 def expected() -> dict:

@@ -4,8 +4,9 @@
 
 It runs the manifest as the contract test does (corpus.outputs, in a
 temporary directory), replaces expected/ with what the commands gave, and
-prints each file it added, changed or removed.  Where the pin of
-corpus.py cannot hold it writes nothing and exits 1.
+prints each file it added, changed or removed, then the corpus total.
+Where the pin of corpus.py cannot hold, or the outputs would outgrow the
+corpus budget (corpus.BUDGET bytes), it writes nothing and exits 1.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from corpus import EXPECTED, expected, outputs
+from corpus import BUDGET, EXPECTED, expected, outputs, size
 
 
 def _flat(corpus: dict) -> dict:
@@ -29,6 +30,11 @@ def main() -> int:
     if problem:
         print(f"error: {problem}", file=sys.stderr)
         return 1
+    total = size(found)
+    if total > BUDGET:
+        print(f"error: the corpus would hold {total:,} bytes, over its budget "
+              f"of {BUDGET:,}", file=sys.stderr)
+        return 1
     before, after = _flat(expected()), _flat(found)
     shutil.rmtree(EXPECTED, ignore_errors=True)
     for path, text in after.items():
@@ -39,6 +45,7 @@ def main() -> int:
             change = ("added" if path not in before else
                       "removed" if path not in after else "changed")
             print(f"{change} tests/contract/expected/{path}")
+    print(f"corpus: {total:,} bytes of a {BUDGET:,}-byte budget")
     return 0
 
 

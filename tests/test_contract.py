@@ -23,3 +23,9 @@ def test_cli_outputs_match_the_committed_corpus(tmp_path):
                                     "expected", "found", lineterm="", n=1)
         pytest.fail(f"{len(wrong)} outputs differ from tests/contract/expected, "
                     f"first {name}/{path}:\n" + "\n".join(list(diff)[:40]))
+
+
+def test_the_committed_corpus_keeps_its_budget():
+    # regen.py refuses to write a corpus over budget; this catches one
+    # edited by hand.
+    assert corpus.size(corpus.expected()) <= corpus.BUDGET
