@@ -907,10 +907,10 @@ def _float_rows(draw):
 
 
 def test_dump_of_a_large_bank_peaks_near_twice_its_text():
-    # synth writes a bank from its arrays, _BLOCK filters at a time, so
-    # the traced region holds the key ordering and every block's keys and
-    # weight texts, and no transient grows with the bank but the key
-    # ranks and the order: the peak is the block texts and their join.
+    # synth writes a bank from its arrays, _BLOCK filters at a time.  The
+    # traced region orders the keys and builds every block; apart from the
+    # key ranks and the order, nothing grows with the bank but the block
+    # texts, so the peak is those texts and their join.
     rng = np.random.default_rng(2024)
     times = np.append(rng.choice(2 ** 20 - 1, size=19999, replace=False), 2 ** 20 - 1)
     values = rng.uniform(0.5, 2.0, 20000) * rng.choice((-1.0, 1.0), 20000)
