@@ -164,12 +164,11 @@ def rate_bound_interval(rho: Sequence | Family, l: int, K: int, channels,
 
     channels is a CnnSpec or the full width list (M_0, ..., M_K); its
     effective filter count M must be at least 1.  The lower bound is the
-    sup of the representation beyond the receptive field (scaled by
-    1/sqrt(d)); the upper bound is d * g(floor(K * M^(1/K)) - K) *
-    complexity + the tail norm beyond the receptive field.
+    sup of the representation beyond the receptive field; the upper bound
+    is g(floor(K * M^(1/K)) - K) * complexity + the tail norm beyond the
+    receptive field.
     """
-    d = rho.dim
-    M = effective_filters(channels, l, K, d)
+    M = effective_filters(channels, l, K)
     if M < 1:
         raise ValueError("effective filter count must be at least 1")
     size = l ** K
@@ -177,8 +176,8 @@ def rate_bound_interval(rho: Sequence | Family, l: int, K: int, channels,
     g_arg = max(0, budget - K)
     c_val = complexity_measure(tensors.analysis_window(rho, l, K), l, g)
     tail = rho.tail_norm(size)
-    upper = Scalar(d * g(g_arg) * c_val.value + tail.value, tail.halfwidth)
-    lower = Scalar(rho.sup_abs_from(size) / math.sqrt(d))
+    upper = Scalar(g(g_arg) * c_val.value + tail.value, tail.halfwidth)
+    lower = Scalar(rho.sup_abs_from(size))
     if lower.value > upper.upper + 1e-12 * max(1.0, upper.upper):
         raise ArithmeticError("bound inversion; this indicates a defect")
     return lower, upper

@@ -247,8 +247,7 @@ def _cmd_bounds(args, emit) -> int:
         emit(f"{label}_bounds.json",
              _dump({"target": label, "l": args.l, "K": K,
                     "channels": list(args.channels),
-                    "effective_filters": effective_filters(
-                        args.channels, args.l, K, target.dim),
+                    "effective_filters": effective_filters(args.channels, args.l, K),
                     "lower": {"value": lower.value, "halfwidth": lower.halfwidth},
                     "upper": {"value": upper.value, "halfwidth": upper.halfwidth}}))
     return 0

@@ -182,10 +182,10 @@ def _exp_decay(gamma=0.99, eps=0.01, l=2, horizon=1000) -> ComparisonReport:
     receptive field to outgrow the decay."""
     gamma, eps, l, horizon = float(gamma), float(eps), int(l), int(horizon)
     depth = cnn_min_depth_expdecay(gamma, eps, l)
-    spec = RnnSpec(m=1, c=[1.0], W=[[gamma]], U=[[gamma]])
+    spec = RnnSpec(m=1, c=[1.0], W=[[gamma]], U=[gamma])
     rep = rnn_representation(spec, horizon)
     kernel = np.array([gamma ** t for t in range(1, horizon + 1)])
-    residual = float(np.max(np.abs(rep.flat_values(horizon + 1)[1:] - kernel)))
+    residual = float(np.max(np.abs(rep.values_upto(horizon + 1)[1:] - kernel)))
     return ComparisonReport(
         scenario="exp_decay",
         parameters={"gamma": gamma, "eps": eps, "l": l, "horizon": horizon},
@@ -270,7 +270,7 @@ def conformance_suite():
     w1 = Sequence.from_values([1, 2])
     w2 = Sequence.from_values([3, 4])
     chain = dilated_conv(w2, w1, 2)
-    got = tuple(chain.flat_values(4))
+    got = tuple(chain.values_upto(4))
     left = tensors.tensorize(chain, 2, 2).data
     right = tensors.outer_product([np.array([1.0, 2.0]),
                                    np.array([3.0, 4.0])]).data

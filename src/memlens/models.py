@@ -44,8 +44,8 @@ def _key_texts(at, texts):
 class CnnSpec:
     """Linear dilated-convolution stack with array filter storage.
 
-    channels lists the widths (M_0, M_1, ..., M_K) with M_0 the input
-    dimension and M_K = 1 the single output channel.  The bank is two
+    channels lists the widths (M_0, M_1, ..., M_K) with M_0 = 1 the single
+    input channel and M_K = 1 the single output channel.  The bank is two
     read-only arrays: index, the (n, 3) int64 keys (layer k, in-channel
     j, out-channel i) in ascending order, and weights, the (n, l) filters
     of those keys; missing keys are all-zero filters.  Layer k runs at
@@ -97,6 +97,8 @@ class CnnSpec:
             raise ValueError("channel widths must be positive")
         if channels[-1] != 1:
             raise ValueError("the output is a single channel")
+        if channels[0] != 1:
+            raise ValueError("the input is a single channel")
         widths = np.array(channels, dtype=np.int64)
         k, j, i = index.T
         layer = (0 <= k) & (k < K)
@@ -193,7 +195,7 @@ class CnnSpec:
 
 @dataclass(frozen=True, eq=False)
 class RnnSpec:
-    """Linear recurrence with readout c, transition W and input map U."""
+    """Linear recurrence with readout c, transition W and input vector U."""
 
     m: int
     c: np.ndarray
@@ -203,17 +205,13 @@ class RnnSpec:
     def __post_init__(self):
         object.__setattr__(self, "c", np.asarray(self.c, dtype=float).reshape(-1))
         object.__setattr__(self, "W", np.asarray(self.W, dtype=float))
-        object.__setattr__(self, "U", np.atleast_2d(np.asarray(self.U, dtype=float)))
+        object.__setattr__(self, "U", np.asarray(self.U, dtype=float).reshape(-1))
         if self.c.shape != (self.m,):
             raise ValueError("readout must have length m")
         if self.W.shape != (self.m, self.m):
             raise ValueError("transition must be m x m")
-        if self.U.shape[0] != self.m:
-            raise ValueError("input map must have m rows")
-
-    @property
-    def dim(self) -> int:
-        return self.U.shape[1]
+        if self.U.shape != (self.m,):
+            raise ValueError("input vector must have length m")
 
 
 # A layer sums its products on the full (out-channel, tap, column) grid
@@ -256,12 +254,12 @@ def _contract(chan, col, val, j, i, w, span, columns, width):
 def cnn_representation(spec: CnnSpec) -> Sequence:
     """Induced representation: the network response to a unit impulse.
 
-    The replay is K layer contractions over the live time columns, each
-    a (time u, input component) pair, starting from the identity on the
-    M_0 input channels at time 0.  The state is the list of its nonzero
-    (channel, column, value) entries.  Layer k pairs each filter with
-    the entries of its in-channel and sums the products per cell
-    (out-channel i, tap s, column) at time s * l^k + u, for filter taps
+    The replay is K layer contractions over the live time columns,
+    starting from the unit impulse on the single input channel at time
+    0.  The state is the list of its nonzero (channel, column, value)
+    entries.  Layer k pairs each filter with the entries of its
+    in-channel and sums the products per cell (out-channel i, tap s,
+    column) at time s * l^k + u, for a column at time u and filter taps
     s < l; cells that sum to exactly zero are dropped, and with them
     every column that is zero in all channels.  The work is the number
     of (filter, entry) pairs, so a one-path-per-entry bank costs its
@@ -269,15 +267,13 @@ def cnn_representation(spec: CnnSpec) -> Sequence:
     ascending key order and np.add.at adds in that order from 0.0, so
     every out-channel sums its in-channels in ascending j: the
     floating-point summation order is fixed, and the zero entries left
-    out would only add signed zeros.  The result has one component per
-    input channel; every time it reaches must stay below 2^63.
+    out would only add signed zeros.  Every time the replay reaches must
+    stay below 2^63.
     """
-    d, l = spec.channels[0], spec.l
-    index, weights = spec.index, spec.weights
+    l, index, weights = spec.l, spec.index, spec.weights
     starts = np.searchsorted(index[:, 0], np.arange(spec.K + 1))
-    chan, col, val = np.arange(d), np.arange(d), np.ones(d)
-    times = np.zeros(d, dtype=np.int64)
-    comps = np.arange(d)
+    chan = col = times = np.zeros(1, dtype=np.int64)
+    val = np.ones(1)
     for k in range(spec.K):
         layer = slice(starts[k], starts[k + 1])
         j, i, w = index[layer, 1], index[layer, 2], weights[layer]
@@ -296,14 +292,8 @@ def cnn_representation(spec: CnnSpec) -> Sequence:
         tap, old = reached.nonzero()
         offsets = np.array([s * dilation for s in range(span)], dtype=np.int64)
         times = offsets[tap] + times[old]
-        comps = comps[old]
     # M_K = 1 leaves one entry per column, in column order.
-    if d == 1:
-        return Sequence.from_arrays(times, val)
-    uniq, inv = np.unique(times, return_inverse=True)
-    values = np.zeros((len(uniq), d))
-    values[inv, comps] = val
-    return Sequence.from_arrays(uniq, values, dim=d)
+    return Sequence.from_arrays(times, val)
 
 
 def replay_residual(spec: CnnSpec, target: Sequence | Family) -> float:
@@ -313,14 +303,14 @@ def replay_residual(spec: CnnSpec, target: Sequence | Family) -> float:
     return float(cnn_representation(spec).plus(window.scaled(-1.0)).norm())
 
 
-def effective_filters(channels, l: int, K: int, d: int = 1) -> float:
-    """Normalised pairwise-channel parameter count of a depth-K stack.
+def effective_filters(channels, l: int, K: int) -> float:
+    """Pairwise-channel parameter count of a depth-K stack.
 
     channels is a CnnSpec or the full width list (M_0, ..., M_K) with
-    M_0 = d and M_K = 1; either is checked against (l, K, d).  Returns
-    (sum of the products of consecutive widths among M_1, ..., M_K -
-    l*K) / d.  A single layer has no width pairs and returns 0.  The value
-    can be negative for very narrow stacks.
+    M_0 = M_K = 1; either is checked against (l, K).  Returns the sum of
+    the products of consecutive widths among M_1, ..., M_K, less l*K.  A
+    single layer has no width pairs and returns 0.  The value can be
+    negative for very narrow stacks.
     """
     if isinstance(channels, CnnSpec):
         if channels.K != K or channels.l != l:
@@ -329,14 +319,14 @@ def effective_filters(channels, l: int, K: int, d: int = 1) -> float:
     widths = tuple(int(m) for m in channels)
     if K < 1 or len(widths) != K + 1:
         raise ValueError("channels must list the K + 1 widths M_0, ..., M_K, K >= 1")
-    if widths[0] != d:
+    if widths[0] != 1:
         raise ValueError("M_0 must equal the target dimension")
     if widths[-1] != 1:
         raise ValueError("the output is a single channel")
     if K == 1:
         return 0.0
     pair_sum = sum(a * b for a, b in zip(widths[1:], widths[2:]))
-    return (pair_sum - l * K) / d
+    return float(pair_sum - l * K)
 
 
 def synthesize_radix(target: Sequence, l: int) -> CnnSpec:
@@ -350,19 +340,17 @@ def synthesize_radix(target: Sequence, l: int) -> CnnSpec:
     sums the paths.  The stored filter count is at most K times the
     target sparsity.
     """
-    if target.dim != 1:
-        raise ValueError("synthesis applies to one-dimensional targets")
     if target.kind != "finite":
         raise ValueError("synthesis needs a finitely supported target")
     K = tensors.coverage_depth(l, target.radius() or 0)
     times, values = target.arrays()
-    live = np.abs(values[:, 0]) > target.zero_tol()
+    live = np.abs(values) > target.zero_tol()
     digits = times[live, None] // l ** np.arange(K, dtype=np.int64) % l
     n = len(digits)
     paths = np.arange(n)
     weights = np.zeros((K, n, l))
     weights[np.arange(K)[:, None], paths, digits.T] = 1.0
-    weights[0, paths, digits[:, 0]] = values[live, 0]
+    weights[0, paths, digits[:, 0]] = values[live]
     if K == 1:
         return CnnSpec.from_arrays(l, 1, (1, 1), np.zeros((min(1, n), 3)),
                                    weights.sum(axis=1)[:n])
@@ -394,8 +382,6 @@ def synthesize_lowrank(target: Sequence | Family, l: int, K=None) -> CnnSpec:
     G_k[j, :, i] whenever it is nonzero.  A zero window gives an empty
     bank of width-1 layers; a single layer's filter is the window itself.
     """
-    if target.dim != 1:
-        raise ValueError("synthesis applies to one-dimensional targets")
     if K is None:
         K = tensors.coverage_depth(l, target.radius() or 0)
     data = tensors.tensorize(target.truncate(l ** K), l, K).data
@@ -427,7 +413,7 @@ def rnn_representation(spec: RnnSpec, horizon: int) -> Sequence:
     """Representation c' W^(s-1) U for 1 <= s <= horizon; zero at s = 0."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    states = np.empty((horizon, spec.m, spec.dim))
+    states = np.empty((horizon, spec.m))
     states[0] = spec.U
     if spec.m == 1:
         # One multiply per step: the cumulative product over [U, W, W, ...]
@@ -437,8 +423,8 @@ def rnn_representation(spec: RnnSpec, horizon: int) -> Sequence:
     else:
         for s in range(1, horizon):
             np.matmul(spec.W, states[s - 1], out=states[s])
-    return Sequence.from_arrays(np.arange(1, horizon + 1), spec.c @ states,
-                                dim=spec.dim)
+    # One dot product per step, as the stepped recurrence reads it out.
+    return Sequence.from_arrays(np.arange(1, horizon + 1), np.vecdot(states, spec.c))
 
 
 def power_sum_delta_bound(m_terms: int, t: int, sup_val: float) -> Scalar:

@@ -1,27 +1,28 @@
-"""Exact arithmetic on discrete-time vector sequences.
+"""Exact arithmetic on discrete-time scalar sequences.
 
-A Sequence models a causal map rho: N -> R^d with an explicit finite
-support, and a Family a scalar one given by a rule (geometric decay,
-inverse-time decay) plus an optional hard truncation horizon.  These
-objects carry the representations of linear temporal functionals, the
-filters of the convolutional models, and the probe inputs used in tests.
+A Sequence models a causal map rho: N -> R with an explicit finite
+support, and a Family one given by a rule (geometric decay, inverse-time
+decay) plus an optional hard truncation horizon.  These objects carry the
+representations of linear temporal functionals, the filters of the
+convolutional models, and the probe inputs used in tests.
 
 A Sequence is stored as one sorted int64 array of distinct times and one
-(n, d) array of values, and every operation on it is an array operation.
-A Family is read through its window, truncate(n), a Sequence whose
-values numpy evaluates in one pass (gamma ** t, 1 / t), and through its
-tail beyond a window in closed form (tail_norm, sup_abs_from).  Time
-indices must stay below 2^63: a larger index raises ValueError before
-any int64 arithmetic runs, so no time wraps silently.
+float64 array of their values, and every operation on it is an array
+operation.  A Family is read through its rule at given times (_at), which
+numpy evaluates in one pass (gamma ** t, 1 / t), through its window,
+truncate(n), a Sequence of those values, and through its tail beyond a
+window in closed form (tail_norm, sup_abs_from).  Time indices must stay
+below 2^63: a larger index raises ValueError before any int64 arithmetic
+runs, so no time wraps silently.
 
 Sequence.from_json reads a text in the row layout that to_json writes
 through json.dumps, compact or indented, without building a list per
 row: once the entries are seen to hold only numbers, JSON whitespace,
 commas and brackets, in the bracket skeleton of that layout, json reads
 the numbers as one flat list with the brackets as spaces.  Every other
-text (another key order, a string, NaN, malformed JSON, an int beyond a
-float) is decoded whole, as a dict, so either way the sequence or the
-error is the same.
+text (another key order, another dim, a string, NaN, malformed JSON, an
+int beyond a float) is decoded whole, as a dict, so either way the
+sequence or the error is the same.
 
 All operations are pure: sequences are immutable after construction and
 every operation returns a new value.
@@ -52,8 +53,10 @@ _EPS = float(np.finfo(float).eps)
 # The row layout Sequence.to_json writes, as json.dumps prints it; JSON
 # whitespace is these four characters only, not what \s or str.strip take.
 _WS = " \t\n\r"
-_ROWS_HEAD = re.compile(r'[ \t\n\r]*\{[ \t\n\r]*"dim"[ \t\n\r]*:[ \t\n\r]*([1-9][0-9]{0,17})'
+_ROWS_HEAD = re.compile(r'[ \t\n\r]*\{[ \t\n\r]*"dim"[ \t\n\r]*:[ \t\n\r]*1'
                         r'[ \t\n\r]*,[ \t\n\r]*"entries"[ \t\n\r]*:[ \t\n\r]*\[')
+# The bracket skeleton of one row [t,[v]] and the comma after it.
+_ROW = b"[,[]],"
 _ROW_END = re.compile(r"\][ \t\n\r]*\][ \t\n\r]*,")
 _ROWS_BLOCK = 1 << 16
 # Every number character reads as 0 and JSON whitespace is dropped.
@@ -62,28 +65,21 @@ _SHAPE = bytes.maketrans(_NUMBER_CHARS, b"0" * len(_NUMBER_CHARS))
 _UNBRACKET = bytes.maketrans(b"[]", b"  ")
 
 
-def root_sum_squares(x, rows=False) -> float:
-    """sqrt(sum(x * x)) over all of x, or with rows the largest such root
-    over the rows of x, at any scale.
+def root_sum_squares(x) -> float:
+    """sqrt(sum(x * x)) over all of x, at any scale.
 
-    Where the plain sum of squares (with rows, the largest row sum) is
-    finite and at least the smallest normal double, or x is all zero,
-    its root is the result, bit for bit.  Elsewhere, where the squares
-    overflow or underflow, x is first divided by its largest magnitude
-    and the root multiplied back.
+    Where the plain sum of squares is finite and at least the smallest
+    normal double, or x is all zero, its root is the result, bit for bit.
+    Elsewhere, where the squares overflow or underflow, x is first
+    divided by its largest magnitude and the root multiplied back.
     """
     with np.errstate(over="ignore"):
-        sq = _sum_squares(x, rows)
+        sq = float((x * x).sum())
     if _TINY <= sq <= _HUGE or not x.any():
         return math.sqrt(sq)
-    peak = float(np.abs(x).max())
-    unit = min(peak, _HUGE)         # an inf entry keeps the sum inf, NaN stays NaN
-    return unit * math.sqrt(_sum_squares(x / unit, rows))
-
-
-def _sum_squares(x, rows):
-    squares = x * x
-    return float(np.max(squares.sum(axis=1), initial=0.0) if rows else squares.sum())
+    unit = min(float(np.abs(x).max()), _HUGE)   # an inf entry keeps the sum inf, NaN stays NaN
+    x = x / unit
+    return unit * math.sqrt(float((x * x).sum()))
 
 
 @dataclass(frozen=True)
@@ -173,13 +169,13 @@ def _read_number(text: str, what):
             raise ValueError(f"{what} must be a number, not {text!r:.40}") from None
 
 
-def _matrix(values, dim):
+def _matrix(values):
     """values as a float array.  In a list, a string or a bool, as a value
     or as an item of a list or tuple value, is refused, though numpy would
-    read it as a number.  A list of rows that are all lists or tuples of
-    dim ints and floats is read in one pass over their items; anything
-    else as np.asarray reads it, so the result or the error is
-    np.asarray's."""
+    read it as a number.  A list of rows [v] that are all lists or tuples
+    of one int or float is read in one pass over their items, as a 1-D
+    array; anything else as np.asarray reads it, so the result or the
+    error is np.asarray's."""
     if isinstance(values, list):
         rows = {list, tuple}.issuperset(map(type, values))
         # One flat list costs less than walking the rows twice.
@@ -189,13 +185,13 @@ def _matrix(values, dim):
                                          for v in values):
                 if isinstance(x, (str, bool)):
                     raise ValueError(f"a value must be a number, not {x!r:.40}")
-        elif rows and set(map(len, values)) == {dim}:
-            return np.fromiter(items, float, count=len(items)).reshape(-1, dim)
+        elif rows and set(map(len, values)) == {1}:
+            return np.fromiter(items, float, count=len(items))
     return np.asarray(values, dtype=float)
 
 
-def _whole_rows(block, row) -> bool:
-    """Whether the bytes block are rows of the skeleton row, joined by
+def _whole_rows(block) -> bool:
+    """Whether the bytes block are rows of the skeleton _ROW, joined by
     commas, with one number in each number slot and nothing else but JSON
     whitespace.  Its buffers are freed before json reads the block."""
     shape = block.translate(_SHAPE, _WS.encode())
@@ -203,21 +199,21 @@ def _whole_rows(block, row) -> bool:
     # A number beside the outer side of a bracket is outside its slot.
     at = np.frombuffer(shape, np.uint8)
     number = at == ord("0")
-    return (skeleton == row * (len(skeleton) // len(row)) and
+    return (skeleton == _ROW * (len(skeleton) // len(_ROW)) and
             not (number[1:] & (at[:-1] == ord("]"))).any() and
             not (number[:-1] & (at[1:] == ord("["))).any())
 
 
 def _flat_rows(text):
-    """(times, values, dim) of a row-form text in the layout to_json writes,
+    """(times, values) of a row-form text in the layout to_json writes,
     compact or indented, read as one flat list of numbers; None for any
     other text, which json then reads as a whole.
 
     The entries must hold only number characters, JSON whitespace, commas
-    and brackets, and their bracket skeleton must be [t,[v,...]] with dim
-    values per row, each number in its slot.  The brackets then carry no
-    information, and json.loads reads the entries with them as spaces, in
-    row-aligned blocks of about _ROWS_BLOCK characters.  json still reads
+    and brackets, and their bracket skeleton must be [t,[v]], each number
+    in its slot.  The brackets then carry no information, and json.loads
+    reads the entries with them as spaces, in row-aligned blocks of about
+    _ROWS_BLOCK characters.  json still reads
     every number, so each keeps its int or float type; a number json
     refuses, or an int beyond a float, gives None, so that the whole
     document raises what json or _columns make of it.
@@ -227,10 +223,7 @@ def _flat_rows(text):
     stop = text.rfind("]", head.end(), close) if head else -1
     if stop < 0 or text[close] != "}" or text[stop + 1:close].strip(_WS):
         return None
-    dim, start = int(head[1]), head.end()
-    if dim > stop - start:  # no row fits, so build nothing of that size
-        return None
-    row = b"[,[" + b"," * (dim - 1) + b"]],"
+    start = head.end()
     times, values = [], []
     while start < stop:
         end = _ROW_END.search(text, start + _ROWS_BLOCK, stop)
@@ -239,28 +232,26 @@ def _flat_rows(text):
         if not block.isascii():
             return None
         block = block.encode()
-        if not _whole_rows(block, row):
+        if not _whole_rows(block):
             return None
         try:
             flat = json.loads(b"[" + block.translate(_UNBRACKET) + b"]")
-            times += flat[::dim + 1]
-            del flat[::dim + 1]
+            times += flat[::2]
+            del flat[::2]
             values.append(np.fromiter(flat, float, count=len(flat)))
         except (ValueError, OverflowError):
             return None
         start = end + 1
-    return (times, np.concatenate(values).reshape(-1, dim), dim) if times else None
+    return (times, np.concatenate(values)) if times else None
 
 
-def _columns(times, values, dim):
-    """Sorted distinct int64 times and their finite (n, dim) values, for
-    dim >= 1.
+def _columns(times, values):
+    """Sorted distinct int64 times and their finite values, read from n
+    values or n rows [v].
 
     A repeated time keeps its last value, as a dict built from the same
     (time, value) pairs would.
     """
-    if dim < 1:
-        raise ValueError("dim must be a positive integer")
     arr = np.asarray(times)
     if arr.dtype.kind not in "iu":  # floats, strings, None, or beyond 64 bits
         arr = np.array([_whole(t) for t in times], dtype=object)
@@ -269,13 +260,12 @@ def _columns(times, values, dim):
             raise ValueError("entries must live at t >= 0")
         _check_time(int(arr.max()))
     times = arr.astype(np.int64).reshape(-1)
-    values = _matrix(values, dim)
-    if dim == 1 and values.ndim == 1:
-        values = values[:, None]
-    if values.shape != (len(times), dim):
-        raise ValueError(f"expected {len(times)} length-{dim} values, "
-                         f"got shape {values.shape}")
-    finite = np.isfinite(values).all(axis=1)
+    values = _matrix(values)
+    if values.shape[1:] == (1,):  # rows [v]
+        values = values[:, 0]
+    if values.shape != times.shape:
+        raise ValueError(f"expected {len(times)} values, got shape {values.shape}")
+    finite = np.isfinite(values)
     if not finite.all():
         raise ValueError(f"the value at t={times[finite.argmin()]} is not finite")
     order = np.argsort(times, kind="stable")
@@ -286,9 +276,9 @@ def _columns(times, values, dim):
 
 
 class Sequence:
-    """A finitely supported sequence rho: N -> R^d.
+    """A finitely supported scalar sequence rho: N -> R.
 
-    It stores sorted distinct int64 times with an (n, dim) value array,
+    It stores sorted distinct int64 times with a float64 value array,
     and every one is built by from_arrays or through it.  geometric,
     power and the family form of from_json give a Family instead.
     """
@@ -306,26 +296,25 @@ class Sequence:
     # -- constructors --------------------------------------------------
 
     @classmethod
-    def zero(cls, dim=1) -> "Sequence":
-        # from_arrays refuses dim < 1 with its own message, before np.zeros would.
-        return cls.from_arrays((), np.zeros((0, max(dim, 0))), dim)
+    def zero(cls) -> "Sequence":
+        return cls.from_arrays((), ())
 
     @classmethod
     def from_values(cls, values) -> "Sequence":
-        """One-dimensional sequence from the dense prefix (v0, v1, ...)."""
+        """Sequence from the dense prefix (v0, v1, ...)."""
         v = np.asarray(values, dtype=float).reshape(-1)
         t = np.flatnonzero(v)
         return cls.from_arrays(t, v[t])
 
     @classmethod
-    def from_arrays(cls, times, values, dim=1) -> "Sequence":
+    def from_arrays(cls, times, values) -> "Sequence":
         """Finite sequence from a time array and a matching value array.
 
-        values has shape (n, dim), or (n,) when dim is 1, and must be
-        finite; times need not be sorted, and a repeated time keeps its
-        last value.
+        values has shape (n,), or (n, 1) as the rows [v] of the row form,
+        and must be finite; times need not be sorted, and a repeated time
+        keeps its last value.
         """
-        return cls._of(*_columns(times, values, int(dim)))
+        return cls._of(*_columns(times, values))
 
     @classmethod
     def impulse(cls, t, value=1.0) -> "Sequence":
@@ -347,10 +336,6 @@ class Sequence:
     # -- basic accessors -----------------------------------------------
 
     @property
-    def dim(self) -> int:
-        return self._values.shape[1]
-
-    @property
     def kind(self) -> str:
         return "finite"
 
@@ -362,7 +347,7 @@ class Sequence:
 
     def entries(self) -> dict:
         """Sorted copy of the stored support."""
-        return dict(zip(self._times.tolist(), self._values.copy()))
+        return dict(zip(self._times.tolist(), self._values.tolist()))
 
     def _count_before(self, t) -> int:
         """Number of stored times below t."""
@@ -371,32 +356,27 @@ class Sequence:
         return int(np.searchsorted(self._times, t))
 
     def _at(self, t: np.ndarray) -> np.ndarray:
-        """(len(t), dim) values at the int64 times t; zero off the support."""
-        out = np.zeros((len(t), self.dim))
+        """The values at the int64 times t; zero off the support."""
+        out = np.zeros(len(t))
         if len(self._times):
             idx = np.minimum(np.searchsorted(self._times, t), len(self._times) - 1)
             hit = self._times[idx] == t
             out[hit] = self._values[idx[hit]]
         return out
 
-    def value(self, t: int) -> np.ndarray:
-        """The vector rho(t); zero outside the support (and for t < 0)."""
+    def value(self, t: int) -> float:
+        """rho(t); zero outside the support (and for t < 0)."""
         if t < 0:
-            return np.zeros(self.dim)
+            return 0.0
         _check_time(t)
-        return self._at(np.array([t], dtype=np.int64))[0]
+        return float(self._at(np.array([t], dtype=np.int64))[0])
 
     def values_upto(self, n: int) -> np.ndarray:
-        """Dense (n, dim) array of rho(0), ..., rho(n-1)."""
-        out = np.zeros((int(n), self.dim))
+        """Dense array of rho(0), ..., rho(n-1)."""
+        out = np.zeros(int(n))
         k = self._count_before(n)
         out[self._times[:k]] = self._values[:k]
         return out
-
-    def flat_values(self, n: int) -> np.ndarray:
-        if self.dim != 1:
-            raise ValueError("flat_values requires dim == 1")
-        return self.values_upto(n)[:, 0]
 
     # -- support and norms -----------------------------------------------
 
@@ -405,7 +385,7 @@ class Sequence:
         return ZERO_REL_TOL * float(np.max(np.abs(self._values), initial=0.0))
 
     def _live(self) -> np.ndarray:
-        return np.max(np.abs(self._values), axis=1, initial=0.0) > self.zero_tol()
+        return np.abs(self._values) > self.zero_tol()
 
     def radius(self):
         """Largest t with a nonzero entry, or None for the zero sequence."""
@@ -434,8 +414,8 @@ class Sequence:
         return self.tail_norm(0)
 
     def sup_abs_from(self, start: int) -> float:
-        """sup over t >= start of the euclidean length of rho(t)."""
-        return root_sum_squares(self._values[self._count_before(start):], rows=True)
+        """sup over t >= start of |rho(t)|."""
+        return float(np.max(np.abs(self._values[self._count_before(start):]), initial=0.0))
 
     # -- derived sequences -----------------------------------------------
 
@@ -450,25 +430,24 @@ class Sequence:
         return Sequence._of(self._times, alpha * self._values)
 
     def plus(self, other: "Sequence") -> "Sequence":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
         return _coalesced(np.concatenate([self._times, other._times]),
                           np.concatenate([self._values, other._values]))
 
     # -- serialisation -----------------------------------------------------
 
     def to_json(self) -> dict:
-        rows = [list(row) for row in zip(self._times.tolist(), self._values.tolist())]
-        return {"dim": self.dim, "entries": rows}
+        rows = [[t, [v]] for t, v in zip(self._times.tolist(), self._values.tolist())]
+        return {"dim": 1, "entries": rows}
 
     @classmethod
     def from_json(cls, obj) -> "Sequence | Family":
         """Sequence from its JSON description: the row form {"dim", "entries"},
-        or the family form {"family", "params", "horizon"}, which gives a
-        Family for "geometric" and "power".  A document of any other
-        shape, or with a field of the wrong type, raises ValueError.  A
-        text in the row layout to_json writes is read without per-row
-        objects (_flat_rows); any other text is decoded whole."""
+        whose dim, if given, is 1, or the family form {"family", "params",
+        "horizon"}, which gives a Family for "geometric" and "power".  A
+        document of any other shape, or with a field of the wrong type,
+        raises ValueError.  A text in the row layout to_json writes is read
+        without per-row objects (_flat_rows); any other text is decoded
+        whole."""
         if isinstance(obj, str):
             rows = _flat_rows(obj)
             if rows:
@@ -482,12 +461,15 @@ class Sequence:
                 raise ValueError(f"entries must be a list of (time, value) rows, "
                                  f"not {entries!r:.40}")
             dim = _whole(obj.get("dim", 1), "dim")
+            if dim != 1:
+                raise ValueError(f"memlens reads one-dimensional targets: "
+                                 f"dim must be 1, not {dim}")
             try:
                 times, values = [t for t, _ in entries], [v for _, v in entries]
             except TypeError:
                 raise ValueError("each entry must be a (time, value) pair") from None
             try:
-                return cls.from_arrays(times, values, dim) if entries else cls.zero(dim)
+                return cls.from_arrays(times, values) if entries else cls.zero()
             except TypeError as exc:  # a value numpy cannot read as a number
                 raise ValueError(str(exc)) from None
         family = obj.get("family")
@@ -510,7 +492,7 @@ class Sequence:
         raise ValueError(f"unknown sequence description {obj!r:.40}")
 
     def __repr__(self):
-        return f"Sequence(dim={self.dim}, support={self._times.tolist()})"
+        return f"Sequence(support={self._times.tolist()})"
 
 
 @dataclass(frozen=True)
@@ -519,10 +501,10 @@ class Family:
 
     family "geometric" is rho(t) = gamma^t with 0 < gamma < 1; family
     "power" is the inverse-time sequence rho(0) = 0, rho(t) = 1/t.  A
-    Family stores no entries: its window is truncate(n), a finite
-    Sequence, and its tail beyond a window is a closed form (tail_norm,
-    sup_abs_from).  Sequence.geometric, Sequence.power and
-    Sequence.from_json build one.
+    Family stores no entries: its values at given times are _at(t), its
+    window is truncate(n), a finite Sequence, and its tail beyond a window
+    is a closed form (tail_norm, sup_abs_from).  Sequence.geometric,
+    Sequence.power and Sequence.from_json build one.
     """
 
     family: str
@@ -543,12 +525,20 @@ class Family:
             object.__setattr__(self, "gamma", g)
 
     @property
-    def dim(self) -> int:
-        return 1
-
-    @property
     def kind(self) -> str:
         return "generated"
+
+    def _at(self, t: np.ndarray) -> np.ndarray:
+        """The rule at the int64 times t; zero before time 0 (before 1 for
+        the power rule) and past the horizon."""
+        geometric = self.family == "geometric"
+        live = t >= (0 if geometric else 1)
+        if self.horizon is not None:
+            live &= t <= self.horizon
+        v = np.zeros(len(t))
+        t = t[live]
+        v[live] = self.gamma ** t.astype(float) if geometric else 1.0 / t
+        return v
 
     def truncate(self, length: int) -> Sequence:
         """The finite restriction to the window [0, length - 1]."""
@@ -557,13 +547,9 @@ class Family:
         m = length if self.horizon is None else min(length, self.horizon + 1)
         _check_time(m - 1)
         t = np.arange(m, dtype=np.int64)
-        if self.family == "geometric":
-            v = self.gamma ** t.astype(float)
-        else:
-            v = np.zeros(m)
-            v[1:] = 1.0 / t[1:]
+        v = self._at(t)
         nonzero = v != 0.0
-        return Sequence._of(t[nonzero], v[nonzero][:, None])
+        return Sequence._of(t[nonzero], v[nonzero])
 
     def radius(self):
         """The horizon, or None for the power rule cut at 0; a Family
@@ -637,22 +623,20 @@ class Family:
 def _coalesced(times, values) -> Sequence:
     """Finite sequence summing the values that share a time, in input order."""
     uniq, inv = np.unique(times, return_inverse=True)
-    out = np.zeros((len(uniq), values.shape[1]))
-    np.add.at(out, inv.reshape(-1), values)
+    out = np.zeros(len(uniq))
+    np.add.at(out, inv, values)
     return Sequence._of(uniq, out)
 
 
 def dilated_conv(f: Sequence, g: Sequence, dilation: int) -> Sequence:
-    """Channel-reducing dilated convolution (f *_dilation g)(t).
+    """Dilated convolution (f *_dilation g)(t).
 
     The first operand is the dilated one: the result at time t is the sum
-    over s of f(s) . g(t - dilation * s), a scalar sequence.  The support
-    satisfies radius = dilation * radius(f) + radius(g).
+    over s of f(s) g(t - dilation * s).  The support satisfies radius =
+    dilation * radius(f) + radius(g).
     """
     if dilation < 1:
         raise ValueError("dilation must be >= 1")
-    if f.dim != g.dim:
-        raise ValueError("dimension mismatch")
     for name, operand in (("f", f), ("g", g)):
         if operand.kind != "finite":
             raise ValueError(f"{name} must be finitely supported")
@@ -663,21 +647,19 @@ def dilated_conv(f: Sequence, g: Sequence, dilation: int) -> Sequence:
         _check_time(dilation * int(ft[-1]) + int(gt[-1]))
     # Pairs run s-major then u, so every time sums its terms in that order.
     times = (dilation * ft[:, None] + gt[None, :]).reshape(-1)
-    products = (fv[:, None, :] * gv[None, :, :]).reshape(-1, f.dim)
-    return _coalesced(times, products.sum(axis=1, keepdims=True))
+    return _coalesced(times, (fv[:, None] * gv[None, :]).reshape(-1))
 
 
 def apply_functional(rho: Sequence | Family, x: Sequence | Family, t: int) -> Scalar:
-    """Evaluate the induced linear functional: sum_s rho(s) . x(t - s).
+    """Evaluate the induced linear functional: sum_s rho(s) x(t - s).
 
     x must be defined on the whole window [t - radius(rho), t]; since
     inputs start at time 0 this requires t >= radius(rho), and generated
-    inputs must declare a horizon covering t; a generated rho or x is read
-    through its window.  It stays public because it is the functional
-    whose representation every analysis reads.
+    inputs must declare a horizon covering t.  A generated rho is read
+    through its window, and x only at the times t - s of rho's support.
+    It stays public because it is the functional whose representation
+    every analysis reads.
     """
-    if rho.dim != x.dim:
-        raise ValueError("dimension mismatch")
     work = rho if rho.kind == "finite" else rho.truncate((rho.radius() or 0) + 1)
     r = work.radius()
     if r is None:
@@ -687,6 +669,5 @@ def apply_functional(rho: Sequence | Family, x: Sequence | Family, t: int) -> Sc
     if x.kind == "generated" and (x.horizon is None or x.horizon < t):
         raise ValueError("input window does not cover the representation support")
     _check_time(t)
-    x = x if x.kind == "finite" else x.truncate(t + 1)
     times, values = work.arrays()
     return Scalar(float(np.sum(values * x._at(t - times))))

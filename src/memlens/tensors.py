@@ -181,8 +181,6 @@ def tensorize(rho: Sequence | Family, l: int, K: int) -> Tensor:
     rejected, and so is a Family without a horizon; callers split off the
     tail first.
     """
-    if rho.dim != 1:
-        raise ValueError("tensorisation applies to one-dimensional sequences")
     if l < 2 or K < 1:
         raise ValueError("need l >= 2 and K >= 1")
     size = l ** K
@@ -190,7 +188,7 @@ def tensorize(rho: Sequence | Family, l: int, K: int) -> Tensor:
         rho = rho.truncate(size)    # radius() refuses a generated rho without a horizon
     if rho.kind != "finite" or rho.reaches(size):
         raise ValueError("sequence support exceeds the tensor window")
-    return Tensor(l=l, order=K, data=rho.flat_values(size))
+    return Tensor(l=l, order=K, data=rho.values_upto(size))
 
 
 def matrix_singular_values(mat) -> np.ndarray:

@@ -1,7 +1,9 @@
 """End-to-end acceptance checks, one test per acceptance criterion."""
 
+import ast
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,7 +69,7 @@ def test_criterion_04_radix_synthesis_replays_impulses(rng):
         target = Sequence.impulse(t_hat)
         replay = cnn_representation(synthesize_radix(target, l))
         horizon = max(t_hat + 1, replay.radius() + 1 if replay.radius() is not None else 1)
-        assert np.array_equal(replay.flat_values(horizon), target.flat_values(horizon))
+        assert np.array_equal(replay.values_upto(horizon), target.values_upto(horizon))
 
 
 def test_criterion_05_chains_tensorise_to_outer_products(rng):
@@ -186,3 +188,20 @@ def test_criterion_11_power_sum_delta_bound_holds(rng):
         for t in range(1, 201):
             delta = abs(values[t] - values[t - 1])
             assert delta <= power_sum_delta_bound(m * m, t, sup_val).value
+
+
+def test_readme_library_example_gives_its_commented_results():
+    # Each expression line of README's library example with a comment is
+    # evaluated, and its value printed must be the comment's first word.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library example", 1)[1].split("```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    lines, namespace, checked = block.splitlines(), {}, []
+    for node in ast.parse(block).body:
+        comment = lines[node.lineno - 1].partition("#")[2]
+        if isinstance(node, ast.Expr) and comment:
+            got = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+            checked.append((str(got), comment.split()[0].rstrip(",")))
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+    assert checked == [("4.0", "4.0"), ("1.0", "1.0")]

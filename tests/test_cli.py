@@ -456,6 +456,21 @@ def test_malformed_json_target_rows_exit_two(tmp_path, capsys):
         "error: the geometric family needs params.gamma\n")
 
 
+def test_a_target_of_another_dim_exits_two_at_load(tmp_path, capsys):
+    out = tmp_path / "out"
+    for dim in (0, 2, 3, 10 ** 18):
+        doc = {"dim": dim, "entries": [[0, [1.0, 0.5]], [3, [-2.0, 0.25]]]}
+        for indent in (None, 2):
+            path = tmp_path / "wide.json"
+            path.write_text(json.dumps(doc, indent=indent), encoding="utf-8")
+            assert main(["spectrum", "--target", str(path), "--K", "3", "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"error: memlens reads one-dimensional targets: "
+                                    f"dim must be 1, not {dim}\n")
+            assert not out.exists()
+
+
 def test_load_target_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch):
     paths = [tmp_path / name for name in ("good.json", "cut.json", "nan.json")]
     paths[0].write_text(json.dumps(Sequence.from_values([1.0, 0.0, 2.0]).to_json()),

@@ -28,6 +28,12 @@ def test_cnn_spec_validation():
     CnnSpec.from_json({"l": 2, "K": 2, "channels": [1, 3, 1]})
     with pytest.raises(ValueError):
         CnnSpec.from_json({"l": 2, "K": 2, "channels": [1, 3, 2]})
+    # A bank reads a scalar input: M_0 = 2 is refused by both constructors.
+    with pytest.raises(ValueError, match="^the input is a single channel$"):
+        CnnSpec.from_json({"l": 2, "K": 2, "channels": [2, 3, 1],
+                           "filters": {"0,1,0": [1.0, 0.0], "1,0,0": [0.0, 1.0]}})
+    with pytest.raises(ValueError, match="^the input is a single channel$"):
+        _bank(2, 1, (2, 1), {(0, 0, 0): (1.0, 0.0), (0, 1, 0): (0.0, 2.0)})
     with pytest.raises(ValueError):
         CnnSpec.from_json({"l": 2, "K": 2, "channels": [1, 1]})
     with pytest.raises(ValueError, match=r"^filter index \(0, 0, 1\) out of range$"):
@@ -117,7 +123,7 @@ def test_cnn_spec_json_round_trip_keeps_the_arrays(rng):
                                   rng.normal(size=40))
     banks = [synthesize_radix(target, 2), synthesize_radix(target, 3),
              synthesize_lowrank(target, 2), synthesize_lowrank(Sequence.power(horizon=80), 3),
-             _path_bank(rng, 2, 6, 20, d=2, cross=10), _bank(3, 2, (1, 4, 1)),
+             _path_bank(rng, 2, 6, 20, cross=10), _bank(3, 2, (1, 4, 1)),
              synthesize_lowrank(Sequence.zero(), 2, 3), synthesize_radix(Sequence.zero(), 2)]
     for spec in banks:
         for back in (CnnSpec.from_json(spec.to_json()),
@@ -170,15 +176,7 @@ def test_to_json_keys_of_a_wide_stack_of_few_filters():
 def test_representation_of_a_two_layer_chain():
     spec = _bank(2, 2, (1, 1, 1), {(0, 0, 0): (1.0, 2.0), (1, 0, 0): (3.0, 4.0)})
     rep = cnn_representation(spec)
-    assert list(rep.flat_values(4)) == [3.0, 6.0, 4.0, 8.0]
-
-
-def test_representation_stacks_input_channels():
-    spec = _bank(2, 1, (2, 1), {(0, 0, 0): (1.0, 0.0), (0, 1, 0): (0.0, 2.0)})
-    rep = cnn_representation(spec)
-    assert rep.dim == 2
-    assert np.array_equal(rep.value(0), [1.0, 0.0])
-    assert np.array_equal(rep.value(1), [0.0, 2.0])
+    assert list(rep.values_upto(4)) == [3.0, 6.0, 4.0, 8.0]
 
 
 def test_representation_stays_in_receptive_field(rng):
@@ -198,14 +196,16 @@ def test_representation_stays_in_receptive_field(rng):
 def test_effective_filters_values():
     assert effective_filters((1, 4, 4, 1), 2, 3) == 14.0
     assert effective_filters((1, 1), 2, 1) == 0.0
-    assert effective_filters((2, 2, 2, 1), 3, 3, d=2) == -1.5
+    assert effective_filters((1, 2, 1, 1), 3, 3) == -6.0
+    assert type(effective_filters((1, 4, 4, 1), 2, 3)) is float
     spec = _bank(2, 2, (1, 4, 1))
     assert effective_filters(spec, 2, 2) == 0.0
-    for bad in ((spec, 3, 2, 1), (spec, 2, 3, 1), (spec, 2, 2, 2),
-                ((), 2, 1, 1), ((1, 4, 1), 2, 3, 1), ((2, 4, 1), 2, 2, 1),
-                ((1, 4, 2), 2, 2, 1)):
+    for bad in ((spec, 3, 2), (spec, 2, 3), ((), 2, 1), ((1, 4, 1), 2, 3),
+                ((1, 4, 2), 2, 2)):
         with pytest.raises(ValueError):
             effective_filters(*bad)
+    with pytest.raises(ValueError, match="^M_0 must equal the target dimension$"):
+        effective_filters((2, 4, 1), 2, 2)
 
 
 def test_radix_synthesis_worked_example():
@@ -228,8 +228,6 @@ def test_radix_synthesis_shallow_and_degenerate_cases():
     assert cnn_representation(zero).radius() is None
     with pytest.raises(ValueError, match="^synthesis needs a finitely supported target$"):
         synthesize_radix(Sequence.geometric(0.5), 2)
-    with pytest.raises(ValueError):
-        synthesize_radix(Sequence.from_arrays([0], [[1.0, 1.0]], dim=2), 2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -318,7 +316,7 @@ def test_impulse_replay_is_exact_at_depth_40():
     assert spec.K == 40 and spec.filter_count == 40
     rep = cnn_representation(spec)
     times, values = rep.arrays()
-    assert times.tolist() == [2 ** 40 - 1] and values.tolist() == [[1.0]]
+    assert times.tolist() == [2 ** 40 - 1] and values.tolist() == [1.0]
 
 
 def test_replay_rejects_times_beyond_the_int64_limit():
@@ -330,12 +328,10 @@ def test_replay_rejects_times_beyond_the_int64_limit():
 def _dense_replay(spec):
     """The replay as a dense slab contraction on every layer, kept as the
     bit-for-bit reference for cnn_representation."""
-    d, l = spec.channels[0], spec.l
-    index, weights = spec.index, spec.weights
+    l, index, weights = spec.l, spec.index, spec.weights
     starts = np.searchsorted(index[:, 0], np.arange(spec.K + 1))
-    state = np.eye(d)
-    times = np.zeros(d, dtype=np.int64)
-    comps = np.arange(d)
+    state = np.ones((1, 1))
+    times = np.zeros(1, dtype=np.int64)
     for k in range(spec.K):
         layer = slice(starts[k], starts[k + 1])
         j, i, w = index[layer, 1], index[layer, 2], weights[layer]
@@ -353,13 +349,7 @@ def _dense_replay(spec):
         live = np.any(nxt != 0.0, axis=0)
         state = nxt[:, live]
         times = (offsets[:, None] + times[None, :])[live]
-        comps = np.broadcast_to(comps, live.shape)[live]
-    if d == 1:
-        return Sequence.from_arrays(times, state[0])
-    uniq, inv = np.unique(times, return_inverse=True)
-    values = np.zeros((len(uniq), d))
-    values[inv, comps] = state[0]
-    return Sequence.from_arrays(uniq, values, dim=d)
+    return Sequence.from_arrays(times, state[0])
 
 
 def _assert_replay_is_the_reference(spec):
@@ -370,7 +360,7 @@ def _assert_replay_is_the_reference(spec):
     assert got_values.tobytes() == ref_values.tobytes()
 
 
-def _path_bank(rng, l, K, paths, d=1, cross=0):
+def _path_bank(rng, l, K, paths, cross=0):
     """Radix-like bank: one channel path per entry with random taps on
     each path's random digits, plus `cross` random filters between
     channels of the middle layers."""
@@ -380,11 +370,11 @@ def _path_bank(rng, l, K, paths, d=1, cross=0):
         for k in range(K):
             w = np.zeros(l)
             w[digits[p, k]] = rng.normal()
-            filters[(k, p % d if k == 0 else p, 0 if k == K - 1 else p)] = tuple(w)
+            filters[(k, 0 if k == 0 else p, 0 if k == K - 1 else p)] = tuple(w)
     for _ in range(cross):
         k = int(rng.integers(1, K - 1))
         filters[(k, *rng.integers(0, paths, size=2).tolist())] = tuple(rng.normal(size=l))
-    return _bank(l, K, (d,) + (paths,) * (K - 1) + (1,), filters)
+    return _bank(l, K, (1,) + (paths,) * (K - 1) + (1,), filters)
 
 
 def test_replay_matches_the_dense_reference_on_radix_banks(rng):
@@ -418,15 +408,8 @@ def test_replay_matches_the_dense_reference_as_the_state_fills(rng):
     _assert_replay_is_the_reference(spec)
 
 
-def test_replay_matches_the_dense_reference_on_two_input_channels(rng):
-    for l, K in ((2, 9), (3, 5)):
-        spec = _path_bank(rng, l, K, 80, d=2, cross=30)
-        assert cnn_representation(spec).dim == 2
-        _assert_replay_is_the_reference(spec)
-
-
 def test_replay_of_an_empty_bank():
-    for spec in (_bank(3, 2, (1, 4, 1)), _bank(2, 3, (2, 3, 3, 1))):
+    for spec in (_bank(3, 2, (1, 4, 1)), _bank(2, 3, (1, 3, 3, 1))):
         _assert_replay_is_the_reference(spec)
         assert cnn_representation(spec).radius() is None
 
@@ -449,18 +432,20 @@ def test_replay_memory_follows_the_nonzeros():
 
 def test_rnn_spec_coercion():
     spec = RnnSpec(m=2, c=[1.0, 0.5], W=[[0.5, 0.0], [0.0, 0.25]], U=[[1.0], [2.0]])
-    assert spec.dim == 1
+    assert spec.U.tolist() == [1.0, 2.0]
     assert spec.W.dtype == float and np.array_equal(spec.W, [[0.5, 0.0], [0.0, 0.25]])
     with pytest.raises(ValueError):
-        RnnSpec(m=2, c=[1.0], W=np.eye(2), U=[[1.0], [1.0]])
+        RnnSpec(m=2, c=[1.0], W=np.eye(2), U=[1.0, 1.0])
+    with pytest.raises(ValueError, match="^input vector must have length m$"):
+        RnnSpec(m=2, c=[1.0, 1.0], W=np.eye(2), U=[[1.0, 1.0], [1.0, 1.0]])
 
 
 def test_rnn_representation_is_a_power_sum():
-    spec = RnnSpec(m=1, c=[1.0], W=[[0.5]], U=[[0.5]])
+    spec = RnnSpec(m=1, c=[1.0], W=[[0.5]], U=[0.5])
     rep = rnn_representation(spec, 6)
-    assert rep.value(0)[0] == 0.0
+    assert rep.value(0) == 0.0
     for t in range(1, 7):
-        assert rep.value(t)[0] == pytest.approx(0.5 ** t, rel=1e-15)
+        assert rep.value(t) == pytest.approx(0.5 ** t, rel=1e-15)
     with pytest.raises(ValueError):
         rnn_representation(spec, 0)
 
@@ -468,7 +453,7 @@ def test_rnn_representation_is_a_power_sum():
 def _stepped_recurrence(spec, horizon):
     """The recurrence as one readout and one transition per step, kept as
     the bit-for-bit reference for rnn_representation."""
-    values = np.empty((horizon, spec.dim))
+    values = np.empty(horizon)
     v = spec.U.copy()
     for s in range(horizon):
         values[s] = spec.c @ v
@@ -478,29 +463,28 @@ def _stepped_recurrence(spec, horizon):
 
 def test_rnn_representation_is_the_stepped_recurrence(rng):
     for m in (1, 2, 5):
-        for d in (1, 3):
+        for _ in range(2):
             W = rng.normal(size=(m, m))
             W *= 0.95 / np.max(np.abs(np.linalg.eigvals(W)))
-            spec = RnnSpec(m=m, c=rng.normal(size=m), W=W, U=rng.normal(size=(m, d)))
+            spec = RnnSpec(m=m, c=rng.normal(size=m), W=W, U=rng.normal(size=m))
             for horizon in (1, 500):
                 times, values = rnn_representation(spec, horizon).arrays()
                 ref = _stepped_recurrence(spec, horizon)
                 assert np.array_equal(times, np.arange(1, horizon + 1))
-                assert values.shape == ref.shape
+                assert values.shape == ref.shape == (horizon,)
                 assert values.tobytes() == ref.tobytes()
     # Width 1 is replayed as one cumulative product: signed zeros,
     # subnormals and negative values, in U, W and the readout.
     edge = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
             -0.5, -1.0, 0.999, -1e-3, -0.75)
     for w in edge:
-        for d in (1, 2, 3):
-            U = [[edge[(i + d) % len(edge)] for i in range(d)]]
+        for u in edge:
             for c in (1.0, -0.0, -2.5):
-                spec = RnnSpec(m=1, c=[c], W=[[w]], U=U)
+                spec = RnnSpec(m=1, c=[c], W=[[w]], U=[u])
                 for horizon in (1, 2, 1000):
                     values = rnn_representation(spec, horizon).arrays()[1]
                     ref = _stepped_recurrence(spec, horizon)
-                    assert values.tobytes() == ref.tobytes(), (w, d, c, horizon)
+                    assert values.tobytes() == ref.tobytes(), (w, u, c, horizon)
 
 
 def test_power_sum_delta_bound_values_and_errors():

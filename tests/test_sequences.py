@@ -1,6 +1,7 @@
 import decimal
 import json
 import math
+import tracemalloc
 from decimal import Decimal
 from unittest import mock
 
@@ -26,28 +27,20 @@ def test_root_sum_squares_is_the_plain_formula_wherever_that_is_normal(rng):
     for shape in ((7,), (40, 3), (1000,), (30, 12)):
         x = rng.normal(size=shape) * 10.0 ** rng.uniform(-100, 100, size=shape)
         assert root_sum_squares(x) == math.sqrt(float(np.sum(x * x)))
-        x = x.reshape(len(x), -1)
-        top = math.sqrt(float(np.max(np.sum(x * x, axis=1))))
-        assert root_sum_squares(x, rows=True) == top
     x = np.array([3.0, -4.0, 0.0])
     for alpha in (1e-300, 1e-200, 1e200, 1e300):
         assert root_sum_squares(alpha * x) == pytest.approx(5.0 * alpha, rel=1e-15)
-    rows = np.array([[0.0, 0.0], [1.0, 0.0], [3e-200, -4e-200]])
-    assert root_sum_squares(rows, rows=True) == 1.0
-    assert root_sum_squares(rows[[0, 2]], rows=True) == pytest.approx(5e-200, rel=1e-15)
-    assert root_sum_squares(1e300 * rows, rows=True) == 1e300
     assert root_sum_squares(np.zeros(0)) == 0.0
-    assert root_sum_squares(np.zeros((0, 2)), rows=True) == 0.0
     assert root_sum_squares(np.array([np.inf, 1.0])) == np.inf
     assert math.isnan(root_sum_squares(np.array([np.nan, 1e300, 1e300])))
 
 
 def test_from_values_drops_zeros_and_keeps_support():
     s = Sequence.from_values([0.0, 3.0, 0.0, -1.0])
-    assert sorted(s.entries()) == [1, 3]
-    assert s.value(1)[0] == 3.0
-    assert s.value(0)[0] == 0.0
-    assert s.value(-5)[0] == 0.0
+    assert s.entries() == {1: 3.0, 3: -1.0}
+    assert s.value(1) == 3.0 and type(s.value(1)) is float
+    assert s.value(0) == 0.0
+    assert s.value(-5) == 0.0
     assert s.radius() == 3
     assert s.sparsity() == 2
 
@@ -59,16 +52,21 @@ def test_zero_sequence_has_no_radius():
     assert z.norm().value == 0.0
 
 
-def test_finite_sequences_need_a_positive_dim():
-    for dim in (0, -1):
-        for make in (lambda: Sequence.from_arrays([], np.zeros((0, 0)), dim=dim),
-                     lambda: Sequence.from_arrays([3], [[1.0]], dim=dim),
-                     lambda: Sequence.zero(dim=dim),
-                     lambda: Sequence.from_json({"dim": dim, "entries": []}),
-                     lambda: Sequence.from_json({"dim": dim, "entries": [[0, [1.0]]]})):
-            with pytest.raises(ValueError, match="^dim must be a positive integer$"):
-                make()
-    assert Sequence.zero(dim=3).dim == Sequence.from_json({"dim": 3, "entries": []}).dim == 3
+def test_row_form_dim_must_be_one():
+    # The dict form, and the compact and indented texts that to_json's
+    # layout would have with another dim, raise one message at load.
+    for dim in (0, -1, 2, 3, 10 ** 18):
+        width = min(max(dim, 1), 3)
+        for entries in ([], [[0, [1.0]]], [[0, [1.0] * width], [4, [2.0] * width]]):
+            doc = {"dim": dim, "entries": entries}
+            for obj in (doc, json.dumps(doc), json.dumps(doc, indent=2)):
+                with pytest.raises(ValueError, match=f"^memlens reads one-dimensional targets: "
+                                                     f"dim must be 1, not {dim}$"):
+                    Sequence.from_json(obj)
+    for doc in ({"dim": 1, "entries": [[0, [1.0]]]}, {"dim": 1.0, "entries": [[0, 1.0]]},
+                {"entries": [[0, [1.0]]]}):
+        assert Sequence.from_json(doc).to_json() == {"dim": 1, "entries": [[0, [1.0]]]}
+    assert Sequence.from_json('{"dim": 1, "entries": []}').to_json() == {"dim": 1, "entries": []}
 
 
 def test_reaches_is_radius_at_least_n():
@@ -79,7 +77,7 @@ def test_reaches_is_radius_at_least_n():
     assert [w.radius() for w in windows] == [rho.radius() for rho in families] == [5, None, 7]
     cases = [Sequence.zero(), Sequence.impulse(4), Sequence.from_values([0.0, 3.0, 0.0, -1.0]),
              Sequence.from_arrays([1, 4, 9], [1.0, 1e-11, -1e-12]),
-             Sequence.from_arrays([0, 6], [[0.0, 2.0], [-1e-3, 0.0]], dim=2), *windows]
+             Sequence.from_arrays([0, 6], [2.0, -1e-3]), *windows]
     for rho in cases:
         r = rho.radius()
         for n in range(12):
@@ -90,10 +88,12 @@ def test_reaches_is_radius_at_least_n():
 
 def test_impulse_and_vector_entries():
     imp = Sequence.impulse(4, value=2.5)
-    assert imp.value(4)[0] == 2.5 and imp.radius() == 4
-    v = Sequence.from_arrays([0, 3], [(1.0, 2.0), (0.0, -1.0)], dim=2)
-    assert v.dim == 2
-    assert np.array_equal(v.values_upto(4)[3], [0.0, -1.0])
+    assert imp.value(4) == 2.5 and imp.radius() == 4
+    # Rows [v] of one item, as the row form writes them, are read as values.
+    v = Sequence.from_arrays([0, 3], [(1.0,), (-1.0,)])
+    assert v.values_upto(4).tolist() == [1.0, 0.0, 0.0, -1.0]
+    with pytest.raises(ValueError, match=r"^expected 2 values, got shape \(2, 2\)$"):
+        Sequence.from_arrays([0, 3], [(1.0, 2.0), (0.0, -1.0)])
     with pytest.raises(ValueError):
         Sequence.impulse(-1)
     with pytest.raises(ValueError):
@@ -102,13 +102,13 @@ def test_impulse_and_vector_entries():
 
 def test_generated_families_evaluate_pointwise():
     geo = Sequence.geometric(0.5).truncate(4)
-    assert geo.value(3)[0] == 0.125
+    assert geo.value(3) == 0.125
     pw = Sequence.power().truncate(5)
-    assert pw.value(0)[0] == 0.0
-    assert pw.value(4)[0] == 0.25
+    assert pw.value(0) == 0.0
+    assert pw.value(4) == 0.25
     cut = Sequence.power(horizon=10)
-    assert cut.truncate(20).value(10)[0] == 0.1
-    assert cut.truncate(20).value(11)[0] == 0.0
+    assert cut.truncate(20).value(10) == 0.1
+    assert cut.truncate(20).value(11) == 0.0
     assert cut.radius() == 10
     with pytest.raises(ValueError):
         Sequence.geometric(1.0)
@@ -207,32 +207,46 @@ def test_power_tail_norm_beyond_two_to_the_24_terms_is_a_round_off_bracket(monke
 
 
 def test_sup_abs_from():
-    s = Sequence.from_arrays([2, 7], [[3.0, 4.0], [1.0, 0.0]], dim=2)
+    s = Sequence.from_arrays([2, 7], [-5.0, 1.0])
     assert s.sup_abs_from(0) == 5.0
     assert s.sup_abs_from(3) == 1.0
     assert s.sup_abs_from(8) == 0.0
     assert Sequence.geometric(0.5).sup_abs_from(3) == 0.125
     assert Sequence.power().sup_abs_from(4) == 0.25
+    # max |v| is the largest root of one square, the one-value case of a
+    # root over rows, bit for bit: sqrt(v * v) is |v| wherever v * v is
+    # normal, and the rescaled root is |v| elsewhere.
+    rng = np.random.default_rng(25)
+    pools = [np.array([5e-324, -5e-324, 1e-323, -2.5e-322, 3e-320])]
+    pools += [scale * np.append(rng.uniform(-1.0, 1.0, size=60), [1.0, -1.0])
+              for scale in (1e-300, 1.0, 1e300, 1.7e308)]
+    for values in pools:
+        times = rng.choice(1000, size=len(values), replace=False)
+        seq = Sequence.from_arrays(times, values)
+        for start in (0, *np.sort(times)[1::7].tolist(), 1000):
+            want = max((root_sum_squares(np.array([v])) for v in values[times >= start]),
+                       default=0.0)
+            assert seq.sup_abs_from(start).hex() == want.hex(), (values[0], start)
 
 
 def test_truncate_scaled_plus():
     s = Sequence.from_values([1.0, 2.0, 3.0])
     assert s.truncate(2).radius() == 1
-    assert s.scaled(-2.0).value(2)[0] == -6.0
+    assert s.scaled(-2.0).value(2) == -6.0
     both = s.plus(Sequence.impulse(1, value=-2.0))
-    assert both.value(1)[0] == 0.0
+    assert both.value(1) == 0.0
     geo = Sequence.geometric(0.5).truncate(4)
     assert geo.kind == "finite" and geo.radius() == 3
 
 
 def test_json_round_trip():
-    for s in (Sequence.from_arrays([1], [[1.0, -2.0]], dim=2),
+    for s in (Sequence.from_arrays([1, 4], [[1.0], [-2.0]]),
               Sequence.geometric(0.25, horizon=9),
               Sequence.power()):
         back = Sequence.from_json(s.to_json())
         assert back.to_json() == s.to_json()
     imp = Sequence.from_json({"family": "impulse", "params": {"t": 3}})
-    assert imp.value(3)[0] == 1.0
+    assert imp.value(3) == 1.0
     with pytest.raises(ValueError):
         Sequence.from_json({"family": "nope"})
 
@@ -241,7 +255,7 @@ def test_dilated_conv_worked_example():
     f = Sequence.from_values([3.0, 4.0])
     g = Sequence.from_values([1.0, 2.0])
     out = dilated_conv(f, g, 2)
-    assert list(out.flat_values(4)) == [3.0, 6.0, 4.0, 8.0]
+    assert list(out.values_upto(4)) == [3.0, 6.0, 4.0, 8.0]
 
 
 def test_dilated_conv_rejects_bad_inputs():
@@ -250,8 +264,6 @@ def test_dilated_conv_rejects_bad_inputs():
         dilated_conv(f, f, 0)
     with pytest.raises(ValueError, match="^g must be finitely supported$"):
         dilated_conv(f, Sequence.geometric(0.5), 1)
-    with pytest.raises(ValueError):
-        dilated_conv(f, Sequence.zero(dim=2), 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -271,8 +283,8 @@ def test_dilated_conv_radius_law(fv, gv, dilation):
         brute = np.zeros(n)
         for s in range(rf + 1):
             for u in range(rg + 1):
-                brute[dilation * s + u] += f.value(s)[0] * g.value(u)[0]
-        assert np.allclose(out.flat_values(n), brute, atol=1e-12)
+                brute[dilation * s + u] += f.value(s) * g.value(u)
+        assert np.allclose(out.values_upto(n), brute, atol=1e-12)
 
 
 def test_apply_functional_matches_brute_force():
@@ -290,6 +302,40 @@ def test_apply_functional_matches_brute_force():
     assert got.value == pytest.approx(0.5 ** 5 + 0.5 ** 2, rel=1e-14)
 
 
+def _functional_through_the_window(rho, x, t):
+    """apply_functional as x's whole window [0, t] read at rho's support,
+    kept as the bit-for-bit reference."""
+    times, values = rho.arrays()
+    return float(np.sum(values * x.truncate(t + 1).values_upto(t + 1)[t - times]))
+
+
+def test_apply_functional_reads_a_generated_input_at_the_support():
+    rho = Sequence.from_values([1.0, 0.5, 0.0, -2.0])
+    inputs = [Sequence.geometric(gamma, horizon=40) for gamma in (0.5, 0.9, 0.999, 1e-3)]
+    inputs += [Sequence.power(horizon=h) for h in range(1001)]
+    for x in inputs:
+        for t in range(3, 41):
+            if x.horizon < t:
+                with pytest.raises(ValueError, match="does not cover"):
+                    apply_functional(rho, x, t)
+                continue
+            got = apply_functional(rho, x, t).value
+            assert got.hex() == _functional_through_the_window(rho, x, t).hex(), (x, t)
+    t = 10 ** 6
+    for x in (Sequence.geometric(0.5, horizon=t), Sequence.geometric(0.999, horizon=2 * t),
+              Sequence.power(horizon=t)):
+        tracemalloc.start()
+        try:
+            got = apply_functional(rho, x, t).value
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, (x, peak)
+        assert got == pytest.approx(sum(c * x._at(np.array([t - s]))[0]
+                                        for s, c in ((0, 1.0), (1, 0.5), (3, -2.0))),
+                                    rel=1e-15)
+
+
 def test_apply_functional_zero_representation():
     assert apply_functional(Sequence.zero(), Sequence.from_values([1.0]), 0).value == 0.0
 
@@ -297,29 +343,27 @@ def test_apply_functional_zero_representation():
 @settings(max_examples=40, deadline=None)
 @given(st.floats(1e-3, 1.0, exclude_max=True), st.integers(1, 4096))
 def test_generated_windows_match_their_rules(gamma, n):
-    geo = Sequence.geometric(gamma).truncate(n).flat_values(n)
+    geo = Sequence.geometric(gamma).truncate(n).values_upto(n)
     want = np.array([gamma ** t for t in range(n)])
     normal = want >= np.finfo(float).tiny
     assert np.allclose(geo[normal], want[normal], rtol=1e-15, atol=0.0)
     assert np.all(geo[~normal] <= np.finfo(float).tiny)
-    power = Sequence.power().truncate(n).flat_values(n)
+    power = Sequence.power().truncate(n).values_upto(n)
     assert power.tolist() == [0.0] + [1.0 / t for t in range(1, n)]
     cut = Sequence.power(horizon=n // 2).truncate(n)
     assert cut.radius() == (n // 2 or None)
-    assert cut.flat_values(n).tolist() == power[:n // 2 + 1].tolist() + [0.0] * (n - n // 2 - 1)
+    assert cut.values_upto(n).tolist() == power[:n // 2 + 1].tolist() + [0.0] * (n - n // 2 - 1)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 2 ** 62),
-                          st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2)),
-                max_size=20))
+@given(st.lists(st.tuples(st.integers(0, 2 ** 62), st.floats(-1e6, 1e6)), max_size=20))
 def test_json_round_trip_keeps_the_last_duplicate(rows):
-    seq = Sequence.from_json({"dim": 2, "entries": [[t, v] for t, v in rows]})
+    seq = Sequence.from_json({"dim": 1, "entries": [[t, [v]] for t, v in rows]})
     want = dict(rows)
-    assert seq.to_json() == {"dim": 2, "entries": [[t, want[t]] for t in sorted(want)]}
+    assert seq.to_json() == {"dim": 1, "entries": [[t, [want[t]]] for t in sorted(want)]}
     assert Sequence.from_json(seq.to_json()).to_json() == seq.to_json()
     for t, v in want.items():
-        assert seq.value(t).tolist() == v
+        assert seq.value(t) == v
 
 
 def test_time_indices_stop_below_two_to_the_63():
@@ -340,25 +384,24 @@ def test_values_must_be_finite():
         for make in (lambda: Sequence.from_json({"entries": [[0, [1.0]], [7, [bad]]]}),
                      lambda: Sequence.from_arrays([7, 0], [(bad,), (1.0,)]),
                      lambda: Sequence.from_arrays([7, 0], [bad, 1.0]),
-                     lambda: Sequence.from_arrays([7, 0], [[1.0, bad], [1.0, 1.0]], dim=2),
                      lambda: Sequence.from_values([1.0, 0, 0, 0, 0, 0, 0, bad, 2.0])):
             with pytest.raises(ValueError, match="^the value at t=7 is not finite$"):
                 make()
     assert sorted(Sequence.from_values([0.0, 1.0, 0.0, -0.0, 2.0]).entries()) == [1, 4]
-    assert Sequence.from_json('{"entries": [[7, [1e308]]]}').value(7)[0] == 1e308
+    assert Sequence.from_json('{"entries": [[7, [1e308]]]}').value(7) == 1e308
 
 
 def test_values_must_be_numbers():
-    for dim, rows, bad in ((1, [[0, ["1.5"]], [1, [True]]], "'1.5'"),
-                           (1, [[0, [1.0]], [1, [True]]], "True"),
-                           (1, [[0, 1.0], [1, "2e0"]], "'2e0'"),
-                           (1, [[0, False], [1, 2.0]], "False"),
-                           (2, [[0, (1.0, "1")]], "'1'")):
+    for rows, bad in (([[0, ["1.5"]], [1, [True]]], "'1.5'"),
+                      ([[0, [1.0]], [1, [True]]], "True"),
+                      ([[0, 1.0], [1, "2e0"]], "'2e0'"),
+                      ([[0, False], [1, 2.0]], "False"),
+                      ([[0, (1.0,)], [1, ("1",)]], "'1'")):
         with pytest.raises(ValueError, match=f"^a value must be a number, not {bad}$"):
-            Sequence.from_json({"dim": dim, "entries": rows})
+            Sequence.from_json({"dim": 1, "entries": rows})
     for rows in ([[0, [1]], [2, [-3.5]]], [[0, 1], [2, -3.5]]):
         seq = Sequence.from_json({"entries": rows})
-        assert seq.arrays()[1].tobytes() == np.array([[1.0], [-3.5]]).tobytes()
+        assert seq.arrays()[1].tobytes() == np.array([1.0, -3.5]).tobytes()
 
 
 def test_row_form_times_must_be_whole_numbers():
@@ -378,7 +421,7 @@ def _outcome(make):
     return times.dtype, times.tobytes(), values.dtype, values.shape, values.tobytes()
 
 
-def _numpy_reading(values, dim):
+def _numpy_reading(values):
     """The value list through np.asarray, once no value and no item of a
     list or tuple value is a string or a bool."""
     for value in values:
@@ -388,11 +431,11 @@ def _numpy_reading(values, dim):
     return np.asarray(values, dtype=float)
 
 
-def _rows_as_numpy_read_them(dim, rows):
+def _rows_as_numpy_read_them(rows):
     """The row conversion without the one-pass path: _numpy_reading inside
     _columns."""
     with mock.patch.object(sequences, "_matrix", _numpy_reading):
-        return Sequence.from_json({"dim": dim, "entries": rows})
+        return Sequence.from_json({"dim": 1, "entries": rows})
 
 
 _TIME = st.one_of(st.integers(0, 9), st.integers(0, 9).map(float),
@@ -407,31 +450,28 @@ _ODD_ITEM = st.one_of(st.booleans(), st.none(), st.text(max_size=3),
 
 @st.composite
 def _value_rows(draw):
-    """dim and (time, value) rows of lists or tuples of dim numbers, or for
-    dim 1 bare numbers, with at times one row spoilt: a wrong width, odd
-    items or a bare value."""
-    dim = draw(st.integers(1, 3))
-    row = st.lists(_ITEM, min_size=dim, max_size=dim)
-    row = st.one_of(row, row.map(tuple), *([_ITEM] if dim == 1 else []))
-    rows = draw(st.lists(st.tuples(_TIME, row), max_size=10))
+    """(time, value) rows of lists or tuples of one number, or bare
+    numbers, with at times one row spoilt: a wrong width, odd items or a
+    bare value."""
+    row = st.lists(_ITEM, min_size=1, max_size=1)
+    rows = draw(st.lists(st.tuples(_TIME, st.one_of(row, row.map(tuple), _ITEM)), max_size=10))
     if rows and draw(st.booleans()):
         at = draw(st.integers(0, len(rows) - 1))
-        odd = st.lists(st.one_of(_ITEM, _ODD_ITEM), min_size=dim, max_size=dim)
+        odd = st.lists(st.one_of(_ITEM, _ODD_ITEM), min_size=1, max_size=1)
         rows[at] = (rows[at][0], draw(st.one_of(
-            st.lists(_ITEM, max_size=dim + 1), odd, odd.map(tuple), _ITEM, _ODD_ITEM)))
-    return dim, rows
+            st.lists(_ITEM, max_size=2), odd, odd.map(tuple), _ITEM, _ODD_ITEM)))
+    return rows
 
 
 @settings(max_examples=300, deadline=None)
 @given(_value_rows())
-@example((1, [(0, 1.0), (3, [2.0])]))
-@example((2, [(4, (1, 2 ** 70)), (4.0, [-0.0, 1e308]), (1, [3, 4])]))
-@example((1, [(0, [[1.0]]), (1, [[2.0]])]))
-@example((2, [(0, [1.0, "x"]), (1, [None, 2.0])]))
-def test_row_conversion_is_the_numpy_reading(case):
-    dim, rows = case
-    assert (_outcome(lambda: Sequence.from_json({"dim": dim, "entries": rows})) ==
-            _outcome(lambda: _rows_as_numpy_read_them(dim, rows)))
+@example([(0, 1.0), (3, [2.0])])
+@example([(4, (2 ** 70,)), (4.0, [-0.0]), (1, [3])])
+@example([(0, [[1.0]]), (1, [[2.0]])])
+@example([(0, ["x"]), (1, [None])])
+def test_row_conversion_is_the_numpy_reading(rows):
+    assert (_outcome(lambda: Sequence.from_json({"dim": 1, "entries": rows})) ==
+            _outcome(lambda: _rows_as_numpy_read_them(rows)))
 
 
 _TIME_TOKENS = [str(2 ** 63 - 1), str(2 ** 63), "-1", "2.0", "1e1"]
@@ -443,8 +483,9 @@ _EDITS = list('[],0123456789-.eE "{}:') + ["true", "null", "NaN", '"1.5"']
 def _row_texts(draw):
     """A row-form text as json.dumps prints it, compact or indented, with
     odd number tokens, layouts and prefixes, and with at times one to
-    three edits of a character or a token."""
-    dim = draw(st.integers(1, 3))
+    three edits of a character or a token.  A few have dim 2, which both
+    readers refuse."""
+    dim = draw(st.sampled_from([1, 1, 1, 2]))
     time = st.one_of(st.integers(0, 40).map(str), st.sampled_from(_TIME_TOKENS))
     value = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(json.dumps),
                       st.integers(-10 ** 6, 10 ** 6).map(str), st.sampled_from(_VALUE_TOKENS))
@@ -483,7 +524,7 @@ def _row_texts(draw):
 @given(_row_texts(), st.sampled_from([1, 8, 1 << 16]))
 @example('{"dim": 1, "entries": [[0, 5[]]]}', 1 << 16)
 @example('{"dim": 1, "entries": [[0, [1]]], [2, [3]]]}', 1)
-@example('{"dim": 2, "entries": [[0, [1, 2]],\xa0[2, [3, 4]]]}', 8)
+@example('{"dim": 1, "entries": [[0, [1]],\xa0[2, [3]]]}', 8)
 @example('{"dim": 1, "entries": [[0, [1]]]}\xa0', 1 << 16)
 @example('{"dim": 1, "entries": [[-1, [%s]]]}' % ("7" * 400), 1 << 16)
 def test_a_row_text_reads_as_json_reads_it(text, block):
@@ -500,10 +541,10 @@ def test_to_json_texts_are_read_as_one_flat_list(rng):
         return read[-1]
 
     with mock.patch.object(sequences, "_flat_rows", spy):
-        for dim, n in ((1, 5), (2, 3000), (3, 12000), (1, 40000)):
+        for n in (5, 3000, 12000, 40000):
             times = rng.choice(10 * n, size=n, replace=False)
-            values = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-300, 300, size=(n, dim))
-            seq = Sequence.from_arrays(times, values, dim)
+            values = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+            seq = Sequence.from_arrays(times, values)
             for indent in (None, 2):
                 text = json.dumps(seq.to_json(), indent=indent)
                 assert _outcome(lambda: Sequence.from_json(text)) == _outcome(lambda: seq)

@@ -59,8 +59,6 @@ def test_tensorize_layout_is_digit_addressed():
 
 def test_tensorize_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        tensorize(Sequence.from_arrays([0], [[1.0, 2.0]], dim=2), 2, 2)
-    with pytest.raises(ValueError):
         tensorize(Sequence.from_values([0, 0, 0, 0, 1.0]), 2, 2)
     with pytest.raises(ValueError, match="^radius of a generated sequence needs a horizon$"):
         tensorize(Sequence.geometric(0.5), 2, 2)
