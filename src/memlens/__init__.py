@@ -3,13 +3,13 @@
 The library studies how well two linear model families, dilated
 convolutional stacks and recurrences, can approximate a target temporal
 relationship given by its representation sequence.  It provides exact
-sequence arithmetic, window tensorisation with pooled spectra, a
-complexity measure against decay profiles, two-sided approximation-rate
-bounds with per-budget error curves, exact and low-rank model synthesis,
-and head-to-head comparison scenarios.
+sequences and their dilated convolution, window tensorisation with pooled
+spectra, a complexity measure against decay profiles, two-sided
+approximation-rate bounds with per-budget error curves, exact and
+low-rank model synthesis, and head-to-head comparison scenarios.
 """
 
-from .sequences import Family, Scalar, Sequence, apply_functional, dilated_conv
+from .sequences import Family, Scalar, Sequence, dilated_conv
 from .tensors import (Spectrum, Tensor, matrix_singular_values, outer_product,
                       singular_values, tensorize, truncation_error_bound,
                       window_spectrum)
@@ -24,7 +24,7 @@ from .experiments import (ComparisonReport, CurveStudy, comparison_report,
                           oracle_best_rank_matrix)
 
 __all__ = [
-    "Family", "Scalar", "Sequence", "apply_functional", "dilated_conv",
+    "Family", "Scalar", "Sequence", "dilated_conv",
     "Spectrum", "Tensor", "matrix_singular_values", "outer_product",
     "singular_values", "tensorize", "truncation_error_bound", "window_spectrum",
     "CnnSpec", "RnnSpec", "cnn_min_depth_expdecay", "cnn_representation",

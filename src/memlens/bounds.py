@@ -31,7 +31,7 @@ class DecayProfile:
     family "exponential" is a * b^s with 0 < b < 1; family "power" is
     a / (s + 1)^p with p > 0; family "table" is an explicit
     non-increasing list extended by its last value up to a cutoff and
-    zero beyond it.
+    zero beyond it.  Every parameter and table value must be finite.
     """
 
     family: str
@@ -42,6 +42,8 @@ class DecayProfile:
     cutoff: int = 0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.a, self.b, self.p, *map(float, self.values)))):
+            raise ValueError(f"{self.family} profile parameters must be finite")
         if self.family == "exponential":
             if self.a <= 0 or not 0.0 < self.b < 1.0:
                 raise ValueError("exponential profile needs a > 0 and 0 < b < 1")
@@ -162,10 +164,10 @@ def rate_bound_interval(rho: Sequence | Family, l: int, K: int, channels,
                         g: DecayProfile):
     """Two-sided approximation bound for a depth-K width-budgeted stack.
 
-    channels is a CnnSpec or the full width list (M_0, ..., M_K); its
-    effective filter count M must be at least 1.  The lower bound is the
-    sup of the representation beyond the receptive field; the upper bound
-    is g(floor(K * M^(1/K)) - K) * complexity + the tail norm beyond the
+    channels is the full width list (M_0, ..., M_K); its effective filter
+    count M must be at least 1.  The lower bound is the sup of the
+    representation beyond the receptive field; the upper bound is
+    g(floor(K * M^(1/K)) - K) * complexity + the tail norm beyond the
     receptive field.
     """
     M = effective_filters(channels, l, K)

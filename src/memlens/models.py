@@ -7,7 +7,8 @@ Two synthesizers build exact filter banks for a finitely supported
 target: a digit-reading construction with one channel path per nonzero
 entry, and the TT-SVD of the window over its base-l digits, a tensor
 train whose cores are the filters and whose widths are the ranks of the
-window's sequential unfoldings.
+window's sequential unfoldings.  One function, _check_widths, checks
+every width plan (M_0, ..., M_K), so each of its faults has one text.
 
 An RnnSpec holds a linear recurrence whose representation is the power
 sum c' W^(s-1) U for s >= 1 (and 0 at s = 0).  Width lower bounds for
@@ -24,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._jsontext import float_texts
-from .sequences import MAX_TIME, Family, Scalar, Sequence, _number, _read_number, _whole
+from .sequences import (_HUGE, MAX_TIME, Family, Scalar, Sequence, _number,
+                        _read_number, _whole, root_sum_squares)
 from . import tensors
 
 
@@ -38,6 +40,21 @@ def _key_texts(at, texts):
     decimal texts of the key parts."""
     k, j, i = (map(texts.__getitem__, column) for column in at.T.tolist())
     return list(map(",".join, zip(k, j, i)))
+
+
+def _check_widths(channels, K) -> tuple:
+    """The width plan (M_0, ..., M_K) as ints: K + 1 positive widths, one
+    input and one output channel.  Every reader of a plan checks it here."""
+    widths = tuple(int(m) for m in channels)
+    if len(widths) != K + 1:
+        raise ValueError("channels must list K + 1 widths")
+    if min(widths) < 1:
+        raise ValueError("channel widths must be positive")
+    if widths[-1] != 1:
+        raise ValueError("the output is a single channel")
+    if widths[0] != 1:
+        raise ValueError("the input is a single channel")
+    return widths
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -91,15 +108,7 @@ class CnnSpec:
         given order, whose key is out of range or whose length is not l."""
         if l < 2 or K < 1:
             raise ValueError("need l >= 2 and K >= 1")
-        if len(channels) != K + 1:
-            raise ValueError("channels must list K + 1 widths")
-        if any(int(m) < 1 for m in channels):
-            raise ValueError("channel widths must be positive")
-        if channels[-1] != 1:
-            raise ValueError("the output is a single channel")
-        if channels[0] != 1:
-            raise ValueError("the input is a single channel")
-        widths = np.array(channels, dtype=np.int64)
+        widths = np.array(_check_widths(channels, K), dtype=np.int64)
         k, j, i = index.T
         layer = (0 <= k) & (k < K)
         k = np.where(layer, k, 0)
@@ -300,33 +309,35 @@ def replay_residual(spec: CnnSpec, target: Sequence | Family) -> float:
     """Norm of the replayed representation minus target on the receptive
     field [0, l^K - 1], the window a synthesis reproduces."""
     window = target.truncate(spec.l ** spec.K)
-    return float(cnn_representation(spec).plus(window.scaled(-1.0)).norm())
+    replay = cnn_representation(spec)
+    # The difference over the union of the supports, in time order; np.unique
+    # would import numpy.ma (1 MB of RSS).  Times are >= 0: the first is kept.
+    t = np.sort(np.concatenate([replay.arrays()[0], window.arrays()[0]]))
+    t = t[np.diff(t, prepend=-1) != 0]
+    return root_sum_squares(replay._at(t) - window._at(t))
 
 
 def effective_filters(channels, l: int, K: int) -> float:
     """Pairwise-channel parameter count of a depth-K stack.
 
-    channels is a CnnSpec or the full width list (M_0, ..., M_K) with
-    M_0 = M_K = 1; either is checked against (l, K).  Returns the sum of
-    the products of consecutive widths among M_1, ..., M_K, less l*K.  A
-    single layer has no width pairs and returns 0.  The value can be
-    negative for very narrow stacks.
+    channels is the full width list (M_0, ..., M_K), K >= 1, checked as a
+    CnnSpec checks it (_check_widths).  Returns the sum of the products of
+    consecutive widths among M_1, ..., M_K, less l*K.  A single layer has
+    no width pairs and returns 0.  The value can be negative for very
+    narrow stacks; a count beyond the largest float is refused.
     """
-    if isinstance(channels, CnnSpec):
-        if channels.K != K or channels.l != l:
-            raise ValueError("the stack does not match (l, K)")
-        channels = channels.channels
-    widths = tuple(int(m) for m in channels)
-    if K < 1 or len(widths) != K + 1:
-        raise ValueError("channels must list the K + 1 widths M_0, ..., M_K, K >= 1")
-    if widths[0] != 1:
-        raise ValueError("M_0 must equal the target dimension")
-    if widths[-1] != 1:
-        raise ValueError("the output is a single channel")
+    if K < 1:
+        raise ValueError("need K >= 1")
+    widths = _check_widths(channels, K)
     if K == 1:
         return 0.0
     pair_sum = sum(a * b for a, b in zip(widths[1:], widths[2:]))
-    return float(pair_sum - l * K)
+    try:
+        return float(pair_sum - l * K)
+    except OverflowError:
+        raise ValueError(f"channels {','.join(map(str, widths))!r:.40} give an "
+                         f"effective filter count beyond the float limit "
+                         f"{_HUGE!r}") from None
 
 
 def synthesize_radix(target: Sequence, l: int) -> CnnSpec:

@@ -3,8 +3,9 @@
 A Sequence models a causal map rho: N -> R with an explicit finite
 support, and a Family one given by a rule (geometric decay, inverse-time
 decay) plus an optional hard truncation horizon.  These objects carry the
-representations of linear temporal functionals, the filters of the
-convolutional models, and the probe inputs used in tests.
+representations rho of the linear temporal functionals
+H_t(x) = sum_s rho(s) x(t - s), which every analysis reads in place of
+the functional itself, and the filters of the convolutional models.
 
 A Sequence is stored as one sorted int64 array of distinct times and one
 float64 array of their values, and every operation on it is an array
@@ -345,10 +346,6 @@ class Sequence:
         times.flags.writeable = values.flags.writeable = False
         return times, values
 
-    def entries(self) -> dict:
-        """Sorted copy of the stored support."""
-        return dict(zip(self._times.tolist(), self._values.tolist()))
-
     def _count_before(self, t) -> int:
         """Number of stored times below t."""
         if t > MAX_TIME:
@@ -425,13 +422,6 @@ class Sequence:
             raise ValueError("length must be >= 0")
         k = self._count_before(length)
         return Sequence._of(self._times[:k], self._values[:k])
-
-    def scaled(self, alpha: float) -> "Sequence":
-        return Sequence._of(self._times, alpha * self._values)
-
-    def plus(self, other: "Sequence") -> "Sequence":
-        return _coalesced(np.concatenate([self._times, other._times]),
-                          np.concatenate([self._values, other._values]))
 
     # -- serialisation -----------------------------------------------------
 
@@ -620,14 +610,6 @@ class Family:
         return obj
 
 
-def _coalesced(times, values) -> Sequence:
-    """Finite sequence summing the values that share a time, in input order."""
-    uniq, inv = np.unique(times, return_inverse=True)
-    out = np.zeros(len(uniq))
-    np.add.at(out, inv, values)
-    return Sequence._of(uniq, out)
-
-
 def dilated_conv(f: Sequence, g: Sequence, dilation: int) -> Sequence:
     """Dilated convolution (f *_dilation g)(t).
 
@@ -645,29 +627,9 @@ def dilated_conv(f: Sequence, g: Sequence, dilation: int) -> Sequence:
     _check_time(dilation)
     if len(ft) and len(gt):
         _check_time(dilation * int(ft[-1]) + int(gt[-1]))
-    # Pairs run s-major then u, so every time sums its terms in that order.
-    times = (dilation * ft[:, None] + gt[None, :]).reshape(-1)
-    return _coalesced(times, (fv[:, None] * gv[None, :]).reshape(-1))
-
-
-def apply_functional(rho: Sequence | Family, x: Sequence | Family, t: int) -> Scalar:
-    """Evaluate the induced linear functional: sum_s rho(s) x(t - s).
-
-    x must be defined on the whole window [t - radius(rho), t]; since
-    inputs start at time 0 this requires t >= radius(rho), and generated
-    inputs must declare a horizon covering t.  A generated rho is read
-    through its window, and x only at the times t - s of rho's support.
-    It stays public because it is the functional whose representation
-    every analysis reads.
-    """
-    work = rho if rho.kind == "finite" else rho.truncate((rho.radius() or 0) + 1)
-    r = work.radius()
-    if r is None:
-        return Scalar(0.0)
-    if t - r < 0:
-        raise ValueError("input window does not cover the representation support")
-    if x.kind == "generated" and (x.horizon is None or x.horizon < t):
-        raise ValueError("input window does not cover the representation support")
-    _check_time(t)
-    times, values = work.arrays()
-    return Scalar(float(np.sum(values * x._at(t - times))))
+    # Pairs run s-major then u, and np.add.at sums the terms that share a
+    # time in that order.
+    times, at = np.unique(dilation * ft[:, None] + gt[None, :], return_inverse=True)
+    out = np.zeros(len(times))
+    np.add.at(out, at.reshape(-1), (fv[:, None] * gv[None, :]).reshape(-1))
+    return Sequence._of(times, out)

@@ -49,9 +49,6 @@ class Tensor:
         if self.data.shape != (self.l ** self.order,):
             raise ValueError("data must hold exactly l^K entries")
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
-
     def entry(self, index) -> float:
         """Value at a 1-based multi-index (i_1, ..., i_K)."""
         if len(index) != self.order:
@@ -103,9 +100,6 @@ class Spectrum:
         if len(values) == 0 or values[0] <= 0.0:
             return 0
         return int(np.sum(values > tol * values[0]))
-
-    def __len__(self):
-        return len(self.entries)
 
 
 def mode_flatten_general(data, dims, k) -> np.ndarray:

@@ -68,6 +68,20 @@ def test_decay_profile_validation():
         DecayProfile.exponential(0.5)(-1)
 
 
+def test_decay_profiles_refuse_non_finite_parameters():
+    nan, inf = float("nan"), float("inf")
+    for make, family in ((lambda: DecayProfile.exponential(0.5, a=nan), "exponential"),
+                         (lambda: DecayProfile.exponential(nan), "exponential"),
+                         (lambda: DecayProfile.exponential(0.5, a=inf), "exponential"),
+                         (lambda: DecayProfile.power(nan), "power"),
+                         (lambda: DecayProfile.power(inf), "power"),
+                         (lambda: DecayProfile.power(2.0, a=-inf), "power"),
+                         (lambda: DecayProfile.table([1.0, nan], cutoff=3), "table"),
+                         (lambda: DecayProfile.table([inf, 1.0], cutoff=3), "table")):
+        with pytest.raises(ValueError, match=f"^{family} profile parameters must be finite$"):
+            make()
+
+
 def test_tail_sum_profile_worked_values():
     rho = Sequence.from_values([1, 0, 0, 1])
     for K in (2, 3, 4):
@@ -137,12 +151,12 @@ def test_complexity_signals_infinity_on_starved_profiles():
 def test_complexity_is_absolutely_homogeneous(rng):
     g = DecayProfile.exponential(0.5)
     for _ in range(10):
-        rho = Sequence.from_values(rng.normal(size=6))
-        base = complexity_measure(rho, 2, g).value
+        values = rng.normal(size=6)
+        base = complexity_measure(Sequence.from_values(values), 2, g).value
         normal = float(rng.normal())
         log_uniform = float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12, 12))
         for alpha in (normal, log_uniform, 1e-12, -1e12):
-            scaled = complexity_measure(rho.scaled(alpha), 2, g).value
+            scaled = complexity_measure(Sequence.from_values(alpha * values), 2, g).value
             assert scaled == pytest.approx(abs(alpha) * base, rel=1e-9)
 
 

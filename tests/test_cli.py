@@ -24,7 +24,8 @@ import memlens
 from memlens import cli as cli_module
 from memlens._jsontext import csv_field
 from memlens.cli import _dump, build_parser, load_target, main
-from memlens.models import CnnSpec, synthesize_lowrank, synthesize_radix
+from memlens.models import (CnnSpec, effective_filters, synthesize_lowrank,
+                            synthesize_radix)
 from memlens.sequences import Sequence
 from memlens.tensors import analysis_window
 
@@ -189,6 +190,39 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
     assert main(["synth", "--target", "impulse:19", "--method", "radix", "--K", "2"]) == 1
     assert capsys.readouterr().err == "error: --K applies to --method lowrank\n"
+
+
+# One fault of a channel plan at K = 2 and l = 2, and the one text that
+# every reader of a plan gives for it.
+CHANNEL_FAULTS = [((1, 4), "channels must list K + 1 widths"),
+                  ((1, 0, 1), "channel widths must be positive"),
+                  ((1, 4, 2), "the output is a single channel"),
+                  ((2, 4, 1), "the input is a single channel")]
+
+
+@pytest.mark.parametrize("channels, text", CHANNEL_FAULTS)
+def test_each_channel_plan_fault_has_one_text(channels, text, capsys):
+    pattern = f"^{re.escape(text)}$"
+    with pytest.raises(ValueError, match=pattern):
+        CnnSpec.from_arrays(2, 2, channels, np.zeros((0, 3)), np.zeros((0, 2)))
+    with pytest.raises(ValueError, match=pattern):
+        CnnSpec.from_json({"l": 2, "K": 2, "channels": list(channels)})
+    with pytest.raises(ValueError, match=pattern):
+        effective_filters(channels, 2, 2)
+    assert main(["bounds", "--target", "rho1", "--K", "2", "--channels",
+                 ",".join(map(str, channels)), "--g", "exponential",
+                 "--g-params", "0.5"]) == 2
+    assert capsys.readouterr().err == f"error: {text}\n"
+
+
+def test_the_table_cutoff_is_a_whole_number(capsys):
+    for cutoff in ("2.5", "nan", "inf", "-inf"):
+        assert main(["measure", "--target", "rho1", "--g", "table",
+                     "--g-params", f"1,0.5,{cutoff}"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: the table cutoff must be a whole number, not {float(cutoff)!r}\n"
+    assert main(["measure", "--target", "rho1", "--g", "table", "--g-params", "1,0.5,2.0"]) == 0
+    assert json.loads(capsys.readouterr().out)["complexity"] > 0.0
 
 
 def test_single_depth_commands_refuse_a_second_K(tmp_path, capsys):

@@ -12,11 +12,11 @@ from memlens.tensors import window_spectrum
 
 def test_make_target_sparse_values():
     rho1 = make_target("rho1")
-    assert set(rho1.entries()) == set(RHO1_SLOTS)
+    assert set(rho1.arrays()[0].tolist()) == set(RHO1_SLOTS)
     for t in RHO1_SLOTS:
         assert rho1.value(t) == pytest.approx(math.pi ** 2 / 12)
     rho2 = make_target("rho2")
-    assert set(rho2.entries()) == set(RHO2_SLOTS)
+    assert set(rho2.arrays()[0].tolist()) == set(RHO2_SLOTS)
     assert SPARSE_VALUE == pytest.approx(math.pi ** 2 / 12)
     assert rho1.norm().value == pytest.approx(math.pi ** 2 / 6)
     assert rho2.norm().value == pytest.approx(math.pi ** 2 / 6)

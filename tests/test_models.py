@@ -14,7 +14,7 @@ from memlens.models import (CnnSpec, RnnSpec, cnn_min_depth_expdecay,
                             power_sum_delta_bound, replay_residual,
                             rnn_min_width_impulse, rnn_representation,
                             synthesize_lowrank, synthesize_radix)
-from memlens.sequences import MAX_TIME, Sequence
+from memlens.sequences import MAX_TIME, Sequence, root_sum_squares
 
 
 def _bank(l, K, channels, filters=None):
@@ -198,14 +198,19 @@ def test_effective_filters_values():
     assert effective_filters((1, 1), 2, 1) == 0.0
     assert effective_filters((1, 2, 1, 1), 3, 3) == -6.0
     assert type(effective_filters((1, 4, 4, 1), 2, 3)) is float
-    spec = _bank(2, 2, (1, 4, 1))
-    assert effective_filters(spec, 2, 2) == 0.0
-    for bad in ((spec, 3, 2), (spec, 2, 3), ((), 2, 1), ((1, 4, 1), 2, 3),
-                ((1, 4, 2), 2, 2)):
+    for bad in (((), 2, 1), ((1, 4, 1), 2, 3), ((1, 4, 2), 2, 2), ((1,), 2, 0)):
         with pytest.raises(ValueError):
             effective_filters(*bad)
-    with pytest.raises(ValueError, match="^M_0 must equal the target dimension$"):
+    with pytest.raises(ValueError, match="^the input is a single channel$"):
         effective_filters((2, 4, 1), 2, 2)
+    # A count beyond the largest float is refused with the widths it read.
+    assert effective_filters((1, 2 ** 1023, 1), 2, 2) == float(2 ** 1023 - 4)
+    for widths in ((1, 2 ** 1024, 1), (1, 10 ** 400, 1), (1, 3, 10 ** 200, 10 ** 200, 1)):
+        text = ",".join(map(str, widths))
+        with pytest.raises(ValueError) as info:
+            effective_filters(widths, 2, len(widths) - 1)
+        assert str(info.value) == (f"channels {text!r:.40} give an effective filter count "
+                                   f"beyond the float limit 1.7976931348623157e+308")
 
 
 def test_radix_synthesis_worked_example():
@@ -215,8 +220,7 @@ def test_radix_synthesis_worked_example():
     assert spec.index.tolist() == [[0, 0, 0], [1, 0, 0], [2, 0, 0]]
     assert spec.weights.tolist() == [[0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0],
                                      [0.0, 1.0, 0.0, 0.0]]
-    diff = cnn_representation(spec).plus(Sequence.impulse(19).scaled(-1.0))
-    assert float(diff.norm()) == 0.0
+    assert replay_residual(spec, Sequence.impulse(19)) == 0.0
 
 
 def test_radix_synthesis_shallow_and_degenerate_cases():
@@ -240,17 +244,63 @@ def test_radix_synthesis_replays_exactly(l, data):
                                         min_size=1, max_size=300))
     target = Sequence.from_arrays(list(support), [float(v) for v in support.values()])
     spec = synthesize_radix(target, l)
-    diff = cnn_representation(spec).plus(target.scaled(-1.0))
-    assert float(diff.norm()) == 0.0
+    assert replay_residual(spec, target) == 0.0
     assert spec.filter_count <= spec.K * target.sparsity()
+
+
+def _residual_as_a_sum(spec, target):
+    """The replay plus -1 times the window, summed per time by np.add.at
+    over the two supports in turn, as the residual was once formed."""
+    rt, rv = cnn_representation(spec).arrays()
+    wt, wv = target.truncate(spec.l ** spec.K).arrays()
+    times, at = np.unique(np.concatenate([rt, wt]), return_inverse=True)
+    diff = np.zeros(len(times))
+    np.add.at(diff, at, np.concatenate([rv, -1.0 * wv]))
+    return root_sum_squares(diff)
+
+
+# Each time of a drawn plan is held by the bank's source only, by the
+# target only, by both with one value (it cancels to +0.0), by both with
+# two values, or by the target only with a signed zero.
+_BANK, _TARGET, _EQUAL, _APART, _ZERO = range(5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_replay_residual_keeps_the_bits_of_the_sum_over_both_supports(data):
+    l, K = data.draw(st.sampled_from([(2, 1), (2, 3), (2, 6), (3, 2), (4, 3)]))
+    size = l ** K
+    value = st.builds(lambda v, scale: v * scale,
+                      st.floats(-9.0, 9.0, allow_nan=False).filter(bool),
+                      st.sampled_from([1.0, 1e-300, 1e300]))
+    times = data.draw(st.lists(st.integers(0, size + 3), min_size=3, max_size=24,
+                               unique=True))
+    kinds = [_BANK, _TARGET, _EQUAL] + data.draw(
+        st.lists(st.integers(_BANK, _ZERO), min_size=len(times) - 3,
+                 max_size=len(times) - 3))
+    bank, target = {}, {}
+    for t, kind in zip(times, kinds):
+        v = data.draw(value)
+        if kind in (_BANK, _EQUAL, _APART) and t < size:
+            bank[t] = v
+        if kind in (_TARGET, _EQUAL):
+            target[t] = v
+        elif kind == _APART:
+            target[t] = data.draw(value)
+        elif kind == _ZERO:
+            target[t] = data.draw(st.sampled_from([0.0, -0.0]))
+    source = Sequence.from_arrays(list(bank), list(bank.values()))
+    target = Sequence.from_arrays(list(target), list(target.values()))
+    for spec in (synthesize_radix(source, l), synthesize_lowrank(source, l, K)):
+        got = replay_residual(spec, target)
+        assert got.hex() == _residual_as_a_sum(spec, target).hex(), spec.K
 
 
 def test_lowrank_synthesis_replays_the_window(rng):
     for l, K in ((2, 3), (3, 2), (2, 8), (4, 3), (3, 4)):
         target = Sequence.from_values(rng.normal(size=l ** K))
         spec = synthesize_lowrank(target, l, K)
-        diff = cnn_representation(spec).plus(target.scaled(-1.0))
-        assert float(diff.norm()) <= 1e-12 * float(target.norm())
+        assert replay_residual(spec, target) <= 1e-12 * float(target.norm())
     rank1 = Sequence.from_values([3.0, 6.0, 4.0, 8.0])
     spec = synthesize_lowrank(rank1, 2, 2)
     assert spec.channels == (1, 1, 1)
@@ -270,7 +320,8 @@ def test_synthesis_banks_share_one_layout():
     window = target.truncate(4)
     spec = synthesize_lowrank(target, 2, 2)
     assert spec.K == 2 and replay_residual(spec, target) <= 1e-14
-    assert float(cnn_representation(spec).plus(window.scaled(-1.0)).norm()) <= 1e-14
+    assert np.abs(cnn_representation(spec).values_upto(4)
+                  - window.values_upto(4)).max() <= 1e-14
     assert synthesize_lowrank(target, 2).K == 3
     shallow = synthesize_lowrank(Sequence.from_values([0.0, -3.0, 7.0]), 4, 1)
     assert _hex(shallow) == _hex({(0, 0, 0): (0.0, -3.0, 7.0, 0.0)})
@@ -427,7 +478,7 @@ def test_replay_memory_follows_the_nonzeros():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
-    assert float(rep.plus(target.scaled(-1.0)).norm()) == 0.0
+    assert np.array_equal(rep.values_upto(2 ** 16), target.values_upto(2 ** 16))
 
 
 def test_rnn_spec_coercion():

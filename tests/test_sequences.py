@@ -1,7 +1,6 @@
 import decimal
 import json
 import math
-import tracemalloc
 from decimal import Decimal
 from unittest import mock
 
@@ -11,8 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memlens import sequences
-from memlens.sequences import (Scalar, Sequence, apply_functional, dilated_conv,
-                               root_sum_squares)
+from memlens.sequences import Scalar, Sequence, dilated_conv, root_sum_squares
 
 
 def test_scalar_interval_accessors():
@@ -37,7 +35,8 @@ def test_root_sum_squares_is_the_plain_formula_wherever_that_is_normal(rng):
 
 def test_from_values_drops_zeros_and_keeps_support():
     s = Sequence.from_values([0.0, 3.0, 0.0, -1.0])
-    assert s.entries() == {1: 3.0, 3: -1.0}
+    times, values = s.arrays()
+    assert times.tolist() == [1, 3] and values.tolist() == [3.0, -1.0]
     assert s.value(1) == 3.0 and type(s.value(1)) is float
     assert s.value(0) == 0.0
     assert s.value(-5) == 0.0
@@ -229,12 +228,11 @@ def test_sup_abs_from():
             assert seq.sup_abs_from(start).hex() == want.hex(), (values[0], start)
 
 
-def test_truncate_scaled_plus():
+def test_truncate_restricts_to_the_window():
     s = Sequence.from_values([1.0, 2.0, 3.0])
     assert s.truncate(2).radius() == 1
-    assert s.scaled(-2.0).value(2) == -6.0
-    both = s.plus(Sequence.impulse(1, value=-2.0))
-    assert both.value(1) == 0.0
+    assert s.truncate(2).values_upto(3).tolist() == [1.0, 2.0, 0.0]
+    assert s.truncate(0).radius() is None
     geo = Sequence.geometric(0.5).truncate(4)
     assert geo.kind == "finite" and geo.radius() == 3
 
@@ -287,59 +285,6 @@ def test_dilated_conv_radius_law(fv, gv, dilation):
         assert np.allclose(out.values_upto(n), brute, atol=1e-12)
 
 
-def test_apply_functional_matches_brute_force():
-    rho = Sequence.from_values([1.0, 0.0, 0.0, 1.0])
-    x = Sequence.from_values([1.0, 2.0, 3.0, 4.0, 5.0])
-    assert apply_functional(rho, x, 4).value == 7.0
-    assert apply_functional(rho, x, 3).value == 5.0
-    with pytest.raises(ValueError):
-        apply_functional(rho, x, 2)
-    with pytest.raises(ValueError, match="^input window does not cover the "
-                                         "representation support$"):
-        apply_functional(rho, Sequence.geometric(0.5), 5)
-    geo = Sequence.geometric(0.5, horizon=10)
-    got = apply_functional(rho, geo, 5)
-    assert got.value == pytest.approx(0.5 ** 5 + 0.5 ** 2, rel=1e-14)
-
-
-def _functional_through_the_window(rho, x, t):
-    """apply_functional as x's whole window [0, t] read at rho's support,
-    kept as the bit-for-bit reference."""
-    times, values = rho.arrays()
-    return float(np.sum(values * x.truncate(t + 1).values_upto(t + 1)[t - times]))
-
-
-def test_apply_functional_reads_a_generated_input_at_the_support():
-    rho = Sequence.from_values([1.0, 0.5, 0.0, -2.0])
-    inputs = [Sequence.geometric(gamma, horizon=40) for gamma in (0.5, 0.9, 0.999, 1e-3)]
-    inputs += [Sequence.power(horizon=h) for h in range(1001)]
-    for x in inputs:
-        for t in range(3, 41):
-            if x.horizon < t:
-                with pytest.raises(ValueError, match="does not cover"):
-                    apply_functional(rho, x, t)
-                continue
-            got = apply_functional(rho, x, t).value
-            assert got.hex() == _functional_through_the_window(rho, x, t).hex(), (x, t)
-    t = 10 ** 6
-    for x in (Sequence.geometric(0.5, horizon=t), Sequence.geometric(0.999, horizon=2 * t),
-              Sequence.power(horizon=t)):
-        tracemalloc.start()
-        try:
-            got = apply_functional(rho, x, t).value
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 1024, (x, peak)
-        assert got == pytest.approx(sum(c * x._at(np.array([t - s]))[0]
-                                        for s, c in ((0, 1.0), (1, 0.5), (3, -2.0))),
-                                    rel=1e-15)
-
-
-def test_apply_functional_zero_representation():
-    assert apply_functional(Sequence.zero(), Sequence.from_values([1.0]), 0).value == 0.0
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.floats(1e-3, 1.0, exclude_max=True), st.integers(1, 4096))
 def test_generated_windows_match_their_rules(gamma, n):
@@ -387,7 +332,7 @@ def test_values_must_be_finite():
                      lambda: Sequence.from_values([1.0, 0, 0, 0, 0, 0, 0, bad, 2.0])):
             with pytest.raises(ValueError, match="^the value at t=7 is not finite$"):
                 make()
-    assert sorted(Sequence.from_values([0.0, 1.0, 0.0, -0.0, 2.0]).entries()) == [1, 4]
+    assert Sequence.from_values([0.0, 1.0, 0.0, -0.0, 2.0]).arrays()[0].tolist() == [1, 4]
     assert Sequence.from_json('{"entries": [[7, [1e308]]]}').value(7) == 1e308
 
 
@@ -405,7 +350,7 @@ def test_values_must_be_numbers():
 
 
 def test_row_form_times_must_be_whole_numbers():
-    assert list(Sequence.from_json({"entries": [[7.0, [2.0]], [3, [1.0]]]}).entries()) == [3, 7]
+    assert Sequence.from_json({"entries": [[7.0, [2.0]], [3, [1.0]]]}).arrays()[0].tolist() == [3, 7]
     for rows in ([[2.5, [1.0]]], [["3", [1.0]]], [[True, [1.0]]], [[None, [1.0]]],
                  [[float("nan"), [1.0]]], [[float("inf"), [1.0]]], [1, 2]):
         with pytest.raises(ValueError):
