@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from ._jsontext import csv_field
-from .sequences import Family, Scalar, Sequence
+from .sequences import Family, Scalar, Sequence, _whole
 from .models import effective_filters
 from . import tensors
 
@@ -31,7 +31,7 @@ class DecayProfile:
     family "exponential" is a * b^s with 0 < b < 1; family "power" is
     a / (s + 1)^p with p > 0; family "table" is an explicit
     non-increasing list extended by its last value up to a cutoff and
-    zero beyond it.  Every parameter and table value must be finite.
+    zero beyond it.  Parameters and values are finite, the cutoff whole.
     """
 
     family: str
@@ -56,6 +56,7 @@ class DecayProfile:
                 raise ValueError("table profile needs positive values")
             if any(vals[i] < vals[i + 1] for i in range(len(vals) - 1)):
                 raise ValueError("table profile must be non-increasing")
+            object.__setattr__(self, "cutoff", _whole(self.cutoff, "the table cutoff"))
             if self.cutoff < len(vals) - 1:
                 raise ValueError("cutoff must cover the listed values")
             object.__setattr__(self, "values", vals)

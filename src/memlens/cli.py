@@ -36,7 +36,7 @@ import math
 import os
 import sys
 
-from .sequences import Sequence, _whole
+from .sequences import Sequence
 from .tensors import analysis_window, window_spectrum
 from .bounds import (DecayProfile, complexity_measure, error_curve,
                      rate_bound_interval)
@@ -148,7 +148,7 @@ def _profile(family: str, params) -> DecayProfile:
     if family == "table":
         if len(params) < 2:
             raise UsageError("--g-params for table: v1,...,vn,cutoff")
-        return DecayProfile.table(params[:-1], _whole(params[-1], "the table cutoff"))
+        return DecayProfile.table(params[:-1], params[-1])
     if family == "exponential":
         if not 1 <= len(params) <= 2:
             raise UsageError("--g-params for exponential: b[,a]")

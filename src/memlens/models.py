@@ -335,9 +335,9 @@ def effective_filters(channels, l: int, K: int) -> float:
     try:
         return float(pair_sum - l * K)
     except OverflowError:
-        raise ValueError(f"channels {','.join(map(str, widths))!r:.40} give an "
-                         f"effective filter count beyond the float limit "
-                         f"{_HUGE!r}") from None
+        raise ValueError(f"the effective filter count of channels "
+                         f"{','.join(map(str, widths))!r:.40} at l = {l!r:.40} is "
+                         f"beyond the float limit {_HUGE!r}") from None
 
 
 def synthesize_radix(target: Sequence, l: int) -> CnnSpec:

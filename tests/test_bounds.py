@@ -80,6 +80,10 @@ def test_decay_profiles_refuse_non_finite_parameters():
                          (lambda: DecayProfile.table([inf, 1.0], cutoff=3), "table")):
         with pytest.raises(ValueError, match=f"^{family} profile parameters must be finite$"):
             make()
+    for cutoff in (2.5, nan, inf, "3", None):
+        with pytest.raises(ValueError, match="^the table cutoff must be a whole number, not "):
+            DecayProfile.table([1.0, 0.5], cutoff=cutoff)
+    assert DecayProfile.table([1.0, 0.5], cutoff=3.0).cutoff == 3
 
 
 def test_tail_sum_profile_worked_values():

@@ -215,16 +215,6 @@ def test_each_channel_plan_fault_has_one_text(channels, text, capsys):
     assert capsys.readouterr().err == f"error: {text}\n"
 
 
-def test_the_table_cutoff_is_a_whole_number(capsys):
-    for cutoff in ("2.5", "nan", "inf", "-inf"):
-        assert main(["measure", "--target", "rho1", "--g", "table",
-                     "--g-params", f"1,0.5,{cutoff}"]) == 2
-        err = capsys.readouterr().err
-        assert err == f"error: the table cutoff must be a whole number, not {float(cutoff)!r}\n"
-    assert main(["measure", "--target", "rho1", "--g", "table", "--g-params", "1,0.5,2.0"]) == 0
-    assert json.loads(capsys.readouterr().out)["complexity"] > 0.0
-
-
 def test_single_depth_commands_refuse_a_second_K(tmp_path, capsys):
     out = tmp_path / "out"
     g = ["--g", "exponential", "--g-params", "0.5"]

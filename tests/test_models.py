@@ -205,12 +205,14 @@ def test_effective_filters_values():
         effective_filters((2, 4, 1), 2, 2)
     # A count beyond the largest float is refused with the widths it read.
     assert effective_filters((1, 2 ** 1023, 1), 2, 2) == float(2 ** 1023 - 4)
-    for widths in ((1, 2 ** 1024, 1), (1, 10 ** 400, 1), (1, 3, 10 ** 200, 10 ** 200, 1)):
+    for widths, l in (((1, 2 ** 1024, 1), 2), ((1, 10 ** 400, 1), 3),
+                      ((1, 3, 10 ** 200, 10 ** 200, 1), 2), ((1, 4, 4, 1), 10 ** 400)):
         text = ",".join(map(str, widths))
         with pytest.raises(ValueError) as info:
-            effective_filters(widths, 2, len(widths) - 1)
-        assert str(info.value) == (f"channels {text!r:.40} give an effective filter count "
-                                   f"beyond the float limit 1.7976931348623157e+308")
+            effective_filters(widths, l, len(widths) - 1)
+        assert str(info.value) == (f"the effective filter count of channels {text!r:.40} "
+                                   f"at l = {str(l):.40} is beyond the float limit "
+                                   f"1.7976931348623157e+308")
 
 
 def test_radix_synthesis_worked_example():
@@ -270,23 +272,26 @@ _BANK, _TARGET, _EQUAL, _APART, _ZERO = range(5)
 def test_replay_residual_keeps_the_bits_of_the_sum_over_both_supports(data):
     l, K = data.draw(st.sampled_from([(2, 1), (2, 3), (2, 6), (3, 2), (4, 3)]))
     size = l ** K
-    value = st.builds(lambda v, scale: v * scale,
-                      st.floats(-9.0, 9.0, allow_nan=False).filter(bool),
-                      st.sampled_from([1.0, 1e-300, 1e300]))
-    times = data.draw(st.lists(st.integers(0, size + 3), min_size=3, max_size=24,
+    times = data.draw(st.lists(st.integers(0, size + 3), min_size=3, max_size=40,
                                unique=True))
     kinds = [_BANK, _TARGET, _EQUAL] + data.draw(
         st.lists(st.integers(_BANK, _ZERO), min_size=len(times) - 3,
                  max_size=len(times) - 3))
+    # Values of a full mantissa, so a sum in another order shows in the
+    # last bits, at one scale or at scales mixed from 1e-300 to 1e300.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    scales = data.draw(st.sampled_from([(1.0,), (1e-300,), (1e300,), (1e-300, 1.0, 1e300)]))
+    values = iter(rng.uniform(-9.0, 9.0, size=(len(times), 2)).reshape(-1)
+                  * rng.choice(scales, size=2 * len(times)))
     bank, target = {}, {}
     for t, kind in zip(times, kinds):
-        v = data.draw(value)
+        v = next(values)
         if kind in (_BANK, _EQUAL, _APART) and t < size:
             bank[t] = v
         if kind in (_TARGET, _EQUAL):
             target[t] = v
         elif kind == _APART:
-            target[t] = data.draw(value)
+            target[t] = next(values)
         elif kind == _ZERO:
             target[t] = data.draw(st.sampled_from([0.0, -0.0]))
     source = Sequence.from_arrays(list(bank), list(bank.values()))
