@@ -108,7 +108,12 @@ class CnnSpec:
         given order, whose key is out of range or whose length is not l."""
         if l < 2 or K < 1:
             raise ValueError("need l >= 2 and K >= 1")
-        widths = np.array(_check_widths(channels, K), dtype=np.int64)
+        widths = _check_widths(channels, K)
+        wide = [m for m in widths if m > MAX_TIME]
+        if wide:
+            raise ValueError(f"channel width {wide[0]!r:.40} is beyond the int64 "
+                             f"limit 2^63 - 1")
+        widths = np.array(widths, dtype=np.int64)
         k, j, i = index.T
         layer = (0 <= k) & (k < K)
         k = np.where(layer, k, 0)
@@ -395,7 +400,7 @@ def synthesize_lowrank(target: Sequence | Family, l: int, K=None) -> CnnSpec:
     """
     if K is None:
         K = tensors.coverage_depth(l, target.radius() or 0)
-    data = tensors.tensorize(target.truncate(l ** K), l, K).data
+    data = tensors._window(target, l, K).data
     if not data.any():
         return CnnSpec.from_arrays(l, K, (1,) * (K + 1), (), np.zeros((0, l)))
     # The split runs on the window over its largest entry, which the last

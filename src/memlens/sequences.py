@@ -11,8 +11,9 @@ A Sequence is stored as one sorted int64 array of distinct times and one
 float64 array of their values, and every operation on it is an array
 operation.  A Family is read through its rule at given times (_at), which
 numpy evaluates in one pass (gamma ** t, 1 / t), through its window,
-truncate(n), a Sequence of those values, and through its tail beyond a
-window in closed form (tail_norm, sup_abs_from).  Time indices must stay
+truncate(n), a Sequence of those values, or values_upto(n), the same
+values as one dense array, and through its tail beyond a window in
+closed form (tail_norm, sup_abs_from).  Time indices must stay
 below 2^63: a larger index raises ValueError before any int64 arithmetic
 runs, so no time wraps silently.
 
@@ -370,6 +371,7 @@ class Sequence:
 
     def values_upto(self, n: int) -> np.ndarray:
         """Dense array of rho(0), ..., rho(n-1)."""
+        _check_time(n - 1)
         out = np.zeros(int(n))
         k = self._count_before(n)
         out[self._times[:k]] = self._values[:k]
@@ -492,9 +494,10 @@ class Family:
     family "geometric" is rho(t) = gamma^t with 0 < gamma < 1; family
     "power" is the inverse-time sequence rho(0) = 0, rho(t) = 1/t.  A
     Family stores no entries: its values at given times are _at(t), its
-    window is truncate(n), a finite Sequence, and its tail beyond a window
-    is a closed form (tail_norm, sup_abs_from).  Sequence.geometric,
-    Sequence.power and Sequence.from_json build one.
+    window is truncate(n), a finite Sequence, or values_upto(n), a dense
+    array, and its tail beyond a window is a closed form (tail_norm,
+    sup_abs_from).  Sequence.geometric, Sequence.power and
+    Sequence.from_json build one.
     """
 
     family: str
@@ -540,6 +543,21 @@ class Family:
         v = self._at(t)
         nonzero = v != 0.0
         return Sequence._of(t[nonzero], v[nonzero])
+
+    def values_upto(self, n: int) -> np.ndarray:
+        """Dense array of rho(0), ..., rho(n-1): the rule applied in place
+        to arange(n), with the bits of _at and no other array."""
+        _check_time(n - 1)
+        m = n if self.horizon is None else min(n, self.horizon + 1)
+        out = np.arange(n, dtype=float)    # exact: no window reaches 2^53
+        live = out[:m]
+        if self.family == "geometric":
+            np.power(self.gamma, live, out=live)
+        elif m:
+            live[0] = 0.0
+            np.divide(1.0, live[1:], out=live[1:])
+        out[m:] = 0.0
+        return out
 
     def radius(self):
         """The horizon, or None for the power rule cut at 0; a Family

@@ -9,10 +9,13 @@ target to its depth-K pooled spectrum, and truncation_error_bound the one
 path from a spectrum to a tail: the spectrum tail at offset s that the
 complexity measure reads is truncation_error_bound(spec, s + K - 1).
 
-Singular values come from one batched direct SVD over the K flattenings,
-never their Gram matrices: forming a Gram matrix squares the condition
-number and loses singular values below sqrt(eps) of the largest, which
-would let round-off decide tensor ranks.
+Singular values come from direct SVDs of the K flattenings, never their
+Gram matrices: forming a Gram matrix squares the condition number and
+loses singular values below sqrt(eps) of the largest, which would let
+round-off decide tensor ranks.  The flattenings are decomposed in groups
+whose stack stays within a fixed byte budget (_STACK_BUDGET), one batched
+SVD per group; a window whose K flattenings fit takes one call, and a
+deeper window needs one window-sized slot beside the window.
 """
 
 from __future__ import annotations
@@ -25,6 +28,9 @@ import numpy as np
 from .sequences import _HUGE, _TINY, Family, Scalar, Sequence, root_sum_squares
 
 RANK_REL_TOL = 1e-8
+# The stack of flattenings one batched SVD decomposes holds at most this
+# many bytes, or one flattening where a single one is larger.
+_STACK_BUDGET = 1 << 21
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,19 +201,35 @@ def matrix_singular_values(mat) -> np.ndarray:
 
 
 def singular_values(t: Tensor) -> Spectrum:
-    """Pooled spectrum of all K mode flattenings, from one stacked SVD."""
+    """Pooled spectrum of all K mode flattenings, from one stacked SVD per
+    group of as many flattenings as fit in _STACK_BUDGET bytes.  numpy
+    runs the same SVD on each matrix whatever the batch, so the grouping
+    never changes a value."""
     dims = (t.l,) * t.order
-    stack = np.empty((t.order, t.l, t.l ** (t.order - 1)))
-    for k in range(1, t.order + 1):
-        # Each mode's view is copied once, straight into its slot.
-        view = _mode_view(t.data, dims, k)
-        stack[k - 1].reshape(view.shape)[...] = view
-    return Spectrum.from_mode_values(matrix_singular_values(stack))
+    group = min(t.order, max(1, _STACK_BUDGET // t.data.nbytes))
+    stack = np.empty((group, t.l, t.l ** (t.order - 1)))
+    per_mode = []
+    for first in range(0, t.order, group):
+        slots = stack[:min(group, t.order - first)]
+        for k, slot in enumerate(slots, start=first + 1):
+            # Each mode's view is copied once, straight into its slot.
+            view = _mode_view(t.data, dims, k)
+            slot.reshape(view.shape)[...] = view
+        per_mode.append(matrix_singular_values(slots))
+    return Spectrum.from_mode_values(np.concatenate(per_mode))
+
+
+def _window(rho: Sequence | Family, l: int, K: int) -> Tensor:
+    """The length-l^K window of rho as an order-K tensor, read once as a
+    dense array; what lies beyond it is cut off."""
+    if l < 2 or K < 1:
+        raise ValueError("need l >= 2 and K >= 1")
+    return Tensor(l=l, order=K, data=rho.values_upto(l ** K))
 
 
 def window_spectrum(rho: Sequence | Family, l: int, K: int) -> Spectrum:
     """Pooled spectrum of the tensorised length-l^K window of rho."""
-    return singular_values(tensorize(rho.truncate(l ** K), l, K))
+    return singular_values(_window(rho, l, K))
 
 
 def outer_product(vectors) -> Tensor:

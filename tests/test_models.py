@@ -51,6 +51,18 @@ def test_cnn_spec_validation():
                            "filters": {"0,0,1": [1.0, 0.0], "1,2,0": [1.0]}})
 
 
+def test_cnn_spec_refuses_a_width_beyond_int64():
+    # The largest int64 width is a plan like any other; one more is refused
+    # by name, echoed to at most 40 characters, by both constructors.
+    assert _bank(2, 2, (1, MAX_TIME, 1)).channels == (1, MAX_TIME, 1)
+    for wide in (MAX_TIME + 1, 2 ** 64 + 5, 10 ** 60):
+        text = f"^channel width {str(wide)[:40]} is beyond the int64 limit 2\\^63 - 1$"
+        with pytest.raises(ValueError, match=text):
+            CnnSpec.from_json({"l": 2, "K": 2, "channels": [1, wide, 1]})
+        with pytest.raises(ValueError, match=text):
+            _bank(2, 3, (1, 2, wide, 1))
+
+
 def test_cnn_spec_json_round_trip():
     spec = _bank(2, 2, (1, 2, 1), {(0, 0, 1): (1.0, 2.0), (1, 1, 0): (0.0, -1.0)})
     back = CnnSpec.from_json(spec.to_json())
@@ -311,6 +323,10 @@ def test_lowrank_synthesis_replays_the_window(rng):
     assert spec.channels == (1, 1, 1)
     zero = synthesize_lowrank(Sequence.zero(), 2, 2)
     assert zero.filter_count == 0
+    # A window whose last time is beyond int64 is refused before it is made.
+    for target in (rank1, Sequence.geometric(0.5)):
+        with pytest.raises(ValueError, match="^a 64-bit time index is beyond"):
+            synthesize_lowrank(target, 2, 64)
 
 
 def test_synthesis_banks_share_one_layout():

@@ -300,6 +300,16 @@ def test_generated_windows_match_their_rules(gamma, n):
     assert cut.values_upto(n).tolist() == power[:n // 2 + 1].tolist() + [0.0] * (n - n // 2 - 1)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.floats(1e-300, 1.0, exclude_max=True), st.integers(0, 5000),
+       st.none() | st.integers(0, 6000))
+def test_a_family_window_has_the_bits_of_its_truncation(gamma, n, horizon):
+    for rho in (Sequence.geometric(gamma, horizon), Sequence.power(horizon)):
+        got = rho.values_upto(n)
+        assert got.dtype == float and got.shape == (n,)
+        assert got.tobytes() == rho.truncate(n).values_upto(n).tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 2 ** 62), st.floats(-1e6, 1e6)), max_size=20))
 def test_json_round_trip_keeps_the_last_duplicate(rows):
@@ -319,6 +329,9 @@ def test_time_indices_stop_below_two_to_the_63():
                 lambda: Sequence.from_arrays([2 ** 70], [1.0]),
                 lambda: Sequence.from_json({"entries": [[2 ** 63, [1.0]]]}),
                 lambda: Sequence.power().truncate(2 ** 64),
+                lambda: Sequence.power().values_upto(2 ** 64),
+                lambda: Sequence.geometric(0.5, horizon=3).values_upto(2 ** 63 + 1),
+                lambda: Sequence.zero().values_upto(2 ** 64),
                 lambda: dilated_conv(Sequence.impulse(2 ** 62), Sequence.impulse(1), 2)):
         with pytest.raises(ValueError, match="2\\^63"):
             bad()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,7 +145,8 @@ def test_rank_one_window_has_rank_equal_to_depth():
                                                              rel=1e-12)
 
 
-def test_batched_spectrum_is_the_per_mode_loop(rng):
+def test_batched_spectrum_is_the_per_mode_loop(rng, monkeypatch):
+    # The budget is set to hold 1, 2, 3 and all K flattenings per group.
     for l in (2, 3, 4, 8):
         K = 1
         while l ** K <= 2 ** 15:
@@ -152,8 +154,57 @@ def test_batched_spectrum_is_the_per_mode_loop(rng):
             windows += [np.zeros(l ** K), np.eye(1, l ** K, l ** K - 1)[0]]
             for data in windows:
                 t = Tensor(l=l, order=K, data=data)
-                assert singular_values(t).entries == _per_mode_spectrum(t)
+                want = _per_mode_spectrum(t)
+                for group in (1, 2, 3, K):
+                    monkeypatch.setattr(tensors, "_STACK_BUDGET", group * data.nbytes)
+                    assert singular_values(t).entries == want
             K += 1
+
+
+def test_spectrum_decomposes_a_window_over_the_budget_in_groups(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted_svd(a, *args, **kwargs):
+        calls.append(len(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    t = tensorize(Sequence.power(horizon=2 ** 15 - 1), 2, 15)
+    for group, sizes in ((1, [1] * 15), (4, [4, 4, 4, 3]), (7, [7, 7, 1]),
+                         (8, [8, 7]), (15, [15]), (16, [15])):
+        monkeypatch.setattr(tensors, "_STACK_BUDGET", group * t.data.nbytes)
+        calls.clear()
+        singular_values(t)
+        assert calls == sizes
+    # The module's own budget takes the 256 KB (2, 15) window 8 modes at a
+    # time, and any (2, 18) window's 2 MB flattenings one at a time.
+    monkeypatch.undo()
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    calls.clear()
+    singular_values(t)
+    singular_values(Tensor(l=2, order=18, data=np.ones(2 ** 18)))
+    assert calls == [8, 7] + [1] * 18
+
+
+def test_spectrum_memory_is_one_window_beside_the_window():
+    data = 1.0 / np.arange(1, 2 ** 18 + 1)
+    t = Tensor(l=2, order=18, data=data)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        singular_values(t)
+        spec_peak = tracemalloc.get_traced_memory()[1] - before
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        spec = window_spectrum(Sequence.power(horizon=2 ** 18 - 1), 2, 18)
+        window_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert spec_peak <= 1.5 * data.nbytes
+    assert window_peak <= 4 * data.nbytes
+    assert spec.rank() == 36
 
 
 def test_spectrum_flattens_each_mode_and_runs_one_svd(monkeypatch):
@@ -297,6 +348,15 @@ def test_analysis_window_rule():
     assert analysis_window(Sequence.geometric(0.5), 2, 3).radius() == 7
     with pytest.raises(ValueError, match="horizon"):
         analysis_window(Sequence.geometric(0.5), 2)
+
+
+def test_a_window_beyond_the_time_limit_is_refused_by_name():
+    # l^K - 1 is checked before the window is made, for every kind of target.
+    for rho in (Sequence.from_values([1.0, 2.0]), Sequence.geometric(0.9),
+                Sequence.power(horizon=3)):
+        with pytest.raises(ValueError, match="^a 64-bit time index is beyond "
+                                             "the int64 limit 2\\^63 - 1$"):
+            window_spectrum(rho, 2, 64)
 
 
 def test_window_spectrum_reads_the_truncated_window():
