@@ -163,7 +163,7 @@ def test_batched_spectrum_is_the_per_mode_loop(rng, monkeypatch):
 
 def test_spectrum_decomposes_a_window_over_the_budget_in_groups(monkeypatch):
     calls = []
-    svd = np.linalg.svd
+    svd, budget = np.linalg.svd, tensors._STACK_BUDGET
 
     def counted_svd(a, *args, **kwargs):
         calls.append(len(a))
@@ -179,8 +179,7 @@ def test_spectrum_decomposes_a_window_over_the_budget_in_groups(monkeypatch):
         assert calls == sizes
     # The module's own budget takes the 256 KB (2, 15) window 8 modes at a
     # time, and any (2, 18) window's 2 MB flattenings one at a time.
-    monkeypatch.undo()
-    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(tensors, "_STACK_BUDGET", budget)
     calls.clear()
     singular_values(t)
     singular_values(Tensor(l=2, order=18, data=np.ones(2 ** 18)))
@@ -192,7 +191,6 @@ def test_spectrum_memory_is_one_window_beside_the_window():
     t = Tensor(l=2, order=18, data=data)
     tracemalloc.start()
     try:
-        tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
         singular_values(t)
         spec_peak = tracemalloc.get_traced_memory()[1] - before
