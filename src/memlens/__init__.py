@@ -10,9 +10,8 @@ low-rank model synthesis, and head-to-head comparison scenarios.
 """
 
 from .sequences import Family, Scalar, Sequence, dilated_conv
-from .tensors import (Spectrum, Tensor, matrix_singular_values, outer_product,
-                      singular_values, tensorize, truncation_error_bound,
-                      window_spectrum)
+from .tensors import (Spectrum, matrix_singular_values, singular_values,
+                      truncation_error_bound, window_spectrum)
 from .models import (CnnSpec, RnnSpec, cnn_min_depth_expdecay,
                      cnn_representation, effective_filters,
                      power_sum_delta_bound, rnn_min_width_impulse,
@@ -25,8 +24,8 @@ from .experiments import (ComparisonReport, CurveStudy, comparison_report,
 
 __all__ = [
     "Family", "Scalar", "Sequence", "dilated_conv",
-    "Spectrum", "Tensor", "matrix_singular_values", "outer_product",
-    "singular_values", "tensorize", "truncation_error_bound", "window_spectrum",
+    "Spectrum", "matrix_singular_values", "singular_values",
+    "truncation_error_bound", "window_spectrum",
     "CnnSpec", "RnnSpec", "cnn_min_depth_expdecay", "cnn_representation",
     "effective_filters", "power_sum_delta_bound", "rnn_min_width_impulse",
     "rnn_representation", "synthesize_lowrank", "synthesize_radix",

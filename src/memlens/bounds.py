@@ -81,7 +81,10 @@ class DecayProfile:
         if self.family == "exponential":
             return self.a * self.b ** s
         if self.family == "power":
-            return self.a / (s + 1) ** self.p
+            try:
+                return self.a / (s + 1) ** self.p
+            except OverflowError:   # (s + 1)^p is beyond a float: 0.0 or tiny
+                return math.exp(math.log(self.a) - self.p * math.log(s + 1))
         if s > self.cutoff:
             return 0.0
         return self.values[min(s, len(self.values) - 1)]
@@ -169,7 +172,7 @@ def rate_bound_interval(rho: Sequence | Family, l: int, K: int, channels,
     count M must be at least 1.  The lower bound is the sup of the
     representation beyond the receptive field; the upper bound is
     g(floor(K * M^(1/K)) - K) * complexity + the tail norm beyond the
-    receptive field.
+    receptive field, and +inf for an infinite complexity, whatever g is.
     """
     M = effective_filters(channels, l, K)
     if M < 1:
@@ -179,7 +182,8 @@ def rate_bound_interval(rho: Sequence | Family, l: int, K: int, channels,
     g_arg = max(0, budget - K)
     c_val = complexity_measure(tensors.analysis_window(rho, l, K), l, g)
     tail = rho.tail_norm(size)
-    upper = Scalar(g(g_arg) * c_val.value + tail.value, tail.halfwidth)
+    rank = c_val.value if math.isinf(c_val.value) else g(g_arg) * c_val.value
+    upper = Scalar(rank + tail.value, tail.halfwidth)
     lower = Scalar(rho.sup_abs_from(size))
     if lower.value > upper.upper + 1e-12 * max(1.0, upper.upper):
         raise ArithmeticError("bound inversion; this indicates a defect")

@@ -260,9 +260,10 @@ def conformance_suite():
     items = []
     sq2 = math.sqrt(2.0)
 
-    t22 = tensors.tensorize(Sequence.from_values([1, 2, 3, 4]), 2, 2)
-    ok = (np.array_equal(t22.data, [1.0, 2.0, 3.0, 4.0])
-          and t22.entry((1, 2)) == 3.0 and t22.entry((2, 1)) == 2.0)
+    w22 = Sequence.from_values([1, 2, 3, 4]).values_upto(4)
+    ok = (np.array_equal(w22, [1.0, 2.0, 3.0, 4.0]) and
+          np.array_equal(tensors.mode_flatten_general(w22, (2, 2), 1),
+                         [[1.0, 3.0], [2.0, 4.0]]))
     items.append(_check(
         "window-layout", ok,
         "window slot t maps to its base-l digits, mode 1 least significant"))
@@ -270,13 +271,12 @@ def conformance_suite():
     w1 = Sequence.from_values([1, 2])
     w2 = Sequence.from_values([3, 4])
     chain = dilated_conv(w2, w1, 2)
-    got = tuple(chain.values_upto(4))
-    left = tensors.tensorize(chain, 2, 2).data
-    right = tensors.outer_product([np.array([1.0, 2.0]),
-                                   np.array([3.0, 4.0])]).data
+    window = chain.values_upto(4)
+    flat = tensors.mode_flatten_general(window, (2, 2), 1)
     items.append(_check(
         "layer-product-identity",
-        got == (3.0, 6.0, 4.0, 8.0) and np.array_equal(left, right),
+        tuple(window) == (3.0, 6.0, 4.0, 8.0) and
+        np.array_equal(flat, np.outer([1.0, 2.0], [3.0, 4.0])),
         "a two-layer chain tensorises to the outer product of its filters"))
 
     rho = Sequence.from_values([1, 0, 0, 1])

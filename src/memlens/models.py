@@ -400,7 +400,8 @@ def synthesize_lowrank(target: Sequence | Family, l: int, K=None) -> CnnSpec:
     """
     if K is None:
         K = tensors.coverage_depth(l, target.radius() or 0)
-    data = tensors._window(target, l, K).data
+    tensors._check_depth(l, K)
+    data = target.values_upto(l ** K)
     if not data.any():
         return CnnSpec.from_arrays(l, K, (1,) * (K + 1), (), np.zeros((0, l)))
     # The split runs on the window over its largest entry, which the last

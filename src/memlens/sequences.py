@@ -9,13 +9,12 @@ the functional itself, and the filters of the convolutional models.
 
 A Sequence is stored as one sorted int64 array of distinct times and one
 float64 array of their values, and every operation on it is an array
-operation.  A Family is read through its rule at given times (_at), which
-numpy evaluates in one pass (gamma ** t, 1 / t), through its window,
-truncate(n), a Sequence of those values, or values_upto(n), the same
-values as one dense array, and through its tail beyond a window in
-closed form (tail_norm, sup_abs_from).  Time indices must stay
-below 2^63: a larger index raises ValueError before any int64 arithmetic
-runs, so no time wraps silently.
+operation.  A Family is read through its window, values_upto(n), its
+rule applied to arange(n) in one pass (gamma ** t, 1 / t), or
+truncate(n), the nonzeros of that array as a Sequence, and through its
+tail beyond a window in closed form (tail_norm, sup_abs_from).  Time
+indices must stay below 2^63: a larger index raises ValueError before
+any int64 arithmetic runs, so no time wraps silently.
 
 Sequence.from_json reads a text in the row layout that to_json writes
 through json.dumps, compact or indented, without building a list per
@@ -391,14 +390,6 @@ class Sequence:
         live = np.flatnonzero(self._live())
         return int(self._times[live[-1]]) if len(live) else None
 
-    def reaches(self, n: int) -> bool:
-        """Whether a nonzero entry lies at some t >= n, that is radius() >= n.
-
-        A sequence stored only below n answers without a scan.
-        """
-        k = self._count_before(n)
-        return k < len(self._times) and bool(self._live()[k:].any())
-
     def sparsity(self) -> int:
         """Number of time indices carrying a nonzero entry."""
         return int(np.count_nonzero(self._live()))
@@ -493,9 +484,9 @@ class Family:
 
     family "geometric" is rho(t) = gamma^t with 0 < gamma < 1; family
     "power" is the inverse-time sequence rho(0) = 0, rho(t) = 1/t.  A
-    Family stores no entries: its values at given times are _at(t), its
-    window is truncate(n), a finite Sequence, or values_upto(n), a dense
-    array, and its tail beyond a window is a closed form (tail_norm,
+    Family stores no entries: its rule is written once, in values_upto(n),
+    a dense array whose nonzeros truncate(n) keeps as a finite Sequence,
+    and its tail beyond a window is a closed form (tail_norm,
     sup_abs_from).  Sequence.geometric, Sequence.power and
     Sequence.from_json build one.
     """
@@ -521,32 +512,20 @@ class Family:
     def kind(self) -> str:
         return "generated"
 
-    def _at(self, t: np.ndarray) -> np.ndarray:
-        """The rule at the int64 times t; zero before time 0 (before 1 for
-        the power rule) and past the horizon."""
-        geometric = self.family == "geometric"
-        live = t >= (0 if geometric else 1)
-        if self.horizon is not None:
-            live &= t <= self.horizon
-        v = np.zeros(len(t))
-        t = t[live]
-        v[live] = self.gamma ** t.astype(float) if geometric else 1.0 / t
-        return v
-
     def truncate(self, length: int) -> Sequence:
-        """The finite restriction to the window [0, length - 1]."""
+        """The finite restriction to the window [0, length - 1]: the
+        nonzeros of values_upto, up to the horizon."""
         if length < 0:
             raise ValueError("length must be >= 0")
         m = length if self.horizon is None else min(length, self.horizon + 1)
-        _check_time(m - 1)
-        t = np.arange(m, dtype=np.int64)
-        v = self._at(t)
-        nonzero = v != 0.0
-        return Sequence._of(t[nonzero], v[nonzero])
+        v = self.values_upto(m)
+        t = np.flatnonzero(v)
+        return Sequence._of(t, v[t])
 
     def values_upto(self, n: int) -> np.ndarray:
         """Dense array of rho(0), ..., rho(n-1): the rule applied in place
-        to arange(n), with the bits of _at and no other array."""
+        to arange(n), zero at time 0 for the power rule and past the
+        horizon, with no other array."""
         _check_time(n - 1)
         m = n if self.horizon is None else min(n, self.horizon + 1)
         out = np.arange(n, dtype=float)    # exact: no window reaches 2^53

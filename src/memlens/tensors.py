@@ -1,13 +1,16 @@
 """Tensorised views of sequences and their singular spectra.
 
-A length-l^K window of a sequence is folded into an order-K tensor whose
-mode-k index reads the k-th base-l digit of the time index (mode 1 is the
-least significant digit).  The pooled singular values of the K mode
-flattenings drive the rank counts and truncation bounds used by the
-approximation-rate machinery.  window_spectrum is the one path from a
-target to its depth-K pooled spectrum, and truncation_error_bound the one
-path from a spectrum to a tail: the spectrum tail at offset s that the
-complexity measure reads is truncation_error_bound(spec, s + K - 1).
+The length-l^K window of a target rho is one dense float64 array,
+rho.values_upto(l^K), read as an order-K tensor: its mode-k index is the
+k-th base-l digit of the time index (mode 1 is the least significant
+digit), so no entry moves.  _mode_view reads a mode flattening off that
+array in place, and mode_flatten_general gives it as a matrix.  The
+pooled singular values of the K mode flattenings drive the rank counts
+and truncation bounds used by the approximation-rate machinery.
+window_spectrum is the one path from a target to its depth-K pooled
+spectrum, and truncation_error_bound the one path from a spectrum to a
+tail: the spectrum tail at offset s that the complexity measure reads is
+truncation_error_bound(spec, s + K - 1).
 
 Singular values come from direct SVDs of the K flattenings, never their
 Gram matrices: forming a Gram matrix squares the condition number and
@@ -31,38 +34,6 @@ RANK_REL_TOL = 1e-8
 # The stack of flattenings one batched SVD decomposes holds at most this
 # many bytes, or one flattening where a single one is larger.
 _STACK_BUDGET = 1 << 21
-
-
-@dataclass(frozen=True, eq=False)
-class Tensor:
-    """Dense order-K tensor with all mode lengths l.
-
-    data is the canonical linearisation with mode 1 fastest: the flat
-    position of multi-index (i_1, ..., i_K) (1-based) is
-    sum_k (i_k - 1) * l^(k-1), i.e. exactly the time index the entry
-    came from under tensorisation.
-    """
-
-    l: int
-    order: int
-    data: np.ndarray
-
-    def __post_init__(self):
-        if self.l < 2:
-            raise ValueError("mode length must be >= 2")
-        if self.order < 1:
-            raise ValueError("order must be >= 1")
-        if self.data.shape != (self.l ** self.order,):
-            raise ValueError("data must hold exactly l^K entries")
-
-    def entry(self, index) -> float:
-        """Value at a 1-based multi-index (i_1, ..., i_K)."""
-        if len(index) != self.order:
-            raise ValueError("multi-index length must equal the order")
-        if not all(1 <= i <= self.l for i in index):
-            raise ValueError("multi-index out of range")
-        cube = self.data.reshape((self.l,) * self.order, order="F")
-        return float(cube[tuple(i - 1 for i in index)])
 
 
 @dataclass(frozen=True, init=False)
@@ -173,24 +144,6 @@ def analysis_window(rho: Sequence | Family, l: int, K=None) -> Sequence:
     return rho.truncate(l ** K)
 
 
-def tensorize(rho: Sequence | Family, l: int, K: int) -> Tensor:
-    """Fold rho restricted to [0, l^K - 1] into an order-K tensor.
-
-    The entry at time t goes to the multi-index whose mode-k digit is the
-    k-th base-l digit of t.  Sequences reaching beyond the window are
-    rejected, and so is a Family without a horizon; callers split off the
-    tail first.
-    """
-    if l < 2 or K < 1:
-        raise ValueError("need l >= 2 and K >= 1")
-    size = l ** K
-    if rho.kind != "finite" and (rho.radius() or 0) < size:
-        rho = rho.truncate(size)    # radius() refuses a generated rho without a horizon
-    if rho.kind != "finite" or rho.reaches(size):
-        raise ValueError("sequence support exceeds the tensor window")
-    return Tensor(l=l, order=K, data=rho.values_upto(size))
-
-
 def matrix_singular_values(mat) -> np.ndarray:
     """Singular values (descending) by a direct SVD of a matrix, or of
     each matrix of a stack in one call."""
@@ -200,50 +153,38 @@ def matrix_singular_values(mat) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)
 
 
-def singular_values(t: Tensor) -> Spectrum:
-    """Pooled spectrum of all K mode flattenings, from one stacked SVD per
-    group of as many flattenings as fit in _STACK_BUDGET bytes.  numpy
-    runs the same SVD on each matrix whatever the batch, so the grouping
-    never changes a value."""
-    dims = (t.l,) * t.order
-    group = min(t.order, max(1, _STACK_BUDGET // t.data.nbytes))
-    stack = np.empty((group, t.l, t.l ** (t.order - 1)))
+def _check_depth(l: int, K: int):
+    if l < 2 or K < 1:
+        raise ValueError("need l >= 2 and K >= 1")
+
+
+def singular_values(window, l: int, K: int) -> Spectrum:
+    """Pooled spectrum of all K mode flattenings of a dense length-l^K
+    window, from one stacked SVD per group of as many flattenings as fit
+    in _STACK_BUDGET bytes.  numpy runs the same SVD on each matrix
+    whatever the batch, so the grouping never changes a value."""
+    _check_depth(l, K)
+    if window.shape != (l ** K,):
+        raise ValueError("a window must hold exactly l^K entries")
+    dims = (l,) * K
+    group = min(K, max(1, _STACK_BUDGET // window.nbytes))
+    stack = np.empty((group, l, l ** (K - 1)))
     per_mode = []
-    for first in range(0, t.order, group):
-        slots = stack[:min(group, t.order - first)]
+    for first in range(0, K, group):
+        slots = stack[:min(group, K - first)]
         for k, slot in enumerate(slots, start=first + 1):
             # Each mode's view is copied once, straight into its slot.
-            view = _mode_view(t.data, dims, k)
+            view = _mode_view(window, dims, k)
             slot.reshape(view.shape)[...] = view
         per_mode.append(matrix_singular_values(slots))
     return Spectrum.from_mode_values(np.concatenate(per_mode))
 
 
-def _window(rho: Sequence | Family, l: int, K: int) -> Tensor:
-    """The length-l^K window of rho as an order-K tensor, read once as a
-    dense array; what lies beyond it is cut off."""
-    if l < 2 or K < 1:
-        raise ValueError("need l >= 2 and K >= 1")
-    return Tensor(l=l, order=K, data=rho.values_upto(l ** K))
-
-
 def window_spectrum(rho: Sequence | Family, l: int, K: int) -> Spectrum:
-    """Pooled spectrum of the tensorised length-l^K window of rho."""
-    return singular_values(_window(rho, l, K))
-
-
-def outer_product(vectors) -> Tensor:
-    """Order-K tensor with entries prod_k v_k[i_k]; mode k reads v_k."""
-    vs = [np.asarray(v, dtype=float).reshape(-1) for v in vectors]
-    if not vs:
-        raise ValueError("need at least one vector")
-    l = len(vs[0])
-    if any(len(v) != l for v in vs):
-        raise ValueError("all vectors must share one length")
-    arr = vs[0]
-    for v in vs[1:]:
-        arr = np.multiply.outer(arr, v)
-    return Tensor(l=l, order=len(vs), data=arr.reshape(-1, order="F"))
+    """Pooled spectrum of the length-l^K window of rho, read once as a
+    dense array; what lies beyond it is cut off."""
+    _check_depth(l, K)
+    return singular_values(rho.values_upto(l ** K), l, K)
 
 
 def truncation_error_bound(spec: Spectrum, kept_rank: int) -> Scalar:

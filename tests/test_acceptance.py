@@ -3,6 +3,7 @@
 import ast
 import math
 import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,8 @@ from memlens.experiments import (comparison_report, conformance_suite,
 from memlens.models import (RnnSpec, cnn_representation, power_sum_delta_bound,
                             rnn_representation, synthesize_radix)
 from memlens.sequences import Sequence, dilated_conv
-from memlens.tensors import (Spectrum, outer_product, singular_values,
-                             tensorize, truncation_error_bound, window_spectrum)
+from memlens.tensors import (Spectrum, singular_values, truncation_error_bound,
+                             window_spectrum)
 
 EXAMPLE_TARGET = [1.0, 0.0, 0.0, 1.0]
 
@@ -33,7 +34,7 @@ def test_criterion_01_window_spectra_match_reference_table():
         4: [math.sqrt(2.0), math.sqrt(2.0), 1.0, 1.0, 1.0, 1.0, 0.0, 0.0],
     }
     for K, values in expected.items():
-        computed = singular_values(tensorize(rho, 2, K)).values
+        computed = singular_values(rho.values_upto(2 ** K), 2, K).values
         assert np.allclose(computed, values, atol=1e-9)
     # the depth-one row disagrees with the reference table and is logged
     assert conformance_statuses()["depth-one-spectrum"] == "LOGGED"
@@ -80,8 +81,12 @@ def test_criterion_05_chains_tensorise_to_outer_products(rng):
         acc = Sequence.from_values(filters[0])
         for k in range(1, K):
             acc = dilated_conv(Sequence.from_values(filters[k]), acc, l ** k)
-        left = tensorize(acc, l, K).data
-        right = outer_product(filters).data
+        left = acc.values_upto(l ** K)
+        # The window prod_k f_k[d_k] over the base-l digits d_k, mode 1 fastest.
+        right = np.ones(())
+        for f in filters:
+            right = np.multiply.outer(f, right)
+        right = right.reshape(-1)
         scale = max(np.max(np.abs(right)), 1.0)
         assert np.allclose(left, right, atol=1e-12 * scale, rtol=1e-12)
 
@@ -94,8 +99,8 @@ def test_criterion_06_padding_law_and_cap_invariance(rng):
         rho = Sequence.from_values(rng.normal(size=l ** K))
         if rho.sparsity() == 0:
             continue
-        base = singular_values(tensorize(rho, l, K)).values
-        deeper = singular_values(tensorize(rho, l, K + 1)).values
+        base = window_spectrum(rho, l, K).values
+        deeper = window_spectrum(rho, l, K + 1).values
         merged = sorted(list(base) + [rho.norm().value] + [0.0] * (l - 1),
                         reverse=True)
         assert np.allclose(deeper, merged, atol=1e-10)
@@ -205,3 +210,16 @@ def test_readme_library_example_gives_its_commented_results():
         else:
             exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
     assert checked == [("4.0", "4.0"), ("1.0", "1.0")]
+
+
+def test_star_import_gives_exactly_the_public_names():
+    # A stale __all__ entry fails the star import; a missing one fails the
+    # comparison with the package's public names that are not modules.
+    import memlens
+    namespace = {}
+    exec("from memlens import *", namespace)
+    public = {name for name, value in vars(memlens).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert len(set(memlens.__all__)) == len(memlens.__all__)
+    assert set(memlens.__all__) == public
+    assert namespace.keys() - {"__builtins__"} == public

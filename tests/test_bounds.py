@@ -10,8 +10,8 @@ from memlens.bounds import (COMPLEXITY_NOISE_REL_TOL, DecayProfile,
 from memlens.experiments import make_target
 from memlens.models import replay_residual, synthesize_lowrank, synthesize_radix
 from memlens.sequences import Sequence, root_sum_squares
-from memlens.tensors import (coverage_depth, singular_values, tensorize,
-                             truncation_error_bound, window_spectrum)
+from memlens.tensors import (coverage_depth, singular_values, truncation_error_bound,
+                             window_spectrum)
 
 
 def _tail_profile(rho, l, K):
@@ -51,6 +51,23 @@ def test_decay_profile_families():
     assert p(0) == 4.0 and p(1) == 1.0
     t = DecayProfile.table([1.0, 0.5], cutoff=4)
     assert t(0) == 1.0 and t(1) == 0.5 and t(4) == 0.5 and t(5) == 0.0
+
+
+def test_a_power_profile_past_the_float_range_is_computed_in_logs():
+    # Only where (s + 1)^p overflows is a / (s + 1)^p read through logs: it
+    # is 0.0 where it underflows and a normal number where a is large.
+    for g in (DecayProfile.power(1100.0), DecayProfile.power(1e308),
+              DecayProfile.power(1100, a=10.0)):
+        assert g(0) == g.a and g(1) == 0.0 and g(10 ** 400) == 0.0
+    big = DecayProfile.power(1100.0, a=1e300)
+    assert big(1) == pytest.approx(math.ldexp(1e300, -1100), rel=1e-12)
+    assert big(2) == pytest.approx(1.4676409076514536e-225, rel=1e-12)
+    # Every other value keeps its bits.
+    assert DecayProfile.power(1000.0)(1) == 1.0 / 2.0 ** 1000.0
+    assert DecayProfile.power(2.5, a=3.0)(3) == 3.0 / 4 ** 2.5
+    rho = Sequence.power(horizon=100)
+    assert complexity_measure(rho, 2, DecayProfile.power(1100.0)).value == math.inf
+    assert complexity_measure(rho, 2, big).value == math.inf
 
 
 def test_decay_profile_validation():
@@ -230,6 +247,17 @@ def test_rate_bound_interval_covered_support_has_zero_tail():
     assert upper.value == pytest.approx(0.25 * 4.0)
 
 
+def test_an_infinite_complexity_makes_the_upper_bound_infinite():
+    # With g(5) = 0 the upper bound once read 0 * inf = NaN; with g(5) > 0
+    # it was already inf.
+    rho = Sequence.power(horizon=100)
+    for channels, values in (((1, 4, 4, 4, 4, 1), [1.0]), ((1, 2, 2, 2, 2, 1), [1.0, 0.5])):
+        g = DecayProfile.table(values, cutoff=len(values) - 1)
+        assert complexity_measure(rho, 2, g).value == math.inf
+        lower, upper = rate_bound_interval(rho, 2, 5, channels, g)
+        assert lower.value == 1.0 / 32 and upper.value == math.inf
+
+
 def test_rate_bound_interval_channel_list_shape():
     g = DecayProfile.exponential(0.5)
     rho = Sequence.from_values([1, 0, 0, 1])
@@ -318,6 +346,6 @@ def test_rank_budget_saturation_zeroes_the_rank_term(M, K):
     table = error_curve(rho, 2, [K], [M])
     row = table.rows[0]
     budget = math.floor(K * M ** (1.0 / K))
-    spec = singular_values(tensorize(rho.truncate(2 ** K), 2, K))
+    spec = singular_values(rho.values_upto(2 ** K), 2, K)
     manual = math.sqrt(float(np.sum(spec.values[budget:] ** 2)))
     assert row.rank_term == pytest.approx(manual, abs=1e-12)

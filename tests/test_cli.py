@@ -756,9 +756,9 @@ def test_reproduce_computes_25_spectra(monkeypatch, capsys):
     computed = []
     singular_values = tensors.singular_values
 
-    def counted(t):
-        computed.append(t.order)
-        return singular_values(t)
+    def counted(window, l, K):
+        computed.append(K)
+        return singular_values(window, l, K)
 
     monkeypatch.setattr(tensors, "singular_values", counted)
     code, out = run_cli(capsys, ["reproduce"])

@@ -68,23 +68,6 @@ def test_row_form_dim_must_be_one():
     assert Sequence.from_json('{"dim": 1, "entries": []}').to_json() == {"dim": 1, "entries": []}
 
 
-def test_reaches_is_radius_at_least_n():
-    # A generated target is read through its window, whose radius is its own.
-    families = [Sequence.geometric(0.5, horizon=5), Sequence.power(horizon=0),
-                Sequence.power(horizon=7)]
-    windows = [rho.truncate(20) for rho in families]
-    assert [w.radius() for w in windows] == [rho.radius() for rho in families] == [5, None, 7]
-    cases = [Sequence.zero(), Sequence.impulse(4), Sequence.from_values([0.0, 3.0, 0.0, -1.0]),
-             Sequence.from_arrays([1, 4, 9], [1.0, 1e-11, -1e-12]),
-             Sequence.from_arrays([0, 6], [2.0, -1e-3]), *windows]
-    for rho in cases:
-        r = rho.radius()
-        for n in range(12):
-            assert rho.reaches(n) == (r is not None and r >= n)
-    with pytest.raises(ValueError, match="radius of a generated sequence needs a horizon"):
-        Sequence.geometric(0.5).radius()
-
-
 def test_impulse_and_vector_entries():
     imp = Sequence.impulse(4, value=2.5)
     assert imp.value(4) == 2.5 and imp.radius() == 4
@@ -308,6 +291,36 @@ def test_a_family_window_has_the_bits_of_its_truncation(gamma, n, horizon):
         got = rho.values_upto(n)
         assert got.dtype == float and got.shape == (n,)
         assert got.tobytes() == rho.truncate(n).values_upto(n).tobytes()
+
+
+def _rule_window(rho, length):
+    """(times, values) of the nonzeros of rho on [0, length - 1], from the
+    rule evaluated at each time: gamma ** t, or 1 / t from t = 1, up to the
+    horizon."""
+    m = length if rho.horizon is None else min(length, rho.horizon + 1)
+    t = np.arange(m, dtype=np.int64)
+    if rho.family == "geometric":
+        v = rho.gamma ** t.astype(float)
+    else:
+        t = t[1:]
+        v = 1.0 / t
+    return t[v != 0.0], v[v != 0.0]
+
+
+def test_a_family_truncation_is_its_rule_at_each_time(rng):
+    gammas = [5e-324, 1e-300, 1e-3, 0.5, 0.9, 0.99, 1.0 - 2 ** -52, *rng.random(20)]
+    families = [Sequence.power]
+    families += [lambda horizon, gamma=gamma: Sequence.geometric(gamma, horizon)
+                 for gamma in gammas if gamma > 0.0]
+    for family in families:
+        for horizon in (None, 0, 1, 2, 3, 7, 100, 5000, 70000):
+            rho = family(horizon=horizon)
+            for length in (0, 1, 2, 3, 4, 7, 8, 101, 4097, 65536):
+                times, values = rho.truncate(length).arrays()
+                want_times, want_values = _rule_window(rho, length)
+                assert times.dtype == np.int64 and values.dtype == np.float64
+                assert times.tobytes() == want_times.tobytes()
+                assert values.tobytes() == want_values.tobytes()
 
 
 @settings(max_examples=40, deadline=None)

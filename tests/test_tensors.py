@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 
 from memlens import tensors
 from memlens.sequences import Sequence, dilated_conv, root_sum_squares
-from memlens.tensors import (Spectrum, Tensor, analysis_window,
-                             matrix_singular_values, mode_flatten_general,
-                             mode_refold_general, outer_product,
-                             singular_values, tensorize,
-                             truncation_error_bound, window_spectrum)
+from memlens.tensors import (Spectrum, analysis_window, matrix_singular_values,
+                             mode_flatten_general, mode_refold_general,
+                             singular_values, truncation_error_bound,
+                             window_spectrum)
 
 
 def _numpy_mode_flatten(data, dims, k):
@@ -20,27 +19,35 @@ def _numpy_mode_flatten(data, dims, k):
     return np.moveaxis(arr, k - 1, 0).reshape(dims[k - 1], -1, order="F")
 
 
-def _pooled_numpy_spectrum(t):
-    K = t.order
+def _pooled_numpy_spectrum(data, l, K):
     out = []
     for k in range(1, K + 1):
-        flat = _numpy_mode_flatten(t.data, (t.l,) * K, k)
+        flat = _numpy_mode_flatten(data, (l,) * K, k)
         vals = list(np.linalg.svd(flat, compute_uv=False))
         if K >= 2:
-            vals += [0.0] * (t.l - len(vals))
+            vals += [0.0] * (l - len(vals))
         out.extend(vals)
     return np.array(sorted(out, reverse=True))
 
 
-def _per_mode_spectrum(t):
+def _per_mode_spectrum(data, l, K):
     """Pooled entries from one moveaxis flattening and one SVD per mode and a
     keyed sort, kept as the exact reference for singular_values."""
     pairs = []
-    for k in range(1, t.order + 1):
-        flat = _numpy_mode_flatten(t.data, (t.l,) * t.order, k)
+    for k in range(1, K + 1):
+        flat = _numpy_mode_flatten(data, (l,) * K, k)
         pairs.extend((float(v), k) for v in np.linalg.svd(flat, compute_uv=False))
     pairs.sort(key=lambda p: (-p[0], p[1]))
     return tuple(pairs)
+
+
+def _outer_window(filters):
+    """The window whose entry at digits (d_1, ..., d_K) is prod_k f_k[d_k],
+    mode 1 fastest: the last filter's axis is the outermost."""
+    arr = np.ones(())
+    for f in filters:
+        arr = np.multiply.outer(np.asarray(f, dtype=float), arr)
+    return arr.reshape(-1)
 
 
 def _mode_values(spec, k):
@@ -49,38 +56,51 @@ def _mode_values(spec, k):
 
 
 def test_tensorize_layout_is_digit_addressed():
-    t = tensorize(Sequence.from_values([1, 2, 3, 4]), 2, 2)
-    assert np.array_equal(t.data, [1.0, 2.0, 3.0, 4.0])
-    assert t.entry((1, 1)) == 1.0
-    assert t.entry((2, 1)) == 2.0
-    assert t.entry((1, 2)) == 3.0
-    assert t.entry((2, 2)) == 4.0
-    assert np.linalg.norm(t.data) == pytest.approx(math.sqrt(30.0))
+    # Window slot t is the entry whose mode-k index is the k-th base-l digit
+    # of t; its mode-k flattening puts it at that row and at the column that
+    # reads the other digits, the lowest fastest.
+    w = Sequence.from_values([1, 2, 3, 4]).values_upto(4)
+    assert np.array_equal(w, [1.0, 2.0, 3.0, 4.0])
+    assert np.array_equal(mode_flatten_general(w, (2, 2), 1), [[1.0, 3.0], [2.0, 4.0]])
+    for l, K in ((2, 3), (3, 3), (4, 2)):
+        w = Sequence.from_values(np.arange(1, l ** K + 1)).values_upto(l ** K)
+        for k in range(1, K + 1):
+            flat = mode_flatten_general(w, (l,) * K, k)
+            for t in range(l ** K):
+                digits = [t // l ** j % l for j in range(K)]
+                rest = digits[:k - 1] + digits[k:]
+                column = sum(d * l ** j for j, d in enumerate(rest))
+                assert flat[digits[k - 1], column] == w[t] == t + 1
+    # A generated target's window is its rule, cut off past the window.
+    assert Sequence.geometric(0.5, horizon=3).values_upto(4)[3] == 0.125
+    assert Sequence.from_arrays([1, 4], [1.0, 1e-9]).values_upto(4).tolist() == [0, 1, 0, 0]
 
 
-def test_tensorize_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        tensorize(Sequence.from_values([0, 0, 0, 0, 1.0]), 2, 2)
-    with pytest.raises(ValueError, match="^radius of a generated sequence needs a horizon$"):
-        tensorize(Sequence.geometric(0.5), 2, 2)
-    with pytest.raises(ValueError, match="^sequence support exceeds the tensor window$"):
-        tensorize(Sequence.power(horizon=10 ** 12), 2, 2)
-    window = tensorize(Sequence.geometric(0.5, horizon=3), 2, 2)
-    assert window.data[3] == 0.125
-    # A live entry stored past the window is refused; entries past it
-    # below zero_tol() are round-off and only the window is folded.
-    with pytest.raises(ValueError, match="exceeds"):
-        tensorize(Sequence.from_arrays([1, 4], [1.0, 1e-9]), 2, 2)
-    rho = Sequence.from_arrays([1, 4, 9], [1.0, 1e-11, -1e-12])
-    assert rho.zero_tol() > 1e-11
-    assert np.array_equal(tensorize(rho, 2, 2).data, [0.0, 1.0, 0.0, 0.0])
-    assert tensorize(Sequence.from_arrays([], []), 2, 2).data.tobytes() == bytes(32)
+def test_singular_values_refuses_a_bad_depth_or_shape():
+    for l, K in ((1, 2), (0, 2), (2, 0), (3, -1)):
+        with pytest.raises(ValueError, match="^need l >= 2 and K >= 1$"):
+            singular_values(np.ones(4), l, K)
+    for shape in ((3,), (5,), (2, 2), (1, 4), ()):
+        with pytest.raises(ValueError, match="^a window must hold exactly l\\^K entries$"):
+            singular_values(np.ones(shape), 2, 2)
+
+
+def test_window_spectrum_checks_the_depth_before_it_reads_the_window():
+    class Unread:
+        def values_upto(self, n):
+            raise AssertionError("the window was read")
+
+    for l, K in ((1, 3), (0, 1), (2, 0), (4, -2)):
+        with pytest.raises(ValueError, match="^need l >= 2 and K >= 1$"):
+            window_spectrum(Unread(), l, K)
+    spec = window_spectrum(Sequence.from_arrays([1, 4], [1.0, 5.0]), 2, 2)
+    assert spec.values.tolist() == [1.0, 1.0, 0.0, 0.0]
 
 
 def test_mode_flatten_small_case():
-    t = tensorize(Sequence.from_values([1, 2, 3, 4]), 2, 2)
-    assert np.array_equal(mode_flatten_general(t.data, (2, 2), 1), [[1.0, 3.0], [2.0, 4.0]])
-    assert np.array_equal(mode_flatten_general(t.data, (2, 2), 2), [[1.0, 2.0], [3.0, 4.0]])
+    w = Sequence.from_values([1, 2, 3, 4]).values_upto(4)
+    assert np.array_equal(mode_flatten_general(w, (2, 2), 1), [[1.0, 3.0], [2.0, 4.0]])
+    assert np.array_equal(mode_flatten_general(w, (2, 2), 2), [[1.0, 2.0], [3.0, 4.0]])
 
 
 @settings(max_examples=50, deadline=None)
@@ -108,14 +128,13 @@ def test_matrix_singular_values_matches_numpy(rng):
 def test_spectrum_pools_all_mode_flattenings(rng):
     for l, K in ((2, 2), (2, 3), (3, 2), (3, 3), (2, 4)):
         for _ in range(5):
-            rho = Sequence.from_values(rng.normal(size=l ** K))
-            t = tensorize(rho, l, K)
-            spec = singular_values(t)
+            data = Sequence.from_values(rng.normal(size=l ** K)).values_upto(l ** K)
+            spec = singular_values(data, l, K)
             assert len(spec.values) == l * K
-            assert np.allclose(spec.values, _pooled_numpy_spectrum(t), atol=1e-10)
+            assert np.allclose(spec.values, _pooled_numpy_spectrum(data, l, K), atol=1e-10)
             for k in range(1, K + 1):
                 energy = float(np.sum(_mode_values(spec, k) ** 2))
-                assert energy == pytest.approx(np.linalg.norm(t.data) ** 2, rel=1e-10)
+                assert energy == pytest.approx(np.linalg.norm(data) ** 2, rel=1e-10)
 
 
 def _decaying_windows(n):
@@ -128,20 +147,18 @@ def _decaying_windows(n):
 def test_spectrum_matches_numpy_oracle_on_decaying_windows():
     l, K = 8, 5
     for data in _decaying_windows(l ** K).values():
-        t = Tensor(l=l, order=K, data=data)
-        got = singular_values(t).values
-        want = _pooled_numpy_spectrum(t)
+        got = singular_values(data, l, K).values
+        want = _pooled_numpy_spectrum(data, l, K)
         assert np.max(np.abs(got - want)) <= 1e-9 * want[0]
 
 
 def test_rank_one_window_has_rank_equal_to_depth():
     data = _decaying_windows(2 ** 15)["exp:0.99"]
     for l, K in ((2, 15), (8, 5)):
-        t = Tensor(l=l, order=K, data=data)
-        spec = singular_values(t)
+        spec = singular_values(data, l, K)
         assert spec.rank() == K
         for k in range(1, K + 1):
-            assert _mode_values(spec, k)[0] == pytest.approx(np.linalg.norm(t.data),
+            assert _mode_values(spec, k)[0] == pytest.approx(np.linalg.norm(data),
                                                              rel=1e-12)
 
 
@@ -153,11 +170,10 @@ def test_batched_spectrum_is_the_per_mode_loop(rng, monkeypatch):
             windows = [rng.normal(size=l ** K) * scale for scale in (1e-200, 1.0, 1e200)]
             windows += [np.zeros(l ** K), np.eye(1, l ** K, l ** K - 1)[0]]
             for data in windows:
-                t = Tensor(l=l, order=K, data=data)
-                want = _per_mode_spectrum(t)
+                want = _per_mode_spectrum(data, l, K)
                 for group in (1, 2, 3, K):
                     monkeypatch.setattr(tensors, "_STACK_BUDGET", group * data.nbytes)
-                    assert singular_values(t).entries == want
+                    assert singular_values(data, l, K).entries == want
             K += 1
 
 
@@ -170,29 +186,28 @@ def test_spectrum_decomposes_a_window_over_the_budget_in_groups(monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    t = tensorize(Sequence.power(horizon=2 ** 15 - 1), 2, 15)
+    data = Sequence.power(horizon=2 ** 15 - 1).values_upto(2 ** 15)
     for group, sizes in ((1, [1] * 15), (4, [4, 4, 4, 3]), (7, [7, 7, 1]),
                          (8, [8, 7]), (15, [15]), (16, [15])):
-        monkeypatch.setattr(tensors, "_STACK_BUDGET", group * t.data.nbytes)
+        monkeypatch.setattr(tensors, "_STACK_BUDGET", group * data.nbytes)
         calls.clear()
-        singular_values(t)
+        singular_values(data, 2, 15)
         assert calls == sizes
     # The module's own budget takes the 256 KB (2, 15) window 8 modes at a
     # time, and any (2, 18) window's 2 MB flattenings one at a time.
     monkeypatch.setattr(tensors, "_STACK_BUDGET", budget)
     calls.clear()
-    singular_values(t)
-    singular_values(Tensor(l=2, order=18, data=np.ones(2 ** 18)))
+    singular_values(data, 2, 15)
+    singular_values(np.ones(2 ** 18), 2, 18)
     assert calls == [8, 7] + [1] * 18
 
 
 def test_spectrum_memory_is_one_window_beside_the_window():
     data = 1.0 / np.arange(1, 2 ** 18 + 1)
-    t = Tensor(l=2, order=18, data=data)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        singular_values(t)
+        singular_values(data, 2, 18)
         spec_peak = tracemalloc.get_traced_memory()[1] - before
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
@@ -219,12 +234,12 @@ def test_spectrum_flattens_each_mode_and_runs_one_svd(monkeypatch):
 
     monkeypatch.setattr(tensors, "_mode_view", counted_flatten)
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    singular_values(tensorize(Sequence.power(horizon=40).truncate(81), 3, 4))
+    singular_values(Sequence.power(horizon=40).values_upto(81), 3, 4)
     assert calls == {"flatten": 4, "svd": 1}
 
 
 def test_spectrum_depth_one_is_the_window_norm():
-    spec = singular_values(tensorize(Sequence.from_values([3.0, 4.0]), 2, 1))
+    spec = singular_values(np.array([3.0, 4.0]), 2, 1)
     assert len(spec.values) == 1
     assert spec.values[0] == pytest.approx(5.0)
 
@@ -273,12 +288,6 @@ def test_spectrum_values_are_made_once_and_read_only(rng):
             spec.values[...] = 1.0
 
 
-def test_outer_product_reads_one_vector_per_mode():
-    t = outer_product([np.array([1.0, 2.0]), np.array([3.0, 4.0])])
-    assert np.array_equal(t.data, [3.0, 6.0, 4.0, 8.0])
-    assert t.entry((2, 1)) == 6.0
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 3), st.integers(2, 3), st.data())
 def test_chain_tensorises_to_outer_product(l, K, data):
@@ -288,17 +297,15 @@ def test_chain_tensorises_to_outer_product(l, K, data):
     acc = seqs[0]
     for k in range(1, K):
         acc = dilated_conv(seqs[k], acc, l ** k)
-    left = tensorize(acc, l, K).data
-    right = outer_product([np.array(f, dtype=float) for f in filters]).data
-    assert np.allclose(left, right, atol=1e-12)
+    assert np.allclose(acc.values_upto(l ** K), _outer_window(filters), atol=1e-12)
 
 
 def test_zero_padding_law(rng):
     for l, K in ((2, 2), (2, 3), (3, 2)):
         for _ in range(10):
             rho = Sequence.from_values(rng.normal(size=l ** K))
-            base = singular_values(tensorize(rho, l, K)).values
-            deeper = singular_values(tensorize(rho, l, K + 1)).values
+            base = window_spectrum(rho, l, K).values
+            deeper = window_spectrum(rho, l, K + 1).values
             merged = sorted(list(base) + [float(rho.norm())] + [0.0] * (l - 1),
                             reverse=True)
             assert np.allclose(deeper, merged, atol=1e-10)
@@ -360,4 +367,4 @@ def test_a_window_beyond_the_time_limit_is_refused_by_name():
 def test_window_spectrum_reads_the_truncated_window():
     rho = Sequence.power(horizon=40)
     spec = window_spectrum(rho, 2, 4)
-    assert spec.entries == singular_values(tensorize(rho.truncate(16), 2, 4)).entries
+    assert spec.entries == singular_values(rho.truncate(16).values_upto(16), 2, 4).entries
