@@ -3,11 +3,11 @@
 The complexity of a target relative to a decay budget g is the smallest
 constant c such that every spectrum tail mass of every tensorised window
 stays below c * g(s); the tail mass at offset s of the depth-K window is
-tensors.truncation_error_bound(spec, s + K - 1) on its pooled spectrum
-spec = tensors.window_spectrum(rho, l, K).  Together with the window tail
-norm it yields the two-sided approximation bound for a dilated-convolution
-stack, and the per-(K, M) error curves that compare targets at equal
-parameter budgets.
+the one tensors.truncation_error_bound reads at kept rank s + K - 1 off
+its pooled spectrum spec = tensors.window_spectrum(rho, l, K).  Together
+with the window tail norm it yields the two-sided approximation bound for
+a dilated-convolution stack, and the per-(K, M) error curves that compare
+targets at equal parameter budgets.
 """
 
 from __future__ import annotations
@@ -129,17 +129,17 @@ def complexity_measure(rho: Sequence | Family, l: int, g: DecayProfile,
                        k_cap=None) -> Scalar:
     """Smallest constant bounding every spectrum tail mass by c * g(s).
 
-    The tail mass at offset s of the depth-K window is
-    tensors.truncation_error_bound(spec, s + K - 1): the root of the summed
-    squares of the pooled spectrum from position s + K (one-based) on, for
-    s up to l*K - K; support beyond the window is accounted separately
-    through tail norms.  The supremum runs over those offsets and window
-    depths K from 1 up to the coverage depth (the smallest K whose window
-    holds the whole support); deeper windows only duplicate tail masses,
-    so the cap does not change the value.  Tail masses below round-off
-    relative to the sequence norm are treated as exact zeros.  Returns
-    infinity when a nonzero tail mass meets g(s) = 0.  A generated rho is
-    measured up to its horizon, so it needs one (see
+    The tail mass at offset s of the depth-K window is the one
+    tensors.truncation_error_bound reads at kept rank s + K - 1: the root
+    of the summed squares of the pooled spectrum from position s + K
+    (one-based) on, for s up to l*K - K; support beyond the window is
+    accounted separately through tail norms.  The supremum runs over those
+    offsets and window depths K from 1 up to the coverage depth (the
+    smallest K whose window holds the whole support); deeper windows only
+    duplicate tail masses, so the cap does not change the value.  Tail
+    masses below round-off relative to the sequence norm are treated as
+    exact zeros.  Returns infinity when a nonzero tail mass meets g(s) = 0.
+    A generated rho is measured up to its horizon, so it needs one (see
     tensors.analysis_window).
     """
     rho = tensors.analysis_window(rho, l)
@@ -154,7 +154,7 @@ def complexity_measure(rho: Sequence | Family, l: int, g: DecayProfile,
     best = 0.0
     for K in range(1, cap + 1):
         spec = tensors.window_spectrum(rho, l, K)
-        for s, t in enumerate(tensors._tail_masses(spec, range(K - 1, l * K))):
+        for s, t in enumerate(tensors.truncation_error_bound(spec, range(K - 1, l * K))):
             if t <= noise:
                 continue
             gs = g(s)
@@ -209,7 +209,7 @@ def error_curve(rho: Sequence | Family, l: int, K_list, M_range,
         tail_term = rho.tail_norm(l ** K).upper
         budgets = [math.floor(K * M ** (1.0 / K)) for M in widths]
         kept = list(dict.fromkeys(budgets))
-        rank_terms = dict(zip(kept, tensors._tail_masses(spec, kept)))
+        rank_terms = dict(zip(kept, tensors.truncation_error_bound(spec, kept)))
         rows += [CurveRow(K, M, rank_terms[b], tail_term, rank_terms[b] + tail_term)
                  for M, b in zip(widths, budgets)]
     return ErrorCurveTable(target=target_id, l=l, rows=tuple(rows))

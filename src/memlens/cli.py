@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import gc
 import inspect
 import math
 import os
@@ -128,17 +127,8 @@ def load_target(text: str):
     """(Sequence or Family, label) from a JSON file path, or from a builtin
     id, which experiments.make_target reads and which is its own label."""
     if text.endswith(".json") or os.path.sep in text:
-        # The decoded numbers hold no reference cycles and are freed by
-        # reference counting; with the collector paused no collection walks
-        # them while they are decoded and converted.
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            with open(text, encoding="utf-8") as fh:
-                seq = Sequence.from_json(fh.read())
-        finally:
-            if enabled:
-                gc.enable()
+        with open(text, encoding="utf-8") as fh:
+            seq = Sequence.from_json(fh.read())
         label = os.path.splitext(os.path.basename(text))[0]
         return seq, label
     return make_target(text), text

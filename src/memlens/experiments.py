@@ -301,7 +301,7 @@ def conformance_suite():
         f"row, which has no reading under the depth-one definition"))
 
     # The tail mass at offset s of the depth-3 window.
-    prof = tensors._tail_masses(spectra[3], range(2, 5))
+    prof = tensors.truncation_error_bound(spectra[3], range(2, 5))
     ok = (abs(prof[1] ** 2 - 2.0) <= 1e-9
           and abs(prof[2] ** 2 - 1.0) <= 1e-9)
     items.append(_check(

@@ -356,7 +356,7 @@ def synthesize_radix(target: Sequence, l: int) -> CnnSpec:
     sums the paths.  The stored filter count is at most K times the
     target sparsity.
     """
-    if target.kind != "finite":
+    if not isinstance(target, Sequence):
         raise ValueError("synthesis needs a finitely supported target")
     K = tensors.coverage_depth(l, target.radius() or 0)
     times, values = target.arrays()
@@ -397,6 +397,8 @@ def synthesize_lowrank(target: Sequence | Family, l: int, K=None) -> CnnSpec:
     (1, r_1, ..., r_{K-1}, 1) and filter (k, j, i) is the core slice
     G_k[j, :, i] whenever it is nonzero.  A zero window gives an empty
     bank of width-1 layers; a single layer's filter is the window itself.
+    A window near the float limit can need a last-core weight beyond it,
+    which raises ValueError.
     """
     if K is None:
         K = tensors.coverage_depth(l, target.radius() or 0)
@@ -417,7 +419,12 @@ def synthesize_lowrank(target: Sequence | Family, l: int, K=None) -> CnnSpec:
         r = int(np.sum(tails > _TT_REL_TOL ** 2 / (K - 1)))
         cores.append(u[:, :r].reshape(len(rest), l, r, order="F"))
         rest = s[:r, None] * vt[:r]
-    cores.append(scale * rest.reshape(len(rest), l, 1, order="F"))
+    with np.errstate(over="ignore"):
+        last = scale * rest.reshape(len(rest), l, 1, order="F")
+    if not np.isfinite(last).all():
+        raise ValueError(f"the low-rank bank of this window needs a filter "
+                         f"weight beyond the float limit {_HUGE!r}")
+    cores.append(last)
     live = [np.nonzero(core.any(axis=1)) for core in cores]
     index = np.concatenate([np.column_stack((np.full(len(j), k), j, i))
                             for k, (j, i) in enumerate(live)])

@@ -171,23 +171,15 @@ def _read_number(text: str, what):
 
 
 def _matrix(values):
-    """values as a float array.  In a list, a string or a bool, as a value
-    or as an item of a list or tuple value, is refused, though numpy would
-    read it as a number.  A list of rows [v] that are all lists or tuples
-    of one int or float is read in one pass over their items, as a 1-D
-    array; anything else as np.asarray reads it, so the result or the
-    error is np.asarray's."""
+    """values as np.asarray(values, dtype=float) reads them, so the result
+    or the error is np.asarray's; n rows [v] give an (n, 1) array.  In a
+    list, a string or a bool, as a value or as an item of a list or tuple
+    value, is refused, though numpy would read it as a number."""
     if isinstance(values, list):
-        rows = {list, tuple}.issuperset(map(type, values))
-        # One flat list costs less than walking the rows twice.
-        items = list(chain.from_iterable(values)) if rows else values
-        if not {int, float}.issuperset(map(type, items)):
-            for x in chain.from_iterable(v if type(v) in (list, tuple) else (v,)
-                                         for v in values):
-                if isinstance(x, (str, bool)):
-                    raise ValueError(f"a value must be a number, not {x!r:.40}")
-        elif rows and set(map(len, values)) == {1}:
-            return np.fromiter(items, float, count=len(items))
+        for x in chain.from_iterable(v if type(v) in (list, tuple) else (v,)
+                                     for v in values):
+            if isinstance(x, (str, bool)):
+                raise ValueError(f"a value must be a number, not {x!r:.40}")
     return np.asarray(values, dtype=float)
 
 
@@ -336,10 +328,6 @@ class Sequence:
 
     # -- basic accessors -----------------------------------------------
 
-    @property
-    def kind(self) -> str:
-        return "finite"
-
     def arrays(self):
         """Read-only (times, values) views of the support."""
         times, values = self._times.view(), self._values.view()
@@ -452,7 +440,7 @@ class Sequence:
             except TypeError:
                 raise ValueError("each entry must be a (time, value) pair") from None
             try:
-                return cls.from_arrays(times, values) if entries else cls.zero()
+                return cls.from_arrays(times, values)
             except TypeError as exc:  # a value numpy cannot read as a number
                 raise ValueError(str(exc)) from None
         family = obj.get("family")
@@ -507,10 +495,6 @@ class Family:
             if not 0.0 < g < 1.0:
                 raise ValueError("geometric family needs 0 < gamma < 1")
             object.__setattr__(self, "gamma", g)
-
-    @property
-    def kind(self) -> str:
-        return "generated"
 
     def truncate(self, length: int) -> Sequence:
         """The finite restriction to the window [0, length - 1]: the
@@ -617,7 +601,7 @@ def dilated_conv(f: Sequence, g: Sequence, dilation: int) -> Sequence:
     if dilation < 1:
         raise ValueError("dilation must be >= 1")
     for name, operand in (("f", f), ("g", g)):
-        if operand.kind != "finite":
+        if not isinstance(operand, Sequence):
             raise ValueError(f"{name} must be finitely supported")
     ft, fv = f.arrays()
     gt, gv = g.arrays()

@@ -3,14 +3,15 @@
 The length-l^K window of a target rho is one dense float64 array,
 rho.values_upto(l^K), read as an order-K tensor: its mode-k index is the
 k-th base-l digit of the time index (mode 1 is the least significant
-digit), so no entry moves.  _mode_view reads a mode flattening off that
-array in place, and mode_flatten_general gives it as a matrix.  The
-pooled singular values of the K mode flattenings drive the rank counts
-and truncation bounds used by the approximation-rate machinery.
+digit), so no entry moves.  _mode_view is the one layout rule: it reads
+a mode flattening off that array in place, mode_flatten_general gives it
+as a matrix, and mode_refold_general writes a matrix back through it.
+The pooled singular values of the K mode flattenings drive the rank
+counts and truncation bounds used by the approximation-rate machinery.
 window_spectrum is the one path from a target to its depth-K pooled
-spectrum, and truncation_error_bound the one path from a spectrum to a
-tail: the spectrum tail at offset s that the complexity measure reads is
-truncation_error_bound(spec, s + K - 1).
+spectrum, and truncation_error_bound the one path from a spectrum to its
+tails: the tail masses at offsets s = 0, ..., l*K - K that the complexity
+measure reads are truncation_error_bound(spec, range(K - 1, l * K)).
 
 Singular values come from direct SVDs of the K flattenings, never their
 Gram matrices: forming a Gram matrix squares the condition number and
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sequences import _HUGE, _TINY, Family, Scalar, Sequence, root_sum_squares
+from .sequences import _HUGE, _TINY, Family, Sequence, root_sum_squares
 
 RANK_REL_TOL = 1e-8
 # The stack of flattenings one batched SVD decomposes holds at most this
@@ -71,12 +72,12 @@ class Spectrum:
         object.__setattr__(spec, "values", pooled)
         return spec
 
-    def rank(self, tol=RANK_REL_TOL) -> int:
-        """Number of entries above tol relative to the largest."""
+    def rank(self) -> int:
+        """Number of entries above RANK_REL_TOL relative to the largest."""
         values = self.values
         if len(values) == 0 or values[0] <= 0.0:
             return 0
-        return int(np.sum(values > tol * values[0]))
+        return int(np.sum(values > RANK_REL_TOL * values[0]))
 
 
 def mode_flatten_general(data, dims, k) -> np.ndarray:
@@ -114,9 +115,10 @@ def mode_refold_general(mat, dims, k) -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
     if mat.shape != (dims[k - 1], math.prod(dims) // dims[k - 1]):
         raise ValueError("matrix shape does not match dims")
-    moved = (dims[k - 1],) + dims[:k - 1] + dims[k:]
-    arr = np.moveaxis(mat.reshape(moved, order="F"), 0, k - 1)
-    return arr.reshape(-1, order="F")
+    out = np.empty(math.prod(dims))
+    view = _mode_view(out, dims, k)
+    view[...] = mat.reshape(view.shape)
+    return out
 
 
 def coverage_depth(l: int, radius: int) -> int:
@@ -134,7 +136,7 @@ def analysis_window(rho: Sequence | Family, l: int, K=None) -> Sequence:
     """rho as the analyses read it: a Sequence as it is, and a Family as
     the Sequence its truncate makes, cut after its horizon or, without a
     horizon, to its length-l^K window, which needs a depth K."""
-    if rho.kind == "finite":
+    if isinstance(rho, Sequence):
         return rho
     if rho.horizon is not None:
         return rho.truncate(rho.horizon + 1)
@@ -187,27 +189,22 @@ def window_spectrum(rho: Sequence | Family, l: int, K: int) -> Spectrum:
     return singular_values(rho.values_upto(l ** K), l, K)
 
 
-def truncation_error_bound(spec: Spectrum, kept_rank: int) -> Scalar:
-    """sqrt of the spectrum tail mass beyond the kept_rank largest values.
+def truncation_error_bound(spec: Spectrum, kept_ranks) -> list:
+    """sqrt of the spectrum tail mass beyond the r largest values, for each
+    kept rank r of kept_ranks, as a list of floats.
 
-    This bounds the best approximation error achievable by any tensor
-    whose summed mode ranks stay within kept_rank.  A kept_rank at or past
-    the end of the spectrum leaves an empty tail, 0.0.
+    Each bounds the best approximation error achievable by any tensor
+    whose summed mode ranks stay within r.  A rank at or past the end of
+    the spectrum leaves an empty tail, 0.0.  The tails are read off one
+    array of squares: where a tail's sum of squares is normal it is the
+    root of that sum, and elsewhere root_sum_squares rescales that tail.
     """
-    if kept_rank < 0:
+    kept_ranks = tuple(kept_ranks)
+    if min(kept_ranks, default=0) < 0:
         raise ValueError("kept_rank must be >= 0")
-    return Scalar(_tail_masses(spec, (kept_rank,))[0])
-
-
-def _tail_masses(spec: Spectrum, kept_ranks) -> list:
-    """truncation_error_bound(spec, r).value for each r of kept_ranks (all
-    >= 0), bit for bit, from one array of squares: where a tail's sum of
-    squares is normal it is the same sum of the same squares, and
-    elsewhere root_sum_squares rescales that tail."""
     values = spec.values
     with np.errstate(over="ignore"):
         squares = values * values
         sums = [float(squares[r:].sum()) for r in kept_ranks]
     return [math.sqrt(s) if _TINY <= s <= _HUGE else root_sum_squares(values[r:])
             for r, s in zip(kept_ranks, sums)]
-

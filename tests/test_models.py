@@ -2,6 +2,7 @@ import json
 import math
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -327,6 +328,20 @@ def test_lowrank_synthesis_replays_the_window(rng):
     for target in (rank1, Sequence.geometric(0.5)):
         with pytest.raises(ValueError, match="^a 64-bit time index is beyond"):
             synthesize_lowrank(target, 2, 64)
+
+
+def test_lowrank_synthesis_near_the_float_limit_names_the_limit():
+    # The last core takes the window's scale back; a weight past the float
+    # range is refused by name, with no overflow warning on the way.
+    target = Sequence.from_arrays(range(4), [1.3e308] * 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^the low-rank bank of this window needs "
+                           r"a filter weight beyond the float limit 1\.7976931348623157e\+308$"):
+            synthesize_lowrank(target, 2)
+        assert synthesize_radix(target, 2).filter_count == 8
+        below = Sequence.from_arrays(range(4), [1e308] * 4)
+        assert replay_residual(synthesize_lowrank(below, 2), below) <= 1e-12 * 1e308
 
 
 def test_synthesis_banks_share_one_layout():

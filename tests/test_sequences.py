@@ -1,4 +1,5 @@
 import decimal
+import gc
 import json
 import math
 from decimal import Decimal
@@ -217,7 +218,7 @@ def test_truncate_restricts_to_the_window():
     assert s.truncate(2).values_upto(3).tolist() == [1.0, 2.0, 0.0]
     assert s.truncate(0).radius() is None
     geo = Sequence.geometric(0.5).truncate(4)
-    assert geo.kind == "finite" and geo.radius() == 3
+    assert isinstance(geo, Sequence) and geo.radius() == 3
 
 
 def test_json_round_trip():
@@ -392,59 +393,6 @@ def _outcome(make):
     return times.dtype, times.tobytes(), values.dtype, values.shape, values.tobytes()
 
 
-def _numpy_reading(values):
-    """The value list through np.asarray, once no value and no item of a
-    list or tuple value is a string or a bool."""
-    for value in values:
-        for x in value if isinstance(value, (list, tuple)) else [value]:
-            if isinstance(x, (str, bool)):
-                raise ValueError(f"a value must be a number, not {x!r:.40}")
-    return np.asarray(values, dtype=float)
-
-
-def _rows_as_numpy_read_them(rows):
-    """The row conversion without the one-pass path: _numpy_reading inside
-    _columns."""
-    with mock.patch.object(sequences, "_matrix", _numpy_reading):
-        return Sequence.from_json({"dim": 1, "entries": rows})
-
-
-_TIME = st.one_of(st.integers(0, 9), st.integers(0, 9).map(float),
-                  st.sampled_from([2 ** 62, 2.5, -1, "3", None]))
-_ITEM = st.one_of(st.integers(-2 ** 70, 2 ** 70), st.floats(allow_nan=False),
-                  st.sampled_from([-0.0, 1e308, -1e308]))
-_ODD_ITEM = st.one_of(st.booleans(), st.none(), st.text(max_size=3),
-                      st.sampled_from(["1.5", "nan", float("nan"), float("inf"),
-                                       float("-inf")]),
-                      st.lists(_ITEM, max_size=2), st.lists(_ITEM, max_size=2).map(tuple))
-
-
-@st.composite
-def _value_rows(draw):
-    """(time, value) rows of lists or tuples of one number, or bare
-    numbers, with at times one row spoilt: a wrong width, odd items or a
-    bare value."""
-    row = st.lists(_ITEM, min_size=1, max_size=1)
-    rows = draw(st.lists(st.tuples(_TIME, st.one_of(row, row.map(tuple), _ITEM)), max_size=10))
-    if rows and draw(st.booleans()):
-        at = draw(st.integers(0, len(rows) - 1))
-        odd = st.lists(st.one_of(_ITEM, _ODD_ITEM), min_size=1, max_size=1)
-        rows[at] = (rows[at][0], draw(st.one_of(
-            st.lists(_ITEM, max_size=2), odd, odd.map(tuple), _ITEM, _ODD_ITEM)))
-    return rows
-
-
-@settings(max_examples=300, deadline=None)
-@given(_value_rows())
-@example([(0, 1.0), (3, [2.0])])
-@example([(4, (2 ** 70,)), (4.0, [-0.0]), (1, [3])])
-@example([(0, [[1.0]]), (1, [[2.0]])])
-@example([(0, ["x"]), (1, [None])])
-def test_row_conversion_is_the_numpy_reading(rows):
-    assert (_outcome(lambda: Sequence.from_json({"dim": 1, "entries": rows})) ==
-            _outcome(lambda: _rows_as_numpy_read_them(rows)))
-
-
 _TIME_TOKENS = [str(2 ** 63 - 1), str(2 ** 63), "-1", "2.0", "1e1"]
 _VALUE_TOKENS = ["-0", "-0.0", "5e-324", "1e308", "1e400", str(2 ** 53 + 1), "7" * 400]
 _EDITS = list('[],0123456789-.eE "{}:') + ["true", "null", "NaN", '"1.5"']
@@ -520,3 +468,30 @@ def test_to_json_texts_are_read_as_one_flat_list(rng):
                 text = json.dumps(seq.to_json(), indent=indent)
                 assert _outcome(lambda: Sequence.from_json(text)) == _outcome(lambda: seq)
                 assert read[-1] is not None
+
+
+def test_a_to_json_text_loads_without_a_garbage_collection(rng):
+    # The flat reading makes no object per row, so a 2^15-row target starts
+    # no collection while it loads, and loading needs no pause of the collector.
+    n = 1 << 15
+    seq = Sequence.from_arrays(np.arange(n), rng.normal(size=n))
+    started = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        for indent in (None, 2):
+            text = json.dumps(seq.to_json(), indent=indent)
+            gc.collect()
+            gc.callbacks.append(count)
+            try:
+                Sequence.from_json(text)
+            finally:
+                gc.callbacks.remove(count)
+            assert started == [], indent
+    finally:
+        (gc.enable if was else gc.disable)()

@@ -313,12 +313,13 @@ def test_zero_padding_law(rng):
 
 def test_truncation_error_bound_tail_semantics():
     spec = Spectrum.from_mode_values([[3.0, 2.0, 1.0]])
-    assert truncation_error_bound(spec, 0).value == pytest.approx(math.sqrt(14.0))
-    assert truncation_error_bound(spec, 1).value == pytest.approx(math.sqrt(5.0))
-    assert truncation_error_bound(spec, 3).value == 0.0
-    assert truncation_error_bound(spec, 99).value == 0.0
+    tails = truncation_error_bound(spec, [0, 1, 3, 99])
+    assert tails[0] == pytest.approx(math.sqrt(14.0))
+    assert tails[1] == pytest.approx(math.sqrt(5.0))
+    assert tails[2] == 0.0
+    assert tails[3] == 0.0
     with pytest.raises(ValueError):
-        truncation_error_bound(spec, -1)
+        truncation_error_bound(spec, [2, -1])
 
 
 def test_tail_masses_are_root_sum_squares_of_each_tail(rng):
@@ -335,8 +336,8 @@ def test_tail_masses_are_root_sum_squares_of_each_tail(rng):
             spec = Spectrum.from_mode_values([scale * values])
             ranks = range(len(values) + 2)
             want = [root_sum_squares(spec.values[r:]).hex() for r in ranks]
-            assert [t.hex() for t in tensors._tail_masses(spec, ranks)] == want
-            assert [truncation_error_bound(spec, r).value.hex() for r in ranks] == want
+            assert [t.hex() for t in truncation_error_bound(spec, ranks)] == want
+            assert [truncation_error_bound(spec, [r])[0].hex() for r in ranks] == want
 
 
 def test_tensor_rank_counts_pooled_nonzeros():
@@ -349,7 +350,7 @@ def test_analysis_window_rule():
     finite = Sequence.from_values([1.0, 0.0, 0.0, 0.0, 2.0])
     assert analysis_window(finite, 2, 1) is finite
     cut = analysis_window(Sequence.power(horizon=5), 2, 1)
-    assert cut.kind == "finite" and cut.radius() == 5
+    assert isinstance(cut, Sequence) and cut.radius() == 5
     assert analysis_window(Sequence.geometric(0.5), 2, 3).radius() == 7
     with pytest.raises(ValueError, match="horizon"):
         analysis_window(Sequence.geometric(0.5), 2)
