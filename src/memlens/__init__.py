@@ -10,8 +10,8 @@ low-rank model synthesis, and head-to-head comparison scenarios.
 """
 
 from .sequences import Family, Scalar, Sequence, dilated_conv
-from .tensors import (Spectrum, matrix_singular_values, singular_values,
-                      truncation_error_bound, window_spectrum)
+from .tensors import (Spectrum, singular_values, truncation_error_bound,
+                      tt_svd, window_spectrum)
 from .models import (CnnSpec, RnnSpec, cnn_min_depth_expdecay,
                      cnn_representation, effective_filters,
                      power_sum_delta_bound, rnn_min_width_impulse,
@@ -24,8 +24,8 @@ from .experiments import (ComparisonReport, CurveStudy, comparison_report,
 
 __all__ = [
     "Family", "Scalar", "Sequence", "dilated_conv",
-    "Spectrum", "matrix_singular_values", "singular_values",
-    "truncation_error_bound", "window_spectrum",
+    "Spectrum", "singular_values", "truncation_error_bound", "tt_svd",
+    "window_spectrum",
     "CnnSpec", "RnnSpec", "cnn_min_depth_expdecay", "cnn_representation",
     "effective_filters", "power_sum_delta_bound", "rnn_min_width_impulse",
     "rnn_representation", "synthesize_lowrank", "synthesize_radix",

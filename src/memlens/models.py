@@ -5,9 +5,9 @@ layer-k dilation is l^k; its induced representation is the response to a
 unit impulse and is supported inside the receptive field [0, l^K - 1].
 Two synthesizers build exact filter banks for a finitely supported
 target: a digit-reading construction with one channel path per nonzero
-entry, and the TT-SVD of the window over its base-l digits, a tensor
-train whose cores are the filters and whose widths are the ranks of the
-window's sequential unfoldings.  One function, _check_widths, checks
+entry, and the tensor train of the window over its base-l digits from
+tensors.tt_svd, whose cores are the filters and whose widths are the
+ranks of its sequential unfoldings.  One function, _check_widths, checks
 every width plan (M_0, ..., M_K), so each of its faults has one text.
 
 An RnnSpec holds a linear recurrence whose representation is the power
@@ -378,53 +378,22 @@ def synthesize_radix(target: Sequence, l: int) -> CnnSpec:
     return CnnSpec.from_arrays(l, K, channels, index, weights.reshape(-1, l))
 
 
-# Share of the window norm that all TT-SVD steps together may discard:
-# the K - 1 step tails add in quadrature, so each step may drop
-# _TT_REL_TOL / sqrt(K - 1) of it, and the bank stays a tenth inside the
-# 1e-12 replay contract.
-_TT_REL_TOL = 1e-13
-
-
 def synthesize_lowrank(target: Sequence | Family, l: int, K=None) -> CnnSpec:
     """Exact tensor-train filter bank for the length-l^K window of target.
 
-    K defaults to the coverage depth of the support.  The window, read
-    over the base-l digits of its time index, is split by TT-SVD: step
-    k < K takes one SVD of the (r_{k-1} l) x l^(K-k) unfolding of what is
-    left (r_0 = 1) and keeps the smallest rank r_k whose discarded tail
-    is at most _TT_REL_TOL / sqrt(K - 1) of the window norm, so r_k is
-    the numerical rank of the k-th sequential unfolding.  The widths are
-    (1, r_1, ..., r_{K-1}, 1) and filter (k, j, i) is the core slice
-    G_k[j, :, i] whenever it is nonzero.  A zero window gives an empty
-    bank of width-1 layers; a single layer's filter is the window itself.
-    A window near the float limit can need a last-core weight beyond it,
-    which raises ValueError.
+    K defaults to the coverage depth of the support.  The widths are the
+    ranks (1, r_1, ..., r_{K-1}, 1) of the cores of tensors.tt_svd, and
+    filter (k, j, i) is the core slice G_k[j, :, i] whenever it is nonzero:
+    a zero window gives an empty bank of width-1 layers, a single layer's
+    filter is the window itself, and a window near the float limit whose
+    last core holds a weight beyond it raises ValueError.
     """
     if K is None:
         K = tensors.coverage_depth(l, target.radius() or 0)
-    tensors._check_depth(l, K)
-    data = target.values_upto(l ** K)
-    if not data.any():
-        return CnnSpec.from_arrays(l, K, (1,) * (K + 1), (), np.zeros((0, l)))
-    # The split runs on the window over its largest entry, which the last
-    # core takes back, so no norm underflows or overflows at any scale.
-    scale = np.abs(data).max()
-    rest = data[None, :] / scale
-    norm = np.linalg.norm(rest)
-    cores = []
-    for _ in range(K - 1):
-        u, s, vt = np.linalg.svd(rest.reshape(len(rest) * l, -1, order="F"),
-                                 full_matrices=False)
-        tails = np.cumsum((s[::-1] / norm) ** 2)[::-1]
-        r = int(np.sum(tails > _TT_REL_TOL ** 2 / (K - 1)))
-        cores.append(u[:, :r].reshape(len(rest), l, r, order="F"))
-        rest = s[:r, None] * vt[:r]
-    with np.errstate(over="ignore"):
-        last = scale * rest.reshape(len(rest), l, 1, order="F")
-    if not np.isfinite(last).all():
+    cores = tensors.tt_svd(target, l, K)
+    if not np.isfinite(cores[-1]).all():
         raise ValueError(f"the low-rank bank of this window needs a filter "
                          f"weight beyond the float limit {_HUGE!r}")
-    cores.append(last)
     live = [np.nonzero(core.any(axis=1)) for core in cores]
     index = np.concatenate([np.column_stack((np.full(len(j), k), j, i))
                             for k, (j, i) in enumerate(live)])

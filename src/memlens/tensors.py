@@ -1,13 +1,15 @@
-"""Tensorised views of sequences and their singular spectra.
+"""Tensorised views of sequences: pooled singular spectra and tensor trains.
 
 The length-l^K window of a target rho is one dense float64 array,
 rho.values_upto(l^K), read as an order-K tensor: its mode-k index is the
 k-th base-l digit of the time index (mode 1 is the least significant
-digit), so no entry moves.  _mode_view is the one layout rule: it reads
-a mode flattening off that array in place, mode_flatten_general gives it
-as a matrix, and mode_refold_general writes a matrix back through it.
-The pooled singular values of the K mode flattenings drive the rank
-counts and truncation bounds used by the approximation-rate machinery.
+digit), so no entry moves.  This module holds that one layout rule, read
+row-major with later digits slower, and every SVD of the library:
+_mode_view reads a mode flattening in place (mode_flatten_general and
+mode_refold_general read and write it as a matrix), and tt_svd reads the
+unfoldings and cores of the window's tensor train, the low-rank filter
+bank.  The pooled singular values of the K mode flattenings drive the rank
+counts and truncation bounds of the approximation-rate machinery.
 window_spectrum is the one path from a target to its depth-K pooled
 spectrum, and truncation_error_bound the one path from a spectrum to its
 tails: the tail masses at offsets s = 0, ..., l*K - K that the complexity
@@ -146,15 +148,6 @@ def analysis_window(rho: Sequence | Family, l: int, K=None) -> Sequence:
     return rho.truncate(l ** K)
 
 
-def matrix_singular_values(mat) -> np.ndarray:
-    """Singular values (descending) by a direct SVD of a matrix, or of
-    each matrix of a stack in one call."""
-    a = np.asarray(mat, dtype=float)
-    if a.ndim < 2:
-        raise ValueError("expected a matrix or a stack of matrices")
-    return np.linalg.svd(a, compute_uv=False)
-
-
 def _check_depth(l: int, K: int):
     if l < 2 or K < 1:
         raise ValueError("need l >= 2 and K >= 1")
@@ -178,7 +171,7 @@ def singular_values(window, l: int, K: int) -> Spectrum:
             # Each mode's view is copied once, straight into its slot.
             view = _mode_view(window, dims, k)
             slot.reshape(view.shape)[...] = view
-        per_mode.append(matrix_singular_values(slots))
+        per_mode.append(np.linalg.svd(slots, compute_uv=False))
     return Spectrum.from_mode_values(np.concatenate(per_mode))
 
 
@@ -187,6 +180,44 @@ def window_spectrum(rho: Sequence | Family, l: int, K: int) -> Spectrum:
     dense array; what lies beyond it is cut off."""
     _check_depth(l, K)
     return singular_values(rho.values_upto(l ** K), l, K)
+
+
+# Share of the window norm that all TT-SVD steps together may discard: the
+# K - 1 step tails add in quadrature, so each drops _TT_REL_TOL / sqrt(K - 1),
+# and a bank made of the cores stays a tenth inside the 1e-12 replay contract.
+_TT_REL_TOL = 1e-13
+
+
+def tt_svd(rho: Sequence | Family, l: int, K: int) -> list:
+    """Tensor-train cores G_1, ..., G_K of the length-l^K window of rho:
+    G_k is (r_{k-1}, l, r_k), r_0 = r_K = 1, and the entry at digits
+    (i_1, ..., i_K) is G_1[:, i_1, :] ... G_K[:, i_K, :].  Each r_k is the
+    numerical rank of the k-th unfolding: the SVD of what is left drops a
+    tail of at most _TT_REL_TOL / sqrt(K - 1) of the window norm.  The split
+    runs on the window over its largest entry, which the last core takes
+    back, so no norm under- or overflows; near the float limit that core
+    can hold an infinite value, which the caller checks.  A zero window
+    gives K zero cores of rank 1."""
+    _check_depth(l, K)
+    data = rho.values_upto(l ** K)
+    scale = np.abs(data).max()
+    if not scale:
+        return [np.zeros((1, l, 1)) for _ in range(K)]
+    rest = data[None, :] / scale
+    norm = np.linalg.norm(rest)
+    cores = []
+    for _ in range(K - 1):
+        # Row i_k * r + a of the unfolding is rank a of what is left at digit i_k.
+        r = len(rest)
+        unfolding = rest.reshape(r, -1, l).transpose(2, 0, 1).reshape(r * l, -1)
+        u, s, vt = np.linalg.svd(unfolding, full_matrices=False)
+        tails = np.cumsum((s[::-1] / norm) ** 2)[::-1]
+        r_next = int(np.sum(tails > _TT_REL_TOL ** 2 / (K - 1)))
+        cores.append(u[:, :r_next].reshape(l, r, r_next).transpose(1, 0, 2))
+        rest = s[:r_next, None] * vt[:r_next]
+    with np.errstate(over="ignore"):
+        cores.append(scale * rest[:, :, None])
+    return cores
 
 
 def truncation_error_bound(spec: Spectrum, kept_ranks) -> list:

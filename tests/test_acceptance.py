@@ -2,6 +2,7 @@
 
 import ast
 import math
+import re
 import time
 import types
 from pathlib import Path
@@ -244,3 +245,35 @@ def test_no_module_imports_a_name_it_never_reads():
             unread += [f"{path.name}:{node.lineno} {name}" for name in names
                        if name not in read]
     assert unread == []
+
+
+def test_no_module_reads_a_window_in_fortran_order():
+    # tensors reads every window row-major, later digits slower; an
+    # order="F" reshape would be a second layout rule.
+    fortran = re.compile(r"""order\s*=\s*["']F["']""")
+    found = []
+    for path in sorted(Path(memlens.__file__).parent.glob("*.py")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        found += [f"{path.name}:{n}" for n, line in enumerate(lines, 1) if fortran.search(line)]
+    assert found == []
+
+
+def test_every_svd_of_the_library_runs_in_tensors():
+    # The experiments oracle keeps an SVD of its own, independent of the
+    # one it checks, and no module reaches a private name of tensors.
+    svds, private = set(), []
+    for path in sorted(Path(memlens.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in tree.body:
+            if any(isinstance(node, ast.Attribute) and node.attr == "svd"
+                   for node in ast.walk(fn)):
+                svds.add(f"{path.stem}.{getattr(fn, 'name', fn.lineno)}")
+        private += [f"{path.name}:{node.lineno} {node.attr}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                    and isinstance(node.value, ast.Name) and node.value.id == "tensors"]
+        private += [f"{path.name}:{node.lineno} {alias.name}" for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module == "tensors"
+                    for alias in node.names if alias.name.startswith("_")]
+    assert svds == {"tensors.singular_values", "tensors.tt_svd",
+                    "experiments.oracle_best_rank_matrix"}
+    assert private == []

@@ -16,6 +16,7 @@ from memlens.models import (CnnSpec, RnnSpec, cnn_min_depth_expdecay,
                             rnn_min_width_impulse, rnn_representation,
                             synthesize_lowrank, synthesize_radix)
 from memlens.sequences import MAX_TIME, Sequence, root_sum_squares
+from memlens.tensors import tt_svd
 
 
 def _bank(l, K, channels, filters=None):
@@ -344,6 +345,25 @@ def test_lowrank_synthesis_near_the_float_limit_names_the_limit():
         assert replay_residual(synthesize_lowrank(below, 2), below) <= 1e-12 * 1e308
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(1e305, 1.79e308), min_size=2, max_size=16), st.data())
+def test_a_lowrank_bank_near_the_float_limit_replays_or_names_the_limit(magnitudes, data):
+    # Each near-limit window is built and replays within 1e-12 of its
+    # largest value, or it is refused by name; no overflow warns on the way.
+    signs = data.draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=len(magnitudes),
+                               max_size=len(magnitudes)))
+    target = Sequence.from_values(np.multiply(magnitudes, signs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            spec = synthesize_lowrank(target, 2)
+        except ValueError as err:
+            assert str(err) == ("the low-rank bank of this window needs a filter "
+                                "weight beyond the float limit 1.7976931348623157e+308")
+            return
+        assert replay_residual(spec, target) <= 1e-12 * max(magnitudes)
+
+
 def test_synthesis_banks_share_one_layout():
     # Radix filters are one-hot with +0.0 off the hot tap, even for a
     # negative value.
@@ -363,13 +383,18 @@ def test_synthesis_banks_share_one_layout():
     assert _hex(shallow) == _hex({(0, 0, 0): (0.0, -3.0, 7.0, 0.0)})
 
 
-def _tt_window(spec):
-    """The window of a bank as the product of its core slices, one layer
-    at a time, in the canonical (least significant digit first) order."""
-    l = spec.l
-    cores = [np.zeros((spec.channels[k], l, spec.channels[k + 1])) for k in range(spec.K)]
+def _tt_cores(spec):
+    """The cores of a bank: core k holds filter (k, j, i) at [j, :, i]."""
+    cores = [np.zeros((spec.channels[k], spec.l, spec.channels[k + 1]))
+             for k in range(spec.K)]
     for (k, j, i), w in zip(spec.index.tolist(), spec.weights):
         cores[k][j, :, i] = w
+    return cores
+
+
+def _tt_window(cores):
+    """The window of a tensor train as the product of its core slices, one
+    core at a time, in the canonical (least significant digit first) order."""
     window = cores[0][0]                      # (times so far, channels)
     for core in cores[1:]:
         window = np.einsum("tj,jsi->sti", window, core).reshape(-1, core.shape[2])
@@ -380,21 +405,35 @@ def test_lowrank_bank_is_the_tt_svd_of_the_window(rng):
     for l, K in ((3, 3), (2, 6), (4, 3)):
         for _ in range(5):
             data = rng.normal(size=l ** K) * (rng.random(l ** K) < 0.3)
-            spec = synthesize_lowrank(Sequence.from_values(data), l, K)
+            target = Sequence.from_values(data)
+            spec = synthesize_lowrank(target, l, K)
             assert spec.K == K and spec.channels[0] == spec.channels[-1] == 1
             for k in range(1, K):
                 s = np.linalg.svd(data.reshape(l ** k, l ** (K - k), order="F"),
                                   compute_uv=False)
                 assert spec.channels[k] == np.sum(s > 1e-10 * s[0])
                 assert spec.channels[k] <= min(l ** k, l ** (K - k))
-            assert (np.linalg.norm(_tt_window(spec) - data)
-                    <= 1e-12 * np.linalg.norm(data))
+            # The bank's filters are the nonzero slices of tt_svd's cores.
+            cores = tt_svd(target, l, K)
+            assert all(np.array_equal(got, want)
+                       for got, want in zip(_tt_cores(spec), cores, strict=True))
+            for window in (_tt_window(_tt_cores(spec)), _tt_window(cores)):
+                assert np.linalg.norm(window - data) <= 1e-12 * np.linalg.norm(data)
             assert spec.weights.any(axis=1).all()
             for scale in (1e-200, 1e200):
                 far = synthesize_lowrank(Sequence.from_values(data * scale), l, K)
                 assert far.channels == spec.channels
-                assert (np.linalg.norm(_tt_window(far) / scale - data)
+                assert (np.linalg.norm(_tt_window(_tt_cores(far)) / scale - data)
                         <= 1e-12 * np.linalg.norm(data))
+            # A power of two leaves the window over its largest entry bit for
+            # bit, so only the last layer, which takes the scale back, moves.
+            last = spec.index[:, 0] == K - 1
+            for e in (-600, 600):
+                far = synthesize_lowrank(Sequence.from_values(data * 2.0 ** e), l, K)
+                assert far.channels == spec.channels
+                assert np.array_equal(far.index, spec.index)
+                assert far.weights[~last].tobytes() == spec.weights[~last].tobytes()
+                assert far.weights[last].tobytes() == (spec.weights[last] * 2.0 ** e).tobytes()
 
 
 def test_impulse_replay_is_exact_at_depth_40():

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from memlens import tensors
 from memlens.sequences import Sequence, dilated_conv, root_sum_squares
-from memlens.tensors import (Spectrum, analysis_window, matrix_singular_values,
-                             mode_flatten_general, mode_refold_general,
-                             singular_values, truncation_error_bound,
-                             window_spectrum)
+from memlens.tensors import (Spectrum, analysis_window, mode_flatten_general,
+                             mode_refold_general, singular_values,
+                             truncation_error_bound, window_spectrum)
 
 
 def _numpy_mode_flatten(data, dims, k):
@@ -114,15 +113,6 @@ def test_mode_flatten_matches_numpy_oracle(dims, data):
         got = mode_flatten_general(flat, dims, k)
         assert np.array_equal(got, _numpy_mode_flatten(flat, dims, k))
         assert np.array_equal(mode_refold_general(got, dims, k), flat)
-
-
-def test_matrix_singular_values_matches_numpy(rng):
-    for shape in ((2, 2), (3, 3), (2, 5), (5, 2)):
-        for _ in range(20):
-            a = rng.normal(size=shape)
-            got = matrix_singular_values(a)
-            want = np.linalg.svd(a, compute_uv=False)
-            assert np.allclose(got, want, atol=1e-10)
 
 
 def test_spectrum_pools_all_mode_flattenings(rng):
@@ -369,3 +359,78 @@ def test_window_spectrum_reads_the_truncated_window():
     rho = Sequence.power(horizon=40)
     spec = window_spectrum(rho, 2, 4)
     assert spec.entries == singular_values(rho.truncate(16).values_upto(16), 2, 4).entries
+
+
+# Laws of the pooled spectrum: as a multiset it is unchanged by (a) permuting
+# the K digit positions, (b) permuting the l values of one digit and (c) an
+# orthogonal l x l map along one mode, each within a small multiple of
+# eps * sigma_max, LAPACK's per-value bound; (d) a power of two scales it
+# bit for bit.  Both paths from a window to its spectrum are held to them.
+_LAW_TOL = 16 * np.finfo(float).eps
+
+_SPECTRUM_PATHS = {
+    "singular_values": singular_values,
+    "window_spectrum": lambda window, l, K: window_spectrum(
+        Sequence.from_values(window), l, K),
+}
+
+
+@st.composite
+def _digit_windows(draw):
+    """(l, K, window) with the window as an order-K array whose axis K - k
+    is digit k, mixing zeros, 1e-3 entries and unit-scale ones."""
+    l = draw(st.integers(2, 4))
+    K = draw(st.integers(2, 6 if l < 4 else 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    window = rng.normal(size=l ** K) * rng.choice([0.0, 1e-3, 1.0], size=l ** K)
+    return l, K, window.reshape((l,) * K)
+
+
+def _assert_law(path, l, K, window, moved):
+    spectrum = _SPECTRUM_PATHS[path]
+    want = spectrum(window.reshape(-1), l, K).values
+    got = spectrum(moved.reshape(-1), l, K).values
+    assert np.abs(got - want).max() <= _LAW_TOL * want[0]
+
+
+@pytest.mark.parametrize("path", sorted(_SPECTRUM_PATHS))
+@settings(max_examples=30, deadline=None)
+@given(_digit_windows(), st.data())
+def test_spectrum_law_a_digit_positions_permute(path, drawn, data):
+    l, K, window = drawn
+    order = data.draw(st.permutations(range(K)))
+    _assert_law(path, l, K, window, window.transpose(order))
+
+
+@pytest.mark.parametrize("path", sorted(_SPECTRUM_PATHS))
+@settings(max_examples=30, deadline=None)
+@given(_digit_windows(), st.data())
+def test_spectrum_law_b_the_values_of_one_digit_permute(path, drawn, data):
+    l, K, window = drawn
+    axis = data.draw(st.integers(0, K - 1))
+    order = data.draw(st.permutations(range(l)))
+    _assert_law(path, l, K, window, np.take(window, order, axis=axis))
+
+
+@pytest.mark.parametrize("path", sorted(_SPECTRUM_PATHS))
+@settings(max_examples=30, deadline=None)
+@given(_digit_windows(), st.data())
+def test_spectrum_law_c_an_orthogonal_map_along_one_mode(path, drawn, data):
+    l, K, window = drawn
+    axis = data.draw(st.integers(0, K - 1))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    q, _ = np.linalg.qr(rng.normal(size=(l, l)))
+    moved = np.moveaxis(np.tensordot(q, window, axes=([1], [axis])), 0, axis)
+    _assert_law(path, l, K, window, moved)
+
+
+@pytest.mark.parametrize("path", sorted(_SPECTRUM_PATHS))
+@settings(max_examples=30, deadline=None)
+@given(_digit_windows(), st.integers(-60, 60))
+def test_spectrum_law_d_a_power_of_two_scales_it_bit_for_bit(path, drawn, e):
+    l, K, window = drawn
+    spectrum = _SPECTRUM_PATHS[path]
+    spec = spectrum(window.reshape(-1), l, K)
+    scaled = spectrum(window.reshape(-1) * 2.0 ** e, l, K)
+    assert scaled.values.tobytes() == (spec.values * 2.0 ** e).tobytes()
+    assert [m for _, m in scaled.entries] == [m for _, m in spec.entries]
