@@ -1,14 +1,14 @@
 """The JSON text of every artifact the command line writes.
 
 dump(obj) is json.dumps(obj, indent=2, sort_keys=True) plus a newline,
-byte for byte, for the objects json accepts with string keys.  json
-formats indented output with its pure-Python encoder, one generator step
-per item.  This writer joins each list of one scalar type in one call.
-An object json does not accept is written by its json_parts(indent)
-method, when it has one: the texts it yields go into the artifact's
-parts as they are.  That is how a filter bank (models.CnnSpec) is
-written: straight from its arrays, 512 filters per block, with the
-bytes json.dumps gives for its to_json() dict and no dict built.
+byte for byte.  json writes a placeholder string for each object it
+does not accept that has a json_parts(indent) method, and dump puts
+the texts that method yields in its place, as they are.  That is how a
+filter bank (models.CnnSpec) is written: straight from its arrays, 512
+filters per block, with the bytes json.dumps gives for its to_json()
+dict and no dict built.  The placeholder holds NUL, which no label can
+hold (file names cannot, builtin ids refuse it), so a document holding
+it as a string beside a bank is refused with ValueError.
 float_texts formats the numbers of such a block.
 
 csv_field(text) is the one quoting rule of the CSV artifacts.  Every
@@ -17,8 +17,8 @@ UTF-8 cannot write, the lone surrogates of a label from a file name that
 is not UTF-8 (_SURROGATE), while JSON keeps them as \\u escapes.
 """
 
+import json
 import re
-from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -27,13 +27,35 @@ _NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 # A lone surrogate, which is what a byte of a file name that is not UTF-8
 # decodes to; UTF-8 cannot write one, and the text artifacts are UTF-8.
 _SURROGATE = re.compile(r"[\ud800-\udfff]")
+_PLACEHOLDER = "\0json_parts\0"
 
 
 def dump(obj) -> str:
     """The artifact text of obj: its indented JSON and a newline."""
+    banks = []
+
+    def default(value):
+        if not hasattr(value, "json_parts"):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        banks.append(value)
+        return _PLACEHOLDER
+
+    text = json.dumps(obj, indent=2, sort_keys=True, default=default)
+    if not banks:
+        return text + "\n"
+    # json calls default in output order, so the k-th cut is the k-th bank.
+    pieces = text.split(json.dumps(_PLACEHOLDER))
+    if len(pieces) != len(banks) + 1:
+        raise ValueError("a string of the document is the placeholder of a filter bank")
     parts = []
-    _write(obj, "\n", parts)
-    parts.append("\n")
+    for piece, bank in zip(pieces, banks):
+        # The bank's nested lines start with the indent of the line it
+        # starts on: its key's for a dict member, its own for a list item.
+        line = piece.rpartition("\n")[2]
+        parts.append(piece)
+        # Its texts go in as they are: joining them would copy them.
+        parts += bank.json_parts("\n" + " " * (len(line) - len(line.lstrip(" "))))
+    parts += (pieces[-1], "\n")
     return "".join(parts)
 
 
@@ -45,61 +67,6 @@ def csv_field(text: str) -> str:
     if any(c in text for c in ',"\r\n'):
         return '"' + text.replace('"', '""') + '"'
     return text
-
-
-def _write(obj, indent, parts):
-    """Append the JSON text of obj to parts; its nested lines start with
-    indent and two more spaces."""
-    inner = indent + "  "
-    if isinstance(obj, dict):
-        brackets, items = "{}", [(_quote(key) + ": ", obj[key]) for key in sorted(obj)]
-    elif isinstance(obj, (list, tuple)):
-        text = _scalars(obj, "," + inner)
-        if text is not None:
-            parts += ("[" + inner, text, indent + "]")
-            return
-        brackets, items = "[]", [("", item) for item in obj]
-    else:
-        text = _scalars((obj,), "")
-        if text is not None:
-            parts.append(text)
-        elif hasattr(obj, "json_parts"):
-            # Its texts go in as they are: joining them would copy them.
-            parts += obj.json_parts(indent)
-        else:
-            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-        return
-    if not items:
-        parts.append(brackets)
-        return
-    lead = brackets[0] + inner
-    for head, value in items:
-        parts.append(lead + head)
-        _write(value, inner, parts)
-        lead = "," + inner
-    parts.append(indent + brackets[1])
-
-
-def _scalars(items, sep):
-    """items joined by sep, each as json writes it, when they are all of
-    one scalar type; None otherwise (also for no items)."""
-    kinds = set(map(type, items))
-    if len(kinds) != 1:
-        return None
-    kind = kinds.pop()
-    if kind is bool:
-        return sep.join(map(("false", "true").__getitem__, items))
-    if kind is type(None):
-        return sep.join(["null"] * len(items))
-    if issubclass(kind, float):
-        text = sep.join(map(float.__repr__, items))
-        # A finite float's repr holds no "n"; nan and inf become json's names.
-        return text.replace("nan", "NaN").replace("inf", "Infinity") if "n" in text else text
-    if issubclass(kind, int):
-        return sep.join(map(int.__repr__, items))
-    if issubclass(kind, str):
-        return sep.join(map(_quote, items))
-    return None
 
 
 def float_texts(values: np.ndarray) -> list:

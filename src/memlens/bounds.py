@@ -138,7 +138,9 @@ def complexity_measure(rho: Sequence | Family, l: int, g: DecayProfile,
     smallest K whose window holds the whole support); deeper windows only
     duplicate tail masses, so the cap does not change the value.  Tail
     masses below round-off relative to the sequence norm are treated as
-    exact zeros.  Returns infinity when a nonzero tail mass meets g(s) = 0.
+    exact zeros.  Returns infinity when a nonzero tail mass meets g(s) = 0,
+    and when a ratio t/g(s) passes the largest float, as it does for a
+    g(s) that underflows to a subnormal.
     A generated rho is measured up to its horizon, so it needs one (see
     tensors.analysis_window).
     """

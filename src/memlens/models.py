@@ -142,11 +142,11 @@ class CnnSpec:
         }
 
     def json_parts(self, indent: str):
-        """The text of to_json() as _jsontext.dump writes it, its nested
-        lines starting with indent and two more spaces, in parts: the
-        filters go _BLOCK at a time, read from the arrays in key-text
-        order, which is the tuple order of the parts' texts (',' sorts
-        below every digit)."""
+        """The text of to_json() as json.dumps(self.to_json(), indent=2,
+        sort_keys=True) writes it, its nested lines starting with indent
+        and two more spaces, in parts: the filters go _BLOCK at a time,
+        read from the arrays in key-text order, which is the tuple order
+        of the parts' texts (',' sorts below every digit)."""
         inner, item = indent + "  ", indent + "    "
         number = item + "  "
         channels = f",{item}".join(map(str, self.channels))

@@ -256,6 +256,16 @@ def test_an_infinite_complexity_makes_the_upper_bound_infinite():
         assert lower.value == 1.0 / 32 and upper.value == math.inf
 
 
+def test_a_ratio_beyond_the_largest_float_makes_the_complexity_infinite():
+    # rho1's tail masses above round-off are all at s = 0, so no g(s) = 0
+    # is met: over g(0) = 1e-320, a subnormal, they pass the largest float,
+    # and over g(0) = 1e-308 they stay below it.
+    rho = make_target("rho1")
+    assert complexity_measure(rho, 2, DecayProfile.exponential(0.5, 1e-320)).value == math.inf
+    c = complexity_measure(rho, 2, DecayProfile.exponential(0.5, 1e-308)).value
+    assert c == 1.6449340668482266e+308
+
+
 def test_rate_bound_interval_channel_list_shape():
     g = DecayProfile.exponential(0.5)
     rho = Sequence.from_values([1, 0, 0, 1])

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import memlens
 from memlens import cli as cli_module
-from memlens._jsontext import csv_field
+from memlens._jsontext import _PLACEHOLDER, csv_field
 from memlens.cli import _dump, build_parser, load_target, main
 from memlens.models import (CnnSpec, effective_filters, synthesize_lowrank,
                             synthesize_radix)
@@ -982,14 +982,32 @@ def _banks(draw):
                                rng.choice(pool, size=(n, l)))
 
 
+_BANK = CnnSpec.from_arrays(2, 2, (1, 11, 1), [[0, 0, 9], [0, 0, 10], [1, 10, 0]],
+                            [[-0.0, 1.0], [math.nan, 5e-324], [math.inf, -math.inf]])
+
+
 @settings(max_examples=150, deadline=None)
 @given(_banks())
-@example(CnnSpec.from_arrays(2, 2, (1, 11, 1), [[0, 0, 9], [0, 0, 10], [1, 10, 0]],
-                             [[-0.0, 1.0], [math.nan, 5e-324], [math.inf, -math.inf]]))
+@example(_BANK)
 def test_dump_writes_a_bank_from_its_arrays_as_json_dumps(spec):
-    want = spec.to_json()
-    for obj, doc in ((spec, want), ({"spec": spec, "l": 2}, {"spec": want, "l": 2})):
+    want, other = spec.to_json(), _BANK.to_json()
+    # The last document holds two banks, a list item and a dict value two
+    # levels down, each indented as the line it starts on.
+    for obj, doc in ((spec, want), ({"spec": spec, "l": 2}, {"spec": want, "l": 2}),
+                     ({"a": [1, spec], "b": {"c": {"d": _BANK}}},
+                      {"a": [1, want], "b": {"c": {"d": other}}})):
         assert _dump(obj) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_dump_refuses_its_placeholder_string_next_to_a_bank():
+    with pytest.raises(ValueError, match="placeholder"):
+        _dump({"spec": _BANK, "note": _PLACEHOLDER})
+    # Without a bank nothing is spliced, so the string is written as json
+    # writes it; an object with no json_parts gets json's own error.
+    obj = {"note": _PLACEHOLDER}
+    assert _dump(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    with pytest.raises(TypeError, match="^Object of type object is not JSON serializable$"):
+        _dump({"spec": _BANK, "other": object()})
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,4 +1,6 @@
+import contextlib
 import difflib
+import json
 
 import pytest
 
@@ -29,3 +31,20 @@ def test_the_committed_corpus_keeps_its_budget():
     # regen.py refuses to write a corpus over budget; this catches one
     # edited by hand.
     assert corpus.size(corpus.expected()) <= corpus.BUDGET
+
+
+def test_every_json_artifact_of_the_corpus_is_canonical():
+    # Each JSON file under out/ and each stdout that is one JSON document
+    # is json.dumps of its own value, indented and sorted, plus a newline.
+    texts = {}
+    for name, files in corpus.expected().items():
+        for path, text in files.items():
+            if path.startswith("out/") and path.endswith(".json"):
+                texts[f"{name}/{path}"] = text
+            elif path == "stdout":
+                with contextlib.suppress(ValueError):
+                    json.loads(text)
+                    texts[f"{name}/{path}"] = text
+    assert texts, "the corpus holds no JSON artifact"
+    for where, text in texts.items():
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", where
