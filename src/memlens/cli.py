@@ -22,7 +22,7 @@ Targets are paths to sequence JSON files, or builtin ids (rho1, rho2,
 rho3[:H], exp:GAMMA, impulse:T), which experiments.make_target reads as
 shorthand for the JSON family forms.  measure, bounds and synth read a
 generated target up to its horizon, or, without one, on its length-l^K
-window (tensors.analysis_window).
+window (tensors.analysis_window, which synth leaves to its synthesizer).
 """
 
 from __future__ import annotations
@@ -268,17 +268,14 @@ def _cmd_synth(args, emit) -> int:
     for text in args.target:
         target, label = load_target(text)
         if args.method == "radix":
-            window = analysis_window(target, args.l)
-            spec = synthesize_radix(window, args.l)
+            spec = synthesize_radix(target, args.l)
         else:
-            K = args.K[0] if args.K else None
-            window = analysis_window(target, args.l, K)
-            spec = synthesize_lowrank(window, args.l, K)
+            spec = synthesize_lowrank(target, args.l, args.K[0] if args.K else None)
         emit(f"{label}_{args.method}.json",
              _dump({"target": label, "method": args.method, "l": args.l,
                     "depth": spec.K, "channels": list(spec.channels),
                     "filter_count": spec.filter_count,
-                    "replay_residual": replay_residual(spec, window),
+                    "replay_residual": replay_residual(spec, target),
                     "spec": spec}))
     return 0
 

@@ -3,11 +3,11 @@
 A CnnSpec holds the filters of a linear dilated-convolution stack whose
 layer-k dilation is l^k; its induced representation is the response to a
 unit impulse and is supported inside the receptive field [0, l^K - 1].
-Two synthesizers build exact filter banks for a finitely supported
-target: a digit-reading construction with one channel path per nonzero
-entry, and the tensor train of the window over its base-l digits from
-tensors.tt_svd, whose cores are the filters and whose widths are the
-ranks of its sequential unfoldings.  One function, _check_widths, checks
+Two synthesizers, each cutting the window it reproduces, build exact
+filter banks: a digit-reading construction with one channel path per
+nonzero entry, and the tensor train of the length-l^K window over its
+base-l digits from tensors.tt_svd, whose cores are the filters and
+widths the ranks of its sequential unfoldings.  _check_widths checks
 every width plan (M_0, ..., M_K), so each of its faults has one text.
 
 An RnnSpec holds a linear recurrence whose representation is the power
@@ -345,10 +345,11 @@ def effective_filters(channels, l: int, K: int) -> float:
                          f"beyond the float limit {_HUGE!r}") from None
 
 
-def synthesize_radix(target: Sequence, l: int) -> CnnSpec:
+def synthesize_radix(target: Sequence | Family, l: int) -> CnnSpec:
     """Exact filter bank reading base-l digits of the support positions.
 
-    Depth is the smallest K with l^K > radius(target).  Each nonzero
+    The target is cut by tensors.analysis_window, so a Family needs a
+    horizon; depth is the smallest K with l^K > its radius.  Each nonzero
     entry at time t gets its own channel path of K one-hot filters, hot
     at the successive base-l digits of t (least significant digit on the
     first layer), with the entry value written into the first hot tap,
@@ -356,8 +357,7 @@ def synthesize_radix(target: Sequence, l: int) -> CnnSpec:
     sums the paths.  The stored filter count is at most K times the
     target sparsity.
     """
-    if not isinstance(target, Sequence):
-        raise ValueError("synthesis needs a finitely supported target")
+    target = tensors.analysis_window(target, l)
     K = tensors.coverage_depth(l, target.radius() or 0)
     times, values = target.arrays()
     live = np.abs(values) > target.zero_tol()
@@ -381,7 +381,8 @@ def synthesize_radix(target: Sequence, l: int) -> CnnSpec:
 def synthesize_lowrank(target: Sequence | Family, l: int, K=None) -> CnnSpec:
     """Exact tensor-train filter bank for the length-l^K window of target.
 
-    K defaults to the coverage depth of the support.  The widths are the
+    K defaults to the coverage depth of tensors.analysis_window(target, l);
+    a given K reads only the length-l^K window.  The widths are the
     ranks (1, r_1, ..., r_{K-1}, 1) of the cores of tensors.tt_svd, and
     filter (k, j, i) is the core slice G_k[j, :, i] whenever it is nonzero:
     a zero window gives an empty bank of width-1 layers, a single layer's
@@ -389,7 +390,7 @@ def synthesize_lowrank(target: Sequence | Family, l: int, K=None) -> CnnSpec:
     last core holds a weight beyond it raises ValueError.
     """
     if K is None:
-        K = tensors.coverage_depth(l, target.radius() or 0)
+        K = tensors.coverage_depth(l, tensors.analysis_window(target, l).radius() or 0)
     cores = tensors.tt_svd(target, l, K)
     if not np.isfinite(cores[-1]).all():
         raise ValueError(f"the low-rank bank of this window needs a filter "

@@ -522,15 +522,6 @@ class Family:
         out[m:] = 0.0
         return out
 
-    def radius(self):
-        """The horizon, or None for the power rule cut at 0; a Family
-        without a horizon has no finite radius."""
-        if self.horizon is None:
-            raise ValueError("radius of a generated sequence needs a horizon")
-        if self.family == "power" and self.horizon == 0:
-            return None
-        return self.horizon
-
     def tail_norm(self, start: int) -> Scalar:
         """sqrt of the summed squared values at t >= start.
 

@@ -137,7 +137,8 @@ def coverage_depth(l: int, radius: int) -> int:
 def analysis_window(rho: Sequence | Family, l: int, K=None) -> Sequence:
     """rho as the analyses read it: a Sequence as it is, and a Family as
     the Sequence its truncate makes, cut after its horizon or, without a
-    horizon, to its length-l^K window, which needs a depth K."""
+    horizon, to its length-l^K window, which needs a depth K.  The measure
+    command, bounds and both models synthesizers read rho through it."""
     if isinstance(rho, Sequence):
         return rho
     if rho.horizon is not None:

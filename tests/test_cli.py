@@ -278,6 +278,44 @@ def test_synth_covers_every_builtin_target(capsys):
     assert "horizon" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["radix", "lowrank"])
+@pytest.mark.parametrize("document", [
+    {"family": "geometric", "params": {"gamma": 0.5}, "horizon": 100},
+    {"family": "power", "horizon": 40}], ids=["geometric", "power"])
+def test_library_and_cli_synthesize_one_bank_for_a_horizon_target(tmp_path, capsys,
+                                                                    method, document):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    code, out = run_cli(capsys, ["synth", "--target", str(path), "--method", method])
+    assert code == 0
+    payload = json.loads(out)
+    target = load_target(str(path))[0]
+    spec = (synthesize_radix(target, 2) if method == "radix"
+            else synthesize_lowrank(target, 2))
+    assert payload["depth"] == spec.K
+    assert payload["channels"] == list(spec.channels)
+    assert payload["spec"] == spec.to_json()
+
+
+def test_lowrank_synth_at_a_given_depth_reads_only_its_window(capsys):
+    args = ["--method", "lowrank", "--K", "4"]
+    code, out = run_cli(capsys, ["synth", "--target", "rho3:15", *args])
+    assert code == 0
+    near = json.loads(out)
+    tracemalloc.start()
+    try:
+        code = main(["synth", "--target", "rho3:1000000000000", *args])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert peak < 2 ** 20
+    far = json.loads(captured.out)
+    assert far["spec"] == near["spec"]
+    assert far["replay_residual"] == near["replay_residual"]
+
+
 def test_lowrank_synth_of_a_dense_window_is_compact(tmp_path, capsys):
     assert main(["synth", "--target", "rho3", "--l", "2", "--K", "12",
                  "--method", "lowrank", "--out", str(tmp_path)]) == 0

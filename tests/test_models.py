@@ -246,7 +246,8 @@ def test_radix_synthesis_shallow_and_degenerate_cases():
     zero = synthesize_radix(Sequence.zero(), 3)
     assert zero.filter_count == 0
     assert cnn_representation(zero).radius() is None
-    with pytest.raises(ValueError, match="^synthesis needs a finitely supported target$"):
+    with pytest.raises(ValueError, match="^a generated target without a horizon has "
+                       "infinite support: give it a horizon or cut it to a window$"):
         synthesize_radix(Sequence.geometric(0.5), 2)
 
 

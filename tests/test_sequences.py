@@ -92,11 +92,8 @@ def test_generated_families_evaluate_pointwise():
     cut = Sequence.power(horizon=10)
     assert cut.truncate(20).value(10) == 0.1
     assert cut.truncate(20).value(11) == 0.0
-    assert cut.radius() == 10
     with pytest.raises(ValueError):
         Sequence.geometric(1.0)
-    with pytest.raises(ValueError):
-        Sequence.power().radius()
 
 
 def test_finite_tail_norm_is_the_exact_sum():
@@ -151,6 +148,8 @@ def test_power_tail_norm_with_horizon_is_exact():
     got = pw.tail_norm(7)
     assert got.halfwidth == 0.0
     assert got.value == pytest.approx(brute, rel=1e-14)
+    empty = Sequence.power(horizon=0).tail_norm(0)
+    assert (empty.value, empty.halfwidth) == (0.0, 0.0)
 
 
 def _inverse_square_sum(start, stop, head=10000):
@@ -196,6 +195,11 @@ def test_sup_abs_from():
     assert s.sup_abs_from(8) == 0.0
     assert Sequence.geometric(0.5).sup_abs_from(3) == 0.125
     assert Sequence.power().sup_abs_from(4) == 0.25
+    # Past the horizon, and the power rule cut at 0, which keeps only its
+    # zero at time 0.
+    for family in (Sequence.power(horizon=10), Sequence.geometric(0.5, horizon=10)):
+        assert family.sup_abs_from(11) == 0.0
+    assert Sequence.power(horizon=0).sup_abs_from(0) == 0.0
     # max |v| is the largest root of one square, the one-value case of a
     # root over rows, bit for bit: sqrt(v * v) is |v| wherever v * v is
     # normal, and the rescaled root is |v| elsewhere.
