@@ -1,4 +1,4 @@
-"""The JSON text of every artifact the command line writes.
+"""The JSON and CSV text of every artifact the command line writes.
 
 dump(obj) is json.dumps(obj, indent=2, sort_keys=True) plus a newline,
 byte for byte.  json writes a placeholder string for each object it
@@ -11,10 +11,12 @@ hold (file names cannot, builtin ids refuse it), so a document holding
 it as a string beside a bank is refused with ValueError.
 float_texts formats the numbers of such a block.
 
-csv_field(text) is the one quoting rule of the CSV artifacts.  Every
-artifact is written as UTF-8: CSV and SVG text shows U+FFFD for what
-UTF-8 cannot write, the lone surrogates of a label from a file name that
-is not UTF-8 (_SURROGATE), while JSON keeps them as \\u escapes.
+csv_text(label, l, columns, rows) is the text of every CSV artifact,
+spectrum and error curve alike, and csv_field(text) the one quoting
+rule of its label.  Every artifact is written as UTF-8: CSV and SVG
+text shows U+FFFD for what UTF-8 cannot write, the lone surrogates of
+a label from a file name that is not UTF-8 (_SURROGATE), while JSON
+keeps them as \\u escapes.
 """
 
 import json
@@ -67,6 +69,16 @@ def csv_field(text: str) -> str:
     if any(c in text for c in ',"\r\n'):
         return '"' + text.replace('"', '""') + '"'
     return text
+
+
+def csv_text(label: str, l: int, columns, rows) -> str:
+    """The CSV artifact of one target: the header target,l,<columns>, then
+    one line per row, the label as csv_field writes it, l, and each field
+    of the row as repr writes it (the rows hold Python ints and floats)."""
+    head = f"{csv_field(label)},{l},"
+    lines = ["target,l," + ",".join(columns)]
+    lines += [head + ",".join(map(repr, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def float_texts(values: np.ndarray) -> list:

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from ._jsontext import csv_field
 from .sequences import Family, Scalar, Sequence, _whole
 from .models import effective_filters
 from . import tensors
@@ -105,24 +104,16 @@ class ErrorCurveTable:
     The rows run in ascending (K, M) order, as error_curve builds them.
     Every row satisfies upper_bound = rank_term + tail_term, and within
     one depth the rows are non-increasing in M.  Bracketed tail norms
-    enter through their upper end so the bound stays valid.
+    enter through their upper end so the bound stays valid.  It holds no
+    label: the command line writes its CSV (_jsontext.csv_text).
     """
 
-    target: str
-    l: int
     rows: tuple
 
     def curve(self, K: int):
         """(M values, upper bounds) for one depth, in row order: ascending in M."""
         picked = [(r.M, r.upper_bound) for r in self.rows if r.K == K]
         return [m for m, _ in picked], [u for _, u in picked]
-
-    def to_csv(self) -> str:
-        head = f"{csv_field(self.target)},{self.l}"
-        lines = ["target,l,K,M,rank_term,tail_term,upper_bound"]
-        lines += [f"{head},{K},{M},{rank!r},{tail!r},{upper!r}"
-                  for K, M, rank, tail, upper in self.rows]
-        return "\n".join(lines) + "\n"
 
 
 def complexity_measure(rho: Sequence | Family, l: int, g: DecayProfile,
@@ -192,8 +183,7 @@ def rate_bound_interval(rho: Sequence | Family, l: int, K: int, channels,
     return lower, upper
 
 
-def error_curve(rho: Sequence | Family, l: int, K_list, M_range,
-                target_id: str = "target") -> ErrorCurveTable:
+def error_curve(rho: Sequence | Family, l: int, K_list, M_range) -> ErrorCurveTable:
     """Bound split per (K, M): spectrum truncation plus window tail.
 
     The rank budget at width M is floor(K * M^(1/K)); the rank term is
@@ -214,4 +204,4 @@ def error_curve(rho: Sequence | Family, l: int, K_list, M_range,
         rank_terms = dict(zip(kept, tensors.truncation_error_bound(spec, kept)))
         rows += [CurveRow(K, M, rank_terms[b], tail_term, rank_terms[b] + tail_term)
                  for M, b in zip(widths, budgets)]
-    return ErrorCurveTable(target=target_id, l=l, rows=tuple(rows))
+    return ErrorCurveTable(rows=tuple(rows))

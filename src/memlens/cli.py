@@ -4,10 +4,11 @@ Each subcommand is one argparse subparser plus one handler.  argparse
 makes the whole usage check: required flags, choices, and range-checked
 numbers (--l >= 2; --K, --M-max and --horizon >= 1), so a malformed
 invocation exits 1 before any file is written.  A handler reads its
-subparser's namespace, calls the library and serialises the result;
-every number it writes comes from one library call.  A handler writes
-and prints nothing: it hands each artifact to main, which prints them
-all, or writes them all into --out, once the handler has returned.
+subparser's namespace, calls the library and serialises the result
+through _jsontext (dump for JSON, csv_text for CSV); every number it
+writes comes from one library call.  A handler writes and prints
+nothing: it hands each artifact to main, which prints them all, or
+writes them all into --out, once the handler has returned.
 Exit codes: 0 success, 1 usage error, 2 computation error, 3 a failed
 check (reproduce, study).  Exits 1 and 2 write and print no artifact;
 study and reproduce still write theirs on exit 3.
@@ -37,14 +38,14 @@ import sys
 
 from .sequences import Sequence
 from .tensors import analysis_window, window_spectrum
-from .bounds import (DecayProfile, complexity_measure, error_curve,
+from .bounds import (CurveRow, DecayProfile, complexity_measure, error_curve,
                      rate_bound_interval)
 from .charts import line_chart
 from .experiments import (SCENARIOS, comparison_report, conformance_suite,
                           error_curve_study, make_target)
 from .models import (effective_filters, replay_residual, synthesize_lowrank,
                      synthesize_radix)
-from ._jsontext import _SURROGATE, csv_field, dump as _dump
+from ._jsontext import _SURROGATE, csv_text, dump as _dump
 
 FORMATS = ("csv", "json", "svg")
 
@@ -205,12 +206,10 @@ def _cmd_spectrum(args, emit) -> int:
             emit(f"{label}_spectrum.json",
                  _dump({"target": label, "l": args.l, "per_K": per_K}))
         if "csv" in args.format:
-            head = f"{csv_field(label)},{args.l}"
-            lines = ["target,l,K,index,mode,value"]
-            for row in per_K:
-                for idx, (v, m) in enumerate(row["values"], start=1):
-                    lines.append(f"{head},{row['K']},{idx},{m},{v!r}")
-            emit(f"{label}_spectrum.csv", "\n".join(lines) + "\n")
+            rows = [(row["K"], idx, m, v) for row in per_K
+                    for idx, (v, m) in enumerate(row["values"], start=1)]
+            emit(f"{label}_spectrum.csv",
+                 csv_text(label, args.l, ("K", "index", "mode", "value"), rows))
     return 0
 
 
@@ -246,10 +245,9 @@ def _cmd_bounds(args, emit) -> int:
 def _cmd_curve(args, emit) -> int:
     for text in args.target:
         target, label = load_target(text)
-        table = error_curve(target, args.l, args.K, range(1, args.M_max + 1),
-                            target_id=label)
+        table = error_curve(target, args.l, args.K, range(1, args.M_max + 1))
         if "csv" in args.format:
-            emit(f"{label}_curve.csv", table.to_csv())
+            emit(f"{label}_curve.csv", csv_text(label, args.l, CurveRow._fields, table.rows))
         if "json" in args.format:
             rows = [r._asdict() for r in table.rows]
             emit(f"{label}_curve.json",
@@ -296,7 +294,7 @@ def _cmd_study(args, emit) -> int:
     study = error_curve_study(l=args.l, K_list=args.K, M_max=args.M_max)
     tables = sorted(study.tables.items())
     for name, table in tables:
-        emit(f"{name}_curves.csv", table.to_csv())
+        emit(f"{name}_curves.csv", csv_text(name, study.l, CurveRow._fields, table.rows))
     for K in sorted(set(args.K)):
         series = [(name, *table.curve(K)) for name, table in tables]
         emit(f"curves_K{K}.svg",

@@ -107,7 +107,7 @@ def error_curve_study(l: int = 2, K_list=(4, 5, 6), M_max: int = 64) -> CurveStu
     targets = {name: make_target(name) for name in ("rho1", "rho2", "rho3")}
     K_list = sorted(set(int(k) for k in K_list))
     M_range = range(1, M_max + 1)
-    tables = {name: error_curve(rho, l, K_list, M_range, target_id=name)
+    tables = {name: error_curve(rho, l, K_list, M_range)
               for name, rho in targets.items()}
     notes = []
     checks = {}

@@ -18,15 +18,13 @@ closed-form comparisons between the two classes.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._jsontext import float_texts
-from .sequences import (_HUGE, MAX_TIME, Family, Scalar, Sequence, _number,
-                        _read_number, _whole, root_sum_squares)
+from .sequences import _HUGE, MAX_TIME, Family, Scalar, Sequence, root_sum_squares
 from . import tensors
 
 
@@ -66,8 +64,8 @@ class CnnSpec:
     read-only arrays: index, the (n, 3) int64 keys (layer k, in-channel
     j, out-channel i) in ascending order, and weights, the (n, l) filters
     of those keys; missing keys are all-zero filters.  Layer k runs at
-    dilation l^k.  from_arrays builds a stack from the two arrays, and
-    from_json reads one through it.
+    dilation l^k.  from_arrays builds a stack from the two arrays; a
+    bank is written (to_json, json_parts), never read back.
     """
 
     l: int
@@ -77,7 +75,7 @@ class CnnSpec:
     weights: np.ndarray
 
     def __init__(self, *args, **kwargs):
-        raise TypeError("a CnnSpec is built by CnnSpec.from_arrays or CnnSpec.from_json")
+        raise TypeError("a CnnSpec is built by CnnSpec.from_arrays")
 
     @classmethod
     def from_arrays(cls, l, K, channels, index, weights) -> "CnnSpec":
@@ -87,7 +85,7 @@ class CnnSpec:
         weights = np.asarray(weights, dtype=float)
         if weights.ndim != 2 or len(weights) != len(index):
             raise ValueError("weights must hold one filter per index row")
-        cls._check(l, K, channels, index, np.full(len(index), weights.shape[1]))
+        cls._check(l, K, channels, index, weights.shape[1])
         order = np.lexsort(index.T[::-1])
         index, weights = index[order], weights[order]
         twice = (index[1:] == index[:-1]).all(axis=1)
@@ -103,7 +101,7 @@ class CnnSpec:
         return spec
 
     @staticmethod
-    def _check(l, K, channels, index, lengths):
+    def _check(l, K, channels, index, length):
         """Check the shape of the stack, then name the first filter, in the
         given order, whose key is out of range or whose length is not l."""
         if l < 2 or K < 1:
@@ -118,7 +116,7 @@ class CnnSpec:
         layer = (0 <= k) & (k < K)
         k = np.where(layer, k, 0)
         bad_key = ~(layer & (0 <= j) & (j < widths[k]) & (0 <= i) & (i < widths[k + 1]))
-        bad = bad_key | (lengths != l)
+        bad = bad_key | (length != l)
         if bad.any():
             first = int(bad.argmax())
             if bad_key[first]:
@@ -181,30 +179,6 @@ class CnnSpec:
             yield "".join(block)
             lead = "," + item + '"'
         yield f'{inner}}},{inner}"l": {self.l}{indent}}}'
-
-    @classmethod
-    def from_json(cls, obj) -> "CnnSpec":
-        """Stack from the description to_json writes.  l, K, the widths and
-        the three parts of every "k,j,i" key must be whole numbers, every
-        filter weight a finite number (not a string or a bool), and two
-        keys may not name one filter."""
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        keys, rows = [], []
-        for key, w in obj.get("filters", {}).items():
-            k, j, i = (_whole(_read_number(part, "a filter key part"),
-                              "a filter key part") for part in key.split(","))
-            keys.append((k, j, i))
-            rows.append([_number(x, "a filter weight") for x in w])
-        index = np.array(keys, dtype=np.int64).reshape(-1, 3)
-        l, K = _whole(obj["l"], "l"), _whole(obj["K"], "K")
-        channels = tuple(_whole(m, "a channel width") for m in obj["channels"])
-        cls._check(l, K, channels, index, np.array([len(w) for w in rows], dtype=np.int64))
-        weights = np.array(rows).reshape(-1, l)
-        finite = np.isfinite(weights).all(axis=1)
-        if not finite.all():
-            raise ValueError(f"filter {keys[finite.argmin()]} is not finite")
-        return cls.from_arrays(l, K, channels, index, weights)
 
 
 @dataclass(frozen=True, eq=False)

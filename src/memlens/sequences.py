@@ -414,7 +414,8 @@ class Sequence:
     def from_json(cls, obj) -> "Sequence | Family":
         """Sequence from its JSON description: the row form {"dim", "entries"},
         whose dim, if given, is 1, or the family form {"family", "params",
-        "horizon"}, which gives a Family for "geometric" and "power".  A
+        "horizon"}, which gives a Family for "geometric" and "power" and
+        is zero beyond its horizon, an impulse too.  A
         document of any other shape, or with a field of the wrong type,
         raises ValueError.  A text in the row layout to_json writes is read
         without per-row objects (_flat_rows); any other text is decoded
@@ -454,8 +455,11 @@ class Sequence:
             if family == name and key not in params:
                 raise ValueError(f"the {name} family needs params.{key}")
         if family == "impulse":
-            return cls.impulse(_whole(params["t"], "an impulse position"),
-                               _number(params.get("value", 1.0), "an impulse value"))
+            rho = cls.impulse(_whole(params["t"], "an impulse position"),
+                              _number(params.get("value", 1.0), "an impulse value"))
+            if horizon is not None and horizon < 0:
+                raise ValueError("horizon must be >= 0")
+            return rho if horizon is None else rho.truncate(horizon + 1)
         if family == "geometric":
             return cls.geometric(_number(params["gamma"], "gamma"), horizon=horizon)
         if family == "power":

@@ -133,9 +133,9 @@ def test_criterion_08_error_curves_reproduce_sweep_claims():
     sweep = range(1, M_max + 1)
     rho1, rho2 = make_target("rho1"), make_target("rho2")
     rho3 = make_target("rho3")
-    t1 = error_curve(rho1, l, [K], sweep, target_id="rho1")
-    t2 = error_curve(rho2, l, [K], sweep, target_id="rho2")
-    t3 = error_curve(rho3, l, [K], sweep, target_id="rho3")
+    t1 = error_curve(rho1, l, [K], sweep)
+    t2 = error_curve(rho2, l, [K], sweep)
+    t3 = error_curve(rho3, l, [K], sweep)
     _, u1 = (np.asarray(a, dtype=float) for a in t1.curve(K))
     _, u2 = (np.asarray(a, dtype=float) for a in t2.curve(K))
     _, u3 = (np.asarray(a, dtype=float) for a in t3.curve(K))
@@ -172,7 +172,7 @@ def test_criterion_10_upper_bound_vanishes_with_depth():
     rho3 = make_target("rho3:10000")
     best = math.inf
     for K in range(1, 15):
-        table = error_curve(rho3, 2, [K], [2 ** K], target_id="rho3")
+        table = error_curve(rho3, 2, [K], [2 ** K])
         best = min(best, table.rows[-1].upper_bound)
         if best < 1e-3:
             break
@@ -277,3 +277,19 @@ def test_every_svd_of_the_library_runs_in_tensors():
     assert svds == {"tensors.singular_values", "tensors.tt_svd",
                     "experiments.oracle_best_rank_matrix"}
     assert private == []
+
+
+def test_artifact_text_stays_in_jsontext():
+    # Only _jsontext quotes a CSV label, and only sequences reads a JSON
+    # document: a filter bank is written, never read back.
+    quoting, readers = [], []
+    for path in sorted(Path(memlens.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = {getattr(node, key, None) for key in ("id", "attr", "name")}
+            if "csv_field" in names and path.stem != "_jsontext":
+                quoting.append(f"{path.name}:{node.lineno}")
+            if (isinstance(node, ast.FunctionDef) and node.name == "from_json"
+                    and path.stem != "sequences"):
+                readers.append(f"{path.name}:{node.lineno}")
+    assert quoting == []
+    assert readers == []

@@ -287,7 +287,7 @@ def test_rate_bound_sandwich_on_random_targets(rng):
 
 def test_error_curve_row_invariants():
     rho = Sequence.from_values([1, 0, 0, 1])
-    table = error_curve(rho, 2, [2, 3], range(1, 9), target_id="edge")
+    table = error_curve(rho, 2, [2, 3], range(1, 9))
     assert len(table.rows) == 16
     for row in table.rows:
         assert row.upper_bound == row.rank_term + row.tail_term
@@ -304,7 +304,7 @@ def test_error_curve_matches_a_per_width_loop():
     for name, rho in (("rho1", make_target("rho1")), ("rho2", make_target("rho2")),
                       ("rho3:700", make_target("rho3:700"))):
         for l in (2, 3):
-            table = error_curve(rho, l, [4, 5, 6], range(1, 65), target_id=name)
+            table = error_curve(rho, l, [4, 5, 6], range(1, 65))
             rows = []
             for K in (4, 5, 6):
                 spec = window_spectrum(rho, l, K)
@@ -320,19 +320,9 @@ def test_error_curve_matches_a_per_width_loop():
 
 def test_error_curve_tail_uses_bracket_upper_end():
     rho3 = Sequence.power()
-    table = error_curve(rho3, 2, [3], [1], target_id="rho3")
+    table = error_curve(rho3, 2, [3], [1])
     row = table.rows[0]
     assert row.tail_term == rho3.tail_norm(8).upper
-
-
-def test_error_curve_csv_layout():
-    rho = Sequence.from_values([1.0])
-    table = error_curve(rho, 2, [2], [1, 2], target_id="unit")
-    text = table.to_csv()
-    lines = text.strip().split("\n")
-    assert lines[0] == "target,l,K,M,rank_term,tail_term,upper_bound"
-    assert lines[1].startswith("unit,2,2,1,")
-    assert len(lines) == 3
 
 
 def test_error_curve_rejects_bad_widths():

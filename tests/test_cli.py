@@ -99,6 +99,31 @@ def test_curve_csv_deterministic(tmp_path, capsys):
     assert body.splitlines()[0] == "target,l,K,M,rank_term,tail_term,upper_bound"
 
 
+def test_error_curve_csv_layout(tmp_path, capsys):
+    # A label with a comma is quoted, in every row, after the header.
+    path = tmp_path / "unit, 1.json"
+    path.write_text('{"entries": [[0, [1.0]]]}', encoding="utf-8")
+    code, out = run_cli(capsys, ["curve", "--target", str(path), "--K", "2",
+                                 "--M-max", "2", "--format", "csv"])
+    assert code == 0
+    lines = out.split("\n")
+    assert lines[0] == "target,l,K,M,rank_term,tail_term,upper_bound"
+    assert lines[1].startswith('"unit, 1",2,2,1,')
+    assert lines[2].startswith('"unit, 1",2,2,2,')
+    assert lines[3:] == [""]
+
+
+def test_study_and_curve_write_one_curve_csv(tmp_path, capsys):
+    depths = ["--K", "4", "--K", "5", "--K", "6"]
+    assert main(["study", "--M-max", "64", *depths, "--out", str(tmp_path)]) == 0
+    for name in ("rho1", "rho2", "rho3"):
+        assert main(["curve", "--target", name, *depths, "--M-max", "64",
+                     "--format", "csv", "--out", str(tmp_path)]) == 0
+        curve = (tmp_path / f"{name}_curve.csv").read_bytes()
+        assert (tmp_path / f"{name}_curves.csv").read_bytes() == curve, name
+    capsys.readouterr()
+
+
 def test_curve_svg_output(tmp_path, capsys):
     code = main([
         "curve", "--target", "rho2", "--l", "2", "--K", "5",
@@ -205,8 +230,6 @@ def test_each_channel_plan_fault_has_one_text(channels, text, capsys):
     pattern = f"^{re.escape(text)}$"
     with pytest.raises(ValueError, match=pattern):
         CnnSpec.from_arrays(2, 2, channels, np.zeros((0, 3)), np.zeros((0, 2)))
-    with pytest.raises(ValueError, match=pattern):
-        CnnSpec.from_json({"l": 2, "K": 2, "channels": list(channels)})
     with pytest.raises(ValueError, match=pattern):
         effective_filters(channels, 2, 2)
     assert main(["bounds", "--target", "rho1", "--K", "2", "--channels",

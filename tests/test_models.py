@@ -1,4 +1,3 @@
-import json
 import math
 import time
 import tracemalloc
@@ -27,73 +26,37 @@ def _bank(l, K, channels, filters=None):
 
 
 def test_cnn_spec_validation():
-    CnnSpec.from_json({"l": 2, "K": 2, "channels": [1, 3, 1]})
+    _bank(2, 2, (1, 3, 1))
     with pytest.raises(ValueError):
-        CnnSpec.from_json({"l": 2, "K": 2, "channels": [1, 3, 2]})
-    # A bank reads a scalar input: M_0 = 2 is refused by both constructors.
+        _bank(2, 2, (1, 3, 2))
+    # A bank reads a scalar input: M_0 = 2 is refused, with or without filters.
     with pytest.raises(ValueError, match="^the input is a single channel$"):
-        CnnSpec.from_json({"l": 2, "K": 2, "channels": [2, 3, 1],
-                           "filters": {"0,1,0": [1.0, 0.0], "1,0,0": [0.0, 1.0]}})
+        _bank(2, 2, (2, 3, 1), {(0, 1, 0): (1.0, 0.0), (1, 0, 0): (0.0, 1.0)})
     with pytest.raises(ValueError, match="^the input is a single channel$"):
         _bank(2, 1, (2, 1), {(0, 0, 0): (1.0, 0.0), (0, 1, 0): (0.0, 2.0)})
     with pytest.raises(ValueError):
-        CnnSpec.from_json({"l": 2, "K": 2, "channels": [1, 1]})
+        _bank(2, 2, (1, 1))
     with pytest.raises(ValueError, match=r"^filter index \(0, 0, 1\) out of range$"):
-        CnnSpec.from_json({"l": 2, "K": 1, "channels": [1, 1],
-                           "filters": {"0,0,1": [1.0, 0.0]}})
+        _bank(2, 1, (1, 1), {(0, 0, 1): (1.0, 0.0)})
     with pytest.raises(ValueError, match="^every filter must have length l$"):
-        CnnSpec.from_json({"l": 2, "K": 1, "channels": [1, 1],
-                           "filters": {"0,0,0": [1.0, 0.0, 0.0]}})
-    # The first bad filter in the document's order names the error.
+        CnnSpec.from_arrays(2, 1, (1, 1), [[0, 0, 0]], [[1.0, 0.0, 0.0]])
+    # The first bad filter in the given order names the error.
     with pytest.raises(ValueError, match="length l"):
-        CnnSpec.from_json({"l": 2, "K": 2, "channels": [1, 2, 1],
-                           "filters": {"0,0,1": [1.0], "2,0,0": [1.0, 0.0]}})
+        CnnSpec.from_arrays(2, 2, (1, 2, 1), [[0, 0, 1], [2, 0, 0]], np.ones((2, 1)))
     with pytest.raises(ValueError, match=r"\(1, 2, 0\) out of range"):
-        CnnSpec.from_json({"l": 2, "K": 2, "channels": [1, 2, 1],
-                           "filters": {"0,0,1": [1.0, 0.0], "1,2,0": [1.0]}})
+        CnnSpec.from_arrays(2, 2, (1, 2, 1), [[1, 2, 0], [0, 0, 1]], np.ones((2, 1)))
 
 
 def test_cnn_spec_refuses_a_width_beyond_int64():
     # The largest int64 width is a plan like any other; one more is refused
-    # by name, echoed to at most 40 characters, by both constructors.
+    # by name, echoed to at most 40 characters, wherever it stands.
     assert _bank(2, 2, (1, MAX_TIME, 1)).channels == (1, MAX_TIME, 1)
     for wide in (MAX_TIME + 1, 2 ** 64 + 5, 10 ** 60):
         text = f"^channel width {str(wide)[:40]} is beyond the int64 limit 2\\^63 - 1$"
         with pytest.raises(ValueError, match=text):
-            CnnSpec.from_json({"l": 2, "K": 2, "channels": [1, wide, 1]})
+            _bank(2, 2, (1, wide, 1))
         with pytest.raises(ValueError, match=text):
             _bank(2, 3, (1, 2, wide, 1))
-
-
-def test_cnn_spec_json_round_trip():
-    spec = _bank(2, 2, (1, 2, 1), {(0, 0, 1): (1.0, 2.0), (1, 1, 0): (0.0, -1.0)})
-    back = CnnSpec.from_json(spec.to_json())
-    assert back.channels == spec.channels
-    assert np.array_equal(back.index, spec.index)
-    assert back.weights.tobytes() == spec.weights.tobytes()
-    assert back.filter_count == 2
-    doc = spec.to_json()
-    # Whole numbers may be written as integral floats, and weights as ints.
-    doc_float = dict(doc, l=2.0, channels=[1.0, 2, 1],
-                     filters={"0,0.0,1": [1, 2.0], "1,1,0": [0, -1]})
-    assert CnnSpec.from_json(doc_float).weights.tobytes() == spec.weights.tobytes()
-    for field, bad, message in (
-            ("l", 2.5, "^l must be a whole number, not 2.5$"),
-            ("K", True, "^K must be a whole number, not True$"),
-            ("channels", [1, 2.5, 1], "^a channel width must be a whole number, not 2.5$"),
-            ("filters", {"0,0,1": [1.0, 2.0], "1,1.5,0": [0.0, -1.0]},
-             "^a filter key part must be a whole number, not 1.5$"),
-            ("filters", {"0,0,1": [1.0, 2.0], "1,1,0": [0.0, float("nan")]},
-             r"^filter \(1, 1, 0\) is not finite$"),
-            ("filters", {"0,0,1": [float("-inf"), 2.0]}, r"^filter \(0, 0, 1\) is not finite$"),
-            ("filters", {"0,0,1": ["1.5", 2.0]}, "^a filter weight must be a number, not '1.5'$"),
-            ("filters", {"0,0,1": [1.0, True]}, "^a filter weight must be a number, not True$"),
-            ("filters", {"0,0,1": [1.0, 2.0], "0, 0,1": [0.0, -1.0]},
-             r"^filter index \(0, 0, 1\) given twice$")):
-        with pytest.raises(ValueError, match=message):
-            CnnSpec.from_json(dict(doc, **{field: bad}))
-        with pytest.raises(ValueError, match=message):
-            CnnSpec.from_json(json.dumps(dict(doc, **{field: bad})))
 
 
 def _hex(bank):
@@ -130,25 +93,6 @@ def test_cnn_spec_from_arrays_sorts_and_checks_the_bank():
             ([[0, 0, 1]], np.ones((2, 2)), "one filter per index row")):
         with pytest.raises(ValueError, match=message):
             CnnSpec.from_arrays(2, 2, (1, 2, 1), index, weights)
-
-
-def test_cnn_spec_json_round_trip_keeps_the_arrays(rng):
-    target = Sequence.from_arrays(rng.choice(500, size=40, replace=False),
-                                  rng.normal(size=40))
-    banks = [synthesize_radix(target, 2), synthesize_radix(target, 3),
-             synthesize_lowrank(target, 2), synthesize_lowrank(Sequence.power(horizon=80), 3),
-             _path_bank(rng, 2, 6, 20, cross=10), _bank(3, 2, (1, 4, 1)),
-             synthesize_lowrank(Sequence.zero(), 2, 3), synthesize_radix(Sequence.zero(), 2)]
-    for spec in banks:
-        for back in (CnnSpec.from_json(spec.to_json()),
-                     CnnSpec.from_json(json.dumps(spec.to_json()))):
-            assert (back.l, back.K, back.channels) == (spec.l, spec.K, spec.channels)
-            assert back.index.dtype == np.int64 and np.array_equal(back.index, spec.index)
-            assert back.weights.shape == spec.weights.shape == (spec.filter_count, spec.l)
-            assert back.weights.tobytes() == spec.weights.tobytes()
-            got, want = cnn_representation(back), cnn_representation(spec)
-            assert got.arrays()[0].tobytes() == want.arrays()[0].tobytes()
-            assert got.arrays()[1].tobytes() == want.arrays()[1].tobytes()
 
 
 def test_synthesis_banks_keep_their_dict_layout():

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memlens import sequences
-from memlens.sequences import Scalar, Sequence, dilated_conv, root_sum_squares
+from memlens.sequences import MAX_TIME, Scalar, Sequence, dilated_conv, root_sum_squares
 
 
 def test_scalar_interval_accessors():
@@ -235,6 +235,20 @@ def test_json_round_trip():
     assert imp.value(3) == 1.0
     with pytest.raises(ValueError):
         Sequence.from_json({"family": "nope"})
+
+
+def test_an_impulse_document_is_zero_beyond_its_horizon():
+    def load(t, horizon):
+        return Sequence.from_json({"family": "impulse", "params": {"t": t, "value": 2.0},
+                                   "horizon": horizon})
+    assert load(5, 5).arrays()[0].tolist() == [5] and load(5, 5).value(5) == 2.0
+    assert load(0, 0).value(0) == 2.0
+    assert load(5, MAX_TIME).arrays()[0].tolist() == [5]
+    for t, horizon in ((5, 4), (5, 0), (MAX_TIME, MAX_TIME - 1)):
+        assert load(t, horizon).radius() is None, (t, horizon)
+    for horizon in (-1, -7):
+        with pytest.raises(ValueError, match="^horizon must be >= 0$"):
+            load(5, horizon)
 
 
 def test_dilated_conv_worked_example():
