@@ -157,6 +157,12 @@ def complexity_measure(rho: Sequence | Family, l: int, g: DecayProfile,
     return Scalar(best)
 
 
+def rank_budget(K: int, M) -> int:
+    """The rank a depth-K stack of M effective filters keeps:
+    floor(K * M^(1/K))."""
+    return math.floor(K * M ** (1.0 / K))
+
+
 def rate_bound_interval(rho: Sequence | Family, l: int, K: int, channels,
                         g: DecayProfile):
     """Two-sided approximation bound for a depth-K width-budgeted stack.
@@ -164,15 +170,14 @@ def rate_bound_interval(rho: Sequence | Family, l: int, K: int, channels,
     channels is the full width list (M_0, ..., M_K); its effective filter
     count M must be at least 1.  The lower bound is the sup of the
     representation beyond the receptive field; the upper bound is
-    g(floor(K * M^(1/K)) - K) * complexity + the tail norm beyond the
+    g(rank_budget(K, M) - K) * complexity + the tail norm beyond the
     receptive field, and +inf for an infinite complexity, whatever g is.
     """
     M = effective_filters(channels, l, K)
     if M < 1:
         raise ValueError("effective filter count must be at least 1")
     size = l ** K
-    budget = math.floor(K * M ** (1.0 / K))
-    g_arg = max(0, budget - K)
+    g_arg = max(0, rank_budget(K, M) - K)
     c_val = complexity_measure(tensors.analysis_window(rho, l, K), l, g)
     tail = rho.tail_norm(size)
     rank = c_val.value if math.isinf(c_val.value) else g(g_arg) * c_val.value
@@ -186,11 +191,10 @@ def rate_bound_interval(rho: Sequence | Family, l: int, K: int, channels,
 def error_curve(rho: Sequence | Family, l: int, K_list, M_range) -> ErrorCurveTable:
     """Bound split per (K, M): spectrum truncation plus window tail.
 
-    The rank budget at width M is floor(K * M^(1/K)); the rank term is
-    the spectrum tail beyond that budget, computed once per distinct
-    budget of each depth; the tail term is the norm of
-    the representation outside the window (upper bracket end when the
-    tail is only known as an interval).
+    The rank term at width M is the spectrum tail beyond rank_budget(K,
+    M), computed once per distinct budget of each depth; the tail term is
+    the norm of the representation outside the window (upper bracket end
+    when the tail is only known as an interval).
     """
     widths = sorted(set(int(m) for m in M_range))
     if widths and widths[0] < 1:
@@ -199,7 +203,7 @@ def error_curve(rho: Sequence | Family, l: int, K_list, M_range) -> ErrorCurveTa
     for K in sorted(set(int(k) for k in K_list)):
         spec = tensors.window_spectrum(rho, l, K)
         tail_term = rho.tail_norm(l ** K).upper
-        budgets = [math.floor(K * M ** (1.0 / K)) for M in widths]
+        budgets = [rank_budget(K, M) for M in widths]
         kept = list(dict.fromkeys(budgets))
         rank_terms = dict(zip(kept, tensors.truncation_error_bound(spec, kept)))
         rows += [CurveRow(K, M, rank_terms[b], tail_term, rank_terms[b] + tail_term)

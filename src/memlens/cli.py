@@ -20,10 +20,15 @@ study take a repeatable --K; measure, bounds and synth read one depth,
 so a second --K there is a usage error.
 
 Targets are paths to sequence JSON files, or builtin ids (rho1, rho2,
-rho3[:H], exp:GAMMA, impulse:T), which experiments.make_target reads as
+rho3[:H], exp:GAMMA, impulse:T), which sequences.make_target reads as
 shorthand for the JSON family forms.  measure, bounds and synth read a
 generated target up to its horizon, or, without one, on its length-l^K
 window (tensors.analysis_window, which synth leaves to its synthesizer).
+
+Each command imports only the library code it calls: this module loads
+sequences and _jsontext, which parsing and every handler share, and each
+handler imports the rest of what it calls when it runs, so spectrum
+never loads models, bounds, experiments or charts.
 """
 
 from __future__ import annotations
@@ -36,15 +41,7 @@ import math
 import os
 import sys
 
-from .sequences import Sequence
-from .tensors import analysis_window, window_spectrum
-from .bounds import (CurveRow, DecayProfile, complexity_measure, error_curve,
-                     rate_bound_interval)
-from .charts import line_chart
-from .experiments import (SCENARIOS, comparison_report, conformance_suite,
-                          error_curve_study, make_target)
-from .models import (effective_filters, replay_residual, synthesize_lowrank,
-                     synthesize_radix)
+from .sequences import Sequence, make_target
 from ._jsontext import _SURROGATE, csv_text, dump as _dump
 
 FORMATS = ("csv", "json", "svg")
@@ -126,7 +123,7 @@ class UsageError(Exception):
 
 def load_target(text: str):
     """(Sequence or Family, label) from a JSON file path, or from a builtin
-    id, which experiments.make_target reads and which is its own label."""
+    id, which sequences.make_target reads and which is its own label."""
     if text.endswith(".json") or os.path.sep in text:
         with open(text, encoding="utf-8") as fh:
             seq = Sequence.from_json(fh.read())
@@ -136,6 +133,7 @@ def load_target(text: str):
 
 
 def _profile(family: str, params) -> DecayProfile:
+    from .bounds import DecayProfile
     if family == "table":
         if len(params) < 2:
             raise UsageError("--g-params for table: v1,...,vn,cutoff")
@@ -195,6 +193,7 @@ def _write(out: str, artifacts) -> None:
 
 
 def _cmd_spectrum(args, emit) -> int:
+    from .tensors import window_spectrum
     for text in args.target:
         target, label = load_target(text)
         per_K = []
@@ -214,6 +213,8 @@ def _cmd_spectrum(args, emit) -> int:
 
 
 def _cmd_measure(args, emit) -> int:
+    from .bounds import complexity_measure
+    from .tensors import analysis_window
     g = _profile(args.g, args.g_params)
     for text in args.target:
         target, label = load_target(text)
@@ -228,6 +229,8 @@ def _cmd_measure(args, emit) -> int:
 
 
 def _cmd_bounds(args, emit) -> int:
+    from .bounds import rate_bound_interval
+    from .models import effective_filters
     g = _profile(args.g, args.g_params)
     K = args.K[0]
     for text in args.target:
@@ -243,6 +246,8 @@ def _cmd_bounds(args, emit) -> int:
 
 
 def _cmd_curve(args, emit) -> int:
+    from .bounds import CurveRow, error_curve
+    from .charts import line_chart
     for text in args.target:
         target, label = load_target(text)
         table = error_curve(target, args.l, args.K, range(1, args.M_max + 1))
@@ -261,6 +266,7 @@ def _cmd_curve(args, emit) -> int:
 
 
 def _cmd_synth(args, emit) -> int:
+    from .models import replay_residual, synthesize_lowrank, synthesize_radix
     if args.method == "radix" and args.K:
         raise UsageError("--K applies to --method lowrank")
     for text in args.target:
@@ -279,6 +285,7 @@ def _cmd_synth(args, emit) -> int:
 
 
 def _cmd_compare(args, emit) -> int:
+    from .experiments import SCENARIOS, comparison_report
     given = {key: getattr(args, key) for key in ("gamma", "eps", "K", "horizon")
              if getattr(args, key) is not None}
     takes = inspect.signature(SCENARIOS[args.scenario]).parameters
@@ -291,6 +298,9 @@ def _cmd_compare(args, emit) -> int:
 
 
 def _cmd_study(args, emit) -> int:
+    from .bounds import CurveRow
+    from .charts import line_chart
+    from .experiments import error_curve_study
     study = error_curve_study(l=args.l, K_list=args.K, M_max=args.M_max)
     tables = sorted(study.tables.items())
     for name, table in tables:
@@ -309,6 +319,7 @@ def _cmd_study(args, emit) -> int:
 
 
 def _cmd_reproduce(args, emit) -> int:
+    from .experiments import conformance_suite
     items = conformance_suite()
     lines = [f"{item.status:6s} {item.name}: {item.detail}" for item in items]
     counts = {"PASS": 0, "FAIL": 0, "LOGGED": 0}
@@ -378,7 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("radix", "lowrank"), default="radix")
 
     p = sub.add_parser("compare", help="model-family comparison scenarios")
-    p.add_argument("--scenario", required=True, choices=tuple(SCENARIOS))
+    # experiments.SCENARIOS, named here so that parsing loads no analysis.
+    p.add_argument("--scenario", required=True,
+                   choices=("exp_decay", "impulse_copy"))
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--K", type=depth, default=None)

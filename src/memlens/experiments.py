@@ -1,10 +1,11 @@
-"""Builtin targets, reference oracles, curve studies and model comparisons.
+"""Reference oracles, curve studies and model comparisons.
 
-This module packages the analyses the library exists for: the canned
-test targets, an independent best-rank oracle, the per-depth error curve
-study with its qualitative checks, the two scenarios where one model
-family beats the other, and a conformance suite that replays every
-worked example and reports PASS, FAIL or LOGGED per item.
+This module packages the analyses the library exists for: an
+independent best-rank oracle, the per-depth error curve study with its
+qualitative checks, the two scenarios where one model family beats the
+other, and a conformance suite that replays every worked example and
+reports PASS, FAIL or LOGGED per item.  The builtin targets it studies
+are read by sequences.make_target.
 """
 
 from __future__ import annotations
@@ -15,52 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import Family, Scalar, Sequence, _read_number, dilated_conv
+from .sequences import (RHO1_SLOTS, RHO2_SLOTS, Scalar, Sequence, dilated_conv,
+                        make_target)
 from . import tensors
-from .bounds import DecayProfile, complexity_measure, error_curve
+from .bounds import DecayProfile, complexity_measure, error_curve, rank_budget
 from .models import (cnn_min_depth_expdecay, replay_residual,
                      rnn_min_width_impulse, rnn_representation, RnnSpec,
                      synthesize_radix)
-
-SPARSE_VALUE = math.pi ** 2 / 12.0
-
-# Zero-based window slots; chosen so the length-32 window tensors of the
-# two sparse targets have pooled ranks 5 and 10 (one-based listings of
-# the same patterns shift every slot up by one and change the ranks).
-RHO1_SLOTS = (16, 17, 24, 25)
-RHO2_SLOTS = (8, 14, 18, 25)
-
-
-# The family document each builtin id with an argument stands for.
-_SHORTHAND = {"rho3": lambda x: {"family": "power", "horizon": x},
-              "exp": lambda x: {"family": "geometric", "params": {"gamma": x}},
-              "impulse": lambda x: {"family": "impulse", "params": {"t": x}}}
-
-
-def make_target(text: str) -> Sequence | Family:
-    """The builtin analysis target a target id names.
-
-    "rho1" and "rho2" put the value pi^2 / 12 on four window slots each
-    (a low-rank and a full-rank pattern under tensorisation); "rho3" is
-    the inverse-time sequence.  "rho3:H", "exp:G" and "impulse:T" are
-    shorthand for the family documents in _SHORTHAND, which
-    Sequence.from_json reads, with an integer argument text as an int and
-    any other as a float.  "exp:0" is the unit impulse at 0 (0^0 = 1).
-    """
-    name, colon, arg = text.partition(":")
-    if name in ("rho1", "rho2"):
-        if colon:
-            raise ValueError(f"target {name} takes no argument, not {text!r}")
-        slots = RHO1_SLOTS if name == "rho1" else RHO2_SLOTS
-        return Sequence.from_arrays(slots, [SPARSE_VALUE] * len(slots))
-    if text == "rho3":
-        return Sequence.power()
-    if name not in _SHORTHAND:
-        raise ValueError(f"unknown target {text!r}")
-    x = _read_number(arg, f"the argument of {name}")
-    if name == "exp" and x == 0:
-        return Sequence.impulse(0)
-    return Sequence.from_json(_SHORTHAND[name](x))
 
 
 def oracle_best_rank_matrix(mat, rank: int) -> Scalar:
@@ -141,7 +103,7 @@ def error_curve_study(l: int = 2, K_list=(4, 5, 6), M_max: int = 64) -> CurveStu
             non_inc &= all(b.upper_bound <= a.upper_bound + 1e-12
                            for a, b in zip(depth, depth[1:]))
             last = depth[-1]
-            if math.floor(K * M_max ** (1.0 / K)) >= l * K:
+            if rank_budget(K, M_max) >= l * K:
                 plateau &= (last.rank_term == 0.0
                             and last.upper_bound == last.tail_term)
                 notes.append(f"plateau({name}, K={K}) = {last.tail_term!r}")

@@ -25,6 +25,11 @@ text (another key order, another dim, a string, NaN, malformed JSON, an
 int beyond a float) is decoded whole, as a dict, so either way the
 sequence or the error is the same.
 
+The builtin target ids (rho1, rho2, rho3[:H], exp:GAMMA, impulse:T) live
+here too, beside the grammar they abbreviate: make_target reads each
+argument id as shorthand for the family form from_json reads, so every
+way of naming a target is read in this module.
+
 All operations are pure: sequences are immutable after construction and
 every operation returns a new value.
 """
@@ -584,6 +589,46 @@ class Family:
         if self.horizon is not None:
             obj["horizon"] = self.horizon
         return obj
+
+
+SPARSE_VALUE = math.pi ** 2 / 12.0
+
+# Zero-based window slots; chosen so the length-32 window tensors of the
+# two sparse targets have pooled ranks 5 and 10 (one-based listings of
+# the same patterns shift every slot up by one and change the ranks).
+RHO1_SLOTS = (16, 17, 24, 25)
+RHO2_SLOTS = (8, 14, 18, 25)
+
+# The family document each builtin id with an argument stands for.
+_SHORTHAND = {"rho3": lambda x: {"family": "power", "horizon": x},
+              "exp": lambda x: {"family": "geometric", "params": {"gamma": x}},
+              "impulse": lambda x: {"family": "impulse", "params": {"t": x}}}
+
+
+def make_target(text: str) -> Sequence | Family:
+    """The builtin analysis target a target id names.
+
+    "rho1" and "rho2" put the value pi^2 / 12 on four window slots each
+    (a low-rank and a full-rank pattern under tensorisation); "rho3" is
+    the inverse-time sequence.  "rho3:H", "exp:G" and "impulse:T" are
+    shorthand for the family documents in _SHORTHAND, which
+    Sequence.from_json reads, with an integer argument text as an int and
+    any other as a float.  "exp:0" is the unit impulse at 0 (0^0 = 1).
+    """
+    name, colon, arg = text.partition(":")
+    if name in ("rho1", "rho2"):
+        if colon:
+            raise ValueError(f"target {name} takes no argument, not {text!r}")
+        slots = RHO1_SLOTS if name == "rho1" else RHO2_SLOTS
+        return Sequence.from_arrays(slots, [SPARSE_VALUE] * len(slots))
+    if text == "rho3":
+        return Sequence.power()
+    if name not in _SHORTHAND:
+        raise ValueError(f"unknown target {text!r}")
+    x = _read_number(arg, f"the argument of {name}")
+    if name == "exp" and x == 0:
+        return Sequence.impulse(0)
+    return Sequence.from_json(_SHORTHAND[name](x))
 
 
 def dilated_conv(f: Sequence, g: Sequence, dilation: int) -> Sequence:

@@ -767,6 +767,48 @@ def test_compare_reads_only_its_scenario_flags(tmp_path, capsys):
         assert code == 0 and json.loads(text)["parameters"] == parameters
 
 
+def test_the_parser_names_every_scenario(capsys):
+    # The parser names the scenarios itself, so that parsing loads no
+    # analysis module; its choices are the scenarios, in their order.
+    from memlens import experiments
+    assert main(["compare", "--help"]) == 0
+    choices = ",".join(experiments.SCENARIOS)
+    assert f"--scenario {{{choices}}}" in capsys.readouterr().out
+
+
+# Per case, an argv for memlens.cli.main (none: only import memlens) and
+# the memlens submodules the process then holds.
+_SHARED = {"cli", "sequences", "_jsontext"}
+COMMAND_MODULES = {
+    "import": ("", set()),
+    "spectrum": ("spectrum --target rho3:1000 --K 5", _SHARED | {"tensors"}),
+    "synth": ("synth --target rho3:127", _SHARED | {"tensors", "models"}),
+    "measure": ("measure --target rho1 --g exponential --g-params 0.5",
+                _SHARED | {"tensors", "models", "bounds"}),
+}
+
+
+@pytest.mark.parametrize("case", COMMAND_MODULES)
+def test_a_command_loads_only_the_modules_it_calls(case):
+    # One fresh interpreter per case: import memlens alone loads no
+    # submodule, and a command loads only the library code it calls.
+    argv, expected = COMMAND_MODULES[case]
+    src = str(Path(memlens.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = ("import contextlib, io, sys\n"
+              "import memlens\n"
+              "if sys.argv[1:]:\n"
+              "    import memlens.cli\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        assert memlens.cli.main(sys.argv[1:]) == 0\n"
+              "print(*sorted(m for m in sys.modules if m.startswith('memlens.')))\n")
+    done = subprocess.run([sys.executable, "-c", script, *argv.split()],
+                          env=env, capture_output=True, encoding="utf-8", timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert set(done.stdout.split()) == {f"memlens.{name}" for name in expected}
+
+
 def test_compare_beyond_the_time_limit_exits_two(capsys):
     for K in ("64", "3000"):
         assert main(["compare", "--scenario", "impulse_copy", "--K", K]) == 2
@@ -820,12 +862,12 @@ def test_reproduce_computes_25_spectra(monkeypatch, capsys):
 
 
 def test_reproduce_fail_exits_three(monkeypatch, capsys):
-    from memlens.experiments import ConformanceItem
+    from memlens import experiments
 
     def broken_suite():
-        return [ConformanceItem("synthetic-check", "FAIL", "forced failure")]
+        return [experiments.ConformanceItem("synthetic-check", "FAIL", "forced failure")]
 
-    monkeypatch.setattr(cli_module, "conformance_suite", broken_suite)
+    monkeypatch.setattr(experiments, "conformance_suite", broken_suite)
     code, out = run_cli(capsys, ["reproduce"])
     assert code == 3
     assert "synthetic-check" in out

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from memlens.experiments import (RHO1_SLOTS, RHO2_SLOTS, SPARSE_VALUE,
-                                 comparison_report, conformance_suite,
-                                 error_curve_study, make_target,
-                                 oracle_best_rank_matrix)
+from memlens.experiments import (comparison_report, conformance_suite,
+                                 error_curve_study, oracle_best_rank_matrix)
+from memlens.sequences import RHO1_SLOTS, RHO2_SLOTS, SPARSE_VALUE, make_target
 from memlens.tensors import window_spectrum
 
 
