@@ -2,16 +2,18 @@
 
 The complexity of a target relative to a decay budget g is the smallest
 constant c such that every spectrum tail mass of every tensorised window
-stays below c * g(s); the tail mass at offset s of the depth-K window is
-the one tensors.truncation_error_bound reads at kept rank s + K - 1 off
-its pooled spectrum spec = tensors.window_spectrum(rho, l, K).  Together
-with the window tail norm it yields the two-sided approximation bound for
-a dilated-convolution stack, and the per-(K, M) error curves that compare
-targets at equal parameter budgets.
+stays below c * g(s); the mass t_{K,s} at offset s of the depth-K window
+is the tail of its pooled spectrum beyond kept rank s + K - 1, and
+_tail_masses alone reads that rule.  The complexity is one max over the
+envelope of those masses across depths, and the error curves read their
+rank terms off the same masses.  With the window tail norm this yields
+the two-sided approximation bound for a dilated-convolution stack, and
+the per-(K, M) error curves that compare targets at equal budgets.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -116,22 +118,30 @@ class ErrorCurveTable:
         return [m for m, _ in picked], [u for _, u in picked]
 
 
+def _tail_masses(spec: tensors.Spectrum, l: int, K: int) -> list:
+    """The tail masses t_{K,0}, ..., t_{K,l*K-K} of a depth-K window's
+    pooled spectrum spec: t_{K,s} is the tail beyond kept rank s + K - 1.
+    This is the one place that offset rule is written; every reader of a
+    tail mass goes through it."""
+    return tensors.truncation_error_bound(spec, range(K - 1, l * K))
+
+
 def complexity_measure(rho: Sequence | Family, l: int, g: DecayProfile,
                        k_cap=None) -> Scalar:
     """Smallest constant bounding every spectrum tail mass by c * g(s).
 
-    The tail mass at offset s of the depth-K window is the one
-    tensors.truncation_error_bound reads at kept rank s + K - 1: the root
-    of the summed squares of the pooled spectrum from position s + K
-    (one-based) on, for s up to l*K - K; support beyond the window is
-    accounted separately through tail norms.  The supremum runs over those
-    offsets and window depths K from 1 up to the coverage depth (the
-    smallest K whose window holds the whole support); deeper windows only
-    duplicate tail masses, so the cap does not change the value.  Tail
-    masses below round-off relative to the sequence norm are treated as
-    exact zeros.  Returns infinity when a nonzero tail mass meets g(s) = 0,
-    and when a ratio t/g(s) passes the largest float, as it does for a
-    g(s) that underflows to a subnormal.
+    The masses t_{K,s} are those of _tail_masses, for window depths K
+    from 1 up to the coverage depth (the smallest K whose window holds the
+    whole support); deeper windows only duplicate masses, so the cap does
+    not change the value, and support beyond a window is accounted
+    separately through tail norms.  The supremum is the largest E(s) / g(s)
+    over the envelope E(s) = max over K of t_{K,s}, the largest single
+    ratio, since correctly rounded division by a positive g(s) is
+    monotone.  Masses below round-off relative to the sequence norm are
+    treated as exact zeros.  Returns infinity at the first depth with a
+    nonzero mass where g(s) = 0, decomposing no deeper window, and when a
+    ratio passes the largest float, as it does for a g(s) that underflows
+    to a subnormal.
     A generated rho is measured up to its horizon, so it needs one (see
     tensors.analysis_window).
     """
@@ -144,17 +154,14 @@ def complexity_measure(rho: Sequence | Family, l: int, g: DecayProfile,
     if cap < k_star:
         raise ValueError("k_cap must cover the support")
     noise = COMPLEXITY_NOISE_REL_TOL * float(rho.norm())
-    best = 0.0
+    envelope = []
     for K in range(1, cap + 1):
-        spec = tensors.window_spectrum(rho, l, K)
-        for s, t in enumerate(tensors.truncation_error_bound(spec, range(K - 1, l * K))):
-            if t <= noise:
-                continue
-            gs = g(s)
-            if gs == 0.0:
-                return Scalar(math.inf)
-            best = max(best, t / gs)
-    return Scalar(best)
+        masses = _tail_masses(tensors.window_spectrum(rho, l, K), l, K)
+        if any(g(s) == 0.0 for s, t in enumerate(masses) if t > noise):
+            return Scalar(math.inf)
+        envelope = list(map(max, itertools.zip_longest(envelope, masses, fillvalue=0.0)))
+    ratios = (e / g(s) for s, e in enumerate(envelope) if e > noise)
+    return Scalar(max(ratios, default=0.0))
 
 
 def rank_budget(K: int, M) -> int:
@@ -192,20 +199,20 @@ def error_curve(rho: Sequence | Family, l: int, K_list, M_range) -> ErrorCurveTa
     """Bound split per (K, M): spectrum truncation plus window tail.
 
     The rank term at width M is the spectrum tail beyond rank_budget(K,
-    M), computed once per distinct budget of each depth; the tail term is
-    the norm of the representation outside the window (upper bracket end
-    when the tail is only known as an interval).
+    M), the mass at offset s = rank_budget(K, M) - K + 1 of _tail_masses
+    and 0.0 past its end; the tail term is the norm of the representation
+    outside the window (upper bracket end when the tail is only known as
+    an interval).
     """
     widths = sorted(set(int(m) for m in M_range))
     if widths and widths[0] < 1:
         raise ValueError("widths must be >= 1")
     rows = []
     for K in sorted(set(int(k) for k in K_list)):
-        spec = tensors.window_spectrum(rho, l, K)
+        masses = _tail_masses(tensors.window_spectrum(rho, l, K), l, K)
         tail_term = rho.tail_norm(l ** K).upper
-        budgets = [rank_budget(K, M) for M in widths]
-        kept = list(dict.fromkeys(budgets))
-        rank_terms = dict(zip(kept, tensors.truncation_error_bound(spec, kept)))
-        rows += [CurveRow(K, M, rank_terms[b], tail_term, rank_terms[b] + tail_term)
-                 for M, b in zip(widths, budgets)]
+        for M in widths:
+            s = rank_budget(K, M) - K + 1
+            rank_term = masses[s] if s < len(masses) else 0.0
+            rows.append(CurveRow(K, M, rank_term, tail_term, rank_term + tail_term))
     return ErrorCurveTable(rows=tuple(rows))

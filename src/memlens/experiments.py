@@ -19,7 +19,8 @@ import numpy as np
 from .sequences import (RHO1_SLOTS, RHO2_SLOTS, Scalar, Sequence, dilated_conv,
                         make_target)
 from . import tensors
-from .bounds import DecayProfile, complexity_measure, error_curve, rank_budget
+from .bounds import (DecayProfile, _tail_masses, complexity_measure, error_curve,
+                     rank_budget)
 from .models import (cnn_min_depth_expdecay, replay_residual,
                      rnn_min_width_impulse, rnn_representation, RnnSpec,
                      synthesize_radix)
@@ -74,8 +75,9 @@ def error_curve_study(l: int = 2, K_list=(4, 5, 6), M_max: int = 64) -> CurveStu
     notes = []
     checks = {}
 
-    cover = max(targets["rho1"].radius(), targets["rho2"].radius())
-    claim_K = next((K for K in K_list if l ** K > cover), None)
+    cover = tensors.coverage_depth(l, max(targets["rho1"].radius(),
+                                          targets["rho2"].radius()))
+    claim_K = next((K for K in K_list if K >= cover), None)
     if claim_K is not None:
         r1 = tensors.window_spectrum(targets["rho1"], l, claim_K).rank()
         r2 = tensors.window_spectrum(targets["rho2"], l, claim_K).rank()
@@ -263,7 +265,7 @@ def conformance_suite():
         f"row, which has no reading under the depth-one definition"))
 
     # The tail mass at offset s of the depth-3 window.
-    prof = tensors.truncation_error_bound(spectra[3], range(2, 5))
+    prof = _tail_masses(spectra[3], 2, 3)
     ok = (abs(prof[1] ** 2 - 2.0) <= 1e-9
           and abs(prof[2] ** 2 - 1.0) <= 1e-9)
     items.append(_check(

@@ -12,8 +12,9 @@ bank.  The pooled singular values of the K mode flattenings drive the rank
 counts and truncation bounds of the approximation-rate machinery.
 window_spectrum is the one path from a target to its depth-K pooled
 spectrum, and truncation_error_bound the one path from a spectrum to its
-tails: the tail masses at offsets s = 0, ..., l*K - K that the complexity
-measure reads are truncation_error_bound(spec, range(K - 1, l * K)).
+tails.  The tail masses at offsets s = 0, ..., l*K - K that the complexity
+measure and the error curves read come from one function,
+bounds._tail_masses, the single place their offset rule is written.
 
 Singular values come from direct SVDs of the K flattenings, never their
 Gram matrices: forming a Gram matrix squares the condition number and

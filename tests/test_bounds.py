@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memlens.bounds import (COMPLEXITY_NOISE_REL_TOL, DecayProfile,
-                            complexity_measure, error_curve, rate_bound_interval)
+                            complexity_measure, error_curve, rank_budget,
+                            rate_bound_interval)
 from memlens.experiments import make_target
 from memlens.models import replay_residual, synthesize_lowrank, synthesize_radix
+from memlens import tensors
 from memlens.sequences import Sequence, root_sum_squares
 from memlens.tensors import (coverage_depth, singular_values, truncation_error_bound,
                              window_spectrum)
@@ -29,17 +31,20 @@ def _padded_tail_profile(rho, l, K):
     return [root_sum_squares(padded[s + K - 1:]) for s in range(l * K - K + 1)]
 
 
-def _padded_complexity(rho, l, g):
-    """complexity_measure of a finite rho over _padded_tail_profile, for a
-    profile g with no zeros."""
+def _padded_complexity(rho, l, g, k_cap=None):
+    """complexity_measure of a finite rho as one division per tail mass of
+    _padded_tail_profile, over every depth up to k_cap (the coverage depth
+    by default) and every offset, without an envelope."""
     r = rho.radius()
     if r is None:
         return 0.0
     noise = COMPLEXITY_NOISE_REL_TOL * float(rho.norm())
     best = 0.0
-    for K in range(1, coverage_depth(l, r) + 1):
+    for K in range(1, (k_cap or coverage_depth(l, r)) + 1):
         for s, tail in enumerate(_padded_tail_profile(rho, l, K)):
             if tail > noise:
+                if g(s) == 0.0:
+                    return math.inf
                 best = max(best, tail / g(s))
     return best
 
@@ -129,18 +134,54 @@ def test_tail_sum_profile_depth_one_pads_with_zeros():
 
 
 def test_complexity_reads_the_padded_tail_profile_bit_for_bit(rng):
-    profiles = (DecayProfile.exponential(0.5), DecayProfile.power(2.0, a=3.0))
+    # Sparse, dense and geometric (rank-one: most masses are round-off)
+    # windows; the first table reaches 0 and the last profile's a is
+    # subnormal, so some complexities are infinite.
+    profiles = (DecayProfile.exponential(0.5), DecayProfile.power(2.0, a=3.0),
+                DecayProfile.exponential(0.9, a=2.0), DecayProfile.power(1.0),
+                DecayProfile.table([1.0, 0.5, 0.25], cutoff=2),
+                DecayProfile.table([2.0, 1.0, 1.0, 0.1], cutoff=40),
+                DecayProfile.exponential(0.5, a=1e-320))
+    infinite = set()
     for l, top in ((2, 6), (3, 4), (4, 3), (8, 3)):
         for scale in (1e-200, 1.0, 1e200):
             for _ in range(3):
                 n = l ** int(rng.integers(1, top + 1))
                 times = rng.choice(n, size=int(rng.integers(1, min(n, 8) + 1)),
                                    replace=False)
-                rho = Sequence.from_arrays(times, rng.normal(size=len(times)) * scale)
-                for K in range(1, coverage_depth(l, rho.radius()) + 1):
-                    assert _tail_profile(rho, l, K) == _padded_tail_profile(rho, l, K)
-                for g in profiles:
-                    assert complexity_measure(rho, l, g).value == _padded_complexity(rho, l, g)
+                size = int(rng.integers(1, n + 1))
+                for rho in (Sequence.from_arrays(times, rng.normal(size=len(times)) * scale),
+                            Sequence.from_values(rng.normal(size=size) * scale),
+                            Sequence.from_values(rng.uniform(0.3, 0.9) ** np.arange(size)
+                                                 * scale)):
+                    k_star = coverage_depth(l, rho.radius())
+                    for K in range(1, k_star + 2):
+                        assert _tail_profile(rho, l, K) == _padded_tail_profile(rho, l, K)
+                    for g in profiles:
+                        for cap in (None, k_star + 1):
+                            got = complexity_measure(rho, l, g, k_cap=cap).value
+                            assert got.hex() == _padded_complexity(rho, l, g, cap).hex()
+                            infinite.add(math.isinf(got))
+                    for row in error_curve(rho, l, range(1, k_star + 2), range(1, 41)).rows:
+                        spec = window_spectrum(rho, l, row.K)
+                        want = truncation_error_bound(spec, [rank_budget(row.K, row.M)])[0]
+                        assert row.rank_term.hex() == want.hex(), (l, row.K, row.M)
+    assert infinite == {False, True}
+
+
+def test_complexity_decomposes_no_window_past_the_first_infinite_depth(monkeypatch):
+    # Under a table that is zero past s = 2, rho3:700's depth-3 window holds
+    # a mass above noise at s = 3; its coverage depth is 10.
+    depths = []
+
+    def counted(rho, l, K):
+        depths.append(K)
+        return window_spectrum(rho, l, K)
+
+    monkeypatch.setattr(tensors, "window_spectrum", counted)
+    g = DecayProfile.table([1.0, 0.5], cutoff=2)
+    assert complexity_measure(make_target("rho3:700"), 2, g).value == math.inf
+    assert depths == [1, 2, 3]
 
 
 def test_complexity_worked_example():

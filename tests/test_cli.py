@@ -1127,3 +1127,81 @@ def test_dump_refuses_its_placeholder_string_next_to_a_bank():
 def test_dump_writes_dicts_of_float_rows_as_json_dumps(rows):
     for obj in (rows, {"spec": {"filters": rows}, "rows": [rows]}):
         assert _dump(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+# -- command-level laws ------------------------------------------------------
+
+# Each command of the scaling law, with the numbers of its JSON output that
+# scale with the target.
+LAW_COMMANDS = {
+    ("spectrum", "--K", "3", "--K", "6"):
+        lambda out: [v for row in out["per_K"] for v, _ in row["values"]],
+    ("measure", "--g", "exponential", "--g-params", "0.5"):
+        lambda out: [out["complexity"]],
+    ("bounds", "--K", "5", "--channels", "1,4,4,4,4,1", "--g", "power", "--g-params", "1"):
+        lambda out: [out[end][k] for end in ("lower", "upper") for k in ("value", "halfwidth")],
+    ("curve", "--K", "4", "--K", "6", "--M-max", "20", "--format", "json"):
+        lambda out: [r[k] for r in out["rows"] for k in ("rank_term", "tail_term", "upper_bound")],
+    ("synth", "--method", "radix"): lambda out: [out["replay_residual"]],
+    ("synth", "--method", "lowrank", "--K", "6"): lambda out: [out["replay_residual"]],
+}
+# Magnitudes whose squares, scaled by 2^(+-120), stay normal floats.
+_LAW_VALUES = st.floats(2.0 ** -20, 2.0 ** 20).flatmap(
+    lambda v: st.sampled_from([v, -v]))
+
+
+def _run_json(argv) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0, argv
+    return json.loads(out.getvalue())
+
+
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.dictionaries(st.integers(0, 63), _LAW_VALUES, min_size=1, max_size=12),
+       st.integers(-60, 60))
+def test_scaling_a_row_document_by_a_power_of_two_scales_every_number_exactly(rows, e):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for scale in (1.0, math.ldexp(1.0, e)):
+            path = Path(tmp) / f"{len(paths)}.json"
+            path.write_text(json.dumps({"dim": 1, "entries": [
+                [t, [v * scale]] for t, v in rows.items()]}), encoding="utf-8")
+            paths.append(str(path))
+        for argv, numbers in LAW_COMMANDS.items():
+            base, scaled = (numbers(_run_json([*argv, "--target", p])) for p in paths)
+            assert scaled == [math.ldexp(x, e) for x in base], (argv, e)
+
+
+@pytest.mark.parametrize("target, arg", [("rho3:100", 100), ("exp:0.9", 0.9),
+                                         ("impulse:5", 5)])
+def test_an_id_and_its_family_document_write_the_same_bytes(tmp_path, capsys, target, arg):
+    form = target.partition(":")[0]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(ID_DOCUMENTS[form](arg)), encoding="utf-8")
+    for argv in (*LAW_COMMANDS, ("curve", "--M-max", "20", "--format", "csv")):
+        if argv[1:3] == ("--method", "radix") and form == "exp":
+            continue    # a radix bank needs a finite support
+        by_id, by_doc = (run_cli(capsys, [*argv, "--target", t])
+                         for t in (target, str(path)))
+        assert by_id[0] == by_doc[0] == 0, argv
+        # The label is a JSON string, or the first field of each CSV row.
+        relabelled = by_id[1].replace(json.dumps(target), '"doc"').replace(
+            f"\n{target},", "\ndoc,")
+        assert relabelled == by_doc[1], argv
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 25: explicit zero rows regroup "
+                                       "the tail sums and move tail_term by 1 ulp")
+def test_explicit_zero_rows_leave_the_curve_unchanged(tmp_path, capsys):
+    rows = [[3, [0.976]], [9, [-0.049]], [16, [-0.47]], [18, [-0.346]], [19, [-0.356]],
+            [20, [-0.226]], [23, [-1.573]], [26, [-0.461]], [28, [-0.425]], [31, [-0.189]]]
+    outs = []
+    for name, entries in (("a", rows), ("b", rows + [[21, [0.0]], [29, [0.0]]])):
+        path = tmp_path / name / "doc.json"
+        path.parent.mkdir()
+        path.write_text(json.dumps({"dim": 1, "entries": entries}), encoding="utf-8")
+        outs.append(run_cli(capsys, ["curve", "--K", "4", "--M-max", "1",
+                                     "--format", "json", "--target", str(path)]))
+    assert outs[0] == outs[1]

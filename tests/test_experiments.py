@@ -78,6 +78,16 @@ def test_error_curve_study_mean_ordering_at_coverage_depth():
     assert float(np.mean(u3)) < float(np.mean(u2))
 
 
+def test_error_curve_study_claims_at_the_first_swept_covering_depth():
+    cover = max(max(RHO1_SLOTS), max(RHO2_SLOTS))
+    for l, K_list in ((2, (3, 4)), (2, (6, 4, 5)), (2, (5,)), (2, (7, 9)), (3, (2, 3, 4)),
+                      (3, (4, 3))):
+        study = error_curve_study(l=l, K_list=K_list, M_max=4)
+        want = next((K for K in sorted(K_list) if l ** K > cover), None)
+        claims = [n.split(":")[0] for n in study.notes if n.startswith("window tensor ranks")]
+        assert claims == ([] if want is None else [f"window tensor ranks at K={want}"])
+
+
 def test_comparison_report_exp_decay():
     report = comparison_report("exp_decay", gamma=0.99, eps=0.01, l=2)
     assert report.scenario == "exp_decay"

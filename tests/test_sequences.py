@@ -83,6 +83,21 @@ def test_impulse_and_vector_entries():
         Sequence.from_arrays([-2], [1.0])
 
 
+def test_a_sequence_shares_no_buffer_with_the_arrays_it_was_built_from():
+    # Sorted, unsorted and repeated times, and rows [v]: whatever path the
+    # columns take, a later write to the caller's arrays leaves rho as it was.
+    for times, values in (([1, 4, 9], [1.0, -2.0, 3.0]), ([9, 1, 4], [3.0, 1.0, -2.0]),
+                          ([1, 4, 4, 9], [1.0, 5.0, -2.0, 3.0]),
+                          ([1, 4, 9], [[1.0], [-2.0], [3.0]])):
+        times, values = np.array(times, dtype=np.int64), np.array(values)
+        seq = Sequence.from_arrays(times, values)
+        before = seq.to_json()
+        times[:] = 0
+        values[...] = np.nan
+        assert seq.to_json() == before == {"dim": 1, "entries": [[1, [1.0]], [4, [-2.0]],
+                                                                  [9, [3.0]]]}
+
+
 def test_generated_families_evaluate_pointwise():
     geo = Sequence.geometric(0.5).truncate(4)
     assert geo.value(3) == 0.125
