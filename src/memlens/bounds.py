@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .sequences import Family, Scalar, Sequence, _whole
-from .models import effective_filters
 from . import tensors
 
 COMPLEXITY_NOISE_REL_TOL = 1e-12
@@ -180,6 +179,8 @@ def rate_bound_interval(rho: Sequence | Family, l: int, K: int, channels,
     g(rank_budget(K, M) - K) * complexity + the tail norm beyond the
     receptive field, and +inf for an infinite complexity, whatever g is.
     """
+    # Imported here, its one use, so that measure does not load models.
+    from .models import effective_filters
     M = effective_filters(channels, l, K)
     if M < 1:
         raise ValueError("effective filter count must be at least 1")

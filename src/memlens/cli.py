@@ -3,12 +3,14 @@
 Each subcommand is one argparse subparser plus one handler.  argparse
 makes the whole usage check: required flags, choices, and range-checked
 numbers (--l >= 2; --K, --M-max and --horizon >= 1), so a malformed
-invocation exits 1 before any file is written.  A handler reads its
-subparser's namespace, calls the library and serialises the result
-through _jsontext (dump for JSON, csv_text for CSV); every number it
-writes comes from one library call.  A handler writes and prints
-nothing: it hands each artifact to main, which prints them all, or
-writes them all into --out, once the handler has returned.
+invocation exits 1 before any file is written; each command's --format
+takes only what it writes.  A handler reads its subparser's namespace,
+calls the library and builds its documents; every number it writes
+comes from one library call.  A handler writes and prints nothing: it
+hands emit each JSON document, or the text of a CSV (csv_text), SVG or
+report artifact, and emit, in main, is the one JSON serialiser
+(_jsontext.dump).  main prints them all, or writes them all into --out,
+once the handler has returned.
 Exit codes: 0 success, 1 usage error, 2 computation error, 3 a failed
 check (reproduce, study).  Exits 1 and 2 write and print no artifact;
 study and reproduce still write theirs on exit 3.
@@ -28,7 +30,7 @@ window (tensors.analysis_window, which synth leaves to its synthesizer).
 Each command imports only the library code it calls: this module loads
 sequences and _jsontext, which parsing and every handler share, and each
 handler imports the rest of what it calls when it runs, so spectrum
-never loads models, bounds, experiments or charts.
+never loads models, bounds, experiments or charts, nor measure models.
 """
 
 from __future__ import annotations
@@ -44,18 +46,20 @@ import sys
 from .sequences import Sequence, make_target
 from ._jsontext import _SURROGATE, csv_text, dump as _dump
 
-FORMATS = ("csv", "json", "svg")
 
-
-def _parse_formats(text: str):
-    parts = tuple(p for p in text.split(",") if p)
-    if not parts:
-        raise argparse.ArgumentTypeError(f"expected at least one format, got {text!r}")
-    bad = [p for p in parts if p not in FORMATS]
-    if bad:
-        raise argparse.ArgumentTypeError(
-            f"unknown format(s) {', '.join(bad)}; choose from {', '.join(FORMATS)}")
-    return parts
+def _formats(*choices):
+    """argparse type: a nonempty comma-separated list of the formats a
+    command writes."""
+    def parse(text: str):
+        parts = tuple(p for p in text.split(",") if p)
+        if not parts:
+            raise argparse.ArgumentTypeError(f"expected at least one format, got {text!r}")
+        bad = [p for p in parts if p not in choices]
+        if bad:
+            raise argparse.ArgumentTypeError(
+                f"unknown format(s) {', '.join(bad)}; choose from {', '.join(choices)}")
+        return parts
+    return parse
 
 
 def _comma_list(convert, what: str):
@@ -200,10 +204,9 @@ def _cmd_spectrum(args, emit) -> int:
         for K in args.K:
             spec = window_spectrum(target, args.l, K)
             per_K.append({"K": K, "rank": spec.rank(),
-                          "values": [[float(v), int(m)] for v, m in spec.entries]})
+                          "values": list(map(list, spec.entries))})
         if "json" in args.format:
-            emit(f"{label}_spectrum.json",
-                 _dump({"target": label, "l": args.l, "per_K": per_K}))
+            emit(f"{label}_spectrum.json", {"target": label, "l": args.l, "per_K": per_K})
         if "csv" in args.format:
             rows = [(row["K"], idx, m, v) for row in per_K
                     for idx, (v, m) in enumerate(row["values"], start=1)]
@@ -221,10 +224,10 @@ def _cmd_measure(args, emit) -> int:
         c = complexity_measure(analysis_window(target, args.l, args.K[0]), args.l, g)
         finite = math.isfinite(c.value)
         emit(f"{label}_measure.json",
-             _dump({"target": label, "l": args.l,
-                    "g": {"family": args.g, "params": list(args.g_params)},
-                    "complexity": c.value if finite else None,
-                    "infinite": not finite}))
+             {"target": label, "l": args.l,
+              "g": {"family": args.g, "params": list(args.g_params)},
+              "complexity": c.value if finite else None,
+              "infinite": not finite})
     return 0
 
 
@@ -237,11 +240,11 @@ def _cmd_bounds(args, emit) -> int:
         target, label = load_target(text)
         lower, upper = rate_bound_interval(target, args.l, K, args.channels, g)
         emit(f"{label}_bounds.json",
-             _dump({"target": label, "l": args.l, "K": K,
-                    "channels": list(args.channels),
-                    "effective_filters": effective_filters(args.channels, args.l, K),
-                    "lower": {"value": lower.value, "halfwidth": lower.halfwidth},
-                    "upper": {"value": upper.value, "halfwidth": upper.halfwidth}}))
+             {"target": label, "l": args.l, "K": K,
+              "channels": list(args.channels),
+              "effective_filters": effective_filters(args.channels, args.l, K),
+              "lower": {"value": lower.value, "halfwidth": lower.halfwidth},
+              "upper": {"value": upper.value, "halfwidth": upper.halfwidth}})
     return 0
 
 
@@ -255,8 +258,7 @@ def _cmd_curve(args, emit) -> int:
             emit(f"{label}_curve.csv", csv_text(label, args.l, CurveRow._fields, table.rows))
         if "json" in args.format:
             rows = [r._asdict() for r in table.rows]
-            emit(f"{label}_curve.json",
-                 _dump({"target": label, "l": args.l, "rows": rows}))
+            emit(f"{label}_curve.json", {"target": label, "l": args.l, "rows": rows})
         if "svg" in args.format:
             series = [(f"K={K}", *table.curve(K)) for K in sorted(set(args.K))]
             svg = line_chart(series, title=f"{label}: approximation bound",
@@ -276,11 +278,11 @@ def _cmd_synth(args, emit) -> int:
         else:
             spec = synthesize_lowrank(target, args.l, args.K[0] if args.K else None)
         emit(f"{label}_{args.method}.json",
-             _dump({"target": label, "method": args.method, "l": args.l,
-                    "depth": spec.K, "channels": list(spec.channels),
-                    "filter_count": spec.filter_count,
-                    "replay_residual": replay_residual(spec, target),
-                    "spec": spec}))
+             {"target": label, "method": args.method, "l": args.l,
+              "depth": spec.K, "channels": list(spec.channels),
+              "filter_count": spec.filter_count,
+              "replay_residual": replay_residual(spec, target),
+              "spec": spec})
     return 0
 
 
@@ -293,7 +295,7 @@ def _cmd_compare(args, emit) -> int:
     if extra:
         raise UsageError(f"scenario {args.scenario} takes no {' or '.join(extra)}")
     report = comparison_report(args.scenario, l=args.l, **given)
-    emit(f"compare_{args.scenario}.json", _dump(report.to_json()))
+    emit(f"compare_{args.scenario}.json", report.to_json())
     return 0
 
 
@@ -311,8 +313,7 @@ def _cmd_study(args, emit) -> int:
              line_chart(series, title=f"upper bound vs M (l={args.l}, K={K})",
                         x_label="effective filters M", y_label="upper bound",
                         log_y=True))
-    emit("study_summary.json",
-         _dump({"l": study.l, "checks": study.checks, "notes": study.notes}))
+    emit("study_summary.json", {"l": study.l, "checks": study.checks, "notes": study.notes})
     emit(None, "".join(f"{'PASS' if ok else 'FAIL'} {name}\n"
                        for name, ok in sorted(study.checks.items())))
     return 0 if study.passed else 3
@@ -366,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="window tensor spectra and ranks")
     add_common(p, (5,), "depth; repeatable (default 5)")
-    p.add_argument("--format", type=_parse_formats, default=("json",))
+    p.add_argument("--format", type=_formats("csv", "json"), default=("json",))
 
     p = sub.add_parser("measure", help="complexity measure against a decay profile")
     add_common(p, (5,), "depth whose window measures a target without a "
@@ -380,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curve", help="error curve tables over a (K, M) sweep")
     add_common(p, (4, 5, 6), "depth; repeatable (default 4,5,6)")
     p.add_argument("--M-max", dest="M_max", type=depth, default=64)
-    p.add_argument("--format", type=_parse_formats, default=("csv", "svg"))
+    p.add_argument("--format", type=_formats("csv", "json", "svg"), default=("csv", "svg"))
 
     p = sub.add_parser("synth", help="build an exact or low-rank model for a target")
     add_common(p, None, "depth of the low-rank bank, whose length-l^K window "
@@ -417,8 +418,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     artifacts = []
 
-    def emit(name, text, echo=False):
-        artifacts.append((name, text, echo))
+    def emit(name, doc, echo=False):
+        artifacts.append((name, doc if isinstance(doc, str) else _dump(doc), echo))
 
     try:
         code = _HANDLERS[args.command](args, emit)

@@ -129,9 +129,7 @@ class CnnSpec:
         return len(self.index)
 
     def to_json(self) -> dict:
-        # Every "k,j,i" key joins three texts of the distinct key parts.
-        parts, at = np.unique(self.index, return_inverse=True)
-        keys = _key_texts(at.reshape(-1, 3), list(map(str, parts.tolist())))
+        keys = [f"{k},{j},{i}" for k, j, i in self.index.tolist()]
         return {
             "l": self.l,
             "K": self.K,

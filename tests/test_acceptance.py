@@ -293,3 +293,16 @@ def test_artifact_text_stays_in_jsontext():
                 readers.append(f"{path.name}:{node.lineno}")
     assert quoting == []
     assert readers == []
+
+
+def test_cli_serialises_json_in_emit_alone():
+    # A handler hands emit its documents: the one _dump call of the command
+    # line is in emit, which main defines.
+    tree = ast.parse((Path(memlens.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)}
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "_dump"]
+    assert len(calls) == 1
+    assert calls[0] in list(ast.walk(functions["emit"]))
+    assert functions["emit"] in list(ast.walk(functions["main"]))

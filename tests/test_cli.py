@@ -217,6 +217,28 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert capsys.readouterr().err == "error: --K applies to --method lowrank\n"
 
 
+@pytest.mark.parametrize("command, writes", [("spectrum", ("csv", "json")),
+                                             ("curve", ("csv", "json", "svg"))])
+def test_each_format_a_command_takes_writes_one_file_per_target(command, writes,
+                                                                 tmp_path, capsys):
+    # A format the command writes gives exactly its file for each target;
+    # any other is a usage error that writes nothing.
+    for fmt in ("csv", "json", "svg"):
+        out = tmp_path / fmt
+        code = main([command, "--target", "rho1", "--target", "rho2", "--K", "4",
+                     *(["--M-max", "2"] if command == "curve" else []),
+                     "--format", fmt, "--out", str(out)])
+        err = capsys.readouterr().err
+        if fmt in writes:
+            assert code == 0, err
+            assert sorted(p.name for p in out.iterdir()) == [
+                f"{label}_{command}.{fmt}" for label in ("rho1", "rho2")]
+        else:
+            assert code == 1
+            assert f"unknown format(s) {fmt}; choose from {', '.join(writes)}" in err
+            assert not out.exists()
+
+
 # One fault of a channel plan at K = 2 and l = 2, and the one text that
 # every reader of a plan gives for it.
 CHANNEL_FAULTS = [((1, 4), "channels must list K + 1 widths"),
@@ -722,7 +744,7 @@ def test_labels_from_file_names_that_are_not_utf8(tmp_path, capsys):
         path.write_text('{"entries": [[0, [1.0]], [3, [0.5]]]}', encoding="utf-8")
         assert main(["curve", "--target", str(path), "--K", "4", "--M-max", "2",
                      "--format", "csv,svg", "--out", str(out)]) == 0
-        assert main(["spectrum", "--target", str(path), "--format", "json,csv,svg",
+        assert main(["spectrum", "--target", str(path), "--format", "json,csv",
                      "--out", str(out)]) == 0
         shown = stem.replace(label, "bad\ufffd")
         assert capsys.readouterr().out.splitlines() == [
@@ -784,7 +806,7 @@ COMMAND_MODULES = {
     "spectrum": ("spectrum --target rho3:1000 --K 5", _SHARED | {"tensors"}),
     "synth": ("synth --target rho3:127", _SHARED | {"tensors", "models"}),
     "measure": ("measure --target rho1 --g exponential --g-params 0.5",
-                _SHARED | {"tensors", "models", "bounds"}),
+                _SHARED | {"tensors", "bounds"}),
 }
 
 
