@@ -22,11 +22,11 @@ _PUBLIC = {
     "tensors": ("Spectrum", "singular_values", "truncation_error_bound",
                 "tt_svd", "window_spectrum"),
     "models": ("CnnSpec", "RnnSpec", "cnn_min_depth_expdecay",
-               "cnn_representation", "effective_filters",
-               "power_sum_delta_bound", "rnn_min_width_impulse",
-               "rnn_representation", "synthesize_lowrank", "synthesize_radix"),
+               "cnn_representation", "power_sum_delta_bound",
+               "rnn_min_width_impulse", "rnn_representation",
+               "synthesize_lowrank", "synthesize_radix"),
     "bounds": ("DecayProfile", "ErrorCurveTable", "complexity_measure",
-               "error_curve", "rate_bound_interval"),
+               "effective_filters", "error_curve", "rate_bound_interval"),
     "experiments": ("ComparisonReport", "CurveStudy", "comparison_report",
                     "conformance_suite", "error_curve_study",
                     "oracle_best_rank_matrix"),

@@ -8,7 +8,10 @@ _tail_masses alone reads that rule.  The complexity is one max over the
 envelope of those masses across depths, and the error curves read their
 rank terms off the same masses.  With the window tail norm this yields
 the two-sided approximation bound for a dilated-convolution stack, and
-the per-(K, M) error curves that compare targets at equal budgets.
+the per-(K, M) error curves that compare targets at equal budgets.  The
+bound sizes a stack by the effective filter count M of its width plan
+(M_0, ..., M_K): effective_filters counts it here, where it is read, and
+tensors.width_plan, beside the tensor train, checks the plan.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .sequences import Family, Scalar, Sequence, _whole
+from .sequences import _HUGE, Family, Scalar, Sequence, _whole
 from . import tensors
 
 COMPLEXITY_NOISE_REL_TOL = 1e-12
@@ -163,6 +166,27 @@ def complexity_measure(rho: Sequence | Family, l: int, g: DecayProfile,
     return Scalar(max(ratios, default=0.0))
 
 
+def effective_filters(channels, l: int, K: int) -> float:
+    """Pairwise-channel parameter count of a depth-K stack.
+
+    channels is the full width list (M_0, ..., M_K), K >= 1, checked as a
+    CnnSpec checks it (tensors.width_plan).  Returns the sum of the
+    products of consecutive widths among M_1, ..., M_K, less l*K.  A single
+    layer has no width pairs and returns 0.  The value can be negative for
+    very narrow stacks; a count beyond the largest float is refused.
+    """
+    widths = tensors.width_plan(channels, K)
+    if K == 1:
+        return 0.0
+    pair_sum = sum(a * b for a, b in zip(widths[1:], widths[2:]))
+    try:
+        return float(pair_sum - l * K)
+    except OverflowError:
+        raise ValueError(f"the effective filter count of channels "
+                         f"{','.join(map(str, widths))!r:.40} at l = {l!r:.40} is "
+                         f"beyond the float limit {_HUGE!r}") from None
+
+
 def rank_budget(K: int, M) -> int:
     """The rank a depth-K stack of M effective filters keeps:
     floor(K * M^(1/K))."""
@@ -179,8 +203,6 @@ def rate_bound_interval(rho: Sequence | Family, l: int, K: int, channels,
     g(rank_budget(K, M) - K) * complexity + the tail norm beyond the
     receptive field, and +inf for an infinite complexity, whatever g is.
     """
-    # Imported here, its one use, so that measure does not load models.
-    from .models import effective_filters
     M = effective_filters(channels, l, K)
     if M < 1:
         raise ValueError("effective filter count must be at least 1")

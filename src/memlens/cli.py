@@ -30,7 +30,8 @@ window (tensors.analysis_window, which synth leaves to its synthesizer).
 Each command imports only the library code it calls: this module loads
 sequences and _jsontext, which parsing and every handler share, and each
 handler imports the rest of what it calls when it runs, so spectrum
-never loads models, bounds, experiments or charts, nor measure models.
+never loads models, bounds, experiments or charts, nor measure and
+bounds models.
 """
 
 from __future__ import annotations
@@ -232,8 +233,7 @@ def _cmd_measure(args, emit) -> int:
 
 
 def _cmd_bounds(args, emit) -> int:
-    from .bounds import rate_bound_interval
-    from .models import effective_filters
+    from .bounds import effective_filters, rate_bound_interval
     g = _profile(args.g, args.g_params)
     K = args.K[0]
     for text in args.target:

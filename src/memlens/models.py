@@ -7,8 +7,9 @@ Two synthesizers, each cutting the window it reproduces, build exact
 filter banks: a digit-reading construction with one channel path per
 nonzero entry, and the tensor train of the length-l^K window over its
 base-l digits from tensors.tt_svd, whose cores are the filters and
-widths the ranks of its sequential unfoldings.  _check_widths checks
-every width plan (M_0, ..., M_K), so each of its faults has one text.
+widths the ranks of its sequential unfoldings.  A width plan (M_0, ...,
+M_K) is checked by tensors.width_plan, beside the tensor train whose rank
+profile it is, and its effective filter count is bounds.effective_filters.
 
 An RnnSpec holds a linear recurrence whose representation is the power
 sum c' W^(s-1) U for s >= 1 (and 0 at s = 0).  Width lower bounds for
@@ -38,21 +39,6 @@ def _key_texts(at, texts):
     decimal texts of the key parts."""
     k, j, i = (map(texts.__getitem__, column) for column in at.T.tolist())
     return list(map(",".join, zip(k, j, i)))
-
-
-def _check_widths(channels, K) -> tuple:
-    """The width plan (M_0, ..., M_K) as ints: K + 1 positive widths, one
-    input and one output channel.  Every reader of a plan checks it here."""
-    widths = tuple(int(m) for m in channels)
-    if len(widths) != K + 1:
-        raise ValueError("channels must list K + 1 widths")
-    if min(widths) < 1:
-        raise ValueError("channel widths must be positive")
-    if widths[-1] != 1:
-        raise ValueError("the output is a single channel")
-    if widths[0] != 1:
-        raise ValueError("the input is a single channel")
-    return widths
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -106,7 +92,7 @@ class CnnSpec:
         given order, whose key is out of range or whose length is not l."""
         if l < 2 or K < 1:
             raise ValueError("need l >= 2 and K >= 1")
-        widths = _check_widths(channels, K)
+        widths = tensors.width_plan(channels, K)
         wide = [m for m in widths if m > MAX_TIME]
         if wide:
             raise ValueError(f"channel width {wide[0]!r:.40} is beyond the int64 "
@@ -292,29 +278,6 @@ def replay_residual(spec: CnnSpec, target: Sequence | Family) -> float:
     t = np.sort(np.concatenate([replay.arrays()[0], window.arrays()[0]]))
     t = t[np.diff(t, prepend=-1) != 0]
     return root_sum_squares(replay._at(t) - window._at(t))
-
-
-def effective_filters(channels, l: int, K: int) -> float:
-    """Pairwise-channel parameter count of a depth-K stack.
-
-    channels is the full width list (M_0, ..., M_K), K >= 1, checked as a
-    CnnSpec checks it (_check_widths).  Returns the sum of the products of
-    consecutive widths among M_1, ..., M_K, less l*K.  A single layer has
-    no width pairs and returns 0.  The value can be negative for very
-    narrow stacks; a count beyond the largest float is refused.
-    """
-    if K < 1:
-        raise ValueError("need K >= 1")
-    widths = _check_widths(channels, K)
-    if K == 1:
-        return 0.0
-    pair_sum = sum(a * b for a, b in zip(widths[1:], widths[2:]))
-    try:
-        return float(pair_sum - l * K)
-    except OverflowError:
-        raise ValueError(f"the effective filter count of channels "
-                         f"{','.join(map(str, widths))!r:.40} at l = {l!r:.40} is "
-                         f"beyond the float limit {_HUGE!r}") from None
 
 
 def synthesize_radix(target: Sequence | Family, l: int) -> CnnSpec:

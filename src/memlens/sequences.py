@@ -8,13 +8,14 @@ H_t(x) = sum_s rho(s) x(t - s), which every analysis reads in place of
 the functional itself, and the filters of the convolutional models.
 
 A Sequence is stored as one sorted int64 array of distinct times and one
-float64 array of their values, and every operation on it is an array
-operation.  A Family is read through its window, values_upto(n), its
-rule applied to arange(n) in one pass (gamma ** t, 1 / t), or
-truncate(n), the nonzeros of that array as a Sequence, and through its
-tail beyond a window in closed form (tail_norm, sup_abs_from).  Time
-indices must stay below 2^63: a larger index raises ValueError before
-any int64 arithmetic runs, so no time wraps silently.
+float64 array of their values, none of them zero: an exact zero, read or
+summed, is dropped, so no sum depends on how many zeros a document spells
+out.  Every operation on it is an array operation.  A Family is read
+through its window, values_upto(n), its rule applied to arange(n) in one
+pass (gamma ** t, 1 / t), or truncate(n), the nonzeros of that array as a
+Sequence, and through its tail beyond a window in closed form (tail_norm,
+sup_abs_from).  Time indices must stay below 2^63: a larger index raises
+ValueError before any int64 arithmetic runs, so no time wraps silently.
 
 Sequence.from_json reads a text in the row layout that to_json writes
 through json.dumps, compact or indented, without building a list per
@@ -248,7 +249,8 @@ def _columns(times, values):
     values or n rows [v].
 
     A repeated time keeps its last value, as a dict built from the same
-    (time, value) pairs would.
+    (time, value) pairs would, and a last value of zero drops its time,
+    so an explicit zero reads as an absent entry.
     """
     arr = np.asarray(times)
     if arr.dtype.kind not in "iu":  # floats, strings, None, or beyond 64 bits
@@ -270,15 +272,17 @@ def _columns(times, values):
     times, values = times[order], values[order]
     last = np.ones(len(times), dtype=bool)
     last[:-1] = times[1:] != times[:-1]
+    last &= values != 0.0
     return times[last], values[last]
 
 
 class Sequence:
     """A finitely supported scalar sequence rho: N -> R.
 
-    It stores sorted distinct int64 times with a float64 value array,
-    and every one is built by from_arrays or through it.  geometric,
-    power and the family form of from_json give a Family instead.
+    It stores sorted distinct int64 times with their nonzero float64
+    values, and every one is built by from_arrays or through it.
+    geometric, power and the family form of from_json give a Family
+    instead.
     """
 
     def __init__(self, *args, **kwargs):
@@ -653,4 +657,5 @@ def dilated_conv(f: Sequence, g: Sequence, dilation: int) -> Sequence:
     times, at = np.unique(dilation * ft[:, None] + gt[None, :], return_inverse=True)
     out = np.zeros(len(times))
     np.add.at(out, at.reshape(-1), (fv[:, None] * gv[None, :]).reshape(-1))
-    return Sequence._of(times, out)
+    live = out != 0.0
+    return Sequence._of(times[live], out[live])

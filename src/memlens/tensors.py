@@ -8,12 +8,15 @@ row-major with later digits slower, and every SVD of the library:
 _mode_view reads a mode flattening in place (mode_flatten_general and
 mode_refold_general read and write it as a matrix), and tt_svd reads the
 unfoldings and cores of the window's tensor train, the low-rank filter
-bank.  The pooled singular values of the K mode flattenings drive the rank
-counts and truncation bounds of the approximation-rate machinery.
-window_spectrum is the one path from a target to its depth-K pooled
-spectrum, and truncation_error_bound the one path from a spectrum to its
-tails.  The tail masses at offsets s = 0, ..., l*K - K that the complexity
-measure and the error curves read come from one function,
+bank.  The ranks of that train are a stack's width plan (M_0, ..., M_K),
+and width_plan, beside tt_svd, is the one check of a plan: CnnSpec and
+bounds.effective_filters read every plan through it.  The pooled singular
+values of the K mode flattenings drive the rank counts and truncation
+bounds of the approximation-rate machinery.  window_spectrum is the one
+path from a target to its depth-K pooled spectrum, and
+truncation_error_bound the one path from a spectrum to its tails.  The
+tail masses at offsets s = 0, ..., l*K - K that the complexity measure
+and the error curves read come from one function,
 bounds._tail_masses, the single place their offset rule is written.
 
 Singular values come from direct SVDs of the K flattenings, never their
@@ -23,6 +26,13 @@ round-off decide tensor ranks.  The flattenings are decomposed in groups
 whose stack stays within a fixed byte budget (_STACK_BUDGET), one batched
 SVD per group; a window whose K flattenings fit takes one call, and a
 deeper window needs one window-sized slot beside the window.
+
+Each singular value is accurate to a small multiple of eps * sigma_max,
+sigma_max the largest value of the pooled spectrum (LAPACK Users' Guide,
+section 4.9), not to its own relative accuracy: a value far below
+sigma_max keeps fewer correct digits.  The tests hold singular_values
+within 16 * eps * sigma_max of a one-sided Jacobi SVD in long double, on
+random, graded and near-rank-one windows.
 """
 
 from __future__ import annotations
@@ -220,6 +230,25 @@ def tt_svd(rho: Sequence | Family, l: int, K: int) -> list:
     with np.errstate(over="ignore"):
         cores.append(scale * rest[:, :, None])
     return cores
+
+
+def width_plan(channels, K) -> tuple:
+    """The width plan (M_0, ..., M_K) of a depth-K stack as ints: K + 1
+    positive widths, one input and one output channel, the rank profile
+    (1, r_1, ..., r_{K-1}, 1) of a tensor train like tt_svd's.  Every
+    reader of a plan checks it here."""
+    if K < 1:
+        raise ValueError("need K >= 1")
+    widths = tuple(int(m) for m in channels)
+    if len(widths) != K + 1:
+        raise ValueError("channels must list K + 1 widths")
+    if min(widths) < 1:
+        raise ValueError("channel widths must be positive")
+    if widths[-1] != 1:
+        raise ValueError("the output is a single channel")
+    if widths[0] != 1:
+        raise ValueError("the input is a single channel")
+    return widths
 
 
 def truncation_error_bound(spec: Spectrum, kept_ranks) -> list:

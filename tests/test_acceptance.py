@@ -279,6 +279,21 @@ def test_every_svd_of_the_library_runs_in_tensors():
     assert private == []
 
 
+def test_only_the_cli_imports_inside_a_function():
+    # A library module names every module it reads in its top-level
+    # imports; only the command line defers them, so that each command
+    # loads only what it runs.
+    deferred = set()
+    for path in sorted(Path(memlens.__file__).parent.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for scope in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                deferred |= {f"{path.name}:{node.lineno}" for node in ast.walk(scope)
+                             if isinstance(node, (ast.Import, ast.ImportFrom))}
+    assert sorted(deferred) == []
+
+
 def test_artifact_text_stays_in_jsontext():
     # Only _jsontext quotes a CSV label, and only sequences reads a JSON
     # document: a filter bank is written, never read back.

@@ -23,11 +23,13 @@ from hypothesis import strategies as st
 import memlens
 from memlens import cli as cli_module
 from memlens._jsontext import _PLACEHOLDER, csv_field
+from memlens.bounds import effective_filters
 from memlens.cli import _dump, build_parser, load_target, main
-from memlens.models import (CnnSpec, effective_filters, synthesize_lowrank,
-                            synthesize_radix)
+from memlens.models import CnnSpec, synthesize_lowrank, synthesize_radix
 from memlens.sequences import Sequence
 from memlens.tensors import analysis_window
+
+from contract import corpus
 
 
 def run_cli(capsys, args):
@@ -396,6 +398,13 @@ def _readme_commands():
             if line.startswith("memlens "):
                 lines.append(shlex.split(line)[1:])
     return lines
+
+
+def test_the_readme_commands_are_the_contract_readme_cases():
+    # The contract pins each README command line, in the README's order,
+    # as a readme-* case, so an edit to either shows in the other.
+    pinned = [argv for name, argv in corpus.commands() if name.startswith("readme-")]
+    assert pinned == _readme_commands()
 
 
 def test_readme_commands_run(tmp_path, capsys):
@@ -807,6 +816,8 @@ COMMAND_MODULES = {
     "synth": ("synth --target rho3:127", _SHARED | {"tensors", "models"}),
     "measure": ("measure --target rho1 --g exponential --g-params 0.5",
                 _SHARED | {"tensors", "bounds"}),
+    "bounds": ("bounds --target rho3:700 --K 5 --channels 1,4,4,4,4,1 "
+               "--g exponential --g-params 0.5", _SHARED | {"tensors", "bounds"}),
 }
 
 
@@ -1214,8 +1225,6 @@ def test_an_id_and_its_family_document_write_the_same_bytes(tmp_path, capsys, ta
         assert relabelled == by_doc[1], argv
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 25: explicit zero rows regroup "
-                                       "the tail sums and move tail_term by 1 ulp")
 def test_explicit_zero_rows_leave_the_curve_unchanged(tmp_path, capsys):
     rows = [[3, [0.976]], [9, [-0.049]], [16, [-0.47]], [18, [-0.346]], [19, [-0.356]],
             [20, [-0.226]], [23, [-1.573]], [26, [-0.461]], [28, [-0.425]], [31, [-0.189]]]

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memlens.bounds import effective_filters
 from memlens.models import (CnnSpec, RnnSpec, cnn_min_depth_expdecay,
-                            cnn_representation, effective_filters,
-                            power_sum_delta_bound, replay_residual,
-                            rnn_min_width_impulse, rnn_representation,
-                            synthesize_lowrank, synthesize_radix)
+                            cnn_representation, power_sum_delta_bound,
+                            replay_residual, rnn_min_width_impulse,
+                            rnn_representation, synthesize_lowrank,
+                            synthesize_radix)
 from memlens.sequences import MAX_TIME, Sequence, root_sum_squares
 from memlens.tensors import tt_svd
 
@@ -532,6 +533,17 @@ def _stepped_recurrence(spec, horizon):
     return values
 
 
+def _rnn_window(spec, horizon):
+    return rnn_representation(spec, horizon).values_upto(horizon + 1)
+
+
+def _stepped_window(spec, horizon):
+    """The stepped recurrence as the window [0, horizon] holds it: 0.0 at
+    s = 0, and a zero of either sign, which a Sequence does not store, as
+    +0.0."""
+    return np.concatenate([[0.0], _stepped_recurrence(spec, horizon)]) + 0.0
+
+
 def test_rnn_representation_is_the_stepped_recurrence(rng):
     for m in (1, 2, 5):
         for _ in range(2):
@@ -539,11 +551,9 @@ def test_rnn_representation_is_the_stepped_recurrence(rng):
             W *= 0.95 / np.max(np.abs(np.linalg.eigvals(W)))
             spec = RnnSpec(m=m, c=rng.normal(size=m), W=W, U=rng.normal(size=m))
             for horizon in (1, 500):
-                times, values = rnn_representation(spec, horizon).arrays()
-                ref = _stepped_recurrence(spec, horizon)
-                assert np.array_equal(times, np.arange(1, horizon + 1))
-                assert values.shape == ref.shape == (horizon,)
-                assert values.tobytes() == ref.tobytes()
+                window = _rnn_window(spec, horizon)
+                assert window.tobytes() == _stepped_window(spec, horizon).tobytes()
+                assert np.count_nonzero(window) == horizon
     # Width 1 is replayed as one cumulative product: signed zeros,
     # subnormals and negative values, in U, W and the readout.
     edge = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
@@ -553,9 +563,9 @@ def test_rnn_representation_is_the_stepped_recurrence(rng):
             for c in (1.0, -0.0, -2.5):
                 spec = RnnSpec(m=1, c=[c], W=[[w]], U=[u])
                 for horizon in (1, 2, 1000):
-                    values = rnn_representation(spec, horizon).arrays()[1]
-                    ref = _stepped_recurrence(spec, horizon)
-                    assert values.tobytes() == ref.tobytes(), (w, u, c, horizon)
+                    window = _rnn_window(spec, horizon)
+                    want = _stepped_window(spec, horizon)
+                    assert window.tobytes() == want.tobytes(), (w, u, c, horizon)
 
 
 def test_power_sum_delta_bound_values_and_errors():

@@ -43,6 +43,9 @@ def test_from_values_drops_zeros_and_keeps_support():
     assert s.value(-5) == 0.0
     assert s.radius() == 3
     assert s.sparsity() == 2
+    # from_arrays drops an exact zero of either sign too.
+    zeros = Sequence.from_arrays([4, 1, 3, 2], [0.0, 3.0, -1.0, -0.0])
+    assert zeros.arrays()[0].tolist() == [1, 3]
 
 
 def test_zero_sequence_has_no_radius():
@@ -271,6 +274,9 @@ def test_dilated_conv_worked_example():
     g = Sequence.from_values([1.0, 2.0])
     out = dilated_conv(f, g, 2)
     assert list(out.values_upto(4)) == [3.0, 6.0, 4.0, 8.0]
+    # A sum that cancels to exactly zero is not stored.
+    ones, step = Sequence.from_values([1.0, 1.0]), Sequence.from_values([1.0, -1.0])
+    assert dilated_conv(ones, step, 1).arrays()[0].tolist() == [0, 2]
 
 
 def test_dilated_conv_rejects_bad_inputs():
@@ -360,9 +366,11 @@ def test_a_family_truncation_is_its_rule_at_each_time(rng):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 2 ** 62), st.floats(-1e6, 1e6)), max_size=20))
 def test_json_round_trip_keeps_the_last_duplicate(rows):
+    # A last value of 0.0 (or -0.0) drops its row: a Sequence stores no zero.
     seq = Sequence.from_json({"dim": 1, "entries": [[t, [v]] for t, v in rows]})
     want = dict(rows)
-    assert seq.to_json() == {"dim": 1, "entries": [[t, [want[t]]] for t in sorted(want)]}
+    kept = sorted(t for t in want if want[t] != 0.0)
+    assert seq.to_json() == {"dim": 1, "entries": [[t, [want[t]]] for t in kept]}
     assert Sequence.from_json(seq.to_json()).to_json() == seq.to_json()
     for t, v in want.items():
         assert seq.value(t) == v

@@ -434,3 +434,59 @@ def test_spectrum_law_d_a_power_of_two_scales_it_bit_for_bit(path, drawn, e):
     scaled = spectrum(window.reshape(-1) * 2.0 ** e, l, K)
     assert scaled.values.tobytes() == (spec.values * 2.0 ** e).tobytes()
     assert [m for _, m in scaled.entries] == [m for _, m in spec.entries]
+
+
+def _jacobi_singular_values(matrix):
+    """Singular values of a matrix by one-sided Jacobi rotations in long
+    double, in descending order: the rotations orthogonalise the columns of
+    the matrix or of its transpose, whichever has fewer, and the values are
+    the column norms.  A reference independent of LAPACK, kept in the tests
+    only: the library keeps one SVD engine."""
+    a = np.array(matrix, dtype=np.longdouble)
+    if a.shape[0] < a.shape[1]:
+        a = a.T
+    tol = np.finfo(np.longdouble).eps
+    for _ in range(100):
+        rotated = False
+        for p in range(a.shape[1] - 1):
+            for q in range(p + 1, a.shape[1]):
+                x, y = a[:, p], a[:, q]
+                alpha, beta, gamma = x @ x, y @ y, x @ y
+                if abs(gamma) <= tol * np.sqrt(alpha * beta):
+                    continue
+                rotated = True
+                zeta = (beta - alpha) / (2 * gamma)
+                t = np.copysign(1, zeta) / (abs(zeta) + np.sqrt(1 + zeta * zeta))
+                c = 1 / np.sqrt(1 + t * t)
+                a[:, p], a[:, q] = c * x - c * t * y, c * t * x + c * y
+        if not rotated:
+            break
+    else:
+        raise AssertionError("the Jacobi sweeps did not converge")
+    return np.sort(np.sqrt((a * a).sum(axis=0)))[::-1]
+
+
+def _precision_windows(rng, l, K):
+    """A random, a graded and a near-rank-one length-l^K window."""
+    n = l ** K
+    graded = rng.normal(size=n) * 10.0 ** (-12.0 * np.arange(n) / n)
+    kron = np.ones(1)
+    for _ in range(K):
+        kron = np.kron(rng.normal(size=l), kron)
+    near_rank_one = kron + 10.0 ** rng.uniform(-14, -6) * rng.normal(size=n)
+    return rng.normal(size=n), graded, near_rank_one
+
+
+def test_singular_values_are_within_lapacks_bound_of_a_long_double_jacobi(rng):
+    # LAPACK resolves each singular value to a small multiple of
+    # eps * sigma_max, not to its own relative accuracy; the same
+    # 16 * eps * sigma_max as the spectrum laws holds against the oracle.
+    for l, K in ((2, 6), (3, 4), (4, 3), (2, 9), (8, 3)):
+        for _ in range(4):
+            for window in _precision_windows(rng, l, K):
+                want = np.sort(np.concatenate([
+                    _jacobi_singular_values(_numpy_mode_flatten(window, (l,) * K, k))
+                    for k in range(1, K + 1)]))[::-1]
+                got = singular_values(window, l, K).values
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= _LAW_TOL * want[0], (l, K)
