@@ -204,8 +204,8 @@ def _cmd_spectrum(args, emit) -> int:
         per_K = []
         for K in args.K:
             spec = window_spectrum(target, args.l, K)
-            per_K.append({"K": K, "rank": spec.rank(),
-                          "values": list(map(list, spec.entries))})
+            pairs = zip(spec.values.tolist(), spec.modes.tolist())
+            per_K.append({"K": K, "rank": spec.rank(), "values": list(map(list, pairs))})
         if "json" in args.format:
             emit(f"{label}_spectrum.json", {"target": label, "l": args.l, "per_K": per_K})
         if "csv" in args.format:
@@ -250,7 +250,6 @@ def _cmd_bounds(args, emit) -> int:
 
 def _cmd_curve(args, emit) -> int:
     from .bounds import CurveRow, error_curve
-    from .charts import line_chart
     for text in args.target:
         target, label = load_target(text)
         table = error_curve(target, args.l, args.K, range(1, args.M_max + 1))
@@ -260,6 +259,7 @@ def _cmd_curve(args, emit) -> int:
             rows = [r._asdict() for r in table.rows]
             emit(f"{label}_curve.json", {"target": label, "l": args.l, "rows": rows})
         if "svg" in args.format:
+            from .charts import line_chart
             series = [(f"K={K}", *table.curve(K)) for K in sorted(set(args.K))]
             svg = line_chart(series, title=f"{label}: approximation bound",
                              x_label="filters M", y_label="upper bound")
@@ -425,12 +425,11 @@ def main(argv=None) -> int:
         code = _HANDLERS[args.command](args, emit)
         _write(args.out, artifacts)
         return code
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ArithmeticError, KeyError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (UsageError, ValueError, ArithmeticError, KeyError, OSError,
+            MemoryError) as exc:
+        # An exception without a message (a bare MemoryError) is named.
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return 1 if isinstance(exc, UsageError) else 2
 
 
 if __name__ == "__main__":

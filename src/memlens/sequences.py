@@ -484,11 +484,11 @@ class Family:
     """A rule-generated scalar sequence, zero beyond an optional horizon.
 
     family "geometric" is rho(t) = gamma^t with 0 < gamma < 1; family
-    "power" is the inverse-time sequence rho(0) = 0, rho(t) = 1/t.  A
-    Family stores no entries: its rule is written once, in values_upto(n),
-    a dense array whose nonzeros truncate(n) keeps as a finite Sequence,
-    and its tail beyond a window is a closed form (tail_norm,
-    sup_abs_from).  Sequence.geometric, Sequence.power and
+    "power" is the inverse-time sequence rho(0) = 0, rho(t) = 1/t, and
+    takes no gamma.  A Family stores no entries: its rule is written once,
+    in values_upto(n), a dense array whose nonzeros truncate(n) keeps as a
+    finite Sequence, and its tail beyond a window is a closed form
+    (tail_norm, sup_abs_from).  Sequence.geometric, Sequence.power and
     Sequence.from_json build one.
     """
 
@@ -508,6 +508,8 @@ class Family:
             if not 0.0 < g < 1.0:
                 raise ValueError("geometric family needs 0 < gamma < 1")
             object.__setattr__(self, "gamma", g)
+        elif self.gamma is not None:
+            raise ValueError("the power family takes no gamma")
 
     def truncate(self, length: int) -> Sequence:
         """The finite restriction to the window [0, length - 1]: the

@@ -38,7 +38,7 @@ random, graded and near-rank-one windows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,20 +50,20 @@ RANK_REL_TOL = 1e-8
 _STACK_BUDGET = 1 << 21
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class Spectrum:
     """Pooled singular values of all mode flattenings of a tensor.
 
-    entries holds (value, mode) pairs sorted by descending value with
-    ties broken by ascending mode index.  Each mode contributes
-    min(l, l^(K-1)) values, so the total length is l*K for K >= 2 and 1
-    for K = 1.  values is the array of the pooled values in that order,
-    made once at construction and read-only.  from_mode_values is the one
-    constructor.
+    A spectrum is two read-only arrays made once by from_mode_values, its
+    one constructor: values, the pooled float64 values sorted descending
+    with ties in ascending mode, and modes, the int64 mode 1, ..., K each
+    value comes from.  Each mode contributes min(l, l^(K-1)) values, so
+    both hold l*K entries for K >= 2 and 1 for K = 1.  Two spectra
+    compare by identity.
     """
 
-    entries: tuple
-    values: np.ndarray = field(repr=False, compare=False)
+    values: np.ndarray
+    modes: np.ndarray
 
     def __init__(self, *args, **kwargs):
         raise TypeError("a Spectrum is built by Spectrum.from_mode_values")
@@ -77,16 +77,15 @@ class Spectrum:
         # A stable sort on the negated row-major values keeps ties in
         # ascending mode.
         order = np.argsort(-values, axis=None, kind="stable")
-        modes = order // values.shape[1] + 1
-        pooled = values.reshape(-1)[order]
-        pooled.flags.writeable = False
         spec = object.__new__(cls)
-        object.__setattr__(spec, "entries", tuple(zip(pooled.tolist(), modes.tolist())))
-        object.__setattr__(spec, "values", pooled)
+        for name, array in (("values", values.reshape(-1)[order]),
+                            ("modes", order // values.shape[1] + 1)):
+            array.flags.writeable = False
+            object.__setattr__(spec, name, array)
         return spec
 
     def rank(self) -> int:
-        """Number of entries above RANK_REL_TOL relative to the largest."""
+        """Number of values above RANK_REL_TOL relative to the largest."""
         values = self.values
         if len(values) == 0 or values[0] <= 0.0:
             return 0

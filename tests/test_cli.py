@@ -646,6 +646,20 @@ def test_a_failed_command_exits_two_from_a_process(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
 
+def test_a_failure_without_a_message_names_its_type(tmp_path, monkeypatch, capsys):
+    # numpy failing to allocate LAPACK's workspace raises a bare MemoryError.
+    def out_of_memory(args, emit):
+        emit("early.json", {"written": False})
+        raise MemoryError()
+
+    monkeypatch.setitem(cli_module._HANDLERS, "spectrum", out_of_memory)
+    out = tmp_path / "out"
+    assert main(["spectrum", "--target", "rho1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: MemoryError\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("error", [OSError("disk full"), KeyboardInterrupt()])
 def test_a_failed_write_or_rename_leaves_nothing(tmp_path, monkeypatch, capsys, error):
     out = tmp_path / "out"
@@ -818,6 +832,17 @@ COMMAND_MODULES = {
                 _SHARED | {"tensors", "bounds"}),
     "bounds": ("bounds --target rho3:700 --K 5 --channels 1,4,4,4,4,1 "
                "--g exponential --g-params 0.5", _SHARED | {"tensors", "bounds"}),
+    "curve": ("curve --target rho1", _SHARED | {"tensors", "bounds", "charts"}),
+    # curve loads charts only to draw its svg chart.
+    "curve-csv-json": ("curve --target rho1 --format csv,json",
+                       _SHARED | {"tensors", "bounds"}),
+    # These three load models: experiments, which they call, also holds the
+    # comparison scenarios, which synthesise models, and the scenarios stay
+    # there because test_acceptance imports comparison_report from it.
+    "compare": ("compare --scenario exp_decay",
+                _SHARED | {"tensors", "bounds", "experiments", "models"}),
+    "reproduce": ("reproduce", _SHARED | {"tensors", "bounds", "experiments", "models"}),
+    "study": ("study", _SHARED | {"tensors", "bounds", "experiments", "models", "charts"}),
 }
 
 
@@ -1183,11 +1208,18 @@ _LAW_VALUES = st.floats(2.0 ** -20, 2.0 ** 20).flatmap(
     lambda v: st.sampled_from([v, -v]))
 
 
-def _run_json(argv) -> dict:
+def _run_text(argv):
+    """(exit code, stdout) of one in-process command."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert main(argv) == 0, argv
-    return json.loads(out.getvalue())
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def _run_json(argv) -> dict:
+    code, out = _run_text(argv)
+    assert code == 0, argv
+    return json.loads(out)
 
 
 @settings(max_examples=8, deadline=None,
@@ -1205,6 +1237,37 @@ def test_scaling_a_row_document_by_a_power_of_two_scales_every_number_exactly(ro
         for argv, numbers in LAW_COMMANDS.items():
             base, scaled = (numbers(_run_json([*argv, "--target", p])) for p in paths)
             assert scaled == [math.ldexp(x, e) for x in base], (argv, e)
+
+
+# Each command line of the row-order law.
+ORDER_COMMANDS = (
+    ("spectrum", "--format", "json,csv"),
+    ("measure", "--g", "exponential", "--g-params", "0.5"),
+    ("bounds", "--K", "5", "--channels", "1,4,4,4,4,1", "--g", "power", "--g-params", "1"),
+    ("curve", "--format", "csv,json"),
+    ("synth", "--method", "radix"),
+    ("synth", "--method", "lowrank"),
+)
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.dictionaries(st.integers(0, 199), st.floats(-1.0, 1.0), min_size=1, max_size=39),
+       st.integers(-5, 4), st.randoms(use_true_random=False))
+def test_the_order_of_a_row_documents_rows_changes_no_output(rows, e, random):
+    rows = [[t, [v * 10.0 ** e]] for t, v in rows.items()]
+    shuffled = random.sample(rows, len(rows))
+    with tempfile.TemporaryDirectory() as tmp:
+        # One file name in two folders: both documents carry the same label.
+        paths = []
+        for name, doc_rows in (("a", rows), ("b", shuffled)):
+            path = Path(tmp) / name / "doc.json"
+            path.parent.mkdir()
+            path.write_text(json.dumps({"dim": 1, "entries": doc_rows}), encoding="utf-8")
+            paths.append(str(path))
+        for argv in ORDER_COMMANDS:
+            first, second = (_run_text([*argv, "--target", p]) for p in paths)
+            assert first == second, argv
 
 
 @pytest.mark.parametrize("target, arg", [("rho3:100", 100), ("exp:0.9", 0.9),

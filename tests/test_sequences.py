@@ -11,7 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memlens import sequences
-from memlens.sequences import MAX_TIME, Scalar, Sequence, dilated_conv, root_sum_squares
+from memlens.sequences import (MAX_TIME, Family, Scalar, Sequence, dilated_conv,
+                               make_target, root_sum_squares)
 
 
 def test_scalar_interval_accessors():
@@ -112,6 +113,20 @@ def test_generated_families_evaluate_pointwise():
     assert cut.truncate(20).value(11) == 0.0
     with pytest.raises(ValueError):
         Sequence.geometric(1.0)
+
+
+def test_a_power_family_takes_no_gamma_and_every_family_id_round_trips():
+    # A gamma would make a power family unequal to the one its JSON reads as.
+    for gamma in (0.5, 0.0, 1):
+        with pytest.raises(ValueError, match="^the power family takes no gamma$"):
+            Family("power", gamma=gamma, horizon=3)
+    families = [rho for rho in map(make_target, (
+        "rho1", "rho2", "rho3", "rho3:0", "rho3:700", "rho3:1e19", "exp:0", "exp:0.9",
+        "exp:.5", "exp:0.999", "impulse:5")) if isinstance(rho, Family)]
+    assert len(families) == 7
+    for rho in families:
+        assert Sequence.from_json(rho.to_json()) == rho
+        assert Sequence.from_json(json.dumps(rho.to_json())) == rho
 
 
 def test_finite_tail_norm_is_the_exact_sum():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -30,14 +31,28 @@ def _pooled_numpy_spectrum(data, l, K):
 
 
 def _per_mode_spectrum(data, l, K):
-    """Pooled entries from one moveaxis flattening and one SVD per mode and a
-    keyed sort, kept as the exact reference for singular_values."""
-    pairs = []
-    for k in range(1, K + 1):
-        flat = _numpy_mode_flatten(data, (l,) * K, k)
-        pairs.extend((float(v), k) for v in np.linalg.svd(flat, compute_uv=False))
-    pairs.sort(key=lambda p: (-p[0], p[1]))
-    return tuple(pairs)
+    """Pooled (value, mode) pairs from one moveaxis flattening and one SVD
+    per mode and a keyed sort, kept as the exact reference for
+    singular_values."""
+    return _pooled_pairs(np.linalg.svd(_numpy_mode_flatten(data, (l,) * K, k),
+                                       compute_uv=False) for k in range(1, K + 1))
+
+
+def _pooled_pairs(per_mode):
+    """The (value, mode) pairs of per_mode's rows, mode k in row k - 1, by a
+    keyed sort: descending value, ties in ascending mode."""
+    pairs = [(float(v), k) for k, row in enumerate(per_mode, start=1) for v in row]
+    return sorted(pairs, key=lambda p: (-p[0], p[1]))
+
+
+def _assert_pairs(spec, pairs):
+    """spec's arrays are pairs bit for bit: values as float64 bytes (so a
+    signed zero counts), modes as int64."""
+    want_values = np.array([v for v, _ in pairs], dtype=np.float64)
+    want_modes = np.array([m for _, m in pairs], dtype=np.int64)
+    for got, want in ((spec.values, want_values), (spec.modes, want_modes)):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
 
 
 def _outer_window(filters):
@@ -51,7 +66,7 @@ def _outer_window(filters):
 
 def _mode_values(spec, k):
     """Mode k's values in a pooled spectrum, largest first."""
-    return np.array(sorted((v for v, m in spec.entries if m == k), reverse=True))
+    return spec.values[spec.modes == k]
 
 
 def test_tensorize_layout_is_digit_addressed():
@@ -163,7 +178,7 @@ def test_batched_spectrum_is_the_per_mode_loop(rng, monkeypatch):
                 want = _per_mode_spectrum(data, l, K)
                 for group in (1, 2, 3, K):
                     monkeypatch.setattr(tensors, "_STACK_BUDGET", group * data.nbytes)
-                    assert singular_values(data, l, K).entries == want
+                    _assert_pairs(singular_values(data, l, K), want)
             K += 1
 
 
@@ -236,46 +251,50 @@ def test_spectrum_depth_one_is_the_window_norm():
 
 def test_spectrum_orders_ties_by_mode():
     spec = Spectrum.from_mode_values([[1.0, 0.5], [1.0, 0.5]])
-    assert [m for _, m in spec.entries] == [1, 2, 1, 2]
+    assert spec.modes.tolist() == [1, 2, 1, 2]
     assert np.array_equal(_mode_values(spec, 2), [1.0, 0.5])
     spec = Spectrum.from_mode_values([[1.0, 0.2], [1.0, 0.1], [1.0, 0.3]])
-    assert spec.entries == ((1.0, 1), (1.0, 2), (1.0, 3), (0.3, 3), (0.2, 1), (0.1, 2))
+    _assert_pairs(spec, [(1.0, 1), (1.0, 2), (1.0, 3), (0.3, 3), (0.2, 1), (0.1, 2)])
 
 
 def test_spectrum_keeps_a_signed_zero_tail_in_mode_order():
     spec = Spectrum.from_mode_values([[2.0, -0.0], [1.0, 0.0], [0.5, -0.0]])
-    assert [m for _, m in spec.entries] == [1, 2, 3, 1, 2, 3]
-    assert [math.copysign(1.0, v) for v, _ in spec.entries[3:]] == [-1.0, 1.0, -1.0]
+    assert spec.modes.tolist() == [1, 2, 3, 1, 2, 3]
+    assert [math.copysign(1.0, v) for v in spec.values[3:].tolist()] == [-1.0, 1.0, -1.0]
 
 
 def test_spectrum_from_lists_and_ragged_rows():
     spec = Spectrum.from_mode_values([[3.0, 1.0, 2.0]])
-    assert spec.entries == ((3.0, 1), (2.0, 1), (1.0, 1))
-    assert all(type(v) is float and type(m) is int for v, m in spec.entries)
+    _assert_pairs(spec, [(3.0, 1), (2.0, 1), (1.0, 1)])
+    # The spectrum writer reads the arrays through tolist as Python numbers.
+    assert all(type(v) is float for v in spec.values.tolist())
+    assert all(type(m) is int for m in spec.modes.tolist())
     with pytest.raises(ValueError):
         Spectrum.from_mode_values([[1.0, 0.5], [1.0]])
 
 
 def test_spectrum_values_are_made_once_and_read_only(rng):
     spec = window_spectrum(Sequence.power(horizon=40), 2, 5)
-    assert spec.values is spec.values
-    assert np.array_equal(spec.values, [v for v, _ in spec.entries])
-    assert not spec.values.flags.writeable
-    with pytest.raises(ValueError):
-        spec.values[0] = 0.0
-    assert spec == window_spectrum(Sequence.power(horizon=40), 2, 5)
+    assert [f.name for f in dataclasses.fields(spec)] == ["values", "modes"]
+    assert spec.values is spec.values and spec.modes is spec.modes
+    for array in (spec.values, spec.modes):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+    # Two spectra compare by identity, not by value.
+    assert spec == spec
+    assert spec != window_spectrum(Sequence.power(horizon=40), 2, 5)
     with pytest.raises(TypeError, match="from_mode_values"):
-        Spectrum(entries=spec.entries)
+        Spectrum(values=spec.values, modes=spec.modes)
     for per_mode in ([[2.0, -0.0], [1.0, 0.0], [0.5, -0.0]], [[3.0, 1.0, 2.0]],
                      np.zeros((3, 0)), rng.normal(size=(5, 4)),
                      np.round(rng.random((4, 8)), 1)):
         spec = Spectrum.from_mode_values(per_mode)
-        ref = np.array([v for v, _ in spec.entries])
-        assert spec.values.dtype == ref.dtype and spec.values.shape == ref.shape
-        assert spec.values.tobytes() == ref.tobytes()
-        assert not spec.values.flags.writeable
-        with pytest.raises(ValueError):
-            spec.values[...] = 1.0
+        _assert_pairs(spec, _pooled_pairs(np.asarray(per_mode, dtype=float)))
+        for array in (spec.values, spec.modes):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -358,7 +377,8 @@ def test_a_window_beyond_the_time_limit_is_refused_by_name():
 def test_window_spectrum_reads_the_truncated_window():
     rho = Sequence.power(horizon=40)
     spec = window_spectrum(rho, 2, 4)
-    assert spec.entries == singular_values(rho.truncate(16).values_upto(16), 2, 4).entries
+    want = singular_values(rho.truncate(16).values_upto(16), 2, 4)
+    _assert_pairs(spec, list(zip(want.values.tolist(), want.modes.tolist())))
 
 
 # Laws of the pooled spectrum: as a multiset it is unchanged by (a) permuting
@@ -433,7 +453,7 @@ def test_spectrum_law_d_a_power_of_two_scales_it_bit_for_bit(path, drawn, e):
     spec = spectrum(window.reshape(-1), l, K)
     scaled = spectrum(window.reshape(-1) * 2.0 ** e, l, K)
     assert scaled.values.tobytes() == (spec.values * 2.0 ** e).tobytes()
-    assert [m for _, m in scaled.entries] == [m for _, m in spec.entries]
+    assert np.array_equal(scaled.modes, spec.modes)
 
 
 def _jacobi_singular_values(matrix):
