@@ -139,11 +139,13 @@ def complexity_measure(rho: Sequence | Family, l: int, g: DecayProfile,
     separately through tail norms.  The supremum is the largest E(s) / g(s)
     over the envelope E(s) = max over K of t_{K,s}, the largest single
     ratio, since correctly rounded division by a positive g(s) is
-    monotone.  Masses below round-off relative to the sequence norm are
-    treated as exact zeros.  Returns infinity at the first depth with a
-    nonzero mass where g(s) = 0, decomposing no deeper window, and when a
-    ratio passes the largest float, as it does for a g(s) that underflows
-    to a subnormal.
+    monotone.  Every stored value of rho is support, however small, and
+    the noise floor, COMPLEXITY_NOISE_REL_TOL times the norm of rho, is
+    the only small-value rule: a mass at or below it counts as an exact
+    zero.  Returns infinity at the first depth with a mass above that
+    floor where g(s) = 0, decomposing no deeper window, and when a ratio
+    passes the largest float, as it does for a g(s) that underflows to a
+    subnormal.
     A generated rho is measured up to its horizon, so it needs one (see
     tensors.analysis_window).
     """

@@ -284,24 +284,23 @@ def synthesize_radix(target: Sequence | Family, l: int) -> CnnSpec:
     """Exact filter bank reading base-l digits of the support positions.
 
     The target is cut by tensors.analysis_window, so a Family needs a
-    horizon; depth is the smallest K with l^K > its radius.  Each nonzero
+    horizon; depth is the smallest K with l^K > its radius.  Each stored
     entry at time t gets its own channel path of K one-hot filters, hot
     at the successive base-l digits of t (least significant digit on the
     first layer), with the entry value written into the first hot tap,
     so a negative value leaves +0.0 on the other taps.  A single layer
     sums the paths.  The stored filter count is at most K times the
-    target sparsity.
+    number of stored entries.
     """
     target = tensors.analysis_window(target, l)
     K = tensors.coverage_depth(l, target.radius() or 0)
     times, values = target.arrays()
-    live = np.abs(values) > target.zero_tol()
-    digits = times[live, None] // l ** np.arange(K, dtype=np.int64) % l
+    digits = times[:, None] // l ** np.arange(K, dtype=np.int64) % l
     n = len(digits)
     paths = np.arange(n)
     weights = np.zeros((K, n, l))
     weights[np.arange(K)[:, None], paths, digits.T] = 1.0
-    weights[0, paths, digits[:, 0]] = values[live]
+    weights[0, paths, digits[:, 0]] = values
     if K == 1:
         return CnnSpec.from_arrays(l, 1, (1, 1), np.zeros((min(1, n), 3)),
                                    weights.sum(axis=1)[:n])

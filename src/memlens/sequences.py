@@ -10,9 +10,11 @@ the functional itself, and the filters of the convolutional models.
 A Sequence is stored as one sorted int64 array of distinct times and one
 float64 array of their values, none of them zero: an exact zero, read or
 summed, is dropped, so no sum depends on how many zeros a document spells
-out.  Every operation on it is an array operation.  A Family is read
-through its window, values_upto(n), its rule applied to arange(n) in one
-pass (gamma ** t, 1 / t), or truncate(n), the nonzeros of that array as a
+out.  That is the one zero rule: every stored value is support, however
+small beside the largest, so the radius is the last stored time.  Every
+operation on it is an array operation.  A Family is read through its
+window, values_upto(n), its rule applied to arange(n) in one pass
+(gamma ** t, 1 / t), or truncate(n), the nonzeros of that array as a
 Sequence, and through its tail beyond a window in closed form (tail_norm,
 sup_abs_from).  Time indices must stay below 2^63: a larger index raises
 ValueError before any int64 arithmetic runs, so no time wraps silently.
@@ -46,7 +48,6 @@ from itertools import chain
 
 import numpy as np
 
-ZERO_REL_TOL = 1e-10
 MAX_TIME = int(np.iinfo(np.int64).max)
 _TAIL_BLOCK = 1 << 20
 # A power tail of more terms than this is summed in closed form beyond its
@@ -375,21 +376,10 @@ class Sequence:
 
     # -- support and norms -----------------------------------------------
 
-    def zero_tol(self) -> float:
-        """Scale-relative threshold separating true support from round-off."""
-        return ZERO_REL_TOL * float(np.max(np.abs(self._values), initial=0.0))
-
-    def _live(self) -> np.ndarray:
-        return np.abs(self._values) > self.zero_tol()
-
     def radius(self):
-        """Largest t with a nonzero entry, or None for the zero sequence."""
-        live = np.flatnonzero(self._live())
-        return int(self._times[live[-1]]) if len(live) else None
-
-    def sparsity(self) -> int:
-        """Number of time indices carrying a nonzero entry."""
-        return int(np.count_nonzero(self._live()))
+        """The last stored time, or None for the zero sequence: every
+        stored value is support, however small."""
+        return int(self._times[-1]) if len(self._times) else None
 
     def tail_norm(self, start: int) -> Scalar:
         """sqrt of the summed squared entries at t >= start, exactly."""

@@ -1,0 +1,158 @@
+"""Mutation checks: does the test suite pin each constant and rule it names?
+
+    python tests/mutants.py
+
+Each mutant below is one edit of one source line: a threshold moved by a
+factor, an offset moved by one, a rule swapped for its near neighbour.
+For each, in turn, the tree (src/, tests/, README.md, pyproject.toml) is
+copied to a temporary directory, the edit is made there, and pytest runs
+with -x on only the tests the mutant names.  A mutant is killed when
+those tests fail.  Before any mutant, the same tests run once on the
+unedited copy, so that a kill is never the work of a tree that already
+fails.
+
+A mutant that survives is a finding: either a boundary test is missing,
+or the edit moves a free parameter, one whose value no output may
+depend on.  FREE_PARAMETERS lists the latter, each with its reason, and
+for those survival is the expected outcome.  The script exits 0 when
+every mutant is killed or listed there and survives, and 1 otherwise,
+printing which.  It uses the standard library only, and pytest does not
+collect it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "README.md", "pyproject.toml")
+TIMEOUT_S = 600
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str       # relative to the repository root
+    before: str     # occurs exactly once in the file
+    after: str
+    tests: tuple    # pytest arguments, relative to the repository root
+
+
+MUTANTS = (
+    Mutant("tail-offset-plus-one", "src/memlens/bounds.py",
+           "range(K - 1, l * K))", "range(K, l * K + 1))",
+           ("tests/test_bounds.py",)),
+    Mutant("rank-budget-rounds", "src/memlens/bounds.py",
+           "return math.floor(K * M ** (1.0 / K))", "return round(K * M ** (1.0 / K))",
+           ("tests/test_bounds.py",)),
+    Mutant("unstable-tie-sort", "src/memlens/tensors.py",
+           'order = np.argsort(-values, axis=None, kind="stable")',
+           'order = np.argsort(-values, axis=None, kind="quicksort")',
+           ("tests/test_tensors.py",)),
+    Mutant("tt-tolerance-times-100", "src/memlens/tensors.py",
+           "_TT_REL_TOL = 1e-13", "_TT_REL_TOL = 1e-11",
+           ("tests/test_models.py", "tests/test_cli.py")),
+    Mutant("no-rescale-in-root-sum-squares", "src/memlens/sequences.py",
+           "if _TINY <= sq <= _HUGE or not x.any():", "if True:",
+           ("tests/test_sequences.py",)),
+    Mutant("profile-argument-plus-one", "src/memlens/bounds.py",
+           "g_arg = max(0, rank_budget(K, M) - K)", "g_arg = max(0, rank_budget(K, M) - K) + 1",
+           ("tests/test_bounds.py",)),
+    Mutant("lower-bound-one-step-late", "src/memlens/bounds.py",
+           "lower = Scalar(rho.sup_abs_from(size))", "lower = Scalar(rho.sup_abs_from(size + 1))",
+           ("tests/test_bounds.py",)),
+    Mutant("stack-budget-one-byte", "src/memlens/tensors.py",
+           "_STACK_BUDGET = 1 << 21", "_STACK_BUDGET = 1",
+           ("tests/test_tensors.py",)),
+    Mutant("tail-head-terms-2-to-the-4", "src/memlens/sequences.py",
+           "_TAIL_HEAD_TERMS = 1 << 12", "_TAIL_HEAD_TERMS = 1 << 4",
+           ("tests/test_sequences.py",)),
+    Mutant("exact-tail-terms-2-to-the-10", "src/memlens/sequences.py",
+           "_EXACT_TAIL_TERMS = 1 << 24", "_EXACT_TAIL_TERMS = 1 << 10",
+           ("tests/test_sequences.py",)),
+    Mutant("rank-tolerance-times-10", "src/memlens/tensors.py",
+           "RANK_REL_TOL = 1e-8", "RANK_REL_TOL = 1e-7",
+           ("tests/test_tensors.py",)),
+    Mutant("noise-floor-times-100", "src/memlens/bounds.py",
+           "COMPLEXITY_NOISE_REL_TOL = 1e-12", "COMPLEXITY_NOISE_REL_TOL = 1e-10",
+           ("tests/test_bounds.py",)),
+    Mutant("noise-floor-over-100", "src/memlens/bounds.py",
+           "COMPLEXITY_NOISE_REL_TOL = 1e-12", "COMPLEXITY_NOISE_REL_TOL = 1e-14",
+           ("tests/test_bounds.py",)),
+)
+
+# {mutant name: why no output may depend on the value it moves}.
+FREE_PARAMETERS = {}
+
+
+def _copy(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
+    for name in COPIED:
+        if (ROOT / name).is_dir():
+            shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+        else:
+            shutil.copy2(ROOT / name, dest / name)
+
+
+def _mutate(tree: Path, mutant: Mutant) -> None:
+    path = tree / mutant.path
+    text = path.read_text(encoding="utf-8")
+    if text.count(mutant.before) != 1:
+        raise SystemExit(f"{mutant.name}: {mutant.before!r} does not occur exactly "
+                         f"once in {mutant.path}")
+    path.write_text(text.replace(mutant.before, mutant.after), encoding="utf-8")
+
+
+def _pytest(tree: Path, tests):
+    """pytest's exit code for tests run with -x in tree (0 passed, 1 failed),
+    or None when they run past TIMEOUT_S."""
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    try:
+        return subprocess.run(command, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=TIMEOUT_S).returncode
+    except subprocess.TimeoutExpired:
+        return None
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        clean = Path(tmp) / "clean"
+        _copy(clean)
+        tests = sorted({t for m in MUTANTS for t in m.tests})
+        if _pytest(clean, tests) != 0:
+            print(f"error: the unedited tree fails {' '.join(tests)}", file=sys.stderr)
+            return 1
+        wrong = []
+        for mutant in MUTANTS:
+            tree = Path(tmp) / mutant.name
+            _copy(tree)
+            _mutate(tree, mutant)
+            start = time.perf_counter()
+            code = _pytest(tree, mutant.tests)
+            seconds = time.perf_counter() - start
+            shutil.rmtree(tree)
+            free = mutant.name in FREE_PARAMETERS
+            if code == 1:
+                outcome, problem = "killed", free and "it is listed as a free parameter"
+            elif code == 0:
+                outcome, problem = "survived", not free and "no test it names fails"
+            else:
+                outcome = "timed out" if code is None else f"pytest exit {code}"
+                problem = "its tests did not run to a verdict"
+            print(f"{mutant.name:34} {outcome:12} {seconds:6.1f} s", flush=True)
+            if problem:
+                wrong.append(f"{mutant.name} {outcome}, but {problem}")
+    for line in wrong:
+        print(f"error: {line}", file=sys.stderr)
+    return 1 if wrong else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memlens.bounds import (COMPLEXITY_NOISE_REL_TOL, DecayProfile,
@@ -206,6 +206,31 @@ def test_complexity_signals_infinity_on_starved_profiles():
     rho = Sequence.from_values([1, 0, 0, 1])
     g = DecayProfile.table([1.0], cutoff=0)
     assert math.isinf(complexity_measure(rho, 2, g).value)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(0.5, 2.0))
+@example(1.0)
+@example(1.0000001)
+def test_a_value_far_below_the_largest_counts_in_the_measure(v):
+    # {0: 1, 1000: v * 1e-10}: every stored value is support, so the
+    # coverage depth is 10.  Six of its ten modes split the two entries,
+    # and the tail mass at offset s = 6 is the last of their six values
+    # v * 1e-10, against g(6) = 1e-12.
+    rho = Sequence.from_arrays([0, 1000], [1.0, v * 1e-10])
+    measured = complexity_measure(rho, 2, DecayProfile.exponential(0.01)).value
+    assert measured == pytest.approx(100 * v, rel=1e-9)
+
+
+def test_the_noise_floor_sits_at_1e_12_of_the_norm():
+    # {0: 1, 3: v} at l = 2: the depth-2 window diag(1, v) has the tail
+    # masses sqrt(2) * v at s = 1 and v at s = 2.  Against g(s) = 1e-14^s,
+    # both count above the floor 1e-12 * norm and neither below it.
+    g = DecayProfile.exponential(1e-14)
+    below = Sequence.from_arrays([0, 3], [1.0, 0.5e-12])
+    above = Sequence.from_arrays([0, 3], [1.0, 2e-12])
+    assert complexity_measure(below, 2, g).value == 1.0
+    assert complexity_measure(above, 2, g).value == pytest.approx(2e16, rel=1e-12)
 
 
 def test_complexity_is_absolutely_homogeneous(rng):

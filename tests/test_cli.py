@@ -61,6 +61,17 @@ def test_spectrum_worked_example(capsys):
     assert rows[2]["rank"] == 2
 
 
+def test_spectrum_rank_counts_values_above_1e_8_of_the_largest(tmp_path, capsys):
+    # {0: 1, 3: v} at (2, 2) has the pooled values 1, 1, v, v.
+    for v, rank in ((0.5e-8, 2), (2e-8, 4)):
+        path = tmp_path / f"two-point-{v!r}.json"
+        doc = Sequence.from_arrays([0, 3], [1.0, v]).to_json()
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out = run_cli(capsys, ["spectrum", "--target", str(path), "--l", "2", "--K", "2"])
+        assert code == 0
+        assert json.loads(out)["per_K"][0]["rank"] == rank
+
+
 def test_measure_command(capsys):
     code, out = run_cli(capsys, [
         "measure", "--target", "impulse:3", "--l", "2",

@@ -34,13 +34,13 @@ def test_make_target_decaying_families():
     exp = make_target("exp:0.5").truncate(4)
     assert exp.value(0) == 1.0 and exp.value(3) == 0.125
     imp = make_target("impulse:7")
-    assert imp.value(7) == 1.0 and imp.sparsity() == 1
+    assert imp.value(7) == 1.0 and len(imp.arrays()[0]) == 1
 
 
 def test_make_target_degenerate_exponential_is_impulse():
     exp0 = make_target("exp:0")
     assert exp0.value(0) == 1.0
-    assert exp0.sparsity() == 1
+    assert len(exp0.arrays()[0]) == 1
 
 
 def test_make_target_unknown_name():

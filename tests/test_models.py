@@ -207,7 +207,7 @@ def test_radix_synthesis_replays_exactly(l, data):
     target = Sequence.from_arrays(list(support), [float(v) for v in support.values()])
     spec = synthesize_radix(target, l)
     assert replay_residual(spec, target) == 0.0
-    assert spec.filter_count <= spec.K * target.sparsity()
+    assert spec.filter_count <= spec.K * len(target.arrays()[0])
 
 
 def _residual_as_a_sum(spec, target):
@@ -275,6 +275,24 @@ def test_lowrank_synthesis_replays_the_window(rng):
     for target in (rank1, Sequence.geometric(0.5)):
         with pytest.raises(ValueError, match="^a 64-bit time index is beyond"):
             synthesize_lowrank(target, 2, 64)
+
+
+@pytest.mark.parametrize("v", [0.5, 1.0, 2.0])
+def test_a_value_far_below_the_largest_gets_its_own_channel_path(v):
+    # {0: 1, 1000: v * 1e-10}: every stored value is support, so both banks
+    # reach depth 10, and each replays the whole target, not only the
+    # window of the depth it chose.
+    target = Sequence.from_arrays([0, 1000], [1.0, v * 1e-10])
+
+    def whole_residual(spec):
+        replay = cnn_representation(spec)
+        n = max(target.radius(), replay.radius()) + 1
+        return root_sum_squares(replay.values_upto(n) - target.values_upto(n))
+
+    radix, lowrank = synthesize_radix(target, 2), synthesize_lowrank(target, 2)
+    assert radix.K == lowrank.K == 10
+    assert whole_residual(radix) == 0.0
+    assert whole_residual(lowrank) <= 1e-12 * float(target.norm())
 
 
 def test_lowrank_synthesis_near_the_float_limit_names_the_limit():

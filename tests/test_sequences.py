@@ -43,7 +43,7 @@ def test_from_values_drops_zeros_and_keeps_support():
     assert s.value(0) == 0.0
     assert s.value(-5) == 0.0
     assert s.radius() == 3
-    assert s.sparsity() == 2
+    assert len(s.arrays()[0]) == 2
     # from_arrays drops an exact zero of either sign too.
     zeros = Sequence.from_arrays([4, 1, 3, 2], [0.0, 3.0, -1.0, -0.0])
     assert zeros.arrays()[0].tolist() == [1, 3]
@@ -52,8 +52,19 @@ def test_from_values_drops_zeros_and_keeps_support():
 def test_zero_sequence_has_no_radius():
     z = Sequence.zero()
     assert z.radius() is None
-    assert z.sparsity() == 0
+    assert len(z.arrays()[0]) == 0
     assert z.norm().value == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(1e-300, 1.0), st.sampled_from([1e-8, 1.0, 1e300]), st.sampled_from([1.0, -1.0]))
+@example(1e-300, 1.0, 1.0)
+@example(1e-10, 1.0, 1.0)
+def test_radius_is_the_last_stored_time_however_small_its_value(v, scale, sign):
+    # Every stored value is support: no value is cut relative to the largest.
+    s = Sequence.from_arrays([0, 5, 1000], [scale, -0.5 * scale, sign * v * scale])
+    assert s.radius() == 1000
+    assert Sequence.from_arrays([7], [v]).radius() == 7
 
 
 def test_row_form_dim_must_be_one():

@@ -355,6 +355,16 @@ def test_tensor_rank_counts_pooled_nonzeros():
     assert window_spectrum(Sequence.zero(), 2, 3).rank() == 0
 
 
+def test_rank_counts_values_above_1e_8_of_the_largest():
+    # {0: 1, 3: v} at (2, 2) is the 2 x 2 window diag(1, v): each mode
+    # gives 1 and v, so v decides between rank 2 and 4 on either side of
+    # the threshold 1e-8 * sigma_max.
+    for v, rank in ((0.5e-8, 2), (2e-8, 4)):
+        spec = window_spectrum(Sequence.from_arrays([0, 3], [1.0, v]), 2, 2)
+        assert spec.values.tolist() == [1.0, 1.0, v, v]
+        assert spec.rank() == rank
+
+
 def test_analysis_window_rule():
     finite = Sequence.from_values([1.0, 0.0, 0.0, 0.0, 2.0])
     assert analysis_window(finite, 2, 1) is finite
