@@ -25,7 +25,7 @@ _PUBLIC = {
                "cnn_representation", "power_sum_delta_bound",
                "rnn_min_width_impulse", "rnn_representation",
                "synthesize_lowrank", "synthesize_radix"),
-    "bounds": ("DecayProfile", "ErrorCurveTable", "complexity_measure",
+    "bounds": ("DecayProfile", "DepthTable", "ErrorCurveTable", "complexity_measure",
                "effective_filters", "error_curve", "rate_bound_interval"),
     "experiments": ("ComparisonReport", "CurveStudy", "comparison_report",
                     "conformance_suite", "error_curve_study",

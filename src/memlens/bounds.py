@@ -4,14 +4,17 @@ The complexity of a target relative to a decay budget g is the smallest
 constant c such that every spectrum tail mass of every tensorised window
 stays below c * g(s); the mass t_{K,s} at offset s of the depth-K window
 is the tail of its pooled spectrum beyond kept rank s + K - 1, and
-_tail_masses alone reads that rule.  The complexity is one max over the
-envelope of those masses across depths, and the error curves read their
-rank terms off the same masses.  With the window tail norm this yields
-the two-sided approximation bound for a dilated-convolution stack, and
-the per-(K, M) error curves that compare targets at equal budgets.  The
-bound sizes a stack by the effective filter count M of its width plan
-(M_0, ..., M_K): effective_filters counts it here, where it is read, and
-tensors.width_plan, beside the tensor train, checks the plan.
+DepthTable.masses alone writes that rule.  A DepthTable holds one
+target's windows at one l, each decomposed on its first read, so the
+analyses that read one table decompose each window once.  The complexity
+is one max over the envelope of those masses across depths, and the
+error curves read their rank terms off the same masses.  With the window
+tail norm this yields the two-sided approximation bound for a
+dilated-convolution stack, and the per-(K, M) error curves that compare
+targets at equal budgets.  The bound sizes a stack by the effective
+filter count M of its width plan (M_0, ..., M_K): effective_filters
+counts it here, where it is read, and tensors.width_plan, beside the
+tensor train, checks the plan.
 """
 
 from __future__ import annotations
@@ -120,19 +123,35 @@ class ErrorCurveTable:
         return [m for m, _ in picked], [u for _, u in picked]
 
 
-def _tail_masses(spec: tensors.Spectrum, l: int, K: int) -> list:
-    """The tail masses t_{K,0}, ..., t_{K,l*K-K} of a depth-K window's
-    pooled spectrum spec: t_{K,s} is the tail beyond kept rank s + K - 1.
-    This is the one place that offset rule is written; every reader of a
-    tail mass goes through it."""
-    return tensors.truncation_error_bound(spec, range(K - 1, l * K))
+class DepthTable:
+    """The depth-K windows of one target rho at one l, each decomposed once.
+
+    spectrum(K) is the pooled spectrum of the depth-K window, made by
+    tensors.window_spectrum on its first read and kept by this instance;
+    masses(K) are its tail masses t_{K,0}, ..., t_{K,l*K-K}, t_{K,s} the
+    tail beyond kept rank s + K - 1.  This is the one place that offset
+    rule is written: the complexity measure and the error curves read
+    every mass here, and a command that reads one target's windows
+    through one table decomposes each window once.
+    """
+
+    def __init__(self, rho: Sequence | Family, l: int):
+        self.rho, self.l, self._spectra = rho, l, {}
+
+    def spectrum(self, K: int) -> tensors.Spectrum:
+        if K not in self._spectra:
+            self._spectra[K] = tensors.window_spectrum(self.rho, self.l, K)
+        return self._spectra[K]
+
+    def masses(self, K: int) -> list:
+        return tensors.truncation_error_bound(self.spectrum(K), range(K - 1, self.l * K))
 
 
-def complexity_measure(rho: Sequence | Family, l: int, g: DecayProfile,
+def complexity_measure(rho: Sequence | Family | DepthTable, l: int, g: DecayProfile,
                        k_cap=None) -> Scalar:
     """Smallest constant bounding every spectrum tail mass by c * g(s).
 
-    The masses t_{K,s} are those of _tail_masses, for window depths K
+    The masses t_{K,s} are those of a DepthTable, for window depths K
     from 1 up to the coverage depth (the smallest K whose window holds the
     whole support); deeper windows only duplicate masses, so the cap does
     not change the value, and support beyond a window is accounted
@@ -147,9 +166,11 @@ def complexity_measure(rho: Sequence | Family, l: int, g: DecayProfile,
     passes the largest float, as it does for a g(s) that underflows to a
     subnormal.
     A generated rho is measured up to its horizon, so it needs one (see
-    tensors.analysis_window).
+    tensors.analysis_window).  rho may also be a DepthTable made at this
+    l, whose windows this reads and fills.
     """
-    rho = tensors.analysis_window(rho, l)
+    table = rho if isinstance(rho, DepthTable) else DepthTable(rho, l)
+    rho = tensors.analysis_window(table.rho, l)
     r = rho.radius()
     if r is None:
         return Scalar(0.0)
@@ -160,7 +181,7 @@ def complexity_measure(rho: Sequence | Family, l: int, g: DecayProfile,
     noise = COMPLEXITY_NOISE_REL_TOL * float(rho.norm())
     envelope = []
     for K in range(1, cap + 1):
-        masses = _tail_masses(tensors.window_spectrum(rho, l, K), l, K)
+        masses = table.masses(K)
         if any(g(s) == 0.0 for s, t in enumerate(masses) if t > noise):
             return Scalar(math.inf)
         envelope = list(map(max, itertools.zip_longest(envelope, masses, fillvalue=0.0)))
@@ -220,22 +241,25 @@ def rate_bound_interval(rho: Sequence | Family, l: int, K: int, channels,
     return lower, upper
 
 
-def error_curve(rho: Sequence | Family, l: int, K_list, M_range) -> ErrorCurveTable:
+def error_curve(rho: Sequence | Family | DepthTable, l: int, K_list,
+                M_range) -> ErrorCurveTable:
     """Bound split per (K, M): spectrum truncation plus window tail.
 
     The rank term at width M is the spectrum tail beyond rank_budget(K,
-    M), the mass at offset s = rank_budget(K, M) - K + 1 of _tail_masses
+    M), the mass at offset s = rank_budget(K, M) - K + 1 of the DepthTable
     and 0.0 past its end; the tail term is the norm of the representation
     outside the window (upper bracket end when the tail is only known as
-    an interval).
+    an interval).  rho may also be a DepthTable made at this l, whose
+    windows this reads and fills.
     """
+    table = rho if isinstance(rho, DepthTable) else DepthTable(rho, l)
     widths = sorted(set(int(m) for m in M_range))
     if widths and widths[0] < 1:
         raise ValueError("widths must be >= 1")
     rows = []
     for K in sorted(set(int(k) for k in K_list)):
-        masses = _tail_masses(tensors.window_spectrum(rho, l, K), l, K)
-        tail_term = rho.tail_norm(l ** K).upper
+        masses = table.masses(K)
+        tail_term = table.rho.tail_norm(l ** K).upper
         for M in widths:
             s = rank_budget(K, M) - K + 1
             rank_term = masses[s] if s < len(masses) else 0.0

@@ -19,7 +19,7 @@ import numpy as np
 from .sequences import (RHO1_SLOTS, RHO2_SLOTS, Scalar, Sequence, dilated_conv,
                         make_target)
 from . import tensors
-from .bounds import (DecayProfile, _tail_masses, complexity_measure, error_curve,
+from .bounds import (DecayProfile, DepthTable, complexity_measure, error_curve,
                      rank_budget)
 from .models import (cnn_min_depth_expdecay, replay_residual,
                      rnn_min_width_impulse, rnn_representation, RnnSpec,
@@ -46,15 +46,18 @@ def oracle_best_rank_matrix(mat, rank: int) -> Scalar:
 class CurveStudy:
     """Error-curve tables for the three builtin targets plus checks.
 
-    The qualitative claim checks (the low-rank target is pointwise
-    easier, the decaying target is easier on sweep average) are scoped
-    to the smallest swept depth whose window covers both sparse targets;
-    shallower windows truncate them to unequal norms and the comparison
-    loses its meaning there.
+    depths maps each target name to the DepthTable at l that its curves
+    and claim-depth ranks read, so a later reader of those windows
+    decomposes none of them again.  The qualitative claim checks (the
+    low-rank target is pointwise easier, the decaying target is easier on
+    sweep average) are scoped to the smallest swept depth whose window
+    covers both sparse targets; shallower windows truncate them to
+    unequal norms and the comparison loses its meaning there.
     """
 
     l: int
     tables: dict
+    depths: dict
     notes: tuple
     checks: dict
 
@@ -67,20 +70,19 @@ def error_curve_study(l: int = 2, K_list=(4, 5, 6), M_max: int = 64) -> CurveStu
     """Bound curves for the builtin targets over a shared (K, M) sweep."""
     if M_max < 1:
         raise ValueError("M_max must be >= 1")
-    targets = {name: make_target(name) for name in ("rho1", "rho2", "rho3")}
+    depths = {name: DepthTable(make_target(name), l) for name in ("rho1", "rho2", "rho3")}
     K_list = sorted(set(int(k) for k in K_list))
     M_range = range(1, M_max + 1)
-    tables = {name: error_curve(rho, l, K_list, M_range)
-              for name, rho in targets.items()}
+    tables = {name: error_curve(table, l, K_list, M_range)
+              for name, table in depths.items()}
     notes = []
     checks = {}
 
-    cover = tensors.coverage_depth(l, max(targets["rho1"].radius(),
-                                          targets["rho2"].radius()))
+    cover = tensors.coverage_depth(l, max(depths["rho1"].rho.radius(),
+                                          depths["rho2"].rho.radius()))
     claim_K = next((K for K in K_list if K >= cover), None)
     if claim_K is not None:
-        r1 = tensors.window_spectrum(targets["rho1"], l, claim_K).rank()
-        r2 = tensors.window_spectrum(targets["rho2"], l, claim_K).rank()
+        r1, r2 = (depths[name].spectrum(claim_K).rank() for name in ("rho1", "rho2"))
         notes.append(f"window tensor ranks at K={claim_K}: rho1 -> {r1}, rho2 -> {r2}")
         _, u1 = tables["rho1"].curve(claim_K)
         _, u2 = tables["rho2"].curve(claim_K)
@@ -97,8 +99,7 @@ def error_curve_study(l: int = 2, K_list=(4, 5, 6), M_max: int = 64) -> CurveStu
         notes.append("no swept depth covers the sparse supports; "
                      "claim checks not evaluable")
 
-    non_inc = True
-    plateau = True
+    non_inc = plateau = True
     for name, table in tables.items():
         for K in K_list:
             depth = [r for r in table.rows if r.K == K]     # ascending in M
@@ -115,10 +116,10 @@ def error_curve_study(l: int = 2, K_list=(4, 5, 6), M_max: int = 64) -> CurveStu
     checks["curves_non_increasing"] = non_inc
     checks["plateaus_match_tail_terms"] = plateau
 
-    tail = targets["rho3"].tail_norm(l ** max(K_list))
+    tail = depths["rho3"].rho.tail_norm(l ** max(K_list))
     notes.append(f"rho3 tail norm beyond the deepest window: "
                  f"[{tail.lower:.6f}, {tail.upper:.6f}] (interval bracket)")
-    return CurveStudy(l=l, tables=tables, notes=tuple(notes), checks=checks)
+    return CurveStudy(l, tables, depths, tuple(notes), checks)
 
 
 @dataclass(frozen=True)
@@ -219,10 +220,14 @@ def conformance_suite():
     """Replay the worked examples; report PASS/FAIL/LOGGED per item.
 
     LOGGED marks a reference-material discrepancy that is recorded
-    rather than enforced; FAIL marks a defect in this library.
+    rather than enforced; FAIL marks a defect in this library.  The
+    curve study runs first; the items read the windows they share with it
+    or with each other through its DepthTables and one of their own, so
+    none is decomposed twice.
     """
     items = []
     sq2 = math.sqrt(2.0)
+    study = error_curve_study()
 
     w22 = Sequence.from_values([1, 2, 3, 4]).values_upto(4)
     ok = (np.array_equal(w22, [1.0, 2.0, 3.0, 4.0]) and
@@ -243,21 +248,20 @@ def conformance_suite():
         np.array_equal(flat, np.outer([1.0, 2.0], [3.0, 4.0])),
         "a two-layer chain tensorises to the outer product of its filters"))
 
-    rho = Sequence.from_values([1, 0, 0, 1])
-    spectra = {K: tensors.window_spectrum(rho, 2, K) for K in range(1, 5)}
+    edge = DepthTable(Sequence.from_values([1, 0, 0, 1]), 2)
     refs = {2: (1.0, 1.0, 1.0, 1.0),
             3: (sq2, 1.0, 1.0, 1.0, 1.0, 0.0),
             4: (sq2, sq2, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0)}
     ok = True
     for K, ref in refs.items():
-        vals = spectra[K].values
+        vals = edge.spectrum(K).values
         ok &= len(vals) == len(ref)
         ok &= float(np.max(np.abs(vals - np.array(ref)))) <= 1e-9
     items.append(_check(
         "edge-impulse-spectra", ok,
         "pooled spectra of the two-ended impulse pattern match the "
         "reference table for K = 2, 3, 4 to 1e-9"))
-    k1 = spectra[1].values
+    k1 = edge.spectrum(1).values
     items.append(_logged(
         "depth-one-spectrum",
         f"the K = 1 window [1, 0] has the single spectrum value "
@@ -265,7 +269,7 @@ def conformance_suite():
         f"row, which has no reading under the depth-one definition"))
 
     # The tail mass at offset s of the depth-3 window.
-    prof = _tail_masses(spectra[3], 2, 3)
+    prof = edge.masses(3)
     ok = (abs(prof[1] ** 2 - 2.0) <= 1e-9
           and abs(prof[2] ** 2 - 1.0) <= 1e-9)
     items.append(_check(
@@ -277,11 +281,9 @@ def conformance_suite():
         f"reference case list assigns 0 to every s outside {{1, 2}}"))
 
     r_alt = tensors.window_spectrum(Sequence.from_values([1, 0, 1, 0]), 2, 2).rank()
-    r_edge = spectra[2].rank()
-    rho1 = make_target("rho1")
-    rho2 = make_target("rho2")
-    r1 = tensors.window_spectrum(rho1, 2, 5).rank()
-    r2 = tensors.window_spectrum(rho2, 2, 5).rank()
+    r_edge = edge.spectrum(2).rank()
+    sparse = study.depths["rho1"], study.depths["rho2"]
+    r1, r2 = (table.spectrum(5).rank() for table in sparse)
     items.append(_check(
         "window-ranks", (r_alt, r_edge, r1, r2) == (2, 4, 5, 10),
         f"pooled ranks: alternating pair -> {r_alt}, two-ended pair -> "
@@ -293,11 +295,11 @@ def conformance_suite():
         "positions as zero-based slots instead gives a depth-5 rank of 7, "
         "not the quoted 5, so the one-based reading is adopted"))
 
-    n1, n2 = float(rho1.norm()), float(rho2.norm())
+    n1, n2 = (float(table.rho.norm()) for table in sparse)
     items.append(_check(
         "sparse-norm-agreement", n1 == n2,
         f"both sparse targets have norm {n1:.10f}"))
-    n3 = make_target("rho3").norm()
+    n3 = study.depths["rho3"].rho.norm()
     items.append(_logged(
         "decaying-norm-mismatch",
         f"the decaying target's norm lies in [{n3.lower:.6f}, {n3.upper:.6f}] "
@@ -323,11 +325,11 @@ def conformance_suite():
         "flattening-walkthrough", ok,
         "the 4x3x2 worked flattenings and their refolds are reproduced"))
 
-    merged = sorted(list(spectra[2].values) + [float(rho.norm()), 0.0], reverse=True)
-    ok = float(np.max(np.abs(spectra[3].values - np.array(merged)))) <= 1e-10
+    merged = sorted([*edge.spectrum(2).values, float(edge.rho.norm()), 0.0], reverse=True)
+    ok = float(np.max(np.abs(edge.spectrum(3).values - np.array(merged)))) <= 1e-10
     g = DecayProfile.exponential(0.5)
-    c_base = complexity_measure(rho, 2, g)
-    c_capped = complexity_measure(rho, 2, g, k_cap=5)
+    c_base = complexity_measure(edge, 2, g)
+    c_capped = complexity_measure(edge, 2, g, k_cap=5)
     ok &= abs(c_base.value - c_capped.value) <= 1e-12 * max(1.0, c_base.value)
     items.append(_check(
         "window-padding-law", ok,
@@ -339,7 +341,6 @@ def conformance_suite():
         abs(c_base.value - 4.0) <= 1e-12,
         f"two-ended impulse pattern against g(s) = 2^-s gives {c_base.value:g}"))
 
-    study = error_curve_study()
     failing = sorted(k for k, v in study.checks.items() if not v)
     items.append(_check(
         "curve-shape-claims", not failing,

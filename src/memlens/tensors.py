@@ -16,8 +16,9 @@ bounds of the approximation-rate machinery.  window_spectrum is the one
 path from a target to its depth-K pooled spectrum, and
 truncation_error_bound the one path from a spectrum to its tails.  The
 tail masses at offsets s = 0, ..., l*K - K that the complexity measure
-and the error curves read come from one function,
-bounds._tail_masses, the single place their offset rule is written.
+and the error curves read come from one method, bounds.DepthTable.masses,
+the single place their offset rule is written; a DepthTable calls
+window_spectrum once per window it reads.
 
 Singular values come from direct SVDs of the K flattenings, never their
 Gram matrices: forming a Gram matrix squares the condition number and

@@ -46,8 +46,11 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant("tail-offset-plus-one", "src/memlens/bounds.py",
-           "range(K - 1, l * K))", "range(K, l * K + 1))",
+           "range(K - 1, self.l * K))", "range(K, self.l * K + 1))",
            ("tests/test_bounds.py",)),
+    Mutant("depth-table-recomputes", "src/memlens/bounds.py",
+           "if K not in self._spectra:", "if True:",
+           ("tests/test_cli.py::test_reproduce_decomposes_each_window_once",)),
     Mutant("rank-budget-rounds", "src/memlens/bounds.py",
            "return math.floor(K * M ** (1.0 / K))", "return round(K * M ** (1.0 / K))",
            ("tests/test_bounds.py",)),

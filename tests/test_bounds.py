@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from memlens.bounds import (COMPLEXITY_NOISE_REL_TOL, DecayProfile,
+from memlens.bounds import (COMPLEXITY_NOISE_REL_TOL, DecayProfile, DepthTable,
                             complexity_measure, error_curve, rank_budget,
                             rate_bound_interval)
 from memlens.experiments import make_target
@@ -182,6 +182,63 @@ def test_complexity_decomposes_no_window_past_the_first_infinite_depth(monkeypat
     g = DecayProfile.table([1.0, 0.5], cutoff=2)
     assert complexity_measure(make_target("rho3:700"), 2, g).value == math.inf
     assert depths == [1, 2, 3]
+
+
+def _hex_rows(table):
+    return [(r.K, r.M, r.rank_term.hex(), r.tail_term.hex(), r.upper_bound.hex())
+            for r in table.rows]
+
+
+def test_a_horizon_family_and_its_cut_have_bit_identical_windows(rng):
+    # A table of a horizon Family decomposes the Family's own windows, where
+    # the complexity once read those of the Sequence analysis_window cuts.
+    families = [Sequence.geometric(g, horizon=h) for g in rng.uniform(0.01, 0.999, size=60)
+                for h in (0, 1, 7, 100, 300, 700, 5000)]
+    families += [Sequence.power(horizon=h) for h in (0, 1, 7, 100, 300, 700, 5000)]
+    for rho in families:
+        cut = tensors.analysis_window(rho, 2)
+        for K in range(1, 14):
+            assert rho.values_upto(2 ** K).tobytes() == cut.values_upto(2 ** K).tobytes()
+
+
+def test_a_depth_table_changes_no_value(rng):
+    profiles = (DecayProfile.exponential(0.5), DecayProfile.power(1.0),
+                DecayProfile.table([1.0, 0.5], cutoff=2))
+    targets = (Sequence.from_values([1, 0, 0, 1]), make_target("rho1"), make_target("rho2"),
+               Sequence.from_values(rng.normal(size=27)), make_target("rho3:700"),
+               Sequence.geometric(0.9, horizon=300))
+    for l in (2, 3):
+        for rho in targets:
+            cut = tensors.analysis_window(rho, l)
+            for g in profiles:
+                want = complexity_measure(cut, l, g).value.hex()
+                assert complexity_measure(rho, l, g).value.hex() == want
+                assert complexity_measure(DepthTable(rho, l), l, g).value.hex() == want
+            K_list = range(1, coverage_depth(l, cut.radius()) + 2)
+            want = _hex_rows(error_curve(rho, l, K_list, range(1, 41)))
+            assert _hex_rows(error_curve(DepthTable(rho, l), l, K_list, range(1, 41))) == want
+    # A target without a horizon has curves, but no complexity.
+    for rho in (make_target("rho3"), make_target("exp:0.9")):
+        want = _hex_rows(error_curve(rho, 2, [4, 5, 6], range(1, 65)))
+        assert _hex_rows(error_curve(DepthTable(rho, 2), 2, [4, 5, 6], range(1, 65))) == want
+
+
+def test_one_table_decomposes_each_window_once(monkeypatch):
+    # rho3:700's coverage depth at l = 2 is 10: the complexity reads depths
+    # 1-10, the curves add 11 and 12, and a second complexity adds none.
+    depths = []
+
+    def counted(rho, l, K):
+        depths.append(K)
+        return window_spectrum(rho, l, K)
+
+    monkeypatch.setattr(tensors, "window_spectrum", counted)
+    table = DepthTable(make_target("rho3:700"), 2)
+    g = DecayProfile.exponential(0.5)
+    first = complexity_measure(table, 2, g).value
+    error_curve(table, 2, range(1, 13), range(1, 65))
+    assert complexity_measure(table, 2, g, k_cap=12).value == first
+    assert depths == list(range(1, 13))
 
 
 def test_complexity_worked_example():

@@ -915,19 +915,34 @@ def test_reproduce_passes(capsys):
     assert "FAIL" not in [line.split()[0] for line in out.splitlines() if line]
 
 
-def test_reproduce_computes_25_spectra(monkeypatch, capsys):
+def _decompositions(monkeypatch, capsys, args):
+    """A command's exit code and stdout, and the (window bytes, l, K) of
+    each singular_values call it makes."""
     from memlens import tensors
     computed = []
     singular_values = tensors.singular_values
 
     def counted(window, l, K):
-        computed.append(K)
+        computed.append((window.tobytes(), l, K))
         return singular_values(window, l, K)
 
     monkeypatch.setattr(tensors, "singular_values", counted)
-    code, out = run_cli(capsys, ["reproduce"])
+    return (*run_cli(capsys, args), computed)
+
+
+def test_reproduce_decomposes_each_window_once(monkeypatch, capsys):
+    # The edge pattern [1, 0, 0, 1] at K = 1-5, the alternating pair at
+    # K = 2, and the study's three targets at K = 4, 5, 6.
+    code, out, computed = _decompositions(monkeypatch, capsys, ["reproduce"])
     assert code == 0 and out.endswith("totals: 10 pass, 0 fail, 4 logged\n")
-    assert len(computed) == 25
+    assert len(computed) == len(set(computed)) == 15
+
+
+def test_study_decomposes_each_window_once(monkeypatch, capsys):
+    # The curves and the claim-depth ranks read the same three tables.
+    code, _, computed = _decompositions(monkeypatch, capsys, ["study"])
+    assert code == 0
+    assert len(computed) == len(set(computed)) == 9
 
 
 def test_reproduce_fail_exits_three(monkeypatch, capsys):
