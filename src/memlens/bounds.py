@@ -5,10 +5,12 @@ constant c such that every spectrum tail mass of every tensorised window
 stays below c * g(s); the mass t_{K,s} at offset s of the depth-K window
 is the tail of its pooled spectrum beyond kept rank s + K - 1, and
 DepthTable.masses alone writes that rule.  A DepthTable holds one
-target's windows at one l, each decomposed on its first read, so the
-analyses that read one table decompose each window once.  The complexity
-is one max over the envelope of those masses across depths, and the
-error curves read their rank terms off the same masses.  With the window
+target's windows at one l, each decomposed on its first read.  The
+complexity measure and the error curves take a table, not a target, and
+read both its windows and its l, so the analyses that read one table
+decompose each window once and at one l.  The complexity is one max
+over the envelope of those masses across depths, and the error curves
+read their rank terms off the same masses.  With the window
 tail norm this yields the two-sided approximation bound for a
 dilated-convolution stack, and the per-(K, M) error curves that compare
 targets at equal budgets.  The bound sizes a stack by the effective
@@ -131,8 +133,8 @@ class DepthTable:
     masses(K) are its tail masses t_{K,0}, ..., t_{K,l*K-K}, t_{K,s} the
     tail beyond kept rank s + K - 1.  This is the one place that offset
     rule is written: the complexity measure and the error curves read
-    every mass here, and a command that reads one target's windows
-    through one table decomposes each window once.
+    every mass and their l here, and a command that reads one target's
+    windows through one table decomposes each window once.
     """
 
     def __init__(self, rho: Sequence | Family, l: int):
@@ -147,34 +149,31 @@ class DepthTable:
         return tensors.truncation_error_bound(self.spectrum(K), range(K - 1, self.l * K))
 
 
-def complexity_measure(rho: Sequence | Family | DepthTable, l: int, g: DecayProfile,
-                       k_cap=None) -> Scalar:
+def complexity_measure(table: DepthTable, g: DecayProfile, k_cap=None) -> Scalar:
     """Smallest constant bounding every spectrum tail mass by c * g(s).
 
-    The masses t_{K,s} are those of a DepthTable, for window depths K
+    The masses t_{K,s} are those of the table, at its l, for window depths K
     from 1 up to the coverage depth (the smallest K whose window holds the
     whole support); deeper windows only duplicate masses, so the cap does
     not change the value, and support beyond a window is accounted
     separately through tail norms.  The supremum is the largest E(s) / g(s)
     over the envelope E(s) = max over K of t_{K,s}, the largest single
     ratio, since correctly rounded division by a positive g(s) is
-    monotone.  Every stored value of rho is support, however small, and
-    the noise floor, COMPLEXITY_NOISE_REL_TOL times the norm of rho, is
+    monotone.  Every stored value of the table's target is support, however
+    small, and the noise floor, COMPLEXITY_NOISE_REL_TOL times its norm, is
     the only small-value rule: a mass at or below it counts as an exact
     zero.  Returns infinity at the first depth with a mass above that
     floor where g(s) = 0, decomposing no deeper window, and when a ratio
     passes the largest float, as it does for a g(s) that underflows to a
     subnormal.
-    A generated rho is measured up to its horizon, so it needs one (see
-    tensors.analysis_window).  rho may also be a DepthTable made at this
-    l, whose windows this reads and fills.
+    A generated target is measured up to its horizon, so it needs one (see
+    tensors.analysis_window).  This reads and fills the table's windows.
     """
-    table = rho if isinstance(rho, DepthTable) else DepthTable(rho, l)
-    rho = tensors.analysis_window(table.rho, l)
+    rho = tensors.analysis_window(table.rho, table.l)
     r = rho.radius()
     if r is None:
         return Scalar(0.0)
-    k_star = tensors.coverage_depth(l, r)
+    k_star = tensors.coverage_depth(table.l, r)
     cap = k_star if k_cap is None else int(k_cap)
     if cap < k_star:
         raise ValueError("k_cap must cover the support")
@@ -231,7 +230,7 @@ def rate_bound_interval(rho: Sequence | Family, l: int, K: int, channels,
         raise ValueError("effective filter count must be at least 1")
     size = l ** K
     g_arg = max(0, rank_budget(K, M) - K)
-    c_val = complexity_measure(tensors.analysis_window(rho, l, K), l, g)
+    c_val = complexity_measure(DepthTable(tensors.analysis_window(rho, l, K), l), g)
     tail = rho.tail_norm(size)
     rank = c_val.value if math.isinf(c_val.value) else g(g_arg) * c_val.value
     upper = Scalar(rank + tail.value, tail.halfwidth)
@@ -241,25 +240,23 @@ def rate_bound_interval(rho: Sequence | Family, l: int, K: int, channels,
     return lower, upper
 
 
-def error_curve(rho: Sequence | Family | DepthTable, l: int, K_list,
-                M_range) -> ErrorCurveTable:
+def error_curve(table: DepthTable, K_list, M_range) -> ErrorCurveTable:
     """Bound split per (K, M): spectrum truncation plus window tail.
 
     The rank term at width M is the spectrum tail beyond rank_budget(K,
-    M), the mass at offset s = rank_budget(K, M) - K + 1 of the DepthTable
+    M), the mass at offset s = rank_budget(K, M) - K + 1 of the table
     and 0.0 past its end; the tail term is the norm of the representation
-    outside the window (upper bracket end when the tail is only known as
-    an interval).  rho may also be a DepthTable made at this l, whose
-    windows this reads and fills.
+    outside the length-l^K window at the table's l (upper bracket end when
+    the tail is only known as an interval).  This reads and fills the
+    table's windows.
     """
-    table = rho if isinstance(rho, DepthTable) else DepthTable(rho, l)
     widths = sorted(set(int(m) for m in M_range))
     if widths and widths[0] < 1:
         raise ValueError("widths must be >= 1")
     rows = []
     for K in sorted(set(int(k) for k in K_list)):
         masses = table.masses(K)
-        tail_term = table.rho.tail_norm(l ** K).upper
+        tail_term = table.rho.tail_norm(table.l ** K).upper
         for M in widths:
             s = rank_budget(K, M) - K + 1
             rank_term = masses[s] if s < len(masses) else 0.0

@@ -217,12 +217,13 @@ def _cmd_spectrum(args, emit) -> int:
 
 
 def _cmd_measure(args, emit) -> int:
-    from .bounds import complexity_measure
+    from .bounds import DepthTable, complexity_measure
     from .tensors import analysis_window
     g = _profile(args.g, args.g_params)
     for text in args.target:
         target, label = load_target(text)
-        c = complexity_measure(analysis_window(target, args.l, args.K[0]), args.l, g)
+        table = DepthTable(analysis_window(target, args.l, args.K[0]), args.l)
+        c = complexity_measure(table, g)
         finite = math.isfinite(c.value)
         emit(f"{label}_measure.json",
              {"target": label, "l": args.l,
@@ -249,10 +250,10 @@ def _cmd_bounds(args, emit) -> int:
 
 
 def _cmd_curve(args, emit) -> int:
-    from .bounds import CurveRow, error_curve
+    from .bounds import CurveRow, DepthTable, error_curve
     for text in args.target:
         target, label = load_target(text)
-        table = error_curve(target, args.l, args.K, range(1, args.M_max + 1))
+        table = error_curve(DepthTable(target, args.l), args.K, range(1, args.M_max + 1))
         if "csv" in args.format:
             emit(f"{label}_curve.csv", csv_text(label, args.l, CurveRow._fields, table.rows))
         if "json" in args.format:

@@ -73,8 +73,7 @@ def error_curve_study(l: int = 2, K_list=(4, 5, 6), M_max: int = 64) -> CurveStu
     depths = {name: DepthTable(make_target(name), l) for name in ("rho1", "rho2", "rho3")}
     K_list = sorted(set(int(k) for k in K_list))
     M_range = range(1, M_max + 1)
-    tables = {name: error_curve(table, l, K_list, M_range)
-              for name, table in depths.items()}
+    tables = {name: error_curve(table, K_list, M_range) for name, table in depths.items()}
     notes = []
     checks = {}
 
@@ -328,8 +327,8 @@ def conformance_suite():
     merged = sorted([*edge.spectrum(2).values, float(edge.rho.norm()), 0.0], reverse=True)
     ok = float(np.max(np.abs(edge.spectrum(3).values - np.array(merged)))) <= 1e-10
     g = DecayProfile.exponential(0.5)
-    c_base = complexity_measure(edge, 2, g)
-    c_capped = complexity_measure(edge, 2, g, k_cap=5)
+    c_base = complexity_measure(edge, g)
+    c_capped = complexity_measure(edge, g, k_cap=5)
     ok &= abs(c_base.value - c_capped.value) <= 1e-12 * max(1.0, c_base.value)
     items.append(_check(
         "window-padding-law", ok,

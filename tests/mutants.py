@@ -48,6 +48,10 @@ MUTANTS = (
     Mutant("tail-offset-plus-one", "src/memlens/bounds.py",
            "range(K - 1, self.l * K))", "range(K, self.l * K + 1))",
            ("tests/test_bounds.py",)),
+    Mutant("curve-tail-at-l-2", "src/memlens/bounds.py",
+           "tail_term = table.rho.tail_norm(table.l ** K).upper",
+           "tail_term = table.rho.tail_norm(2 ** K).upper",
+           ("tests/test_bounds.py::test_a_table_at_l_3_reads_its_tails_and_depths_at_l_3",)),
     Mutant("depth-table-recomputes", "src/memlens/bounds.py",
            "if K not in self._spectra:", "if True:",
            ("tests/test_cli.py::test_reproduce_decomposes_each_window_once",)),

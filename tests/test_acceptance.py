@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import memlens
-from memlens.bounds import DecayProfile, complexity_measure, error_curve
+from memlens.bounds import DecayProfile, DepthTable, complexity_measure, error_curve
 from memlens.experiments import (comparison_report, conformance_suite,
                                  make_target, oracle_best_rank_matrix)
 from memlens.models import (RnnSpec, cnn_representation, power_sum_delta_bound,
@@ -106,12 +106,12 @@ def test_criterion_06_padding_law_and_cap_invariance(rng):
         merged = sorted(list(base) + [rho.norm().value] + [0.0] * (l - 1),
                         reverse=True)
         assert np.allclose(deeper, merged, atol=1e-10)
-        reference = complexity_measure(rho, l, g).value
+        reference = complexity_measure(DepthTable(rho, l), g).value
         for extra in (1, 2):
             k_star = 1
             while l ** k_star < rho.radius() + 1:
                 k_star += 1
-            capped = complexity_measure(rho, l, g, k_cap=k_star + extra).value
+            capped = complexity_measure(DepthTable(rho, l), g, k_cap=k_star + extra).value
             assert capped == pytest.approx(reference, rel=1e-10)
 
 
@@ -133,9 +133,9 @@ def test_criterion_08_error_curves_reproduce_sweep_claims():
     sweep = range(1, M_max + 1)
     rho1, rho2 = make_target("rho1"), make_target("rho2")
     rho3 = make_target("rho3")
-    t1 = error_curve(rho1, l, [K], sweep)
-    t2 = error_curve(rho2, l, [K], sweep)
-    t3 = error_curve(rho3, l, [K], sweep)
+    t1 = error_curve(DepthTable(rho1, l), [K], sweep)
+    t2 = error_curve(DepthTable(rho2, l), [K], sweep)
+    t3 = error_curve(DepthTable(rho3, l), [K], sweep)
     _, u1 = (np.asarray(a, dtype=float) for a in t1.curve(K))
     _, u2 = (np.asarray(a, dtype=float) for a in t2.curve(K))
     _, u3 = (np.asarray(a, dtype=float) for a in t3.curve(K))
@@ -172,7 +172,7 @@ def test_criterion_10_upper_bound_vanishes_with_depth():
     rho3 = make_target("rho3:10000")
     best = math.inf
     for K in range(1, 15):
-        table = error_curve(rho3, 2, [K], [2 ** K])
+        table = error_curve(DepthTable(rho3, 2), [K], [2 ** K])
         best = min(best, table.rows[-1].upper_bound)
         if best < 1e-3:
             break

@@ -1,4 +1,10 @@
+import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +14,7 @@ from hypothesis import strategies as st
 from memlens.bounds import (COMPLEXITY_NOISE_REL_TOL, DecayProfile, DepthTable,
                             complexity_measure, error_curve, rank_budget,
                             rate_bound_interval)
+from contract import corpus
 from memlens.experiments import make_target
 from memlens.models import replay_residual, synthesize_lowrank, synthesize_radix
 from memlens import tensors
@@ -70,9 +77,9 @@ def test_a_power_profile_past_the_float_range_is_computed_in_logs():
     # Every other value keeps its bits.
     assert DecayProfile.power(1000.0)(1) == 1.0 / 2.0 ** 1000.0
     assert DecayProfile.power(2.5, a=3.0)(3) == 3.0 / 4 ** 2.5
-    rho = Sequence.power(horizon=100)
-    assert complexity_measure(rho, 2, DecayProfile.power(1100.0)).value == math.inf
-    assert complexity_measure(rho, 2, big).value == math.inf
+    table = DepthTable(Sequence.power(horizon=100), 2)
+    assert complexity_measure(table, DecayProfile.power(1100.0)).value == math.inf
+    assert complexity_measure(table, big).value == math.inf
 
 
 def test_decay_profile_validation():
@@ -159,10 +166,11 @@ def test_complexity_reads_the_padded_tail_profile_bit_for_bit(rng):
                         assert _tail_profile(rho, l, K) == _padded_tail_profile(rho, l, K)
                     for g in profiles:
                         for cap in (None, k_star + 1):
-                            got = complexity_measure(rho, l, g, k_cap=cap).value
+                            got = complexity_measure(DepthTable(rho, l), g, k_cap=cap).value
                             assert got.hex() == _padded_complexity(rho, l, g, cap).hex()
                             infinite.add(math.isinf(got))
-                    for row in error_curve(rho, l, range(1, k_star + 2), range(1, 41)).rows:
+                    table = DepthTable(rho, l)
+                    for row in error_curve(table, range(1, k_star + 2), range(1, 41)).rows:
                         spec = window_spectrum(rho, l, row.K)
                         want = truncation_error_bound(spec, [rank_budget(row.K, row.M)])[0]
                         assert row.rank_term.hex() == want.hex(), (l, row.K, row.M)
@@ -180,7 +188,7 @@ def test_complexity_decomposes_no_window_past_the_first_infinite_depth(monkeypat
 
     monkeypatch.setattr(tensors, "window_spectrum", counted)
     g = DecayProfile.table([1.0, 0.5], cutoff=2)
-    assert complexity_measure(make_target("rho3:700"), 2, g).value == math.inf
+    assert complexity_measure(DepthTable(make_target("rho3:700"), 2), g).value == math.inf
     assert depths == [1, 2, 3]
 
 
@@ -201,26 +209,112 @@ def test_a_horizon_family_and_its_cut_have_bit_identical_windows(rng):
             assert rho.values_upto(2 ** K).tobytes() == cut.values_upto(2 ** K).tobytes()
 
 
-def test_a_depth_table_changes_no_value(rng):
+def _pinned_targets():
+    """The targets and profiles whose values a table must keep.  The random
+    target is the draw the rng fixture gives at its default seed."""
     profiles = (DecayProfile.exponential(0.5), DecayProfile.power(1.0),
                 DecayProfile.table([1.0, 0.5], cutoff=2))
+    draw = np.random.default_rng(20260816).normal(size=27)
     targets = (Sequence.from_values([1, 0, 0, 1]), make_target("rho1"), make_target("rho2"),
-               Sequence.from_values(rng.normal(size=27)), make_target("rho3:700"),
+               Sequence.from_values(draw), make_target("rho3:700"),
                Sequence.geometric(0.9, horizon=300))
-    for l in (2, 3):
+    return targets, profiles
+
+
+def _rows_digest(table):
+    """The first 16 hex digits of the SHA-256 of an ErrorCurveTable's _hex_rows."""
+    return hashlib.sha256(repr(_hex_rows(table)).encode("ascii")).hexdigest()[:16]
+
+
+def _table_values():
+    """Per l and target: the .hex() of each profile's complexity_measure and
+    the digest of the error_curve rows, both read through one DepthTable;
+    then the digests of two targets without a horizon, which have curves
+    but no complexity."""
+    targets, profiles = _pinned_targets()
+    values = []
+    for l in (2, 3, 4):
+        for rho in targets:
+            table = DepthTable(rho, l)
+            K_list = range(1, coverage_depth(l, tensors.analysis_window(rho, l).radius()) + 2)
+            values.append([*(complexity_measure(table, g).value.hex() for g in profiles),
+                           _rows_digest(error_curve(table, K_list, range(1, 41)))])
+    for rho in (make_target("rho3"), make_target("exp:0.9")):
+        values.append([_rows_digest(error_curve(DepthTable(rho, 2), [4, 5, 6], range(1, 65)))])
+    return values
+
+
+# _table_values() as complexity_measure(rho, l, g) and error_curve(rho, l,
+# K_list, M_range) gave it, when they still took a target and its l, under
+# the output contract's OpenBLAS pin (tests/contract/corpus.py): LAPACK's
+# last digits follow the kernel that runs.
+TABLE_VALUES = [
+    ["0x1.0000000000000p+2", "0x1.8000000000000p+1", "0x1.6a09e667f3bcdp+1", "778bde604215b6e4"],
+    ["0x1.a51a6625307d3p+0", "0x1.a51a6625307d3p+0", "0x1.a51a6625307d3p+0", "ddbbbc777e4674f0"],
+    ["0x1.a51a6625307d3p+4", "0x1.7434c25b4e9fcp+2", "inf", "6a0edfa47804e5ed"],
+    ["0x1.1534f738d02bcp+6", "0x1.f066a11c25cdep+3", "inf", "353796ad38928a9f"],
+    ["0x1.7b1afe6ed5544p+4", "0x1.ec5cf8f782beep+0", "inf", "0f490115c498eb90"],
+    ["0x1.25a6f29acf3c1p+1", "0x1.25a6f29acf3c1p+1", "0x1.25a6f29acf3c1p+1", "b16a55a5d0e36c6e"],
+    ["0x1.6a09e667f3bcdp+0", "0x1.6a09e667f3bcdp+0", "0x1.6a09e667f3bcdp+0", "4b8b6e3ab7c09c66"],
+    ["0x1.a51a6625307d3p+1", "0x1.3bd3cc9be45dfp+1", "0x1.29c3ceaf72197p+1", "f011f7951568df3c"],
+    ["0x1.a51a6625307d3p+5", "0x1.c7db852924079p+2", "inf", "dcd88889bad5577f"],
+    ["0x1.9c1fd406e8a68p+6", "0x1.d80deb0b27c73p+3", "inf", "6a31a5a3d17cb964"],
+    ["0x1.75a61f5291f30p+4", "0x1.7053d3ad4e3a3p+0", "inf", "581e06f257076f65"],
+    ["0x1.25a6f29acf3c2p+1", "0x1.25a6f29acf3c2p+1", "0x1.25a6f29acf3c2p+1", "b0818cad47ed7036"],
+    ["0x1.6a09e667f3bcdp+0", "0x1.6a09e667f3bcdp+0", "0x1.6a09e667f3bcdp+0", "9601b06a9a444671"],
+    ["0x1.a51a6625307d3p+0", "0x1.a51a6625307d3p+0", "0x1.a51a6625307d3p+0", "87597e825a1b33b6"],
+    ["0x1.a51a6625307d2p+4", "0x1.7434c25b4e9fbp+2", "inf", "2395402ac8bf247a"],
+    ["0x1.6e442f8422262p+6", "0x1.d3f6a85ec2b80p+3", "inf", "876ab67421e02aee"],
+    ["0x1.1b326eaccd552p+4", "0x1.56fe8e0a8808dp+0", "inf", "d51a151345a8a27a"],
+    ["0x1.25a6f29acf3c2p+1", "0x1.25a6f29acf3c2p+1", "0x1.25a6f29acf3c2p+1", "f1c59349314ccbcf"],
+    ["a99d2cc1097e33f1"],
+    ["9b8cc49eb787bb25"],
+]
+
+
+def test_a_depth_table_changes_no_value():
+    # The values come from a process under the contract's pin, as the
+    # contract's outputs do.  A horizon Family and its analysis_window cut
+    # measure alike under any kernel, so that is checked in this process.
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, **corpus.PINNED_ENV,
+           "PYTHONPATH": os.pathsep.join([str(corpus.SRC), str(tests)])}
+    script = ("import json\nfrom contract import corpus\nimport test_bounds\n"
+              "problem = corpus._pin_problem()\n"
+              "print(json.dumps([problem, None if problem else test_bounds._table_values()]))\n")
+    done = subprocess.run([sys.executable, "-W", "error", "-c", script], env=env,
+                          capture_output=True, encoding="utf-8", timeout=300)
+    assert done.returncode == 0, done.stderr
+    problem, values = json.loads(done.stdout)
+    if problem:
+        pytest.fail(problem)
+    assert values == TABLE_VALUES
+    targets, profiles = _pinned_targets()
+    for l in (2, 3, 4):
         for rho in targets:
             cut = tensors.analysis_window(rho, l)
             for g in profiles:
-                want = complexity_measure(cut, l, g).value.hex()
-                assert complexity_measure(rho, l, g).value.hex() == want
-                assert complexity_measure(DepthTable(rho, l), l, g).value.hex() == want
-            K_list = range(1, coverage_depth(l, cut.radius()) + 2)
-            want = _hex_rows(error_curve(rho, l, K_list, range(1, 41)))
-            assert _hex_rows(error_curve(DepthTable(rho, l), l, K_list, range(1, 41))) == want
-    # A target without a horizon has curves, but no complexity.
-    for rho in (make_target("rho3"), make_target("exp:0.9")):
-        want = _hex_rows(error_curve(rho, 2, [4, 5, 6], range(1, 65)))
-        assert _hex_rows(error_curve(DepthTable(rho, 2), 2, [4, 5, 6], range(1, 65))) == want
+                want = complexity_measure(DepthTable(cut, l), g).value.hex()
+                assert complexity_measure(DepthTable(rho, l), g).value.hex() == want
+
+
+def test_a_table_at_l_3_reads_its_tails_and_depths_at_l_3(monkeypatch):
+    # rho3:700's coverage depth at l = 3 is 6 (3^6 = 729; at l = 2 it is
+    # 10): the complexity decomposes depths 1-6 only, and the tail term of
+    # the depth-K curve is the tail beyond 3^K, which is not 0 for K < 6.
+    depths = []
+
+    def counted(rho, l, K):
+        depths.append(K)
+        return window_spectrum(rho, l, K)
+
+    monkeypatch.setattr(tensors, "window_spectrum", counted)
+    rho = make_target("rho3:700")
+    table = DepthTable(rho, 3)
+    assert math.isfinite(complexity_measure(table, DecayProfile.exponential(0.5)).value)
+    assert depths == [1, 2, 3, 4, 5, 6]
+    rows = error_curve(table, range(1, 7), range(1, 41)).rows
+    assert [row.tail_term for row in rows] == [rho.tail_norm(3 ** row.K).upper for row in rows]
 
 
 def test_one_table_decomposes_each_window_once(monkeypatch):
@@ -235,34 +329,34 @@ def test_one_table_decomposes_each_window_once(monkeypatch):
     monkeypatch.setattr(tensors, "window_spectrum", counted)
     table = DepthTable(make_target("rho3:700"), 2)
     g = DecayProfile.exponential(0.5)
-    first = complexity_measure(table, 2, g).value
-    error_curve(table, 2, range(1, 13), range(1, 65))
-    assert complexity_measure(table, 2, g, k_cap=12).value == first
+    first = complexity_measure(table, g).value
+    error_curve(table, range(1, 13), range(1, 65))
+    assert complexity_measure(table, g, k_cap=12).value == first
     assert depths == list(range(1, 13))
 
 
 def test_complexity_worked_example():
     rho = Sequence.from_values([1, 0, 0, 1])
     g = DecayProfile.exponential(0.5)
-    assert complexity_measure(rho, 2, g).value == pytest.approx(4.0, abs=1e-12)
+    assert complexity_measure(DepthTable(rho, 2), g).value == pytest.approx(4.0, abs=1e-12)
 
 
 def test_complexity_zero_target_and_cap():
     g = DecayProfile.exponential(0.5)
-    assert complexity_measure(Sequence.zero(), 2, g).value == 0.0
+    assert complexity_measure(DepthTable(Sequence.zero(), 2), g).value == 0.0
     rho = Sequence.from_values([1, 0, 0, 1])
-    base = complexity_measure(rho, 2, g).value
+    base = complexity_measure(DepthTable(rho, 2), g).value
     for cap in (3, 5, 7):
-        capped = complexity_measure(rho, 2, g, k_cap=cap).value
+        capped = complexity_measure(DepthTable(rho, 2), g, k_cap=cap).value
         assert capped == pytest.approx(base, rel=1e-10)
     with pytest.raises(ValueError):
-        complexity_measure(rho, 2, g, k_cap=1)
+        complexity_measure(DepthTable(rho, 2), g, k_cap=1)
 
 
 def test_complexity_signals_infinity_on_starved_profiles():
     rho = Sequence.from_values([1, 0, 0, 1])
     g = DecayProfile.table([1.0], cutoff=0)
-    assert math.isinf(complexity_measure(rho, 2, g).value)
+    assert math.isinf(complexity_measure(DepthTable(rho, 2), g).value)
 
 
 @settings(max_examples=30, deadline=None)
@@ -275,7 +369,7 @@ def test_a_value_far_below_the_largest_counts_in_the_measure(v):
     # and the tail mass at offset s = 6 is the last of their six values
     # v * 1e-10, against g(6) = 1e-12.
     rho = Sequence.from_arrays([0, 1000], [1.0, v * 1e-10])
-    measured = complexity_measure(rho, 2, DecayProfile.exponential(0.01)).value
+    measured = complexity_measure(DepthTable(rho, 2), DecayProfile.exponential(0.01)).value
     assert measured == pytest.approx(100 * v, rel=1e-9)
 
 
@@ -286,19 +380,20 @@ def test_the_noise_floor_sits_at_1e_12_of_the_norm():
     g = DecayProfile.exponential(1e-14)
     below = Sequence.from_arrays([0, 3], [1.0, 0.5e-12])
     above = Sequence.from_arrays([0, 3], [1.0, 2e-12])
-    assert complexity_measure(below, 2, g).value == 1.0
-    assert complexity_measure(above, 2, g).value == pytest.approx(2e16, rel=1e-12)
+    assert complexity_measure(DepthTable(below, 2), g).value == 1.0
+    assert complexity_measure(DepthTable(above, 2), g).value == pytest.approx(2e16, rel=1e-12)
 
 
 def test_complexity_is_absolutely_homogeneous(rng):
     g = DecayProfile.exponential(0.5)
     for _ in range(10):
         values = rng.normal(size=6)
-        base = complexity_measure(Sequence.from_values(values), 2, g).value
+        base = complexity_measure(DepthTable(Sequence.from_values(values), 2), g).value
         normal = float(rng.normal())
         log_uniform = float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12, 12))
         for alpha in (normal, log_uniform, 1e-12, -1e12):
-            scaled = complexity_measure(Sequence.from_values(alpha * values), 2, g).value
+            rho = Sequence.from_values(alpha * values)
+            scaled = complexity_measure(DepthTable(rho, 2), g).value
             assert scaled == pytest.approx(abs(alpha) * base, rel=1e-9)
 
 
@@ -308,11 +403,11 @@ def test_outputs_scale_with_the_target_at_extreme_scales():
 
     def outputs(alpha):
         rho = Sequence.from_arrays(list(points), [alpha * v for v in points.values()])
-        values = [complexity_measure(rho, 2, g).value]
+        values = [complexity_measure(DepthTable(rho, 2), g).value]
         for K, channels in ((3, (1, 4, 4, 1)), (4, (1, 4, 4, 4, 1))):
             lower, upper = rate_bound_interval(rho, 2, K, channels, g)
             values += [lower.value, upper.value]
-        for row in error_curve(rho, 2, [1, 2, 3, 4], range(1, 17)).rows:
+        for row in error_curve(DepthTable(rho, 2), [1, 2, 3, 4], range(1, 17)).rows:
             values += [row.rank_term, row.tail_term]
         for synthesize in (synthesize_radix, synthesize_lowrank):
             window_norm = float(rho.norm())
@@ -328,13 +423,13 @@ def test_outputs_scale_with_the_target_at_extreme_scales():
 def test_complexity_requires_a_splittable_target():
     g = DecayProfile.exponential(0.5)
     with pytest.raises(ValueError):
-        complexity_measure(Sequence.geometric(0.9), 2, g)
-    value = complexity_measure(Sequence.geometric(0.9, horizon=20), 2, g)
+        complexity_measure(DepthTable(Sequence.geometric(0.9), 2), g)
+    value = complexity_measure(DepthTable(Sequence.geometric(0.9, horizon=20), 2), g)
     assert math.isfinite(value.value)
     # A base below 2 splits no window; it once looped for ever.
     for l in (1, 0):
         with pytest.raises(ValueError, match="l >= 2"):
-            complexity_measure(Sequence.from_values([1.0, 2.0]), l, g)
+            complexity_measure(DepthTable(Sequence.from_values([1.0, 2.0]), l), g)
 
 
 def test_rate_bound_interval_rejects_starved_stacks():
@@ -374,7 +469,7 @@ def test_an_infinite_complexity_makes_the_upper_bound_infinite():
     rho = Sequence.power(horizon=100)
     for channels, values in (((1, 4, 4, 4, 4, 1), [1.0]), ((1, 2, 2, 2, 2, 1), [1.0, 0.5])):
         g = DecayProfile.table(values, cutoff=len(values) - 1)
-        assert complexity_measure(rho, 2, g).value == math.inf
+        assert complexity_measure(DepthTable(rho, 2), g).value == math.inf
         lower, upper = rate_bound_interval(rho, 2, 5, channels, g)
         assert lower.value == 1.0 / 32 and upper.value == math.inf
 
@@ -383,9 +478,9 @@ def test_a_ratio_beyond_the_largest_float_makes_the_complexity_infinite():
     # rho1's tail masses above round-off are all at s = 0, so no g(s) = 0
     # is met: over g(0) = 1e-320, a subnormal, they pass the largest float,
     # and over g(0) = 1e-308 they stay below it.
-    rho = make_target("rho1")
-    assert complexity_measure(rho, 2, DecayProfile.exponential(0.5, 1e-320)).value == math.inf
-    c = complexity_measure(rho, 2, DecayProfile.exponential(0.5, 1e-308)).value
+    table = DepthTable(make_target("rho1"), 2)
+    assert complexity_measure(table, DecayProfile.exponential(0.5, 1e-320)).value == math.inf
+    c = complexity_measure(table, DecayProfile.exponential(0.5, 1e-308)).value
     assert c == 1.6449340668482266e+308
 
 
@@ -410,7 +505,7 @@ def test_rate_bound_sandwich_on_random_targets(rng):
 
 def test_error_curve_row_invariants():
     rho = Sequence.from_values([1, 0, 0, 1])
-    table = error_curve(rho, 2, [2, 3], range(1, 9))
+    table = error_curve(DepthTable(rho, 2), [2, 3], range(1, 9))
     assert len(table.rows) == 16
     for row in table.rows:
         assert row.upper_bound == row.rank_term + row.tail_term
@@ -427,7 +522,7 @@ def test_error_curve_matches_a_per_width_loop():
     for name, rho in (("rho1", make_target("rho1")), ("rho2", make_target("rho2")),
                       ("rho3:700", make_target("rho3:700"))):
         for l in (2, 3):
-            table = error_curve(rho, l, [4, 5, 6], range(1, 65))
+            table = error_curve(DepthTable(rho, l), [4, 5, 6], range(1, 65))
             rows = []
             for K in (4, 5, 6):
                 spec = window_spectrum(rho, l, K)
@@ -443,7 +538,7 @@ def test_error_curve_matches_a_per_width_loop():
 
 def test_error_curve_tail_uses_bracket_upper_end():
     rho3 = Sequence.power()
-    table = error_curve(rho3, 2, [3], [1])
+    table = error_curve(DepthTable(rho3, 2), [3], [1])
     row = table.rows[0]
     assert row.tail_term == rho3.tail_norm(8).upper
 
@@ -451,20 +546,20 @@ def test_error_curve_tail_uses_bracket_upper_end():
 def test_error_curve_rejects_bad_widths():
     rho = Sequence.from_values([1.0])
     with pytest.raises(ValueError):
-        error_curve(rho, 2, [2], [0])
+        error_curve(DepthTable(rho, 2), [2], [0])
     # Widths are checked before any depth, so no depth still refuses them.
     with pytest.raises(ValueError):
-        error_curve(rho, 2, [], [0])
+        error_curve(DepthTable(rho, 2), [], [0])
     with pytest.raises(ValueError):
-        error_curve(rho, 2, [2, 3], [5, -1, 2])
-    assert error_curve(rho, 2, [], [1]).rows == ()
+        error_curve(DepthTable(rho, 2), [2, 3], [5, -1, 2])
+    assert error_curve(DepthTable(rho, 2), [], [1]).rows == ()
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 12), st.integers(2, 3))
 def test_rank_budget_saturation_zeroes_the_rank_term(M, K):
     rho = Sequence.from_values([1, 0, 0, 1])
-    table = error_curve(rho, 2, [K], [M])
+    table = error_curve(DepthTable(rho, 2), [K], [M])
     row = table.rows[0]
     budget = math.floor(K * M ** (1.0 / K))
     spec = singular_values(rho.values_upto(2 ** K), 2, K)
