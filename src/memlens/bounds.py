@@ -16,7 +16,8 @@ dilated-convolution stack, and the per-(K, M) error curves that compare
 targets at equal budgets.  The bound sizes a stack by the effective
 filter count M of its width plan (M_0, ..., M_K): effective_filters
 counts it here, where it is read, and tensors.width_plan, beside the
-tensor train, checks the plan.
+tensor train, checks the plan; the number of its widths fixes the depth
+K, so no second K is taken beside a plan.
 """
 
 from __future__ import annotations
@@ -149,13 +150,13 @@ class DepthTable:
         return tensors.truncation_error_bound(self.spectrum(K), range(K - 1, self.l * K))
 
 
-def complexity_measure(table: DepthTable, g: DecayProfile, k_cap=None) -> Scalar:
+def complexity_measure(table: DepthTable, g: DecayProfile) -> Scalar:
     """Smallest constant bounding every spectrum tail mass by c * g(s).
 
     The masses t_{K,s} are those of the table, at its l, for window depths K
     from 1 up to the coverage depth (the smallest K whose window holds the
-    whole support); deeper windows only duplicate masses, so the cap does
-    not change the value, and support beyond a window is accounted
+    whole support); deeper windows only duplicate masses (the padding law),
+    so no deeper one is read, and support beyond a window is accounted
     separately through tail norms.  The supremum is the largest E(s) / g(s)
     over the envelope E(s) = max over K of t_{K,s}, the largest single
     ratio, since correctly rounded division by a positive g(s) is
@@ -174,12 +175,9 @@ def complexity_measure(table: DepthTable, g: DecayProfile, k_cap=None) -> Scalar
     if r is None:
         return Scalar(0.0)
     k_star = tensors.coverage_depth(table.l, r)
-    cap = k_star if k_cap is None else int(k_cap)
-    if cap < k_star:
-        raise ValueError("k_cap must cover the support")
     noise = COMPLEXITY_NOISE_REL_TOL * float(rho.norm())
     envelope = []
-    for K in range(1, cap + 1):
+    for K in range(1, k_star + 1):
         masses = table.masses(K)
         if any(g(s) == 0.0 for s, t in enumerate(masses) if t > noise):
             return Scalar(math.inf)
@@ -188,21 +186,22 @@ def complexity_measure(table: DepthTable, g: DecayProfile, k_cap=None) -> Scalar
     return Scalar(max(ratios, default=0.0))
 
 
-def effective_filters(channels, l: int, K: int) -> float:
-    """Pairwise-channel parameter count of a depth-K stack.
+def effective_filters(channels, l: int) -> float:
+    """Pairwise-channel parameter count of the stack of width plan channels.
 
-    channels is the full width list (M_0, ..., M_K), K >= 1, checked as a
-    CnnSpec checks it (tensors.width_plan).  Returns the sum of the
-    products of consecutive widths among M_1, ..., M_K, less l*K.  A single
-    layer has no width pairs and returns 0.  The value can be negative for
-    very narrow stacks; a count beyond the largest float is refused.
+    channels is the full width list (M_0, ..., M_K), whose number fixes
+    the depth K >= 1, checked as a CnnSpec checks it (tensors.width_plan).
+    Returns the sum of the products of consecutive widths among M_1, ...,
+    M_K, less l*K.  A single layer has no width pairs and returns 0.  The
+    value can be negative for very narrow stacks; a count beyond the
+    largest float is refused.
     """
-    widths = tensors.width_plan(channels, K)
-    if K == 1:
+    widths = tensors.width_plan(channels)
+    if len(widths) == 2:
         return 0.0
     pair_sum = sum(a * b for a, b in zip(widths[1:], widths[2:]))
     try:
-        return float(pair_sum - l * K)
+        return float(pair_sum - l * (len(widths) - 1))
     except OverflowError:
         raise ValueError(f"the effective filter count of channels "
                          f"{','.join(map(str, widths))!r:.40} at l = {l!r:.40} is "
@@ -215,19 +214,20 @@ def rank_budget(K: int, M) -> int:
     return math.floor(K * M ** (1.0 / K))
 
 
-def rate_bound_interval(rho: Sequence | Family, l: int, K: int, channels,
-                        g: DecayProfile):
-    """Two-sided approximation bound for a depth-K width-budgeted stack.
+def rate_bound_interval(rho: Sequence | Family, l: int, channels, g: DecayProfile):
+    """Two-sided approximation bound for a width-budgeted stack.
 
-    channels is the full width list (M_0, ..., M_K); its effective filter
-    count M must be at least 1.  The lower bound is the sup of the
-    representation beyond the receptive field; the upper bound is
-    g(rank_budget(K, M) - K) * complexity + the tail norm beyond the
-    receptive field, and +inf for an infinite complexity, whatever g is.
+    channels is the full width list (M_0, ..., M_K), whose number fixes
+    the depth K; its effective filter count M must be at least 1.  The
+    lower bound is the sup of the representation beyond the receptive
+    field; the upper bound is g(rank_budget(K, M) - K) * complexity + the
+    tail norm beyond the receptive field, and +inf for an infinite
+    complexity, whatever g is.
     """
-    M = effective_filters(channels, l, K)
+    M = effective_filters(channels, l)
     if M < 1:
         raise ValueError("effective filter count must be at least 1")
+    K = len(channels) - 1
     size = l ** K
     g_arg = max(0, rank_budget(K, M) - K)
     c_val = complexity_measure(DepthTable(tensors.analysis_window(rho, l, K), l), g)

@@ -19,7 +19,9 @@ The parser is built once per process (build_parser is cached) and holds
 no per-call state: each main call parses into a fresh namespace, and a
 given --K replaces the tuple of default depths.  spectrum, curve and
 study take a repeatable --K; measure, bounds and synth read one depth,
-so a second --K there is a usage error.
+so a second --K there is a usage error.  bounds reads its depth from
+--channels, K + 1 widths, so its --K may be left out, and a given one
+that does not agree exits 2.
 
 Targets are paths to sequence JSON files, or builtin ids (rho1, rho2,
 rho3[:H], exp:GAMMA, impulse:T), which sequences.make_target reads as
@@ -236,14 +238,16 @@ def _cmd_measure(args, emit) -> int:
 def _cmd_bounds(args, emit) -> int:
     from .bounds import effective_filters, rate_bound_interval
     g = _profile(args.g, args.g_params)
-    K = args.K[0]
+    K = len(args.channels) - 1
+    if args.K not in (None, [K]):
+        raise ValueError("channels must list K + 1 widths")
     for text in args.target:
         target, label = load_target(text)
-        lower, upper = rate_bound_interval(target, args.l, K, args.channels, g)
+        lower, upper = rate_bound_interval(target, args.l, args.channels, g)
         emit(f"{label}_bounds.json",
              {"target": label, "l": args.l, "K": K,
               "channels": list(args.channels),
-              "effective_filters": effective_filters(args.channels, args.l, K),
+              "effective_filters": effective_filters(args.channels, args.l),
               "lower": {"value": lower.value, "halfwidth": lower.halfwidth},
               "upper": {"value": upper.value, "halfwidth": upper.halfwidth}})
     return 0
@@ -375,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "horizon (default 5)", g=True, depths=_Depth)
 
     p = sub.add_parser("bounds", help="two-sided approximation bound for explicit channels")
-    add_common(p, (5,), "depth (default 5)", g=True, depths=_Depth)
+    add_common(p, None, "depth, which must agree with --channels (default: "
+                        "the number of widths less one)", g=True, depths=_Depth)
     p.add_argument("--channels", type=_parse_ints, required=True,
                    help="channel counts M_0,...,M_K, e.g. 1,4,4,1")
 

@@ -9,7 +9,8 @@ nonzero entry, and the tensor train of the length-l^K window over its
 base-l digits from tensors.tt_svd, whose cores are the filters and
 widths the ranks of its sequential unfoldings.  A width plan (M_0, ...,
 M_K) is checked by tensors.width_plan, beside the tensor train whose rank
-profile it is, and its effective filter count is bounds.effective_filters.
+profile it is; its length fixes the depth K of the stack, and its
+effective filter count is bounds.effective_filters.
 
 An RnnSpec holds a linear recurrence whose representation is the power
 sum c' W^(s-1) U for s >= 1 (and 0 at s = 0).  Width lower bounds for
@@ -64,14 +65,15 @@ class CnnSpec:
         raise TypeError("a CnnSpec is built by CnnSpec.from_arrays")
 
     @classmethod
-    def from_arrays(cls, l, K, channels, index, weights) -> "CnnSpec":
-        """Stack from an (n, 3) key array and an (n, l) filter array, in
+    def from_arrays(cls, l, channels, index, weights) -> "CnnSpec":
+        """Stack from its width plan, whose number of widths less one is
+        its depth K, an (n, 3) key array and an (n, l) filter array, in
         any key order; a key given twice is an error."""
         index = np.asarray(index, dtype=np.int64).reshape(-1, 3)
         weights = np.asarray(weights, dtype=float)
         if weights.ndim != 2 or len(weights) != len(index):
             raise ValueError("weights must hold one filter per index row")
-        cls._check(l, K, channels, index, weights.shape[1])
+        channels = cls._check(l, channels, index, weights.shape[1])
         order = np.lexsort(index.T[::-1])
         index, weights = index[order], weights[order]
         twice = (index[1:] == index[:-1]).all(axis=1)
@@ -80,26 +82,26 @@ class CnnSpec:
                              f"given twice")
         index.flags.writeable = weights.flags.writeable = False
         spec = object.__new__(cls)
-        for name, value in (("l", int(l)), ("K", int(K)),
-                            ("channels", tuple(int(m) for m in channels)),
+        for name, value in (("l", int(l)), ("K", len(channels) - 1), ("channels", channels),
                             ("index", index), ("weights", weights)):
             object.__setattr__(spec, name, value)
         return spec
 
     @staticmethod
-    def _check(l, K, channels, index, length):
+    def _check(l, channels, index, length) -> tuple:
         """Check the shape of the stack, then name the first filter, in the
-        given order, whose key is out of range or whose length is not l."""
-        if l < 2 or K < 1:
+        given order, whose key is out of range or whose length is not l;
+        returns the width plan as ints."""
+        if l < 2:
             raise ValueError("need l >= 2 and K >= 1")
-        widths = tensors.width_plan(channels, K)
-        wide = [m for m in widths if m > MAX_TIME]
+        plan = tensors.width_plan(channels)
+        wide = [m for m in plan if m > MAX_TIME]
         if wide:
             raise ValueError(f"channel width {wide[0]!r:.40} is beyond the int64 "
                              f"limit 2^63 - 1")
-        widths = np.array(widths, dtype=np.int64)
+        widths = np.array(plan, dtype=np.int64)
         k, j, i = index.T
-        layer = (0 <= k) & (k < K)
+        layer = (0 <= k) & (k < len(plan) - 1)
         k = np.where(layer, k, 0)
         bad_key = ~(layer & (0 <= j) & (j < widths[k]) & (0 <= i) & (i < widths[k + 1]))
         bad = bad_key | (length != l)
@@ -108,6 +110,7 @@ class CnnSpec:
             if bad_key[first]:
                 raise ValueError(f"filter index {tuple(index[first].tolist())} out of range")
             raise ValueError("every filter must have length l")
+        return plan
 
     @property
     def filter_count(self) -> int:
@@ -302,14 +305,14 @@ def synthesize_radix(target: Sequence | Family, l: int) -> CnnSpec:
     weights[np.arange(K)[:, None], paths, digits.T] = 1.0
     weights[0, paths, digits[:, 0]] = values
     if K == 1:
-        return CnnSpec.from_arrays(l, 1, (1, 1), np.zeros((min(1, n), 3)),
+        return CnnSpec.from_arrays(l, (1, 1), np.zeros((min(1, n), 3)),
                                    weights.sum(axis=1)[:n])
     # Path p runs (0, 0, p), (1, p, p), ..., (K - 1, p, 0), in key order.
     index = np.zeros((K, n, 3), dtype=np.int64)
     index[:, :, 0] = np.arange(K)[:, None]
     index[1:, :, 1] = index[:-1, :, 2] = paths
     channels = (1,) + (max(1, n),) * (K - 1) + (1,)
-    return CnnSpec.from_arrays(l, K, channels, index, weights.reshape(-1, l))
+    return CnnSpec.from_arrays(l, channels, index, weights.reshape(-1, l))
 
 
 def synthesize_lowrank(target: Sequence | Family, l: int, K=None) -> CnnSpec:
@@ -334,7 +337,7 @@ def synthesize_lowrank(target: Sequence | Family, l: int, K=None) -> CnnSpec:
                             for k, (j, i) in enumerate(live)])
     weights = np.concatenate([core[j, :, i] for core, (j, i) in zip(cores, live)])
     channels = (1,) + tuple(core.shape[2] for core in cores)
-    return CnnSpec.from_arrays(l, K, channels, index, weights)
+    return CnnSpec.from_arrays(l, channels, index, weights)
 
 
 def rnn_representation(spec: RnnSpec, horizon: int) -> Sequence:

@@ -9,8 +9,9 @@ _mode_view reads a mode flattening in place (mode_flatten_general and
 mode_refold_general read and write it as a matrix), and tt_svd reads the
 unfoldings and cores of the window's tensor train, the low-rank filter
 bank.  The ranks of that train are a stack's width plan (M_0, ..., M_K),
-and width_plan, beside tt_svd, is the one check of a plan: CnnSpec and
-bounds.effective_filters read every plan through it.  The pooled singular
+whose number of widths fixes the depth K, and width_plan, beside tt_svd,
+is the one check of a plan: CnnSpec and bounds.effective_filters read
+every plan, and its depth, through it.  The pooled singular
 values of the K mode flattenings drive the rank counts and truncation
 bounds of the approximation-rate machinery.  window_spectrum is the one
 path from a target to its depth-K pooled spectrum, and
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import _HUGE, _TINY, Family, Sequence, root_sum_squares
+from .sequences import _HUGE, _TINY, Family, Sequence, _whole, root_sum_squares
 
 RANK_REL_TOL = 1e-8
 # The stack of flattenings one batched SVD decomposes holds at most this
@@ -232,16 +233,14 @@ def tt_svd(rho: Sequence | Family, l: int, K: int) -> list:
     return cores
 
 
-def width_plan(channels, K) -> tuple:
-    """The width plan (M_0, ..., M_K) of a depth-K stack as ints: K + 1
-    positive widths, one input and one output channel, the rank profile
-    (1, r_1, ..., r_{K-1}, 1) of a tensor train like tt_svd's.  Every
-    reader of a plan checks it here."""
-    if K < 1:
+def width_plan(channels) -> tuple:
+    """The width plan (M_0, ..., M_K) of a stack as ints: K + 1 >= 2
+    positive whole widths, whose number fixes the depth K, one input and
+    one output channel, the rank profile (1, r_1, ..., r_{K-1}, 1) of a
+    tensor train like tt_svd's.  Every reader of a plan checks it here."""
+    widths = tuple(_whole(m, "a channel width") for m in channels)
+    if len(widths) < 2:
         raise ValueError("need K >= 1")
-    widths = tuple(int(m) for m in channels)
-    if len(widths) != K + 1:
-        raise ValueError("channels must list K + 1 widths")
     if min(widths) < 1:
         raise ValueError("channel widths must be positive")
     if widths[-1] != 1:

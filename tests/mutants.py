@@ -92,6 +92,12 @@ MUTANTS = (
     Mutant("noise-floor-over-100", "src/memlens/bounds.py",
            "COMPLEXITY_NOISE_REL_TOL = 1e-12", "COMPLEXITY_NOISE_REL_TOL = 1e-14",
            ("tests/test_bounds.py",)),
+    Mutant("bounds-ignores-a-disagreeing-K", "src/memlens/cli.py",
+           "if args.K not in (None, [K]):", "if False:",
+           ("tests/test_cli.py::test_each_channel_plan_fault_has_one_text",)),
+    Mutant("width-cut-to-int", "src/memlens/tensors.py",
+           '_whole(m, "a channel width")', "int(m)",
+           ("tests/test_models.py::test_a_channel_width_is_a_whole_number",)),
 )
 
 # {mutant name: why no output may depend on the value it moves}.

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import memlens
-from memlens.bounds import DecayProfile, DepthTable, complexity_measure, error_curve
+from memlens.bounds import (COMPLEXITY_NOISE_REL_TOL, DecayProfile, DepthTable,
+                            complexity_measure, error_curve)
 from memlens.experiments import (comparison_report, conformance_suite,
                                  make_target, oracle_best_rank_matrix)
 from memlens.models import (RnnSpec, cnn_representation, power_sum_delta_bound,
@@ -106,12 +107,15 @@ def test_criterion_06_padding_law_and_cap_invariance(rng):
         merged = sorted(list(base) + [rho.norm().value] + [0.0] * (l - 1),
                         reverse=True)
         assert np.allclose(deeper, merged, atol=1e-10)
-        reference = complexity_measure(DepthTable(rho, l), g).value
+        table = DepthTable(rho, l)
+        reference = complexity_measure(table, g).value
+        noise = COMPLEXITY_NOISE_REL_TOL * float(rho.norm())
         for extra in (1, 2):
             k_star = 1
             while l ** k_star < rho.radius() + 1:
                 k_star += 1
-            capped = complexity_measure(DepthTable(rho, l), g, k_cap=k_star + extra).value
+            capped = max(t / g(s) for K in range(1, k_star + extra + 1)
+                         for s, t in enumerate(table.masses(K)) if t > noise)
             assert capped == pytest.approx(reference, rel=1e-10)
 
 

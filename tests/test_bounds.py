@@ -165,10 +165,13 @@ def test_complexity_reads_the_padded_tail_profile_bit_for_bit(rng):
                     for K in range(1, k_star + 2):
                         assert _tail_profile(rho, l, K) == _padded_tail_profile(rho, l, K)
                     for g in profiles:
-                        for cap in (None, k_star + 1):
-                            got = complexity_measure(DepthTable(rho, l), g, k_cap=cap).value
-                            assert got.hex() == _padded_complexity(rho, l, g, cap).hex()
-                            infinite.add(math.isinf(got))
+                        got = complexity_measure(DepthTable(rho, l), g).value
+                        assert got.hex() == _padded_complexity(rho, l, g).hex()
+                        # A window past the coverage depth changes the value by
+                        # round-off at most.
+                        deeper = _padded_complexity(rho, l, g, k_star + 1)
+                        assert deeper == pytest.approx(got, rel=1e-10)
+                        infinite.add(math.isinf(got))
                     table = DepthTable(rho, l)
                     for row in error_curve(table, range(1, k_star + 2), range(1, 41)).rows:
                         spec = window_spectrum(rho, l, row.K)
@@ -331,7 +334,7 @@ def test_one_table_decomposes_each_window_once(monkeypatch):
     g = DecayProfile.exponential(0.5)
     first = complexity_measure(table, g).value
     error_curve(table, range(1, 13), range(1, 65))
-    assert complexity_measure(table, g, k_cap=12).value == first
+    assert complexity_measure(table, g).value == first
     assert depths == list(range(1, 13))
 
 
@@ -346,11 +349,12 @@ def test_complexity_zero_target_and_cap():
     assert complexity_measure(DepthTable(Sequence.zero(), 2), g).value == 0.0
     rho = Sequence.from_values([1, 0, 0, 1])
     base = complexity_measure(DepthTable(rho, 2), g).value
+    # Depths past the coverage depth 2 leave the value as it is, and a
+    # depth short of it would miss the masses that attain it.
     for cap in (3, 5, 7):
-        capped = complexity_measure(DepthTable(rho, 2), g, k_cap=cap).value
+        capped = _padded_complexity(rho, 2, g, cap)
         assert capped == pytest.approx(base, rel=1e-10)
-    with pytest.raises(ValueError):
-        complexity_measure(DepthTable(rho, 2), g, k_cap=1)
+    assert _padded_complexity(rho, 2, g, 1) < base
 
 
 def test_complexity_signals_infinity_on_starved_profiles():
@@ -404,8 +408,8 @@ def test_outputs_scale_with_the_target_at_extreme_scales():
     def outputs(alpha):
         rho = Sequence.from_arrays(list(points), [alpha * v for v in points.values()])
         values = [complexity_measure(DepthTable(rho, 2), g).value]
-        for K, channels in ((3, (1, 4, 4, 1)), (4, (1, 4, 4, 4, 1))):
-            lower, upper = rate_bound_interval(rho, 2, K, channels, g)
+        for channels in ((1, 4, 4, 1), (1, 4, 4, 4, 1)):
+            lower, upper = rate_bound_interval(rho, 2, channels, g)
             values += [lower.value, upper.value]
         for row in error_curve(DepthTable(rho, 2), [1, 2, 3, 4], range(1, 17)).rows:
             values += [row.rank_term, row.tail_term]
@@ -436,27 +440,26 @@ def test_rate_bound_interval_rejects_starved_stacks():
     g = DecayProfile.exponential(0.5)
     rho = Sequence.from_values([1, 0, 0, 1])
     with pytest.raises(ValueError):
-        rate_bound_interval(rho, 2, 3, (1, 2, 2, 1), g)
+        rate_bound_interval(rho, 2, (1, 2, 2, 1), g)
 
 
 def test_rate_bound_interval_geometric_lower_end():
     g = DecayProfile.exponential(0.5)
-    lower, upper = rate_bound_interval(Sequence.geometric(0.5), 2, 3,
-                                       (1, 4, 4, 1), g)
+    lower, upper = rate_bound_interval(Sequence.geometric(0.5), 2, (1, 4, 4, 1), g)
     assert lower.value == 0.5 ** 8
     assert lower.value <= upper.value
 
 
 def test_rate_bound_interval_zero_target():
     g = DecayProfile.exponential(0.5)
-    lower, upper = rate_bound_interval(Sequence.zero(), 2, 2, (1, 5, 1), g)
+    lower, upper = rate_bound_interval(Sequence.zero(), 2, (1, 5, 1), g)
     assert lower.value == 0.0 and upper.value == 0.0
 
 
 def test_rate_bound_interval_covered_support_has_zero_tail():
     g = DecayProfile.exponential(0.5)
     rho = Sequence.from_values([1, 0, 0, 1])
-    lower, upper = rate_bound_interval(rho, 2, 2, (1, 8, 1), g)
+    lower, upper = rate_bound_interval(rho, 2, (1, 8, 1), g)
     assert lower.value == 0.0
     assert upper.halfwidth == 0.0
     # M = (8 - 4) / 1 = 4, budget = floor(2 * sqrt(4)) = 4, g(2) = 1/4
@@ -470,7 +473,7 @@ def test_an_infinite_complexity_makes_the_upper_bound_infinite():
     for channels, values in (((1, 4, 4, 4, 4, 1), [1.0]), ((1, 2, 2, 2, 2, 1), [1.0, 0.5])):
         g = DecayProfile.table(values, cutoff=len(values) - 1)
         assert complexity_measure(DepthTable(rho, 2), g).value == math.inf
-        lower, upper = rate_bound_interval(rho, 2, 5, channels, g)
+        lower, upper = rate_bound_interval(rho, 2, channels, g)
         assert lower.value == 1.0 / 32 and upper.value == math.inf
 
 
@@ -488,18 +491,18 @@ def test_rate_bound_interval_channel_list_shape():
     g = DecayProfile.exponential(0.5)
     rho = Sequence.from_values([1, 0, 0, 1])
     with pytest.raises(ValueError):
-        rate_bound_interval(rho, 2, 2, (1, 8, 8, 1), g)
+        rate_bound_interval(rho, 2, (1,), g)
     with pytest.raises(ValueError):
-        rate_bound_interval(rho, 2, 2, (2, 8, 1), g)
+        rate_bound_interval(rho, 2, (2, 8, 1), g)
     with pytest.raises(ValueError):
-        rate_bound_interval(rho, 2, 2, (1, 8, 3), g)
+        rate_bound_interval(rho, 2, (1, 8, 3), g)
 
 
 def test_rate_bound_sandwich_on_random_targets(rng):
     g = DecayProfile.exponential(0.6)
     for _ in range(20):
         rho = Sequence.from_values(rng.normal(size=12))
-        lower, upper = rate_bound_interval(rho, 2, 3, (1, 6, 6, 1), g)
+        lower, upper = rate_bound_interval(rho, 2, (1, 6, 6, 1), g)
         assert lower.value <= upper.upper + 1e-12
 
 

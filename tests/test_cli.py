@@ -95,6 +95,18 @@ def test_bounds_command(capsys):
     assert payload["lower"]["value"] <= payload["upper"]["value"]
 
 
+def test_bounds_reads_its_depth_from_the_plan(capsys):
+    # Without --K the depth is the plan's, K = 4 here, and a given --K only
+    # has to agree with it.
+    argv = ["bounds", "--target", "rho3:700", "--l", "3", "--channels", "1,3,3,3,1",
+            "--g", "exponential", "--g-params", "0.5"]
+    code, out = run_cli(capsys, argv)
+    assert code == 0 and json.loads(out)["K"] == 4
+    assert run_cli(capsys, [*argv, "--K", "4"]) == (0, out)
+    assert main([*argv, "--K", "5"]) == 2
+    assert capsys.readouterr() == ("", "error: channels must list K + 1 widths\n")
+
+
 def test_curve_csv_deterministic(tmp_path, capsys):
     args = [
         "curve", "--target", "rho1", "--l", "2", "--K", "4", "--K", "5",
@@ -253,7 +265,9 @@ def test_each_format_a_command_takes_writes_one_file_per_target(command, writes,
 
 
 # One fault of a channel plan at K = 2 and l = 2, and the one text that
-# every reader of a plan gives for it.
+# every reader of a plan gives for it.  A library reader takes its depth
+# from the plan, so a plan of the wrong length for K = 2 is a fault only
+# where a second depth is given: bounds --K.
 CHANNEL_FAULTS = [((1, 4), "channels must list K + 1 widths"),
                   ((1, 0, 1), "channel widths must be positive"),
                   ((1, 4, 2), "the output is a single channel"),
@@ -263,10 +277,11 @@ CHANNEL_FAULTS = [((1, 4), "channels must list K + 1 widths"),
 @pytest.mark.parametrize("channels, text", CHANNEL_FAULTS)
 def test_each_channel_plan_fault_has_one_text(channels, text, capsys):
     pattern = f"^{re.escape(text)}$"
-    with pytest.raises(ValueError, match=pattern):
-        CnnSpec.from_arrays(2, 2, channels, np.zeros((0, 3)), np.zeros((0, 2)))
-    with pytest.raises(ValueError, match=pattern):
-        effective_filters(channels, 2, 2)
+    if len(channels) == 3:
+        with pytest.raises(ValueError, match=pattern):
+            CnnSpec.from_arrays(2, channels, np.zeros((0, 3)), np.zeros((0, 2)))
+        with pytest.raises(ValueError, match=pattern):
+            effective_filters(channels, 2)
     assert main(["bounds", "--target", "rho1", "--K", "2", "--channels",
                  ",".join(map(str, channels)), "--g", "exponential",
                  "--g-params", "0.5"]) == 2
@@ -1165,11 +1180,11 @@ def _banks(draw):
     j, i = np.divmod(flat - (sizes.cumsum() - sizes)[k], np.array(channels)[k + 1])
     pool = _SPECIAL_WEIGHTS + draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                                             min_size=1, max_size=6))
-    return CnnSpec.from_arrays(l, K, channels, np.column_stack((k, j, i)),
+    return CnnSpec.from_arrays(l, channels, np.column_stack((k, j, i)),
                                rng.choice(pool, size=(n, l)))
 
 
-_BANK = CnnSpec.from_arrays(2, 2, (1, 11, 1), [[0, 0, 9], [0, 0, 10], [1, 10, 0]],
+_BANK = CnnSpec.from_arrays(2, (1, 11, 1), [[0, 0, 9], [0, 0, 10], [1, 10, 0]],
                             [[-0.0, 1.0], [math.nan, 5e-324], [math.inf, -math.inf]])
 
 

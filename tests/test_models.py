@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import tracemalloc
 import warnings
@@ -16,48 +17,48 @@ from memlens.models import (CnnSpec, RnnSpec, cnn_min_depth_expdecay,
                             rnn_representation, synthesize_lowrank,
                             synthesize_radix)
 from memlens.sequences import MAX_TIME, Sequence, root_sum_squares
-from memlens.tensors import tt_svd
+from memlens.tensors import tt_svd, width_plan
 
 
-def _bank(l, K, channels, filters=None):
+def _bank(l, channels, filters=None):
     """Stack from a {(k, j, i): filter} dict, through CnnSpec.from_arrays."""
     filters = filters or {}
-    return CnnSpec.from_arrays(l, K, channels, list(filters),
+    return CnnSpec.from_arrays(l, channels, list(filters),
                                np.reshape(list(filters.values()), (len(filters), l)))
 
 
 def test_cnn_spec_validation():
-    _bank(2, 2, (1, 3, 1))
+    _bank(2, (1, 3, 1))
     with pytest.raises(ValueError):
-        _bank(2, 2, (1, 3, 2))
+        _bank(2, (1, 3, 2))
     # A bank reads a scalar input: M_0 = 2 is refused, with or without filters.
     with pytest.raises(ValueError, match="^the input is a single channel$"):
-        _bank(2, 2, (2, 3, 1), {(0, 1, 0): (1.0, 0.0), (1, 0, 0): (0.0, 1.0)})
+        _bank(2, (2, 3, 1), {(0, 1, 0): (1.0, 0.0), (1, 0, 0): (0.0, 1.0)})
     with pytest.raises(ValueError, match="^the input is a single channel$"):
-        _bank(2, 1, (2, 1), {(0, 0, 0): (1.0, 0.0), (0, 1, 0): (0.0, 2.0)})
-    with pytest.raises(ValueError):
-        _bank(2, 2, (1, 1))
+        _bank(2, (2, 1), {(0, 0, 0): (1.0, 0.0), (0, 1, 0): (0.0, 2.0)})
+    with pytest.raises(ValueError, match="^need K >= 1$"):
+        _bank(2, (1,))
     with pytest.raises(ValueError, match=r"^filter index \(0, 0, 1\) out of range$"):
-        _bank(2, 1, (1, 1), {(0, 0, 1): (1.0, 0.0)})
+        _bank(2, (1, 1), {(0, 0, 1): (1.0, 0.0)})
     with pytest.raises(ValueError, match="^every filter must have length l$"):
-        CnnSpec.from_arrays(2, 1, (1, 1), [[0, 0, 0]], [[1.0, 0.0, 0.0]])
+        CnnSpec.from_arrays(2, (1, 1), [[0, 0, 0]], [[1.0, 0.0, 0.0]])
     # The first bad filter in the given order names the error.
     with pytest.raises(ValueError, match="length l"):
-        CnnSpec.from_arrays(2, 2, (1, 2, 1), [[0, 0, 1], [2, 0, 0]], np.ones((2, 1)))
+        CnnSpec.from_arrays(2, (1, 2, 1), [[0, 0, 1], [2, 0, 0]], np.ones((2, 1)))
     with pytest.raises(ValueError, match=r"\(1, 2, 0\) out of range"):
-        CnnSpec.from_arrays(2, 2, (1, 2, 1), [[1, 2, 0], [0, 0, 1]], np.ones((2, 1)))
+        CnnSpec.from_arrays(2, (1, 2, 1), [[1, 2, 0], [0, 0, 1]], np.ones((2, 1)))
 
 
 def test_cnn_spec_refuses_a_width_beyond_int64():
     # The largest int64 width is a plan like any other; one more is refused
     # by name, echoed to at most 40 characters, wherever it stands.
-    assert _bank(2, 2, (1, MAX_TIME, 1)).channels == (1, MAX_TIME, 1)
+    assert _bank(2, (1, MAX_TIME, 1)).channels == (1, MAX_TIME, 1)
     for wide in (MAX_TIME + 1, 2 ** 64 + 5, 10 ** 60):
         text = f"^channel width {str(wide)[:40]} is beyond the int64 limit 2\\^63 - 1$"
         with pytest.raises(ValueError, match=text):
-            _bank(2, 2, (1, wide, 1))
+            _bank(2, (1, wide, 1))
         with pytest.raises(ValueError, match=text):
-            _bank(2, 3, (1, 2, wide, 1))
+            _bank(2, (1, 2, wide, 1))
 
 
 def _hex(bank):
@@ -69,12 +70,12 @@ def _hex(bank):
 
 
 def test_cnn_spec_from_arrays_sorts_and_checks_the_bank():
-    spec = CnnSpec.from_arrays(2, 2, (1, 2, 1), [[1, 1, 0], [0, 0, 1]],
+    spec = CnnSpec.from_arrays(2, (1, 2, 1), [[1, 1, 0], [0, 0, 1]],
                                [[-0.0, -1.0], [1.0, 2.0]])
     assert spec.index.dtype == np.int64 and spec.index.tolist() == [[0, 0, 1], [1, 1, 0]]
     assert list(_hex(spec)) == [(0, 0, 1), (1, 1, 0)]
     assert _hex(spec) == _hex({(0, 0, 1): (1.0, 2.0), (1, 1, 0): (-0.0, -1.0)})
-    as_dict = _bank(2, 2, (1, 2, 1), {(1, 1, 0): (-0.0, -1.0), (0, 0, 1): (1, 2)})
+    as_dict = _bank(2, (1, 2, 1), {(1, 1, 0): (-0.0, -1.0), (0, 0, 1): (1, 2)})
     assert np.array_equal(as_dict.index, spec.index)
     assert as_dict.weights.tobytes() == spec.weights.tobytes()
     assert spec.to_json()["filters"] == {"0,0,1": [1.0, 2.0], "1,1,0": [-0.0, -1.0]}
@@ -93,7 +94,7 @@ def test_cnn_spec_from_arrays_sorts_and_checks_the_bank():
              r"^filter index \(1, 1, 0\) given twice$"),
             ([[0, 0, 1]], np.ones((2, 2)), "one filter per index row")):
         with pytest.raises(ValueError, match=message):
-            CnnSpec.from_arrays(2, 2, (1, 2, 1), index, weights)
+            CnnSpec.from_arrays(2, (1, 2, 1), index, weights)
 
 
 def test_synthesis_banks_keep_their_dict_layout():
@@ -124,7 +125,7 @@ def test_to_json_keys_of_a_wide_stack_of_few_filters():
     # Key texts come from the distinct key parts here, not from every
     # number up to the widest channel.
     wide = 10 ** 12
-    spec = CnnSpec.from_arrays(2, 2, (1, wide + 1, 1), [[1, wide, 0], [0, 0, wide], [0, 0, 7]],
+    spec = CnnSpec.from_arrays(2, (1, wide + 1, 1), [[1, wide, 0], [0, 0, wide], [0, 0, 7]],
                                [[0.5, 2.0], [1.0, -0.0], [3.0, 0.0]])
     filters = spec.to_json()["filters"]
     assert list(filters) == ["0,0,7", f"0,0,{wide}", f"1,{wide},0"]
@@ -133,7 +134,7 @@ def test_to_json_keys_of_a_wide_stack_of_few_filters():
 
 
 def test_representation_of_a_two_layer_chain():
-    spec = _bank(2, 2, (1, 1, 1), {(0, 0, 0): (1.0, 2.0), (1, 0, 0): (3.0, 4.0)})
+    spec = _bank(2, (1, 1, 1), {(0, 0, 0): (1.0, 2.0), (1, 0, 0): (3.0, 4.0)})
     rep = cnn_representation(spec)
     assert list(rep.values_upto(4)) == [3.0, 6.0, 4.0, 8.0]
 
@@ -147,31 +148,49 @@ def test_representation_stays_in_receptive_field(rng):
             for j in range(channels[k]):
                 for i in range(channels[k + 1]):
                     filters[(k, j, i)] = tuple(rng.normal(size=2))
-        rep = cnn_representation(_bank(2, K, channels, filters))
+        rep = cnn_representation(_bank(2, channels, filters))
         r = rep.radius()
         assert r is None or r <= 2 ** K - 1
 
 
 def test_effective_filters_values():
-    assert effective_filters((1, 4, 4, 1), 2, 3) == 14.0
-    assert effective_filters((1, 1), 2, 1) == 0.0
-    assert effective_filters((1, 2, 1, 1), 3, 3) == -6.0
-    assert type(effective_filters((1, 4, 4, 1), 2, 3)) is float
-    for bad in (((), 2, 1), ((1, 4, 1), 2, 3), ((1, 4, 2), 2, 2), ((1,), 2, 0)):
+    assert effective_filters((1, 4, 4, 1), 2) == 14.0
+    assert effective_filters((1, 1), 2) == 0.0
+    assert effective_filters((1, 2, 1, 1), 3) == -6.0
+    assert type(effective_filters((1, 4, 4, 1), 2)) is float
+    for bad in (((), 2), ((1, 0, 4, 1), 2), ((1, 4, 2), 2), ((1,), 2)):
         with pytest.raises(ValueError):
             effective_filters(*bad)
     with pytest.raises(ValueError, match="^the input is a single channel$"):
-        effective_filters((2, 4, 1), 2, 2)
+        effective_filters((2, 4, 1), 2)
     # A count beyond the largest float is refused with the widths it read.
-    assert effective_filters((1, 2 ** 1023, 1), 2, 2) == float(2 ** 1023 - 4)
+    assert effective_filters((1, 2 ** 1023, 1), 2) == float(2 ** 1023 - 4)
     for widths, l in (((1, 2 ** 1024, 1), 2), ((1, 10 ** 400, 1), 3),
                       ((1, 3, 10 ** 200, 10 ** 200, 1), 2), ((1, 4, 4, 1), 10 ** 400)):
         text = ",".join(map(str, widths))
         with pytest.raises(ValueError) as info:
-            effective_filters(widths, l, len(widths) - 1)
+            effective_filters(widths, l)
         assert str(info.value) == (f"the effective filter count of channels {text!r:.40} "
                                    f"at l = {str(l):.40} is beyond the float limit "
                                    f"1.7976931348623157e+308")
+
+
+def test_a_channel_width_is_a_whole_number():
+    # A width is read as a time index is: 3.0 and np.int64(3) are widths, and
+    # a fraction, a bool, a string or an infinity is refused by name, not
+    # cut to an int.
+    plan = (1, 3.0, np.int64(3), 1)
+    assert width_plan(plan) == (1, 3, 3, 1)
+    assert effective_filters(plan, 2) == 6.0
+    channels = CnnSpec.from_arrays(2, plan, np.zeros((0, 3)), np.zeros((0, 2))).channels
+    assert channels == (1, 3, 3, 1) and {type(m) for m in channels} == {int}
+    for bad in (2.7, 2.9, True, "3", math.inf):
+        text = f"^a channel width must be a whole number, not {re.escape(repr(bad))}$"
+        for read in (width_plan, lambda plan: effective_filters(plan, 3),
+                     lambda plan: CnnSpec.from_arrays(2, plan, np.zeros((0, 3)),
+                                                      np.zeros((0, 2)))):
+            with pytest.raises(ValueError, match=text):
+                read((1, bad, bad, 1))
 
 
 def test_radix_synthesis_worked_example():
@@ -410,7 +429,7 @@ def test_impulse_replay_is_exact_at_depth_40():
 
 
 def test_replay_rejects_times_beyond_the_int64_limit():
-    spec = _bank(2, 64, (1,) * 65, {(k, 0, 0): (0.0, 1.0) for k in range(64)})
+    spec = _bank(2, (1,) * 65, {(k, 0, 0): (0.0, 1.0) for k in range(64)})
     with pytest.raises(ValueError, match="2\\^63"):
         cnn_representation(spec)
 
@@ -464,7 +483,7 @@ def _path_bank(rng, l, K, paths, cross=0):
     for _ in range(cross):
         k = int(rng.integers(1, K - 1))
         filters[(k, *rng.integers(0, paths, size=2).tolist())] = tuple(rng.normal(size=l))
-    return _bank(l, K, (1,) + (paths,) * (K - 1) + (1,), filters)
+    return _bank(l, (1,) + (paths,) * (K - 1) + (1,), filters)
 
 
 def test_replay_matches_the_dense_reference_on_radix_banks(rng):
@@ -494,12 +513,12 @@ def test_replay_matches_the_dense_reference_as_the_state_fills(rng):
                if key[0] < 4}
     filters.update({(4, p, q): tuple(rng.normal(size=2)) for p in range(20) for q in range(3)})
     filters.update({(5, q, 0): tuple(rng.normal(size=2)) for q in range(3)})
-    spec = _bank(2, 6, (1, 20, 20, 20, 20, 3, 1), filters)
+    spec = _bank(2, (1, 20, 20, 20, 20, 3, 1), filters)
     _assert_replay_is_the_reference(spec)
 
 
 def test_replay_of_an_empty_bank():
-    for spec in (_bank(3, 2, (1, 4, 1)), _bank(2, 3, (1, 3, 3, 1))):
+    for spec in (_bank(3, (1, 4, 1)), _bank(2, (1, 3, 3, 1))):
         _assert_replay_is_the_reference(spec)
         assert cnn_representation(spec).radius() is None
 
