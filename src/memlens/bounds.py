@@ -5,7 +5,9 @@ constant c such that every spectrum tail mass of every tensorised window
 stays below c * g(s); the mass t_{K,s} at offset s of the depth-K window
 is the tail of its pooled spectrum beyond kept rank s + K - 1, and
 DepthTable.masses alone writes that rule.  A DepthTable holds one
-target's windows at one l, each decomposed on its first read.  The
+target's windows at one l, each decomposed on its first read; it reads
+l as a whole number of at least 2 (sequences._depth) when it is built,
+not at its first read.  The
 complexity measure and the error curves take a table, not a target, and
 read both its windows and its l, so the analyses that read one table
 decompose each window once and at one l.  The complexity is one max
@@ -27,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .sequences import _HUGE, Family, Scalar, Sequence, _whole
+from .sequences import _HUGE, Family, Scalar, Sequence, _depth, _whole
 from . import tensors
 
 COMPLEXITY_NOISE_REL_TOL = 1e-12
@@ -135,11 +137,12 @@ class DepthTable:
     tail beyond kept rank s + K - 1.  This is the one place that offset
     rule is written: the complexity measure and the error curves read
     every mass and their l here, and a command that reads one target's
-    windows through one table decomposes each window once.
+    windows through one table decomposes each window once.  l is read
+    (sequences._depth) when the table is built, and kept as an int.
     """
 
     def __init__(self, rho: Sequence | Family, l: int):
-        self.rho, self.l, self._spectra = rho, l, {}
+        self.rho, self.l, self._spectra = rho, _depth(l)[0], {}
 
     def spectrum(self, K: int) -> tensors.Spectrum:
         if K not in self._spectra:
@@ -190,18 +193,20 @@ def effective_filters(channels, l: int) -> float:
     """Pairwise-channel parameter count of the stack of width plan channels.
 
     channels is the full width list (M_0, ..., M_K), whose number fixes
-    the depth K >= 1, checked as a CnnSpec checks it (tensors.width_plan).
+    the depth K >= 1, checked as a CnnSpec checks it (tensors.width_plan),
+    and l is read with that K (sequences._depth).
     Returns the sum of the products of consecutive widths among M_1, ...,
     M_K, less l*K.  A single layer has no width pairs and returns 0.  The
     value can be negative for very narrow stacks; a count beyond the
     largest float is refused.
     """
     widths = tensors.width_plan(channels)
-    if len(widths) == 2:
+    l, K = _depth(l, len(widths) - 1)
+    if K == 1:
         return 0.0
     pair_sum = sum(a * b for a, b in zip(widths[1:], widths[2:]))
     try:
-        return float(pair_sum - l * (len(widths) - 1))
+        return float(pair_sum - l * K)
     except OverflowError:
         raise ValueError(f"the effective filter count of channels "
                          f"{','.join(map(str, widths))!r:.40} at l = {l!r:.40} is "
@@ -227,7 +232,7 @@ def rate_bound_interval(rho: Sequence | Family, l: int, channels, g: DecayProfil
     M = effective_filters(channels, l)
     if M < 1:
         raise ValueError("effective filter count must be at least 1")
-    K = len(channels) - 1
+    l, K = _depth(l, len(channels) - 1)
     size = l ** K
     g_arg = max(0, rank_budget(K, M) - K)
     c_val = complexity_measure(DepthTable(tensors.analysis_window(rho, l, K), l), g)
@@ -250,11 +255,11 @@ def error_curve(table: DepthTable, K_list, M_range) -> ErrorCurveTable:
     the tail is only known as an interval).  This reads and fills the
     table's windows.
     """
-    widths = sorted(set(int(m) for m in M_range))
+    widths = sorted({_whole(m, "a width M") for m in M_range})
     if widths and widths[0] < 1:
         raise ValueError("widths must be >= 1")
     rows = []
-    for K in sorted(set(int(k) for k in K_list)):
+    for K in sorted({_depth(table.l, k)[1] for k in K_list}):
         masses = table.masses(K)
         tail_term = table.rho.tail_norm(table.l ** K).upper
         for M in widths:

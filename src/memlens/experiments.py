@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import (RHO1_SLOTS, RHO2_SLOTS, Scalar, Sequence, dilated_conv,
-                        make_target)
+from .sequences import (RHO1_SLOTS, RHO2_SLOTS, Scalar, Sequence, _depth, _number,
+                        _whole, dilated_conv, make_target)
 from . import tensors
 from .bounds import (COMPLEXITY_NOISE_REL_TOL, DecayProfile, DepthTable,
                      complexity_measure, error_curve, rank_budget)
@@ -67,11 +67,14 @@ class CurveStudy:
 
 
 def error_curve_study(l: int = 2, K_list=(4, 5, 6), M_max: int = 64) -> CurveStudy:
-    """Bound curves for the builtin targets over a shared (K, M) sweep."""
+    """Bound curves for the builtin targets over a shared (K, M) sweep; l,
+    each K and M_max are read as whole numbers."""
+    M_max = _whole(M_max, "M_max")
     if M_max < 1:
         raise ValueError("M_max must be >= 1")
     depths = {name: DepthTable(make_target(name), l) for name in ("rho1", "rho2", "rho3")}
-    K_list = sorted(set(int(k) for k in K_list))
+    l = depths["rho1"].l
+    K_list = sorted({_depth(l, k)[1] for k in K_list})
     M_range = range(1, M_max + 1)
     tables = {name: error_curve(table, K_list, M_range) for name, table in depths.items()}
     notes = []
@@ -144,7 +147,8 @@ def _exp_decay(gamma=0.99, eps=0.01, l=2, horizon=1000) -> ComparisonReport:
     recurrence (checked numerically over the horizon, matching on t >= 1
     where the recurrence is defined), while a dilated stack needs its
     receptive field to outgrow the decay."""
-    gamma, eps, l, horizon = float(gamma), float(eps), int(l), int(horizon)
+    gamma, eps = _number(gamma, "gamma"), _number(eps, "eps")
+    l, horizon = _whole(l, "l"), _whole(horizon, "horizon")
     depth = cnn_min_depth_expdecay(gamma, eps, l)
     spec = RnnSpec(m=1, c=[1.0], W=[[gamma]], U=[gamma])
     rep = rnn_representation(spec, horizon)
@@ -166,9 +170,7 @@ def _impulse_copy(K=10, eps=0.1, l=2) -> ComparisonReport:
     """Copying the input from the far end of a depth-K receptive field
     (lag l^K - 1) takes one filter per layer, while a linear recurrence
     needs width growing exponentially in K."""
-    K, eps, l = int(K), float(eps), int(l)
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    (l, K), eps = _depth(l, K), _number(eps, "eps")
     lag = l ** K - 1
     target = Sequence.impulse(lag)
     cnn = synthesize_radix(target, l)

@@ -10,7 +10,9 @@ base-l digits from tensors.tt_svd, whose cores are the filters and
 widths the ranks of its sequential unfoldings.  A width plan (M_0, ...,
 M_K) is checked by tensors.width_plan, beside the tensor train whose rank
 profile it is; its length fixes the depth K of the stack, and its
-effective filter count is bounds.effective_filters.
+effective filter count is bounds.effective_filters.  The filter size l of
+a bank is the length of its filters, so CnnSpec.from_arrays takes no l
+beside them.
 
 An RnnSpec holds a linear recurrence whose representation is the power
 sum c' W^(s-1) U for s >= 1 (and 0 at s = 0).  Width lower bounds for
@@ -26,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._jsontext import float_texts
-from .sequences import _HUGE, MAX_TIME, Family, Scalar, Sequence, root_sum_squares
+from .sequences import (_HUGE, MAX_TIME, Family, Scalar, Sequence, _depth, _number,
+                        _whole, root_sum_squares)
 from . import tensors
 
 
@@ -50,9 +53,10 @@ class CnnSpec:
     input channel and M_K = 1 the single output channel.  The bank is two
     read-only arrays: index, the (n, 3) int64 keys (layer k, in-channel
     j, out-channel i) in ascending order, and weights, the (n, l) filters
-    of those keys; missing keys are all-zero filters.  Layer k runs at
-    dilation l^k.  from_arrays builds a stack from the two arrays; a
-    bank is written (to_json, json_parts), never read back.
+    of those keys; missing keys are all-zero filters.  The filter size l
+    is the length of the filters, and layer k runs at dilation l^k.
+    from_arrays builds a stack from the two arrays; a bank is written
+    (to_json, json_parts), never read back.
     """
 
     l: int
@@ -65,15 +69,17 @@ class CnnSpec:
         raise TypeError("a CnnSpec is built by CnnSpec.from_arrays")
 
     @classmethod
-    def from_arrays(cls, l, channels, index, weights) -> "CnnSpec":
+    def from_arrays(cls, channels, index, weights) -> "CnnSpec":
         """Stack from its width plan, whose number of widths less one is
         its depth K, an (n, 3) key array and an (n, l) filter array, in
-        any key order; a key given twice is an error."""
+        any key order, whose filter length l must be at least 2; a key
+        given twice is an error."""
         index = np.asarray(index, dtype=np.int64).reshape(-1, 3)
         weights = np.asarray(weights, dtype=float)
         if weights.ndim != 2 or len(weights) != len(index):
             raise ValueError("weights must hold one filter per index row")
-        channels = cls._check(l, channels, index, weights.shape[1])
+        l, _ = _depth(weights.shape[1])
+        channels = cls._check(channels, index)
         order = np.lexsort(index.T[::-1])
         index, weights = index[order], weights[order]
         twice = (index[1:] == index[:-1]).all(axis=1)
@@ -82,18 +88,16 @@ class CnnSpec:
                              f"given twice")
         index.flags.writeable = weights.flags.writeable = False
         spec = object.__new__(cls)
-        for name, value in (("l", int(l)), ("K", len(channels) - 1), ("channels", channels),
+        for name, value in (("l", l), ("K", len(channels) - 1), ("channels", channels),
                             ("index", index), ("weights", weights)):
             object.__setattr__(spec, name, value)
         return spec
 
     @staticmethod
-    def _check(l, channels, index, length) -> tuple:
+    def _check(channels, index) -> tuple:
         """Check the shape of the stack, then name the first filter, in the
-        given order, whose key is out of range or whose length is not l;
-        returns the width plan as ints."""
-        if l < 2:
-            raise ValueError("need l >= 2 and K >= 1")
+        given order, whose key is out of range; returns the width plan as
+        ints."""
         plan = tensors.width_plan(channels)
         wide = [m for m in plan if m > MAX_TIME]
         if wide:
@@ -103,13 +107,9 @@ class CnnSpec:
         k, j, i = index.T
         layer = (0 <= k) & (k < len(plan) - 1)
         k = np.where(layer, k, 0)
-        bad_key = ~(layer & (0 <= j) & (j < widths[k]) & (0 <= i) & (i < widths[k + 1]))
-        bad = bad_key | (length != l)
+        bad = ~(layer & (0 <= j) & (j < widths[k]) & (0 <= i) & (i < widths[k + 1]))
         if bad.any():
-            first = int(bad.argmax())
-            if bad_key[first]:
-                raise ValueError(f"filter index {tuple(index[first].tolist())} out of range")
-            raise ValueError("every filter must have length l")
+            raise ValueError(f"filter index {tuple(index[bad.argmax()].tolist())} out of range")
         return plan
 
     @property
@@ -295,6 +295,7 @@ def synthesize_radix(target: Sequence | Family, l: int) -> CnnSpec:
     sums the paths.  The stored filter count is at most K times the
     number of stored entries.
     """
+    l, _ = _depth(l)
     target = tensors.analysis_window(target, l)
     K = tensors.coverage_depth(l, target.radius() or 0)
     times, values = target.arrays()
@@ -305,14 +306,13 @@ def synthesize_radix(target: Sequence | Family, l: int) -> CnnSpec:
     weights[np.arange(K)[:, None], paths, digits.T] = 1.0
     weights[0, paths, digits[:, 0]] = values
     if K == 1:
-        return CnnSpec.from_arrays(l, (1, 1), np.zeros((min(1, n), 3)),
-                                   weights.sum(axis=1)[:n])
+        return CnnSpec.from_arrays((1, 1), np.zeros((min(1, n), 3)), weights.sum(axis=1)[:n])
     # Path p runs (0, 0, p), (1, p, p), ..., (K - 1, p, 0), in key order.
     index = np.zeros((K, n, 3), dtype=np.int64)
     index[:, :, 0] = np.arange(K)[:, None]
     index[1:, :, 1] = index[:-1, :, 2] = paths
     channels = (1,) + (max(1, n),) * (K - 1) + (1,)
-    return CnnSpec.from_arrays(l, channels, index, weights.reshape(-1, l))
+    return CnnSpec.from_arrays(channels, index, weights.reshape(-1, l))
 
 
 def synthesize_lowrank(target: Sequence | Family, l: int, K=None) -> CnnSpec:
@@ -337,7 +337,7 @@ def synthesize_lowrank(target: Sequence | Family, l: int, K=None) -> CnnSpec:
                             for k, (j, i) in enumerate(live)])
     weights = np.concatenate([core[j, :, i] for core, (j, i) in zip(cores, live)])
     channels = (1,) + tuple(core.shape[2] for core in cores)
-    return CnnSpec.from_arrays(l, channels, index, weights)
+    return CnnSpec.from_arrays(channels, index, weights)
 
 
 def rnn_representation(spec: RnnSpec, horizon: int) -> Sequence:
@@ -381,13 +381,14 @@ def rnn_min_width_impulse(K: int, eps: float) -> int:
     exactly from the binary value p / q of eps, and since m^2 is an integer,
     m^2 > B holds exactly when m^2 > floor(B), so m = isqrt(floor(B)) + 1
     for any K.  The bound is vacuous for eps >= 1/2, which is reported as
-    an error.
+    an error.  K is read as a whole number and eps as a real.
     """
+    K, eps = _whole(K, "K"), _number(eps, "eps")
     if K < 1:
         raise ValueError("K must be >= 1")
     if not 0.0 < eps < 0.5:
         raise ValueError("the width bound needs 0 < eps < 1/2")
-    p, q = float(eps).as_integer_ratio()
+    p, q = eps.as_integer_ratio()
     floor_budget = 2 ** (K - 1) * (q - 2 * p) // (q + p)
     return math.isqrt(floor_budget) + 1
 

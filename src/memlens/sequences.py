@@ -28,6 +28,13 @@ text (another key order, another dim, a string, NaN, malformed JSON, an
 int beyond a float) is decoded whole, as a dict, so either way the
 sequence or the error is the same.
 
+The argument readers of the library live here: _whole reads a time index
+or another whole number, _number a real parameter, and _depth the filter
+size l and depth K of a dilated stack, as ints with l >= 2 and K >= 1.
+Each refuses a bool, a string or (for a whole number) a fraction by name,
+and never cuts one to an int.  Sequence.impulse and Family read their own
+arguments through them, so from_json passes its fields on as they are.
+
 The builtin target ids (rho1, rho2, rho3[:H], exp:GAMMA, impulse:T) live
 here too, beside the grammar they abbreviate: make_target reads each
 argument id as shorthand for the family form from_json reads, so every
@@ -164,6 +171,15 @@ def _number(x, what) -> float:
     if isinstance(x, numbers.Real) and not isinstance(x, bool):
         return float(x)
     raise ValueError(f"{what} must be a number, not {x!r}")
+
+
+def _depth(l, K=1) -> tuple:
+    """The filter size l and the depth K of a dilated stack as ints, read
+    as whole numbers, with l >= 2 and K >= 1; K = 1 reads l alone."""
+    l, K = _whole(l, "l"), _whole(K, "K")
+    if l < 2 or K < 1:
+        raise ValueError("need l >= 2 and K >= 1")
+    return l, K
 
 
 def _read_number(text: str, what):
@@ -321,10 +337,11 @@ class Sequence:
 
     @classmethod
     def impulse(cls, t, value=1.0) -> "Sequence":
-        """Unit (or scaled) impulse at time t >= 0."""
+        """Unit (or scaled) impulse at the whole time t >= 0."""
+        t, value = _whole(t, "an impulse position"), _number(value, "an impulse value")
         if t < 0:
             raise ValueError("impulse position must be >= 0")
-        return cls.from_arrays([int(t)], [float(value)])
+        return cls.from_arrays([t], [value])
 
     @classmethod
     def geometric(cls, gamma, horizon=None) -> "Family":
@@ -454,13 +471,12 @@ class Sequence:
             if family == name and key not in params:
                 raise ValueError(f"the {name} family needs params.{key}")
         if family == "impulse":
-            rho = cls.impulse(_whole(params["t"], "an impulse position"),
-                              _number(params.get("value", 1.0), "an impulse value"))
+            rho = cls.impulse(params["t"], params.get("value", 1.0))
             if horizon is not None and horizon < 0:
                 raise ValueError("horizon must be >= 0")
             return rho if horizon is None else rho.truncate(horizon + 1)
         if family == "geometric":
-            return cls.geometric(_number(params["gamma"], "gamma"), horizon=horizon)
+            return cls.geometric(params["gamma"], horizon=horizon)
         if family == "power":
             return cls.power(horizon=horizon)
         raise ValueError(f"unknown sequence description {obj!r:.40}")
@@ -488,13 +504,13 @@ class Family:
 
     def __post_init__(self):
         if self.horizon is not None:
-            object.__setattr__(self, "horizon", int(self.horizon))
+            object.__setattr__(self, "horizon", _whole(self.horizon, "horizon"))
             if self.horizon < 0:
                 raise ValueError("horizon must be >= 0")
         if self.family not in ("geometric", "power"):
             raise ValueError(f"unknown family {self.family!r}")
         if self.family == "geometric":
-            g = float(self.gamma or 0.0)
+            g = _number(self.gamma, "gamma")
             if not 0.0 < g < 1.0:
                 raise ValueError("geometric family needs 0 < gamma < 1")
             object.__setattr__(self, "gamma", g)

@@ -11,7 +11,9 @@ unfoldings and cores of the window's tensor train, the low-rank filter
 bank.  The ranks of that train are a stack's width plan (M_0, ..., M_K),
 whose number of widths fixes the depth K, and width_plan, beside tt_svd,
 is the one check of a plan: CnnSpec and bounds.effective_filters read
-every plan, and its depth, through it.  The pooled singular
+every plan, and its depth, through it.  Every function here that takes
+l or K reads them through sequences._depth and computes with the ints it
+returns.  The pooled singular
 values of the K mode flattenings drive the rank counts and truncation
 bounds of the approximation-rate machinery.  window_spectrum is the one
 path from a target to its depth-K pooled spectrum, and
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import _HUGE, _TINY, Family, Sequence, _whole, root_sum_squares
+from .sequences import _HUGE, _TINY, Family, Sequence, _depth, _whole, root_sum_squares
 
 RANK_REL_TOL = 1e-8
 # The stack of flattenings one batched SVD decomposes holds at most this
@@ -137,10 +139,8 @@ def mode_refold_general(mat, dims, k) -> np.ndarray:
 
 def coverage_depth(l: int, radius: int) -> int:
     """Smallest depth K >= 1 whose length-l^K window holds time radius;
-    l must be at least 2, or no window would ever hold it."""
-    if l < 2:
-        raise ValueError("need l >= 2")
-    K = 1
+    l must be a whole number of at least 2, or no window would ever hold it."""
+    l, K = _depth(l)
     while l ** K <= radius:
         K += 1
     return K
@@ -161,17 +161,12 @@ def analysis_window(rho: Sequence | Family, l: int, K=None) -> Sequence:
     return rho.truncate(l ** K)
 
 
-def _check_depth(l: int, K: int):
-    if l < 2 or K < 1:
-        raise ValueError("need l >= 2 and K >= 1")
-
-
 def singular_values(window, l: int, K: int) -> Spectrum:
     """Pooled spectrum of all K mode flattenings of a dense length-l^K
     window, from one stacked SVD per group of as many flattenings as fit
     in _STACK_BUDGET bytes.  numpy runs the same SVD on each matrix
     whatever the batch, so the grouping never changes a value."""
-    _check_depth(l, K)
+    l, K = _depth(l, K)
     if window.shape != (l ** K,):
         raise ValueError("a window must hold exactly l^K entries")
     dims = (l,) * K
@@ -191,7 +186,7 @@ def singular_values(window, l: int, K: int) -> Spectrum:
 def window_spectrum(rho: Sequence | Family, l: int, K: int) -> Spectrum:
     """Pooled spectrum of the length-l^K window of rho, read once as a
     dense array; what lies beyond it is cut off."""
-    _check_depth(l, K)
+    l, K = _depth(l, K)
     return singular_values(rho.values_upto(l ** K), l, K)
 
 
@@ -211,7 +206,7 @@ def tt_svd(rho: Sequence | Family, l: int, K: int) -> list:
     back, so no norm under- or overflows; near the float limit that core
     can hold an infinite value, which the caller checks.  A zero window
     gives K zero cores of rank 1."""
-    _check_depth(l, K)
+    l, K = _depth(l, K)
     data = rho.values_upto(l ** K)
     scale = np.abs(data).max()
     if not scale:

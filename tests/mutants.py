@@ -98,6 +98,12 @@ MUTANTS = (
     Mutant("width-cut-to-int", "src/memlens/tensors.py",
            '_whole(m, "a channel width")', "int(m)",
            ("tests/test_models.py::test_a_channel_width_is_a_whole_number",)),
+    Mutant("filter-size-not-read-whole", "src/memlens/sequences.py",
+           '_whole(l, "l")', "l",
+           ("tests/test_experiments.py::test_every_reader_of_l_K_or_a_parameter_reads_it_by_its_value",)),
+    Mutant("horizon-cut-to-int", "src/memlens/sequences.py",
+           '_whole(self.horizon, "horizon")', "int(self.horizon)",
+           ("tests/test_experiments.py::test_every_reader_of_l_K_or_a_parameter_reads_it_by_its_value",)),
 )
 
 # {mutant name: why no output may depend on the value it moves}.

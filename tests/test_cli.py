@@ -279,7 +279,7 @@ def test_each_channel_plan_fault_has_one_text(channels, text, capsys):
     pattern = f"^{re.escape(text)}$"
     if len(channels) == 3:
         with pytest.raises(ValueError, match=pattern):
-            CnnSpec.from_arrays(2, channels, np.zeros((0, 3)), np.zeros((0, 2)))
+            CnnSpec.from_arrays(channels, np.zeros((0, 3)), np.zeros((0, 2)))
         with pytest.raises(ValueError, match=pattern):
             effective_filters(channels, 2)
     assert main(["bounds", "--target", "rho1", "--K", "2", "--channels",
@@ -1180,11 +1180,11 @@ def _banks(draw):
     j, i = np.divmod(flat - (sizes.cumsum() - sizes)[k], np.array(channels)[k + 1])
     pool = _SPECIAL_WEIGHTS + draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                                             min_size=1, max_size=6))
-    return CnnSpec.from_arrays(l, channels, np.column_stack((k, j, i)),
+    return CnnSpec.from_arrays(channels, np.column_stack((k, j, i)),
                                rng.choice(pool, size=(n, l)))
 
 
-_BANK = CnnSpec.from_arrays(2, (1, 11, 1), [[0, 0, 9], [0, 0, 10], [1, 10, 0]],
+_BANK = CnnSpec.from_arrays((1, 11, 1), [[0, 0, 9], [0, 0, 10], [1, 10, 0]],
                             [[-0.0, 1.0], [math.nan, 5e-324], [math.inf, -math.inf]])
 
 

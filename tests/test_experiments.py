@@ -1,12 +1,16 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from memlens.bounds import (DecayProfile, DepthTable, effective_filters, error_curve,
+                            rate_bound_interval)
 from memlens.experiments import (comparison_report, conformance_suite,
                                  error_curve_study, oracle_best_rank_matrix)
-from memlens.sequences import RHO1_SLOTS, RHO2_SLOTS, SPARSE_VALUE, make_target
-from memlens.tensors import window_spectrum
+from memlens.models import rnn_min_width_impulse, synthesize_radix
+from memlens.sequences import RHO1_SLOTS, RHO2_SLOTS, SPARSE_VALUE, Sequence, make_target
+from memlens.tensors import coverage_depth, singular_values, tt_svd, window_spectrum
 
 
 def test_make_target_sparse_values():
@@ -128,3 +132,64 @@ def test_conformance_suite_statuses():
     assert by_name["window-ranks"].status == "PASS"
     assert by_name["tail-mass-values"].status == "PASS"
     assert all(item.detail for item in items)
+
+
+_RHO = make_target("rho3:700")
+_G = DecayProfile.exponential(0.5)
+_SPARSE = Sequence.from_arrays([0, 5, 19], [1.0, -2.0, 3.0])
+
+
+def _study(*args):
+    study = error_curve_study(*args)
+    return study.l, study.tables, study.notes, study.checks
+
+
+# (what the argument is called, its plain value, whether it is whole, and a
+# call that reads it and returns a repr-able summary of the result).
+_ARGUMENTS = [
+    ("l", 2, True, lambda l: singular_values(np.arange(1.0, 9.0), l, 3).values.tolist()),
+    ("K", 3, True, lambda K: singular_values(np.arange(1.0, 9.0), 2, K).modes.tolist()),
+    ("l", 3, True, lambda l: window_spectrum(_RHO, l, 2).values.tolist()),
+    ("K", 3, True, lambda K: window_spectrum(_RHO, 2, K).values.tolist()),
+    ("l", 2, True, lambda l: [core.tolist() for core in tt_svd(_SPARSE, l, 5)]),
+    ("K", 5, True, lambda K: [core.tolist() for core in tt_svd(_SPARSE, 2, K)]),
+    ("l", 2, True, lambda l: coverage_depth(l, 10)),
+    ("l", 2, True, lambda l: (DepthTable(_RHO, l).l, DepthTable(_RHO, l).masses(3))),
+    ("l", 2, True, lambda l: effective_filters((1, 4, 4, 1), l)),
+    ("l", 2, True, lambda l: rate_bound_interval(_RHO, l, (1, 4, 4, 1), _G)),
+    ("K", 4, True, lambda K: error_curve(DepthTable(_RHO, 2), [K], [1, 2]).rows),
+    ("a width M", 2, True, lambda M: error_curve(DepthTable(_RHO, 2), [4], [1, M]).rows),
+    ("l", 2, True, lambda l: synthesize_radix(_SPARSE, l).to_json()),
+    ("l", 2, True, lambda l: _study(l, (5,), 4)),
+    ("K", 5, True, lambda K: _study(2, (K,), 4)),
+    ("M_max", 4, True, lambda M: _study(2, (5,), M)),
+    ("l", 2, True, lambda l: comparison_report("impulse_copy", K=3, l=l).to_json()),
+    ("K", 3, True, lambda K: comparison_report("impulse_copy", K=K).to_json()),
+    ("eps", 0.1, False, lambda e: comparison_report("impulse_copy", K=3, eps=e).to_json()),
+    ("gamma", 0.5, False, lambda g: comparison_report("exp_decay", gamma=g).to_json()),
+    ("eps", 0.01, False, lambda e: comparison_report("exp_decay", eps=e).to_json()),
+    ("l", 3, True, lambda l: comparison_report("exp_decay", l=l).to_json()),
+    ("horizon", 10, True, lambda h: comparison_report("exp_decay", horizon=h).to_json()),
+    ("K", 10, True, lambda K: rnn_min_width_impulse(K, 0.1)),
+    ("eps", 0.1, False, lambda e: rnn_min_width_impulse(10, e)),
+    ("an impulse position", 2, True, lambda t: Sequence.impulse(t).to_json()),
+    ("an impulse value", 0.5, False, lambda v: Sequence.impulse(3, v).to_json()),
+    ("horizon", 3, True, lambda h: (Sequence.power(horizon=h), Sequence.geometric(0.5, h))),
+    ("gamma", 0.5, False, lambda g: Sequence.geometric(g)),
+]
+
+
+@pytest.mark.parametrize("what, plain, whole, call", _ARGUMENTS,
+                         ids=[f"{i}-{row[0].replace(' ', '-')}" for i, row in enumerate(_ARGUMENTS)])
+def test_every_reader_of_l_K_or_a_parameter_reads_it_by_its_value(what, plain, whole, call):
+    # A whole argument may be any whole number, 2.0 or np.int64(2), and a
+    # real one any real, np.float64(0.5), with the same result as the plain
+    # number; a fraction, a bool or a string is refused by name, not cut.
+    same = (float(plain), np.int64(plain)) if whole else (np.float64(plain),)
+    want = repr(call(plain))
+    for value in same:
+        assert repr(call(value)) == want, value
+    kind = "a whole number" if whole else "a number"
+    for bad in (2.5, True, "2") if whole else (True, "2", None):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{what} must be {kind}, not {bad!r}')}$"):
+            call(bad)

@@ -23,7 +23,7 @@ from memlens.tensors import tt_svd, width_plan
 def _bank(l, channels, filters=None):
     """Stack from a {(k, j, i): filter} dict, through CnnSpec.from_arrays."""
     filters = filters or {}
-    return CnnSpec.from_arrays(l, channels, list(filters),
+    return CnnSpec.from_arrays(channels, list(filters),
                                np.reshape(list(filters.values()), (len(filters), l)))
 
 
@@ -40,13 +40,17 @@ def test_cnn_spec_validation():
         _bank(2, (1,))
     with pytest.raises(ValueError, match=r"^filter index \(0, 0, 1\) out of range$"):
         _bank(2, (1, 1), {(0, 0, 1): (1.0, 0.0)})
-    with pytest.raises(ValueError, match="^every filter must have length l$"):
-        CnnSpec.from_arrays(2, (1, 1), [[0, 0, 0]], [[1.0, 0.0, 0.0]])
+    # l is the length of the filters: three taps make an l = 3 bank, and
+    # one tap is refused whatever the keys.
+    spec = CnnSpec.from_arrays((1, 1), [[0, 0, 0]], [[1.0, 0.0, 0.0]])
+    assert (spec.l, spec.K) == (3, 1) and type(spec.l) is int
+    with pytest.raises(ValueError, match="^need l >= 2 and K >= 1$"):
+        CnnSpec.from_arrays((1, 2, 1), [[0, 0, 1], [2, 0, 0]], np.ones((2, 1)))
     # The first bad filter in the given order names the error.
-    with pytest.raises(ValueError, match="length l"):
-        CnnSpec.from_arrays(2, (1, 2, 1), [[0, 0, 1], [2, 0, 0]], np.ones((2, 1)))
+    with pytest.raises(ValueError, match=r"^filter index \(2, 0, 0\) out of range$"):
+        CnnSpec.from_arrays((1, 2, 1), [[0, 0, 1], [2, 0, 0]], np.ones((2, 2)))
     with pytest.raises(ValueError, match=r"\(1, 2, 0\) out of range"):
-        CnnSpec.from_arrays(2, (1, 2, 1), [[1, 2, 0], [0, 0, 1]], np.ones((2, 1)))
+        CnnSpec.from_arrays((1, 2, 1), [[1, 2, 0], [0, 0, 1]], np.ones((2, 2)))
 
 
 def test_cnn_spec_refuses_a_width_beyond_int64():
@@ -70,7 +74,7 @@ def _hex(bank):
 
 
 def test_cnn_spec_from_arrays_sorts_and_checks_the_bank():
-    spec = CnnSpec.from_arrays(2, (1, 2, 1), [[1, 1, 0], [0, 0, 1]],
+    spec = CnnSpec.from_arrays((1, 2, 1), [[1, 1, 0], [0, 0, 1]],
                                [[-0.0, -1.0], [1.0, 2.0]])
     assert spec.index.dtype == np.int64 and spec.index.tolist() == [[0, 0, 1], [1, 1, 0]]
     assert list(_hex(spec)) == [(0, 0, 1), (1, 1, 0)]
@@ -89,12 +93,14 @@ def test_cnn_spec_from_arrays_sorts_and_checks_the_bank():
         CnnSpec(2, 2, (1, 2, 1), {(0, 0, 1): (1.0, 2.0)})
     for index, weights, message in (
             ([[0, 0, 1], [1, 2, 0]], np.ones((2, 2)), r"^filter index \(1, 2, 0\) out of range$"),
-            ([[0, 0, 1]], np.ones((1, 3)), "^every filter must have length l$"),
+            ([[0, 0, 1]], np.ones((1, 1)), "^need l >= 2 and K >= 1$"),
             ([[1, 1, 0], [0, 0, 1], [1, 1, 0]], np.ones((3, 2)),
              r"^filter index \(1, 1, 0\) given twice$"),
             ([[0, 0, 1]], np.ones((2, 2)), "one filter per index row")):
         with pytest.raises(ValueError, match=message):
-            CnnSpec.from_arrays(2, (1, 2, 1), index, weights)
+            CnnSpec.from_arrays((1, 2, 1), index, weights)
+    # A (1, 3) array is an l = 3 bank of one filter.
+    assert CnnSpec.from_arrays((1, 2, 1), [[0, 0, 1]], np.ones((1, 3))).l == 3
 
 
 def test_synthesis_banks_keep_their_dict_layout():
@@ -125,7 +131,7 @@ def test_to_json_keys_of_a_wide_stack_of_few_filters():
     # Key texts come from the distinct key parts here, not from every
     # number up to the widest channel.
     wide = 10 ** 12
-    spec = CnnSpec.from_arrays(2, (1, wide + 1, 1), [[1, wide, 0], [0, 0, wide], [0, 0, 7]],
+    spec = CnnSpec.from_arrays((1, wide + 1, 1), [[1, wide, 0], [0, 0, wide], [0, 0, 7]],
                                [[0.5, 2.0], [1.0, -0.0], [3.0, 0.0]])
     filters = spec.to_json()["filters"]
     assert list(filters) == ["0,0,7", f"0,0,{wide}", f"1,{wide},0"]
@@ -182,12 +188,12 @@ def test_a_channel_width_is_a_whole_number():
     plan = (1, 3.0, np.int64(3), 1)
     assert width_plan(plan) == (1, 3, 3, 1)
     assert effective_filters(plan, 2) == 6.0
-    channels = CnnSpec.from_arrays(2, plan, np.zeros((0, 3)), np.zeros((0, 2))).channels
+    channels = CnnSpec.from_arrays(plan, np.zeros((0, 3)), np.zeros((0, 2))).channels
     assert channels == (1, 3, 3, 1) and {type(m) for m in channels} == {int}
     for bad in (2.7, 2.9, True, "3", math.inf):
         text = f"^a channel width must be a whole number, not {re.escape(repr(bad))}$"
         for read in (width_plan, lambda plan: effective_filters(plan, 3),
-                     lambda plan: CnnSpec.from_arrays(2, plan, np.zeros((0, 3)),
+                     lambda plan: CnnSpec.from_arrays(plan, np.zeros((0, 3)),
                                                       np.zeros((0, 2)))):
             with pytest.raises(ValueError, match=text):
                 read((1, bad, bad, 1))
