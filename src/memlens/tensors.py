@@ -149,8 +149,9 @@ def coverage_depth(l: int, radius: int) -> int:
 def analysis_window(rho: Sequence | Family, l: int, K=None) -> Sequence:
     """rho as the analyses read it: a Sequence as it is, and a Family as
     the Sequence its truncate makes, cut after its horizon or, without a
-    horizon, to its length-l^K window, which needs a depth K.  The measure
-    command, bounds and both models synthesizers read rho through it."""
+    horizon, to its length-l^K window, which needs a depth K, read with l
+    (_depth).  The measure command, bounds and both models synthesizers
+    read rho through it."""
     if isinstance(rho, Sequence):
         return rho
     if rho.horizon is not None:
@@ -158,6 +159,7 @@ def analysis_window(rho: Sequence | Family, l: int, K=None) -> Sequence:
     if K is None:
         raise ValueError("a generated target without a horizon has infinite "
                          "support: give it a horizon or cut it to a window")
+    l, K = _depth(l, K)
     return rho.truncate(l ** K)
 
 

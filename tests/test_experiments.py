@@ -10,7 +10,8 @@ from memlens.experiments import (comparison_report, conformance_suite,
                                  error_curve_study, oracle_best_rank_matrix)
 from memlens.models import rnn_min_width_impulse, synthesize_radix
 from memlens.sequences import RHO1_SLOTS, RHO2_SLOTS, SPARSE_VALUE, Sequence, make_target
-from memlens.tensors import coverage_depth, singular_values, tt_svd, window_spectrum
+from memlens.tensors import (analysis_window, coverage_depth, singular_values, tt_svd,
+                             window_spectrum)
 
 
 def test_make_target_sparse_values():
@@ -154,6 +155,8 @@ _ARGUMENTS = [
     ("l", 2, True, lambda l: [core.tolist() for core in tt_svd(_SPARSE, l, 5)]),
     ("K", 5, True, lambda K: [core.tolist() for core in tt_svd(_SPARSE, 2, K)]),
     ("l", 2, True, lambda l: coverage_depth(l, 10)),
+    ("l", 2, True, lambda l: analysis_window(Sequence.geometric(0.5), l, 3).to_json()),
+    ("K", 3, True, lambda K: analysis_window(Sequence.geometric(0.5), 2, K).to_json()),
     ("l", 2, True, lambda l: (DepthTable(_RHO, l).l, DepthTable(_RHO, l).masses(3))),
     ("l", 2, True, lambda l: effective_filters((1, 4, 4, 1), l)),
     ("l", 2, True, lambda l: rate_bound_interval(_RHO, l, (1, 4, 4, 1), _G)),

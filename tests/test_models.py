@@ -93,7 +93,7 @@ def test_cnn_spec_from_arrays_sorts_and_checks_the_bank():
         CnnSpec(2, 2, (1, 2, 1), {(0, 0, 1): (1.0, 2.0)})
     for index, weights, message in (
             ([[0, 0, 1], [1, 2, 0]], np.ones((2, 2)), r"^filter index \(1, 2, 0\) out of range$"),
-            ([[0, 0, 1]], np.ones((1, 1)), "^need l >= 2 and K >= 1$"),
+            ([[0, 0, 1], [1, 1, 0]], np.ones((2, 1)), "^need l >= 2 and K >= 1$"),
             ([[1, 1, 0], [0, 0, 1], [1, 1, 0]], np.ones((3, 2)),
              r"^filter index \(1, 1, 0\) given twice$"),
             ([[0, 0, 1]], np.ones((2, 2)), "one filter per index row")):
