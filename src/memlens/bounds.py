@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .sequences import _HUGE, Family, Scalar, Sequence, _depth, _whole
+from .sequences import _HUGE, Family, Scalar, Sequence, _depth, _number, _whole
 from . import tensors
 
 COMPLEXITY_NOISE_REL_TOL = 1e-12
@@ -215,7 +215,8 @@ def effective_filters(channels, l: int) -> float:
 
 def rank_budget(K: int, M) -> int:
     """The rank a depth-K stack of M effective filters keeps:
-    floor(K * M^(1/K))."""
+    floor(K * M^(1/K)), with K read as a whole number and M as a real."""
+    K, M = _whole(K, "K"), _number(M, "M")
     return math.floor(K * M ** (1.0 / K))
 
 

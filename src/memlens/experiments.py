@@ -68,13 +68,15 @@ class CurveStudy:
 
 def error_curve_study(l: int = 2, K_list=(4, 5, 6), M_max: int = 64) -> CurveStudy:
     """Bound curves for the builtin targets over a shared (K, M) sweep; l,
-    each K and M_max are read as whole numbers."""
+    each K of a nonempty K_list and M_max are read as whole numbers."""
     M_max = _whole(M_max, "M_max")
     if M_max < 1:
         raise ValueError("M_max must be >= 1")
     depths = {name: DepthTable(make_target(name), l) for name in ("rho1", "rho2", "rho3")}
     l = depths["rho1"].l
     K_list = sorted({_depth(l, k)[1] for k in K_list})
+    if not K_list:
+        raise ValueError("K_list must name at least one depth")
     M_range = range(1, M_max + 1)
     tables = {name: error_curve(table, K_list, M_range) for name, table in depths.items()}
     notes = []

@@ -16,7 +16,9 @@ operation on it is an array operation.  A Family is read through its
 window, values_upto(n), its rule applied to arange(n) in one pass
 (gamma ** t, 1 / t), or truncate(n), the nonzeros of that array as a
 Sequence, and through its tail beyond a window in closed form (tail_norm,
-sup_abs_from).  Time indices must stay below 2^63: a larger index raises
+sup_abs_from).  A power tail to a horizon, of any length, is one bracketed
+sum (_power_tail_norm): its first terms one by one, the rest by
+Euler-Maclaurin.  Time indices must stay below 2^63: a larger index raises
 ValueError before any int64 arithmetic runs, so no time wraps silently.
 
 Sequence.from_json reads a text in the row layout that to_json writes
@@ -32,8 +34,10 @@ The argument readers of the library live here: _whole reads a time index
 or another whole number, _number a real parameter, and _depth the filter
 size l and depth K of a dilated stack, as ints with l >= 2 and K >= 1.
 Each refuses a bool, a string or (for a whole number) a fraction by name,
-and never cuts one to an int.  Sequence.impulse and Family read their own
-arguments through them, so from_json passes its fields on as they are.
+and never cuts one to an int.  Sequence.impulse, Family and the time
+readers of both (value, values_upto, truncate, tail_norm, sup_abs_from)
+read their own arguments through them, so from_json passes its fields on
+as they are.
 
 The builtin target ids (rho1, rho2, rho3[:H], exp:GAMMA, impulse:T) live
 here too, beside the grammar they abbreviate: make_target reads each
@@ -56,10 +60,8 @@ from itertools import chain
 import numpy as np
 
 MAX_TIME = int(np.iinfo(np.int64).max)
-_TAIL_BLOCK = 1 << 20
-# A power tail of more terms than this is summed in closed form beyond its
-# first _TAIL_HEAD_TERMS terms.
-_EXACT_TAIL_TERMS = 1 << 24
+# A power tail is summed term by term over at most this many terms, and in
+# closed form beyond them.
 _TAIL_HEAD_TERMS = 1 << 12
 _TINY = float(np.finfo(float).tiny)
 _HUGE = float(np.finfo(float).max)
@@ -102,8 +104,9 @@ class Scalar:
     """A real value with an optional interval half-width.
 
     The half-width is nonzero only for quantities that are known up to a
-    truncation bracket (e.g. tail norms of inverse-time decay).  The true
-    value then lies in [value - halfwidth, value + halfwidth].
+    bracket: the tail norms of inverse-time decay, whose half-width covers
+    the terms left out of a closed form and the rounding of the sum.  The
+    true value then lies in [value - halfwidth, value + halfwidth].
     """
 
     value: float
@@ -126,27 +129,32 @@ class Scalar:
 
 
 def _power_tail_norm(start, stop) -> Scalar:
-    """sqrt of the sum of 1/t^2 over start <= t <= stop, for a stop far
-    beyond start.
+    """sqrt of the sum of 1/t^2 over start <= t <= stop, for 1 <= start
+    <= stop, within a few units in the last place.
 
-    The first _TAIL_HEAD_TERMS terms are summed with one rounding
-    (math.fsum); the rest, from a to stop, is the Euler-Maclaurin sum
-    through the B4 term, evaluated exactly in integers and rounded once.
-    1/t^2 is completely monotone, so the omitted remainder lies between 0
-    and the B6 term, (a^-7 - stop^-7) / 42.  The half-width covers that
-    term and the rounding of the terms and sums, a few units in the last
-    place.
+    The first _TAIL_HEAD_TERMS terms, all of a shorter range, are summed
+    with one rounding (math.fsum); any rest, from a to stop, is the
+    Euler-Maclaurin sum through the B4 term, evaluated exactly in integers
+    and rounded once.  1/t^2 is completely monotone, so the omitted
+    remainder lies between 0 and the B6 term, (a^-7 - stop^-7) / 42.  The
+    half-width covers that term and the rounding of the terms and sums, a
+    few units in the last place, whatever the length.
     """
-    a, b = start + _TAIL_HEAD_TERMS, stop
-    t = np.arange(start, a, dtype=float)
-    head = math.fsum((1.0 / (t * t)).tolist())
-    # (a^-1 - b^-1) + (a^-2 + b^-2) / 2 + (a^-3 - b^-3) / 6 - (a^-5 - b^-5) / 30
-    # over the one denominator 30 (ab)^5; an int divided by an int rounds once.
-    ab = a * b
-    rest = (30 * (b - a) * ab ** 4 + 15 * (a * a + b * b) * ab ** 3 +
-            5 * (b ** 3 - a ** 3) * ab ** 2 - (b ** 5 - a ** 5)) / (30 * ab ** 5)
-    sq = head + rest
-    err = (b ** 7 - a ** 7) / (42 * ab ** 7) + 4 * _EPS * sq
+    a, b = min(start + _TAIL_HEAD_TERMS, stop + 1), stop
+    # Each t rounded once, also beyond 2^53, where arange's float step
+    # rounds away: float(start) plus the small whole offset of each t.
+    near = float(start)
+    t = near + np.arange(start - int(near), a - int(near), dtype=float)
+    sq = math.fsum((1.0 / (t * t)).tolist())
+    err = 0.0
+    if a <= b:
+        # (a^-1 - b^-1) + (a^-2 + b^-2) / 2 + (a^-3 - b^-3) / 6 - (a^-5 - b^-5) / 30
+        # over the one denominator 30 (ab)^5; an int divided by an int rounds once.
+        ab = a * b
+        sq += (30 * (b - a) * ab ** 4 + 15 * (a * a + b * b) * ab ** 3 +
+               5 * (b ** 3 - a ** 3) * ab ** 2 - (b ** 5 - a ** 5)) / (30 * ab ** 5)
+        err = (b ** 7 - a ** 7) / (42 * ab ** 7)
+    err += 4 * _EPS * sq
     lo, hi = math.sqrt(sq - err), math.sqrt(sq + err)
     return Scalar((lo + hi) / 2.0, (hi - lo) / 2.0)
 
@@ -378,6 +386,7 @@ class Sequence:
 
     def value(self, t: int) -> float:
         """rho(t); zero outside the support (and for t < 0)."""
+        t = _whole(t, "t")
         if t < 0:
             return 0.0
         _check_time(t)
@@ -385,8 +394,9 @@ class Sequence:
 
     def values_upto(self, n: int) -> np.ndarray:
         """Dense array of rho(0), ..., rho(n-1)."""
+        n = _whole(n, "n")
         _check_time(n - 1)
-        out = np.zeros(int(n))
+        out = np.zeros(n)
         k = self._count_before(n)
         out[self._times[:k]] = self._values[:k]
         return out
@@ -400,6 +410,7 @@ class Sequence:
 
     def tail_norm(self, start: int) -> Scalar:
         """sqrt of the summed squared entries at t >= start, exactly."""
+        start = _whole(start, "start")
         if start < 0:
             raise ValueError("start must be >= 0")
         return Scalar(root_sum_squares(self._values[self._count_before(start):]))
@@ -409,12 +420,14 @@ class Sequence:
 
     def sup_abs_from(self, start: int) -> float:
         """sup over t >= start of |rho(t)|."""
+        start = _whole(start, "start")
         return float(np.max(np.abs(self._values[self._count_before(start):]), initial=0.0))
 
     # -- derived sequences -----------------------------------------------
 
     def truncate(self, length: int) -> "Sequence":
         """Finite restriction to the window [0, length - 1]."""
+        length = _whole(length, "length")
         if length < 0:
             raise ValueError("length must be >= 0")
         k = self._count_before(length)
@@ -520,6 +533,7 @@ class Family:
     def truncate(self, length: int) -> Sequence:
         """The finite restriction to the window [0, length - 1]: the
         nonzeros of values_upto, up to the horizon."""
+        length = _whole(length, "length")
         if length < 0:
             raise ValueError("length must be >= 0")
         m = length if self.horizon is None else min(length, self.horizon + 1)
@@ -531,6 +545,7 @@ class Family:
         """Dense array of rho(0), ..., rho(n-1): the rule applied in place
         to arange(n), zero at time 0 for the power rule and past the
         horizon, with no other array."""
+        n = _whole(n, "n")
         _check_time(n - 1)
         m = n if self.horizon is None else min(n, self.horizon + 1)
         out = np.arange(n, dtype=float)    # exact: no window reaches 2^53
@@ -548,10 +563,10 @@ class Family:
 
         Geometric decay is a closed form within a few units in the last
         place for every gamma.  Inverse-time decay without a horizon
-        returns an integral bracket, and with more than 2^24 terms to its
-        horizon a bracket of a few units in the last place
-        (_power_tail_norm).
+        returns an integral bracket, and with one a bracket of a few units
+        in the last place (_power_tail_norm).
         """
+        start = _whole(start, "start")
         if start < 0:
             raise ValueError("start must be >= 0")
         if self.family == "geometric":
@@ -566,15 +581,7 @@ class Family:
         if self.horizon is not None:
             if s0 > self.horizon:
                 return Scalar(0.0)
-            if self.horizon - s0 >= _EXACT_TAIL_TERMS:
-                return _power_tail_norm(int(s0), self.horizon)
-            # Smallest terms first, added strictly in sequence (a cumulative
-            # sum), in blocks that bound the memory used.
-            sq = 0.0
-            for top in range(self.horizon, s0 - 1, -_TAIL_BLOCK):
-                t = np.arange(top, max(top - _TAIL_BLOCK, s0 - 1), -1, dtype=float)
-                sq = float(np.cumsum(np.append(sq, 1.0 / (t * t)))[-1])
-            return Scalar(math.sqrt(sq))
+            return _power_tail_norm(s0, self.horizon)
         lo_sq = 1.0 / s0
         hi_sq = 1.0 / (s0 * s0) + 1.0 / s0
         if s0 >= 2:
@@ -587,6 +594,7 @@ class Family:
 
     def sup_abs_from(self, start: int) -> float:
         """sup over t >= start of |rho(t)|."""
+        start = _whole(start, "start")
         if self.horizon is not None and start > self.horizon:
             return 0.0
         if self.family == "geometric":

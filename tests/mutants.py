@@ -80,8 +80,15 @@ MUTANTS = (
     Mutant("tail-head-terms-2-to-the-4", "src/memlens/sequences.py",
            "_TAIL_HEAD_TERMS = 1 << 12", "_TAIL_HEAD_TERMS = 1 << 4",
            ("tests/test_sequences.py",)),
-    Mutant("exact-tail-terms-2-to-the-10", "src/memlens/sequences.py",
-           "_EXACT_TAIL_TERMS = 1 << 24", "_EXACT_TAIL_TERMS = 1 << 10",
+    Mutant("tail-head-past-the-horizon", "src/memlens/sequences.py",
+           "min(start + _TAIL_HEAD_TERMS, stop + 1)", "start + _TAIL_HEAD_TERMS",
+           ("tests/test_sequences.py",)),
+    Mutant("tail-rest-of-one-term-dropped", "src/memlens/sequences.py",
+           "if a <= b:", "if a < b:",
+           ("tests/test_sequences.py",)),
+    Mutant("tail-head-times-on-a-float-step", "src/memlens/sequences.py",
+           "near + np.arange(start - int(near), a - int(near), dtype=float)",
+           "np.arange(start, a, dtype=float)",
            ("tests/test_sequences.py",)),
     Mutant("rank-tolerance-times-10", "src/memlens/tensors.py",
            "RANK_REL_TOL = 1e-8", "RANK_REL_TOL = 1e-7",
@@ -104,6 +111,27 @@ MUTANTS = (
     Mutant("horizon-cut-to-int", "src/memlens/sequences.py",
            '_whole(self.horizon, "horizon")', "int(self.horizon)",
            ("tests/test_experiments.py::test_every_reader_of_l_K_or_a_parameter_reads_it_by_its_value",)),
+    Mutant("time-index-not-read-whole", "src/memlens/sequences.py",
+           '_whole(t, "t")', "t",
+           ("tests/test_experiments.py::test_every_reader_of_l_K_or_a_parameter_reads_it_by_its_value",)),
+    Mutant("exponential-profile-takes-a-zero", "src/memlens/bounds.py",
+           "if self.a <= 0 or not 0.0 < self.b < 1.0:", "if self.a < 0 or not 0.0 < self.b < 1.0:",
+           ("tests/test_bounds.py",)),
+    Mutant("exponential-profile-takes-b-zero", "src/memlens/bounds.py",
+           "if self.a <= 0 or not 0.0 < self.b < 1.0:", "if self.a <= 0 or not 0.0 <= self.b < 1.0:",
+           ("tests/test_bounds.py",)),
+    Mutant("power-profile-takes-a-zero", "src/memlens/bounds.py",
+           "if self.a <= 0 or self.p <= 0:", "if self.a < 0 or self.p <= 0:",
+           ("tests/test_bounds.py",)),
+    Mutant("power-profile-takes-p-zero", "src/memlens/bounds.py",
+           "if self.a <= 0 or self.p <= 0:", "if self.a <= 0 or self.p < 0:",
+           ("tests/test_bounds.py",)),
+    Mutant("table-profile-takes-a-zero", "src/memlens/bounds.py",
+           "any(v <= 0 for v in vals)", "any(v < 0 for v in vals)",
+           ("tests/test_bounds.py",)),
+    Mutant("tt-step-share-over-K-plus-1", "src/memlens/tensors.py",
+           "_TT_REL_TOL ** 2 / (K - 1)", "_TT_REL_TOL ** 2 / (K + 1)",
+           ("tests/test_tensors.py",)),
 )
 
 # {mutant name: why no output may depend on the value it moves}.

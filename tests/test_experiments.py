@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from memlens.bounds import (DecayProfile, DepthTable, effective_filters, error_curve,
-                            rate_bound_interval)
+                            rank_budget, rate_bound_interval)
 from memlens.experiments import (comparison_report, conformance_suite,
                                  error_curve_study, oracle_best_rank_matrix)
 from memlens.models import rnn_min_width_impulse, synthesize_radix
@@ -179,6 +179,19 @@ _ARGUMENTS = [
     ("an impulse value", 0.5, False, lambda v: Sequence.impulse(3, v).to_json()),
     ("horizon", 3, True, lambda h: (Sequence.power(horizon=h), Sequence.geometric(0.5, h))),
     ("gamma", 0.5, False, lambda g: Sequence.geometric(g)),
+    ("K", 3, True, lambda K: rank_budget(K, 4)),
+    ("M", 4, False, lambda M: rank_budget(3, M)),
+    # The time readers of a Sequence and of a Family.
+    ("t", 19, True, lambda t: _SPARSE.value(t)),
+    ("n", 20, True, lambda n: _SPARSE.values_upto(n).tolist()),
+    ("length", 20, True, lambda n: _SPARSE.truncate(n).to_json()),
+    ("start", 5, True, lambda s: _SPARSE.tail_norm(s)),
+    ("start", 5, True, lambda s: _SPARSE.sup_abs_from(s)),
+    ("n", 12, True, lambda n: Sequence.power(horizon=10).values_upto(n).tolist()),
+    ("length", 12, True, lambda n: Sequence.geometric(0.5, 10).truncate(n).to_json()),
+    ("start", 5, True, lambda s: Sequence.power(horizon=10).tail_norm(s)),
+    ("start", 2, True, lambda s: Sequence.geometric(0.5).tail_norm(s)),
+    ("start", 5, True, lambda s: Sequence.power(horizon=10).sup_abs_from(s)),
 ]
 
 
@@ -196,3 +209,15 @@ def test_every_reader_of_l_K_or_a_parameter_reads_it_by_its_value(what, plain, w
     for bad in (2.5, True, "2") if whole else (True, "2", None):
         with pytest.raises(ValueError, match=f"^{re.escape(f'{what} must be {kind}, not {bad!r}')}$"):
             call(bad)
+
+
+def test_a_time_before_zero_reads_zero_once_it_is_read_as_a_whole_number():
+    rho = make_target("rho1")
+    assert rho.value(-1) == rho.value(-1.0) == rho.value(np.int64(-1)) == 0.0
+    with pytest.raises(ValueError, match=r"^t must be a whole number, not -1\.5$"):
+        rho.value(-1.5)
+
+
+def test_a_study_of_no_depth_is_refused_by_name():
+    with pytest.raises(ValueError, match="^K_list must name at least one depth$"):
+        error_curve_study(2, ())

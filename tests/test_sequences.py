@@ -186,50 +186,37 @@ def test_power_tail_norm_brackets_the_true_value():
     assert pw.norm().lower <= math.sqrt(math.pi ** 2 / 6) <= pw.norm().upper
 
 
-def test_power_tail_norm_with_horizon_is_exact():
-    pw = Sequence.power(horizon=100)
-    brute = math.sqrt(sum(1.0 / (t * t) for t in range(7, 101)))
-    got = pw.tail_norm(7)
-    assert got.halfwidth == 0.0
-    assert got.value == pytest.approx(brute, rel=1e-14)
-    empty = Sequence.power(horizon=0).tail_norm(0)
-    assert (empty.value, empty.halfwidth) == (0.0, 0.0)
-
-
 def _inverse_square_sum(start, stop, head=10000):
-    """sum(1/t^2 for start <= t <= stop) to about 50 digits: 10000 terms
-    in 60-digit decimals, the rest by Euler-Maclaurin through the B8 term,
-    whose remainder is below 1e-50 of the sum."""
+    """sum(1/t^2 for start <= t <= stop) to about 50 digits: up to 10000
+    terms in 60-digit decimals, any rest by Euler-Maclaurin through the B8
+    term, whose remainder is below 1e-50 of the sum."""
     with decimal.localcontext() as ctx:
         ctx.prec = 60
-        a, b = Decimal(start + head), Decimal(stop)
-        gap = lambda k: 1 / a ** k - 1 / b ** k  # noqa: E731
-        return (sum(1 / (Decimal(t) * t) for t in range(start, start + head)) + gap(1) +
-                (1 / a ** 2 + 1 / b ** 2) / 2 + gap(3) / 6 - gap(5) / 30 + gap(7) / 42 -
-                gap(9) / 30)
+        a = min(start + head, stop + 1)
+        total = sum(1 / (Decimal(t) * t) for t in range(start, a))
+        if a <= stop:
+            a, b = Decimal(a), Decimal(stop)
+            gap = lambda k: 1 / a ** k - 1 / b ** k  # noqa: E731
+            total += (gap(1) + (1 / a ** 2 + 1 / b ** 2) / 2 + gap(3) / 6 - gap(5) / 30 +
+                      gap(7) / 42 - gap(9) / 30)
+        return total
 
 
-def test_power_tail_norm_beyond_two_to_the_24_terms_is_a_round_off_bracket(monkeypatch):
-    for start in (1, 2, 1000, 10 ** 6, 2 ** 62):
-        stop = start + 2 ** 24
-        got = Sequence.power(horizon=stop).tail_norm(start)
-        true = _inverse_square_sum(start, stop).sqrt()
-        assert Decimal(got.lower) <= true <= Decimal(got.upper)
-        assert 0 < got.halfwidth <= 5 * math.ulp(got.value)
-    # 2^24 terms are still summed one by one, and one term more falls
-    # inside the bracket of the closed form.
-    blocked = {}
-    for patched in (False, True):
-        if patched:
-            monkeypatch.setattr(sequences, "_EXACT_TAIL_TERMS", 2 ** 25)
-        blocked[patched] = [Sequence.power(horizon=stop).tail_norm(1)
-                            for stop in (2 ** 24, 2 ** 24 + 1)]
-    assert blocked[False][0] == blocked[True][0] and blocked[True][0].halfwidth == 0
-    assert blocked[False][1].lower <= blocked[True][1].value <= blocked[False][1].upper
-    # So are horizons far beyond any term-by-term sum.
-    for stop in (10 ** 12, 10 ** 400):
-        got = Sequence.power(horizon=stop).tail_norm(64)
-        assert Decimal(got.lower) <= _inverse_square_sum(64, stop).sqrt() <= Decimal(got.upper)
+def test_power_tail_norm_with_a_horizon_is_a_round_off_bracket_at_every_length():
+    # Each length on either side of the term-by-term head (4096 terms),
+    # short tails and tails far beyond any term-by-term sum alike: one
+    # bracket of a few units in the last place that holds the true value.
+    for start in (1, 2, 7, 32, 1000, 10 ** 6, 2 ** 62):
+        for length in (1, 2, 100, 4095, 4096, 4097, 10 ** 5, 2 ** 24, 2 ** 24 + 1,
+                       10 ** 12, 10 ** 400):
+            got = Sequence.power(horizon=start + length - 1).tail_norm(start)
+            true = _inverse_square_sum(start, start + length - 1).sqrt()
+            assert Decimal(got.lower) <= true <= Decimal(got.upper), (start, length)
+            assert 0 < got.halfwidth <= 5 * math.ulp(got.value), (start, length)
+    # An empty tail is an exact 0, also from a start beyond 2^63.
+    for start, horizon in ((0, 0), (11, 10), (2 ** 70, 10)):
+        empty = Sequence.power(horizon=horizon).tail_norm(start)
+        assert (empty.value, empty.halfwidth) == (0.0, 0.0)
 
 
 def test_sup_abs_from():

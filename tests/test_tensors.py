@@ -520,3 +520,16 @@ def test_singular_values_are_within_lapacks_bound_of_a_long_double_jacobi(rng):
                 got = singular_values(window, l, K).values
                 assert got.shape == want.shape
                 assert np.abs(got - want).max() <= _LAW_TOL * want[0], (l, K)
+
+
+def test_tt_svd_drops_a_step_tail_below_its_share_of_the_tolerance():
+    # e_000 + d e_111 has singular values 1 and d in every unfolding, so each
+    # of its K - 1 = 2 steps keeps d exactly when d^2 / (1 + d^2) is above
+    # the per-step share tol^2 / (K - 1).  The two values of d^2 lie on
+    # either side of that share, the lower above tol^2 / (K + 1), the upper
+    # below tol^2.
+    tol = tensors._TT_REL_TOL
+    for share, ranks in ((0.35, [1, 1]), (0.7, [2, 2])):
+        window = Sequence.from_arrays([0, 7], [1.0, tol * math.sqrt(share)])
+        cores = tensors.tt_svd(window, 2, 3)
+        assert [core.shape[2] for core in cores[:-1]] == ranks, share
