@@ -169,7 +169,7 @@ def _whole(t, what="a time index") -> int:
     """A time index (or another integer field) as an int; a bool, a
     string, None or a fractional or non-finite number is not one."""
     # A plain int (in _number, a plain int or float) passes before the
-    # abstract-class checks, which take about 0.5 us a call: an error curve
+    # abstract-class checks, which cost several times more: an error curve
     # reads its K and M at each of its cells.
     if type(t) is int or not isinstance(t, bool) and (
             isinstance(t, numbers.Integral) or
