@@ -202,21 +202,36 @@ def _inverse_square_sum(start, stop, head=10000):
         return total
 
 
-def test_power_tail_norm_with_a_horizon_is_a_round_off_bracket_at_every_length():
-    # Each length on either side of the term-by-term head (4096 terms),
-    # short tails and tails far beyond any term-by-term sum alike: one
-    # bracket of a few units in the last place that holds the true value.
-    for start in (1, 2, 7, 32, 1000, 10 ** 6, 2 ** 62):
-        for length in (1, 2, 100, 4095, 4096, 4097, 10 ** 5, 2 ** 24, 2 ** 24 + 1,
-                       10 ** 12, 10 ** 400):
+def _assert_power_tail_brackets(starts, lengths):
+    # One bracket of a few units in the last place that holds the true
+    # value, on either side of the term-by-term head (4096 terms).
+    for start in starts:
+        for length in lengths:
             got = Sequence.power(horizon=start + length - 1).tail_norm(start)
             true = _inverse_square_sum(start, start + length - 1).sqrt()
             assert Decimal(got.lower) <= true <= Decimal(got.upper), (start, length)
             assert 0 < got.halfwidth <= 5 * math.ulp(got.value), (start, length)
+
+
+_TAIL_STARTS = (1, 2, 7, 32, 1000, 10 ** 6, 2 ** 62)
+
+
+def test_power_tail_norm_with_horizon_is_exact():
+    # Exact to round-off: the value is the brute sum, and the bracket of a
+    # few ulp holds the true value at every length up to 2^24 terms.
+    got = Sequence.power(horizon=100).tail_norm(7)
+    brute = math.sqrt(sum(1.0 / (t * t) for t in range(7, 101)))
+    assert got.value == pytest.approx(brute, rel=1e-14)
+    _assert_power_tail_brackets(_TAIL_STARTS, (1, 2, 100, 4095, 4096, 4097, 10 ** 5, 2 ** 24))
     # An empty tail is an exact 0, also from a start beyond 2^63.
     for start, horizon in ((0, 0), (11, 10), (2 ** 70, 10)):
         empty = Sequence.power(horizon=horizon).tail_norm(start)
         assert (empty.value, empty.halfwidth) == (0.0, 0.0)
+
+
+def test_power_tail_norm_beyond_two_to_the_24_terms_is_a_round_off_bracket():
+    # The same bracket holds for tails far beyond any term-by-term sum.
+    _assert_power_tail_brackets(_TAIL_STARTS, (2 ** 24 + 1, 10 ** 12, 10 ** 400))
 
 
 def test_sup_abs_from():
