@@ -234,7 +234,7 @@ def conformance_suite():
 
     w22 = Sequence.from_values([1, 2, 3, 4]).values_upto(4)
     ok = (np.array_equal(w22, [1.0, 2.0, 3.0, 4.0]) and
-          np.array_equal(tensors.mode_flatten_general(w22, (2, 2), 1),
+          np.array_equal(tensors.mode_view(w22, (2, 2), 1).reshape(2, -1),
                          [[1.0, 3.0], [2.0, 4.0]]))
     items.append(_check(
         "window-layout", ok,
@@ -244,7 +244,7 @@ def conformance_suite():
     w2 = Sequence.from_values([3, 4])
     chain = dilated_conv(w2, w1, 2)
     window = chain.values_upto(4)
-    flat = tensors.mode_flatten_general(window, (2, 2), 1)
+    flat = tensors.mode_view(window, (2, 2), 1).reshape(2, -1)
     items.append(_check(
         "layer-product-identity",
         tuple(window) == (3.0, 6.0, 4.0, 8.0) and
@@ -315,15 +315,19 @@ def conformance_suite():
         for i2 in range(3):
             for i1 in range(4):
                 data[i1 + 4 * i2 + 12 * i3] = 1 + 3 * i1 + i2 + 12 * i3
-    a1 = tensors.mode_flatten_general(data, dims, 1)
-    a2 = tensors.mode_flatten_general(data, dims, 2)
-    a3 = tensors.mode_flatten_general(data, dims, 3)
+    a1, a2, a3 = (tensors.mode_view(data, dims, k).reshape(dims[k - 1], -1)
+                  for k in (1, 2, 3))
     ok = (list(a1[0]) == [1, 2, 3, 13, 14, 15]
           and list(a2[0]) == [1, 4, 7, 10, 13, 16, 19, 22]
           and list(a3[0]) == [1, 4, 7, 10, 2, 5, 8, 11, 3, 6, 9, 12]
           and list(a3[1]) == [13, 16, 19, 22, 14, 17, 20, 23, 15, 18, 21, 24])
+    # Each flattening refolds: written back through the view of an empty
+    # array, it fills that array with the data.
     for k, flat in ((1, a1), (2, a2), (3, a3)):
-        ok &= np.array_equal(tensors.mode_refold_general(flat, dims, k), data)
+        refold = np.empty(24)
+        view = tensors.mode_view(refold, dims, k)
+        view[...] = flat.reshape(view.shape)
+        ok &= np.array_equal(refold, data)
     items.append(_check(
         "flattening-walkthrough", ok,
         "the 4x3x2 worked flattenings and their refolds are reproduced"))

@@ -170,7 +170,8 @@ class CnnSpec:
 
 @dataclass(frozen=True, eq=False)
 class RnnSpec:
-    """Linear recurrence with readout c, transition W and input vector U."""
+    """Linear recurrence of whole width m with readout c, transition W and
+    input vector U."""
 
     m: int
     c: np.ndarray
@@ -178,6 +179,7 @@ class RnnSpec:
     U: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "m", _whole(self.m, "m"))
         object.__setattr__(self, "c", np.asarray(self.c, dtype=float).reshape(-1))
         object.__setattr__(self, "W", np.asarray(self.W, dtype=float))
         object.__setattr__(self, "U", np.asarray(self.U, dtype=float).reshape(-1))
@@ -341,7 +343,9 @@ def synthesize_lowrank(target: Sequence | Family, l: int, K=None) -> CnnSpec:
 
 
 def rnn_representation(spec: RnnSpec, horizon: int) -> Sequence:
-    """Representation c' W^(s-1) U for 1 <= s <= horizon; zero at s = 0."""
+    """Representation c' W^(s-1) U for 1 <= s <= horizon, a whole number;
+    zero at s = 0."""
+    horizon = _whole(horizon, "horizon")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     states = np.empty((horizon, spec.m))
@@ -362,8 +366,11 @@ def power_sum_delta_bound(m_terms: int, t: int, sup_val: float) -> Scalar:
     """Step-size bound 2 * m * sup / t for an m-term power sum.
 
     Callers modelling a width-m recurrence pass m * m terms, since the
-    matrix power expands into at most m^2 exponentials.
+    matrix power expands into at most m^2 exponentials.  m_terms and t are
+    read as whole numbers and sup_val as a real.
     """
+    m_terms, t = _whole(m_terms, "m_terms"), _whole(t, "t")
+    sup_val = _number(sup_val, "sup_val")
     if t < 1:
         raise ValueError("t must be >= 1")
     if m_terms < 1:
@@ -399,8 +406,10 @@ def cnn_min_depth_expdecay(gamma: float, eps: float, l: int) -> int:
 
     A depth-K stack can only reach accuracy eps on the geometric target
     gamma^t once its receptive field covers the slow tail; the required
-    depth diverges as gamma approaches 1.
+    depth diverges as gamma approaches 1.  gamma and eps are read as reals,
+    and l by coverage_depth, through _depth.
     """
+    gamma, eps = _number(gamma, "gamma"), _number(eps, "eps")
     if not 0.0 < gamma < 1.0:
         raise ValueError("need 0 < gamma < 1")
     if not 0.0 < eps < 1.0:

@@ -18,8 +18,10 @@ window, values_upto(n), its rule applied to arange(n) in one pass
 Sequence, and through its tail beyond a window in closed form (tail_norm,
 sup_abs_from).  A power tail to a horizon, of any length, is one bracketed
 sum (_power_tail_norm): its first terms one by one, the rest by
-Euler-Maclaurin.  Time indices must stay below 2^63: a larger index raises
-ValueError before any int64 arithmetic runs, so no time wraps silently.
+Euler-Maclaurin, all of it from a start of 2^511 on, where 1/t^2 leaves
+the normal doubles; the tail readers take any whole start.  Time indices
+of a window must stay below 2^63: a larger index raises ValueError before
+any int64 arithmetic runs, so no time wraps silently.
 
 Sequence.from_json reads a text in the row layout that to_json writes
 through json.dumps, compact or indented, without building a list per
@@ -63,6 +65,9 @@ MAX_TIME = int(np.iinfo(np.int64).max)
 # A power tail is summed term by term over at most this many terms, and in
 # closed form beyond them.
 _TAIL_HEAD_TERMS = 1 << 12
+# From this start on, 1/t^2 is no longer a normal double (and t * t
+# overflows from 2^512), so a power tail is all closed form.
+_CLOSED_FORM_START = 1 << 511
 _TINY = float(np.finfo(float).tiny)
 _HUGE = float(np.finfo(float).max)
 _EPS = float(np.finfo(float).eps)
@@ -138,24 +143,38 @@ def _power_tail_norm(start, stop) -> Scalar:
     and rounded once.  1/t^2 is completely monotone, so the omitted
     remainder lies between 0 and the B6 term, (a^-7 - stop^-7) / 42.  The
     half-width covers that term and the rounding of the terms and sums, a
-    few units in the last place, whatever the length.
+    few units in the last place, whatever the length.  From a start of
+    _CLOSED_FORM_START on, the whole range is the closed form, its sum
+    rounded at the scale 4^e that puts it near 1 and its root scaled back
+    by 2^-e, so the tail of any whole start reads 0.0 only where it
+    underflows.
     """
-    a, b = min(start + _TAIL_HEAD_TERMS, stop + 1), stop
-    # Each t rounded once, also beyond 2^53, where arange's float step
-    # rounds away: float(start) plus the small whole offset of each t.
-    near = float(start)
-    t = near + np.arange(start - int(near), a - int(near), dtype=float)
-    sq = math.fsum((1.0 / (t * t)).tolist())
-    err = 0.0
+    closed = start >= _CLOSED_FORM_START
+    a, b = start if closed else min(start + _TAIL_HEAD_TERMS, stop + 1), stop
+    sq, err, e = 0.0, 0.0, 0
+    if not closed:
+        # Each t rounded once, also beyond 2^53, where arange's float step
+        # rounds away: float(start) plus the small whole offset of each t.
+        near = float(start)
+        t = near + np.arange(start - int(near), a - int(near), dtype=float)
+        sq = math.fsum((1.0 / (t * t)).tolist())
     if a <= b:
         # (a^-1 - b^-1) + (a^-2 + b^-2) / 2 + (a^-3 - b^-3) / 6 - (a^-5 - b^-5) / 30
         # over the one denominator 30 (ab)^5; an int divided by an int rounds once.
         ab = a * b
-        sq += (30 * (b - a) * ab ** 4 + 15 * (a * a + b * b) * ab ** 3 +
-               5 * (b ** 3 - a ** 3) * ab ** 2 - (b ** 5 - a ** 5)) / (30 * ab ** 5)
-        err = (b ** 7 - a ** 7) / (42 * ab ** 7)
+        num = (30 * (b - a) * ab ** 4 + 15 * (a * a + b * b) * ab ** 3 +
+               5 * (b ** 3 - a ** 3) * ab ** 2 - (b ** 5 - a ** 5))
+        den = 30 * ab ** 5
+        if closed:
+            e = (den.bit_length() - num.bit_length()) // 2
+        sq += (num << 2 * e) / den
+        err = ((b ** 7 - a ** 7) << 2 * e) / (42 * ab ** 7)
     err += 4 * _EPS * sq
-    lo, hi = math.sqrt(sq - err), math.sqrt(sq + err)
+    lo, hi = math.ldexp(math.sqrt(sq - err), -e), math.ldexp(math.sqrt(sq + err), -e)
+    if hi < _TINY:
+        # Scaled back to a subnormal, each end rounds on a coarser grid: one
+        # step outwards keeps the true value inside.
+        lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, 1.0)
     return Scalar((lo + hi) / 2.0, (hi - lo) / 2.0)
 
 
@@ -568,16 +587,23 @@ class Family:
         Geometric decay is a closed form within a few units in the last
         place for every gamma.  Inverse-time decay without a horizon
         returns an integral bracket, and with one a bracket of a few units
-        in the last place (_power_tail_norm).
+        in the last place (_power_tail_norm), as it does without one from
+        a start of _CLOSED_FORM_START on.  Any whole start is read as it
+        is, also past the float range, where a tail that underflows is 0.0.
         """
         start = _whole(start, "start")
         if start < 0:
             raise ValueError("start must be >= 0")
         if self.family == "geometric":
+            # Past the float range gamma^start underflows, and a horizon is
+            # as good as none.
+            if start > _HUGE:
+                return Scalar(0.0)
             # gamma^s sqrt((1 - gamma^(2n)) / (1 - gamma^2)) over the n terms to
             # the horizon: expm1 keeps both differences from cancelling as
             # gamma -> 1, and gamma^s stays normal where gamma^(2s) underflows.
-            n = math.inf if self.horizon is None else max(self.horizon + 1 - start, 0)
+            n = (math.inf if self.horizon is None or self.horizon > _HUGE
+                 else max(self.horizon + 1 - start, 0))
             log_sq = 2.0 * math.log(self.gamma)
             return Scalar(self.gamma ** start *
                           math.sqrt(math.expm1(n * log_sq) / math.expm1(log_sq)))
@@ -586,6 +612,10 @@ class Family:
             if s0 > self.horizon:
                 return Scalar(0.0)
             return _power_tail_norm(s0, self.horizon)
+        if s0 >= _CLOSED_FORM_START:
+            # The tail past s0^2, about 1/s0 of the sum, lies far inside the
+            # round-off bracket of the sum up to s0^2.
+            return _power_tail_norm(s0, s0 * s0)
         lo_sq = 1.0 / s0
         hi_sq = 1.0 / (s0 * s0) + 1.0 / s0
         if s0 >= 2:
@@ -602,10 +632,11 @@ class Family:
         if self.horizon is not None and start > self.horizon:
             return 0.0
         if self.family == "geometric":
-            return self.gamma ** start
+            return 0.0 if start > _HUGE else self.gamma ** start
         if self.horizon == 0:
             return 0.0
-        return 1.0 / max(start, 1)
+        # Past the float range an int quotient rounds 1/start once.
+        return 1.0 / max(start, 1) if start <= _HUGE else 1 / start
 
     def to_json(self) -> dict:
         params = {"gamma": self.gamma} if self.family == "geometric" else {}

@@ -5,23 +5,22 @@ rho.values_upto(l^K), read as an order-K tensor: its mode-k index is the
 k-th base-l digit of the time index (mode 1 is the least significant
 digit), so no entry moves.  This module holds that one layout rule, read
 row-major with later digits slower, and every SVD of the library:
-_mode_view reads a mode flattening in place (mode_flatten_general and
-mode_refold_general read and write it as a matrix), and tt_svd reads the
-unfoldings and cores of the window's tensor train, the low-rank filter
-bank.  The ranks of that train are a stack's width plan (M_0, ..., M_K),
-whose number of widths fixes the depth K, and width_plan, beside tt_svd,
-is the one check of a plan: CnnSpec and bounds.effective_filters read
-every plan, and its depth, through it.  Every function here that takes
-l or K reads them through sequences._depth and computes with the ints it
-returns.  The pooled singular
-values of the K mode flattenings drive the rank counts and truncation
-bounds of the approximation-rate machinery.  window_spectrum is the one
-path from a target to its depth-K pooled spectrum, and
+mode_view, the one mode flattening, reads and writes it in place, and
+tt_svd reads the unfoldings and cores of the window's tensor train, the
+low-rank filter bank.  The ranks of that train are a stack's width plan
+(M_0, ..., M_K), whose number of widths fixes the depth K, and
+width_plan, beside tt_svd, is the one check of a plan: CnnSpec and
+bounds.effective_filters read every plan, and its depth, through it.
+Every function here that takes l or K reads them through
+sequences._depth and computes with the ints it returns.  The pooled
+singular values of the K mode flattenings drive the rank counts and
+truncation bounds of the approximation-rate machinery.  window_spectrum
+is the one path from a target to its depth-K pooled spectrum, and
 truncation_error_bound the one path from a spectrum to its tails.  The
 tail masses at offsets s = 0, ..., l*K - K that the complexity measure
-and the error curves read come from one method, bounds.DepthTable.masses,
-the single place their offset rule is written; a DepthTable calls
-window_spectrum once per window it reads.
+and the error curves read come from one method,
+bounds.DepthTable.masses, the single place their offset rule is written;
+a DepthTable calls window_spectrum once per window it reads.
 
 Singular values come from direct SVDs of the K flattenings, never their
 Gram matrices: forming a Gram matrix squares the condition number and
@@ -96,45 +95,15 @@ class Spectrum:
         return int(np.sum(values > RANK_REL_TOL * values[0]))
 
 
-def mode_flatten_general(data, dims, k) -> np.ndarray:
-    """Mode-k flattening of a dense tensor in first-index-fastest layout.
-
-    The (i_1, ..., i_K) entry lands at row i_k and at the column that
-    reads the remaining indices first-index-fastest.  Supports arbitrary
-    mode lengths; the library paths only ever use equal mode lengths, the
-    general form exists for conformance checks.
-    """
-    dims = tuple(int(d) for d in dims)
-    if not 1 <= k <= len(dims):
-        raise ValueError("mode index out of range")
-    flat = np.asarray(data, dtype=float).reshape(-1)
-    if flat.shape != (math.prod(dims),):
-        raise ValueError("data size does not match dims")
-    return _mode_view(flat, dims, k).reshape(dims[k - 1], -1)
-
-
-def _mode_view(flat, dims, k) -> np.ndarray:
-    """The mode-k flattening of flat first-index-fastest data as an
-    (n_k, later modes, earlier modes) view; reshaped to (n_k, -1) it is
-    the flattening."""
+def mode_view(flat, dims, k) -> np.ndarray:
+    """The mode-k flattening of flat first-index-fastest data of mode
+    lengths dims, in place, as an (n_k, later modes, earlier modes) view;
+    reshaped to (n_k, -1) it is the flattening, and a write through it
+    refolds one into the data."""
     # Read row-major, the data has axes (later modes, mode k, earlier
     # modes); with mode k in front, each row reads the earlier modes fastest.
     arr = flat.reshape(math.prod(dims[k:]), dims[k - 1], math.prod(dims[:k - 1]))
     return arr.transpose(1, 0, 2)
-
-
-def mode_refold_general(mat, dims, k) -> np.ndarray:
-    """Inverse of mode_flatten_general, back to the flat canonical layout."""
-    dims = tuple(int(d) for d in dims)
-    if not 1 <= k <= len(dims):
-        raise ValueError("mode index out of range")
-    mat = np.asarray(mat, dtype=float)
-    if mat.shape != (dims[k - 1], math.prod(dims) // dims[k - 1]):
-        raise ValueError("matrix shape does not match dims")
-    out = np.empty(math.prod(dims))
-    view = _mode_view(out, dims, k)
-    view[...] = mat.reshape(view.shape)
-    return out
 
 
 def coverage_depth(l: int, radius: int) -> int:
@@ -179,7 +148,7 @@ def singular_values(window, l: int, K: int) -> Spectrum:
         slots = stack[:min(group, K - first)]
         for k, slot in enumerate(slots, start=first + 1):
             # Each mode's view is copied once, straight into its slot.
-            view = _mode_view(window, dims, k)
+            view = mode_view(window, dims, k)
             slot.reshape(view.shape)[...] = view
         per_mode.append(np.linalg.svd(slots, compute_uv=False))
     return Spectrum.from_mode_values(np.concatenate(per_mode))

@@ -132,6 +132,17 @@ MUTANTS = (
     Mutant("tt-step-share-over-K-plus-1", "src/memlens/tensors.py",
            "_TT_REL_TOL ** 2 / (K - 1)", "_TT_REL_TOL ** 2 / (K + 1)",
            ("tests/test_tensors.py",)),
+    # The flattening's columns permuted: every singular value stays, so only
+    # the layout tests can tell.
+    Mutant("mode-view-axes-swapped", "src/memlens/tensors.py",
+           "arr.transpose(1, 0, 2)", "arr.transpose(1, 2, 0)",
+           ("tests/test_tensors.py",)),
+    Mutant("tail-closed-form-from-2-to-the-1024", "src/memlens/sequences.py",
+           "_CLOSED_FORM_START = 1 << 511", "_CLOSED_FORM_START = 1 << 1024",
+           ("tests/test_sequences.py",)),
+    Mutant("tail-subnormal-ends-not-widened", "src/memlens/sequences.py",
+           "    if hi < _TINY:", "    if False:",
+           ("tests/test_sequences.py",)),
 )
 
 # {mutant name: why no output may depend on the value it moves}.

@@ -8,7 +8,8 @@ from memlens.bounds import (DecayProfile, DepthTable, effective_filters, error_c
                             rank_budget, rate_bound_interval)
 from memlens.experiments import (comparison_report, conformance_suite,
                                  error_curve_study, oracle_best_rank_matrix)
-from memlens.models import rnn_min_width_impulse, synthesize_radix
+from memlens.models import (RnnSpec, cnn_min_depth_expdecay, power_sum_delta_bound,
+                            rnn_min_width_impulse, rnn_representation, synthesize_radix)
 from memlens.sequences import RHO1_SLOTS, RHO2_SLOTS, SPARSE_VALUE, Sequence, make_target
 from memlens.tensors import (analysis_window, coverage_depth, singular_values, tt_svd,
                              window_spectrum)
@@ -138,6 +139,7 @@ def test_conformance_suite_statuses():
 _RHO = make_target("rho3:700")
 _G = DecayProfile.exponential(0.5)
 _SPARSE = Sequence.from_arrays([0, 5, 19], [1.0, -2.0, 3.0])
+_RNN = RnnSpec(1, [1.0], [[0.5]], [1.0])
 
 
 def _study(*args):
@@ -192,6 +194,15 @@ _ARGUMENTS = [
     ("start", 5, True, lambda s: Sequence.power(horizon=10).tail_norm(s)),
     ("start", 2, True, lambda s: Sequence.geometric(0.5).tail_norm(s)),
     ("start", 5, True, lambda s: Sequence.power(horizon=10).sup_abs_from(s)),
+    # The recurrence side.
+    ("m", 1, True, lambda m: RnnSpec(m, [1.0], [[0.5]], [1.0]).m),
+    ("horizon", 4, True, lambda h: rnn_representation(_RNN, h).to_json()),
+    ("m_terms", 3, True, lambda m: power_sum_delta_bound(m, 4, 1.0)),
+    ("t", 4, True, lambda t: power_sum_delta_bound(3, t, 1.0)),
+    ("sup_val", 0.5, False, lambda v: power_sum_delta_bound(3, 4, v)),
+    ("gamma", 0.5, False, lambda g: cnn_min_depth_expdecay(g, 0.1, 2)),
+    ("eps", 0.1, False, lambda e: cnn_min_depth_expdecay(0.5, e, 2)),
+    ("l", 3, True, lambda l: cnn_min_depth_expdecay(0.5, 0.1, l)),
 ]
 
 

@@ -3,6 +3,7 @@ import gc
 import json
 import math
 from decimal import Decimal
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -189,16 +190,18 @@ def test_power_tail_norm_brackets_the_true_value():
 def _inverse_square_sum(start, stop, head=10000):
     """sum(1/t^2 for start <= t <= stop) to about 50 digits: up to 10000
     terms in 60-digit decimals, any rest by Euler-Maclaurin through the B8
-    term, whose remainder is below 1e-50 of the sum."""
+    term, whose remainder is below 1e-50 of the sum.  Each difference
+    a^-k - b^-k is its exact integer numerator over (ab)^k, so no digit
+    cancels however close a and b are beside their size."""
     with decimal.localcontext() as ctx:
         ctx.prec = 60
         a = min(start + head, stop + 1)
         total = sum(1 / (Decimal(t) * t) for t in range(start, a))
         if a <= stop:
-            a, b = Decimal(a), Decimal(stop)
-            gap = lambda k: 1 / a ** k - 1 / b ** k  # noqa: E731
-            total += (gap(1) + (1 / a ** 2 + 1 / b ** 2) / 2 + gap(3) / 6 - gap(5) / 30 +
-                      gap(7) / 42 - gap(9) / 30)
+            b = stop
+            gap = lambda k: Decimal(b ** k - a ** k) / Decimal(a * b) ** k  # noqa: E731
+            total += (gap(1) + (1 / Decimal(a) ** 2 + 1 / Decimal(b) ** 2) / 2 + gap(3) / 6 -
+                      gap(5) / 30 + gap(7) / 42 - gap(9) / 30)
         return total
 
 
@@ -232,6 +235,53 @@ def test_power_tail_norm_with_horizon_is_exact():
 def test_power_tail_norm_beyond_two_to_the_24_terms_is_a_round_off_bracket():
     # The same bracket holds for tails far beyond any term-by-term sum.
     _assert_power_tail_brackets(_TAIL_STARTS, (2 ** 24 + 1, 10 ** 12, 10 ** 400))
+
+
+def _assert_round_off_bracket(got, low, high):
+    """got brackets every value in [low, high] within 5 ulp, or reads an
+    exact 0 where high is below half the least subnormal."""
+    if high < Decimal(math.ulp(0.0)) / 2:
+        assert (got.value, got.halfwidth) == (0.0, 0.0)
+    else:
+        assert Decimal(got.lower) <= low and high <= Decimal(got.upper)
+        assert 0 < got.halfwidth <= 5 * math.ulp(got.value)
+
+
+def test_power_tail_norm_from_any_whole_start_is_a_round_off_bracket():
+    # From 2^511 on, where 1/t^2 leaves the normal doubles, a tail is all
+    # closed form, rounded at a power-of-two scale: the bracket holds the
+    # true value on both sides of 2^1024, subnormal tails included, and a
+    # tail that underflows reads 0.0.
+    for start in (2 ** 511, 2 ** 600, 10 ** 309, 2 ** 1100, 2 ** 2100, 2 ** 2200):
+        for length in (1, 2, 4097, 10 ** 12, 10 ** 400):
+            true = _inverse_square_sum(start, start + length - 1).sqrt()
+            _assert_round_off_bracket(
+                Sequence.power(horizon=start + length - 1).tail_norm(start), true, true)
+        # Without a horizon the true tail lies between the roots of 1/start
+        # and 1/(start - 1).
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            low, high = (1 / Decimal(start)).sqrt(), (1 / Decimal(start - 1)).sqrt()
+        _assert_round_off_bracket(Sequence.power().tail_norm(start), low, high)
+
+
+def test_family_tails_past_the_float_range_read_their_value():
+    # A start or a horizon of 2^1024 or more is read, not converted to a
+    # float: a geometric tail there underflows to 0.0, a geometric horizon
+    # there is as good as none, and 1/start rounds once.
+    huge = 10 ** 309
+    assert Sequence.power(horizon=10 ** 400).tail_norm(huge) == \
+        Sequence.power().tail_norm(huge)
+    for family in (Sequence.power(), Sequence.power(horizon=10 ** 400)):
+        assert family.sup_abs_from(huge) == float(Fraction(1, huge)) == 1e-309
+    for family in (Sequence.geometric(0.5), Sequence.geometric(0.5, horizon=10 ** 400)):
+        assert family.sup_abs_from(huge) == 0.0
+        assert family.tail_norm(huge) == Scalar(0.0)
+    for start in (0, 5, 2 ** 70):
+        assert Sequence.geometric(0.5, horizon=10 ** 400).tail_norm(start) == \
+            Sequence.geometric(0.5).tail_norm(start)
+    assert Sequence.geometric(0.5, horizon=10 ** 400).tail_norm(5).value == \
+        pytest.approx(math.sqrt(sum(0.25 ** t for t in range(5, 200))), rel=1e-15)
 
 
 def test_sup_abs_from():

@@ -9,9 +9,22 @@ from hypothesis import strategies as st
 
 from memlens import tensors
 from memlens.sequences import Sequence, dilated_conv, root_sum_squares
-from memlens.tensors import (Spectrum, analysis_window, mode_flatten_general,
-                             mode_refold_general, singular_values,
+from memlens.tensors import (Spectrum, analysis_window, mode_view, singular_values,
                              truncation_error_bound, window_spectrum)
+
+
+def _flatten(data, dims, k):
+    """The mode-k flattening matrix read through mode_view."""
+    return mode_view(data, dims, k).reshape(dims[k - 1], -1)
+
+
+def _refold(flat, dims, k):
+    """The flat data a mode-k flattening refolds into, written back through
+    mode_view of an empty array."""
+    out = np.empty(math.prod(dims))
+    view = mode_view(out, dims, k)
+    view[...] = flat.reshape(view.shape)
+    return out
 
 
 def _numpy_mode_flatten(data, dims, k):
@@ -75,11 +88,11 @@ def test_tensorize_layout_is_digit_addressed():
     # reads the other digits, the lowest fastest.
     w = Sequence.from_values([1, 2, 3, 4]).values_upto(4)
     assert np.array_equal(w, [1.0, 2.0, 3.0, 4.0])
-    assert np.array_equal(mode_flatten_general(w, (2, 2), 1), [[1.0, 3.0], [2.0, 4.0]])
+    assert np.array_equal(_flatten(w, (2, 2), 1), [[1.0, 3.0], [2.0, 4.0]])
     for l, K in ((2, 3), (3, 3), (4, 2)):
         w = Sequence.from_values(np.arange(1, l ** K + 1)).values_upto(l ** K)
         for k in range(1, K + 1):
-            flat = mode_flatten_general(w, (l,) * K, k)
+            flat = _flatten(w, (l,) * K, k)
             for t in range(l ** K):
                 digits = [t // l ** j % l for j in range(K)]
                 rest = digits[:k - 1] + digits[k:]
@@ -113,8 +126,8 @@ def test_window_spectrum_checks_the_depth_before_it_reads_the_window():
 
 def test_mode_flatten_small_case():
     w = Sequence.from_values([1, 2, 3, 4]).values_upto(4)
-    assert np.array_equal(mode_flatten_general(w, (2, 2), 1), [[1.0, 3.0], [2.0, 4.0]])
-    assert np.array_equal(mode_flatten_general(w, (2, 2), 2), [[1.0, 2.0], [3.0, 4.0]])
+    assert np.array_equal(_flatten(w, (2, 2), 1), [[1.0, 3.0], [2.0, 4.0]])
+    assert np.array_equal(_flatten(w, (2, 2), 2), [[1.0, 2.0], [3.0, 4.0]])
 
 
 @settings(max_examples=50, deadline=None)
@@ -125,9 +138,26 @@ def test_mode_flatten_matches_numpy_oracle(dims, data):
     values = data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
     flat = np.array(values, dtype=float)
     for k in range(1, len(dims) + 1):
-        got = mode_flatten_general(flat, dims, k)
+        got = _flatten(flat, dims, k)
         assert np.array_equal(got, _numpy_mode_flatten(flat, dims, k))
-        assert np.array_equal(mode_refold_general(got, dims, k), flat)
+        assert np.array_equal(_refold(got, dims, k), flat)
+
+
+def test_the_flattening_view_reads_and_writes_the_data_in_place(rng):
+    # The view shares the data's memory: a write through it lands in the
+    # data, and writing the view's own entries back restores them.
+    for dims in ((2, 2), (4, 3, 2), (3,) * 4, (2, 5)):
+        w = rng.normal(size=math.prod(dims))
+        data = w.copy()
+        for k in range(1, len(dims) + 1):
+            view = mode_view(w, dims, k)
+            assert view.shape == (dims[k - 1], math.prod(dims[k:]), math.prod(dims[:k - 1]))
+            assert np.shares_memory(view, w)
+            flat = view.reshape(dims[k - 1], -1).copy()
+            view[...] = 0.0
+            assert not w.any()
+            view[...] = flat.reshape(view.shape)
+            assert np.array_equal(w, data)
 
 
 def test_spectrum_pools_all_mode_flattenings(rng):
@@ -227,7 +257,7 @@ def test_spectrum_memory_is_one_window_beside_the_window():
 
 def test_spectrum_flattens_each_mode_and_runs_one_svd(monkeypatch):
     calls = {"flatten": 0, "svd": 0}
-    flatten, svd = tensors._mode_view, np.linalg.svd
+    flatten, svd = tensors.mode_view, np.linalg.svd
 
     def counted_flatten(*args, **kwargs):
         calls["flatten"] += 1
@@ -237,7 +267,7 @@ def test_spectrum_flattens_each_mode_and_runs_one_svd(monkeypatch):
         calls["svd"] += 1
         return svd(*args, **kwargs)
 
-    monkeypatch.setattr(tensors, "_mode_view", counted_flatten)
+    monkeypatch.setattr(tensors, "mode_view", counted_flatten)
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     singular_values(Sequence.power(horizon=40).values_upto(81), 3, 4)
     assert calls == {"flatten": 4, "svd": 1}
