@@ -3,10 +3,10 @@
 The library studies how well two linear model families, dilated
 convolutional stacks and recurrences, can approximate a target temporal
 relationship given by its representation sequence.  It provides exact
-sequences and their dilated convolution, window tensorisation with pooled
-spectra, a complexity measure against decay profiles, two-sided
-approximation-rate bounds with per-budget error curves, exact and
-low-rank model synthesis, and head-to-head comparison scenarios.
+sequences, window tensorisation with pooled spectra, a complexity measure
+against decay profiles, two-sided approximation-rate bounds with
+per-budget error curves, exact and low-rank model synthesis, and
+head-to-head comparison scenarios.
 
 Each public name loads on first use: `import memlens` imports no
 submodule, and memlens.X (or `from memlens import X`, or a star import)
@@ -18,7 +18,7 @@ import importlib as _importlib
 
 # Each public name, under the submodule that defines it.
 _PUBLIC = {
-    "sequences": ("Family", "Scalar", "Sequence", "dilated_conv", "make_target"),
+    "sequences": ("Family", "Scalar", "Sequence", "make_target"),
     "tensors": ("Spectrum", "singular_values", "truncation_error_bound",
                 "tt_svd", "window_spectrum"),
     "models": ("CnnSpec", "RnnSpec", "cnn_min_depth_expdecay",

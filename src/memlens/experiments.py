@@ -17,13 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sequences import (RHO1_SLOTS, RHO2_SLOTS, Scalar, Sequence, _depth, _number,
-                        _whole, dilated_conv, make_target)
+                        _whole, make_target)
 from . import tensors
 from .bounds import (COMPLEXITY_NOISE_REL_TOL, DecayProfile, DepthTable,
                      complexity_measure, error_curve, rank_budget)
-from .models import (cnn_min_depth_expdecay, replay_residual,
-                     rnn_min_width_impulse, rnn_representation, RnnSpec,
-                     synthesize_radix)
+from .models import (CnnSpec, cnn_min_depth_expdecay, cnn_representation,
+                     replay_residual, rnn_min_width_impulse, rnn_representation,
+                     RnnSpec, synthesize_radix)
 
 
 def oracle_best_rank_matrix(mat, rank: int) -> Scalar:
@@ -240,10 +240,8 @@ def conformance_suite():
         "window-layout", ok,
         "window slot t maps to its base-l digits, mode 1 least significant"))
 
-    w1 = Sequence.from_values([1, 2])
-    w2 = Sequence.from_values([3, 4])
-    chain = dilated_conv(w2, w1, 2)
-    window = chain.values_upto(4)
+    chain = CnnSpec.from_arrays((1, 1, 1), [(0, 0, 0), (1, 0, 0)], [[1.0, 2.0], [3.0, 4.0]])
+    window = cnn_representation(chain).values_upto(4)
     flat = tensors.mode_view(window, (2, 2), 1).reshape(2, -1)
     items.append(_check(
         "layer-product-identity",

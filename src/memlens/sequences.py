@@ -19,7 +19,9 @@ Sequence, and through its tail beyond a window in closed form (tail_norm,
 sup_abs_from).  A power tail to a horizon, of any length, is one bracketed
 sum (_power_tail_norm): its first terms one by one, the rest by
 Euler-Maclaurin, all of it from a start of 2^511 on, where 1/t^2 leaves
-the normal doubles; the tail readers take any whole start.  Time indices
+the normal doubles.  So is a tail without a horizon, summed to infinity,
+from a start of 2^48 on, where its integral bracket would be narrower
+than its rounding.  The tail readers take any whole start.  Time indices
 of a window must stay below 2^63: a larger index raises ValueError before
 any int64 arithmetic runs, so no time wraps silently.
 
@@ -68,6 +70,10 @@ _TAIL_HEAD_TERMS = 1 << 12
 # From this start on, 1/t^2 is no longer a normal double (and t * t
 # overflows from 2^512), so a power tail is all closed form.
 _CLOSED_FORM_START = 1 << 511
+# From this start on, a power tail without a horizon is summed to infinity
+# (_power_tail_norm): its integral bracket, about 1/(4 start) of the tail
+# wide, falls under the rounding of its ends and misses from about 2^50.
+_SUMMED_TAIL_START = 1 << 48
 _TINY = float(np.finfo(float).tiny)
 _HUGE = float(np.finfo(float).max)
 _EPS = float(np.finfo(float).eps)
@@ -133,21 +139,22 @@ class Scalar:
         return float(self.value)
 
 
-def _power_tail_norm(start, stop) -> Scalar:
+def _power_tail_norm(start, stop=math.inf) -> Scalar:
     """sqrt of the sum of 1/t^2 over start <= t <= stop, for 1 <= start
-    <= stop, within a few units in the last place.
+    <= stop, within a few units in the last place; with no stop, the sum
+    runs to infinity.
 
     The first _TAIL_HEAD_TERMS terms, all of a shorter range, are summed
     with one rounding (math.fsum); any rest, from a to stop, is the
     Euler-Maclaurin sum through the B4 term, evaluated exactly in integers
     and rounded once.  1/t^2 is completely monotone, so the omitted
-    remainder lies between 0 and the B6 term, (a^-7 - stop^-7) / 42.  The
-    half-width covers that term and the rounding of the terms and sums, a
-    few units in the last place, whatever the length.  From a start of
-    _CLOSED_FORM_START on, the whole range is the closed form, its sum
-    rounded at the scale 4^e that puts it near 1 and its root scaled back
-    by 2^-e, so the tail of any whole start reads 0.0 only where it
-    underflows.
+    remainder lies between 0 and the B6 term, (a^-7 - stop^-7) / 42, or
+    a^-7 / 42 with no stop.  The half-width covers that term and the
+    rounding of the terms and sums, a few units in the last place,
+    whatever the length.  From a start of _CLOSED_FORM_START on, the
+    whole range is the closed form, its sum rounded at the scale 4^e that
+    puts it near 1 and its root scaled back by 2^-e, so the tail of any
+    whole start reads 0.0 only where it underflows.
     """
     closed = start >= _CLOSED_FORM_START
     a, b = start if closed else min(start + _TAIL_HEAD_TERMS, stop + 1), stop
@@ -160,15 +167,21 @@ def _power_tail_norm(start, stop) -> Scalar:
         sq = math.fsum((1.0 / (t * t)).tolist())
     if a <= b:
         # (a^-1 - b^-1) + (a^-2 + b^-2) / 2 + (a^-3 - b^-3) / 6 - (a^-5 - b^-5) / 30
-        # over the one denominator 30 (ab)^5; an int divided by an int rounds once.
-        ab = a * b
-        num = (30 * (b - a) * ab ** 4 + 15 * (a * a + b * b) * ab ** 3 +
-               5 * (b ** 3 - a ** 3) * ab ** 2 - (b ** 5 - a ** 5))
-        den = 30 * ab ** 5
+        # over the one denominator 30 (ab)^5, its limit over 30 a^5 with no
+        # stop; an int divided by an int rounds once.
+        if b == math.inf:
+            num, den = 30 * a ** 4 + 15 * a ** 3 + 5 * a * a - 1, 30 * a ** 5
+            rest, rest_den = 1, 42 * a ** 7
+        else:
+            ab = a * b
+            num = (30 * (b - a) * ab ** 4 + 15 * (a * a + b * b) * ab ** 3 +
+                   5 * (b ** 3 - a ** 3) * ab ** 2 - (b ** 5 - a ** 5))
+            den = 30 * ab ** 5
+            rest, rest_den = b ** 7 - a ** 7, 42 * ab ** 7
         if closed:
             e = (den.bit_length() - num.bit_length()) // 2
         sq += (num << 2 * e) / den
-        err = ((b ** 7 - a ** 7) << 2 * e) / (42 * ab ** 7)
+        err = (rest << 2 * e) / rest_den
     err += 4 * _EPS * sq
     lo, hi = math.ldexp(math.sqrt(sq - err), -e), math.ldexp(math.sqrt(sq + err), -e)
     if hi < _TINY:
@@ -585,11 +598,13 @@ class Family:
         """sqrt of the summed squared values at t >= start.
 
         Geometric decay is a closed form within a few units in the last
-        place for every gamma.  Inverse-time decay without a horizon
-        returns an integral bracket, and with one a bracket of a few units
-        in the last place (_power_tail_norm), as it does without one from
-        a start of _CLOSED_FORM_START on.  Any whole start is read as it
-        is, also past the float range, where a tail that underflows is 0.0.
+        place for every gamma.  Inverse-time decay with a horizon returns
+        a bracket of a few units in the last place (_power_tail_norm), as
+        it does without one, summed to infinity, from a start of
+        _SUMMED_TAIL_START (2^48) on; below it, a tail without a horizon
+        is the integral bracket between the roots of 1/start and
+        1/(start - 1).  Any whole start is read as it is, also past the
+        float range, where a tail that underflows is 0.0.
         """
         start = _whole(start, "start")
         if start < 0:
@@ -612,10 +627,8 @@ class Family:
             if s0 > self.horizon:
                 return Scalar(0.0)
             return _power_tail_norm(s0, self.horizon)
-        if s0 >= _CLOSED_FORM_START:
-            # The tail past s0^2, about 1/s0 of the sum, lies far inside the
-            # round-off bracket of the sum up to s0^2.
-            return _power_tail_norm(s0, s0 * s0)
+        if s0 >= _SUMMED_TAIL_START:
+            return _power_tail_norm(s0)
         lo_sq = 1.0 / s0
         hi_sq = 1.0 / (s0 * s0) + 1.0 / s0
         if s0 >= 2:
@@ -627,8 +640,9 @@ class Family:
         return self.tail_norm(0)
 
     def sup_abs_from(self, start: int) -> float:
-        """sup over t >= start of |rho(t)|."""
-        start = _whole(start, "start")
+        """sup over t >= start of |rho(t)|; rho is 0 before t = 0, so a
+        negative start reads as 0."""
+        start = max(_whole(start, "start"), 0)
         if self.horizon is not None and start > self.horizon:
             return 0.0
         if self.family == "geometric":
@@ -684,29 +698,3 @@ def make_target(text: str) -> Sequence | Family:
     if name == "exp" and x == 0:
         return Sequence.impulse(0)
     return Sequence.from_json(_SHORTHAND[name](x))
-
-
-def dilated_conv(f: Sequence, g: Sequence, dilation: int) -> Sequence:
-    """Dilated convolution (f *_dilation g)(t).
-
-    The first operand is the dilated one: the result at time t is the sum
-    over s of f(s) g(t - dilation * s).  The support satisfies radius =
-    dilation * radius(f) + radius(g).
-    """
-    if dilation < 1:
-        raise ValueError("dilation must be >= 1")
-    for name, operand in (("f", f), ("g", g)):
-        if not isinstance(operand, Sequence):
-            raise ValueError(f"{name} must be finitely supported")
-    ft, fv = f.arrays()
-    gt, gv = g.arrays()
-    _check_time(dilation)
-    if len(ft) and len(gt):
-        _check_time(dilation * int(ft[-1]) + int(gt[-1]))
-    # Pairs run s-major then u, and np.add.at sums the terms that share a
-    # time in that order.
-    times, at = np.unique(dilation * ft[:, None] + gt[None, :], return_inverse=True)
-    out = np.zeros(len(times))
-    np.add.at(out, at.reshape(-1), (fv[:, None] * gv[None, :]).reshape(-1))
-    live = out != 0.0
-    return Sequence._of(times[live], out[live])

@@ -143,6 +143,13 @@ MUTANTS = (
     Mutant("tail-subnormal-ends-not-widened", "src/memlens/sequences.py",
            "    if hi < _TINY:", "    if False:",
            ("tests/test_sequences.py",)),
+    Mutant("sup-abs-negative-start-not-clamped", "src/memlens/sequences.py",
+           'start = max(_whole(start, "start"), 0)', 'start = _whole(start, "start")',
+           ("tests/test_sequences.py::test_sup_abs_from",)),
+    # The integral bracket misses the true tail from about 2^50 on.
+    Mutant("horizonless-power-tail-from-2-to-the-56", "src/memlens/sequences.py",
+           "_SUMMED_TAIL_START = 1 << 48", "_SUMMED_TAIL_START = 1 << 56",
+           ("tests/test_sequences.py",)),
 )
 
 # {mutant name: why no output may depend on the value it moves}.

@@ -15,9 +15,9 @@ from memlens.bounds import (COMPLEXITY_NOISE_REL_TOL, DecayProfile, DepthTable,
                             complexity_measure, error_curve)
 from memlens.experiments import (comparison_report, conformance_suite,
                                  make_target, oracle_best_rank_matrix)
-from memlens.models import (RnnSpec, cnn_representation, power_sum_delta_bound,
-                            rnn_representation, synthesize_radix)
-from memlens.sequences import Sequence, dilated_conv
+from memlens.models import (CnnSpec, RnnSpec, cnn_representation,
+                            power_sum_delta_bound, rnn_representation, synthesize_radix)
+from memlens.sequences import Sequence
 from memlens.tensors import (Spectrum, singular_values, truncation_error_bound,
                              window_spectrum)
 
@@ -81,10 +81,8 @@ def test_criterion_05_chains_tensorise_to_outer_products(rng):
         l = int(rng.choice([2, 3]))
         K = int(rng.choice([2, 3, 4]))
         filters = [rng.normal(size=l) for _ in range(K)]
-        acc = Sequence.from_values(filters[0])
-        for k in range(1, K):
-            acc = dilated_conv(Sequence.from_values(filters[k]), acc, l ** k)
-        left = acc.values_upto(l ** K)
+        chain = CnnSpec.from_arrays((1,) * (K + 1), [(k, 0, 0) for k in range(K)], filters)
+        left = cnn_representation(chain).values_upto(l ** K)
         # The window prod_k f_k[d_k] over the base-l digits d_k, mode 1 fastest.
         right = np.ones(())
         for f in filters:

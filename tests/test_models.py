@@ -143,6 +143,11 @@ def test_representation_of_a_two_layer_chain():
     spec = _bank(2, (1, 1, 1), {(0, 0, 0): (1.0, 2.0), (1, 0, 0): (3.0, 4.0)})
     rep = cnn_representation(spec)
     assert list(rep.values_upto(4)) == [3.0, 6.0, 4.0, 8.0]
+    # Two channel paths that cancel at t = 0: a sum of exactly zero is not stored.
+    spec = _bank(2, (1, 2, 1), {(0, 0, 0): (1.0, 2.0), (0, 0, 1): (-1.0, 3.0),
+                                (1, 0, 0): (1.0, 0.0), (1, 1, 0): (1.0, 0.0)})
+    times, values = cnn_representation(spec).arrays()
+    assert times.tolist() == [1] and values.tolist() == [5.0]
 
 
 def test_representation_stays_in_receptive_field(rng):

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memlens import tensors
-from memlens.sequences import Sequence, dilated_conv, root_sum_squares
+from memlens.models import CnnSpec, cnn_representation
+from memlens.sequences import Sequence, root_sum_squares
 from memlens.tensors import (Spectrum, analysis_window, mode_view, singular_values,
                              truncation_error_bound, window_spectrum)
 
@@ -332,11 +333,9 @@ def test_spectrum_values_are_made_once_and_read_only(rng):
 def test_chain_tensorises_to_outer_product(l, K, data):
     filters = [data.draw(st.lists(st.integers(-3, 3), min_size=l, max_size=l))
                for _ in range(K)]
-    seqs = [Sequence.from_values([float(x) for x in f]) for f in filters]
-    acc = seqs[0]
-    for k in range(1, K):
-        acc = dilated_conv(seqs[k], acc, l ** k)
-    assert np.allclose(acc.values_upto(l ** K), _outer_window(filters), atol=1e-12)
+    chain = CnnSpec.from_arrays((1,) * (K + 1), [(k, 0, 0) for k in range(K)], filters)
+    assert np.allclose(cnn_representation(chain).values_upto(l ** K), _outer_window(filters),
+                       atol=1e-12)
 
 
 def test_zero_padding_law(rng):
