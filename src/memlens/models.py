@@ -3,15 +3,15 @@
 A CnnSpec holds the filters of a linear dilated-convolution stack whose
 layer-k dilation is l^k; its induced representation is the response to a
 unit impulse and is supported inside the receptive field [0, l^K - 1].
-That replay, cnn_representation, is the library's one dilated
+The replay behind it, cnn_representation, is the library's one dilated
 convolution: a chain of filters composed at dilations l^k is a bank of
-width-1 layers.  Two synthesizers, each cutting the window it reproduces, build exact
-filter banks: a digit-reading construction with one channel path per
-nonzero entry, and the tensor train of the length-l^K window over its
-base-l digits from tensors.tt_svd, whose cores are the filters and
-widths the ranks of its sequential unfoldings.  A width plan (M_0, ...,
-M_K) is checked by tensors.width_plan, beside the tensor train whose rank
-profile it is; its length fixes the depth K of the stack, and its
+width-1 layers.  Two synthesizers, each cutting the window it reproduces,
+build exact filter banks: a digit-reading construction with one channel
+path per nonzero entry, and the tensor train of the length-l^K window
+over its base-l digits from tensors.tt_svd, whose cores are the filters
+and widths the ranks of its sequential unfoldings.  A width plan (M_0,
+..., M_K) is checked by tensors.width_plan, beside the tensor train whose
+rank profile it is; its length fixes the depth K of the stack, and its
 effective filter count is bounds.effective_filters.  The filter size l of
 a bank is the length of its filters, so CnnSpec.from_arrays takes no l
 beside them.

@@ -72,7 +72,7 @@ _TAIL_HEAD_TERMS = 1 << 12
 _CLOSED_FORM_START = 1 << 511
 # From this start on, a power tail without a horizon is summed to infinity
 # (_power_tail_norm): its integral bracket, about 1/(4 start) of the tail
-# wide, falls under the rounding of its ends and misses from about 2^50.
+# wide, falls under the rounding of its ends and misses from 2^51 on.
 _SUMMED_TAIL_START = 1 << 48
 _TINY = float(np.finfo(float).tiny)
 _HUGE = float(np.finfo(float).max)

@@ -146,7 +146,7 @@ MUTANTS = (
     Mutant("sup-abs-negative-start-not-clamped", "src/memlens/sequences.py",
            'start = max(_whole(start, "start"), 0)', 'start = _whole(start, "start")',
            ("tests/test_sequences.py::test_sup_abs_from",)),
-    # The integral bracket misses the true tail from about 2^50 on.
+    # The integral bracket misses the true tail from 2^51 on.
     Mutant("horizonless-power-tail-from-2-to-the-56", "src/memlens/sequences.py",
            "_SUMMED_TAIL_START = 1 << 48", "_SUMMED_TAIL_START = 1 << 56",
            ("tests/test_sequences.py",)),

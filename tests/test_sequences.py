@@ -264,8 +264,8 @@ def test_power_tail_norm_from_any_whole_start_is_a_round_off_bracket():
                 Sequence.power(horizon=start + length - 1).tail_norm(start), true, true)
     # Without a horizon, from 2^48 on, the tail is the same sum to infinity:
     # the integral bracket between the roots of 1/start and 1/(start - 1),
-    # which it reads below 2^48, is narrower than its rounding from about
-    # 2^50 and misses the true value.
+    # which it reads below 2^48, falls under its own rounding and misses
+    # the true value from 2^51 on.
     for start in (*(2 ** e + 12345 for e in range(40, 511, 3)), 2 ** 48, *huge):
         got = Sequence.power().tail_norm(start)
         true = _inverse_square_sum(start, head=0).sqrt()
