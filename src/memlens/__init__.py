@@ -25,10 +25,9 @@ _PUBLIC = {
                "cnn_representation", "power_sum_delta_bound",
                "rnn_min_width_impulse", "rnn_representation",
                "synthesize_lowrank", "synthesize_radix"),
-    "bounds": ("DecayProfile", "DepthTable", "ErrorCurveTable", "complexity_measure",
+    "bounds": ("DecayProfile", "DepthTable", "complexity_measure", "curve_points",
                "effective_filters", "error_curve", "rate_bound_interval"),
-    "experiments": ("ComparisonReport", "CurveStudy", "comparison_report",
-                    "conformance_suite", "error_curve_study",
+    "experiments": ("comparison_report", "conformance_suite", "error_curve_study",
                     "oracle_best_rank_matrix"),
 }
 _SUBMODULE = {name: module for module, names in _PUBLIC.items() for name in names}

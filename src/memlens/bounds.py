@@ -109,25 +109,6 @@ class CurveRow(NamedTuple):
     upper_bound: float
 
 
-@dataclass(frozen=True)
-class ErrorCurveTable:
-    """Per-(K, M) split of the approximation bound for one target.
-
-    The rows run in ascending (K, M) order, as error_curve builds them.
-    Every row satisfies upper_bound = rank_term + tail_term, and within
-    one depth the rows are non-increasing in M.  Bracketed tail norms
-    enter through their upper end so the bound stays valid.  It holds no
-    label: the command line writes its CSV (_jsontext.csv_text).
-    """
-
-    rows: tuple
-
-    def curve(self, K: int):
-        """(M values, upper bounds) for one depth, in row order: ascending in M."""
-        picked = [(r.M, r.upper_bound) for r in self.rows if r.K == K]
-        return [m for m, _ in picked], [u for _, u in picked]
-
-
 class DepthTable:
     """The depth-K windows of one target rho at one l, each decomposed once.
 
@@ -246,15 +227,18 @@ def rate_bound_interval(rho: Sequence | Family, l: int, channels, g: DecayProfil
     return lower, upper
 
 
-def error_curve(table: DepthTable, K_list, M_range) -> ErrorCurveTable:
+def error_curve(table: DepthTable, K_list, M_range) -> tuple:
     """Bound split per (K, M): spectrum truncation plus window tail.
 
-    The rank term at width M is the spectrum tail beyond rank_budget(K,
-    M), the mass at offset s = rank_budget(K, M) - K + 1 of the table
-    and 0.0 past its end; the tail term is the norm of the representation
-    outside the length-l^K window at the table's l (upper bracket end when
-    the tail is only known as an interval).  This reads and fills the
-    table's windows.
+    Returns the CurveRows in ascending (K, M) order.  Every row satisfies
+    upper_bound = rank_term + tail_term, and within one depth the rows are
+    non-increasing in M.  The rank term at width M is the spectrum tail
+    beyond rank_budget(K, M), the mass at offset s = rank_budget(K, M) -
+    K + 1 of the table and 0.0 past its end; the tail term is the norm of
+    the representation outside the length-l^K window at the table's l,
+    the upper end of its bracket, so the bound stays valid.  The rows hold
+    no label: the command line writes their CSV (_jsontext.csv_text).
+    This reads and fills the table's windows.
     """
     widths = sorted({_whole(m, "a width M") for m in M_range})
     if widths and widths[0] < 1:
@@ -267,4 +251,11 @@ def error_curve(table: DepthTable, K_list, M_range) -> ErrorCurveTable:
             s = rank_budget(K, M) - K + 1
             rank_term = masses[s] if s < len(masses) else 0.0
             rows.append(CurveRow(K, M, rank_term, tail_term, rank_term + tail_term))
-    return ErrorCurveTable(rows=tuple(rows))
+    return tuple(rows)
+
+
+def curve_points(rows, K: int):
+    """(M values, upper bounds) of the error-curve rows at depth K, in row
+    order: ascending in M."""
+    depth = [r for r in rows if r.K == K]
+    return [r.M for r in depth], [r.upper_bound for r in depth]

@@ -254,18 +254,18 @@ def _cmd_bounds(args, emit) -> int:
 
 
 def _cmd_curve(args, emit) -> int:
-    from .bounds import CurveRow, DepthTable, error_curve
+    from .bounds import CurveRow, DepthTable, curve_points, error_curve
     for text in args.target:
         target, label = load_target(text)
-        table = error_curve(DepthTable(target, args.l), args.K, range(1, args.M_max + 1))
+        rows = error_curve(DepthTable(target, args.l), args.K, range(1, args.M_max + 1))
         if "csv" in args.format:
-            emit(f"{label}_curve.csv", csv_text(label, args.l, CurveRow._fields, table.rows))
+            emit(f"{label}_curve.csv", csv_text(label, args.l, CurveRow._fields, rows))
         if "json" in args.format:
-            rows = [r._asdict() for r in table.rows]
-            emit(f"{label}_curve.json", {"target": label, "l": args.l, "rows": rows})
+            emit(f"{label}_curve.json", {"target": label, "l": args.l,
+                                         "rows": [r._asdict() for r in rows]})
         if "svg" in args.format:
             from .charts import line_chart
-            series = [(f"K={K}", *table.curve(K)) for K in sorted(set(args.K))]
+            series = [(f"K={K}", *curve_points(rows, K)) for K in sorted(set(args.K))]
             svg = line_chart(series, title=f"{label}: approximation bound",
                              x_label="filters M", y_label="upper bound")
             emit(f"{label}_curve.svg", svg + "\n")
@@ -299,29 +299,28 @@ def _cmd_compare(args, emit) -> int:
     extra = [f"--{key}" for key in given if key not in takes]
     if extra:
         raise UsageError(f"scenario {args.scenario} takes no {' or '.join(extra)}")
-    report = comparison_report(args.scenario, l=args.l, **given)
-    emit(f"compare_{args.scenario}.json", report.to_json())
+    emit(f"compare_{args.scenario}.json", comparison_report(args.scenario, l=args.l, **given))
     return 0
 
 
 def _cmd_study(args, emit) -> int:
-    from .bounds import CurveRow
+    from .bounds import CurveRow, curve_points
     from .charts import line_chart
     from .experiments import error_curve_study
     study = error_curve_study(l=args.l, K_list=args.K, M_max=args.M_max)
-    tables = sorted(study.tables.items())
-    for name, table in tables:
-        emit(f"{name}_curves.csv", csv_text(name, study.l, CurveRow._fields, table.rows))
+    tables = sorted(study["tables"].items())
+    for name, rows in tables:
+        emit(f"{name}_curves.csv", csv_text(name, study["l"], CurveRow._fields, rows))
     for K in sorted(set(args.K)):
-        series = [(name, *table.curve(K)) for name, table in tables]
+        series = [(name, *curve_points(rows, K)) for name, rows in tables]
         emit(f"curves_K{K}.svg",
              line_chart(series, title=f"upper bound vs M (l={args.l}, K={K})",
                         x_label="effective filters M", y_label="upper bound",
                         log_y=True))
-    emit("study_summary.json", {"l": study.l, "checks": study.checks, "notes": study.notes})
+    emit("study_summary.json", {key: study[key] for key in ("l", "checks", "notes")})
     emit(None, "".join(f"{'PASS' if ok else 'FAIL'} {name}\n"
-                       for name, ok in sorted(study.checks.items())))
-    return 0 if study.passed else 3
+                       for name, ok in sorted(study["checks"].items())))
+    return 0 if all(study["checks"].values()) else 3
 
 
 def _cmd_reproduce(args, emit) -> int:

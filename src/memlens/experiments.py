@@ -10,9 +10,8 @@ are read by sequences.make_target.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from .sequences import (RHO1_SLOTS, RHO2_SLOTS, Scalar, Sequence, _depth, _numbe
                         _whole, make_target)
 from . import tensors
 from .bounds import (COMPLEXITY_NOISE_REL_TOL, DecayProfile, DepthTable,
-                     complexity_measure, error_curve, rank_budget)
+                     complexity_measure, curve_points, error_curve, rank_budget)
 from .models import (CnnSpec, cnn_min_depth_expdecay, cnn_representation,
                      replay_residual, rnn_min_width_impulse, rnn_representation,
                      RnnSpec, synthesize_radix)
@@ -42,33 +41,21 @@ def oracle_best_rank_matrix(mat, rank: int) -> Scalar:
     return Scalar(math.sqrt(float(np.sum(tail * tail))))
 
 
-@dataclass(frozen=True)
-class CurveStudy:
-    """Error-curve tables for the three builtin targets plus checks.
-
-    depths maps each target name to the DepthTable at l that its curves
-    and claim-depth ranks read, so a later reader of those windows
-    decomposes none of them again.  The qualitative claim checks (the
-    low-rank target is pointwise easier, the decaying target is easier on
-    sweep average) are scoped to the smallest swept depth whose window
-    covers both sparse targets; shallower windows truncate them to
-    unequal norms and the comparison loses its meaning there.
-    """
-
-    l: int
-    tables: dict
-    depths: dict
-    notes: tuple
-    checks: dict
-
-    @property
-    def passed(self) -> bool:
-        return all(self.checks.values())
-
-
-def error_curve_study(l: int = 2, K_list=(4, 5, 6), M_max: int = 64) -> CurveStudy:
+def error_curve_study(l: int = 2, K_list=(4, 5, 6), M_max: int = 64) -> dict:
     """Bound curves for the builtin targets over a shared (K, M) sweep; l,
-    each K of a nonempty K_list and M_max are read as whole numbers."""
+    each K of a nonempty K_list and M_max are read as whole numbers.
+
+    Returns {"l", "tables", "depths", "notes", "checks"}: l as an int;
+    by target name, the error-curve rows (tables) and the DepthTable at l
+    that its curves and claim-depth ranks read (depths), so a later reader
+    of those windows decomposes none of them again; the list of notes; and
+    the qualitative checks by name, which the study passes when all hold.
+    The claim checks (the low-rank target is pointwise easier, the
+    decaying target is easier on sweep average) are scoped to the smallest
+    swept depth whose window covers both sparse targets; shallower windows
+    truncate them to unequal norms and the comparison loses its meaning
+    there.
+    """
     M_max = _whole(M_max, "M_max")
     if M_max < 1:
         raise ValueError("M_max must be >= 1")
@@ -88,9 +75,8 @@ def error_curve_study(l: int = 2, K_list=(4, 5, 6), M_max: int = 64) -> CurveStu
     if claim_K is not None:
         r1, r2 = (depths[name].spectrum(claim_K).rank() for name in ("rho1", "rho2"))
         notes.append(f"window tensor ranks at K={claim_K}: rho1 -> {r1}, rho2 -> {r2}")
-        _, u1 = tables["rho1"].curve(claim_K)
-        _, u2 = tables["rho2"].curve(claim_K)
-        _, u3 = tables["rho3"].curve(claim_K)
+        u1, u2, u3 = (curve_points(tables[name], claim_K)[1]
+                      for name in ("rho1", "rho2", "rho3"))
         checks["low_rank_pointwise_easier"] = all(
             a <= b + 1e-12 for a, b in zip(u1, u2))
         m2, m3 = float(np.mean(u2)), float(np.mean(u3))
@@ -104,9 +90,9 @@ def error_curve_study(l: int = 2, K_list=(4, 5, 6), M_max: int = 64) -> CurveStu
                      "claim checks not evaluable")
 
     non_inc = plateau = True
-    for name, table in tables.items():
+    for name, rows in tables.items():
         for K in K_list:
-            depth = [r for r in table.rows if r.K == K]     # ascending in M
+            depth = [r for r in rows if r.K == K]     # ascending in M
             non_inc &= all(b.upper_bound <= a.upper_bound + 1e-12
                            for a, b in zip(depth, depth[1:]))
             last = depth[-1]
@@ -123,28 +109,10 @@ def error_curve_study(l: int = 2, K_list=(4, 5, 6), M_max: int = 64) -> CurveStu
     tail = depths["rho3"].rho.tail_norm(l ** max(K_list))
     notes.append(f"rho3 tail norm beyond the deepest window: "
                  f"[{tail.lower:.6f}, {tail.upper:.6f}] (interval bracket)")
-    return CurveStudy(l, tables, depths, tuple(notes), checks)
+    return {"l": l, "tables": tables, "depths": depths, "notes": notes, "checks": checks}
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Head-to-head resource requirements for one scenario.
-
-    Every number is produced by a model-construction or sizing routine;
-    the report only collects them and words the verdict.
-    """
-
-    scenario: str
-    parameters: dict
-    cnn_requirement: dict
-    rnn_requirement: dict
-    verdict: str
-
-    def to_json(self) -> dict:
-        return dataclasses.asdict(self)
-
-
-def _exp_decay(gamma=0.99, eps=0.01, l=2, horizon=1000) -> ComparisonReport:
+def _exp_decay(gamma=0.99, eps=0.01, l=2, horizon=1000) -> dict:
     """A geometric memory kernel is reproduced exactly by a width-1
     recurrence (checked numerically over the horizon, matching on t >= 1
     where the recurrence is defined), while a dilated stack needs its
@@ -156,19 +124,19 @@ def _exp_decay(gamma=0.99, eps=0.01, l=2, horizon=1000) -> ComparisonReport:
     rep = rnn_representation(spec, horizon)
     kernel = np.array([gamma ** t for t in range(1, horizon + 1)])
     residual = float(np.max(np.abs(rep.values_upto(horizon + 1)[1:] - kernel)))
-    return ComparisonReport(
-        scenario="exp_decay",
-        parameters={"gamma": gamma, "eps": eps, "l": l, "horizon": horizon},
-        cnn_requirement={"min_depth": depth, "receptive_field": l ** depth},
-        rnn_requirement={"width": 1, "residual_sup": residual,
-                         "exact": residual <= 1e-12, "checked_horizon": horizon},
-        verdict=(f"a width-1 recurrence reproduces the geometric kernel "
-                 f"exactly (residual {residual:.2e} over t <= {horizon}), "
-                 f"while the dilated stack needs depth {depth} to reach "
-                 f"tolerance {eps}"))
+    return {
+        "scenario": "exp_decay",
+        "parameters": {"gamma": gamma, "eps": eps, "l": l, "horizon": horizon},
+        "cnn_requirement": {"min_depth": depth, "receptive_field": l ** depth},
+        "rnn_requirement": {"width": 1, "residual_sup": residual,
+                            "exact": residual <= 1e-12, "checked_horizon": horizon},
+        "verdict": (f"a width-1 recurrence reproduces the geometric kernel "
+                    f"exactly (residual {residual:.2e} over t <= {horizon}), "
+                    f"while the dilated stack needs depth {depth} to reach "
+                    f"tolerance {eps}")}
 
 
-def _impulse_copy(K=10, eps=0.1, l=2) -> ComparisonReport:
+def _impulse_copy(K=10, eps=0.1, l=2) -> dict:
     """Copying the input from the far end of a depth-K receptive field
     (lag l^K - 1) takes one filter per layer, while a linear recurrence
     needs width growing exponentially in K."""
@@ -178,33 +146,35 @@ def _impulse_copy(K=10, eps=0.1, l=2) -> ComparisonReport:
     cnn = synthesize_radix(target, l)
     residual = replay_residual(cnn, target)
     width = rnn_min_width_impulse(K, eps)
-    return ComparisonReport(
-        scenario="impulse_copy",
-        parameters={"K": K, "eps": eps, "l": l, "lag": lag},
-        cnn_requirement={"depth": cnn.K, "filter_count": cnn.filter_count,
-                         "channels": list(cnn.channels),
-                         "replay_residual": residual},
-        rnn_requirement={"min_width": width, "tolerance": eps},
-        verdict=(f"a depth-{cnn.K} stack with one channel per layer "
-                 f"copies lag {lag} exactly with {cnn.filter_count} "
-                 f"filters, while a linear recurrence needs width at "
-                 f"least {width} to reach tolerance {eps}"))
+    return {
+        "scenario": "impulse_copy",
+        "parameters": {"K": K, "eps": eps, "l": l, "lag": lag},
+        "cnn_requirement": {"depth": cnn.K, "filter_count": cnn.filter_count,
+                            "channels": list(cnn.channels),
+                            "replay_residual": residual},
+        "rnn_requirement": {"min_width": width, "tolerance": eps},
+        "verdict": (f"a depth-{cnn.K} stack with one channel per layer "
+                    f"copies lag {lag} exactly with {cnn.filter_count} "
+                    f"filters, while a linear recurrence needs width at "
+                    f"least {width} to reach tolerance {eps}")}
 
 
 # The canned scenarios; the keyword arguments of each are its parameters.
 SCENARIOS = {"exp_decay": _exp_decay, "impulse_copy": _impulse_copy}
 
 
-def comparison_report(scenario: str, **params) -> ComparisonReport:
+def comparison_report(scenario: str, **params) -> dict:
     """The model-family comparison of one of the SCENARIOS, given any of
-    its parameters."""
+    its parameters: the JSON document memlens compare writes, with its
+    scenario, parameters, the resource requirement of each family and
+    the verdict.  Every number comes from a model-construction or sizing
+    routine; the document only collects them and words the verdict."""
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}")
     return SCENARIOS[scenario](**params)
 
 
-@dataclass(frozen=True)
-class ConformanceItem:
+class ConformanceItem(NamedTuple):
     name: str
     status: str
     detail: str
@@ -283,7 +253,7 @@ def conformance_suite():
 
     r_alt = tensors.window_spectrum(Sequence.from_values([1, 0, 1, 0]), 2, 2).rank()
     r_edge = edge.spectrum(2).rank()
-    sparse = study.depths["rho1"], study.depths["rho2"]
+    sparse = study["depths"]["rho1"], study["depths"]["rho2"]
     r1, r2 = (table.spectrum(5).rank() for table in sparse)
     items.append(_check(
         "window-ranks", (r_alt, r_edge, r1, r2) == (2, 4, 5, 10),
@@ -300,7 +270,7 @@ def conformance_suite():
     items.append(_check(
         "sparse-norm-agreement", n1 == n2,
         f"both sparse targets have norm {n1:.10f}"))
-    n3 = study.depths["rho3"].rho.norm()
+    n3 = study["depths"]["rho3"].rho.norm()
     items.append(_logged(
         "decaying-norm-mismatch",
         f"the decaying target's norm lies in [{n3.lower:.6f}, {n3.upper:.6f}] "
@@ -350,7 +320,7 @@ def conformance_suite():
         abs(c_base.value - 4.0) <= 1e-12,
         f"two-ended impulse pattern against g(s) = 2^-s gives {c_base.value:g}"))
 
-    failing = sorted(k for k, v in study.checks.items() if not v)
+    failing = sorted(k for k, v in study["checks"].items() if not v)
     items.append(_check(
         "curve-shape-claims", not failing,
         "curves are non-increasing, plateau at their tail terms, and the "

@@ -35,8 +35,9 @@ int beyond a float) is decoded whole, as a dict, so either way the
 sequence or the error is the same.
 
 The argument readers of the library live here: _whole reads a time index
-or another whole number, _number a real parameter, and _depth the filter
-size l and depth K of a dilated stack, as ints with l >= 2 and K >= 1.
+or another whole number, _number a real parameter, _length the length
+n >= 0 of a window (values_upto), and _depth the filter size l and
+depth K of a dilated stack, as ints with l >= 2 and K >= 1.
 Each refuses a bool, a string or (for a whole number) a fraction by name,
 and never cuts one to an int.  Sequence.impulse, Family and the time
 readers of both (value, values_upto, truncate, tail_norm, sup_abs_from)
@@ -208,6 +209,16 @@ def _whole(t, what="a time index") -> int:
             isinstance(t, numbers.Real) and float(t).is_integer()):
         return int(t)
     raise ValueError(f"{what} must be a whole number, not {t!r}")
+
+
+def _length(n) -> int:
+    """The length n of a dense window as an int: a whole number of at
+    least 0 whose last time index n - 1 passes _check_time."""
+    n = _whole(n, "n")
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    _check_time(n - 1)
+    return n
 
 
 def _number(x, what) -> float:
@@ -430,8 +441,7 @@ class Sequence:
 
     def values_upto(self, n: int) -> np.ndarray:
         """Dense array of rho(0), ..., rho(n-1)."""
-        n = _whole(n, "n")
-        _check_time(n - 1)
+        n = _length(n)
         out = np.zeros(n)
         k = self._count_before(n)
         out[self._times[:k]] = self._values[:k]
@@ -581,8 +591,7 @@ class Family:
         """Dense array of rho(0), ..., rho(n-1): the rule applied in place
         to arange(n), zero at time 0 for the power rule and past the
         horizon, with no other array."""
-        n = _whole(n, "n")
-        _check_time(n - 1)
+        n = _length(n)
         m = n if self.horizon is None else min(n, self.horizon + 1)
         out = np.arange(n, dtype=float)    # exact: no window reaches 2^53
         live = out[:m]

@@ -150,6 +150,9 @@ MUTANTS = (
     Mutant("horizonless-power-tail-from-2-to-the-56", "src/memlens/sequences.py",
            "_SUMMED_TAIL_START = 1 << 48", "_SUMMED_TAIL_START = 1 << 56",
            ("tests/test_sequences.py",)),
+    Mutant("window-length-takes-a-negative", "src/memlens/sequences.py",
+           "    if n < 0:", "    if False:",
+           ("tests/test_sequences.py::test_values_upto_refuses_a_negative_length",)),
 )
 
 # {mutant name: why no output may depend on the value it moves}.

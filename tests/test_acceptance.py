@@ -12,7 +12,7 @@ import pytest
 
 import memlens
 from memlens.bounds import (COMPLEXITY_NOISE_REL_TOL, DecayProfile, DepthTable,
-                            complexity_measure, error_curve)
+                            complexity_measure, curve_points, error_curve)
 from memlens.experiments import (comparison_report, conformance_suite,
                                  make_target, oracle_best_rank_matrix)
 from memlens.models import (CnnSpec, RnnSpec, cnn_representation,
@@ -138,44 +138,44 @@ def test_criterion_08_error_curves_reproduce_sweep_claims():
     t1 = error_curve(DepthTable(rho1, l), [K], sweep)
     t2 = error_curve(DepthTable(rho2, l), [K], sweep)
     t3 = error_curve(DepthTable(rho3, l), [K], sweep)
-    _, u1 = (np.asarray(a, dtype=float) for a in t1.curve(K))
-    _, u2 = (np.asarray(a, dtype=float) for a in t2.curve(K))
-    _, u3 = (np.asarray(a, dtype=float) for a in t3.curve(K))
+    _, u1 = (np.asarray(a, dtype=float) for a in curve_points(t1, K))
+    _, u2 = (np.asarray(a, dtype=float) for a in curve_points(t2, K))
+    _, u3 = (np.asarray(a, dtype=float) for a in curve_points(t3, K))
     assert np.all(u1 <= u2 + 1e-12)
     assert float(np.mean(u3)) < float(np.mean(u2))
     for u in (u1, u2, u3):
         assert np.all(np.diff(u) <= 1e-12)
     # the plateau of each curve is its tail term once the rank budget saturates
-    for table, rho in ((t1, rho1), (t2, rho2), (t3, rho3)):
-        last = table.rows[-1]
+    for rows, rho in ((t1, rho1), (t2, rho2), (t3, rho3)):
+        last = rows[-1]
         assert last.rank_term == 0.0
         assert last.upper_bound == pytest.approx(last.tail_term, abs=1e-12)
         bracket = rho.tail_norm(l ** K)
         assert last.tail_term == pytest.approx(bracket.value + bracket.halfwidth)
-    assert t1.rows[-1].tail_term == 0.0
-    assert t2.rows[-1].tail_term == 0.0
-    assert t3.rows[-1].tail_term > 0.0
+    assert t1[-1].tail_term == 0.0
+    assert t2[-1].tail_term == 0.0
+    assert t3[-1].tail_term > 0.0
     assert rho3.tail_norm(l ** K).halfwidth > 0.0
     assert time.monotonic() - started < 10.0
 
 
 def test_criterion_09_architecture_comparisons():
     decay = comparison_report("exp_decay", gamma=0.99, eps=0.01, l=2)
-    assert decay.rnn_requirement["width"] == 1
-    assert decay.rnn_requirement["residual_sup"] <= 1e-12
-    assert decay.rnn_requirement["checked_horizon"] == 10 ** 3
-    assert decay.cnn_requirement["min_depth"] == 9
+    assert decay["rnn_requirement"]["width"] == 1
+    assert decay["rnn_requirement"]["residual_sup"] <= 1e-12
+    assert decay["rnn_requirement"]["checked_horizon"] == 10 ** 3
+    assert decay["cnn_requirement"]["min_depth"] == 9
     copy = comparison_report("impulse_copy", K=10, eps=0.1)
-    assert copy.cnn_requirement["filter_count"] == 10
-    assert copy.rnn_requirement["min_width"] == 20
+    assert copy["cnn_requirement"]["filter_count"] == 10
+    assert copy["rnn_requirement"]["min_width"] == 20
 
 
 def test_criterion_10_upper_bound_vanishes_with_depth():
     rho3 = make_target("rho3:10000")
     best = math.inf
     for K in range(1, 15):
-        table = error_curve(DepthTable(rho3, 2), [K], [2 ** K])
-        best = min(best, table.rows[-1].upper_bound)
+        rows = error_curve(DepthTable(rho3, 2), [K], [2 ** K])
+        best = min(best, rows[-1].upper_bound)
         if best < 1e-3:
             break
     assert best < 1e-3

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memlens.bounds import (COMPLEXITY_NOISE_REL_TOL, DecayProfile, DepthTable,
-                            complexity_measure, error_curve, rank_budget,
+                            complexity_measure, curve_points, error_curve, rank_budget,
                             rate_bound_interval)
 from contract import corpus
 from memlens.experiments import make_target
@@ -185,7 +185,7 @@ def test_complexity_reads_the_padded_tail_profile_bit_for_bit(rng):
                         assert deeper == pytest.approx(got, rel=1e-10)
                         infinite.add(math.isinf(got))
                     table = DepthTable(rho, l)
-                    for row in error_curve(table, range(1, k_star + 2), range(1, 41)).rows:
+                    for row in error_curve(table, range(1, k_star + 2), range(1, 41)):
                         spec = window_spectrum(rho, l, row.K)
                         want = truncation_error_bound(spec, [rank_budget(row.K, row.M)])[0]
                         assert row.rank_term.hex() == want.hex(), (l, row.K, row.M)
@@ -207,9 +207,9 @@ def test_complexity_decomposes_no_window_past_the_first_infinite_depth(monkeypat
     assert depths == [1, 2, 3]
 
 
-def _hex_rows(table):
+def _hex_rows(rows):
     return [(r.K, r.M, r.rank_term.hex(), r.tail_term.hex(), r.upper_bound.hex())
-            for r in table.rows]
+            for r in rows]
 
 
 def test_a_horizon_family_and_its_cut_have_bit_identical_windows(rng):
@@ -236,9 +236,9 @@ def _pinned_targets():
     return targets, profiles
 
 
-def _rows_digest(table):
-    """The first 16 hex digits of the SHA-256 of an ErrorCurveTable's _hex_rows."""
-    return hashlib.sha256(repr(_hex_rows(table)).encode("ascii")).hexdigest()[:16]
+def _rows_digest(rows):
+    """The first 16 hex digits of the SHA-256 of the _hex_rows of error-curve rows."""
+    return hashlib.sha256(repr(_hex_rows(rows)).encode("ascii")).hexdigest()[:16]
 
 
 def _table_values():
@@ -330,7 +330,7 @@ def test_a_table_at_l_3_reads_its_tails_and_depths_at_l_3(monkeypatch):
     table = DepthTable(rho, 3)
     assert math.isfinite(complexity_measure(table, DecayProfile.exponential(0.5)).value)
     assert depths == [1, 2, 3, 4, 5, 6]
-    rows = error_curve(table, range(1, 7), range(1, 41)).rows
+    rows = error_curve(table, range(1, 7), range(1, 41))
     assert [row.tail_term for row in rows] == [rho.tail_norm(3 ** row.K).upper for row in rows]
 
 
@@ -425,7 +425,7 @@ def test_outputs_scale_with_the_target_at_extreme_scales():
         for channels in ((1, 4, 4, 1), (1, 4, 4, 4, 1)):
             lower, upper = rate_bound_interval(rho, 2, channels, g)
             values += [lower.value, upper.value]
-        for row in error_curve(DepthTable(rho, 2), [1, 2, 3, 4], range(1, 17)).rows:
+        for row in error_curve(DepthTable(rho, 2), [1, 2, 3, 4], range(1, 17)):
             values += [row.rank_term, row.tail_term]
         for synthesize in (synthesize_radix, synthesize_lowrank):
             window_norm = float(rho.norm())
@@ -522,15 +522,16 @@ def test_rate_bound_sandwich_on_random_targets(rng):
 
 def test_error_curve_row_invariants():
     rho = Sequence.from_values([1, 0, 0, 1])
-    table = error_curve(DepthTable(rho, 2), [2, 3], range(1, 9))
-    assert len(table.rows) == 16
-    for row in table.rows:
+    rows = error_curve(DepthTable(rho, 2), [2, 3], range(1, 9))
+    assert len(rows) == 16
+    assert [(row.K, row.M) for row in rows] == sorted((row.K, row.M) for row in rows)
+    for row in rows:
         assert row.upper_bound == row.rank_term + row.tail_term
     for K in (2, 3):
-        _, uppers = table.curve(K)
+        _, uppers = curve_points(rows, K)
         assert all(uppers[i + 1] <= uppers[i] + 1e-12
                    for i in range(len(uppers) - 1))
-    ms, uppers = table.curve(3)
+    ms, uppers = curve_points(rows, 3)
     assert ms == list(range(1, 9))
     assert uppers[-1] == 0.0
 
@@ -539,7 +540,7 @@ def test_error_curve_matches_a_per_width_loop():
     for name, rho in (("rho1", make_target("rho1")), ("rho2", make_target("rho2")),
                       ("rho3:700", make_target("rho3:700"))):
         for l in (2, 3):
-            table = error_curve(DepthTable(rho, l), [4, 5, 6], range(1, 65))
+            got = error_curve(DepthTable(rho, l), [4, 5, 6], range(1, 65))
             rows = []
             for K in (4, 5, 6):
                 spec = window_spectrum(rho, l, K)
@@ -550,13 +551,12 @@ def test_error_curve_matches_a_per_width_loop():
                     rows.append((K, M, rank_term.hex(), tail_term.hex(),
                                  (rank_term + tail_term).hex()))
             assert [(r.K, r.M, r.rank_term.hex(), r.tail_term.hex(),
-                     r.upper_bound.hex()) for r in table.rows] == rows, (name, l)
+                     r.upper_bound.hex()) for r in got] == rows, (name, l)
 
 
 def test_error_curve_tail_uses_bracket_upper_end():
     rho3 = Sequence.power()
-    table = error_curve(DepthTable(rho3, 2), [3], [1])
-    row = table.rows[0]
+    row, = error_curve(DepthTable(rho3, 2), [3], [1])
     assert row.tail_term == rho3.tail_norm(8).upper
 
 
@@ -569,15 +569,14 @@ def test_error_curve_rejects_bad_widths():
         error_curve(DepthTable(rho, 2), [], [0])
     with pytest.raises(ValueError):
         error_curve(DepthTable(rho, 2), [2, 3], [5, -1, 2])
-    assert error_curve(DepthTable(rho, 2), [], [1]).rows == ()
+    assert error_curve(DepthTable(rho, 2), [], [1]) == ()
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 12), st.integers(2, 3))
 def test_rank_budget_saturation_zeroes_the_rank_term(M, K):
     rho = Sequence.from_values([1, 0, 0, 1])
-    table = error_curve(DepthTable(rho, 2), [K], [M])
-    row = table.rows[0]
+    row, = error_curve(DepthTable(rho, 2), [K], [M])
     budget = math.floor(K * M ** (1.0 / K))
     spec = singular_values(rho.values_upto(2 ** K), 2, K)
     manual = math.sqrt(float(np.sum(spec.values[budget:] ** 2)))

@@ -1,11 +1,13 @@
+import json
 import math
 import re
 
 import numpy as np
 import pytest
 
-from memlens.bounds import (DecayProfile, DepthTable, effective_filters, error_curve,
-                            rank_budget, rate_bound_interval)
+from memlens.bounds import (DecayProfile, DepthTable, curve_points, effective_filters,
+                            error_curve, rank_budget, rate_bound_interval)
+from memlens.cli import main
 from memlens.experiments import (comparison_report, conformance_suite,
                                  error_curve_study, oracle_best_rank_matrix)
 from memlens.models import (RnnSpec, cnn_min_depth_expdecay, power_sum_delta_bound,
@@ -63,24 +65,24 @@ def test_oracle_best_rank_matrix_values():
 
 def test_error_curve_study_checks_hold():
     study = error_curve_study(l=2, K_list=(4, 5, 6), M_max=64)
-    assert study.passed
-    assert set(study.checks) == {
+    assert set(study) == {"l", "tables", "depths", "notes", "checks"}
+    assert set(study["checks"]) == {
         "low_rank_pointwise_easier",
         "decaying_easier_on_average",
         "curves_non_increasing",
         "plateaus_match_tail_terms",
     }
-    assert all(study.checks.values())
-    assert set(study.tables) == {"rho1", "rho2", "rho3"}
-    for table in study.tables.values():
-        depths = sorted({row.K for row in table.rows})
+    assert all(study["checks"].values())
+    assert set(study["tables"]) == set(study["depths"]) == {"rho1", "rho2", "rho3"}
+    for rows in study["tables"].values():
+        depths = sorted({row.K for row in rows})
         assert depths == [4, 5, 6]
 
 
 def test_error_curve_study_mean_ordering_at_coverage_depth():
     study = error_curve_study(l=2, K_list=(5,), M_max=64)
-    _, u2 = study.tables["rho2"].curve(5)
-    _, u3 = study.tables["rho3"].curve(5)
+    _, u2 = curve_points(study["tables"]["rho2"], 5)
+    _, u3 = curve_points(study["tables"]["rho3"], 5)
     assert float(np.mean(u3)) < float(np.mean(u2))
 
 
@@ -90,29 +92,38 @@ def test_error_curve_study_claims_at_the_first_swept_covering_depth():
                       (3, (4, 3))):
         study = error_curve_study(l=l, K_list=K_list, M_max=4)
         want = next((K for K in sorted(K_list) if l ** K > cover), None)
-        claims = [n.split(":")[0] for n in study.notes if n.startswith("window tensor ranks")]
+        claims = [n.split(":")[0] for n in study["notes"] if n.startswith("window tensor ranks")]
         assert claims == ([] if want is None else [f"window tensor ranks at K={want}"])
 
 
-def test_comparison_report_exp_decay():
+def _compare_document(tmp_path, scenario, *flags):
+    """The JSON document that memlens compare writes for scenario."""
+    assert main(["compare", "--scenario", scenario, *flags, "--out", str(tmp_path)]) == 0
+    return json.loads((tmp_path / f"compare_{scenario}.json").read_text(encoding="utf-8"))
+
+
+def test_comparison_report_exp_decay(tmp_path):
+    # The library's document is the one the command line writes.
     report = comparison_report("exp_decay", gamma=0.99, eps=0.01, l=2)
-    assert report.scenario == "exp_decay"
-    assert report.cnn_requirement["min_depth"] == 9
-    assert report.rnn_requirement["width"] == 1
-    assert report.rnn_requirement["exact"] is True
-    assert report.rnn_requirement["residual_sup"] <= 1e-12
-    payload = report.to_json()
-    assert payload["parameters"]["gamma"] == 0.99
-    assert "width-1" in payload["verdict"]
+    assert report == _compare_document(tmp_path, "exp_decay", "--gamma", "0.99",
+                                       "--eps", "0.01")
+    assert report["scenario"] == "exp_decay"
+    assert report["cnn_requirement"]["min_depth"] == 9
+    assert report["rnn_requirement"]["width"] == 1
+    assert report["rnn_requirement"]["exact"] is True
+    assert report["rnn_requirement"]["residual_sup"] <= 1e-12
+    assert report["parameters"]["gamma"] == 0.99
+    assert "width-1" in report["verdict"]
 
 
-def test_comparison_report_impulse_copy():
+def test_comparison_report_impulse_copy(tmp_path):
     report = comparison_report("impulse_copy", K=10, eps=0.1)
-    assert report.cnn_requirement["depth"] == 10
-    assert report.cnn_requirement["filter_count"] == 10
-    assert report.cnn_requirement["replay_residual"] == 0.0
-    assert report.parameters["lag"] == 2 ** 10 - 1
-    assert report.rnn_requirement["min_width"] == 20
+    assert report == _compare_document(tmp_path, "impulse_copy", "--K", "10", "--eps", "0.1")
+    assert report["cnn_requirement"]["depth"] == 10
+    assert report["cnn_requirement"]["filter_count"] == 10
+    assert report["cnn_requirement"]["replay_residual"] == 0.0
+    assert report["parameters"]["lag"] == 2 ** 10 - 1
+    assert report["rnn_requirement"]["min_width"] == 20
 
 
 def test_comparison_report_unknown_scenario():
@@ -144,7 +155,7 @@ _RNN = RnnSpec(1, [1.0], [[0.5]], [1.0])
 
 def _study(*args):
     study = error_curve_study(*args)
-    return study.l, study.tables, study.notes, study.checks
+    return [study[key] for key in ("l", "tables", "notes", "checks")]
 
 
 # (what the argument is called, its plain value, whether it is whole, and a
@@ -162,19 +173,19 @@ _ARGUMENTS = [
     ("l", 2, True, lambda l: (DepthTable(_RHO, l).l, DepthTable(_RHO, l).masses(3))),
     ("l", 2, True, lambda l: effective_filters((1, 4, 4, 1), l)),
     ("l", 2, True, lambda l: rate_bound_interval(_RHO, l, (1, 4, 4, 1), _G)),
-    ("K", 4, True, lambda K: error_curve(DepthTable(_RHO, 2), [K], [1, 2]).rows),
-    ("a width M", 2, True, lambda M: error_curve(DepthTable(_RHO, 2), [4], [1, M]).rows),
+    ("K", 4, True, lambda K: error_curve(DepthTable(_RHO, 2), [K], [1, 2])),
+    ("a width M", 2, True, lambda M: error_curve(DepthTable(_RHO, 2), [4], [1, M])),
     ("l", 2, True, lambda l: synthesize_radix(_SPARSE, l).to_json()),
     ("l", 2, True, lambda l: _study(l, (5,), 4)),
     ("K", 5, True, lambda K: _study(2, (K,), 4)),
     ("M_max", 4, True, lambda M: _study(2, (5,), M)),
-    ("l", 2, True, lambda l: comparison_report("impulse_copy", K=3, l=l).to_json()),
-    ("K", 3, True, lambda K: comparison_report("impulse_copy", K=K).to_json()),
-    ("eps", 0.1, False, lambda e: comparison_report("impulse_copy", K=3, eps=e).to_json()),
-    ("gamma", 0.5, False, lambda g: comparison_report("exp_decay", gamma=g).to_json()),
-    ("eps", 0.01, False, lambda e: comparison_report("exp_decay", eps=e).to_json()),
-    ("l", 3, True, lambda l: comparison_report("exp_decay", l=l).to_json()),
-    ("horizon", 10, True, lambda h: comparison_report("exp_decay", horizon=h).to_json()),
+    ("l", 2, True, lambda l: comparison_report("impulse_copy", K=3, l=l)),
+    ("K", 3, True, lambda K: comparison_report("impulse_copy", K=K)),
+    ("eps", 0.1, False, lambda e: comparison_report("impulse_copy", K=3, eps=e)),
+    ("gamma", 0.5, False, lambda g: comparison_report("exp_decay", gamma=g)),
+    ("eps", 0.01, False, lambda e: comparison_report("exp_decay", eps=e)),
+    ("l", 3, True, lambda l: comparison_report("exp_decay", l=l)),
+    ("horizon", 10, True, lambda h: comparison_report("exp_decay", horizon=h)),
     ("K", 10, True, lambda K: rnn_min_width_impulse(K, 0.1)),
     ("eps", 0.1, False, lambda e: rnn_min_width_impulse(10, e)),
     ("an impulse position", 2, True, lambda t: Sequence.impulse(t).to_json()),

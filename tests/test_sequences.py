@@ -445,6 +445,18 @@ def test_time_indices_stop_below_two_to_the_63():
             bad()
 
 
+def test_values_upto_refuses_a_negative_length():
+    # One refusal for every kind of target, as truncate and tail_norm
+    # refuse a negative argument, before any array is sized.
+    for rho in (Sequence.from_values([1.0, 2.0]), Sequence.zero(),
+                Sequence.geometric(0.5), Sequence.geometric(0.5, horizon=10),
+                Sequence.power(), Sequence.power(horizon=10)):
+        for n in (-1, -2 ** 70):
+            with pytest.raises(ValueError, match="^n must be >= 0$"):
+                rho.values_upto(n)
+        assert rho.values_upto(0).tolist() == []
+
+
 def test_values_must_be_finite():
     for bad in (float("nan"), float("inf"), float("-inf")):
         for make in (lambda: Sequence.from_json({"entries": [[0, [1.0]], [7, [bad]]]}),
