@@ -27,8 +27,7 @@ _PUBLIC = {
                "synthesize_lowrank", "synthesize_radix"),
     "bounds": ("DecayProfile", "DepthTable", "complexity_measure", "curve_points",
                "effective_filters", "error_curve", "rate_bound_interval"),
-    "experiments": ("comparison_report", "conformance_suite", "error_curve_study",
-                    "oracle_best_rank_matrix"),
+    "experiments": ("conformance_suite", "error_curve_study"),
 }
 _SUBMODULE = {name: module for module, names in _PUBLIC.items() for name in names}
 

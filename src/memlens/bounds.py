@@ -42,7 +42,8 @@ class DecayProfile:
     family "exponential" is a * b^s with 0 < b < 1; family "power" is
     a / (s + 1)^p with p > 0; family "table" is an explicit
     non-increasing list extended by its last value up to a cutoff and
-    zero beyond it.  Parameters and values are finite, the cutoff whole.
+    zero beyond it.  Parameters and values are finite numbers, kept as
+    floats (sequences._number), and the cutoff is whole.
     """
 
     family: str
@@ -53,7 +54,10 @@ class DecayProfile:
     cutoff: int = 0
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.a, self.b, self.p, *map(float, self.values)))):
+        for key in ("a", "b", "p"):
+            object.__setattr__(self, key, _number(getattr(self, key), key))
+        vals = tuple(_number(v, "a table value") for v in self.values)
+        if not all(map(math.isfinite, (self.a, self.b, self.p, *vals))):
             raise ValueError(f"{self.family} profile parameters must be finite")
         if self.family == "exponential":
             if self.a <= 0 or not 0.0 < self.b < 1.0:
@@ -62,7 +66,6 @@ class DecayProfile:
             if self.a <= 0 or self.p <= 0:
                 raise ValueError("power profile needs a > 0 and p > 0")
         elif self.family == "table":
-            vals = tuple(float(v) for v in self.values)
             if not vals or any(v <= 0 for v in vals):
                 raise ValueError("table profile needs positive values")
             if any(vals[i] < vals[i + 1] for i in range(len(vals) - 1)):
@@ -196,8 +199,13 @@ def effective_filters(channels, l: int) -> float:
 
 def rank_budget(K: int, M) -> int:
     """The rank a depth-K stack of M effective filters keeps:
-    floor(K * M^(1/K)), with K read as a whole number and M as a real."""
+    floor(K * M^(1/K)), with K read as a whole number of at least 1 and M
+    as a finite real of at least 0."""
     K, M = _whole(K, "K"), _number(M, "M")
+    if K < 1:
+        raise ValueError(f"K must be >= 1, not {K}")
+    if not 0.0 <= M <= _HUGE:
+        raise ValueError(f"M must be finite and >= 0, not {M!r}")
     return math.floor(K * M ** (1.0 / K))
 
 

@@ -292,14 +292,15 @@ def _cmd_synth(args, emit) -> int:
 
 
 def _cmd_compare(args, emit) -> int:
-    from .experiments import SCENARIOS, comparison_report
+    from .experiments import SCENARIOS
+    scenario = SCENARIOS[args.scenario]
     given = {key: getattr(args, key) for key in ("gamma", "eps", "K", "horizon")
              if getattr(args, key) is not None}
-    takes = inspect.signature(SCENARIOS[args.scenario]).parameters
+    takes = inspect.signature(scenario).parameters
     extra = [f"--{key}" for key in given if key not in takes]
     if extra:
         raise UsageError(f"scenario {args.scenario} takes no {' or '.join(extra)}")
-    emit(f"compare_{args.scenario}.json", comparison_report(args.scenario, l=args.l, **given))
+    emit(f"compare_{args.scenario}.json", scenario(l=args.l, **given))
     return 0
 
 

@@ -1,11 +1,10 @@
-"""Reference oracles, curve studies and model comparisons.
+"""Curve studies, model comparisons and the conformance suite.
 
-This module packages the analyses the library exists for: an
-independent best-rank oracle, the per-depth error curve study with its
-qualitative checks, the two scenarios where one model family beats the
-other, and a conformance suite that replays every worked example and
-reports PASS, FAIL or LOGGED per item.  The builtin targets it studies
-are read by sequences.make_target.
+This module packages the analyses the library exists for: the per-depth
+error curve study with its qualitative checks, the two scenarios where
+one model family beats the other, and a conformance suite that replays
+every worked example and reports PASS, FAIL or LOGGED per item.  The
+builtin targets it studies are read by sequences.make_target.
 """
 
 from __future__ import annotations
@@ -15,30 +14,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .sequences import (RHO1_SLOTS, RHO2_SLOTS, Scalar, Sequence, _depth, _number,
-                        _whole, make_target)
+from .sequences import (RHO1_SLOTS, RHO2_SLOTS, Sequence, _depth, _number, _whole,
+                        make_target)
 from . import tensors
 from .bounds import (COMPLEXITY_NOISE_REL_TOL, DecayProfile, DepthTable,
                      complexity_measure, curve_points, error_curve, rank_budget)
 from .models import (CnnSpec, cnn_min_depth_expdecay, cnn_representation,
                      replay_residual, rnn_min_width_impulse, rnn_representation,
                      RnnSpec, synthesize_radix)
-
-
-def oracle_best_rank_matrix(mat, rank: int) -> Scalar:
-    """Frobenius error of the best rank-r approximation of a matrix.
-
-    Computed with the library-independent dense SVD so it can serve as a
-    cross-check oracle for the spectrum-based truncation bound.
-    """
-    a = np.asarray(mat, dtype=float)
-    if a.ndim != 2:
-        raise ValueError("need a matrix")
-    if not 0 <= rank <= min(a.shape):
-        raise ValueError("rank out of range")
-    s = np.linalg.svd(a, compute_uv=False)
-    tail = s[rank:]
-    return Scalar(math.sqrt(float(np.sum(tail * tail))))
 
 
 def error_curve_study(l: int = 2, K_list=(4, 5, 6), M_max: int = 64) -> dict:
@@ -120,7 +103,7 @@ def _exp_decay(gamma=0.99, eps=0.01, l=2, horizon=1000) -> dict:
     gamma, eps = _number(gamma, "gamma"), _number(eps, "eps")
     l, horizon = _whole(l, "l"), _whole(horizon, "horizon")
     depth = cnn_min_depth_expdecay(gamma, eps, l)
-    spec = RnnSpec(m=1, c=[1.0], W=[[gamma]], U=[gamma])
+    spec = RnnSpec(c=[1.0], W=[[gamma]], U=[gamma])
     rep = rnn_representation(spec, horizon)
     kernel = np.array([gamma ** t for t in range(1, horizon + 1)])
     residual = float(np.max(np.abs(rep.values_upto(horizon + 1)[1:] - kernel)))
@@ -128,7 +111,7 @@ def _exp_decay(gamma=0.99, eps=0.01, l=2, horizon=1000) -> dict:
         "scenario": "exp_decay",
         "parameters": {"gamma": gamma, "eps": eps, "l": l, "horizon": horizon},
         "cnn_requirement": {"min_depth": depth, "receptive_field": l ** depth},
-        "rnn_requirement": {"width": 1, "residual_sup": residual,
+        "rnn_requirement": {"width": spec.m, "residual_sup": residual,
                             "exact": residual <= 1e-12, "checked_horizon": horizon},
         "verdict": (f"a width-1 recurrence reproduces the geometric kernel "
                     f"exactly (residual {residual:.2e} over t <= {horizon}), "
@@ -160,18 +143,9 @@ def _impulse_copy(K=10, eps=0.1, l=2) -> dict:
 
 
 # The canned scenarios; the keyword arguments of each are its parameters.
+# Each returns the JSON document memlens compare writes: its scenario,
+# parameters, the resource requirement of each family and the verdict.
 SCENARIOS = {"exp_decay": _exp_decay, "impulse_copy": _impulse_copy}
-
-
-def comparison_report(scenario: str, **params) -> dict:
-    """The model-family comparison of one of the SCENARIOS, given any of
-    its parameters: the JSON document memlens compare writes, with its
-    scenario, parameters, the resource requirement of each family and
-    the verdict.  Every number comes from a model-construction or sizing
-    routine; the document only collects them and words the verdict."""
-    if scenario not in SCENARIOS:
-        raise ValueError(f"unknown scenario {scenario!r}")
-    return SCENARIOS[scenario](**params)
 
 
 class ConformanceItem(NamedTuple):

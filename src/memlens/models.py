@@ -172,25 +172,26 @@ class CnnSpec:
 
 @dataclass(frozen=True, eq=False)
 class RnnSpec:
-    """Linear recurrence of whole width m with readout c, transition W and
-    input vector U."""
+    """Linear recurrence with readout c, transition W and input vector U;
+    its width m is the length of its readout, which W (m x m) and U
+    (length m) must match."""
 
-    m: int
     c: np.ndarray
     W: np.ndarray
     U: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "m", _whole(self.m, "m"))
         object.__setattr__(self, "c", np.asarray(self.c, dtype=float).reshape(-1))
         object.__setattr__(self, "W", np.asarray(self.W, dtype=float))
         object.__setattr__(self, "U", np.asarray(self.U, dtype=float).reshape(-1))
-        if self.c.shape != (self.m,):
-            raise ValueError("readout must have length m")
         if self.W.shape != (self.m, self.m):
             raise ValueError("transition must be m x m")
         if self.U.shape != (self.m,):
             raise ValueError("input vector must have length m")
+
+    @property
+    def m(self) -> int:
+        return len(self.c)
 
 
 # A layer sums its products on the full (out-channel, tap, column) grid
@@ -352,16 +353,20 @@ def rnn_representation(spec: RnnSpec, horizon: int) -> Sequence:
         raise ValueError("horizon must be >= 1")
     states = np.empty((horizon, spec.m))
     states[0] = spec.U
-    if spec.m == 1:
-        # One multiply per step: the cumulative product over [U, W, W, ...]
-        # forms the loop's products in the loop's order.
-        states[1:] = spec.W[0, 0]
-        np.multiply.accumulate(states, axis=0, out=states)
-    else:
-        for s in range(1, horizon):
-            np.matmul(spec.W, states[s - 1], out=states[s])
-    # One dot product per step, as the stepped recurrence reads it out.
-    return Sequence.from_arrays(np.arange(1, horizon + 1), np.vecdot(states, spec.c))
+    # A value that overflows is refused by from_arrays, by its time, and
+    # does not warn first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.m == 1:
+            # One multiply per step: the cumulative product over [U, W, W,
+            # ...] forms the loop's products in the loop's order.
+            states[1:] = spec.W[0, 0]
+            np.multiply.accumulate(states, axis=0, out=states)
+        else:
+            for s in range(1, horizon):
+                np.matmul(spec.W, states[s - 1], out=states[s])
+        # One dot product per step, as the stepped recurrence reads it out.
+        values = np.vecdot(states, spec.c)
+    return Sequence.from_arrays(np.arange(1, horizon + 1), values)
 
 
 def power_sum_delta_bound(m_terms: int, t: int, sup_val: float) -> Scalar:

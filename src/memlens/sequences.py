@@ -248,17 +248,19 @@ def _read_number(text: str, what):
             raise ValueError(f"{what} must be a number, not {text!r:.40}") from None
 
 
-def _matrix(values):
+def _read_values(values):
     """values as np.asarray(values, dtype=float) reads them, so the result
-    or the error is np.asarray's; n rows [v] give an (n, 1) array.  In a
-    list, a string or a bool, as a value or as an item of a list or tuple
-    value, is refused, though numpy would read it as a number."""
-    if isinstance(values, list):
+    or the error is np.asarray's, with n rows [v] read as their n values.
+    In a list or a tuple, a string or a bool, as a value or as an item of
+    a list or tuple value, is refused, though numpy would read it as a
+    number."""
+    if isinstance(values, (list, tuple)):
         for x in chain.from_iterable(v if type(v) in (list, tuple) else (v,)
                                      for v in values):
             if isinstance(x, (str, bool)):
                 raise ValueError(f"a value must be a number, not {x!r:.40}")
-    return np.asarray(values, dtype=float)
+    values = np.asarray(values, dtype=float)
+    return values[:, 0] if values.shape[1:] == (1,) else values
 
 
 def _whole_rows(block) -> bool:
@@ -332,9 +334,7 @@ def _columns(times, values):
             raise ValueError("entries must live at t >= 0")
         _check_time(int(arr.max()))
     times = arr.astype(np.int64).reshape(-1)
-    values = _matrix(values)
-    if values.shape[1:] == (1,):  # rows [v]
-        values = values[:, 0]
+    values = _read_values(values)
     if values.shape != times.shape:
         raise ValueError(f"expected {len(times)} values, got shape {values.shape}")
     finite = np.isfinite(values)
@@ -375,8 +375,11 @@ class Sequence:
 
     @classmethod
     def from_values(cls, values) -> "Sequence":
-        """Sequence from the dense prefix (v0, v1, ...)."""
-        v = np.asarray(values, dtype=float).reshape(-1)
+        """Sequence from the dense prefix (v0, v1, ...): n values or n rows
+        [v], read as from_arrays reads its values."""
+        v = _read_values(values)
+        if v.ndim != 1:
+            raise ValueError(f"expected n values, got shape {v.shape}")
         t = np.flatnonzero(v)
         return cls.from_arrays(t, v[t])
 

@@ -153,6 +153,33 @@ MUTANTS = (
     Mutant("window-length-takes-a-negative", "src/memlens/sequences.py",
            "    if n < 0:", "    if False:",
            ("tests/test_sequences.py::test_values_upto_refuses_a_negative_length",)),
+    Mutant("rank-budget-takes-K-zero", "src/memlens/bounds.py",
+           "    if K < 1:", "    if K < 0:",
+           ("tests/test_bounds.py::test_rank_budget_refuses_a_depth_or_a_width_outside_its_domain",)),
+    Mutant("rank-budget-takes-a-negative-M", "src/memlens/bounds.py",
+           "if not 0.0 <= M <= _HUGE:", "if not -_HUGE <= M <= _HUGE:",
+           ("tests/test_bounds.py::test_rank_budget_refuses_a_depth_or_a_width_outside_its_domain",)),
+    Mutant("rank-budget-takes-an-infinite-M", "src/memlens/bounds.py",
+           "if not 0.0 <= M <= _HUGE:", "if not 0.0 <= M <= math.inf:",
+           ("tests/test_bounds.py::test_rank_budget_refuses_a_depth_or_a_width_outside_its_domain",)),
+    Mutant("profile-stores-a-bool", "src/memlens/bounds.py",
+           "_number(getattr(self, key), key)", "getattr(self, key)",
+           ("tests/test_experiments.py::test_every_reader_of_l_K_or_a_parameter_reads_it_by_its_value",)),
+    Mutant("table-profile-reads-a-string", "src/memlens/bounds.py",
+           '_number(v, "a table value")', "float(v)",
+           ("tests/test_experiments.py::test_every_reader_of_l_K_or_a_parameter_reads_it_by_its_value",)),
+    Mutant("from-values-flattens-a-matrix", "src/memlens/sequences.py",
+           "if v.ndim != 1:", "if v.ndim == 0:",
+           ("tests/test_sequences.py::test_from_values_reads_its_values_as_from_arrays_does",)),
+    Mutant("from-values-reads-a-string", "src/memlens/sequences.py",
+           "v = _read_values(values)", "v = np.asarray(values, dtype=float)",
+           ("tests/test_sequences.py::test_from_values_reads_its_values_as_from_arrays_does",)),
+    Mutant("values-tuple-takes-a-string", "src/memlens/sequences.py",
+           "if isinstance(values, (list, tuple)):", "if isinstance(values, list):",
+           ("tests/test_sequences.py::test_from_values_reads_its_values_as_from_arrays_does",)),
+    Mutant("recurrence-overflow-warns", "src/memlens/models.py",
+           'with np.errstate(over="ignore", invalid="ignore"):', "if True:",
+           ("tests/test_models.py::test_an_overflowing_recurrence_is_refused_without_a_warning",)),
 )
 
 # {mutant name: why no output may depend on the value it moves}.

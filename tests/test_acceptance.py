@@ -13,8 +13,7 @@ import pytest
 import memlens
 from memlens.bounds import (COMPLEXITY_NOISE_REL_TOL, DecayProfile, DepthTable,
                             complexity_measure, curve_points, error_curve)
-from memlens.experiments import (comparison_report, conformance_suite,
-                                 make_target, oracle_best_rank_matrix)
+from memlens.experiments import SCENARIOS, conformance_suite, make_target
 from memlens.models import (CnnSpec, RnnSpec, cnn_representation,
                             power_sum_delta_bound, rnn_representation, synthesize_radix)
 from memlens.sequences import Sequence
@@ -117,6 +116,26 @@ def test_criterion_06_padding_law_and_cap_invariance(rng):
             assert capped == pytest.approx(reference, rel=1e-10)
 
 
+def oracle_best_rank_matrix(mat, rank: int) -> float:
+    """Frobenius error of the best rank-r approximation of a matrix,
+    computed with numpy's dense SVD, independent of the library's spectra
+    that it cross-checks."""
+    a = np.asarray(mat, dtype=float)
+    if a.ndim != 2:
+        raise ValueError("need a matrix")
+    if not 0 <= rank <= min(a.shape):
+        raise ValueError("rank out of range")
+    tail = np.linalg.svd(a, compute_uv=False)[rank:]
+    return math.sqrt(float(np.sum(tail * tail)))
+
+
+def test_oracle_best_rank_matrix_values():
+    eye = np.eye(2)
+    assert oracle_best_rank_matrix(eye, 1) == pytest.approx(1.0)
+    assert oracle_best_rank_matrix(3.0 * eye, 0) == pytest.approx(3.0 * math.sqrt(2.0))
+    assert oracle_best_rank_matrix(eye, 2) == 0.0
+
+
 def test_criterion_07_truncation_bound_matches_best_rank_oracle(rng):
     for trial in range(200):
         n = 2 if trial % 2 == 0 else 3
@@ -125,7 +144,7 @@ def test_criterion_07_truncation_bound_matches_best_rank_oracle(rng):
         spec = Spectrum.from_mode_values([list(sigma)])
         for kept in range(n + 1):
             ours = truncation_error_bound(spec, [kept])[0]
-            oracle = oracle_best_rank_matrix(mat, kept).value
+            oracle = oracle_best_rank_matrix(mat, kept)
             assert abs(ours - oracle) <= 1e-10
 
 
@@ -160,12 +179,12 @@ def test_criterion_08_error_curves_reproduce_sweep_claims():
 
 
 def test_criterion_09_architecture_comparisons():
-    decay = comparison_report("exp_decay", gamma=0.99, eps=0.01, l=2)
+    decay = SCENARIOS["exp_decay"](gamma=0.99, eps=0.01, l=2)
     assert decay["rnn_requirement"]["width"] == 1
     assert decay["rnn_requirement"]["residual_sup"] <= 1e-12
     assert decay["rnn_requirement"]["checked_horizon"] == 10 ** 3
     assert decay["cnn_requirement"]["min_depth"] == 9
-    copy = comparison_report("impulse_copy", K=10, eps=0.1)
+    copy = SCENARIOS["impulse_copy"](K=10, eps=0.1)
     assert copy["cnn_requirement"]["filter_count"] == 10
     assert copy["rnn_requirement"]["min_width"] == 20
 
@@ -190,7 +209,7 @@ def test_criterion_11_power_sum_delta_bound_holds(rng):
         W = basis @ np.diag(eigenvalues) @ basis.T
         c = rng.normal(size=(1, m))
         U = rng.normal(size=(m, 1))
-        spec = RnnSpec(m=m, c=c, W=W, U=U)
+        spec = RnnSpec(c=c, W=W, U=U)
         rep = rnn_representation(spec, horizon=202)
         values = [rep.value(s) for s in range(1, 203)]
         sup_val = max(abs(v) for v in values)
@@ -261,8 +280,9 @@ def test_no_module_reads_a_window_in_fortran_order():
 
 
 def test_every_svd_of_the_library_runs_in_tensors():
-    # The experiments oracle keeps an SVD of its own, independent of the
-    # one it checks, and no module reaches a private name of tensors.
+    # Only the two tensors functions call an SVD, the best-rank oracle of
+    # criterion 07 lives in the tests, and no module reaches a private
+    # name of tensors.
     svds, private = set(), []
     for path in sorted(Path(memlens.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -276,8 +296,7 @@ def test_every_svd_of_the_library_runs_in_tensors():
         private += [f"{path.name}:{node.lineno} {alias.name}" for node in ast.walk(tree)
                     if isinstance(node, ast.ImportFrom) and node.module == "tensors"
                     for alias in node.names if alias.name.startswith("_")]
-    assert svds == {"tensors.singular_values", "tensors.tt_svd",
-                    "experiments.oracle_best_rank_matrix"}
+    assert svds == {"tensors.singular_values", "tensors.tt_svd"}
     assert private == []
 
 

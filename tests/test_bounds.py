@@ -572,6 +572,18 @@ def test_error_curve_rejects_bad_widths():
     assert error_curve(DepthTable(rho, 2), [], [1]) == ()
 
 
+def test_rank_budget_refuses_a_depth_or_a_width_outside_its_domain():
+    assert rank_budget(2, 0) == rank_budget(3, 0.0) == 0
+    assert rank_budget(1, 4) == 4 and rank_budget(3, 8) == 6
+    assert rank_budget(1, sys.float_info.max) == math.floor(sys.float_info.max)
+    for K in (0, -1):
+        with pytest.raises(ValueError, match=f"^K must be >= 1, not {K}$"):
+            rank_budget(K, 4)
+    for M in (-1, -5e-324, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"^M must be finite and >= 0, not {float(M)!r}$"):
+            rank_budget(2, M)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 12), st.integers(2, 3))
 def test_rank_budget_saturation_zeroes_the_rank_term(M, K):

@@ -211,7 +211,7 @@ def test_usage_errors_exit_one(tmp_path, capsys):
                  "--out", str(out)]) == 1
     capsys.readouterr()
     assert not out.exists() or not any(out.iterdir())
-    for args in (["--scenario", "impulse_copy", "--K", "0"],
+    for args in (["--scenario", "fourier"], ["--scenario", "impulse_copy", "--K", "0"],
                  ["--scenario", "exp_decay", "--l", "1"],
                  ["--scenario", "exp_decay", "--horizon", "0"]):
         assert main(["compare", *args]) == 1
@@ -863,8 +863,8 @@ COMMAND_MODULES = {
     "curve-csv-json": ("curve --target rho1 --format csv,json",
                        _SHARED | {"tensors", "bounds"}),
     # These three load models: experiments, which they call, also holds the
-    # comparison scenarios, which synthesise models, and the scenarios stay
-    # there because test_acceptance imports comparison_report from it.
+    # comparison scenarios, which synthesise models; compare calls its
+    # scenario from experiments.SCENARIOS.
     "compare": ("compare --scenario exp_decay",
                 _SHARED | {"tensors", "bounds", "experiments", "models"}),
     "reproduce": ("reproduce", _SHARED | {"tensors", "bounds", "experiments", "models"}),

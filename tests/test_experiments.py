@@ -8,8 +8,7 @@ import pytest
 from memlens.bounds import (DecayProfile, DepthTable, curve_points, effective_filters,
                             error_curve, rank_budget, rate_bound_interval)
 from memlens.cli import main
-from memlens.experiments import (comparison_report, conformance_suite,
-                                 error_curve_study, oracle_best_rank_matrix)
+from memlens.experiments import SCENARIOS, conformance_suite, error_curve_study
 from memlens.models import (RnnSpec, cnn_min_depth_expdecay, power_sum_delta_bound,
                             rnn_min_width_impulse, rnn_representation, synthesize_radix)
 from memlens.sequences import RHO1_SLOTS, RHO2_SLOTS, SPARSE_VALUE, Sequence, make_target
@@ -56,13 +55,6 @@ def test_make_target_unknown_name():
         make_target("rho9")
 
 
-def test_oracle_best_rank_matrix_values():
-    eye = np.eye(2)
-    assert oracle_best_rank_matrix(eye, 1).value == pytest.approx(1.0)
-    assert oracle_best_rank_matrix(3.0 * eye, 0).value == pytest.approx(3.0 * math.sqrt(2.0))
-    assert oracle_best_rank_matrix(eye, 2).value == 0.0
-
-
 def test_error_curve_study_checks_hold():
     study = error_curve_study(l=2, K_list=(4, 5, 6), M_max=64)
     assert set(study) == {"l", "tables", "depths", "notes", "checks"}
@@ -104,7 +96,7 @@ def _compare_document(tmp_path, scenario, *flags):
 
 def test_comparison_report_exp_decay(tmp_path):
     # The library's document is the one the command line writes.
-    report = comparison_report("exp_decay", gamma=0.99, eps=0.01, l=2)
+    report = SCENARIOS["exp_decay"](gamma=0.99, eps=0.01, l=2)
     assert report == _compare_document(tmp_path, "exp_decay", "--gamma", "0.99",
                                        "--eps", "0.01")
     assert report["scenario"] == "exp_decay"
@@ -117,18 +109,13 @@ def test_comparison_report_exp_decay(tmp_path):
 
 
 def test_comparison_report_impulse_copy(tmp_path):
-    report = comparison_report("impulse_copy", K=10, eps=0.1)
+    report = SCENARIOS["impulse_copy"](K=10, eps=0.1)
     assert report == _compare_document(tmp_path, "impulse_copy", "--K", "10", "--eps", "0.1")
     assert report["cnn_requirement"]["depth"] == 10
     assert report["cnn_requirement"]["filter_count"] == 10
     assert report["cnn_requirement"]["replay_residual"] == 0.0
     assert report["parameters"]["lag"] == 2 ** 10 - 1
     assert report["rnn_requirement"]["min_width"] == 20
-
-
-def test_comparison_report_unknown_scenario():
-    with pytest.raises(ValueError):
-        comparison_report("fourier")
 
 
 def test_conformance_suite_statuses():
@@ -150,7 +137,7 @@ def test_conformance_suite_statuses():
 _RHO = make_target("rho3:700")
 _G = DecayProfile.exponential(0.5)
 _SPARSE = Sequence.from_arrays([0, 5, 19], [1.0, -2.0, 3.0])
-_RNN = RnnSpec(1, [1.0], [[0.5]], [1.0])
+_RNN = RnnSpec([1.0], [[0.5]], [1.0])
 
 
 def _study(*args):
@@ -179,13 +166,13 @@ _ARGUMENTS = [
     ("l", 2, True, lambda l: _study(l, (5,), 4)),
     ("K", 5, True, lambda K: _study(2, (K,), 4)),
     ("M_max", 4, True, lambda M: _study(2, (5,), M)),
-    ("l", 2, True, lambda l: comparison_report("impulse_copy", K=3, l=l)),
-    ("K", 3, True, lambda K: comparison_report("impulse_copy", K=K)),
-    ("eps", 0.1, False, lambda e: comparison_report("impulse_copy", K=3, eps=e)),
-    ("gamma", 0.5, False, lambda g: comparison_report("exp_decay", gamma=g)),
-    ("eps", 0.01, False, lambda e: comparison_report("exp_decay", eps=e)),
-    ("l", 3, True, lambda l: comparison_report("exp_decay", l=l)),
-    ("horizon", 10, True, lambda h: comparison_report("exp_decay", horizon=h)),
+    ("l", 2, True, lambda l: SCENARIOS["impulse_copy"](K=3, l=l)),
+    ("K", 3, True, lambda K: SCENARIOS["impulse_copy"](K=K)),
+    ("eps", 0.1, False, lambda e: SCENARIOS["impulse_copy"](K=3, eps=e)),
+    ("gamma", 0.5, False, lambda g: SCENARIOS["exp_decay"](gamma=g)),
+    ("eps", 0.01, False, lambda e: SCENARIOS["exp_decay"](eps=e)),
+    ("l", 3, True, lambda l: SCENARIOS["exp_decay"](l=l)),
+    ("horizon", 10, True, lambda h: SCENARIOS["exp_decay"](horizon=h)),
     ("K", 10, True, lambda K: rnn_min_width_impulse(K, 0.1)),
     ("eps", 0.1, False, lambda e: rnn_min_width_impulse(10, e)),
     ("an impulse position", 2, True, lambda t: Sequence.impulse(t).to_json()),
@@ -205,8 +192,10 @@ _ARGUMENTS = [
     ("start", 5, True, lambda s: Sequence.power(horizon=10).tail_norm(s)),
     ("start", 2, True, lambda s: Sequence.geometric(0.5).tail_norm(s)),
     ("start", 5, True, lambda s: Sequence.power(horizon=10).sup_abs_from(s)),
+    # The exponent of a power profile; its other parameters are read at
+    # the end.
+    ("p", 1.0, False, lambda p: DecayProfile.power(p)),
     # The recurrence side.
-    ("m", 1, True, lambda m: RnnSpec(m, [1.0], [[0.5]], [1.0]).m),
     ("horizon", 4, True, lambda h: rnn_representation(_RNN, h).to_json()),
     ("m_terms", 3, True, lambda m: power_sum_delta_bound(m, 4, 1.0)),
     ("t", 4, True, lambda t: power_sum_delta_bound(3, t, 1.0)),
@@ -214,6 +203,12 @@ _ARGUMENTS = [
     ("gamma", 0.5, False, lambda g: cnn_min_depth_expdecay(g, 0.1, 2)),
     ("eps", 0.1, False, lambda e: cnn_min_depth_expdecay(0.5, e, 2)),
     ("l", 3, True, lambda l: cnn_min_depth_expdecay(0.5, 0.1, l)),
+    # The other decay profile parameters, each kept as a float.
+    ("a", 1.0, False, lambda a: DecayProfile.power(1.0, a)),
+    ("a", 1.0, False, lambda a: DecayProfile.exponential(0.5, a)),
+    ("b", 0.5, False, lambda b: DecayProfile.exponential(b)),
+    ("a table value", 0.5, False, lambda v: DecayProfile.table([1.0, v], 1)),
+    ("a table value", 1.0, False, lambda v: DecayProfile.table([v, 0.5], 1)),
 ]
 
 

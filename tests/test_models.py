@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import time
@@ -551,17 +552,37 @@ def test_replay_memory_follows_the_nonzeros():
 
 
 def test_rnn_spec_coercion():
-    spec = RnnSpec(m=2, c=[1.0, 0.5], W=[[0.5, 0.0], [0.0, 0.25]], U=[[1.0], [2.0]])
+    # A recurrence is its three arrays; its width m is its readout's length.
+    spec = RnnSpec(c=[1.0, 0.5], W=[[0.5, 0.0], [0.0, 0.25]], U=[[1.0], [2.0]])
+    assert [field.name for field in dataclasses.fields(spec)] == ["c", "W", "U"]
+    assert spec.m == 2 and type(spec.m) is int
     assert spec.U.tolist() == [1.0, 2.0]
     assert spec.W.dtype == float and np.array_equal(spec.W, [[0.5, 0.0], [0.0, 0.25]])
-    with pytest.raises(ValueError):
-        RnnSpec(m=2, c=[1.0], W=np.eye(2), U=[1.0, 1.0])
-    with pytest.raises(ValueError, match="^input vector must have length m$"):
-        RnnSpec(m=2, c=[1.0, 1.0], W=np.eye(2), U=[[1.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(AttributeError):
+        spec.m = 3
+    for c, W in (([1.0], np.eye(2)), ([1.0], np.ones((1, 2))), ([1.0, 1.0], np.eye(1))):
+        with pytest.raises(ValueError, match="^transition must be m x m$"):
+            RnnSpec(c=c, W=W, U=c)
+    for U in ([1.0], [1.0, 1.0, 1.0], [[1.0, 1.0], [1.0, 1.0]]):
+        with pytest.raises(ValueError, match="^input vector must have length m$"):
+            RnnSpec(c=[1.0, 1.0], W=np.eye(2), U=U)
+
+
+def test_an_overflowing_recurrence_is_refused_without_a_warning():
+    # Width 1 (the cumulative product), width 2 (the transition loop) and
+    # the readout each overflow; each is refused by the time of its first
+    # non-finite value, and no RuntimeWarning comes first.
+    for spec, t in ((RnnSpec(c=[1.0], W=[[1e200]], U=[1e200]), 2),
+                    (RnnSpec(c=[1.0, 1.0], W=np.diag([1e200, 1e200]), U=[1e200, 1.0]), 2),
+                    (RnnSpec(c=[1e300, 1.0], W=np.eye(2), U=[1e300, 1.0]), 1)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^the value at t={t} is not finite$"):
+                rnn_representation(spec, 3)
 
 
 def test_rnn_representation_is_a_power_sum():
-    spec = RnnSpec(m=1, c=[1.0], W=[[0.5]], U=[0.5])
+    spec = RnnSpec(c=[1.0], W=[[0.5]], U=[0.5])
     rep = rnn_representation(spec, 6)
     assert rep.value(0) == 0.0
     for t in range(1, 7):
@@ -597,7 +618,7 @@ def test_rnn_representation_is_the_stepped_recurrence(rng):
         for _ in range(2):
             W = rng.normal(size=(m, m))
             W *= 0.95 / np.max(np.abs(np.linalg.eigvals(W)))
-            spec = RnnSpec(m=m, c=rng.normal(size=m), W=W, U=rng.normal(size=m))
+            spec = RnnSpec(c=rng.normal(size=m), W=W, U=rng.normal(size=m))
             for horizon in (1, 500):
                 window = _rnn_window(spec, horizon)
                 assert window.tobytes() == _stepped_window(spec, horizon).tobytes()
@@ -609,7 +630,7 @@ def test_rnn_representation_is_the_stepped_recurrence(rng):
     for w in edge:
         for u in edge:
             for c in (1.0, -0.0, -2.5):
-                spec = RnnSpec(m=1, c=[c], W=[[w]], U=[u])
+                spec = RnnSpec(c=[c], W=[[w]], U=[u])
                 for horizon in (1, 2, 1000):
                     window = _rnn_window(spec, horizon)
                     want = _stepped_window(spec, horizon)

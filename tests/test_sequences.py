@@ -2,6 +2,7 @@ import decimal
 import gc
 import json
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
@@ -34,6 +35,22 @@ def test_root_sum_squares_is_the_plain_formula_wherever_that_is_normal(rng):
     assert root_sum_squares(np.zeros(0)) == 0.0
     assert root_sum_squares(np.array([np.inf, 1.0])) == np.inf
     assert math.isnan(root_sum_squares(np.array([np.nan, 1e300, 1e300])))
+
+
+def test_from_values_reads_its_values_as_from_arrays_does():
+    # A string or a bool, in a list or a tuple, is refused by name, as
+    # from_arrays refuses it, and so is any shape but n values or n rows [v].
+    for bad, text in ((["1", True], "'1'"), ([1.0, True], "True"), (("1", 2.0), "'1'"),
+                      ([[1.0], ["2"]], "'2'")):
+        for read in (Sequence.from_values, lambda v: Sequence.from_arrays(range(len(v)), v)):
+            with pytest.raises(ValueError, match=f"^a value must be a number, not {text}$"):
+                read(bad)
+    for bad in ([[1, 2], [3, 4]], 3.0, None, np.zeros((2, 1, 1)), np.zeros((0, 2))):
+        shape = np.shape(np.asarray(bad, dtype=float))
+        with pytest.raises(ValueError, match=f"^expected n values, got shape {re.escape(str(shape))}$"):
+            Sequence.from_values(bad)
+    assert Sequence.from_values([[1.0], [0.0], [2.0]]).to_json() == \
+        Sequence.from_values((1.0, 0.0, 2.0)).to_json() == {"dim": 1, "entries": [[0, [1.0]], [2, [2.0]]]}
 
 
 def test_from_values_drops_zeros_and_keeps_support():
