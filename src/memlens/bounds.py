@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -56,6 +57,9 @@ class DecayProfile:
     def __post_init__(self):
         for key in ("a", "b", "p"):
             object.__setattr__(self, key, _number(getattr(self, key), key))
+        if isinstance(self.values, (str, bytes)) or not isinstance(self.values, Iterable):
+            raise ValueError(f"the table values must be a list of numbers, "
+                             f"not {self.values!r:.40}")
         vals = tuple(_number(v, "a table value") for v in self.values)
         if not all(map(math.isfinite, (self.a, self.b, self.p, *vals))):
             raise ValueError(f"{self.family} profile parameters must be finite")
@@ -87,7 +91,7 @@ class DecayProfile:
 
     @classmethod
     def table(cls, values, cutoff: int) -> "DecayProfile":
-        return cls(family="table", values=tuple(values), cutoff=cutoff)
+        return cls(family="table", values=values, cutoff=cutoff)
 
     def __call__(self, s: int) -> float:
         if s < 0:
@@ -199,14 +203,17 @@ def effective_filters(channels, l: int) -> float:
 
 def rank_budget(K: int, M) -> int:
     """The rank a depth-K stack of M effective filters keeps:
-    floor(K * M^(1/K)), with K read as a whole number of at least 1 and M
-    as a finite real of at least 0."""
+    floor(K * M^(1/K)), with K read as a whole number of at least 1 that
+    a float can hold, and M as a finite real of at least 0."""
     K, M = _whole(K, "K"), _number(M, "M")
     if K < 1:
         raise ValueError(f"K must be >= 1, not {K}")
     if not 0.0 <= M <= _HUGE:
         raise ValueError(f"M must be finite and >= 0, not {M!r}")
-    return math.floor(K * M ** (1.0 / K))
+    try:
+        return math.floor(K * M ** (1.0 / K))
+    except OverflowError:
+        raise ValueError(f"K is beyond the float limit {_HUGE!r}") from None
 
 
 def rate_bound_interval(rho: Sequence | Family, l: int, channels, g: DecayProfile):

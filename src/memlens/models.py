@@ -5,16 +5,17 @@ layer-k dilation is l^k; its induced representation is the response to a
 unit impulse and is supported inside the receptive field [0, l^K - 1].
 The replay behind it, cnn_representation, is the library's one dilated
 convolution: a chain of filters composed at dilations l^k is a bank of
-width-1 layers.  Two synthesizers, each cutting the window it reproduces,
-build exact filter banks: a digit-reading construction with one channel
-path per nonzero entry, and the tensor train of the length-l^K window
-over its base-l digits from tensors.tt_svd, whose cores are the filters
-and widths the ranks of its sequential unfoldings.  A width plan (M_0,
-..., M_K) is checked by tensors.width_plan, beside the tensor train whose
-rank profile it is; its length fixes the depth K of the stack, and its
-effective filter count is bounds.effective_filters.  The filter size l of
-a bank is the length of its filters, so CnnSpec.from_arrays takes no l
-beside them.
+width-1 layers.  Two synthesizers, each cutting the window it
+reproduces, build exact filter banks by one path, _bank, from the cores
+of a tensor train over the base-l digits of the window, filter (k, j, i)
+the core fibre G_{k+1}[j, :, i]: the radix bank from tensors.path_cores,
+one channel path per stored entry, and the low-rank bank from
+tensors.tt_svd, whose widths are the ranks of the window's sequential
+unfoldings.  A width plan (M_0, ..., M_K) is checked by
+tensors.width_plan, beside the tensor train whose rank profile it is;
+its length fixes the depth K of the stack, and its effective filter
+count is bounds.effective_filters.  The filter size l of a bank is the
+length of its filters, so CnnSpec.from_arrays takes no l beside them.
 
 An RnnSpec holds a linear recurrence whose representation is the power
 sum c' W^(s-1) U for s >= 1 (and 0 at s = 0).  Width lower bounds for
@@ -288,36 +289,23 @@ def replay_residual(spec: CnnSpec, target: Sequence | Family) -> float:
     return root_sum_squares(replay._at(t) - window._at(t))
 
 
-def synthesize_radix(target: Sequence | Family, l: int) -> CnnSpec:
-    """Exact filter bank reading base-l digits of the support positions.
+def _bank(cores) -> CnnSpec:
+    """The bank of a tensor train given as cores (r_k, j, i, fibres), as
+    tensors.path_cores gives them: widths (1, r_1, ..., r_K), and filter
+    (k - 1, j, i) the fibre G_k[j, :, i]."""
+    index = np.concatenate([np.column_stack((np.full(len(j), k), j, i))
+                            for k, (_, j, i, _) in enumerate(cores)])
+    weights = np.concatenate([fibres for *_, fibres in cores])
+    return CnnSpec.from_arrays((1,) + tuple(r for r, *_ in cores), index, weights)
 
-    The target is cut by tensors.analysis_window, so a Family needs a
-    horizon; depth is the smallest K with l^K > its radius.  Each stored
-    entry at time t gets its own channel path of K one-hot filters, hot
-    at the successive base-l digits of t (least significant digit on the
-    first layer), with the entry value written into the first hot tap,
-    so a negative value leaves +0.0 on the other taps.  A single layer
-    sums the paths.  The stored filter count is at most K times the
-    number of stored entries.
-    """
-    l, _ = _depth(l)
-    target = tensors.analysis_window(target, l)
-    K = tensors.coverage_depth(l, target.radius() or 0)
-    times, values = target.arrays()
-    digits = times[:, None] // l ** np.arange(K, dtype=np.int64) % l
-    n = len(digits)
-    paths = np.arange(n)
-    weights = np.zeros((K, n, l))
-    weights[np.arange(K)[:, None], paths, digits.T] = 1.0
-    weights[0, paths, digits[:, 0]] = values
-    if K == 1:
-        return CnnSpec.from_arrays((1, 1), np.zeros((min(1, n), 3)), weights.sum(axis=1)[:n])
-    # Path p runs (0, 0, p), (1, p, p), ..., (K - 1, p, 0), in key order.
-    index = np.zeros((K, n, 3), dtype=np.int64)
-    index[:, :, 0] = np.arange(K)[:, None]
-    index[1:, :, 1] = index[:-1, :, 2] = paths
-    channels = (1,) + (max(1, n),) * (K - 1) + (1,)
-    return CnnSpec.from_arrays(channels, index, weights.reshape(-1, l))
+
+def synthesize_radix(target: Sequence | Family, l: int) -> CnnSpec:
+    """Exact filter bank reading base-l digits of the support positions,
+    the bank of tensors.path_cores(target, l): each stored entry gets its
+    own channel path of K one-hot filters, K the smallest depth with l^K
+    above the radius of the target, cut by tensors.analysis_window (a
+    Family needs a horizon); a single layer sums the paths."""
+    return _bank(tensors.path_cores(target, l))
 
 
 def synthesize_lowrank(target: Sequence | Family, l: int, K=None) -> CnnSpec:
@@ -338,11 +326,7 @@ def synthesize_lowrank(target: Sequence | Family, l: int, K=None) -> CnnSpec:
         raise ValueError(f"the low-rank bank of this window needs a filter "
                          f"weight beyond the float limit {_HUGE!r}")
     live = [np.nonzero(core.any(axis=1)) for core in cores]
-    index = np.concatenate([np.column_stack((np.full(len(j), k), j, i))
-                            for k, (j, i) in enumerate(live)])
-    weights = np.concatenate([core[j, :, i] for core, (j, i) in zip(cores, live)])
-    channels = (1,) + tuple(core.shape[2] for core in cores)
-    return CnnSpec.from_arrays(channels, index, weights)
+    return _bank([(core.shape[2], j, i, core[j, :, i]) for core, (j, i) in zip(cores, live)])
 
 
 def rnn_representation(spec: RnnSpec, horizon: int) -> Sequence:

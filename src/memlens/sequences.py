@@ -251,9 +251,11 @@ def _read_number(text: str, what):
 def _read_values(values):
     """values as np.asarray(values, dtype=float) reads them, so the result
     or the error is np.asarray's, with n rows [v] read as their n values.
-    In a list or a tuple, a string or a bool, as a value or as an item of
-    a list or tuple value, is refused, though numpy would read it as a
-    number."""
+    A string given as the values is refused, and so is a string or a bool
+    in a list or a tuple, as a value or as an item of a list or tuple
+    value, though numpy would read each as a number."""
+    if isinstance(values, (str, bytes)):
+        raise ValueError(f"the values must be numbers, not {values!r:.40}")
     if isinstance(values, (list, tuple)):
         for x in chain.from_iterable(v if type(v) in (list, tuple) else (v,)
                                      for v in values):

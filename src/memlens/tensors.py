@@ -5,20 +5,21 @@ rho.values_upto(l^K), read as an order-K tensor: its mode-k index is the
 k-th base-l digit of the time index (mode 1 is the least significant
 digit), so no entry moves.  This module holds that one layout rule, read
 row-major with later digits slower, and every SVD of the library:
-mode_view, the one mode flattening, reads and writes it in place, and
-tt_svd reads the unfoldings and cores of the window's tensor train, the
-low-rank filter bank.  The ranks of that train are a stack's width plan
-(M_0, ..., M_K), whose number of widths fixes the depth K, and
-width_plan, beside tt_svd, is the one check of a plan: CnnSpec and
-bounds.effective_filters read every plan, and its depth, through it.
-Every function here that takes l or K reads them through
-sequences._depth and computes with the ints it returns.  The pooled
-singular values of the K mode flattenings drive the rank counts and
-truncation bounds of the approximation-rate machinery.  window_spectrum
-is the one path from a target to its depth-K pooled spectrum, and
-truncation_error_bound the one path from a spectrum to its tails.  The
-tail masses at offsets s = 0, ..., l*K - K that the complexity measure
-and the error curves read come from one method,
+mode_view, the one mode flattening, reads and writes it in place; tt_svd
+reads the unfoldings and cores of the window's tensor train, the
+low-rank filter bank; and path_cores reads each stored time's digits
+into the exact train of a sparse window, stored as fibres, the radix
+bank.  The ranks of a train are a stack's width plan (M_0, ..., M_K),
+whose number of widths fixes the depth K, and width_plan, beside tt_svd,
+is the one check of a plan: CnnSpec and bounds.effective_filters read
+every plan, and its depth, through it.  Every function here that takes l
+or K reads them through sequences._depth and computes with the ints it
+returns.  The pooled singular values of the K mode flattenings drive the
+rank counts and truncation bounds of the approximation-rate machinery.
+window_spectrum is the one path from a target to its depth-K pooled
+spectrum, and truncation_error_bound the one path from a spectrum to its
+tails.  The tail masses at offsets s = 0, ..., l*K - K that the
+complexity measure and the error curves read come from one method,
 bounds.DepthTable.masses, the single place their offset rule is written;
 a DepthTable calls window_spectrum once per window it reads.
 
@@ -197,6 +198,30 @@ def tt_svd(rho: Sequence | Family, l: int, K: int) -> list:
     with np.errstate(over="ignore"):
         cores.append(scale * rest[:, :, None])
     return cores
+
+
+def path_cores(rho: Sequence | Family, l: int) -> list:
+    """Exact tensor train of analysis_window(rho, l) at its coverage depth
+    K, one bond index per stored point, as K cores (r_k, j, i, fibres): the
+    out-width r_k and the nonzero fibres G_k[j, :, i] as rows, never a dense
+    core.  Path p holds its point's value at the first base-l digit of its
+    time in core 1 and 1.0 at each later digit, +0.0 elsewhere; at K = 1
+    the paths sum into one fibre (none for a zero window)."""
+    l, _ = _depth(l)
+    window = analysis_window(rho, l)
+    K = coverage_depth(l, window.radius() or 0)
+    times, values = window.arrays()
+    n = len(times)
+    path, zero = np.arange(n), np.zeros(n, dtype=np.int64)
+    digits = times // l ** np.arange(K, dtype=np.int64)[:, None] % l
+    fibres = np.zeros((K, n, l))
+    fibres[np.arange(K)[:, None], path, digits] = 1.0
+    fibres[0, path, digits[0]] = values
+    if K == 1:
+        return [(1, zero[:1], zero[:1], fibres.sum(axis=1)[:n])]
+    bonds = [zero] + [path] * (K - 1) + [zero]
+    widths = [max(1, n)] * (K - 1) + [1]
+    return list(zip(widths, bonds, bonds[1:], fibres))
 
 
 def width_plan(channels) -> tuple:

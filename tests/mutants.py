@@ -180,6 +180,26 @@ MUTANTS = (
     Mutant("recurrence-overflow-warns", "src/memlens/models.py",
            'with np.errstate(over="ignore", invalid="ignore"):', "if True:",
            ("tests/test_models.py::test_an_overflowing_recurrence_is_refused_without_a_warning",)),
+    Mutant("rank-budget-depth-overflows", "src/memlens/bounds.py",
+           "    except OverflowError:\n        raise ValueError(f\"K is beyond",
+           "    except ZeroDivisionError:\n        raise ValueError(f\"K is beyond",
+           ("tests/test_bounds.py::test_rank_budget_refuses_a_depth_or_a_width_outside_its_domain",)),
+    Mutant("table-profile-iterates-a-string", "src/memlens/bounds.py",
+           "isinstance(self.values, (str, bytes))", "isinstance(self.values, bytes)",
+           ("tests/test_bounds.py::test_decay_profiles_refuse_non_finite_parameters",)),
+    Mutant("table-profile-takes-a-non-iterable", "src/memlens/bounds.py",
+           "or not isinstance(self.values, Iterable):", ":",
+           ("tests/test_bounds.py::test_decay_profiles_refuse_non_finite_parameters",)),
+    Mutant("from-values-reads-a-whole-string", "src/memlens/sequences.py",
+           "if isinstance(values, (str, bytes)):", "if isinstance(values, bytes):",
+           ("tests/test_sequences.py::test_from_values_reads_its_values_as_from_arrays_does",)),
+    Mutant("path-digits-most-significant-first", "src/memlens/tensors.py",
+           "l ** np.arange(K, dtype=np.int64)[:, None] % l",
+           "l ** np.arange(K, dtype=np.int64)[::-1, None] % l",
+           ("tests/test_tensors.py::test_path_cores_are_the_window_as_a_train_of_fibres",)),
+    Mutant("path-cores-skip-the-one-layer-sum", "src/memlens/tensors.py",
+           "    if K == 1:\n        return [(1, zero[:1]", "    if False:\n        return [(1, zero[:1]",
+           ("tests/test_tensors.py::test_path_cores_are_the_window_as_a_train_of_fibres",)),
 )
 
 # {mutant name: why no output may depend on the value it moves}.

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -124,6 +125,14 @@ def test_decay_profiles_refuse_non_finite_parameters():
     for cutoff in (2.5, nan, inf, "3", None):
         with pytest.raises(ValueError, match="^the table cutoff must be a whole number, not "):
             DecayProfile.table([1.0, 0.5], cutoff=cutoff)
+    # A string is refused as the values, not by its first character, and
+    # so is a value list that is not iterable.
+    for values, text in (("12", "'12'"), (b"21", "b'21'"), (None, "None"), (1.0, "1.0")):
+        for make in (lambda: DecayProfile.table(values, 1),
+                     lambda: DecayProfile("table", values=values, cutoff=1)):
+            with pytest.raises(ValueError, match=f"^the table values must be a list of "
+                                                 f"numbers, not {text}$"):
+                make()
     assert DecayProfile.table([1.0, 0.5], cutoff=3.0).cutoff == 3
 
 
@@ -578,6 +587,13 @@ def test_rank_budget_refuses_a_depth_or_a_width_outside_its_domain():
     assert rank_budget(1, sys.float_info.max) == math.floor(sys.float_info.max)
     for K in (0, -1):
         with pytest.raises(ValueError, match=f"^K must be >= 1, not {K}$"):
+            rank_budget(K, 4)
+    # A depth a float can hold is read; one beyond the float range is refused
+    # by name, not by the OverflowError of its conversion.
+    assert rank_budget(2 ** 1023, 4) == 2 ** 1023 and rank_budget(2 ** 1023, 0) == 0
+    for K in (2 ** 1024, 10 ** 400):
+        with pytest.raises(ValueError, match=f"^K is beyond the float limit "
+                                             f"{re.escape(repr(sys.float_info.max))}$"):
             rank_budget(K, 4)
     for M in (-1, -5e-324, math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match=f"^M must be finite and >= 0, not {float(M)!r}$"):

@@ -238,3 +238,5 @@ def test_a_time_before_zero_reads_zero_once_it_is_read_as_a_whole_number():
 def test_a_study_of_no_depth_is_refused_by_name():
     with pytest.raises(ValueError, match="^K_list must name at least one depth$"):
         error_curve_study(2, ())
+    with pytest.raises(ValueError, match="^M_max must be >= 1$"):
+        error_curve_study(M_max=0)

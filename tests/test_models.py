@@ -551,6 +551,23 @@ def test_replay_memory_follows_the_nonzeros():
     assert np.array_equal(rep.values_upto(2 ** 16), target.values_upto(2 ** 16))
 
 
+def test_a_radix_bank_takes_memory_in_proportion_to_its_fibres():
+    # 2,000 points below 2^40 make K * n * l = 160,000 weights (1.3 MB);
+    # one dense n x l x n middle core alone would take 64 MB.
+    rng = np.random.default_rng(4000)
+    times = np.append(rng.choice(2 ** 40 - 1, size=1999, replace=False), 2 ** 40 - 1)
+    target = Sequence.from_arrays(times, rng.uniform(0.5, 2.0, size=2000))
+    tracemalloc.start()
+    try:
+        spec = synthesize_radix(target, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spec.K == 40 and spec.channels[1] == 2000 and spec.filter_count == 80000
+    assert peak < 16 * 2 ** 20
+    assert replay_residual(spec, target) == 0.0
+
+
 def test_rnn_spec_coercion():
     # A recurrence is its three arrays; its width m is its readout's length.
     spec = RnnSpec(c=[1.0, 0.5], W=[[0.5, 0.0], [0.0, 0.25]], U=[[1.0], [2.0]])

@@ -45,6 +45,12 @@ def test_from_values_reads_its_values_as_from_arrays_does():
         for read in (Sequence.from_values, lambda v: Sequence.from_arrays(range(len(v)), v)):
             with pytest.raises(ValueError, match=f"^a value must be a number, not {text}$"):
                 read(bad)
+    # A string given as the values is refused as a whole, before numpy
+    # reads it as characters or as one number.
+    for bad, text in (("abc", "'abc'"), ("12", "'12'"), (b"12", "b'12'")):
+        for read in (Sequence.from_values, lambda v: Sequence.from_arrays([0], v)):
+            with pytest.raises(ValueError, match=f"^the values must be numbers, not {text}$"):
+                read(bad)
     for bad in ([[1, 2], [3, 4]], 3.0, None, np.zeros((2, 1, 1)), np.zeros((0, 2))):
         shape = np.shape(np.asarray(bad, dtype=float))
         with pytest.raises(ValueError, match=f"^expected n values, got shape {re.escape(str(shape))}$"):
@@ -149,6 +155,8 @@ def test_a_power_family_takes_no_gamma_and_every_family_id_round_trips():
     for gamma in (0.5, 0.0, 1):
         with pytest.raises(ValueError, match="^the power family takes no gamma$"):
             Family("power", gamma=gamma, horizon=3)
+    with pytest.raises(ValueError, match="^unknown family 'bogus'$"):
+        Family("bogus")
     families = [rho for rho in map(make_target, (
         "rho1", "rho2", "rho3", "rho3:0", "rho3:700", "rho3:1e19", "exp:0", "exp:0.9",
         "exp:.5", "exp:0.999", "impulse:5")) if isinstance(rho, Family)]
@@ -472,6 +480,10 @@ def test_values_upto_refuses_a_negative_length():
             with pytest.raises(ValueError, match="^n must be >= 0$"):
                 rho.values_upto(n)
         assert rho.values_upto(0).tolist() == []
+        with pytest.raises(ValueError, match="^length must be >= 0$"):
+            rho.truncate(-1)
+        with pytest.raises(ValueError, match="^start must be >= 0$"):
+            rho.tail_norm(-1)
 
 
 def test_values_must_be_finite():

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memlens import tensors
-from memlens.models import CnnSpec, cnn_representation
+from memlens import models, tensors
+from memlens.models import CnnSpec, cnn_representation, replay_residual
 from memlens.sequences import Sequence, root_sum_squares
 from memlens.tensors import (Spectrum, analysis_window, mode_view, singular_values,
                              truncation_error_bound, window_spectrum)
@@ -302,6 +302,8 @@ def test_spectrum_from_lists_and_ragged_rows():
     assert all(type(m) is int for m in spec.modes.tolist())
     with pytest.raises(ValueError):
         Spectrum.from_mode_values([[1.0, 0.5], [1.0]])
+    with pytest.raises(ValueError, match="^expected one row of values per mode$"):
+        Spectrum.from_mode_values([1.0, 2.0])
 
 
 def test_spectrum_values_are_made_once_and_read_only(rng):
@@ -549,6 +551,42 @@ def test_singular_values_are_within_lapacks_bound_of_a_long_double_jacobi(rng):
                 got = singular_values(window, l, K).values
                 assert got.shape == want.shape
                 assert np.abs(got - want).max() <= _LAW_TOL * want[0], (l, K)
+
+
+def _fibre_train_window(cores, l):
+    """The window of a train stored as fibres (r_k, j, i, fibres): each core
+    densified, then contracted one core at a time, least significant digit
+    first."""
+    window = np.ones((1, 1))                  # (times so far, bond)
+    for r, j, i, fibres in cores:
+        core = np.zeros((window.shape[1], l, r))
+        core[j, :, i] = fibres
+        window = np.einsum("tj,jsi->sti", window, core).reshape(-1, r)
+    return window[:, 0]
+
+
+def test_path_cores_are_the_window_as_a_train_of_fibres(rng):
+    # Densified and contracted, the fibres give the window bit for bit, at
+    # the coverage depth, K = 1 and the zero window included, and the bank
+    # read off them replays the target exactly.
+    for l in (2, 3, 4):
+        targets = [Sequence.zero(), Sequence.geometric(0.5, horizon=2 * l + 1)]
+        for top, n in ((l, l - 1), (l, 1), (l ** 3, 5), (5000, 1), (5000, 40)):
+            times = rng.choice(top, size=n, replace=False)
+            targets.append(Sequence.from_arrays(times, rng.normal(size=n) * 10.0 **
+                                                rng.integers(-6, 6, size=n)))
+        for target in targets:
+            window = tensors.analysis_window(target, l)
+            n, K = len(window.arrays()[0]), tensors.coverage_depth(l, window.radius() or 0)
+            cores = tensors.path_cores(target, l)
+            assert len(cores) == K
+            assert sum(len(fibres) for *_, fibres in cores) == (min(1, n) if K == 1 else K * n)
+            for r, j, i, fibres in cores:
+                assert fibres.shape == (len(j), l) and len(i) == len(j)
+                assert fibres.any(axis=1).all()
+            assert (_fibre_train_window(cores, l).tobytes() ==
+                    target.values_upto(l ** K).tobytes()), (l, n)
+            assert replay_residual(models._bank(cores), target) == 0.0
 
 
 def test_tt_svd_drops_a_step_tail_below_its_share_of_the_tolerance():
