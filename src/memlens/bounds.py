@@ -30,7 +30,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .sequences import _HUGE, Family, Scalar, Sequence, _depth, _number, _whole
+from .sequences import _HUGE, Family, Scalar, Sequence, _depth, _int_text, _number, _whole
 from . import tensors
 
 COMPLEXITY_NOISE_REL_TOL = 1e-12
@@ -61,6 +61,7 @@ class DecayProfile:
             raise ValueError(f"the table values must be a list of numbers, "
                              f"not {self.values!r:.40}")
         vals = tuple(_number(v, "a table value") for v in self.values)
+        object.__setattr__(self, "values", vals)
         if not all(map(math.isfinite, (self.a, self.b, self.p, *vals))):
             raise ValueError(f"{self.family} profile parameters must be finite")
         if self.family == "exponential":
@@ -77,7 +78,6 @@ class DecayProfile:
             object.__setattr__(self, "cutoff", _whole(self.cutoff, "the table cutoff"))
             if self.cutoff < len(vals) - 1:
                 raise ValueError("cutoff must cover the listed values")
-            object.__setattr__(self, "values", vals)
         else:
             raise ValueError(f"unknown profile family {self.family!r}")
 
@@ -197,7 +197,8 @@ def effective_filters(channels, l: int) -> float:
         return float(pair_sum - l * K)
     except OverflowError:
         raise ValueError(f"the effective filter count of channels "
-                         f"{','.join(map(str, widths))!r:.40} at l = {l!r:.40} is "
+                         f"{','.join(map(_int_text, widths))!r:.40} at l = "
+                         f"{_int_text(l):.40} is "
                          f"beyond the float limit {_HUGE!r}") from None
 
 
@@ -207,7 +208,7 @@ def rank_budget(K: int, M) -> int:
     a float can hold, and M as a finite real of at least 0."""
     K, M = _whole(K, "K"), _number(M, "M")
     if K < 1:
-        raise ValueError(f"K must be >= 1, not {K}")
+        raise ValueError(f"K must be >= 1, not {_int_text(K)}")
     if not 0.0 <= M <= _HUGE:
         raise ValueError(f"M must be finite and >= 0, not {M!r}")
     try:

@@ -5,13 +5,15 @@ layer-k dilation is l^k; its induced representation is the response to a
 unit impulse and is supported inside the receptive field [0, l^K - 1].
 The replay behind it, cnn_representation, is the library's one dilated
 convolution: a chain of filters composed at dilations l^k is a bank of
-width-1 layers.  Two synthesizers, each cutting the window it
-reproduces, build exact filter banks by one path, _bank, from the cores
-of a tensor train over the base-l digits of the window, filter (k, j, i)
-the core fibre G_{k+1}[j, :, i]: the radix bank from tensors.path_cores,
-one channel path per stored entry, and the low-rank bank from
-tensors.tt_svd, whose widths are the ranks of the window's sequential
-unfoldings.  A width plan (M_0, ..., M_K) is checked by
+width-1 layers.  Two synthesizers build exact filter banks by one path,
+_bank, from the cores of a tensor train over the base-l digits of the
+window it reproduces, filter (k, j, i) the core fibre G_{k+1}[j, :, i]:
+the radix bank from tensors.path_cores, one channel path per stored
+entry, and the low-rank bank from tensors.tt_svd, whose widths are the
+ranks of the window's sequential unfoldings.  Both trains come in one
+form, each core its out-width and its nonzero fibres, and take one
+default window and depth, both chosen in tensors: models reads no dense
+core and cuts no window.  A width plan (M_0, ..., M_K) is checked by
 tensors.width_plan, beside the tensor train whose rank profile it is;
 its length fixes the depth K of the stack, and its effective filter
 count is bounds.effective_filters.  The filter size l of a bank is the
@@ -31,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._jsontext import float_texts
-from .sequences import (_HUGE, MAX_TIME, Family, Scalar, Sequence, _depth, _number,
-                        _whole, root_sum_squares)
+from .sequences import (_HUGE, MAX_TIME, Family, Scalar, Sequence, _depth, _int_text,
+                        _number, _whole, root_sum_squares)
 from . import tensors
 
 
@@ -104,8 +106,8 @@ class CnnSpec:
         plan = tensors.width_plan(channels)
         wide = [m for m in plan if m > MAX_TIME]
         if wide:
-            raise ValueError(f"channel width {wide[0]!r:.40} is beyond the int64 "
-                             f"limit 2^63 - 1")
+            raise ValueError(f"channel width {_int_text(wide[0]):.40} is beyond the "
+                             f"int64 limit 2^63 - 1")
         widths = np.array(plan, dtype=np.int64)
         k, j, i = index.T
         layer = (0 <= k) & (k < len(plan) - 1)
@@ -291,8 +293,8 @@ def replay_residual(spec: CnnSpec, target: Sequence | Family) -> float:
 
 def _bank(cores) -> CnnSpec:
     """The bank of a tensor train given as cores (r_k, j, i, fibres), as
-    tensors.path_cores gives them: widths (1, r_1, ..., r_K), and filter
-    (k - 1, j, i) the fibre G_k[j, :, i]."""
+    tensors.path_cores and tensors.tt_svd give them: widths (1, r_1, ...,
+    r_K), and filter (k - 1, j, i) the fibre G_k[j, :, i]."""
     index = np.concatenate([np.column_stack((np.full(len(j), k), j, i))
                             for k, (_, j, i, _) in enumerate(cores)])
     weights = np.concatenate([fibres for *_, fibres in cores])
@@ -309,24 +311,22 @@ def synthesize_radix(target: Sequence | Family, l: int) -> CnnSpec:
 
 
 def synthesize_lowrank(target: Sequence | Family, l: int, K=None) -> CnnSpec:
-    """Exact tensor-train filter bank for the length-l^K window of target.
+    """Exact tensor-train filter bank for the length-l^K window of target,
+    the bank of tensors.tt_svd(target, l, K).
 
-    K defaults to the coverage depth of tensors.analysis_window(target, l);
-    a given K reads only the length-l^K window.  The widths are the
-    ranks (1, r_1, ..., r_{K-1}, 1) of the cores of tensors.tt_svd, and
-    filter (k, j, i) is the core slice G_k[j, :, i] whenever it is nonzero:
-    a zero window gives an empty bank of width-1 layers, a single layer's
-    filter is the window itself, and a window near the float limit whose
-    last core holds a weight beyond it raises ValueError.
+    K defaults, as in tt_svd, to the depth path_cores takes; a given K
+    reads only the length-l^K window.  The widths are the ranks (1, r_1,
+    ..., r_{K-1}, 1) of the train, and filter (k, j, i) is its nonzero
+    fibre G_{k+1}[j, :, i]: a zero window gives an empty bank of width-1
+    layers, a single layer's filter is the window itself, and a window
+    near the float limit whose last core holds a weight beyond it raises
+    ValueError.
     """
-    if K is None:
-        K = tensors.coverage_depth(l, tensors.analysis_window(target, l).radius() or 0)
     cores = tensors.tt_svd(target, l, K)
-    if not np.isfinite(cores[-1]).all():
+    if not np.isfinite(cores[-1][-1]).all():
         raise ValueError(f"the low-rank bank of this window needs a filter "
                          f"weight beyond the float limit {_HUGE!r}")
-    live = [np.nonzero(core.any(axis=1)) for core in cores]
-    return _bank([(core.shape[2], j, i, core[j, :, i]) for core, (j, i) in zip(cores, live)])
+    return _bank(cores)
 
 
 def rnn_representation(spec: RnnSpec, horizon: int) -> Sequence:

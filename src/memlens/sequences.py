@@ -192,6 +192,15 @@ def _power_tail_norm(start, stop=math.inf) -> Scalar:
     return Scalar((lo + hi) / 2.0, (hi - lo) / 2.0)
 
 
+def _int_text(n: int) -> str:
+    """The decimal text of a whole number, or, for one too long for Python
+    to convert to text, its sign and bit length."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"a {'negative ' if n < 0 else ''}{n.bit_length()}-bit whole number"
+
+
 def _check_time(t):
     if t > MAX_TIME:
         raise ValueError(f"a {int(t).bit_length()}-bit time index is beyond "

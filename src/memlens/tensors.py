@@ -8,11 +8,14 @@ row-major with later digits slower, and every SVD of the library:
 mode_view, the one mode flattening, reads and writes it in place; tt_svd
 reads the unfoldings and cores of the window's tensor train, the
 low-rank filter bank; and path_cores reads each stored time's digits
-into the exact train of a sparse window, stored as fibres, the radix
-bank.  The ranks of a train are a stack's width plan (M_0, ..., M_K),
-whose number of widths fixes the depth K, and width_plan, beside tt_svd,
-is the one check of a plan: CnnSpec and bounds.effective_filters read
-every plan, and its depth, through it.  Every function here that takes l
+into the exact train of a sparse window, the radix bank.  Both return
+one form, each core its out-width and its nonzero fibres, and both take
+one default window and depth, analysis_window(rho, l) at its coverage
+depth, chosen by _covered beside coverage_depth.  The ranks of a train
+are a stack's width plan (M_0, ..., M_K), whose number of widths fixes
+the depth K, and width_plan, beside tt_svd, is the one check of a plan:
+CnnSpec and bounds.effective_filters read every plan, and its depth,
+through it.  Every function here that takes l
 or K reads them through sequences._depth and computes with the ints it
 returns.  The pooled singular values of the K mode flattenings drive the
 rank counts and truncation bounds of the approximation-rate machinery.
@@ -116,6 +119,13 @@ def coverage_depth(l: int, radius: int) -> int:
     return K
 
 
+def _covered(rho: Sequence | Family, l: int) -> tuple:
+    """analysis_window(rho, l) and its coverage depth, 1 for a zero window:
+    the window and depth a tensor train takes when given no depth."""
+    window = analysis_window(rho, l)
+    return window, coverage_depth(l, window.radius() or 0)
+
+
 def analysis_window(rho: Sequence | Family, l: int, K=None) -> Sequence:
     """rho as the analyses read it: a Sequence as it is, and a Family as
     the Sequence its truncate makes, cut after its horizon or, without a
@@ -168,48 +178,53 @@ def window_spectrum(rho: Sequence | Family, l: int, K: int) -> Spectrum:
 _TT_REL_TOL = 1e-13
 
 
-def tt_svd(rho: Sequence | Family, l: int, K: int) -> list:
-    """Tensor-train cores G_1, ..., G_K of the length-l^K window of rho:
-    G_k is (r_{k-1}, l, r_k), r_0 = r_K = 1, and the entry at digits
-    (i_1, ..., i_K) is G_1[:, i_1, :] ... G_K[:, i_K, :].  Each r_k is the
-    numerical rank of the k-th unfolding: the SVD of what is left drops a
-    tail of at most _TT_REL_TOL / sqrt(K - 1) of the window norm.  The split
-    runs on the window over its largest entry, which the last core takes
-    back, so no norm under- or overflows; near the float limit that core
-    can hold an infinite value, which the caller checks.  A zero window
-    gives K zero cores of rank 1."""
+def tt_svd(rho: Sequence | Family, l: int, K=None) -> list:
+    """Tensor-train cores of the length-l^K window of rho, as K cores (r_k,
+    j, i, fibres) as path_cores gives them: the out-width r_k and the
+    nonzero fibres G_k[j, :, i] as rows, r_K = 1, and the entry at digits
+    (i_1, ..., i_K) is G_1[:, i_1, :] ... G_K[:, i_K, :].  K defaults to the
+    coverage depth of analysis_window(rho, l), the depth path_cores takes;
+    a given K reads only the length-l^K window.  Each r_k is the numerical
+    rank of the k-th unfolding: the SVD of what is left drops a tail of at
+    most _TT_REL_TOL / sqrt(K - 1) of the window norm.  The split runs on
+    the window over its largest entry, which the last core takes back, so
+    no norm under- or overflows; near the float limit that core can hold
+    an infinite value, which the caller checks.  A zero window gives K
+    empty cores of width 1, and K = 1 at most one fibre."""
+    rho, K = _covered(rho, l) if K is None else (rho, K)
     l, K = _depth(l, K)
     data = rho.values_upto(l ** K)
     scale = np.abs(data).max()
     if not scale:
-        return [np.zeros((1, l, 1)) for _ in range(K)]
+        # K cores of width 1 with no bond pairs and no fibres.
+        return [(1, *np.zeros((2, 0), dtype=np.int64), np.zeros((0, l)))] * K
     rest = data[None, :] / scale
     norm = np.linalg.norm(rest)
     cores = []
     for _ in range(K - 1):
-        # Row i_k * r + a of the unfolding is rank a of what is left at digit i_k.
-        r = len(rest)
-        unfolding = rest.reshape(r, -1, l).transpose(2, 0, 1).reshape(r * l, -1)
+        # Row i_k * r + a of the unfolding is rank a, of the r = len(rest)
+        # ranks left, at digit i_k.
+        unfolding = rest.reshape(len(rest), -1, l).transpose(2, 0, 1).reshape(l * len(rest), -1)
         u, s, vt = np.linalg.svd(unfolding, full_matrices=False)
         tails = np.cumsum((s[::-1] / norm) ** 2)[::-1]
         r_next = int(np.sum(tails > _TT_REL_TOL ** 2 / (K - 1)))
-        cores.append(u[:, :r_next].reshape(l, r, r_next).transpose(1, 0, 2))
+        cores.append(u[:, :r_next].reshape(l, -1, r_next).transpose(1, 0, 2))
         rest = s[:r_next, None] * vt[:r_next]
     with np.errstate(over="ignore"):
         cores.append(scale * rest[:, :, None])
-    return cores
+    live = [np.nonzero(core.any(axis=1)) for core in cores]
+    return [(core.shape[2], j, i, core[j, :, i]) for core, (j, i) in zip(cores, live)]
 
 
 def path_cores(rho: Sequence | Family, l: int) -> list:
     """Exact tensor train of analysis_window(rho, l) at its coverage depth
-    K, one bond index per stored point, as K cores (r_k, j, i, fibres): the
-    out-width r_k and the nonzero fibres G_k[j, :, i] as rows, never a dense
-    core.  Path p holds its point's value at the first base-l digit of its
-    time in core 1 and 1.0 at each later digit, +0.0 elsewhere; at K = 1
-    the paths sum into one fibre (none for a zero window)."""
+    K, one bond index per stored point, as K cores (r_k, j, i, fibres) as
+    tt_svd gives them, never a dense core.  Path p holds its point's value
+    at the first base-l digit of its time in core 1 and 1.0 at each later
+    digit, +0.0 elsewhere; at K = 1 the paths sum into one fibre (none for
+    a zero window)."""
     l, _ = _depth(l)
-    window = analysis_window(rho, l)
-    K = coverage_depth(l, window.radius() or 0)
+    window, K = _covered(rho, l)
     times, values = window.arrays()
     n = len(times)
     path, zero = np.arange(n), np.zeros(n, dtype=np.int64)

@@ -200,6 +200,20 @@ MUTANTS = (
     Mutant("path-cores-skip-the-one-layer-sum", "src/memlens/tensors.py",
            "    if K == 1:\n        return [(1, zero[:1]", "    if False:\n        return [(1, zero[:1]",
            ("tests/test_tensors.py::test_path_cores_are_the_window_as_a_train_of_fibres",)),
+    Mutant("tt-svd-keeps-its-zero-fibres", "src/memlens/tensors.py",
+           "np.nonzero(core.any(axis=1))", "np.nonzero(core.any(axis=1) | True)",
+           ("tests/test_tensors.py::test_tt_svd_is_the_window_as_a_train_of_fibres",)),
+    Mutant("float-limit-check-reads-the-first-core", "src/memlens/models.py",
+           "np.isfinite(cores[-1][-1])", "np.isfinite(cores[0][-1])",
+           ("tests/test_models.py::test_lowrank_synthesis_near_the_float_limit_names_the_limit",)),
+    Mutant("profile-keeps-non-table-values-as-given", "src/memlens/bounds.py",
+           '        object.__setattr__(self, "values", vals)\n',
+           '        if self.family == "table":\n'
+           '            object.__setattr__(self, "values", vals)\n',
+           ("tests/test_bounds.py::test_decay_profiles_refuse_non_finite_parameters",)),
+    Mutant("rank-budget-writes-any-K-as-text", "src/memlens/bounds.py",
+           "not {_int_text(K)}", "not {K}",
+           ("tests/test_bounds.py::test_rank_budget_refuses_a_depth_or_a_width_outside_its_domain",)),
 )
 
 # {mutant name: why no output may depend on the value it moves}.

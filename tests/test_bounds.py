@@ -134,6 +134,11 @@ def test_decay_profiles_refuse_non_finite_parameters():
                                                  f"numbers, not {text}$"):
                 make()
     assert DecayProfile.table([1.0, 0.5], cutoff=3.0).cutoff == 3
+    # Every family keeps the values it read as a tuple, so every profile hashes.
+    for family in ("exponential", "power", "table"):
+        profile = DecayProfile(family, values=[1.0, 0.5], cutoff=1)
+        assert profile.values == (1.0, 0.5)
+        assert hash(profile) == hash(DecayProfile(family, values=(1.0, 0.5), cutoff=1))
 
 
 def test_tail_sum_profile_worked_values():
@@ -203,7 +208,8 @@ def test_complexity_reads_the_padded_tail_profile_bit_for_bit(rng):
 
 def test_complexity_decomposes_no_window_past_the_first_infinite_depth(monkeypatch):
     # Under a table that is zero past s = 2, rho3:700's depth-3 window holds
-    # a mass above noise at s = 3; its coverage depth is 10.
+    # a mass above noise at s = 3; its coverage depth is 10.  The zero
+    # target has no support, so its complexity reads no window at all.
     depths = []
 
     def counted(rho, l, K):
@@ -213,6 +219,9 @@ def test_complexity_decomposes_no_window_past_the_first_infinite_depth(monkeypat
     monkeypatch.setattr(tensors, "window_spectrum", counted)
     g = DecayProfile.table([1.0, 0.5], cutoff=2)
     assert complexity_measure(DepthTable(make_target("rho3:700"), 2), g).value == math.inf
+    assert depths == [1, 2, 3]
+    for l in (2, 3):
+        assert complexity_measure(DepthTable(Sequence.zero(), l), g).value == 0.0
     assert depths == [1, 2, 3]
 
 
@@ -585,8 +594,9 @@ def test_rank_budget_refuses_a_depth_or_a_width_outside_its_domain():
     assert rank_budget(2, 0) == rank_budget(3, 0.0) == 0
     assert rank_budget(1, 4) == 4 and rank_budget(3, 8) == 6
     assert rank_budget(1, sys.float_info.max) == math.floor(sys.float_info.max)
-    for K in (0, -1):
-        with pytest.raises(ValueError, match=f"^K must be >= 1, not {K}$"):
+    # A depth too long to write as text is named by its bit length.
+    for K, text in ((0, "0"), (-1, "-1"), (-10 ** 5000, "a negative 16610-bit whole number")):
+        with pytest.raises(ValueError, match=f"^K must be >= 1, not {text}$"):
             rank_budget(K, 4)
     # A depth a float can hold is read; one beyond the float range is refused
     # by name, not by the OverflowError of its conversion.

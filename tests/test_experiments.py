@@ -152,8 +152,10 @@ _ARGUMENTS = [
     ("K", 3, True, lambda K: singular_values(np.arange(1.0, 9.0), 2, K).modes.tolist()),
     ("l", 3, True, lambda l: window_spectrum(_RHO, l, 2).values.tolist()),
     ("K", 3, True, lambda K: window_spectrum(_RHO, 2, K).values.tolist()),
-    ("l", 2, True, lambda l: [core.tolist() for core in tt_svd(_SPARSE, l, 5)]),
-    ("K", 5, True, lambda K: [core.tolist() for core in tt_svd(_SPARSE, 2, K)]),
+    ("l", 2, True, lambda l: [(r, j.tolist(), i.tolist(), fibres.tolist())
+                              for r, j, i, fibres in tt_svd(_SPARSE, l, 5)]),
+    ("K", 5, True, lambda K: [(r, j.tolist(), i.tolist(), fibres.tolist())
+                              for r, j, i, fibres in tt_svd(_SPARSE, 2, K)]),
     ("l", 2, True, lambda l: coverage_depth(l, 10)),
     ("l", 2, True, lambda l: analysis_window(Sequence.geometric(0.5), l, 3).to_json()),
     ("K", 3, True, lambda K: analysis_window(Sequence.geometric(0.5), 2, K).to_json()),

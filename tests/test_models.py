@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memlens import models
 from memlens.bounds import effective_filters
 from memlens.models import (CnnSpec, RnnSpec, cnn_min_depth_expdecay,
                             cnn_representation, power_sum_delta_bound,
@@ -19,6 +20,7 @@ from memlens.models import (CnnSpec, RnnSpec, cnn_min_depth_expdecay,
                             synthesize_radix)
 from memlens.sequences import MAX_TIME, Sequence, root_sum_squares
 from memlens.tensors import tt_svd, width_plan
+from trains import train_window
 
 
 def _bank(l, channels, filters=None):
@@ -58,8 +60,11 @@ def test_cnn_spec_refuses_a_width_beyond_int64():
     # The largest int64 width is a plan like any other; one more is refused
     # by name, echoed to at most 40 characters, wherever it stands.
     assert _bank(2, (1, MAX_TIME, 1)).channels == (1, MAX_TIME, 1)
-    for wide in (MAX_TIME + 1, 2 ** 64 + 5, 10 ** 60):
-        text = f"^channel width {str(wide)[:40]} is beyond the int64 limit 2\\^63 - 1$"
+    # A width too long to write as text is named by its bit length.
+    for wide, shown in ((MAX_TIME + 1, str(MAX_TIME + 1)), (2 ** 64 + 5, str(2 ** 64 + 5)),
+                        (10 ** 60, str(10 ** 60)[:40]),
+                        (10 ** 5000, "a 16610-bit whole number")):
+        text = f"^channel width {shown} is beyond the int64 limit 2\\^63 - 1$"
         with pytest.raises(ValueError, match=text):
             _bank(2, (1, wide, 1))
         with pytest.raises(ValueError, match=text):
@@ -177,13 +182,19 @@ def test_effective_filters_values():
         effective_filters((2, 4, 1), 2)
     # A count beyond the largest float is refused with the widths it read.
     assert effective_filters((1, 2 ** 1023, 1), 2) == float(2 ** 1023 - 4)
-    for widths, l in (((1, 2 ** 1024, 1), 2), ((1, 10 ** 400, 1), 3),
-                      ((1, 3, 10 ** 200, 10 ** 200, 1), 2), ((1, 4, 4, 1), 10 ** 400)):
-        text = ",".join(map(str, widths))
+    # A width or an l too long to write as text is named by its bit length.
+    huge = "a 16610-bit whole number"
+    for widths, l, text, shown in (
+            ((1, 2 ** 1024, 1), 2, f"1,{2 ** 1024},1", "2"),
+            ((1, 10 ** 400, 1), 3, f"1,{10 ** 400},1", "3"),
+            ((1, 3, 10 ** 200, 10 ** 200, 1), 2, f"1,3,{10 ** 200},{10 ** 200},1", "2"),
+            ((1, 4, 4, 1), 10 ** 400, "1,4,4,1", str(10 ** 400)),
+            ((1, 10 ** 5000, 10 ** 5000, 1), 2, f"1,{huge},{huge},1", "2"),
+            ((1, 4, 4, 1), 10 ** 5000, "1,4,4,1", huge)):
         with pytest.raises(ValueError) as info:
             effective_filters(widths, l)
         assert str(info.value) == (f"the effective filter count of channels {text!r:.40} "
-                                   f"at l = {str(l):.40} is beyond the float limit "
+                                   f"at l = {shown:.40} is beyond the float limit "
                                    f"1.7976931348623157e+308")
 
 
@@ -378,22 +389,10 @@ def test_synthesis_banks_share_one_layout():
     assert _hex(shallow) == _hex({(0, 0, 0): (0.0, -3.0, 7.0, 0.0)})
 
 
-def _tt_cores(spec):
-    """The cores of a bank: core k holds filter (k, j, i) at [j, :, i]."""
-    cores = [np.zeros((spec.channels[k], spec.l, spec.channels[k + 1]))
-             for k in range(spec.K)]
-    for (k, j, i), w in zip(spec.index.tolist(), spec.weights):
-        cores[k][j, :, i] = w
-    return cores
-
-
-def _tt_window(cores):
-    """The window of a tensor train as the product of its core slices, one
-    core at a time, in the canonical (least significant digit first) order."""
-    window = cores[0][0]                      # (times so far, channels)
-    for core in cores[1:]:
-        window = np.einsum("tj,jsi->sti", window, core).reshape(-1, core.shape[2])
-    return window[:, 0]
+def _same_bank(got, want):
+    """Whether two banks hold the same widths, keys and weight bytes."""
+    return (got.channels == want.channels and got.index.tobytes() == want.index.tobytes()
+            and got.weights.tobytes() == want.weights.tobytes())
 
 
 def test_lowrank_bank_is_the_tt_svd_of_the_window(rng):
@@ -408,17 +407,17 @@ def test_lowrank_bank_is_the_tt_svd_of_the_window(rng):
                                   compute_uv=False)
                 assert spec.channels[k] == np.sum(s > 1e-10 * s[0])
                 assert spec.channels[k] <= min(l ** k, l ** (K - k))
-            # The bank's filters are the nonzero slices of tt_svd's cores.
+            # The bank is the one _bank reads off tt_svd's fibres, byte for
+            # byte, with or without the depth that covers the window.
             cores = tt_svd(target, l, K)
-            assert all(np.array_equal(got, want)
-                       for got, want in zip(_tt_cores(spec), cores, strict=True))
-            for window in (_tt_window(_tt_cores(spec)), _tt_window(cores)):
-                assert np.linalg.norm(window - data) <= 1e-12 * np.linalg.norm(data)
+            assert _same_bank(spec, models._bank(cores))
+            assert _same_bank(synthesize_lowrank(target, l), models._bank(tt_svd(target, l)))
+            assert np.linalg.norm(train_window(cores, l) - data) <= 1e-12 * np.linalg.norm(data)
             assert spec.weights.any(axis=1).all()
             for scale in (1e-200, 1e200):
-                far = synthesize_lowrank(Sequence.from_values(data * scale), l, K)
-                assert far.channels == spec.channels
-                assert (np.linalg.norm(_tt_window(_tt_cores(far)) / scale - data)
+                far = Sequence.from_values(data * scale)
+                assert synthesize_lowrank(far, l, K).channels == spec.channels
+                assert (np.linalg.norm(train_window(tt_svd(far, l, K), l) / scale - data)
                         <= 1e-12 * np.linalg.norm(data))
             # A power of two leaves the window over its largest entry bit for
             # bit, so only the last layer, which takes the scale back, moves.

@@ -12,6 +12,7 @@ from memlens.models import CnnSpec, cnn_representation, replay_residual
 from memlens.sequences import Sequence, root_sum_squares
 from memlens.tensors import (Spectrum, analysis_window, mode_view, singular_values,
                              truncation_error_bound, window_spectrum)
+from trains import train_window
 
 
 def _flatten(data, dims, k):
@@ -553,16 +554,27 @@ def test_singular_values_are_within_lapacks_bound_of_a_long_double_jacobi(rng):
                 assert np.abs(got - want).max() <= _LAW_TOL * want[0], (l, K)
 
 
-def _fibre_train_window(cores, l):
-    """The window of a train stored as fibres (r_k, j, i, fibres): each core
-    densified, then contracted one core at a time, least significant digit
-    first."""
-    window = np.ones((1, 1))                  # (times so far, bond)
+def _sparse_targets(rng, l):
+    """The zero target, a horizon Family and five random sparse targets at
+    l, of 1 to 40 stored points, from depth 1 up."""
+    targets = [Sequence.zero(), Sequence.geometric(0.5, horizon=2 * l + 1)]
+    for top, n in ((l, l - 1), (l, 1), (l ** 3, 5), (5000, 1), (5000, 40)):
+        times = rng.choice(top, size=n, replace=False)
+        targets.append(Sequence.from_arrays(times, rng.normal(size=n) * 10.0 **
+                                            rng.integers(-6, 6, size=n)))
+    return targets
+
+
+def _assert_fibre_form(cores, l, K):
+    """K cores (r_k, j, i, fibres), the last of width 1, each holding only
+    nonzero fibres of length l at bonds inside its widths."""
+    assert len(cores) == K and cores[-1][0] == 1
+    width = 1
     for r, j, i, fibres in cores:
-        core = np.zeros((window.shape[1], l, r))
-        core[j, :, i] = fibres
-        window = np.einsum("tj,jsi->sti", window, core).reshape(-1, r)
-    return window[:, 0]
+        assert fibres.shape == (len(j), l) and len(i) == len(j)
+        assert fibres.any(axis=1).all()
+        assert ((0 <= j) & (j < width)).all() and ((0 <= i) & (i < r)).all()
+        width = r
 
 
 def test_path_cores_are_the_window_as_a_train_of_fibres(rng):
@@ -570,23 +582,39 @@ def test_path_cores_are_the_window_as_a_train_of_fibres(rng):
     # the coverage depth, K = 1 and the zero window included, and the bank
     # read off them replays the target exactly.
     for l in (2, 3, 4):
-        targets = [Sequence.zero(), Sequence.geometric(0.5, horizon=2 * l + 1)]
-        for top, n in ((l, l - 1), (l, 1), (l ** 3, 5), (5000, 1), (5000, 40)):
-            times = rng.choice(top, size=n, replace=False)
-            targets.append(Sequence.from_arrays(times, rng.normal(size=n) * 10.0 **
-                                                rng.integers(-6, 6, size=n)))
-        for target in targets:
+        for target in _sparse_targets(rng, l):
             window = tensors.analysis_window(target, l)
             n, K = len(window.arrays()[0]), tensors.coverage_depth(l, window.radius() or 0)
             cores = tensors.path_cores(target, l)
-            assert len(cores) == K
+            _assert_fibre_form(cores, l, K)
             assert sum(len(fibres) for *_, fibres in cores) == (min(1, n) if K == 1 else K * n)
-            for r, j, i, fibres in cores:
-                assert fibres.shape == (len(j), l) and len(i) == len(j)
-                assert fibres.any(axis=1).all()
-            assert (_fibre_train_window(cores, l).tobytes() ==
+            assert (train_window(cores, l).tobytes() ==
                     target.values_upto(l ** K).tobytes()), (l, n)
             assert replay_residual(models._bank(cores), target) == 0.0
+
+
+def test_tt_svd_is_the_window_as_a_train_of_fibres(rng):
+    # tt_svd stores its cores as path_cores does, and given no depth takes
+    # the one path_cores takes: densified and contracted, its fibres give
+    # the window within 1e-12 of its norm.  At K = 1 the one core holds at
+    # most one fibre, and a zero window, at any depth, is K empty cores of
+    # width 1.
+    for l in (2, 3, 4):
+        for target in _sparse_targets(rng, l):
+            window = tensors.analysis_window(target, l)
+            n, K = len(window.arrays()[0]), tensors.coverage_depth(l, window.radius() or 0)
+            for depth, cores in ((K, tensors.tt_svd(target, l)),
+                                 (1, tensors.tt_svd(target, l, 1)),
+                                 (K + 1, tensors.tt_svd(target, l, K + 1))):
+                want = target.values_upto(l ** depth)
+                _assert_fibre_form(cores, l, depth)
+                assert (np.linalg.norm(train_window(cores, l) - want)
+                        <= 1e-12 * np.linalg.norm(want)), (l, n, depth)
+                if depth == 1:
+                    assert len(cores[0][3]) == int(want.any())
+                if n == 0:
+                    assert [r for r, *_ in cores] == [1] * depth
+                    assert not sum(len(fibres) for *_, fibres in cores)
 
 
 def test_tt_svd_drops_a_step_tail_below_its_share_of_the_tolerance():
@@ -599,4 +627,4 @@ def test_tt_svd_drops_a_step_tail_below_its_share_of_the_tolerance():
     for share, ranks in ((0.35, [1, 1]), (0.7, [2, 2])):
         window = Sequence.from_arrays([0, 7], [1.0, tol * math.sqrt(share)])
         cores = tensors.tt_svd(window, 2, 3)
-        assert [core.shape[2] for core in cores[:-1]] == ranks, share
+        assert [r for r, *_ in cores[:-1]] == ranks, share
