@@ -158,14 +158,13 @@ def complexity_measure(table: DepthTable, g: DecayProfile) -> Scalar:
     floor where g(s) = 0, decomposing no deeper window, and when a ratio
     passes the largest float, as it does for a g(s) that underflows to a
     subnormal.
-    A generated target is measured up to its horizon, so it needs one (see
-    tensors.analysis_window).  This reads and fills the table's windows.
+    The window and its coverage depth come from tensors.analysis_window,
+    so a generated target is measured up to its horizon and needs one.
+    This reads and fills the table's windows.
     """
-    rho = tensors.analysis_window(table.rho, table.l)
-    r = rho.radius()
-    if r is None:
+    rho, k_star = tensors.analysis_window(table.rho, table.l)
+    if rho.radius() is None:
         return Scalar(0.0)
-    k_star = tensors.coverage_depth(table.l, r)
     noise = COMPLEXITY_NOISE_REL_TOL * float(rho.norm())
     envelope = []
     for K in range(1, k_star + 1):
@@ -233,7 +232,7 @@ def rate_bound_interval(rho: Sequence | Family, l: int, channels, g: DecayProfil
     l, K = _depth(l, len(channels) - 1)
     size = l ** K
     g_arg = max(0, rank_budget(K, M) - K)
-    c_val = complexity_measure(DepthTable(tensors.analysis_window(rho, l, K), l), g)
+    c_val = complexity_measure(DepthTable(tensors.analysis_window(rho, l, K)[0], l), g)
     tail = rho.tail_norm(size)
     rank = c_val.value if math.isinf(c_val.value) else g(g_arg) * c_val.value
     upper = Scalar(rank + tail.value, tail.halfwidth)

@@ -88,19 +88,18 @@ def line_chart(series, title: str = "", x_label: str = "",
         ticks_y = _log_ticks(y_lo, y_hi)
         y_lo = min(y_lo, ticks_y[0])
         y_hi = max(y_hi, ticks_y[-1])
-
-        def sy(y):
-            y = max(y, floor)
-            frac = ((math.log10(y) - math.log10(y_lo))
-                    / (math.log10(y_hi) - math.log10(y_lo)))
-            return _HEIGHT - _MARGIN_B - frac * (_HEIGHT - _MARGIN_T - _MARGIN_B)
+        lift = math.log10
     else:
         y_lo, y_hi = _span(min(all_y), max(all_y))
         ticks_y = _linear_ticks(y_lo, y_hi)
+        # float is the identity on the float ys and ticks.
+        lift, floor = float, -math.inf
 
-        def sy(y):
-            frac = (y - y_lo) / (y_hi - y_lo)
-            return _HEIGHT - _MARGIN_B - frac * (_HEIGHT - _MARGIN_T - _MARGIN_B)
+    lift_lo, lift_span = lift(y_lo), lift(y_hi) - lift(y_lo)
+
+    def sy(y):
+        frac = (lift(max(y, floor)) - lift_lo) / lift_span
+        return _HEIGHT - _MARGIN_B - frac * (_HEIGHT - _MARGIN_T - _MARGIN_B)
 
     def sx(x):
         frac = (x - x_lo) / (x_hi - x_lo)

@@ -27,7 +27,9 @@ Targets are paths to sequence JSON files, or builtin ids (rho1, rho2,
 rho3[:H], exp:GAMMA, impulse:T), which sequences.make_target reads as
 shorthand for the JSON family forms.  measure, bounds and synth read a
 generated target up to its horizon, or, without one, on its length-l^K
-window (tensors.analysis_window, which synth leaves to its synthesizer).
+window: the window, and its coverage depth, come from
+tensors.analysis_window alone, which measure calls itself and bounds and
+synth leave to the library.
 
 Each command imports only the library code it calls: this module loads
 sequences and _jsontext, which parsing and every handler share, and each
@@ -224,7 +226,7 @@ def _cmd_measure(args, emit) -> int:
     g = _profile(args.g, args.g_params)
     for text in args.target:
         target, label = load_target(text)
-        table = DepthTable(analysis_window(target, args.l, args.K[0]), args.l)
+        table = DepthTable(analysis_window(target, args.l, args.K[0])[0], args.l)
         c = complexity_measure(table, g)
         finite = math.isfinite(c.value)
         emit(f"{label}_measure.json",

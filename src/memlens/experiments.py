@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .sequences import (RHO1_SLOTS, RHO2_SLOTS, Sequence, _depth, _number, _whole,
-                        make_target)
+                        _window_depth, make_target)
 from . import tensors
 from .bounds import (COMPLEXITY_NOISE_REL_TOL, DecayProfile, DepthTable,
                      complexity_measure, curve_points, error_curve, rank_budget)
@@ -52,8 +52,7 @@ def error_curve_study(l: int = 2, K_list=(4, 5, 6), M_max: int = 64) -> dict:
     notes = []
     checks = {}
 
-    cover = tensors.coverage_depth(l, max(depths["rho1"].rho.radius(),
-                                          depths["rho2"].rho.radius()))
+    cover = max(tensors.analysis_window(depths[name].rho, l)[1] for name in ("rho1", "rho2"))
     claim_K = next((K for K in K_list if K >= cover), None)
     if claim_K is not None:
         r1, r2 = (depths[name].spectrum(claim_K).rank() for name in ("rho1", "rho2"))
@@ -123,7 +122,7 @@ def _impulse_copy(K=10, eps=0.1, l=2) -> dict:
     """Copying the input from the far end of a depth-K receptive field
     (lag l^K - 1) takes one filter per layer, while a linear recurrence
     needs width growing exponentially in K."""
-    (l, K), eps = _depth(l, K), _number(eps, "eps")
+    (l, K), eps = _window_depth(l, K), _number(eps, "eps")
     lag = l ** K - 1
     target = Sequence.impulse(lag)
     cnn = synthesize_radix(target, l)

@@ -304,9 +304,9 @@ def _bank(cores) -> CnnSpec:
 def synthesize_radix(target: Sequence | Family, l: int) -> CnnSpec:
     """Exact filter bank reading base-l digits of the support positions,
     the bank of tensors.path_cores(target, l): each stored entry gets its
-    own channel path of K one-hot filters, K the smallest depth with l^K
-    above the radius of the target, cut by tensors.analysis_window (a
-    Family needs a horizon); a single layer sums the paths."""
+    own channel path of K one-hot filters, K the coverage depth that
+    tensors.analysis_window returns with the window it cuts (a Family
+    needs a horizon); a single layer sums the paths."""
     return _bank(tensors.path_cores(target, l))
 
 
@@ -368,7 +368,11 @@ def power_sum_delta_bound(m_terms: int, t: int, sup_val: float) -> Scalar:
         raise ValueError("m_terms must be >= 1")
     if sup_val < 0:
         raise ValueError("sup_val must be >= 0")
-    return Scalar(2.0 * m_terms * sup_val / t)
+    try:
+        return Scalar(2.0 * m_terms * sup_val / t)
+    except OverflowError:
+        raise ValueError(f"{'m_terms' if m_terms > _HUGE else 't'} is beyond "
+                         f"the float limit {_HUGE!r}") from None
 
 
 def rnn_min_width_impulse(K: int, eps: float) -> int:

@@ -36,13 +36,15 @@ sequence or the error is the same.
 
 The argument readers of the library live here: _whole reads a time index
 or another whole number, _number a real parameter, _length the length
-n >= 0 of a window (values_upto), and _depth the filter size l and
-depth K of a dilated stack, as ints with l >= 2 and K >= 1.
+n >= 0 of a window (values_upto), _depth the filter size l and depth K
+of a dilated stack, as ints with l >= 2 and K >= 1, and _window_depth
+those of a length-l^K window, refused when its last time l^K - 1 is past
+the int64 limit, before any power past that limit is formed.
 Each refuses a bool, a string or (for a whole number) a fraction by name,
-and never cuts one to an int.  Sequence.impulse, Family and the time
-readers of both (value, values_upto, truncate, tail_norm, sup_abs_from)
-read their own arguments through them, so from_json passes its fields on
-as they are.
+and _number a whole number beyond the float range, and never cuts one to
+an int.  Sequence.impulse, Family and the time readers of both (value,
+values_upto, truncate, tail_norm, sup_abs_from) read their own arguments
+through them, so from_json passes its fields on as they are.
 
 The builtin target ids (rho1, rho2, rho3[:H], exp:GAMMA, impulse:T) live
 here too, beside the grammar they abbreviate: make_target reads each
@@ -231,9 +233,13 @@ def _length(n) -> int:
 
 
 def _number(x, what) -> float:
-    """A real parameter as a float; a bool, a string or None is not one."""
+    """A real parameter as a float; a bool, a string or None is not one,
+    and a whole number beyond the float range is refused by name."""
     if type(x) in (float, int) or isinstance(x, numbers.Real) and not isinstance(x, bool):
-        return float(x)
+        try:
+            return float(x)
+        except OverflowError:
+            raise ValueError(f"{what} is beyond the float limit {_HUGE!r}") from None
     raise ValueError(f"{what} must be a number, not {x!r}")
 
 
@@ -244,6 +250,23 @@ def _depth(l, K=1) -> tuple:
     if l < 2 or K < 1:
         raise ValueError("need l >= 2 and K >= 1")
     return l, K
+
+
+def _window_depth(l, K) -> tuple:
+    """l and K as _depth reads them, for a length-l^K window whose last
+    time l^K - 1 passes _check_time.  A window past the int64 limit is
+    refused before any power beyond it is formed: every l >= 2 passes the
+    limit at K = 64, and at l = 2^a the last time has a * K bits."""
+    l, K = _depth(l, K)
+    if K < 64:
+        _check_time(l ** K - 1)
+        return l, K
+    a = l.bit_length() - 1
+    if l == 1 << a:
+        raise ValueError(f"a {_int_text(a * K)}-bit time index is beyond "
+                         f"the int64 limit 2^63 - 1")
+    raise ValueError(f"the time index l^K - 1 at l = {_int_text(l)}, K = "
+                     f"{_int_text(K)} is beyond the int64 limit 2^63 - 1")
 
 
 def _read_number(text: str, what):
@@ -262,7 +285,8 @@ def _read_values(values):
     or the error is np.asarray's, with n rows [v] read as their n values.
     A string given as the values is refused, and so is a string or a bool
     in a list or a tuple, as a value or as an item of a list or tuple
-    value, though numpy would read each as a number."""
+    value, though numpy would read each as a number, and a whole number
+    beyond the float range, where numpy's error names no value."""
     if isinstance(values, (str, bytes)):
         raise ValueError(f"the values must be numbers, not {values!r:.40}")
     if isinstance(values, (list, tuple)):
@@ -270,7 +294,10 @@ def _read_values(values):
                                      for v in values):
             if isinstance(x, (str, bool)):
                 raise ValueError(f"a value must be a number, not {x!r:.40}")
-    values = np.asarray(values, dtype=float)
+    try:
+        values = np.asarray(values, dtype=float)
+    except OverflowError:
+        raise ValueError(f"a value is beyond the float limit {_HUGE!r}") from None
     return values[:, 0] if values.shape[1:] == (1,) else values
 
 

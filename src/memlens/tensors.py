@@ -10,15 +10,17 @@ reads the unfoldings and cores of the window's tensor train, the
 low-rank filter bank; and path_cores reads each stored time's digits
 into the exact train of a sparse window, the radix bank.  Both return
 one form, each core its out-width and its nonzero fibres, and both take
-one default window and depth, analysis_window(rho, l) at its coverage
-depth, chosen by _covered beside coverage_depth.  The ranks of a train
-are a stack's width plan (M_0, ..., M_K), whose number of widths fixes
-the depth K, and width_plan, beside tt_svd, is the one check of a plan:
-CnnSpec and bounds.effective_filters read every plan, and its depth,
-through it.  Every function here that takes l
-or K reads them through sequences._depth and computes with the ints it
-returns.  The pooled singular values of the K mode flattenings drive the
-rank counts and truncation bounds of the approximation-rate machinery.
+one default window and depth: analysis_window(rho, l) returns the window
+with its coverage depth, and is the one caller of coverage_depth that
+reads a window.  The ranks of a train are a stack's width plan (M_0,
+..., M_K), whose number of widths fixes the depth K, and width_plan,
+beside tt_svd, is the one check of a plan: CnnSpec and
+bounds.effective_filters read every plan, and its depth, through it.
+Every function here that takes l or K reads them through
+sequences._depth, or, for a length-l^K window, sequences._window_depth,
+and computes with the ints it returns.  The pooled singular values of
+the K mode flattenings drive the rank counts and truncation bounds of
+the approximation-rate machinery.
 window_spectrum is the one path from a target to its depth-K pooled
 spectrum, and truncation_error_bound the one path from a spectrum to its
 tails.  The tail masses at offsets s = 0, ..., l*K - K that the
@@ -49,7 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import _HUGE, _TINY, Family, Sequence, _depth, _whole, root_sum_squares
+from .sequences import (_HUGE, _TINY, Family, Sequence, _depth, _whole, _window_depth,
+                        root_sum_squares)
 
 RANK_REL_TOL = 1e-8
 # The stack of flattenings one batched SVD decomposes holds at most this
@@ -119,28 +122,24 @@ def coverage_depth(l: int, radius: int) -> int:
     return K
 
 
-def _covered(rho: Sequence | Family, l: int) -> tuple:
-    """analysis_window(rho, l) and its coverage depth, 1 for a zero window:
-    the window and depth a tensor train takes when given no depth."""
-    window = analysis_window(rho, l)
-    return window, coverage_depth(l, window.radius() or 0)
-
-
-def analysis_window(rho: Sequence | Family, l: int, K=None) -> Sequence:
-    """rho as the analyses read it: a Sequence as it is, and a Family as
-    the Sequence its truncate makes, cut after its horizon or, without a
-    horizon, to its length-l^K window, which needs a depth K, read with l
-    (_depth).  The measure command, bounds and both models synthesizers
-    read rho through it."""
-    if isinstance(rho, Sequence):
-        return rho
-    if rho.horizon is not None:
-        return rho.truncate(rho.horizon + 1)
-    if K is None:
-        raise ValueError("a generated target without a horizon has infinite "
-                         "support: give it a horizon or cut it to a window")
-    l, K = _depth(l, K)
-    return rho.truncate(l ** K)
+def analysis_window(rho: Sequence | Family, l: int, K=None) -> tuple:
+    """(window, depth): rho as the analyses read it, and the coverage
+    depth of that window, 1 for a zero window.  The window is a Sequence
+    as it is, and a Family as the Sequence its truncate makes, cut after
+    its horizon or, without a horizon, to its length-l^K window, which
+    needs a depth K (sequences._window_depth).  Both tensor trains, the
+    complexity measure, the bounds, the curve study and the measure
+    command read their window here, and those that need one its depth."""
+    if isinstance(rho, Family):
+        if rho.horizon is not None:
+            rho = rho.truncate(rho.horizon + 1)
+        elif K is None:
+            raise ValueError("a generated target without a horizon has infinite "
+                             "support: give it a horizon or cut it to a window")
+        else:
+            l, K = _window_depth(l, K)
+            rho = rho.truncate(l ** K)
+    return rho, coverage_depth(l, rho.radius() or 0)
 
 
 def singular_values(window, l: int, K: int) -> Spectrum:
@@ -148,7 +147,7 @@ def singular_values(window, l: int, K: int) -> Spectrum:
     window, from one stacked SVD per group of as many flattenings as fit
     in _STACK_BUDGET bytes.  numpy runs the same SVD on each matrix
     whatever the batch, so the grouping never changes a value."""
-    l, K = _depth(l, K)
+    l, K = _window_depth(l, K)
     if window.shape != (l ** K,):
         raise ValueError("a window must hold exactly l^K entries")
     dims = (l,) * K
@@ -168,7 +167,7 @@ def singular_values(window, l: int, K: int) -> Spectrum:
 def window_spectrum(rho: Sequence | Family, l: int, K: int) -> Spectrum:
     """Pooled spectrum of the length-l^K window of rho, read once as a
     dense array; what lies beyond it is cut off."""
-    l, K = _depth(l, K)
+    l, K = _window_depth(l, K)
     return singular_values(rho.values_upto(l ** K), l, K)
 
 
@@ -191,8 +190,8 @@ def tt_svd(rho: Sequence | Family, l: int, K=None) -> list:
     no norm under- or overflows; near the float limit that core can hold
     an infinite value, which the caller checks.  A zero window gives K
     empty cores of width 1, and K = 1 at most one fibre."""
-    rho, K = _covered(rho, l) if K is None else (rho, K)
-    l, K = _depth(l, K)
+    rho, K = analysis_window(rho, l) if K is None else (rho, K)
+    l, K = _window_depth(l, K)
     data = rho.values_upto(l ** K)
     scale = np.abs(data).max()
     if not scale:
@@ -224,7 +223,7 @@ def path_cores(rho: Sequence | Family, l: int) -> list:
     digit, +0.0 elsewhere; at K = 1 the paths sum into one fibre (none for
     a zero window)."""
     l, _ = _depth(l)
-    window, K = _covered(rho, l)
+    window, K = analysis_window(rho, l)
     times, values = window.arrays()
     n = len(times)
     path, zero = np.arange(n), np.zeros(n, dtype=np.int64)

@@ -214,6 +214,22 @@ MUTANTS = (
     Mutant("rank-budget-writes-any-K-as-text", "src/memlens/bounds.py",
            "not {_int_text(K)}", "not {K}",
            ("tests/test_bounds.py::test_rank_budget_refuses_a_depth_or_a_width_outside_its_domain",)),
+    Mutant("coverage-depth-holds-only-earlier-times", "src/memlens/tensors.py",
+           "while l ** K <= radius:", "while l ** K < radius:",
+           ("tests/test_tensors.py::test_analysis_window_rule",)),
+    Mutant("horizon-window-cut-at-the-horizon", "src/memlens/tensors.py",
+           "rho.truncate(rho.horizon + 1)", "rho.truncate(rho.horizon)",
+           ("tests/test_tensors.py::test_analysis_window_rule",)),
+    Mutant("window-depth-refused-from-63", "src/memlens/sequences.py",
+           "    if K < 64:", "    if K < 63:",
+           ("tests/test_cli.py::test_compare_beyond_the_time_limit_exits_two",)),
+    Mutant("window-limit-bits-never-counted", "src/memlens/sequences.py",
+           "    if l == 1 << a:", "    if False:",
+           ("tests/test_tensors.py::test_a_window_beyond_the_time_limit_is_refused_by_name",)),
+    Mutant("number-beyond-a-float-unnamed", "src/memlens/sequences.py",
+           '        except OverflowError:\n            raise ValueError(f"{what} is beyond',
+           '        except ZeroDivisionError:\n            raise ValueError(f"{what} is beyond',
+           ("tests/test_bounds.py::test_rank_budget_refuses_a_depth_or_a_width_outside_its_domain",)),
 )
 
 # {mutant name: why no output may depend on the value it moves}.

@@ -300,6 +300,26 @@ def test_every_svd_of_the_library_runs_in_tensors():
     assert private == []
 
 
+def test_the_window_and_its_depth_come_from_analysis_window_alone():
+    # Only analysis_window pairs a window with its coverage depth: besides
+    # it, only cnn_min_depth_expdecay, whose time is a decay length and not
+    # the last time of a window, calls coverage_depth, and no other helper
+    # (the former tensors._covered) is defined or named.
+    callers, covered = set(), []
+    for path in sorted(Path(memlens.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(node, ast.Call) and "coverage_depth" in
+                    (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+                    for node in ast.walk(fn)):
+                callers.add(f"{path.stem}.{fn.name}")
+        covered += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                    if "_covered" in (getattr(node, key, None) for key in ("id", "attr", "name"))]
+    assert callers == {"tensors.analysis_window", "models.cnn_min_depth_expdecay"}
+    assert covered == []
+
+
 def test_only_the_cli_imports_inside_a_function():
     # A library module names every module it reads in its top-level
     # imports; only the command line defers them, so that each command

@@ -122,6 +122,14 @@ def test_decay_profiles_refuse_non_finite_parameters():
                          (lambda: DecayProfile.table([inf, 1.0], cutoff=3), "table")):
         with pytest.raises(ValueError, match=f"^{family} profile parameters must be finite$"):
             make()
+    # A whole number beyond the float range is refused by the name of its
+    # parameter.
+    for make, what in ((lambda: DecayProfile.exponential(0.5, a=10 ** 400), "a"),
+                       (lambda: DecayProfile.power(10 ** 400), "p"),
+                       (lambda: DecayProfile.table([10 ** 400, 1.0], cutoff=3), "a table value")):
+        with pytest.raises(ValueError, match=f"^{what} is beyond the float limit "
+                                             f"{re.escape(repr(sys.float_info.max))}$"):
+            make()
     for cutoff in (2.5, nan, inf, "3", None):
         with pytest.raises(ValueError, match="^the table cutoff must be a whole number, not "):
             DecayProfile.table([1.0, 0.5], cutoff=cutoff)
@@ -237,7 +245,7 @@ def test_a_horizon_family_and_its_cut_have_bit_identical_windows(rng):
                 for h in (0, 1, 7, 100, 300, 700, 5000)]
     families += [Sequence.power(horizon=h) for h in (0, 1, 7, 100, 300, 700, 5000)]
     for rho in families:
-        cut = tensors.analysis_window(rho, 2)
+        cut = tensors.analysis_window(rho, 2)[0]
         for K in range(1, 14):
             assert rho.values_upto(2 ** K).tobytes() == cut.values_upto(2 ** K).tobytes()
 
@@ -269,7 +277,7 @@ def _table_values():
     for l in (2, 3, 4):
         for rho in targets:
             table = DepthTable(rho, l)
-            K_list = range(1, coverage_depth(l, tensors.analysis_window(rho, l).radius()) + 2)
+            K_list = range(1, tensors.analysis_window(rho, l)[1] + 2)
             values.append([*(complexity_measure(table, g).value.hex() for g in profiles),
                            _rows_digest(error_curve(table, K_list, range(1, 41)))])
     for rho in (make_target("rho3"), make_target("exp:0.9")):
@@ -327,7 +335,7 @@ def test_a_depth_table_changes_no_value():
     targets, profiles = _pinned_targets()
     for l in (2, 3, 4):
         for rho in targets:
-            cut = tensors.analysis_window(rho, l)
+            cut = tensors.analysis_window(rho, l)[0]
             for g in profiles:
                 want = complexity_measure(DepthTable(cut, l), g).value.hex()
                 assert complexity_measure(DepthTable(rho, l), g).value.hex() == want
@@ -598,13 +606,14 @@ def test_rank_budget_refuses_a_depth_or_a_width_outside_its_domain():
     for K, text in ((0, "0"), (-1, "-1"), (-10 ** 5000, "a negative 16610-bit whole number")):
         with pytest.raises(ValueError, match=f"^K must be >= 1, not {text}$"):
             rank_budget(K, 4)
-    # A depth a float can hold is read; one beyond the float range is refused
-    # by name, not by the OverflowError of its conversion.
+    # A depth a float can hold is read; a depth or a width beyond the float
+    # range is refused by name, not by the OverflowError of its conversion.
     assert rank_budget(2 ** 1023, 4) == 2 ** 1023 and rank_budget(2 ** 1023, 0) == 0
-    for K in (2 ** 1024, 10 ** 400):
-        with pytest.raises(ValueError, match=f"^K is beyond the float limit "
+    for K, M, what in ((2 ** 1024, 4, "K"), (10 ** 400, 4, "K"), (2, 2 ** 1024, "M"),
+                       (2, 10 ** 400, "M")):
+        with pytest.raises(ValueError, match=f"^{what} is beyond the float limit "
                                              f"{re.escape(repr(sys.float_info.max))}$"):
-            rank_budget(K, 4)
+            rank_budget(K, M)
     for M in (-1, -5e-324, math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match=f"^M must be finite and >= 0, not {float(M)!r}$"):
             rank_budget(2, M)

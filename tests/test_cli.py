@@ -477,7 +477,7 @@ def test_synth_artifacts_are_json_dumps(tmp_path, capsys, rng, l):
                          "--l", str(l), "--out", str(tmp_path)]) == 0
             capsys.readouterr()
             text = (tmp_path / f"{method}{at}_{method}.json").read_text(encoding="utf-8")
-            window = analysis_window(load_target(str(path))[0], l)
+            window = analysis_window(load_target(str(path))[0], l)[0]
             spec = (synthesize_radix(window, l) if method == "radix"
                     else synthesize_lowrank(window, l))
             want = {"l": spec.l, "K": spec.K, "channels": list(spec.channels),
@@ -596,6 +596,13 @@ def test_malformed_json_target_rows_exit_two(tmp_path, capsys):
     assert error_of({"family": "impulse"}) == "error: the impulse family needs params.t\n"
     assert error_of({"family": "geometric", "params": {}}) == (
         "error: the geometric family needs params.gamma\n")
+    # A whole number beyond the float range, as gamma, as an impulse value
+    # or as a row value, is refused by the name of its field.
+    for doc, what in (({"family": "geometric", "params": {"gamma": 10 ** 400}}, "gamma"),
+                      ({"family": "impulse", "params": {"t": 3, "value": 10 ** 400}},
+                       "an impulse value"),
+                      ({"entries": [[0, [1.0]], [3, [10 ** 400]]]}, "a value")):
+        assert error_of(doc) == f"error: {what} is beyond the float limit {sys.float_info.max!r}\n"
 
 
 def test_a_target_of_another_dim_exits_two_at_load(tmp_path, capsys):
@@ -894,12 +901,18 @@ def test_a_command_loads_only_the_modules_it_calls(case):
 
 
 def test_compare_beyond_the_time_limit_exits_two(capsys):
-    for K in ("64", "3000"):
-        assert main(["compare", "--scenario", "impulse_copy", "--K", K]) == 2
-        assert "2^63" in capsys.readouterr().err
-    code, out = run_cli(capsys, ["compare", "--scenario", "impulse_copy", "--K", "62"])
-    assert code == 0
-    assert json.loads(out)["cnn_requirement"]["replay_residual"] == 0.0
+    # A depth whose lag l^K - 1 is past the int64 limit exits 2 at once,
+    # however large: no power beyond the limit is formed.
+    for l in ("2", "3"):
+        for K in ("64", "3000", "10000000", "100000000", str(10 ** 30)):
+            began = time.perf_counter()
+            assert main(["compare", "--scenario", "impulse_copy", "--l", l, "--K", K]) == 2
+            assert time.perf_counter() - began < 0.5, (l, K)
+            assert "2^63" in capsys.readouterr().err
+    for K in ("62", "63"):
+        code, out = run_cli(capsys, ["compare", "--scenario", "impulse_copy", "--K", K])
+        assert code == 0
+        assert json.loads(out)["cnn_requirement"]["replay_residual"] == 0.0
 
 
 def test_curve_of_rho3_with_a_horizon_of_10_to_the_12_finishes(tmp_path, capsys):

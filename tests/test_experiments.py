@@ -145,6 +145,12 @@ def _study(*args):
     return [study[key] for key in ("l", "tables", "notes", "checks")]
 
 
+def _geometric_window(l, K):
+    """analysis_window of 0.5^t at l and K, its window as JSON."""
+    window, depth = analysis_window(Sequence.geometric(0.5), l, K)
+    return window.to_json(), depth
+
+
 # (what the argument is called, its plain value, whether it is whole, and a
 # call that reads it and returns a repr-able summary of the result).
 _ARGUMENTS = [
@@ -157,8 +163,8 @@ _ARGUMENTS = [
     ("K", 5, True, lambda K: [(r, j.tolist(), i.tolist(), fibres.tolist())
                               for r, j, i, fibres in tt_svd(_SPARSE, 2, K)]),
     ("l", 2, True, lambda l: coverage_depth(l, 10)),
-    ("l", 2, True, lambda l: analysis_window(Sequence.geometric(0.5), l, 3).to_json()),
-    ("K", 3, True, lambda K: analysis_window(Sequence.geometric(0.5), 2, K).to_json()),
+    ("l", 2, True, lambda l: _geometric_window(l, 3)),
+    ("K", 3, True, lambda K: _geometric_window(2, K)),
     ("l", 2, True, lambda l: (DepthTable(_RHO, l).l, DepthTable(_RHO, l).masses(3))),
     ("l", 2, True, lambda l: effective_filters((1, 4, 4, 1), l)),
     ("l", 2, True, lambda l: rate_bound_interval(_RHO, l, (1, 4, 4, 1), _G)),

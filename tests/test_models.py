@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import sys
 import time
 import tracemalloc
 import warnings
@@ -661,6 +662,13 @@ def test_power_sum_delta_bound_values_and_errors():
         power_sum_delta_bound(1, 0, 1.0)
     with pytest.raises(ValueError):
         power_sum_delta_bound(1, 1, -1.0)
+    # A whole number beyond the float range is refused by the name of its
+    # argument, not by the OverflowError of the arithmetic.
+    for args, what in (((10 ** 400, 4, 1.0), "m_terms"), ((3, 10 ** 400, 1.0), "t"),
+                       ((3, 4, 10 ** 400), "sup_val")):
+        with pytest.raises(ValueError, match=f"^{what} is beyond the float limit "
+                                             f"{re.escape(repr(sys.float_info.max))}$"):
+            power_sum_delta_bound(*args)
 
 
 def test_rnn_min_width_impulse_values():
@@ -670,6 +678,9 @@ def test_rnn_min_width_impulse_values():
         rnn_min_width_impulse(10, 0.5)
     with pytest.raises(ValueError):
         rnn_min_width_impulse(0, 0.1)
+    with pytest.raises(ValueError, match=f"^eps is beyond the float limit "
+                                         f"{re.escape(repr(sys.float_info.max))}$"):
+        rnn_min_width_impulse(3, 10 ** 400)
 
 
 def _width_by_search(K, budget):

@@ -3,6 +3,7 @@ import gc
 import json
 import math
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
@@ -57,6 +58,17 @@ def test_from_values_reads_its_values_as_from_arrays_does():
             Sequence.from_values(bad)
     assert Sequence.from_values([[1.0], [0.0], [2.0]]).to_json() == \
         Sequence.from_values((1.0, 0.0, 2.0)).to_json() == {"dim": 1, "entries": [[0, [1.0]], [2, [2.0]]]}
+    # A whole number beyond the float range is refused by name, as a value
+    # or a row of either reader, as an impulse value and as gamma.
+    limit = re.escape(f" is beyond the float limit {sys.float_info.max!r}")
+    for bad in ([1.0, 10 ** 400], [[1.0], [10 ** 400]], np.array([10 ** 400], dtype=object)):
+        for read in (Sequence.from_values, lambda v: Sequence.from_arrays(range(len(v)), v)):
+            with pytest.raises(ValueError, match=f"^a value{limit}$"):
+                read(bad)
+    for make, what in ((lambda: Sequence.impulse(3, 10 ** 400), "an impulse value"),
+                       (lambda: Sequence.geometric(10 ** 400), "gamma")):
+        with pytest.raises(ValueError, match=f"^{what}{limit}$"):
+            make()
 
 
 def test_from_values_drops_zeros_and_keeps_support():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -398,22 +399,54 @@ def test_rank_counts_values_above_1e_8_of_the_largest():
 
 
 def test_analysis_window_rule():
+    # The window comes with its coverage depth, the smallest K whose
+    # length-l^K window holds its last stored time: 1 for a zero window and
+    # for an impulse at 0, K for a last time of l^K - 1 and K + 1 for l^K.
     finite = Sequence.from_values([1.0, 0.0, 0.0, 0.0, 2.0])
-    assert analysis_window(finite, 2, 1) is finite
-    cut = analysis_window(Sequence.power(horizon=5), 2, 1)
-    assert isinstance(cut, Sequence) and cut.radius() == 5
-    assert analysis_window(Sequence.geometric(0.5), 2, 3).radius() == 7
+    window, depth = analysis_window(finite, 2, 1)
+    assert window is finite and depth == 3
+    for l in (2, 3, 4):
+        assert analysis_window(Sequence.zero(), l)[1] == 1
+        assert analysis_window(Sequence.impulse(0), l)[1] == 1
+        for K in (1, 2, 5):
+            assert analysis_window(Sequence.impulse(l ** K - 1), l)[1] == K
+            assert analysis_window(Sequence.impulse(l ** K), l)[1] == K + 1
+    # A horizon family is cut after its horizon, whatever K is given.
+    for horizon, l, K in ((5, 2, 3), (7, 2, 3), (8, 2, 4), (8, 3, 2), (9, 3, 3)):
+        cut, depth = analysis_window(Sequence.power(horizon=horizon), l, 1)
+        assert isinstance(cut, Sequence) and (cut.radius(), depth) == (horizon, K)
+        window, got = analysis_window(Sequence.power(horizon=horizon), l)
+        assert (window.to_json(), got) == (cut.to_json(), depth)
+    # A family without a horizon is cut to its length-l^K window, whose
+    # depth is that of its last stored time: 0.5^t underflows past t = 1074,
+    # so the depth-12 window at l = 2 has depth 11.
+    for l, K, radius, depth in ((2, 3, 7, 3), (3, 2, 8, 2), (2, 11, 1074, 11), (2, 12, 1074, 11)):
+        cut, got = analysis_window(Sequence.geometric(0.5), l, K)
+        assert (cut.radius(), got) == (radius, depth)
     with pytest.raises(ValueError, match="horizon"):
         analysis_window(Sequence.geometric(0.5), 2)
 
 
 def test_a_window_beyond_the_time_limit_is_refused_by_name():
-    # l^K - 1 is checked before the window is made, for every kind of target.
-    for rho in (Sequence.from_values([1.0, 2.0]), Sequence.geometric(0.9),
-                Sequence.power(horizon=3)):
-        with pytest.raises(ValueError, match="^a 64-bit time index is beyond "
-                                             "the int64 limit 2\\^63 - 1$"):
-            window_spectrum(rho, 2, 64)
+    # l^K - 1 is checked before the window is made, for every kind of target
+    # and every reader of a window, and before any power past the limit is
+    # formed, so a huge depth is refused at once: by its bit count at
+    # l = 2^a, and by l and K at any other l from K = 64 on.
+    rhos = (Sequence.from_values([1.0, 2.0]), Sequence.geometric(0.9), Sequence.power(horizon=3))
+    cases = [(2, 64, "a 64-bit time index"), (4, 32, "a 64-bit time index"),
+             (3, 40, "a 64-bit time index"), (3, 64, "the time index l\\^K - 1 at l = 3, K = 64")]
+    for K in (10 ** 7, 10 ** 8, 10 ** 30):
+        cases += [(2, K, f"a {K}-bit time index"), (8, K, f"a {3 * K}-bit time index"),
+                  (3, K, f"the time index l\\^K - 1 at l = 3, K = {K}")]
+    for l, K, text in cases:
+        calls = [*(lambda rho=rho: window_spectrum(rho, l, K) for rho in rhos),
+                 lambda: singular_values(np.ones(2), l, K), lambda: tensors.tt_svd(rhos[0], l, K),
+                 lambda: analysis_window(rhos[1], l, K)]
+        for call in calls:
+            began = time.perf_counter()
+            with pytest.raises(ValueError, match=f"^{text} is beyond the int64 limit 2\\^63 - 1$"):
+                call()
+            assert time.perf_counter() - began < 0.5, (l, K)
 
 
 def test_window_spectrum_reads_the_truncated_window():
@@ -583,8 +616,8 @@ def test_path_cores_are_the_window_as_a_train_of_fibres(rng):
     # read off them replays the target exactly.
     for l in (2, 3, 4):
         for target in _sparse_targets(rng, l):
-            window = tensors.analysis_window(target, l)
-            n, K = len(window.arrays()[0]), tensors.coverage_depth(l, window.radius() or 0)
+            window, K = tensors.analysis_window(target, l)
+            n = len(window.arrays()[0])
             cores = tensors.path_cores(target, l)
             _assert_fibre_form(cores, l, K)
             assert sum(len(fibres) for *_, fibres in cores) == (min(1, n) if K == 1 else K * n)
@@ -601,8 +634,8 @@ def test_tt_svd_is_the_window_as_a_train_of_fibres(rng):
     # width 1.
     for l in (2, 3, 4):
         for target in _sparse_targets(rng, l):
-            window = tensors.analysis_window(target, l)
-            n, K = len(window.arrays()[0]), tensors.coverage_depth(l, window.radius() or 0)
+            window, K = tensors.analysis_window(target, l)
+            n = len(window.arrays()[0])
             for depth, cores in ((K, tensors.tt_svd(target, l)),
                                  (1, tensors.tt_svd(target, l, 1)),
                                  (K + 1, tensors.tt_svd(target, l, K + 1))):
