@@ -104,7 +104,7 @@ def _exp_decay(gamma=0.99, eps=0.01, l=2, horizon=1000) -> dict:
     depth = cnn_min_depth_expdecay(gamma, eps, l)
     spec = RnnSpec(c=[1.0], W=[[gamma]], U=[gamma])
     rep = rnn_representation(spec, horizon)
-    kernel = np.array([gamma ** t for t in range(1, horizon + 1)])
+    kernel = Sequence.geometric(gamma).values_upto(horizon + 1)[1:]
     residual = float(np.max(np.abs(rep.values_upto(horizon + 1)[1:] - kernel)))
     return {
         "scenario": "exp_decay",

@@ -366,13 +366,23 @@ def power_sum_delta_bound(m_terms: int, t: int, sup_val: float) -> Scalar:
         raise ValueError("t must be >= 1")
     if m_terms < 1:
         raise ValueError("m_terms must be >= 1")
-    if sup_val < 0:
-        raise ValueError("sup_val must be >= 0")
+    if not 0.0 <= sup_val <= _HUGE:
+        raise ValueError(f"sup_val must be finite and >= 0, not {sup_val!r}")
     try:
-        return Scalar(2.0 * m_terms * sup_val / t)
+        bound = 2.0 * m_terms * sup_val / t
     except OverflowError:
         raise ValueError(f"{'m_terms' if m_terms > _HUGE else 't'} is beyond "
                          f"the float limit {_HUGE!r}") from None
+    if not bound <= _HUGE:
+        # 2 * m_terms * sup_val alone left the float range; the quotient of
+        # whole numbers, rounded once, may not.
+        p, q = sup_val.as_integer_ratio()
+        try:
+            bound = 2 * m_terms * p / (q * t)
+        except OverflowError:
+            raise ValueError(f"the bound 2 * m_terms * sup_val / t is beyond "
+                             f"the float limit {_HUGE!r}") from None
+    return Scalar(bound)
 
 
 def rnn_min_width_impulse(K: int, eps: float) -> int:

@@ -14,10 +14,11 @@ out.  That is the one zero rule: every stored value is support, however
 small beside the largest, so the radius is the last stored time.  Every
 operation on it is an array operation.  A Family is read through its
 window, values_upto(n), its rule applied to arange(n) in one pass
-(gamma ** t, 1 / t), or truncate(n), the nonzeros of that array as a
-Sequence, and through its tail beyond a window in closed form (tail_norm,
-sup_abs_from).  A power tail to a horizon, of any length, is one bracketed
-sum (_power_tail_norm): its first terms one by one, the rest by
+(gamma ** t by libm's pow, np.float_power, on every host; 1 / t), or
+truncate(n), the nonzeros of that array as a Sequence, and through its
+tail beyond a window in closed form (tail_norm, sup_abs_from).  A power
+tail to a horizon, of any length, is one bracketed sum
+(_power_tail_norm): its first terms one by one, the rest by
 Euler-Maclaurin, all of it from a start of 2^511 on, where 1/t^2 leaves
 the normal doubles.  So is a tail without a horizon, summed to infinity,
 from a start of 2^48 on, where its integral bracket would be narrower
@@ -36,7 +37,8 @@ sequence or the error is the same.
 
 The argument readers of the library live here: _whole reads a time index
 or another whole number, _number a real parameter, _length the length
-n >= 0 of a window (values_upto), _depth the filter size l and depth K
+n >= 0 of a window (values_upto), of at most the 2^60 - 1 float64
+entries numpy holds in one array, _depth the filter size l and depth K
 of a dilated stack, as ints with l >= 2 and K >= 1, and _window_depth
 those of a length-l^K window, refused when its last time l^K - 1 is past
 the int64 limit, before any power past that limit is formed.
@@ -224,11 +226,16 @@ def _whole(t, what="a time index") -> int:
 
 def _length(n) -> int:
     """The length n of a dense window as an int: a whole number of at
-    least 0 whose last time index n - 1 passes _check_time."""
+    least 0 whose last time index n - 1 passes _check_time, and of at
+    most 2^60 - 1 entries, as many float64 entries as numpy holds in one
+    array."""
     n = _whole(n, "n")
     if n < 0:
         raise ValueError("n must be >= 0")
     _check_time(n - 1)
+    if n >> 60:
+        raise ValueError(f"a window of {n} entries is beyond numpy's array "
+                         f"limit 2^60 - 1")
     return n
 
 
@@ -631,13 +638,15 @@ class Family:
     def values_upto(self, n: int) -> np.ndarray:
         """Dense array of rho(0), ..., rho(n-1): the rule applied in place
         to arange(n), zero at time 0 for the power rule and past the
-        horizon, with no other array."""
+        horizon, with no other array.  gamma^t is np.float_power, libm's
+        pow at every SIMD level, so each entry is Python's gamma ** t, as
+        tail_norm and sup_abs_from read it."""
         n = _length(n)
         m = n if self.horizon is None else min(n, self.horizon + 1)
         out = np.arange(n, dtype=float)    # exact: no window reaches 2^53
         live = out[:m]
         if self.family == "geometric":
-            np.power(self.gamma, live, out=live)
+            np.float_power(self.gamma, live, out=live)
         elif m:
             live[0] = 0.0
             np.divide(1.0, live[1:], out=live[1:])

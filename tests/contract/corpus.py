@@ -12,7 +12,9 @@ process sets OPENBLAS_CORETYPE=Haswell and OPENBLAS_NUM_THREADS=1
 before numpy loads, and the corpus holds only where that pin holds:
 numpy 2.4.6 on x86-64, with Haswell as the kernel OpenBLAS reports.
 Elsewhere outputs() returns the reason instead of outputs, and nothing
-is compared.  The process turns every warning into an error.
+is compared.  The process turns every warning into an error.  The
+outputs do not depend on the SIMD kernels numpy picks at import from the
+CPU: CI runs the contract again under NPY_ENABLE_CPU_FEATURES=X86_V3.
 
 Run as a script with a working directory, this file runs the manifest
 there and writes results.json; outputs() starts it that way.

@@ -230,6 +230,18 @@ MUTANTS = (
            '        except OverflowError:\n            raise ValueError(f"{what} is beyond',
            '        except ZeroDivisionError:\n            raise ValueError(f"{what} is beyond',
            ("tests/test_bounds.py::test_rank_budget_refuses_a_depth_or_a_width_outside_its_domain",)),
+    Mutant("geometric-window-by-dispatched-power", "src/memlens/sequences.py",
+           "np.float_power(self.gamma, live, out=live)", "np.power(self.gamma, live, out=live)",
+           ("tests/test_acceptance.py::test_no_module_calls_a_simd_dispatched_transcendental",)),
+    Mutant("window-past-the-array-limit-unnamed", "src/memlens/sequences.py",
+           "    if n >> 60:", "    if n >> 64:",
+           ("tests/test_tensors.py::test_a_window_beyond_the_time_limit_is_refused_by_name",)),
+    Mutant("delta-bound-reads-an-infinite-sup", "src/memlens/models.py",
+           "if not 0.0 <= sup_val <= _HUGE:", "if not 0.0 <= sup_val:",
+           ("tests/test_models.py::test_power_sum_delta_bound_values_and_errors",)),
+    Mutant("delta-bound-returns-inf", "src/memlens/models.py",
+           "    if not bound <= _HUGE:", "    if False:",
+           ("tests/test_models.py::test_power_sum_delta_bound_values_and_errors",)),
 )
 
 # {mutant name: why no output may depend on the value it moves}.

@@ -300,6 +300,30 @@ def test_every_svd_of_the_library_runs_in_tensors():
     assert private == []
 
 
+# numpy picks the kernel of these ufuncs at import from the host's SIMD
+# level (AVX-512, AVX2, ...), and the kernels differ in the last bit.
+_DISPATCHED = {"power", "pow", "exp", "exp2", "expm1", "log", "log2", "log10", "log1p",
+               "cbrt", "sin", "cos", "tan", "arcsin", "arccos", "arctan", "arctan2",
+               "asin", "acos", "atan", "atan2", "sinh", "cosh", "tanh", "arcsinh",
+               "arccosh", "arctanh", "asinh", "acosh", "atanh"}
+
+
+def test_no_module_calls_a_simd_dispatched_transcendental():
+    # An output that read one of them would depend on the host.  Arithmetic
+    # and sqrt are correctly rounded, and float_power runs libm's pow, as
+    # Python's ** does, at every SIMD level.
+    found = []
+    for path in sorted(Path(memlens.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr in _DISPATCHED
+                    and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+                found.append(f"{path.name}:{node.lineno} np.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+                found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                          if alias.name in _DISPATCHED]
+    assert found == []
+
+
 def test_the_window_and_its_depth_come_from_analysis_window_alone():
     # Only analysis_window pairs a window with its coverage depth: besides
     # it, only cnn_min_depth_expdecay, whose time is a decay length and not

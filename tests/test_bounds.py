@@ -290,28 +290,31 @@ def _table_values():
 # the output contract's OpenBLAS pin (tests/contract/corpus.py): LAPACK's
 # last digits follow the kernel that runs.  The curve digests of rho3:700
 # (rows 4, 10 and 16) are those of its tail term as one bracketed sum,
-# sequences._power_tail_norm, which moved its last digits.
+# sequences._power_tail_norm, which moved its last digits.  The curve
+# digests of the geometric target and of exp:0.9 (rows 5, 11, 17 and 19)
+# are those of a window written by libm's pow (np.float_power), which
+# numpy's SIMD kernels of np.power missed in the last bit at some times.
 TABLE_VALUES = [
     ["0x1.0000000000000p+2", "0x1.8000000000000p+1", "0x1.6a09e667f3bcdp+1", "778bde604215b6e4"],
     ["0x1.a51a6625307d3p+0", "0x1.a51a6625307d3p+0", "0x1.a51a6625307d3p+0", "ddbbbc777e4674f0"],
     ["0x1.a51a6625307d3p+4", "0x1.7434c25b4e9fcp+2", "inf", "6a0edfa47804e5ed"],
     ["0x1.1534f738d02bcp+6", "0x1.f066a11c25cdep+3", "inf", "353796ad38928a9f"],
     ["0x1.7b1afe6ed5544p+4", "0x1.ec5cf8f782beep+0", "inf", "6284e5fe863b0986"],
-    ["0x1.25a6f29acf3c1p+1", "0x1.25a6f29acf3c1p+1", "0x1.25a6f29acf3c1p+1", "b16a55a5d0e36c6e"],
+    ["0x1.25a6f29acf3c1p+1", "0x1.25a6f29acf3c1p+1", "0x1.25a6f29acf3c1p+1", "f03967e01f0320cf"],
     ["0x1.6a09e667f3bcdp+0", "0x1.6a09e667f3bcdp+0", "0x1.6a09e667f3bcdp+0", "4b8b6e3ab7c09c66"],
     ["0x1.a51a6625307d3p+1", "0x1.3bd3cc9be45dfp+1", "0x1.29c3ceaf72197p+1", "f011f7951568df3c"],
     ["0x1.a51a6625307d3p+5", "0x1.c7db852924079p+2", "inf", "dcd88889bad5577f"],
     ["0x1.9c1fd406e8a68p+6", "0x1.d80deb0b27c73p+3", "inf", "6a31a5a3d17cb964"],
     ["0x1.75a61f5291f30p+4", "0x1.7053d3ad4e3a3p+0", "inf", "02d3d3154a810cd9"],
-    ["0x1.25a6f29acf3c2p+1", "0x1.25a6f29acf3c2p+1", "0x1.25a6f29acf3c2p+1", "b0818cad47ed7036"],
+    ["0x1.25a6f29acf3c2p+1", "0x1.25a6f29acf3c2p+1", "0x1.25a6f29acf3c2p+1", "85868fe6e6f44579"],
     ["0x1.6a09e667f3bcdp+0", "0x1.6a09e667f3bcdp+0", "0x1.6a09e667f3bcdp+0", "9601b06a9a444671"],
     ["0x1.a51a6625307d3p+0", "0x1.a51a6625307d3p+0", "0x1.a51a6625307d3p+0", "87597e825a1b33b6"],
     ["0x1.a51a6625307d2p+4", "0x1.7434c25b4e9fbp+2", "inf", "2395402ac8bf247a"],
     ["0x1.6e442f8422262p+6", "0x1.d3f6a85ec2b80p+3", "inf", "876ab67421e02aee"],
     ["0x1.1b326eaccd552p+4", "0x1.56fe8e0a8808dp+0", "inf", "574bdd6fa37684c2"],
-    ["0x1.25a6f29acf3c2p+1", "0x1.25a6f29acf3c2p+1", "0x1.25a6f29acf3c2p+1", "f1c59349314ccbcf"],
+    ["0x1.25a6f29acf3c2p+1", "0x1.25a6f29acf3c2p+1", "0x1.25a6f29acf3c2p+1", "27c5c30baf84f9a6"],
     ["a99d2cc1097e33f1"],
-    ["9b8cc49eb787bb25"],
+    ["9768d1cf806b3456"],
 ]
 
 

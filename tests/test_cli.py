@@ -915,6 +915,20 @@ def test_compare_beyond_the_time_limit_exits_two(capsys):
         assert json.loads(out)["cnn_requirement"]["replay_residual"] == 0.0
 
 
+def test_a_window_past_the_array_limit_exits_two_by_its_size(capsys):
+    # Its last time passes the int64 limit, but numpy holds no array of
+    # 2^60 or more float64 entries.
+    for argv, n in ((["spectrum", "--target", "rho1", "--K", "61"], 2 ** 61),
+                    (["spectrum", "--target", "rho1", "--l", "3", "--K", "38"], 3 ** 38),
+                    (["synth", "--target", "impulse:9223372036854775807",
+                      "--method", "lowrank"], 2 ** 63)):
+        began = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - began < 0.5, argv
+        assert capsys.readouterr().err == (f"error: a window of {n} entries is beyond "
+                                           f"numpy's array limit 2^60 - 1\n")
+
+
 def test_curve_of_rho3_with_a_horizon_of_10_to_the_12_finishes(tmp_path, capsys):
     began = time.perf_counter()
     assert main(["curve", "--target", "rho3:1000000000000", "--K", "4", "--M-max", "4",

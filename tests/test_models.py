@@ -669,6 +669,17 @@ def test_power_sum_delta_bound_values_and_errors():
         with pytest.raises(ValueError, match=f"^{what} is beyond the float limit "
                                              f"{re.escape(repr(sys.float_info.max))}$"):
             power_sum_delta_bound(*args)
+    # A sup that is no finite number, and a bound past the float range, are
+    # refused by name, not returned as an infinite bound; a bound within
+    # the range is returned when only 2 * m_terms * sup_val is past it.
+    for sup_val in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="^sup_val must be finite and >= 0, not "):
+            power_sum_delta_bound(3, 1, sup_val)
+    with pytest.raises(ValueError, match="^the bound 2 \\* m_terms \\* sup_val / t is beyond "
+                                         f"the float limit {re.escape(repr(sys.float_info.max))}$"):
+        power_sum_delta_bound(10 ** 300, 1, 1e300)
+    assert power_sum_delta_bound(10 ** 300, 10 ** 300, 1e300).value == 2e300
+    assert power_sum_delta_bound(10 ** 308, 1, 0.0).value == 0.0
 
 
 def test_rnn_min_width_impulse_values():

@@ -447,6 +447,18 @@ def test_a_window_beyond_the_time_limit_is_refused_by_name():
             with pytest.raises(ValueError, match=f"^{text} is beyond the int64 limit 2\\^63 - 1$"):
                 call()
             assert time.perf_counter() - began < 0.5, (l, K)
+    # A window whose last time passes but whose 2^60 or more entries numpy
+    # cannot hold in one array is refused by its size, before any is made.
+    for l, K in ((2, 61), (2, 62), (2, 63), (3, 38), (3, 39)):
+        calls = [*(lambda rho=rho: window_spectrum(rho, l, K) for rho in rhos),
+                 *(lambda rho=rho: tensors.tt_svd(rho, l, K) for rho in rhos),
+                 lambda: analysis_window(rhos[1], l, K)]
+        for call in calls:
+            began = time.perf_counter()
+            with pytest.raises(ValueError, match=f"^a window of {l ** K} entries is beyond "
+                                                 f"numpy's array limit 2\\^60 - 1$"):
+                call()
+            assert time.perf_counter() - began < 0.5, (l, K)
 
 
 def test_window_spectrum_reads_the_truncated_window():
